@@ -17,7 +17,6 @@ from .analysis import (
 )
 from .errors import (
     DegenerateFan,
-    DegeneratePlot,
     InvalidCavity,
     NoInteriorMaximum,
     NonFiniteSample,
@@ -35,12 +34,10 @@ from .geometry import (
     AngleWindow,
     CavitySpec,
     Units,
-    WingPoint,
     limit_angles,
     ray_length,
     s_factor,
     validate,
-    wing_point,
 )
 from .kernels import (
     CODATA,
@@ -62,7 +59,7 @@ from .oracle import (
     riemann_pressures,
     verify_suite,
 )
-from .quadrature import QuadratureResult, integrate_adaptive, integrate_fixed, pairwise_sum
+from .quadrature import QuadratureResult, integrate_adaptive, pairwise_sum
 
 __version__ = "0.1.0"
 
@@ -71,7 +68,6 @@ __all__ = [
     "CavitySpec",
     "CODATA",
     "DegenerateFan",
-    "DegeneratePlot",
     "ForceResult",
     "InvalidCavity",
     "NoInteriorMaximum",
@@ -94,13 +90,11 @@ __all__ = [
     "SweepTable",
     "TrapcavError",
     "Units",
-    "WingPoint",
     "casimir_energy_per_area",
     "classical_casimir_pressure",
     "inner_integral_x",
     "inner_integral_z",
     "integrate_adaptive",
-    "integrate_fixed",
     "limit_angles",
     "limit_angles_vector",
     "local_ray_pressure",
@@ -119,5 +113,4 @@ __all__ = [
     "total_forces",
     "validate",
     "verify_suite",
-    "wing_point",
 ]

@@ -14,7 +14,6 @@ per-wing forces by lambda^-3.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -111,9 +110,11 @@ def sweep(
     """One :func:`total_forces` evaluation per value along ``axis``.
 
     Values must be strictly increasing and each must yield a valid cavity
-    (checked up front).  Rows are independent; ``workers > 1`` maps them
-    over a thread pool in input order, so the table is identical for any
-    worker count.  A row that fails numerically is flagged, never fatal.
+    (checked up front).  Rows run one after another in input order.
+    ``workers`` is accepted for compatibility and must be at least 1; it
+    runs nothing concurrently and cannot change the table (a thread pool
+    gave no speedup on these GIL-bound rows).  A row that fails numerically
+    is flagged, never fatal.
     """
     axis = SweepAxis(axis)
     if workers < 1:
@@ -132,11 +133,7 @@ def sweep(
         except TrapcavError:
             return _flagged_row(spec, wing_count)
 
-    if workers > 1 and len(specs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(row, specs))
-    else:
-        results = [row(spec) for spec in specs]
+    results = [row(spec) for spec in specs]
     return SweepTable(axis=axis, points=tuple(zip(values, results)), base=base)
 
 

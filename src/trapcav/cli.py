@@ -129,7 +129,11 @@ def _build_parser() -> argparse.ArgumentParser:
     running.add_argument(
         "--wing-count", type=int, choices=(1, 2), dest="wing_count", help="wings to report (default 1)"
     )
-    running.add_argument("--workers", type=int, help="sweep worker threads (default 1)")
+    running.add_argument(
+        "--workers",
+        type=int,
+        help="accepted for compatibility (>= 1, default 1); sweep rows run one after another",
+    )
     running.add_argument("--out", help="output path (default stdout)")
     running.add_argument("--format", choices=("csv", "json", "svg"))
     running.add_argument("--config", help="JSON file with the same fields; explicit flags win")

@@ -50,19 +50,22 @@ class NonPositiveRay(TrapcavError):
 class NotConverged(TrapcavError):
     """Adaptive integration stopped early; carries the best estimate found.
 
+    ``value`` and ``error_estimate`` follow the integrand's shape: floats,
+    or tuples of floats for a vector integrand.
+
     Attributes:
         value: best integral estimate at the point of giving up.
         error_estimate: summed panel error estimate for that value.
         evaluations: integrand evaluations spent.
     """
 
-    def __init__(self, value: float, error_estimate: float, evaluations: int) -> None:
+    def __init__(self, value, error_estimate, evaluations: int) -> None:
         self.value = value
         self.error_estimate = error_estimate
         self.evaluations = evaluations
         super().__init__(
             f"quadrature stopped at value={value!r} "
-            f"with error estimate {error_estimate:.3e} after {evaluations} evaluations"
+            f"with error estimate {error_estimate!r} after {evaluations} evaluations"
         )
 
 
@@ -78,6 +81,3 @@ class NonFiniteSample(TrapcavError):
 class NoInteriorMaximum(TrapcavError):
     """The optimizer prescan found no single interior peak on the grid."""
 
-
-class DegeneratePlot(TrapcavError):
-    """A plot was requested for data that spans no drawable range."""

@@ -6,11 +6,14 @@ along the wing arc:
     F_z = L * integral_0^R p_z(r) dr      (compression, < 0)
     F_x = L * integral_0^R p_x(r) dr      (expulsion; < 0 for phi > 0)
 
-The z integrand is single-signed, so a relative tolerance is meaningful.
-The x integrand changes sign along the wing and at phi = 0 integrates to
-exactly zero by symmetry, where no relative target can ever be met; the x
-integration therefore also gets an absolute tolerance anchored to the
-cavity's own force scale, rel_tol * |integral of p_z|.
+Both components come from one adaptive integral of the vector integrand
+r -> (p_x, p_z), so each node costs one kernel call.  The z integrand is
+single-signed and never integrates to zero for a valid cavity.  The x
+integrand changes sign along the wing and at phi = 0 integrates to exactly
+zero by symmetry, where no relative target of its own can be met.  The
+quadrature's max-norm stopping rule holds both error estimates to
+rel_tol * max(|integral of p_x|, |integral of p_z|), and since
+|F_x| <= |F_z| that is the z scale: the cavity's own force scale anchors x.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ class ForceResult:
     """Integrated forces with error estimates, per ``wing_count`` wings.
 
     ``err_x`` and ``err_z`` are quadrature error estimates scaled like the
-    forces themselves.  ``converged`` is False when either integral stopped
-    at its depth limit; the values then carry the best estimate found.
+    forces themselves.  ``converged`` is False when the integral stopped at
+    its depth or panel limit; the values then carry the best estimate found.
     """
 
     spec: CavitySpec
@@ -58,11 +61,12 @@ def total_forces(
 ) -> ForceResult:
     """Adaptive integration of both force components over the wing.
 
-    With ``wing_count=2`` the x force doubles and the z force cancels
-    exactly between the mirror-image wings; nothing is recomputed.  A
-    :class:`NotConverged` from either integral is absorbed into
-    ``converged=False`` instead of propagating, so sweeps can flag rows
-    and continue; the values then carry the best estimates found.
+    One integral of r -> (p_x, p_z) gives both components.  With
+    ``wing_count=2`` the x force doubles and the z force cancels exactly
+    between the mirror-image wings; nothing is recomputed.  A
+    :class:`NotConverged` is absorbed into ``converged=False`` instead of
+    propagating, so sweeps can flag rows and continue; the values then carry
+    the best estimates found.
     """
     validate(spec)
     if wing_count not in (1, 2):
@@ -70,28 +74,15 @@ def total_forces(
     if not (rel_tol > 0.0):
         raise ValueError(f"rel_tol must be positive, got {rel_tol!r}")
 
-    def p_z(r: float) -> float:
-        return specific_pressures(spec, r, constants).p_z
+    def pressures(r: float) -> tuple[float, float]:
+        p = specific_pressures(spec, r, constants)
+        return p.p_x, p.p_z
 
-    def p_x(r: float) -> float:
-        return specific_pressures(spec, r, constants).p_x
-
-    converged = True
     try:
-        qz = integrate_adaptive(p_z, 0.0, spec.R, rel_tol=rel_tol)
-        vz, ez = qz.value, qz.error_estimate
+        q = integrate_adaptive(pressures, 0.0, spec.R, rel_tol=rel_tol)
+        (vx, vz), (ex, ez), converged = q.value, q.error_estimate, True
     except NotConverged as stop:
-        vz, ez = stop.value, stop.error_estimate
-        converged = False
-
-    # the z integral never vanishes for a valid cavity, so it anchors x
-    abs_x = max(rel_tol * abs(vz), 1e-300)
-    try:
-        qx = integrate_adaptive(p_x, 0.0, spec.R, rel_tol=rel_tol, abs_tol=abs_x)
-        vx, ex = qx.value, qx.error_estimate
-    except NotConverged as stop:
-        vx, ex = stop.value, stop.error_estimate
-        converged = False
+        (vx, vz), (ex, ez), converged = stop.value, stop.error_estimate, False
 
     f_x = spec.L * vx
     f_z = spec.L * vz
@@ -118,12 +109,15 @@ def pressure_profile(
 ) -> PressureProfile:
     """Sample both pressure components at ``n`` evenly spaced points on [0, R].
 
-    Endpoints are included exactly: r_i = R * i / (n - 1).
+    Endpoints are included exactly: r_i = R * i / (n - 1), except that the
+    last point is r = R itself, since R * (n - 1) / (n - 1) can round one
+    ulp above R.
     """
     validate(spec)
     if n < 2:
         raise ValueError(f"profile needs at least 2 samples, got {n!r}")
     samples = tuple(
-        specific_pressures(spec, spec.R * i / (n - 1), constants) for i in range(n)
+        specific_pressures(spec, min(spec.R * i / (n - 1), spec.R), constants)
+        for i in range(n)
     )
     return PressureProfile(spec=spec, samples=samples)

@@ -90,15 +90,6 @@ class AngleWindow:
         return self.theta2 - self.theta1
 
 
-@dataclass(frozen=True)
-class WingPoint:
-    """Point on the upper wing: arc coordinate ``r`` and Cartesian (x, z)."""
-
-    r: float
-    x: float
-    z: float
-
-
 def validate(spec: CavitySpec) -> None:
     """Raise :class:`InvalidCavity` unless every cavity invariant holds.
 
@@ -123,12 +114,6 @@ def validate(spec: CavitySpec) -> None:
 def _check_r(spec: CavitySpec, r: float) -> None:
     if not (0.0 <= r <= spec.R):
         raise OutOfRange("r", r, 0.0, spec.R)
-
-
-def wing_point(spec: CavitySpec, r: float) -> WingPoint:
-    """Cartesian coordinates (r cos phi, r sin phi) of the upper-wing point."""
-    _check_r(spec, r)
-    return WingPoint(r=r, x=r * math.cos(spec.phi), z=r * math.sin(spec.phi))
 
 
 def limit_angle_cosines(spec: CavitySpec, r: float) -> tuple[float, float]:
@@ -177,21 +162,13 @@ def limit_angles(spec: CavitySpec, r: float) -> AngleWindow:
 def s_factor(spec: CavitySpec, r: float) -> float:
     """Length scale s(r) of the fan, the numerator of every ray length.
 
-    s = sin(2 phi - theta2) (a + r sin phi) / sin(phi - theta2).  At phi = 0
-    the two sines cancel and s reduces to the gap ``a`` exactly, so that
-    case is short-circuited instead of evaluated as fragile trig.
+    s = cos(phi) (a + 2 r sin(phi)), the closed form of
+    sin(2 phi - theta2) (a + r sin phi) / sin(phi - theta2).  Every term is
+    positive, so the result is good to a few ulps for any valid cavity and
+    reduces to the gap ``a`` exactly at phi = 0.
     """
     _check_r(spec, r)
-    if spec.phi == 0.0:
-        return spec.a
-    _, c2 = limit_angle_cosines(spec, r)
-    theta2 = _acos_clamped(c2)
-    denom = math.sin(spec.phi - theta2)
-    if abs(denom) <= _SIN_FLOOR:
-        raise NumericDegeneracy(
-            f"sin(phi - theta2) vanished at r={r!r} (phi={spec.phi!r}, theta2={theta2!r})"
-        )
-    return math.sin(2.0 * spec.phi - theta2) * (spec.a + r * math.sin(spec.phi)) / denom
+    return math.cos(spec.phi) * (spec.a + 2.0 * r * math.sin(spec.phi))
 
 
 def ray_length(spec: CavitySpec, r: float, theta: float) -> float:

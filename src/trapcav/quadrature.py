@@ -1,26 +1,33 @@
-"""Adaptive Gauss-Kronrod integration, fixed midpoint sums, pairwise reduction.
+"""Adaptive Gauss-Kronrod integration and pairwise reduction.
 
 Panels use the 7-point Gauss / 15-point Kronrod pair; the difference between
 the two rules gives the per-panel error estimate (sharpened by the usual
 scaled-residual inflation so the estimate stays honest on rough panels).
-Subdivision is global: the panel with the largest estimate splits until the
-summed estimate meets max(rel_tol * |value|, abs_tol), a panel reaches
-``max_depth`` halvings, or the panel list hits a safety cap.
+
+The integrand may return a float or a fixed-length tuple of floats; the
+value and error estimate then come back in the same shape.  All components
+share the panels, and every norm is the max-norm over components: the panel
+with the largest component estimate splits until the largest summed estimate
+meets max(rel_tol * max |value_i|, abs_tol), a panel reaches ``max_depth``
+halvings, or the panel list hits a safety cap.  For a float integrand this is
+the plain rule |error| <= max(rel_tol * |value|, abs_tol).
 
 Every accumulation that feeds a reported value runs through
 :func:`pairwise_sum`, a fixed stride-pair tree, so identical inputs produce
-bit-identical outputs regardless of chunking or worker count.
+bit-identical outputs regardless of chunking.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import NonFiniteSample, NotConverged
+
+#: A float, or a fixed-length tuple of floats for a vector integrand.
+Value = float | tuple[float, ...]
 
 # 15-point Kronrod abscissae on [-1, 1] (positive half; x[7] = 0 is implicit)
 _XGK = (
@@ -51,15 +58,26 @@ _WG = (
     0.417959183673469,
 )
 
+# all 15 nodes in increasing order, with both rules' weights on them (the
+# Gauss rule weighs the Kronrod-only nodes by zero)
+_X15 = np.array([-x for x in _XGK] + [0.0] + list(reversed(_XGK)))
+_WK15 = np.array(_WGK + tuple(reversed(_WGK[:7])))
+_WG7 = (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0)
+_WG15 = np.array(_WG7 + (_WG[3],) + tuple(reversed(_WG7)))
+
 _EPS = 2.220446049250313e-16
 
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Integral value with its error estimate and cost accounting."""
+    """Integral value with its error estimate and cost accounting.
 
-    value: float
-    error_estimate: float
+    ``value`` and ``error_estimate`` have the integrand's shape: floats, or
+    tuples of floats of the integrand's length.
+    """
+
+    value: Value
+    error_estimate: Value
     evaluations: int
     converged: bool
     method: str = "gauss-kronrod-7-15"
@@ -88,53 +106,36 @@ def pairwise_sum(values, axis: int = -1):
     return float(out) if out.ndim == 0 else out
 
 
-def _gk15(
-    f: Callable[[float], float], lo: float, hi: float, count: list[int]
-) -> tuple[float, float]:
-    """One Gauss-Kronrod panel: returns (value, error estimate)."""
+def _gk15(f: Callable[[float], Value], lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """One Gauss-Kronrod panel: (value, error estimate), in the integrand's shape."""
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
+    xs = (center + half * _X15).tolist()
+    raw = [f(x) for x in xs]
+    fv = np.array(raw, dtype=float)
+    if not np.isfinite(fv).all():
+        x, v = next((x, v) for x, v in zip(xs, raw) if not np.isfinite(v).all())
+        raise NonFiniteSample(x, v)
+    resk = _WK15 @ fv
+    resg = _WG15 @ fv
+    resabs = (_WK15 @ np.abs(fv)) * abs(half)
+    resasc = (_WK15 @ np.abs(fv - 0.5 * resk)) * abs(half)
+    err = np.abs((resk - resg) * half)
+    # inflate towards resasc unless the rules genuinely agree
+    inflate = (resasc != 0.0) & (err != 0.0)
+    ratio = 200.0 * err / np.where(inflate, resasc, 1.0)
+    err = np.where(inflate, resasc * np.minimum(1.0, ratio**1.5), err)
+    return resk * half, np.maximum(err, 50.0 * _EPS * resabs)
 
-    def sample(x: float) -> float:
-        count[0] += 1
-        v = float(f(x))
-        if not math.isfinite(v):
-            raise NonFiniteSample(x, v)
-        return v
 
-    fc = sample(center)
-    resg = _WG[3] * fc
-    resk = _WGK[7] * fc
-    resabs = _WGK[7] * abs(fc)
-    pairs = []
-    for j in range(7):
-        dx = half * _XGK[j]
-        f1 = sample(center - dx)
-        f2 = sample(center + dx)
-        pairs.append((f1, f2))
-        both = f1 + f2
-        resk += _WGK[j] * both
-        resabs += _WGK[j] * (abs(f1) + abs(f2))
-        if j % 2 == 1:
-            resg += _WG[j // 2] * both
-    mean = 0.5 * resk
-    resasc = _WGK[7] * abs(fc - mean)
-    for j in range(7):
-        f1, f2 = pairs[j]
-        resasc += _WGK[j] * (abs(f1 - mean) + abs(f2 - mean))
-    value = resk * half
-    resabs *= abs(half)
-    resasc *= abs(half)
-    err = abs((resk - resg) * half)
-    if resasc != 0.0 and err != 0.0:
-        # inflate towards resasc unless the rules genuinely agree
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    err = max(err, 50.0 * _EPS * resabs)
-    return value, err
+def _shaped(a) -> Value:
+    # a float for a float integrand, a tuple of floats for a vector one
+    out = np.asarray(a).tolist()
+    return tuple(out) if isinstance(out, list) else out
 
 
 def integrate_adaptive(
-    f: Callable[[float], float],
+    f: Callable[[float], Value],
     lo: float,
     hi: float,
     rel_tol: float = 1e-9,
@@ -144,11 +145,15 @@ def integrate_adaptive(
 ) -> QuadratureResult:
     """Globally adaptive integral of ``f`` over [lo, hi].
 
-    Convergence means the summed panel error estimate is at most
-    max(rel_tol * |value|, abs_tol).  On failure raises
-    :class:`NotConverged` carrying the best value, its estimate, and the
-    evaluation count.  ``max_panels`` is a safety valve against integrands
-    whose error estimates never shrink anywhere.
+    ``f`` returns a float or a fixed-length tuple of floats.  Convergence
+    means the largest component of the summed panel error estimate is at
+    most max(rel_tol * max_i |value_i|, abs_tol), so a component that
+    integrates to (nearly) zero is held to the scale of the largest one.
+    On failure raises :class:`NotConverged` carrying the best value, its
+    estimate, and the evaluation count.  ``max_panels`` is a safety valve
+    against integrands whose error estimates never shrink anywhere.  An
+    empty interval integrates to zero in the integrand's shape; ``f`` is
+    called once at ``lo`` to learn that shape, and no evaluation is counted.
     """
     if not (hi >= lo):
         raise ValueError(f"integration bounds out of order: [{lo!r}, {hi!r}]")
@@ -157,42 +162,25 @@ def integrate_adaptive(
     if not (abs_tol >= 0.0):
         raise ValueError(f"abs_tol must be non-negative, got {abs_tol!r}")
     if hi == lo:
-        return QuadratureResult(0.0, 0.0, 0, True)
+        zero = _shaped(np.zeros(np.shape(f(lo))))
+        return QuadratureResult(zero, zero, 0, True)
 
-    count = [0]
-    # panels stay sorted by left edge: (lo, hi, value, err, depth)
-    panels = [(lo, hi, *_gk15(f, lo, hi, count), 0)]
+    def panel(p_lo: float, p_hi: float, depth: int) -> tuple:
+        value, err = _gk15(f, p_lo, p_hi)
+        return (p_lo, p_hi, value, err, float(np.max(err)), depth)
+
+    # panels stay sorted by left edge: (lo, hi, value, err, max err, depth)
+    panels = [panel(lo, hi, 0)]
+    evaluations = 15
     while True:
-        total = pairwise_sum([p[2] for p in panels])
-        total_err = pairwise_sum([p[3] for p in panels])
-        if total_err <= max(rel_tol * abs(total), abs_tol):
-            return QuadratureResult(total, total_err, count[0], True)
-        worst = max(range(len(panels)), key=lambda i: (panels[i][3], -panels[i][0]))
-        p_lo, p_hi, _, _, depth = panels[worst]
+        total = pairwise_sum([p[2] for p in panels], axis=0)
+        total_err = pairwise_sum([p[3] for p in panels], axis=0)
+        if np.max(total_err) <= max(rel_tol * np.max(np.abs(total)), abs_tol):
+            return QuadratureResult(_shaped(total), _shaped(total_err), evaluations, True)
+        worst = max(range(len(panels)), key=lambda i: (panels[i][4], -panels[i][0]))
+        p_lo, p_hi, _, _, _, depth = panels[worst]
         if depth >= max_depth or len(panels) >= max_panels:
-            raise NotConverged(total, total_err, count[0])
+            raise NotConverged(_shaped(total), _shaped(total_err), evaluations)
         mid = 0.5 * (p_lo + p_hi)
-        left = (p_lo, mid, *_gk15(f, p_lo, mid, count), depth + 1)
-        right = (mid, p_hi, *_gk15(f, mid, p_hi, count), depth + 1)
-        panels[worst : worst + 1] = [left, right]
-
-
-def integrate_fixed(f: Callable[[float], float], lo: float, hi: float, n: int) -> float:
-    """Composite midpoint rule with ``n`` panels and pairwise accumulation.
-
-    Second-order accurate for smooth integrands.  No error estimate; use
-    :func:`integrate_adaptive` when one is needed.
-    """
-    if n < 1:
-        raise ValueError(f"panel count must be at least 1, got {n!r}")
-    if not (hi >= lo):
-        raise ValueError(f"integration bounds out of order: [{lo!r}, {hi!r}]")
-    h = (hi - lo) / n
-    values = []
-    for i in range(n):
-        x = lo + (i + 0.5) * h
-        v = float(f(x))
-        if not math.isfinite(v):
-            raise NonFiniteSample(x, v)
-        values.append(v)
-    return pairwise_sum(values) * h
+        panels[worst : worst + 1] = [panel(p_lo, mid, depth + 1), panel(mid, p_hi, depth + 1)]
+        evaluations += 30

@@ -171,6 +171,15 @@ def test_profile_csv_shape(capsysbinary):
     assert float(first[0]) == 0.0
 
 
+def test_profile_keeps_last_sample_when_R_rounds_up(capsysbinary):
+    # R * 100 / 100 rounds one ulp above this R
+    argv = ["profile", "--a", "1", "--R", "1874.971575805314", "--units", "reduced"]
+    assert main([*argv, "--phi-deg", "1", "--samples", "101"]) == 0
+    lines = capsysbinary.readouterr().out.decode("ascii").splitlines()
+    assert len(lines) == 102
+    assert float(lines[-1].split(",")[0]) == 1874.971575805314
+
+
 def test_sweep_csv_param_in_radians(capsysbinary):
     argv = ["sweep", *REDUCED_ARGS, "--axis", "phi", "--values", "0.5,2", "--format", "csv"]
     assert main(argv) == 0

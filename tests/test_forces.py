@@ -95,13 +95,28 @@ def test_rejects_bad_tolerance_and_spec():
 
 def test_non_convergence_is_absorbed(monkeypatch):
     def always_stops(f, lo, hi, **kwargs):
-        raise NotConverged(-1.23, 0.05, 77)
+        raise NotConverged((-0.5, -1.23), (0.01, 0.05), 77)
 
     monkeypatch.setattr(trapcav.forces, "integrate_adaptive", always_stops)
     fr = total_forces(reduced_at(1.0))
     assert not fr.converged
-    assert fr.f_z == -1.23 and fr.f_x == -1.23
-    assert fr.err_z == 0.05
+    assert fr.f_x == -0.5 and fr.f_z == -1.23
+    assert fr.err_x == 0.01 and fr.err_z == 0.05
+
+
+def test_each_node_is_evaluated_once(monkeypatch):
+    seen = []
+    kernel = trapcav.forces.specific_pressures
+
+    def counting(spec, r, *args):
+        seen.append(r)
+        return kernel(spec, r, *args)
+
+    monkeypatch.setattr(trapcav.forces, "specific_pressures", counting)
+    fr = total_forces(reduced_at(1.0))
+    assert fr.converged
+    assert len(seen) >= 15
+    assert len(set(seen)) == len(seen)
 
 
 def test_matches_trapezoid_over_dense_profile():
@@ -133,6 +148,16 @@ def test_profile_sign_change_moves_with_angle():
     signs = [s.p_x > 0 for s in prof.samples]
     flips = sum(a != b for a, b in zip(signs, signs[1:]))
     assert flips == 1
+
+
+def test_profile_last_sample_is_exactly_R():
+    # R * 100 / 100 rounds one ulp above this R
+    spec = replace(reduced_at(1.0), R=1874.971575805314)
+    assert spec.R * 100 / 100 > spec.R
+    prof = pressure_profile(spec, 101)
+    rs = [s.r for s in prof.samples]
+    assert rs[-1] == spec.R
+    assert rs[:-1] == [spec.R * i / 100 for i in range(100)]
 
 
 def test_profile_needs_two_samples():

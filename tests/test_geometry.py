@@ -16,7 +16,6 @@ from trapcav import (
     ray_length,
     s_factor,
     validate,
-    wing_point,
 )
 from trapcav.geometry import limit_angle_cosines
 
@@ -76,23 +75,6 @@ def test_validate_rejects_bad_units_type():
         validate(CavitySpec(a=1.0, R=10.0, L=1.0, phi=0.0, units="parsecs"))
 
 
-def test_wing_point_endpoints():
-    p0 = wing_point(REDUCED_10, 0.0)
-    assert (p0.x, p0.z) == (0.0, 0.0)
-    s = CavitySpec(a=1.0, R=10.0, L=1.0, phi=0.3, units=Units.REDUCED)
-    pR = wing_point(s, s.R)
-    assert math.isclose(pR.x, 10.0 * math.cos(0.3), rel_tol=1e-15)
-    assert math.isclose(pR.z, 10.0 * math.sin(0.3), rel_tol=1e-15)
-
-
-@pytest.mark.parametrize("r", [-1e-9, 10.000000001, 1e6])
-def test_wing_point_out_of_range(r):
-    with pytest.raises(OutOfRange) as err:
-        wing_point(REDUCED_10, r)
-    assert err.value.name == "r"
-    assert err.value.value == r
-
-
 def test_limit_angles_parallel_plates():
     w = limit_angles(REDUCED_10, 0.0)
     assert math.isclose(w.theta1, THETA1_R0, rel_tol=1e-15)
@@ -145,11 +127,24 @@ def test_s_factor_parallel_plates_is_gap():
     assert s_factor(REDUCED_10, 7.3) == 1.0
 
 
+@pytest.mark.parametrize("r", [-1e-9, 10.000000001, 1e6])
+def test_s_factor_out_of_range(r):
+    with pytest.raises(OutOfRange) as err:
+        s_factor(REDUCED_10, r)
+    assert err.value.name == "r"
+    assert err.value.value == r
+
+
 def test_s_factor_matches_closed_form():
     s = CavitySpec(a=2.0, R=5.0, L=1.0, phi=0.4)
     for r in (0.0, 1.0, 2.5, 5.0):
         expect = math.cos(0.4) * (2.0 + 2.0 * r * math.sin(0.4))
         assert math.isclose(s_factor(s, r), expect, rel_tol=1e-13)
+    # long, nearly parallel wing at its far end; the reference is
+    # cos(phi) (a + 2 R sin(phi)) in 40-digit mpmath at the float phi
+    far = CavitySpec(a=1.0, R=1e6, L=1.0, phi=1e-6)
+    expect = 2.999999999998166576162890626998776812072
+    assert math.isclose(s_factor(far, far.R), expect, rel_tol=1e-15)
 
 
 def test_ray_length_straight_down():

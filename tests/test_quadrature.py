@@ -11,9 +11,9 @@ from trapcav import (
     NotConverged,
     QuadratureResult,
     integrate_adaptive,
-    integrate_fixed,
     pairwise_sum,
 )
+from trapcav.quadrature import _EPS, _WG, _WGK, _XGK, _gk15
 
 
 def sin5_primitive(u):
@@ -80,37 +80,76 @@ def test_adaptive_propagates_non_finite():
         integrate_adaptive(lambda x: math.nan, 2.0, 3.0)
 
 
-def test_fixed_constant_and_single_panel():
-    assert integrate_fixed(lambda x: 1.0, 0.0, 1.0, 7) == pytest.approx(1.0, rel=1e-15)
-    # midpoint is exact for linear integrands even with one panel
-    assert integrate_fixed(lambda x: x, 0.0, 2.0, 1) == 2.0
+def test_adaptive_vector_integrand():
+    rel_tol = 1e-12
+    q = integrate_adaptive(
+        lambda t: (math.sin(t), math.sin(t) ** 5), 0.0, math.pi, rel_tol=rel_tol
+    )
+    assert q.converged
+    assert isinstance(q.value, tuple) and isinstance(q.error_estimate, tuple)
+    assert math.isclose(q.value[0], 2.0, rel_tol=1e-12)
+    assert math.isclose(q.value[1], SIN5_FULL, rel_tol=1e-12)
+    assert max(q.error_estimate) <= rel_tol * max(abs(v) for v in q.value)
+    for bad in ((math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(NonFiniteSample):
+            integrate_adaptive(lambda t: bad, 0.0, 1.0)
+    # the component with the largest error picks the panel to split: a
+    # zero component beside a right-end singularity changes nothing
+    rough = lambda t: math.sqrt(1.0 - t)
+    alone = integrate_adaptive(rough, 0.0, 1.0)
+    paired = integrate_adaptive(lambda t: (0.0, rough(t)), 0.0, 1.0)
+    assert paired.evaluations == alone.evaluations > 15
+    assert math.isclose(paired.value[1], alone.value, rel_tol=1e-14)
 
 
-def test_fixed_sine_accuracy():
-    err = abs(integrate_fixed(math.sin, 0.0, math.pi, 4096) - 2.0)
-    assert err < 4e-7
+def gk15_loop(f, lo, hi):
+    """Scalar GK15 panel, node pair by node pair: (value, error, resabs)."""
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    fc = f(center)
+    resg = _WG[3] * fc
+    resk = _WGK[7] * fc
+    resabs = _WGK[7] * abs(fc)
+    pairs = []
+    for j in range(7):
+        dx = half * _XGK[j]
+        f1, f2 = f(center - dx), f(center + dx)
+        pairs.append((f1, f2))
+        resk += _WGK[j] * (f1 + f2)
+        resabs += _WGK[j] * (abs(f1) + abs(f2))
+        if j % 2 == 1:
+            resg += _WG[j // 2] * (f1 + f2)
+    mean = 0.5 * resk
+    resasc = _WGK[7] * abs(fc - mean)
+    for j, (f1, f2) in enumerate(pairs):
+        resasc += _WGK[j] * (abs(f1 - mean) + abs(f2 - mean))
+    resabs *= abs(half)
+    resasc *= abs(half)
+    err = abs((resk - resg) * half)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    return resk * half, max(err, 50.0 * _EPS * resabs), resabs
 
 
-def test_fixed_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        integrate_fixed(math.sin, 0.0, 1.0, 0)
-    with pytest.raises(ValueError):
-        integrate_fixed(math.sin, 1.0, 0.0, 4)
-    with pytest.raises(NonFiniteSample):
-        integrate_fixed(lambda x: math.nan, 0.0, 1.0, 3)
-
-
-def test_fixed_second_order_convergence():
-    # genuinely second order on an interval where the integrand's odd
-    # derivatives do not vanish at the ends; [0, pi] would superconverge
-    lo, hi = 0.3, 2.4
-    f = lambda t: math.sin(t) ** 5
-    exact = integrate_adaptive(f, lo, hi, rel_tol=1e-13).value
-    assert math.isclose(exact, sin5_primitive(hi) - sin5_primitive(lo), rel_tol=1e-12)
-    ns = [64, 256, 1024]
-    errs = [abs(integrate_fixed(f, lo, hi, n) - exact) for n in ns]
-    slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
-    assert -2.1 < slope < -1.9
+def test_gk15_matches_loop_reference():
+    # the weight-vector panel only reorders the sums: values agree to a few
+    # ulps of resabs; the error estimate is a difference of the two rules,
+    # so its relative agreement is looser
+    fs = [
+        math.sin,
+        lambda t: math.sin(t) ** 5,
+        math.exp,
+        lambda t: 1.0 / (1.0 + 25.0 * t * t),
+        lambda t: abs(t - 0.3),
+        lambda t: math.cos(40.0 * t),
+    ]
+    for f, g in zip(fs, fs[1:]):
+        for lo, hi in [(0.0, 1.0), (-1.0, 2.0), (0.2, 0.2001), (-3.0, 5.0)]:
+            refs = [gk15_loop(h, lo, hi) for h in (f, g)]
+            value, err = _gk15(lambda t: (f(t), g(t)), lo, hi)
+            for v, e, (rv, re, ra) in zip(value, err, refs):
+                assert abs(v - rv) <= 4.0 * _EPS * ra
+                assert math.isclose(e, re, rel_tol=1e-4)
 
 
 def test_error_estimate_is_usually_an_upper_bound():
