@@ -24,7 +24,6 @@ from .errors import (
     NonPositiveRay,
     NotConverged,
     NumericDegeneracy,
-    NumericDomain,
     OutOfRange,
     TrapcavError,
 )
@@ -45,8 +44,7 @@ from .kernels import (
     PressureSample,
     casimir_energy_per_area,
     classical_casimir_pressure,
-    inner_integral_x,
-    inner_integral_z,
+    fan_integrals,
     local_ray_pressure,
     pressure_prefactor,
     specific_pressures,
@@ -76,7 +74,6 @@ __all__ = [
     "NonPositiveRay",
     "NotConverged",
     "NumericDegeneracy",
-    "NumericDomain",
     "OptimumReport",
     "OracleReport",
     "OutOfRange",
@@ -92,8 +89,7 @@ __all__ = [
     "Units",
     "casimir_energy_per_area",
     "classical_casimir_pressure",
-    "inner_integral_x",
-    "inner_integral_z",
+    "fan_integrals",
     "integrate_adaptive",
     "limit_angles",
     "limit_angles_vector",

@@ -31,10 +31,6 @@ class DegenerateFan(TrapcavError):
     """The visible ray fan has collapsed (theta1 >= theta2)."""
 
 
-class NumericDomain(TrapcavError):
-    """An inverse-trig argument left its domain by more than roundoff."""
-
-
 class NumericDegeneracy(TrapcavError):
     """A denominator vanished beyond recovery."""
 

@@ -52,6 +52,15 @@ class PressureProfile:
     samples: tuple[PressureSample, ...]
 
 
+def _edge_breakpoints(spec: CavitySpec) -> list[float]:
+    points = []
+    step = spec.a
+    while step < 0.5 * spec.R:
+        points += [step, spec.R - step]
+        step *= 4.0
+    return points
+
+
 def total_forces(
     spec: CavitySpec,
     rel_tol: float = 1e-9,
@@ -61,7 +70,11 @@ def total_forces(
 ) -> ForceResult:
     """Adaptive integration of both force components over the wing.
 
-    One integral of r -> (p_x, p_z) gives both components.  With
+    One integral of r -> (p_x, p_z) gives both components.  The pressures
+    change on the scale of the gap ``a`` near both wing ends, so on a long
+    wing the initial panels are graded towards the ends, meeting at
+    a 4^k and R - a 4^k (a 4^k < R/2); panels spanning the whole wing would
+    never sample those edge regions and could agree on a wrong value.  With
     ``wing_count=2`` the x force doubles and the z force cancels exactly
     between the mirror-image wings; nothing is recomputed.  A
     :class:`NotConverged` is absorbed into ``converged=False`` instead of
@@ -79,7 +92,9 @@ def total_forces(
         return p.p_x, p.p_z
 
     try:
-        q = integrate_adaptive(pressures, 0.0, spec.R, rel_tol=rel_tol)
+        q = integrate_adaptive(
+            pressures, 0.0, spec.R, rel_tol=rel_tol, points=_edge_breakpoints(spec)
+        )
         (vx, vz), (ex, ez), converged = q.value, q.error_estimate, True
     except NotConverged as stop:
         (vx, vz), (ex, ez), converged = stop.value, stop.error_estimate, False

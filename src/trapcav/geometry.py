@@ -10,11 +10,16 @@ A point on the upper wing at arc coordinate ``r`` exchanges vacuum rays with
 the lower wing through a fan of directions.  Directions are measured by the
 angle ``theta`` taken from the upper-wing direction, so a ray leaving ``r``
 under ``theta`` travels along (cos(phi - theta), sin(phi - theta)).  The fan
-is bounded by the rays aimed at the two ends of the lower wing:
+is bounded by the rays aimed at the two ends of the lower wing.  Each limit
+angle is atan2 of the cross and dot products of the wing direction with the
+vector from the wing point to that corner:
 
-    cos theta1 = -(r + a sin phi - R cos 2 phi)
-                 / hypot(a + (R + r) sin phi, (r - R) cos phi)
-    cos theta2 = -(r + a sin phi) / sqrt(a^2 + r^2 + 2 a r sin phi)
+    theta1 = atan2(cos phi (a + 2 R sin phi),
+                   (R - r) - sin phi (a + 2 R sin phi))
+    theta2 = atan2(a cos phi, -(r + a sin phi))
+
+Both cross products are positive for any valid cavity, so both angles lie
+in (0, pi) without a clamp, and neither loses accuracy as it nears 0 or pi.
 
 Inside the fan the ray length back to the lower wing is
 
@@ -33,19 +38,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import (
-    DegenerateFan,
-    InvalidCavity,
-    NumericDegeneracy,
-    NumericDomain,
-    OutOfRange,
-)
+from .errors import DegenerateFan, InvalidCavity, NumericDegeneracy, OutOfRange
 
 #: Exclusive upper bound for the half-opening angle.
 PHI_MAX = math.pi / 4
 
-# arccos arguments may leave [-1, 1] by at most this much before it is a bug
-_CLAMP_TOL = 1e-12
 # sine denominators below this are treated as degenerate
 _SIN_FLOOR = 1e-14
 
@@ -116,31 +113,6 @@ def _check_r(spec: CavitySpec, r: float) -> None:
         raise OutOfRange("r", r, 0.0, spec.R)
 
 
-def limit_angle_cosines(spec: CavitySpec, r: float) -> tuple[float, float]:
-    """Raw cosines of the two limit angles, before clamping.
-
-    cos theta1 aims the ray at the far end of the lower wing, cos theta2 at
-    the near end.  Exposed separately so the arccos domain can be audited.
-    """
-    _check_r(spec, r)
-    a, R, phi = spec.a, spec.R, spec.phi
-    sphi = math.sin(phi)
-    c1 = -(r + a * sphi - R * math.cos(2.0 * phi)) / math.hypot(
-        a + (R + r) * sphi, (r - R) * math.cos(phi)
-    )
-    c2 = -(r + a * sphi) / math.sqrt(a * a + r * r + 2.0 * a * r * sphi)
-    return c1, c2
-
-
-def _acos_clamped(c: float) -> float:
-    # roundoff can push |c| a hair past 1; anything further is a real bug
-    if c > 1.0 or c < -1.0:
-        if abs(c) - 1.0 > _CLAMP_TOL:
-            raise NumericDomain(f"arccos argument {c!r} exceeds [-1, 1] beyond roundoff")
-        c = 1.0 if c > 0.0 else -1.0
-    return math.acos(c)
-
-
 def limit_angles(spec: CavitySpec, r: float) -> AngleWindow:
     """Visibility window (theta1, theta2) for the upper-wing point at ``r``.
 
@@ -149,9 +121,12 @@ def limit_angles(spec: CavitySpec, r: float) -> AngleWindow:
     r = R.  theta2 aims at the near corner M3: it starts at exactly
     pi/2 + phi at r = 0 and climbs towards pi as r/a grows.
     """
-    c1, c2 = limit_angle_cosines(spec, r)
-    theta1 = _acos_clamped(c1)
-    theta2 = _acos_clamped(c2)
+    _check_r(spec, r)
+    a, R, phi = spec.a, spec.R, spec.phi
+    cphi, sphi = math.cos(phi), math.sin(phi)
+    far = a + 2.0 * R * sphi
+    theta1 = math.atan2(cphi * far, (R - r) - sphi * far)
+    theta2 = math.atan2(a * cphi, -(r + a * sphi))
     if theta1 >= theta2:
         raise DegenerateFan(
             f"visible fan collapsed at r={r!r}: theta1={theta1!r} >= theta2={theta2!r}"

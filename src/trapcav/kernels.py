@@ -23,10 +23,11 @@ whose antiderivatives are
     G5(u) = (1/5) sin^5 u                               (for sin^4 cos)
 
 so the z integrand integrates to cos(phi) dF5 + sin(phi) dG5 and the x
-integrand to cos(phi) dG5 - sin(phi) dF5.  Over the full half-space fan
-(0, pi) at phi = 0 the z integral is 16/15 — the factor by which an ideal
-half-space of rays beats the single perpendicular ray — and the x integral
-over (0, pi/2) is +1/5, flipping sign on (pi/2, pi).
+integrand to cos(phi) dG5 - sin(phi) dF5; :func:`fan_integrals` returns both
+from one evaluation of each primitive difference.  Over the full half-space
+fan (0, pi) at phi = 0 the z integral is 16/15 — the factor by which an
+ideal half-space of rays beats the single perpendicular ray — and the x
+integral over (0, pi/2) is +1/5, flipping sign on (pi/2, pi).
 """
 
 from __future__ import annotations
@@ -117,33 +118,25 @@ def _sin4cos_primitive(u: float) -> float:
     return math.sin(u) ** 5 / 5.0
 
 
-def inner_integral_z(window: AngleWindow, phi: float) -> float:
-    """Closed form of the compression fan integral.
+def fan_integrals(window: AngleWindow, phi: float) -> tuple[float, float]:
+    """Closed forms (x, z) of the expulsion and compression fan integrals.
 
-    integral of sin^4(theta - 2 phi) sin(theta - phi) d theta over the
-    window, evaluated as cos(phi) dF5 + sin(phi) dG5 with u = theta - 2 phi.
-    Positive for any non-empty window inside the fan.
+    x = integral of sin^4(theta - 2 phi) cos(theta - phi) d theta
+      = cos(phi) dG5 - sin(phi) dF5
+    z = integral of sin^4(theta - 2 phi) sin(theta - phi) d theta
+      = cos(phi) dF5 + sin(phi) dG5
+
+    over the window, with u = theta - 2 phi; both primitive differences are
+    evaluated once and shared.  z is positive for any non-empty window inside
+    the fan.  x changes sign where the fan crosses theta = pi/2 + 2 phi; the
+    full half-space fan at phi = 0 integrates to exactly zero.
     """
     u1 = window.theta1 - 2.0 * phi
     u2 = window.theta2 - 2.0 * phi
     d_f5 = _sin5_primitive(u2) - _sin5_primitive(u1)
     d_g5 = _sin4cos_primitive(u2) - _sin4cos_primitive(u1)
-    return math.cos(phi) * d_f5 + math.sin(phi) * d_g5
-
-
-def inner_integral_x(window: AngleWindow, phi: float) -> float:
-    """Closed form of the expulsion fan integral.
-
-    integral of sin^4(theta - 2 phi) cos(theta - phi) d theta over the
-    window, evaluated as cos(phi) dG5 - sin(phi) dF5.  Changes sign where
-    the fan crosses theta = pi/2 + 2 phi; the full half-space fan at
-    phi = 0 integrates to exactly zero.
-    """
-    u1 = window.theta1 - 2.0 * phi
-    u2 = window.theta2 - 2.0 * phi
-    d_f5 = _sin5_primitive(u2) - _sin5_primitive(u1)
-    d_g5 = _sin4cos_primitive(u2) - _sin4cos_primitive(u1)
-    return math.cos(phi) * d_g5 - math.sin(phi) * d_f5
+    cphi, sphi = math.cos(phi), math.sin(phi)
+    return cphi * d_g5 - sphi * d_f5, cphi * d_f5 + sphi * d_g5
 
 
 def specific_pressures(
@@ -159,8 +152,5 @@ def specific_pressures(
     window = limit_angles(spec, r)
     s = s_factor(spec, r)
     scale = pressure_prefactor(spec, constants) / s**4
-    return PressureSample(
-        r=r,
-        p_x=scale * inner_integral_x(window, spec.phi),
-        p_z=-scale * inner_integral_z(window, spec.phi),
-    )
+    x, z = fan_integrals(window, spec.phi)
+    return PressureSample(r=r, p_x=scale * x, p_z=-scale * z)

@@ -80,25 +80,16 @@ def _prefactor(spec: CavitySpec) -> float:
 def limit_angles_vector(spec: CavitySpec, r: float) -> AngleWindow:
     """Limit angles from explicitly constructed points, no algebra applied.
 
-    Builds P, M2, M3 and reads both angles off arccos of plain dot products
-    against the wing direction (cos phi, sin phi).  The direction is given
-    geometry and is never recovered by normalizing P: at denormal r the
-    components of P round with so few bits that P / |P| can point anywhere.
+    Builds P, M2, M3 and reads both angles off arctan2 of the plain cross
+    and dot products of the wing direction (cos phi, sin phi) with P->M2
+    and P->M3 (see :func:`_windows_raw`).  The direction is given geometry
+    and is never recovered by normalizing P: at denormal r the components
+    of P round with so few bits that P / |P| can point anywhere.
     """
     if not (0.0 <= r <= spec.R):
         raise OutOfRange("r", r, 0.0, spec.R)
-    cphi = math.cos(spec.phi)
-    sphi = math.sin(spec.phi)
-    px, pz = r * cphi, r * sphi
-    m2x, m2z = spec.R * cphi, -spec.R * sphi - spec.a
-    m3x, m3z = 0.0, -spec.a
-    dx, dz = cphi, sphi
-    angles = []
-    for qx, qz in ((m2x - px, m2z - pz), (m3x - px, m3z - pz)):
-        qnorm = math.hypot(qx, qz)
-        cos_t = (dx * qx + dz * qz) / qnorm
-        angles.append(math.acos(min(1.0, max(-1.0, cos_t))))
-    theta1, theta2 = angles
+    t1, t2 = _windows_raw(spec, np.array([r]))
+    theta1, theta2 = float(t1[0]), float(t2[0])
     if theta1 >= theta2:
         raise DegenerateFan(
             f"oracle fan collapsed at r={r!r}: theta1={theta1!r} >= theta2={theta2!r}"
@@ -125,7 +116,12 @@ def ray_length_intersection(spec: CavitySpec, r: float, theta: float) -> float:
 
 
 def _windows_raw(spec: CavitySpec, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized limit angles for strictly positive r (midpoint grids)."""
+    """Vectorized limit angles at the wing points ``r``.
+
+    Each angle is arctan2(cross, dot) of the wing direction with the raw
+    vector P->M2 or P->M3, the cross product signed so that the clockwise
+    angles of the fan come out positive.
+    """
     cphi = math.cos(spec.phi)
     sphi = math.sin(spec.phi)
     px, pz = r * cphi, r * sphi
@@ -133,8 +129,7 @@ def _windows_raw(spec: CavitySpec, r: np.ndarray) -> tuple[np.ndarray, np.ndarra
     out = []
     for tx, tz in ((m2x, m2z), (0.0, -spec.a)):
         qx, qz = tx - px, tz - pz
-        cos_t = (cphi * qx + sphi * qz) / np.hypot(qx, qz)
-        out.append(np.arccos(np.clip(cos_t, -1.0, 1.0)))
+        out.append(np.arctan2(sphi * qx - cphi * qz, cphi * qx + sphi * qz))
     return out[0], out[1]
 
 
@@ -219,19 +214,21 @@ def verify_suite(
     """Run every primary-vs-oracle comparison on one cavity.
 
     Checks, in order: limit angles on a 17-point r grid (absolute radians),
-    ray lengths on a (r, theta) grid (relative), both inner integrals
-    against adaptive quadrature of the raw integrand (relative), and both
-    total forces against a 1024x1024 Riemann sum (relative; the x force is
-    measured against the z scale where it vanishes).  Failures are reported
-    in the returned list, never raised.  ``constants`` overrides the
-    constants used by the primary path only; the oracle keeps its own
-    literals, which is what makes a corrupted-constant run detectable.
+    ray lengths on a (r, theta) grid (relative), both components of
+    :func:`fan_integrals` (reported as ``inner_integral_z`` and
+    ``inner_integral_x``) against adaptive quadrature of the raw integrand
+    (relative), and both total forces against a 1024x1024 Riemann sum
+    (relative; the x force is measured against the z scale where it
+    vanishes).  Failures are reported in the returned list, never raised.
+    ``constants`` overrides the constants used by the primary path only;
+    the oracle keeps its own literals, which is what makes a
+    corrupted-constant run detectable.
     """
     # primary-path imports are confined here: this function is the
     # comparison harness, the oracle computations above stay independent
     from .forces import total_forces
     from .geometry import limit_angles, ray_length, validate
-    from .kernels import CODATA, inner_integral_x, inner_integral_z
+    from .kernels import CODATA, fan_integrals
     from .quadrature import integrate_adaptive
 
     validate(spec)
@@ -263,15 +260,15 @@ def verify_suite(
                 worst = (dev, p, o)
     reports.append(_report("ray_length", worst[1], worst[2], worst[0], 1e-12))
 
-    for name, closed, trig in (
-        ("inner_integral_z", inner_integral_z, math.sin),
-        ("inner_integral_x", inner_integral_x, math.cos),
+    for name, component, trig in (
+        ("inner_integral_z", 1, math.sin),
+        ("inner_integral_x", 0, math.cos),
     ):
         worst = (0.0, 0.0, 0.0)
         for frac in (0.0, 0.5, 15 / 16):
             r = spec.R * frac
             window = limit_angles(spec, r)
-            value = closed(window, spec.phi)
+            value = fan_integrals(window, spec.phi)[component]
 
             def raw(theta: float) -> float:
                 return math.sin(theta - 2.0 * spec.phi) ** 4 * trig(theta - spec.phi)

@@ -20,7 +20,7 @@ bit-identical outputs regardless of chunking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -142,6 +142,7 @@ def integrate_adaptive(
     abs_tol: float = 1e-300,
     max_depth: int = 50,
     max_panels: int = 10_000,
+    points: Iterable[float] = (),
 ) -> QuadratureResult:
     """Globally adaptive integral of ``f`` over [lo, hi].
 
@@ -154,6 +155,11 @@ def integrate_adaptive(
     against integrands whose error estimates never shrink anywhere.  An
     empty interval integrates to zero in the integrand's shape; ``f`` is
     called once at ``lo`` to learn that shape, and no evaluation is counted.
+
+    ``points`` are breakpoints where the initial panels meet, as in
+    QUADPACK's QAGP: place them where ``f`` changes on a scale much smaller
+    than [lo, hi], which the first panels would otherwise never sample.
+    Points outside (lo, hi), duplicates and NaN are ignored.
     """
     if not (hi >= lo):
         raise ValueError(f"integration bounds out of order: [{lo!r}, {hi!r}]")
@@ -170,8 +176,9 @@ def integrate_adaptive(
         return (p_lo, p_hi, value, err, float(np.max(err)), depth)
 
     # panels stay sorted by left edge: (lo, hi, value, err, max err, depth)
-    panels = [panel(lo, hi, 0)]
-    evaluations = 15
+    edges = [lo, *sorted({p for p in points if lo < p < hi}), hi]
+    panels = [panel(p_lo, p_hi, 0) for p_lo, p_hi in zip(edges, edges[1:])]
+    evaluations = 15 * len(panels)
     while True:
         total = pairwise_sum([p[2] for p in panels], axis=0)
         total_err = pairwise_sum([p[3] for p in panels], axis=0)

@@ -15,8 +15,7 @@ from trapcav import (
     CavitySpec,
     SweepAxis,
     Units,
-    inner_integral_x,
-    inner_integral_z,
+    fan_integrals,
     integrate_adaptive,
     limit_angles,
     optimize_phi,
@@ -59,10 +58,10 @@ def test_criterion_03_expulsion_integral_identities():
     with criterion(3, "forward-fan expulsion 1/5, full-fan zero, ratio 3/16"):
         half = AngleWindow(0.0, math.pi / 2)
         full = AngleWindow(0.0, math.pi)
-        forward = inner_integral_x(half, 0.0)
+        forward = fan_integrals(half, 0.0)[0]
         assert abs(abs(forward) - 0.2) <= 1e-10
-        assert abs(inner_integral_x(full, 0.0)) <= 1e-12
-        ratio = abs(forward) / inner_integral_z(full, 0.0)
+        assert abs(fan_integrals(full, 0.0)[0]) <= 1e-12
+        ratio = abs(forward) / fan_integrals(full, 0.0)[1]
         assert abs(ratio - 3.0 / 16.0) <= 1e-10
 
 
@@ -101,8 +100,8 @@ def test_criterion_07_closed_forms_match_adaptive_quadrature():
             t2 = rng.uniform(t1 + 1e-4, math.pi)
             window = AngleWindow(t1, t2)
             for closed, trig in (
-                (inner_integral_z(window, phi), lambda t: math.sin(t - phi)),
-                (inner_integral_x(window, phi), lambda t: math.cos(t - phi)),
+                (fan_integrals(window, phi)[1], lambda t: math.sin(t - phi)),
+                (fan_integrals(window, phi)[0], lambda t: math.cos(t - phi)),
             ):
                 raw = lambda t: math.sin(t - 2 * phi) ** 4 * trig(t)
                 quad = integrate_adaptive(

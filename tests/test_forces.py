@@ -57,6 +57,16 @@ def test_parallel_plates_have_no_expulsion():
     assert abs(fr.f_x) <= 1e-10 * abs(fr.f_z)
 
 
+@pytest.mark.parametrize("ratio", [1e4, 1e6])
+def test_long_parallel_plates_match_exact_force(ratio):
+    # F_z = -(16/15) R/a + 2/5 exactly at phi = 0; the gap-wide edge
+    # deficits are invisible to panels spanning the whole wing
+    fr = total_forces(replace(REDUCED, R=ratio))
+    exact = -16.0 / 15.0 * ratio + 0.4
+    assert fr.converged
+    assert math.isclose(fr.f_z, exact, rel_tol=1e-12)
+
+
 def test_error_estimates_are_sane():
     fr = total_forces(reduced_at(2.0))
     assert 0.0 <= fr.err_z <= 1e-6 * abs(fr.f_z)

@@ -6,9 +6,9 @@ import hypothesis.strategies as st
 
 from trapcav import (
     CavitySpec,
+    DegenerateFan,
     InvalidCavity,
     NumericDegeneracy,
-    NumericDomain,
     OutOfRange,
     PHI_MAX,
     Units,
@@ -17,14 +17,13 @@ from trapcav import (
     s_factor,
     validate,
 )
-from trapcav.geometry import limit_angle_cosines
 
 REDUCED_10 = CavitySpec(a=1.0, R=10.0, L=1.0, phi=0.0, units=Units.REDUCED)
 
-# acos(10 / sqrt(101)) and acos(5 / sqrt(26)): apex limit angles for
+# atan(1/10) and atan(1/5), correctly rounded: apex limit angles for
 # a=1, R=10 parallel plates at r=0 and r=5
-THETA1_R0 = 0.09966865249116186
-THETA1_R5 = 0.19739555984988044
+THETA1_R0 = 0.09966865249116202
+THETA1_R5 = 0.19739555984988075
 
 
 def spec_strategy():
@@ -98,20 +97,27 @@ def test_limit_angles_out_of_range():
         limit_angles(REDUCED_10, -0.5)
 
 
-def test_limit_angle_cosines_stay_in_domain():
-    # 10^4 radial points across three shapes; the clamp must never be
-    # asked to absorb more than bookkeeping noise
-    specs = [
-        REDUCED_10,
-        CavitySpec(a=1.0, R=2.0, L=1.0, phi=0.7, units=Units.REDUCED),
-        CavitySpec(a=4e-7, R=4e-6, L=1.0, phi=0.3),
-    ]
-    for s in specs:
-        for k in range(10_000):
-            r = s.R * k / 9_999
-            c1, c2 = limit_angle_cosines(s, r)
-            assert abs(c1) <= 1.0 + 1e-12
-            assert abs(c2) <= 1.0 + 1e-12
+def test_limit_angles_match_mpmath():
+    # the angles between the wing direction and the raw corner vectors,
+    # in 40-digit arithmetic at the same float inputs
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    worst = 0.0
+    for phi in (0.0, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.785):
+        for ratio in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+            spec = CavitySpec(a=1.0, R=ratio, L=1.0, phi=phi, units=Units.REDUCED)
+            c, s = mp.cos(phi), mp.sin(phi)
+            for frac in (0.0, 1e-7, 0.01, 0.3, 0.5, 0.77, 0.999, 1.0):
+                r = spec.R * frac
+                w = limit_angles(spec, r)
+                p = (mp.mpf(r) * c, mp.mpf(r) * s)
+                corners = ((mp.mpf(ratio) * c, -mp.mpf(ratio) * s - 1), (0, mp.mpf(-1)))
+                for theta, (mx, mz) in zip((w.theta1, w.theta2), corners):
+                    qx, qz = mx - p[0], mz - p[1]
+                    ref = mp.atan2(s * qx - c * qz, c * qx + s * qz)
+                    worst = max(worst, abs(float(mp.mpf(theta) - ref)))
+    assert worst <= 2e-15
 
 
 def test_window_ordering_across_radius():
@@ -159,24 +165,12 @@ def test_ray_length_rejects_directions_outside_fan():
             ray_length(s, 1.0, theta)
 
 
-def test_numeric_domain_raised_beyond_clamp(monkeypatch):
-    import trapcav.geometry as geometry
-
-    monkeypatch.setattr(
-        geometry, "limit_angle_cosines", lambda spec, r: (1.0 + 1e-9, 0.0)
-    )
-    with pytest.raises(NumericDomain):
-        geometry.limit_angles(REDUCED_10, 1.0)
-
-
-def test_degenerate_fan_guard(monkeypatch):
-    # no physical cavity collapses the fan, so feed the guard directly
-    import trapcav.geometry as geometry
-    from trapcav import DegenerateFan
-
-    monkeypatch.setattr(geometry, "limit_angle_cosines", lambda spec, r: (-0.9, 0.9))
+def test_degenerate_fan_guard():
+    # at the far end of a wing far shorter than the gap both corners lie
+    # in the same direction, pi/2 + phi, to within rounding
+    tiny = CavitySpec(a=1.0, R=1e-20, L=1.0, phi=0.3)
     with pytest.raises(DegenerateFan):
-        geometry.limit_angles(REDUCED_10, 1.0)
+        limit_angles(tiny, tiny.R)
 
 
 @given(spec=spec_strategy(), frac=st.floats(0.0, 1.0))
@@ -185,8 +179,6 @@ def test_window_invariants(spec, frac):
     r = spec.R * frac
     w = limit_angles(spec, r)
     assert 2 * spec.phi < w.theta1 < w.theta2 <= math.pi
-    c1, c2 = limit_angle_cosines(spec, r)
-    assert abs(c1) <= 1.0 + 1e-12 and abs(c2) <= 1.0 + 1e-12
 
 
 @given(spec=spec_strategy(), frac=st.floats(0.0, 1.0), t=st.floats(0.05, 0.95))

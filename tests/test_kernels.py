@@ -15,8 +15,7 @@ from trapcav import (
     Units,
     casimir_energy_per_area,
     classical_casimir_pressure,
-    inner_integral_x,
-    inner_integral_z,
+    fan_integrals,
     local_ray_pressure,
     pressure_prefactor,
     specific_pressures,
@@ -72,22 +71,22 @@ def test_local_ray_pressure():
 def test_inner_integral_full_fan():
     """Full half-space fan: compression picks up the 16/15 enhancement."""
     full = AngleWindow(0.0, math.pi)
-    assert math.isclose(inner_integral_z(full, 0.0), 16.0 / 15.0, rel_tol=1e-14)
-    assert abs(inner_integral_x(full, 0.0)) < 1e-12
+    assert math.isclose(fan_integrals(full, 0.0)[1], 16.0 / 15.0, rel_tol=1e-14)
+    assert abs(fan_integrals(full, 0.0)[0]) < 1e-12
 
 
 def test_inner_integral_half_fan():
     half = AngleWindow(0.0, math.pi / 2)
-    assert math.isclose(inner_integral_x(half, 0.0), 0.2, rel_tol=1e-14)
-    assert math.isclose(inner_integral_z(half, 0.0), 8.0 / 15.0, rel_tol=1e-14)
+    assert math.isclose(fan_integrals(half, 0.0)[0], 0.2, rel_tol=1e-14)
+    assert math.isclose(fan_integrals(half, 0.0)[1], 8.0 / 15.0, rel_tol=1e-14)
     back = AngleWindow(math.pi / 2, math.pi)
-    assert math.isclose(inner_integral_x(back, 0.0), -0.2, rel_tol=1e-14)
+    assert math.isclose(fan_integrals(back, 0.0)[0], -0.2, rel_tol=1e-14)
 
 
 def test_expulsion_to_compression_ratio():
     half = AngleWindow(0.0, math.pi / 2)
     full = AngleWindow(0.0, math.pi)
-    ratio = abs(inner_integral_x(half, 0.0)) / inner_integral_z(full, 0.0)
+    ratio = abs(fan_integrals(half, 0.0)[0]) / fan_integrals(full, 0.0)[1]
     assert math.isclose(ratio, 3.0 / 16.0, rel_tol=1e-14)
 
 
@@ -131,10 +130,11 @@ def test_inner_integrals_are_additive(phi, t1, t2, split):
     if hi - lo < 1e-9:
         hi = lo + 1e-9
     mid = lo + split * (hi - lo)
-    for kernel in (inner_integral_z, inner_integral_x):
-        whole = kernel(AngleWindow(lo, hi), phi)
-        parts = kernel(AngleWindow(lo, mid), phi) + kernel(AngleWindow(mid, hi), phi)
-        assert math.isclose(whole, parts, rel_tol=1e-12, abs_tol=1e-14)
+    whole = fan_integrals(AngleWindow(lo, hi), phi)
+    left = fan_integrals(AngleWindow(lo, mid), phi)
+    right = fan_integrals(AngleWindow(mid, hi), phi)
+    for w, l, r in zip(whole, left, right):
+        assert math.isclose(w, l + r, rel_tol=1e-12, abs_tol=1e-14)
 
 
 @given(b=st.floats(0.01, 100.0), lam=st.floats(0.1, 10.0))

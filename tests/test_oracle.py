@@ -129,6 +129,13 @@ def test_verify_suite_passes(deg):
         assert r.passed, f"{r.quantity}: {r.rel_deviation} > {r.tolerance}"
 
 
+@pytest.mark.parametrize("phi", [0.0, 1e-4, 0.5])
+def test_verify_suite_angles_on_long_wings(phi):
+    spec = CavitySpec(a=1.0, R=1e5, L=1.0, phi=phi, units=Units.REDUCED)
+    (angles,) = [r for r in verify_suite(spec) if r.quantity == "limit_angles"]
+    assert angles.passed, angles.rel_deviation
+
+
 def test_verify_suite_rejects_invalid_spec():
     with pytest.raises(InvalidCavity):
         verify_suite(CavitySpec(a=1.0, R=-1.0, L=1.0, phi=0.0))

@@ -64,6 +64,23 @@ def test_adaptive_reports_failure_with_best_value():
     assert err.value.evaluations > 15
 
 
+def test_adaptive_breakpoints_seed_the_panels():
+    # a bump far narrower than [0, 1] and far from every node of one panel
+    width = 1e-3
+    bump = lambda x: math.exp(-(((x - 0.55) / width) ** 2))
+    exact = math.sqrt(math.pi) * width
+    blind = integrate_adaptive(bump, 0.0, 1.0, rel_tol=1e-12)
+    assert blind.converged and blind.value == 0.0
+    seeded = integrate_adaptive(bump, 0.0, 1.0, rel_tol=1e-12, points=(0.549, 0.551))
+    assert math.isclose(seeded.value, exact, rel_tol=1e-12)
+    # points outside (lo, hi), at its ends, repeated or NaN are ignored
+    noisy = (0.551, -1.0, 0.0, 0.549, 1.0, 2.0, math.nan, 0.551)
+    assert integrate_adaptive(bump, 0.0, 1.0, rel_tol=1e-12, points=noisy) == seeded
+    # one panel per gap between breakpoints
+    q = integrate_adaptive(lambda x: x, 0.0, 1.0, points=(0.25, 0.5))
+    assert q.evaluations == 45 and abs(q.value - 0.5) < 1e-12
+
+
 def test_adaptive_panel_cap():
     step = lambda x: 1.0 if x < 0.3 else 0.0
     with pytest.raises(NotConverged) as err:
