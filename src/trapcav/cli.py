@@ -30,30 +30,15 @@ _FORMATS = {
     "verify": ("json",),
 }
 
-_DEFAULTS = {
-    "L": 1.0,
-    "phi_deg": 0.0,
-    "units": "si",
-    "tol": 1e-9,
-    "samples": 256,
-    "wing_count": 1,
-    "workers": 1,
-    "out": None,
-    "quantity": "both",
-    "reference_classical": False,
-    "axis": None,
-    "values": None,
-    "phi_lo_deg": None,
-    "phi_hi_deg": None,
-    "phi_tol_deg": math.degrees(1e-5),
-}
-
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved invocation; the unit of CLI round-tripping."""
+    """Fully resolved invocation; the unit of CLI round-tripping.
+
+    A field the subcommand does not define is None.
+    """
 
     command: str
     a: float
@@ -67,13 +52,13 @@ class RunConfig:
     workers: int
     out: str | None
     format: str
-    quantity: str
-    reference_classical: bool
+    quantity: str | None
+    reference_classical: bool | None
     axis: str | None
     values: tuple[float, ...] | None
     phi_lo_deg: float | None
     phi_hi_deg: float | None
-    phi_tol_deg: float
+    phi_tol_deg: float | None
 
 
 @dataclass(frozen=True)
@@ -103,11 +88,33 @@ class PlotSpec:
             raise ValueError("plot dimensions must be at least 100x100 pixels")
 
 
+def _checked(convert, ok, rule: str):
+    """An argparse ``type``: ``convert`` the text, then require ``ok(value)``."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid ... value"
+    return parse
+
+
 def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_positive = _checked(float, lambda v: v > 0, "must be positive")
+_grid = _checked(
+    _float_list,
+    lambda v: len(v) > 0 and all(b > a for a, b in zip(v, v[1:])),
+    "must be a non-empty, strictly increasing list",
+)
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers by name; each field is declared once here."""
     parser = argparse.ArgumentParser(
         prog="trapcav",
         description="Casimir compression and expulsion forces on open trapezoid cavities",
@@ -116,52 +123,75 @@ def _build_parser() -> argparse.ArgumentParser:
 
     shared = argparse.ArgumentParser(add_help=False)
     cavity = shared.add_argument_group("cavity")
-    cavity.add_argument("--a", type=float, help="gap at the narrow end (m in SI mode)")
-    cavity.add_argument("--R", type=float, help="wing length")
-    cavity.add_argument("--L", type=float, help="cavity width (default 1)")
+    cavity.add_argument("--a", type=float, required=True, help="gap at the narrow end (m in SI mode)")
+    cavity.add_argument("--R", type=float, required=True, help="wing length")
+    cavity.add_argument("--L", type=float, default=1.0, help="cavity width (default %(default)s)")
     cavity.add_argument(
-        "--phi-deg", type=float, dest="phi_deg", help="half-opening angle, degrees (default 0)"
+        "--phi-deg", type=float, default=0.0, dest="phi_deg",
+        help="half-opening angle, degrees (default %(default)s)",
     )
-    cavity.add_argument("--units", choices=("si", "reduced"), help="unit system (default si)")
+    cavity.add_argument(
+        "--units", choices=("si", "reduced"), default="si", help="unit system (default %(default)s)"
+    )
     running = shared.add_argument_group("run")
-    running.add_argument("--tol", type=float, help="force-integral relative tolerance (default 1e-9)")
-    running.add_argument("--samples", type=int, help="profile sample count (default 256)")
     running.add_argument(
-        "--wing-count", type=int, choices=(1, 2), dest="wing_count", help="wings to report (default 1)"
+        "--tol", type=_positive, default=1e-9,
+        help="force-integral relative tolerance (default %(default)s)",
     )
     running.add_argument(
-        "--workers",
-        type=int,
-        help="accepted for compatibility (>= 1, default 1); sweep rows run one after another",
+        "--samples", type=_checked(int, lambda v: v >= 2, "must be at least 2"), default=256,
+        help="profile sample count (default %(default)s)",
+    )
+    running.add_argument(
+        "--wing-count", type=int, choices=(1, 2), default=1, dest="wing_count",
+        help="wings to report (default %(default)s)",
+    )
+    running.add_argument(
+        "--workers", type=_checked(int, lambda v: v >= 1, "must be at least 1"), default=1,
+        help="accepted for compatibility (>= 1, default %(default)s); "
+        "sweep rows run one after another",
     )
     running.add_argument("--out", help="output path (default stdout)")
-    running.add_argument("--format", choices=("csv", "json", "svg"))
     running.add_argument("--config", help="JSON file with the same fields; explicit flags win")
 
-    profile = sub.add_parser("profile", parents=[shared], help="pressures along the wing")
-    profile.add_argument("--quantity", choices=("px", "pz", "both"))
+    commands = {}
+    for name, summary in (
+        ("profile", "pressures along the wing"),
+        ("force", "total forces on one wing"),
+        ("sweep", "forces along a parameter grid"),
+        ("optimize", "locate the expulsion maximum"),
+        ("verify", "run the oracle cross-check suite"),
+    ):
+        command = sub.add_parser(name, parents=[shared], help=summary)
+        command.add_argument("--format", choices=_FORMATS[name], default=_FORMATS[name][0])
+        commands[name] = command
+
+    profile = commands["profile"]
+    profile.add_argument("--quantity", choices=("px", "pz", "both"), default="both")
     profile.add_argument(
-        "--reference-classical",
-        action=argparse.BooleanOptionalAction,
-        dest="reference_classical",
-        default=None,
-        help="add the parallel-plate reference level to SVG output",
+        "--reference-classical", action=argparse.BooleanOptionalAction, default=False,
+        dest="reference_classical", help="add the parallel-plate reference level to SVG output",
     )
-    sub.add_parser("force", parents=[shared], help="total forces on one wing")
-    swp = sub.add_parser("sweep", parents=[shared], help="forces along a parameter grid")
-    swp.add_argument("--axis", choices=("phi", "R"))
+    swp = commands["sweep"]
+    swp.add_argument("--axis", choices=("phi", "R"), required=True)
     swp.add_argument(
-        "--values", type=_float_list, help="comma-separated grid; degrees when axis=phi"
+        "--values", type=_grid, required=True, help="comma-separated grid; degrees when axis=phi"
     )
-    opt = sub.add_parser("optimize", parents=[shared], help="locate the expulsion maximum")
-    opt.add_argument("--phi-lo-deg", type=float, dest="phi_lo_deg")
-    opt.add_argument("--phi-hi-deg", type=float, dest="phi_hi_deg")
-    opt.add_argument("--phi-tol-deg", type=float, dest="phi_tol_deg")
-    sub.add_parser("verify", parents=[shared], help="run the oracle cross-check suite")
-    return parser
+    opt = commands["optimize"]
+    opt.add_argument("--phi-lo-deg", type=float, required=True, dest="phi_lo_deg")
+    opt.add_argument("--phi-hi-deg", type=float, required=True, dest="phi_hi_deg")
+    opt.add_argument("--phi-tol-deg", type=_positive, default=math.degrees(1e-5), dest="phi_tol_deg")
+    return parser, commands
 
 
-def _load_config_file(parser: argparse.ArgumentParser, path: str) -> dict:
+def _config_tokens(
+    parser: argparse.ArgumentParser, command: argparse.ArgumentParser, path: str
+) -> list[str]:
+    """The --config file as ``--flag=value`` tokens for ``command``'s own fields.
+
+    Keys of another subcommand, ``command`` and null values are dropped;
+    keys that are no :class:`RunConfig` field are rejected.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -171,121 +201,47 @@ def _load_config_file(parser: argparse.ArgumentParser, path: str) -> dict:
         parser.error(f"--config: {path!r} is not valid JSON: {err}")
     if not isinstance(data, dict):
         parser.error(f"--config: {path!r} must contain a JSON object")
-    known = set(RunConfig.__dataclass_fields__)
-    unknown = sorted(set(data) - known)
+    unknown = sorted(set(data) - set(RunConfig.__dataclass_fields__))
     if unknown:
         parser.error(f"--config: unknown keys {', '.join(unknown)}")
-    return data
+    actions = {action.dest: action for action in command._actions}
+    tokens = []
+    for key, value in data.items():
+        action = actions.get(key)
+        if action is None or value is None:
+            continue
+        flag = action.option_strings[0]
+        if isinstance(action, argparse.BooleanOptionalAction) and isinstance(value, bool):
+            tokens.append(flag if value else action.option_strings[1])
+        elif isinstance(value, list) and action.type is _grid:
+            tokens.append(f"{flag}={','.join(map(str, value))}")
+        else:
+            tokens.append(f"{flag}={value}")
+    return tokens
 
 
 def parse_args(argv: list[str]) -> RunConfig:
     """Resolve argv (and any --config file) into a :class:`RunConfig`.
 
-    Precedence per field: explicit flag, then config file, then default.
-    The subcommand always comes from argv.  Usage problems exit with code 2
-    and a diagnostic naming the offending flag.
+    The --config file is read first and its fields become ``--flag=value``
+    tokens placed right after the subcommand, so one parser checks file and
+    flags alike and, keeping the last value given, lets an explicit flag win
+    over the file and the file over the default.  The subcommand always
+    comes from argv.  Usage problems, bad config values included, exit with
+    code 2 and a diagnostic naming the offending flag.
     """
-    parser = _build_parser()
+    parser, commands = _build_parser()
+    if argv and argv[0] in commands:
+        pre = argparse.ArgumentParser(prog=f"trapcav {argv[0]}", add_help=False)
+        pre.add_argument("-h", "--help", action="store_true")
+        pre.add_argument("--config")
+        found, _ = pre.parse_known_args(argv[1:])
+        if found.config and not found.help:
+            argv = [argv[0], *_config_tokens(parser, commands[argv[0]], found.config), *argv[1:]]
     ns = parser.parse_args(argv)
-    file_data = _load_config_file(parser, ns.config) if ns.config else {}
-
-    def pick(name):
-        value = getattr(ns, name, None)
-        if value is not None:
-            return value
-        if name in file_data and file_data[name] is not None:
-            return file_data[name]
-        return _DEFAULTS.get(name)
-
-    command = ns.command
-    a = pick("a")
-    if a is None:
-        parser.error("--a is required (flag or config file)")
-    big_r = pick("R")
-    if big_r is None:
-        parser.error("--R is required (flag or config file)")
-
-    units = pick("units")
-    if units not in ("si", "reduced"):
-        parser.error(f"--units must be si or reduced, got {units!r}")
-    fmt = pick("format") or _FORMATS[command][0]
-    if fmt not in _FORMATS[command]:
-        allowed = ", ".join(_FORMATS[command])
-        parser.error(f"--format {fmt!r} not supported for {command} (allowed: {allowed})")
-
-    samples = int(pick("samples"))
-    if samples < 2:
-        parser.error(f"--samples must be at least 2, got {samples}")
-    wing_count = int(pick("wing_count"))
-    if wing_count not in (1, 2):
-        parser.error(f"--wing-count must be 1 or 2, got {wing_count}")
-    workers = int(pick("workers"))
-    if workers < 1:
-        parser.error(f"--workers must be at least 1, got {workers}")
-    tol = float(pick("tol"))
-    if not tol > 0:
-        parser.error(f"--tol must be positive, got {tol!r}")
-
-    quantity = pick("quantity")
-    if quantity not in ("px", "pz", "both"):
-        parser.error(f"--quantity must be px, pz or both, got {quantity!r}")
-    reference = pick("reference_classical")
-    if not isinstance(reference, bool):
-        parser.error(f"--reference-classical must be a boolean, got {reference!r}")
-
-    axis = pick("axis")
-    values = pick("values")
-    if command == "sweep":
-        if axis not in ("phi", "R"):
-            parser.error("--axis is required for sweep (phi or R)")
-        if not values:
-            parser.error("--values is required for sweep")
-        values = tuple(float(v) for v in values)
-        for first, second in zip(values, values[1:]):
-            if not (second > first):
-                parser.error("--values must be strictly increasing")
-    else:
-        axis = None
-        values = None
-
-    phi_lo = pick("phi_lo_deg")
-    phi_hi = pick("phi_hi_deg")
-    phi_tol = float(pick("phi_tol_deg"))
-    if command == "optimize":
-        if phi_lo is None or phi_hi is None:
-            parser.error("--phi-lo-deg and --phi-hi-deg are required for optimize")
-        phi_lo = float(phi_lo)
-        phi_hi = float(phi_hi)
-        if not (0.0 < phi_lo < phi_hi < 45.0):
-            parser.error("optimize needs 0 < --phi-lo-deg < --phi-hi-deg < 45")
-        if not phi_tol > 0:
-            parser.error(f"--phi-tol-deg must be positive, got {phi_tol!r}")
-    else:
-        phi_lo = None
-        phi_hi = None
-
-    out = pick("out")
-    return RunConfig(
-        command=command,
-        a=float(a),
-        R=float(big_r),
-        L=float(pick("L")),
-        phi_deg=float(pick("phi_deg")),
-        units=units,
-        tol=tol,
-        samples=samples,
-        wing_count=wing_count,
-        workers=workers,
-        out=None if out is None else str(out),
-        format=fmt,
-        quantity=quantity,
-        reference_classical=reference,
-        axis=axis,
-        values=values,
-        phi_lo_deg=phi_lo,
-        phi_hi_deg=phi_hi,
-        phi_tol_deg=phi_tol,
-    )
+    if ns.command == "optimize" and not (0.0 < ns.phi_lo_deg < ns.phi_hi_deg < 45.0):
+        parser.error("optimize needs 0 < --phi-lo-deg < --phi-hi-deg < 45")
+    return RunConfig(**{name: getattr(ns, name, None) for name in RunConfig.__dataclass_fields__})
 
 
 def render_args(config: RunConfig) -> list[str]:
@@ -549,7 +505,10 @@ def _sweep_payload(config: RunConfig, spec: CavitySpec) -> bytes:
                 ],
             }
         )
-    pts = tuple((param, abs(res.f_x)) for param, res in table.points)
+    pts = tuple((param, abs(res.f_x)) for param, res in table.points if math.isfinite(res.f_x))
+    if len(pts) < 2:
+        found = f"{len(pts)} of {len(table.points)}"
+        raise TrapcavError(f"sweep SVG needs 2 rows with a finite f_x, {found} have one")
     label = "phi [rad]" if axis is SweepAxis.PHI else "R"
     plot = PlotSpec(x_label=label, y_label="|f_x|", series=(("|f_x|", pts),))
     return emit_svg(plot)

@@ -104,15 +104,7 @@ def ray_length_intersection(spec: CavitySpec, r: float, theta: float) -> float:
     M3 + t (cos phi, -sin phi); b solves the 2x2 system via cross products.
     No trig reduction is applied, which is the point.
     """
-    cphi = math.cos(spec.phi)
-    sphi = math.sin(spec.phi)
-    px, pz = r * cphi, r * sphi
-    qx, qz = 0.0 - px, -spec.a - pz  # M3 - P
-    d3x, d3z = cphi, -sphi
-    ux, uz = math.cos(spec.phi - theta), math.sin(spec.phi - theta)
-    num = qx * d3z - qz * d3x
-    den = ux * d3z - uz * d3x
-    return num / den
+    return float(_ray_lengths_raw(spec, np.array([r]), np.array([[theta]]))[0, 0])
 
 
 def _windows_raw(spec: CavitySpec, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,19 +134,26 @@ def riemann_pressures(spec: CavitySpec, r: float, n_theta: int) -> tuple[float, 
     """
     if n_theta < 2:
         raise ValueError(f"need at least 2 angular panels, got {n_theta!r}")
-    window = limit_angles_vector(spec, r)
-    h = window.width / n_theta
-    theta = window.theta1 + (np.arange(n_theta) + 0.5) * h
+    limit_angles_vector(spec, r)  # raises OutOfRange or DegenerateFan
+    p_x, p_z = _fan_sums(spec, np.array([r]), n_theta)
+    return float(p_x[0]), float(p_z[0])
+
+
+def _fan_sums(spec: CavitySpec, r: np.ndarray, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
+    """(p_x, p_z) at each wing point ``r`` from an ``n_theta``-point midpoint sum."""
+    theta1, theta2 = _windows_raw(spec, r)
+    h_t = (theta2 - theta1) / n_theta
+    theta = theta1[:, None] + (np.arange(n_theta)[None, :] + 0.5) * h_t[:, None]
     # degenerate geometry surfaces as non-finite pressure, checked below
     with np.errstate(divide="ignore", invalid="ignore"):
-        b = _ray_lengths_raw(spec, np.asarray([r]), theta[None, :])[0]
+        b = _ray_lengths_raw(spec, r, theta)
         pc = -_prefactor(spec) / b**4
     if not np.all(np.isfinite(pc)):
         bad = int(np.flatnonzero(~np.isfinite(pc))[0])
-        raise NonFiniteSample(float(theta[bad]), float(pc[bad]))
-    p_z = pairwise_sum(pc * np.sin(theta - spec.phi)) * h
-    p_x = -pairwise_sum(pc * np.cos(theta - spec.phi)) * h
-    return p_x, p_z
+        raise NonFiniteSample(float(theta.ravel()[bad]), float(pc.ravel()[bad]))
+    row_x = -pairwise_sum(pc * np.cos(theta - spec.phi), axis=1) * h_t
+    row_z = pairwise_sum(pc * np.sin(theta - spec.phi), axis=1) * h_t
+    return row_x, row_z
 
 
 def _ray_lengths_raw(spec: CavitySpec, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -182,25 +181,13 @@ def riemann_forces(spec: CavitySpec, n_r: int, n_theta: int) -> ForceResult:
     """
     if n_r < 2 or n_theta < 2:
         raise ValueError(f"need at least 2 panels per axis, got ({n_r!r}, {n_theta!r})")
-    pref = _prefactor(spec)
     h_r = spec.R / n_r
     row_x = np.empty(n_r)
     row_z = np.empty(n_r)
     for start in range(0, n_r, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, n_r)
         r = (np.arange(start, stop) + 0.5) * h_r
-        theta1, theta2 = _windows_raw(spec, r)
-        h_t = (theta2 - theta1) / n_theta
-        theta = theta1[:, None] + (np.arange(n_theta)[None, :] + 0.5) * h_t[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            b = _ray_lengths_raw(spec, r, theta)
-            pc = -pref / b**4
-        if not np.all(np.isfinite(pc)):
-            flat = np.flatnonzero(~np.isfinite(pc))
-            bad = int(flat[0])
-            raise NonFiniteSample(float(theta.ravel()[bad]), float(pc.ravel()[bad]))
-        row_x[start:stop] = -pairwise_sum(pc * np.cos(theta - spec.phi), axis=1) * h_t
-        row_z[start:stop] = pairwise_sum(pc * np.sin(theta - spec.phi), axis=1) * h_t
+        row_x[start:stop], row_z[start:stop] = _fan_sums(spec, r, n_theta)
     f_x = pairwise_sum(row_x) * h_r * spec.L
     f_z = pairwise_sum(row_z) * h_r * spec.L
     return ForceResult(

@@ -9,6 +9,7 @@ import pytest
 from trapcav import CavitySpec, ForceResult, SweepAxis, SweepTable, Units, sweep
 from trapcav.cli import (
     PlotSpec,
+    RunConfig,
     emit_csv,
     emit_svg,
     main,
@@ -84,14 +85,66 @@ def test_config_file_command_is_ignored(tmp_path):
 
 @pytest.mark.parametrize(
     "content",
-    ["{not json", json.dumps([1, 2]), json.dumps({"a": 1.0, "mystery": 5})],
+    [
+        "{not json",
+        json.dumps([1, 2]),
+        json.dumps({"a": 1.0, "mystery": 5}),
+        json.dumps({"a": "x"}),
+        json.dumps({"samples": "many"}),
+        json.dumps({"tol": 0}),
+    ],
 )
 def test_config_file_rejected(tmp_path, content):
     path = tmp_path / "bad.json"
     path.write_text(content)
+    # the flags make the run complete, so only the file can fail it; a file
+    # value is checked even where a flag overrides it
     with pytest.raises(SystemExit) as err:
-        parse_args(["force", "--config", str(path)])
+        parse_args(["force", "--config", str(path), *REDUCED_ARGS])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (["profile", *REDUCED_ARGS], {"reference_classical": "yes"}),
+        (["sweep", *REDUCED_ARGS, "--axis", "R"], {"values": [2, 1]}),
+    ],
+)
+def test_config_value_rejected_by_its_subcommand(tmp_path, argv, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as err:
+        parse_args([*argv, "--config", str(path)])
+    assert err.value.code == 2
+
+
+def test_config_keys_of_other_subcommands_are_ignored(tmp_path):
+    path = tmp_path / "run.json"
+    data = {"a": 1.0, "R": 10.0, "units": "reduced", "axis": "phi", "values": [1, 2]}
+    path.write_text(json.dumps(data))
+    cfg = parse_args(["force", "--config", str(path)])
+    assert cfg.a == 1.0 and cfg.units == "reduced"
+    assert cfg.axis is None and cfg.values is None
+    assert parse_args(["sweep", "--config", str(path)]).values == (1.0, 2.0)
+
+
+def test_config_boolean_loses_to_flag(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"reference_classical": True}))
+    cfg = parse_args(["profile", *REDUCED_ARGS, "--config", str(path)])
+    assert cfg.reference_classical is True
+    cfg = parse_args(["profile", *REDUCED_ARGS, "--config", str(path), "--no-reference-classical"])
+    assert cfg.reference_classical is False
+
+
+def test_config_schema_matches_parser():
+    props = load_schema("config.schema.json")["properties"]
+    assert set(props) == set(RunConfig.__dataclass_fields__)
+    _, commands = trapcav.cli._build_parser()
+    actions = {a.dest: a for command in commands.values() for a in command._actions}
+    for field in ("units", "quantity", "axis", "wing_count"):
+        assert props[field]["enum"] == list(actions[field].choices)
 
 
 @pytest.mark.parametrize(
@@ -252,6 +305,32 @@ def test_sweep_svg_peak_matches_sweep_table(tmp_path):
     mags = [abs(fr.f_x) for _, fr in table.points]
     # the svg y axis points down, so the force peak is the smallest pixel y
     assert ys.index(min(ys)) == mags.index(max(mags))
+
+
+def test_sweep_svg_leaves_out_flagged_rows(tmp_path, capsysbinary):
+    argv = [
+        "sweep", "--a", "1", "--R", "1", "--units", "reduced", "--phi-deg", "5",
+        "--axis", "R", "--values", "1e-17,1e-15,1e-14",
+    ]
+    assert main([*argv, "--format", "csv"]) == 0
+    rows = capsysbinary.readouterr().out.decode("ascii").splitlines()[1:]
+    assert [row.endswith(",false") for row in rows] == [True, False, False]
+    out = tmp_path / "s.svg"
+    assert main([*argv, "--format", "svg", "--out", str(out)]) == 0
+    polylines = re.findall(r'<polyline[^>]*points="([^"]+)"', out.read_text())
+    assert len(polylines) == 1 and len(polylines[0].split()) == 2
+
+
+def test_sweep_svg_without_two_finite_rows_exits_1(tmp_path, capsys):
+    out = tmp_path / "s.svg"
+    argv = [
+        "sweep", "--a", "1", "--R", "1e-20", "--units", "reduced",
+        "--axis", "phi", "--values", "10,17.19", "--format", "svg", "--out", str(out),
+    ]
+    assert main(argv) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert "finite f_x" in payload["message"]
+    assert not out.exists()
 
 
 def test_plot_spec_validation():
