@@ -46,6 +46,7 @@ from .kernels import (
     classical_casimir_pressure,
     fan_integrals,
     local_ray_pressure,
+    pressure_arrays,
     pressure_prefactor,
     specific_pressures,
 )
@@ -96,6 +97,7 @@ __all__ = [
     "local_ray_pressure",
     "optimize_phi",
     "pairwise_sum",
+    "pressure_arrays",
     "pressure_prefactor",
     "pressure_profile",
     "ray_length",

@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import tempfile
+import typing
 from dataclasses import asdict, dataclass
 
 from .analysis import SweepAxis, SweepTable, optimize_phi, sweep
@@ -190,7 +191,8 @@ def _config_tokens(
     """The --config file as ``--flag=value`` tokens for ``command``'s own fields.
 
     Keys of another subcommand, ``command`` and null values are dropped;
-    keys that are no :class:`RunConfig` field are rejected.
+    keys that are no :class:`RunConfig` field are rejected.  An integral
+    float for an integer field (``256.0``) is passed as its integer.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -205,11 +207,15 @@ def _config_tokens(
     if unknown:
         parser.error(f"--config: unknown keys {', '.join(unknown)}")
     actions = {action.dest: action for action in command._actions}
+    int_fields = {name for name, kind in typing.get_type_hints(RunConfig).items() if kind is int}
     tokens = []
     for key, value in data.items():
         action = actions.get(key)
         if action is None or value is None:
             continue
+        if key in int_fields and isinstance(value, float) and value.is_integer():
+            # JSON Schema's "integer" takes 256.0 as well as 256
+            value = int(value)
         flag = action.option_strings[0]
         if isinstance(action, argparse.BooleanOptionalAction) and isinstance(value, bool):
             tokens.append(flag if value else action.option_strings[1])

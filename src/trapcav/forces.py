@@ -7,12 +7,14 @@ along the wing arc:
     F_x = L * integral_0^R p_x(r) dr      (expulsion; < 0 for phi > 0)
 
 Both components come from one adaptive integral of the vector integrand
-r -> (p_x, p_z), so each node costs one kernel call.  The z integrand is
-single-signed and never integrates to zero for a valid cavity.  The x
-integrand changes sign along the wing and at phi = 0 integrates to exactly
-zero by symmetry, where no relative target of its own can be met.  The
-quadrature's max-norm stopping rule holds both error estimates to
-rel_tol * max(|integral of p_x|, |integral of p_z|), and since
+r -> (p_x, p_z).  Each batch of quadrature nodes (all initial panels, then
+both halves of each split) is one call of the array kernel
+:func:`~trapcav.kernels.pressure_arrays`, and no node is evaluated twice.
+The z integrand is single-signed and never integrates to zero for a valid
+cavity.  The x integrand changes sign along the wing and at phi = 0
+integrates to exactly zero by symmetry, where no relative target of its own
+can be met.  The quadrature's max-norm stopping rule holds both error
+estimates to rel_tol * max(|integral of p_x|, |integral of p_z|), and since
 |F_x| <= |F_z| that is the z scale: the cavity's own force scale anchors x.
 """
 
@@ -22,7 +24,13 @@ from dataclasses import dataclass
 
 from .errors import NotConverged
 from .geometry import CavitySpec, validate
-from .kernels import CODATA, PhysicalConstants, PressureSample, specific_pressures
+from .kernels import (
+    CODATA,
+    PhysicalConstants,
+    PressureSample,
+    pressure_arrays,
+    specific_pressures,
+)
 from .quadrature import integrate_adaptive
 
 
@@ -33,6 +41,8 @@ class ForceResult:
     ``err_x`` and ``err_z`` are quadrature error estimates scaled like the
     forces themselves.  ``converged`` is False when the integral stopped at
     its depth or panel limit; the values then carry the best estimate found.
+    ``evaluations`` counts the wing points at which the pressure kernel was
+    evaluated, whether or not the integral converged.
     """
 
     spec: CavitySpec
@@ -42,6 +52,7 @@ class ForceResult:
     err_z: float
     wing_count: int = 1
     converged: bool = True
+    evaluations: int = 0
 
 
 @dataclass(frozen=True)
@@ -87,17 +98,19 @@ def total_forces(
     if not (rel_tol > 0.0):
         raise ValueError(f"rel_tol must be positive, got {rel_tol!r}")
 
-    def pressures(r: float) -> tuple[float, float]:
-        p = specific_pressures(spec, r, constants)
-        return p.p_x, p.p_z
-
     try:
         q = integrate_adaptive(
-            pressures, 0.0, spec.R, rel_tol=rel_tol, points=_edge_breakpoints(spec)
+            lambda r: pressure_arrays(spec, r, constants),
+            0.0,
+            spec.R,
+            rel_tol=rel_tol,
+            points=_edge_breakpoints(spec),
         )
         (vx, vz), (ex, ez), converged = q.value, q.error_estimate, True
+        evaluations = q.evaluations
     except NotConverged as stop:
         (vx, vz), (ex, ez), converged = stop.value, stop.error_estimate, False
+        evaluations = stop.evaluations
 
     f_x = spec.L * vx
     f_z = spec.L * vz
@@ -116,6 +129,7 @@ def total_forces(
         err_z=err_z,
         wing_count=wing_count,
         converged=converged,
+        evaluations=evaluations,
     )
 
 

@@ -38,6 +38,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import DegenerateFan, InvalidCavity, NumericDegeneracy, OutOfRange
 
 #: Exclusive upper bound for the half-opening angle.
@@ -77,10 +79,13 @@ class CavitySpec:
 
 @dataclass(frozen=True)
 class AngleWindow:
-    """Limit angles of a visible fan, ``0 <= theta1 < theta2 <= pi``."""
+    """Limit angles of a visible fan, ``0 <= theta1 < theta2 <= pi``.
 
-    theta1: float
-    theta2: float
+    Both angles are floats, or arrays of one shape for a batch of fans.
+    """
+
+    theta1: float | np.ndarray
+    theta2: float | np.ndarray
 
     @property
     def width(self) -> float:
@@ -108,39 +113,50 @@ def validate(spec: CavitySpec) -> None:
         raise InvalidCavity("a", "reduced units fix the gap at a = 1")
 
 
-def _check_r(spec: CavitySpec, r: float) -> None:
-    if not (0.0 <= r <= spec.R):
-        raise OutOfRange("r", r, 0.0, spec.R)
+def _first(where, *values) -> tuple[float, ...]:
+    # the entries of ``values`` at the first place ``where`` holds
+    i = np.flatnonzero(where)[0]
+    return tuple(float(np.ravel(v)[i]) for v in values)
 
 
-def limit_angles(spec: CavitySpec, r: float) -> AngleWindow:
+def _check_r(spec: CavitySpec, r) -> None:
+    r = np.asarray(r)
+    outside = ~((0.0 <= r) & (r <= spec.R))
+    if outside.any():
+        raise OutOfRange("r", *_first(outside, r), 0.0, spec.R)
+
+
+def limit_angles(spec: CavitySpec, r) -> AngleWindow:
     """Visibility window (theta1, theta2) for the upper-wing point at ``r``.
 
-    theta1 aims at the far corner M2: it stays above 2 phi (where the ray
-    would run parallel to the lower wing) and climbs to pi/2 + phi at
-    r = R.  theta2 aims at the near corner M3: it starts at exactly
-    pi/2 + phi at r = 0 and climbs towards pi as r/a grows.
+    ``r`` is a float or an array of wing coordinates; the window's angles
+    then have its shape.  theta1 aims at the far corner M2: it stays above
+    2 phi (where the ray would run parallel to the lower wing) and climbs
+    to pi/2 + phi at r = R.  theta2 aims at the near corner M3: it starts at
+    exactly pi/2 + phi at r = 0 and climbs towards pi as r/a grows.  Raises
+    :class:`OutOfRange` naming the first ``r`` outside [0, R] and
+    :class:`DegenerateFan` naming the first whose fan is empty.
     """
     _check_r(spec, r)
     a, R, phi = spec.a, spec.R, spec.phi
     cphi, sphi = math.cos(phi), math.sin(phi)
     far = a + 2.0 * R * sphi
-    theta1 = math.atan2(cphi * far, (R - r) - sphi * far)
-    theta2 = math.atan2(a * cphi, -(r + a * sphi))
-    if theta1 >= theta2:
-        raise DegenerateFan(
-            f"visible fan collapsed at r={r!r}: theta1={theta1!r} >= theta2={theta2!r}"
-        )
+    theta1 = np.arctan2(cphi * far, (R - r) - sphi * far)
+    theta2 = np.arctan2(a * cphi, -(r + a * sphi))
+    collapsed = theta1 >= theta2
+    if collapsed.any():
+        r0, t1, t2 = _first(collapsed, r, theta1, theta2)
+        raise DegenerateFan(f"visible fan collapsed at r={r0!r}: theta1={t1!r} >= theta2={t2!r}")
     return AngleWindow(theta1=theta1, theta2=theta2)
 
 
-def s_factor(spec: CavitySpec, r: float) -> float:
+def s_factor(spec: CavitySpec, r):
     """Length scale s(r) of the fan, the numerator of every ray length.
 
     s = cos(phi) (a + 2 r sin(phi)), the closed form of
-    sin(2 phi - theta2) (a + r sin phi) / sin(phi - theta2).  Every term is
-    positive, so the result is good to a few ulps for any valid cavity and
-    reduces to the gap ``a`` exactly at phi = 0.
+    sin(2 phi - theta2) (a + r sin phi) / sin(phi - theta2), in the shape
+    of ``r``.  Every term is positive, so the result is good to a few ulps
+    for any valid cavity and reduces to the gap ``a`` exactly at phi = 0.
     """
     _check_r(spec, r)
     return math.cos(spec.phi) * (spec.a + 2.0 * r * math.sin(spec.phi))

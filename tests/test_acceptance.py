@@ -10,6 +10,8 @@ import random
 from contextlib import contextmanager
 from dataclasses import replace
 
+import numpy as np
+
 from trapcav import (
     AngleWindow,
     CavitySpec,
@@ -100,10 +102,10 @@ def test_criterion_07_closed_forms_match_adaptive_quadrature():
             t2 = rng.uniform(t1 + 1e-4, math.pi)
             window = AngleWindow(t1, t2)
             for closed, trig in (
-                (fan_integrals(window, phi)[1], lambda t: math.sin(t - phi)),
-                (fan_integrals(window, phi)[0], lambda t: math.cos(t - phi)),
+                (fan_integrals(window, phi)[1], lambda t: np.sin(t - phi)),
+                (fan_integrals(window, phi)[0], lambda t: np.cos(t - phi)),
             ):
-                raw = lambda t: math.sin(t - 2 * phi) ** 4 * trig(t)
+                raw = lambda t: np.sin(t - 2 * phi) ** 4 * trig(t)
                 quad = integrate_adaptive(
                     raw, t1, t2, rel_tol=1e-12, abs_tol=1e-14 * window.width
                 )

@@ -119,6 +119,22 @@ def test_config_value_rejected_by_its_subcommand(tmp_path, argv, data):
     assert err.value.code == 2
 
 
+def test_config_integral_floats_are_integers(tmp_path):
+    # the schema's "integer" type accepts 256.0, so the CLI does as well
+    def config(data):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        return parse_args(["profile", *REDUCED_ARGS, "--config", str(path)])
+
+    as_int = config({"samples": 256, "wing_count": 2, "workers": 3})
+    assert config({"samples": 256.0, "wing_count": 2.0, "workers": 3.0}) == as_int
+    assert as_int.samples == 256 and as_int.wing_count == 2 and as_int.workers == 3
+    for bad in ({"samples": 256.5}, {"wing_count": 1.5}):
+        with pytest.raises(SystemExit) as err:
+            config(bad)
+        assert err.value.code == 2
+
+
 def test_config_keys_of_other_subcommands_are_ignored(tmp_path):
     path = tmp_path / "run.json"
     data = {"a": 1.0, "R": 10.0, "units": "reduced", "axis": "phi", "values": [1, 2]}

@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -112,21 +113,41 @@ def test_non_convergence_is_absorbed(monkeypatch):
     assert not fr.converged
     assert fr.f_x == -0.5 and fr.f_z == -1.23
     assert fr.err_x == 0.01 and fr.err_z == 0.05
+    assert fr.evaluations == 77
 
 
 def test_each_node_is_evaluated_once(monkeypatch):
-    seen = []
-    kernel = trapcav.forces.specific_pressures
+    batches = []
+    kernel = trapcav.forces.pressure_arrays
 
     def counting(spec, r, *args):
-        seen.append(r)
+        batches.append(np.array(r))
         return kernel(spec, r, *args)
 
-    monkeypatch.setattr(trapcav.forces, "specific_pressures", counting)
-    fr = total_forces(reduced_at(1.0))
+    monkeypatch.setattr(trapcav.forces, "pressure_arrays", counting)
+    spec = replace(reduced_at(1.0), R=1e3)
+    fr = total_forces(spec)
     assert fr.converged
-    assert len(seen) >= 15
-    assert len(set(seen)) == len(seen)
+    seen = np.concatenate(batches)
+    assert len(np.unique(seen)) == len(seen) == fr.evaluations
+    # one call for every initial panel, then one per split (its two halves)
+    initial = len(trapcav.forces._edge_breakpoints(spec)) + 1
+    assert initial > 1
+    splits = (fr.evaluations - 15 * initial) // 30
+    assert len(batches) == 1 + splits
+    assert [len(b) for b in batches] == [15 * initial] + [30] * splits
+
+
+def test_evaluations_are_reported(monkeypatch):
+    fr = total_forces(reduced_at(1.0))
+    assert fr.converged and fr.evaluations > 15 and fr.evaluations % 15 == 0
+    assert total_forces(reduced_at(1.0), wing_count=2).evaluations == fr.evaluations
+    # an integral that stops still reports what it spent: 5 initial panels
+    # (breakpoints 1, 4, 6, 9) and 15 splits up to a cap of 20
+    capped = functools.partial(trapcav.forces.integrate_adaptive, max_panels=20)
+    monkeypatch.setattr(trapcav.forces, "integrate_adaptive", capped)
+    short = total_forces(reduced_at(1.0), rel_tol=1e-16)
+    assert not short.converged and short.evaluations == 15 * 5 + 30 * 15
 
 
 def test_matches_trapezoid_over_dense_profile():

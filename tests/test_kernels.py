@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -8,15 +9,18 @@ from trapcav import (
     AngleWindow,
     CODATA,
     CavitySpec,
+    DegenerateFan,
     InvalidCavity,
     NonPositiveGap,
     NonPositiveRay,
+    OutOfRange,
     PhysicalConstants,
     Units,
     casimir_energy_per_area,
     classical_casimir_pressure,
     fan_integrals,
     local_ray_pressure,
+    pressure_arrays,
     pressure_prefactor,
     specific_pressures,
 )
@@ -116,6 +120,30 @@ def test_specific_pressures_uses_constants():
     base = specific_pressures(si, 2e-6)
     doubled = specific_pressures(si, 2e-6, PhysicalConstants(hbar=2 * CODATA.hbar))
     assert math.isclose(doubled.p_z, 2 * base.p_z, rel_tol=1e-15)
+
+
+def test_pressure_arrays_match_one_point_calls():
+    for phi in (0.0, 0.05, 0.6):
+        spec = CavitySpec(a=4e-7, R=4e-6, L=1.0, phi=phi)
+        r = np.linspace(0.0, spec.R, 33)
+        p_x, p_z = pressure_arrays(spec, r)
+        assert p_x.shape == p_z.shape == r.shape
+        for i, ri in enumerate(r.tolist()):
+            one = specific_pressures(spec, ri)
+            assert one.r == ri
+            assert math.isclose(p_z[i], one.p_z, rel_tol=1e-13)
+            assert abs(p_x[i] - one.p_x) <= 1e-13 * abs(one.p_z)
+
+
+def test_pressure_arrays_check_every_call():
+    with pytest.raises(InvalidCavity):
+        pressure_arrays(CavitySpec(a=0.0, R=1.0, L=1.0, phi=0.0), np.array([0.5]))
+    with pytest.raises(OutOfRange) as err:
+        pressure_arrays(PARALLEL, np.array([0.0, 10.5, -1.0]))
+    assert err.value.value == 10.5
+    tiny = CavitySpec(a=1.0, R=1e-20, L=1.0, phi=0.3)
+    with pytest.raises(DegenerateFan):
+        pressure_arrays(tiny, np.array([0.0, tiny.R]))
 
 
 @given(
