@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import NoInteriorMaximum, TrapcavError
-from .forces import ForceResult, total_forces
+from .forces import ForceResult, force_batch, total_forces
 from .geometry import PHI_MAX, CavitySpec, Units, validate
 from .kernels import CODATA, PhysicalConstants, specific_pressures
 
@@ -39,12 +39,16 @@ class SweepTable:
 
     ``points`` pairs each parameter value with its :class:`ForceResult`.
     Rows that failed numerically carry NaN forces, infinite error estimates
-    and ``converged=False`` instead of aborting the sweep.
+    and ``converged=False`` instead of aborting the sweep.  ``force_calls``
+    counts the force integrals (one per row) and ``evaluations`` the kernel
+    evaluations of the rows that did not fail.
     """
 
     axis: SweepAxis
     points: tuple[tuple[float, ForceResult], ...]
     base: CavitySpec
+    evaluations: int = 0
+    force_calls: int = 0
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,10 @@ class OptimumReport:
 
     ``bracket`` is the prescan bracket handed to the golden-section stage
     (one grid step either side of the best prescan point); ``grid_prescan``
-    keeps the signed f_x at every prescan angle for audit.
+    keeps the signed f_x at every prescan angle for audit.  ``force_calls``
+    counts the force integrals of the prescan, the golden-section steps and
+    the final evaluation at ``phi_star``, and ``evaluations`` their kernel
+    evaluations.
     """
 
     phi_star: float
@@ -61,6 +68,8 @@ class OptimumReport:
     bracket: tuple[float, float]
     iterations: int
     grid_prescan: tuple[tuple[float, float], ...]
+    evaluations: int = 0
+    force_calls: int = 0
 
 
 @dataclass(frozen=True)
@@ -97,6 +106,17 @@ def _flagged_row(spec: CavitySpec, wing_count: int) -> ForceResult:
     )
 
 
+def _all_forces(
+    specs: list[CavitySpec], rel_tol: float, constants: PhysicalConstants
+) -> list[ForceResult]:
+    # one batch; the first failure raises, as a loop of total_forces would
+    results = force_batch(specs, rel_tol, constants=constants)
+    for result in results:
+        if isinstance(result, TrapcavError):
+            raise result
+    return results
+
+
 def sweep(
     base: CavitySpec,
     axis: SweepAxis,
@@ -110,11 +130,12 @@ def sweep(
     """One :func:`total_forces` evaluation per value along ``axis``.
 
     Values must be strictly increasing and each must yield a valid cavity
-    (checked up front).  Rows run one after another in input order.
-    ``workers`` is accepted for compatibility and must be at least 1; it
-    runs nothing concurrently and cannot change the table (a thread pool
-    gave no speedup on these GIL-bound rows).  A row that fails numerically
-    is flagged, never fatal.
+    (checked up front).  All rows are one :func:`force_batch`, and each
+    row equals its own ``total_forces`` bit for bit.  ``workers`` is
+    accepted for compatibility and must be at least 1; it runs nothing
+    concurrently and cannot change the table (a thread pool gave no
+    speedup on these GIL-bound rows).  A row that fails numerically is
+    flagged, never fatal, and leaves the other rows as they are.
     """
     axis = SweepAxis(axis)
     if workers < 1:
@@ -124,17 +145,18 @@ def sweep(
             raise ValueError(f"sweep values must be strictly increasing, got {values!r}")
     field = "phi" if axis is SweepAxis.PHI else "R"
     specs = [replace(base, **{field: v}) for v in values]
-    for spec in specs:
-        validate(spec)
-
-    def row(spec: CavitySpec) -> ForceResult:
-        try:
-            return total_forces(spec, rel_tol, wing_count=wing_count, constants=constants)
-        except TrapcavError:
-            return _flagged_row(spec, wing_count)
-
-    results = [row(spec) for spec in specs]
-    return SweepTable(axis=axis, points=tuple(zip(values, results)), base=base)
+    rows = force_batch(specs, rel_tol, wing_count=wing_count, constants=constants)
+    results = [
+        _flagged_row(spec, wing_count) if isinstance(row, TrapcavError) else row
+        for spec, row in zip(specs, rows)
+    ]
+    return SweepTable(
+        axis=axis,
+        points=tuple(zip(values, results)),
+        base=base,
+        evaluations=sum(result.evaluations for result in results),
+        force_calls=len(results),
+    )
 
 
 def optimize_phi(
@@ -148,11 +170,12 @@ def optimize_phi(
 ) -> OptimumReport:
     """Locate the half-angle maximizing |f_x| inside (lo, hi).
 
-    A 32-point grid prescan must show a single interior peak; the bracket
-    one grid step around it is then refined by golden-section search until
-    the bracket width drops below ``tol``.  A prescan maximum sitting on an
-    edge, a flat prescan, or multiple interior peaks raise
-    :class:`NoInteriorMaximum` rather than returning a doubtful optimum.
+    A 32-point grid prescan, one :func:`force_batch`, must show a single
+    interior peak; the bracket one grid step around it is then refined by
+    golden-section search until the bracket width drops below ``tol``.  A
+    prescan maximum sitting on an edge, a flat prescan, or multiple
+    interior peaks raise :class:`NoInteriorMaximum` rather than returning a
+    doubtful optimum.
     """
     if not (0.0 < lo < hi < PHI_MAX):
         raise ValueError(f"need 0 < lo < hi < pi/4, got lo={lo!r}, hi={hi!r}")
@@ -160,11 +183,17 @@ def optimize_phi(
         raise ValueError(f"tol must be at least 1e-6 rad, got {tol!r}")
     validate(replace(base, phi=lo))
 
+    evaluations = []
+
     def f_x(phi: float) -> float:
-        return total_forces(replace(base, phi=phi), rel_tol, constants=constants).f_x
+        result = total_forces(replace(base, phi=phi), rel_tol, constants=constants)
+        evaluations.append(result.evaluations)
+        return result.f_x
 
     grid = [lo + (hi - lo) * k / (_PRESCAN_POINTS - 1) for k in range(_PRESCAN_POINTS)]
-    signed = [f_x(phi) for phi in grid]
+    scan = _all_forces([replace(base, phi=phi) for phi in grid], rel_tol, constants)
+    evaluations += [result.evaluations for result in scan]
+    signed = [result.f_x for result in scan]
     mags = [abs(v) for v in signed]
     best = max(range(len(mags)), key=lambda i: (mags[i], -i))
     prescan = tuple(zip(grid, signed))
@@ -201,12 +230,15 @@ def optimize_phi(
             fd = abs(f_x(d))
         iterations += 1
     phi_star = 0.5 * (a + b)
+    f_x_star = f_x(phi_star)
     return OptimumReport(
         phi_star=phi_star,
-        f_x_star=f_x(phi_star),
+        f_x_star=f_x_star,
         bracket=bracket,
         iterations=iterations,
         grid_prescan=prescan,
+        evaluations=sum(evaluations),
+        force_calls=len(evaluations),
     )
 
 
@@ -232,8 +264,7 @@ def rescale_report(
     validate(base)
     scaled = replace(base, a=lam * base.a, R=lam * base.R)
 
-    f_base = total_forces(base, rel_tol, constants=constants)
-    f_scaled = total_forces(scaled, rel_tol, constants=constants)
+    f_base, f_scaled = _all_forces([base, scaled], rel_tol, constants)
     p_base = specific_pressures(base, base.R / 3.0, constants)
     p_scaled = specific_pressures(scaled, scaled.R / 3.0, constants)
 

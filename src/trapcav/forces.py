@@ -7,9 +7,14 @@ along the wing arc:
     F_x = L * integral_0^R p_x(r) dr      (expulsion; < 0 for phi > 0)
 
 Both components come from one adaptive integral of the vector integrand
-r -> (p_x, p_z).  Each batch of quadrature nodes (all initial panels, then
-both halves of each split) is one call of the array kernel
-:func:`~trapcav.kernels.pressure_arrays`, and no node is evaluated twice.
+r -> (p_x, p_z).  :func:`force_batch` integrates the wings of many cavities
+in lock-step (:func:`~trapcav.quadrature.integrate_batch`): each round, the
+new quadrature nodes of every unfinished cavity (all initial panels, then
+both halves of each split) go through one call of the kernel
+:func:`~trapcav.kernels.wing_pressures`, with each node's cavity parameters
+gathered from its owner, and no node is evaluated twice.  Every cavity gets
+the same bits, evaluations and outcome as alone, and a cavity whose
+integral fails fails alone.  :func:`total_forces` is the batch of one.
 The z integrand is single-signed and never integrates to zero for a valid
 cavity.  The x integrand changes sign along the wing and at phi = 0
 integrates to exactly zero by symmetry, where no relative target of its own
@@ -22,16 +27,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotConverged
-from .geometry import CavitySpec, validate
+import numpy as np
+
+from .errors import NotConverged, TrapcavError
+from .geometry import CavitySpec, WingParams, validate
 from .kernels import (
     CODATA,
     PhysicalConstants,
     PressureSample,
     pressure_arrays,
-    specific_pressures,
+    pressure_prefactor,
+    wing_pressures,
 )
-from .quadrature import integrate_adaptive
+from .quadrature import integrate_batch
+
+# bench/tracing.py wraps these by their names in this module
+from .kernels import specific_pressures  # noqa: F401
+from .quadrature import integrate_adaptive  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -72,6 +84,77 @@ def _edge_breakpoints(spec: CavitySpec) -> list[float]:
     return points
 
 
+def force_batch(
+    specs: list[CavitySpec],
+    rel_tol: float = 1e-9,
+    *,
+    wing_count: int = 1,
+    constants: PhysicalConstants = CODATA,
+) -> list[ForceResult | TrapcavError]:
+    """:func:`total_forces` of many cavities, integrated in lock-step.
+
+    Returns one outcome per spec, in order: the :class:`ForceResult` that
+    ``total_forces`` returns for it, bit for bit, or the exception that
+    ``total_forces`` would raise for it (a :class:`NonFiniteSample`, or a
+    typed error of the kernel such as :class:`DegenerateFan`), which
+    affects no other cavity.  Each round of the quadrature evaluates the new nodes of
+    all unfinished cavities in one kernel call.  An invalid spec, a bad
+    ``wing_count`` or a bad ``rel_tol`` raises for the whole batch.
+    """
+    for spec in specs:
+        validate(spec)
+    if wing_count not in (1, 2):
+        raise ValueError(f"wing_count must be 1 or 2, got {wing_count!r}")
+    if not (rel_tol > 0.0):
+        raise ValueError(f"rel_tol must be positive, got {rel_tol!r}")
+
+    # one row per field of WingParams, then the prefactor K; one column
+    # per cavity
+    columns = np.array(
+        [(*WingParams.of(spec), pressure_prefactor(spec, constants)) for spec in specs]
+    ).T
+
+    def pressures(r: np.ndarray, owner: np.ndarray) -> tuple:
+        *cav, k = (column[owner] for column in columns)
+        return wing_pressures(WingParams(*cav), k, r)
+
+    outcomes = integrate_batch(
+        pressures, [(0.0, spec.R, _edge_breakpoints(spec)) for spec in specs], rel_tol=rel_tol
+    )
+    return [_forces(spec, q, wing_count) for spec, q in zip(specs, outcomes)]
+
+
+def _forces(spec: CavitySpec, q, wing_count: int) -> ForceResult | TrapcavError:
+    # one integral's outcome as forces; errors other than NotConverged
+    # pass through
+    if isinstance(q, NotConverged):
+        converged = False
+    elif isinstance(q, TrapcavError):
+        return q
+    else:
+        converged = True
+    (vx, vz), (ex, ez) = q.value, q.error_estimate
+    f_x = spec.L * vx
+    f_z = spec.L * vz
+    err_x = spec.L * ex
+    err_z = spec.L * ez
+    if wing_count == 2:
+        f_x *= 2.0
+        err_x *= 2.0
+        f_z = 0.0
+        err_z = 0.0
+    return ForceResult(
+        spec=spec,
+        f_x=f_x,
+        f_z=f_z,
+        err_x=err_x,
+        err_z=err_z,
+        wing_count=wing_count,
+        converged=converged,
+        evaluations=q.evaluations,
+    )
+
+
 def total_forces(
     spec: CavitySpec,
     rel_tol: float = 1e-9,
@@ -90,47 +173,12 @@ def total_forces(
     between the mirror-image wings; nothing is recomputed.  A
     :class:`NotConverged` is absorbed into ``converged=False`` instead of
     propagating, so sweeps can flag rows and continue; the values then carry
-    the best estimates found.
+    the best estimates found.  This is :func:`force_batch` of one spec.
     """
-    validate(spec)
-    if wing_count not in (1, 2):
-        raise ValueError(f"wing_count must be 1 or 2, got {wing_count!r}")
-    if not (rel_tol > 0.0):
-        raise ValueError(f"rel_tol must be positive, got {rel_tol!r}")
-
-    try:
-        q = integrate_adaptive(
-            lambda r: pressure_arrays(spec, r, constants),
-            0.0,
-            spec.R,
-            rel_tol=rel_tol,
-            points=_edge_breakpoints(spec),
-        )
-        (vx, vz), (ex, ez), converged = q.value, q.error_estimate, True
-        evaluations = q.evaluations
-    except NotConverged as stop:
-        (vx, vz), (ex, ez), converged = stop.value, stop.error_estimate, False
-        evaluations = stop.evaluations
-
-    f_x = spec.L * vx
-    f_z = spec.L * vz
-    err_x = spec.L * ex
-    err_z = spec.L * ez
-    if wing_count == 2:
-        f_x *= 2.0
-        err_x *= 2.0
-        f_z = 0.0
-        err_z = 0.0
-    return ForceResult(
-        spec=spec,
-        f_x=f_x,
-        f_z=f_z,
-        err_x=err_x,
-        err_z=err_z,
-        wing_count=wing_count,
-        converged=converged,
-        evaluations=evaluations,
-    )
+    (outcome,) = force_batch([spec], rel_tol, wing_count=wing_count, constants=constants)
+    if isinstance(outcome, TrapcavError):
+        raise outcome
+    return outcome
 
 
 def pressure_profile(
@@ -140,13 +188,13 @@ def pressure_profile(
 
     Endpoints are included exactly: r_i = R * i / (n - 1), except that the
     last point is r = R itself, since R * (n - 1) / (n - 1) can round one
-    ulp above R.
+    ulp above R.  All samples are one call of the array kernel, and each
+    has the bits of a one-point :func:`specific_pressures` call.
     """
     validate(spec)
     if n < 2:
         raise ValueError(f"profile needs at least 2 samples, got {n!r}")
-    samples = tuple(
-        specific_pressures(spec, min(spec.R * i / (n - 1), spec.R), constants)
-        for i in range(n)
-    )
+    r = np.minimum(spec.R * np.arange(n) / (n - 1), spec.R)
+    p_x, p_z = pressure_arrays(spec, r, constants)
+    samples = tuple(map(PressureSample, r.tolist(), p_x.tolist(), p_z.tolist()))
     return PressureProfile(spec=spec, samples=samples)

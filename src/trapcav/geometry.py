@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,36 +114,76 @@ def validate(spec: CavitySpec) -> None:
         raise InvalidCavity("a", "reduced units fix the gap at a = 1")
 
 
+class WingParams(NamedTuple):
+    """The per-cavity constants of the wing formulas.
+
+    With w = a + 2 R sin(phi), the limit angles are
+
+        theta1 = atan2(far_cross, (R - r) - far_dot)
+        theta2 = atan2(near_cross, -(r + near_dot))
+
+    where far_cross = cos(phi) w and far_dot = sin(phi) w belong to the far
+    corner M2 and near_cross = a cos(phi) and near_dot = a sin(phi) to the
+    near corner M3.  :meth:`of` computes every constant once per cavity in
+    floats, with cos and sin from :mod:`math`.  The fields may also be
+    arrays with one entry per wing node, gathered from each node's cavity,
+    so that the nodes of many cavities go through the formulas together
+    with the same bits as alone.
+    """
+
+    a: float | np.ndarray
+    R: float | np.ndarray
+    two_phi: float | np.ndarray
+    cphi: float | np.ndarray
+    sphi: float | np.ndarray
+    far_cross: float | np.ndarray
+    far_dot: float | np.ndarray
+    near_cross: float | np.ndarray
+    near_dot: float | np.ndarray
+
+    @classmethod
+    def of(cls, spec: CavitySpec) -> "WingParams":
+        a, R = spec.a, spec.R
+        cphi, sphi = math.cos(spec.phi), math.sin(spec.phi)
+        far = a + 2.0 * R * sphi
+        return cls(a, R, 2.0 * spec.phi, cphi, sphi, cphi * far, sphi * far, a * cphi, a * sphi)
+
+
+def _params(cavity: CavitySpec | WingParams) -> WingParams:
+    return cavity if isinstance(cavity, WingParams) else WingParams.of(cavity)
+
+
 def _first(where, *values) -> tuple[float, ...]:
     # the entries of ``values`` at the first place ``where`` holds
     i = np.flatnonzero(where)[0]
-    return tuple(float(np.ravel(v)[i]) for v in values)
+    return tuple(float(np.broadcast_to(v, np.shape(where)).flat[i]) for v in values)
 
 
-def _check_r(spec: CavitySpec, r) -> None:
+def _check_r(cav: WingParams, r) -> None:
     r = np.asarray(r)
-    outside = ~((0.0 <= r) & (r <= spec.R))
-    if outside.any():
-        raise OutOfRange("r", *_first(outside, r), 0.0, spec.R)
+    inside = (0.0 <= r) & (r <= cav.R)
+    if not inside.all():
+        r0, R0 = _first(~inside, r, cav.R)
+        raise OutOfRange("r", r0, 0.0, R0)
 
 
-def limit_angles(spec: CavitySpec, r) -> AngleWindow:
+def limit_angles(cavity: CavitySpec | WingParams, r) -> AngleWindow:
     """Visibility window (theta1, theta2) for the upper-wing point at ``r``.
 
     ``r`` is a float or an array of wing coordinates; the window's angles
-    then have its shape.  theta1 aims at the far corner M2: it stays above
-    2 phi (where the ray would run parallel to the lower wing) and climbs
-    to pi/2 + phi at r = R.  theta2 aims at the near corner M3: it starts at
-    exactly pi/2 + phi at r = 0 and climbs towards pi as r/a grows.  Raises
-    :class:`OutOfRange` naming the first ``r`` outside [0, R] and
-    :class:`DegenerateFan` naming the first whose fan is empty.
+    then have its shape.  ``cavity`` is a spec, or :class:`WingParams` of
+    the shape of ``r`` when the nodes belong to several cavities.  theta1
+    aims at the far corner M2: it stays above 2 phi (where the ray would
+    run parallel to the lower wing) and climbs to pi/2 + phi at r = R.
+    theta2 aims at the near corner M3: it starts at exactly pi/2 + phi at
+    r = 0 and climbs towards pi as r/a grows.  Raises :class:`OutOfRange`
+    naming the first ``r`` outside [0, R] and :class:`DegenerateFan` naming
+    the first whose fan is empty.
     """
-    _check_r(spec, r)
-    a, R, phi = spec.a, spec.R, spec.phi
-    cphi, sphi = math.cos(phi), math.sin(phi)
-    far = a + 2.0 * R * sphi
-    theta1 = np.arctan2(cphi * far, (R - r) - sphi * far)
-    theta2 = np.arctan2(a * cphi, -(r + a * sphi))
+    cav = _params(cavity)
+    _check_r(cav, r)
+    theta1 = np.arctan2(cav.far_cross, (cav.R - r) - cav.far_dot)
+    theta2 = np.arctan2(cav.near_cross, -(r + cav.near_dot))
     collapsed = theta1 >= theta2
     if collapsed.any():
         r0, t1, t2 = _first(collapsed, r, theta1, theta2)
@@ -150,16 +191,18 @@ def limit_angles(spec: CavitySpec, r) -> AngleWindow:
     return AngleWindow(theta1=theta1, theta2=theta2)
 
 
-def s_factor(spec: CavitySpec, r):
+def s_factor(cavity: CavitySpec | WingParams, r):
     """Length scale s(r) of the fan, the numerator of every ray length.
 
     s = cos(phi) (a + 2 r sin(phi)), the closed form of
     sin(2 phi - theta2) (a + r sin phi) / sin(phi - theta2), in the shape
-    of ``r``.  Every term is positive, so the result is good to a few ulps
-    for any valid cavity and reduces to the gap ``a`` exactly at phi = 0.
+    of ``r``; ``cavity`` is as for :func:`limit_angles`.  Every term is
+    positive, so the result is good to a few ulps for any valid cavity and
+    reduces to the gap ``a`` exactly at phi = 0.
     """
-    _check_r(spec, r)
-    return math.cos(spec.phi) * (spec.a + 2.0 * r * math.sin(spec.phi))
+    cav = _params(cavity)
+    _check_r(cav, r)
+    return cav.cphi * (cav.a + 2.0 * r * cav.sphi)
 
 
 def ray_length(spec: CavitySpec, r: float, theta: float) -> float:

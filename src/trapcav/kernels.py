@@ -25,9 +25,11 @@ whose antiderivatives are
 so the z integrand integrates to cos(phi) dF5 + sin(phi) dG5 and the x
 integrand to cos(phi) dG5 - sin(phi) dF5; :func:`fan_integrals` returns both
 from one evaluation of each primitive difference.  The kernel is written
-once, in numpy ufuncs: :func:`pressure_arrays` evaluates it on an array of
-wing coordinates (a whole batch of quadrature nodes per call), and
-:func:`specific_pressures` is its one-point form.  Over the full half-space
+once, in numpy ufuncs, as :func:`wing_pressures`, which takes the cavity
+parameters per node, so that one call can evaluate the quadrature nodes of
+many cavities.  :func:`pressure_arrays` is its form for one cavity and an
+array of wing coordinates, and :func:`specific_pressures` its one-point
+form.  Over the full half-space
 fan (0, pi) at phi = 0 the z integral is 16/15 — the factor by which an
 ideal half-space of rays beats the single perpendicular ray — and the x
 integral over (0, pi/2) is +1/5, flipping sign on (pi/2, pi).
@@ -41,7 +43,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveGap, NonPositiveRay
-from .geometry import AngleWindow, CavitySpec, Units, limit_angles, s_factor, validate
+from .geometry import (
+    AngleWindow,
+    CavitySpec,
+    Units,
+    WingParams,
+    limit_angles,
+    s_factor,
+    validate,
+)
 
 
 @dataclass(frozen=True)
@@ -128,6 +138,16 @@ def _sin4cos_primitive(u):
     return s * s2 * s2 / 5.0
 
 
+def _fan(window: AngleWindow, two_phi, cphi, sphi) -> tuple:
+    # fan_integrals with 2 phi, cos(phi) and sin(phi) given per fan or per
+    # node; both limits go into one array, so each primitive is one pass
+    u = np.array((window.theta1, window.theta2)) - two_phi
+    f5, g5 = _sin5_primitive(u), _sin4cos_primitive(u)
+    d_f5 = f5[1] - f5[0]
+    d_g5 = g5[1] - g5[0]
+    return cphi * d_g5 - sphi * d_f5, cphi * d_f5 + sphi * d_g5
+
+
 def fan_integrals(window: AngleWindow, phi: float) -> tuple:
     """Closed forms (x, z) of the expulsion and compression fan integrals.
 
@@ -142,12 +162,26 @@ def fan_integrals(window: AngleWindow, phi: float) -> tuple:
     changes sign where the fan crosses theta = pi/2 + 2 phi; the full
     half-space fan at phi = 0 integrates to exactly zero.
     """
-    u1 = window.theta1 - 2.0 * phi
-    u2 = window.theta2 - 2.0 * phi
-    d_f5 = _sin5_primitive(u2) - _sin5_primitive(u1)
-    d_g5 = _sin4cos_primitive(u2) - _sin4cos_primitive(u1)
-    cphi, sphi = math.cos(phi), math.sin(phi)
-    return cphi * d_g5 - sphi * d_f5, cphi * d_f5 + sphi * d_g5
+    return _fan(window, 2.0 * phi, math.cos(phi), math.sin(phi))
+
+
+def wing_pressures(cav: WingParams, k, r) -> tuple:
+    """Local pressure components (p_x, p_z) for parameters given per node.
+
+    The kernel's one formula: ``cav`` holds the geometry and ``k`` the
+    prefactor, as floats for one cavity or, for the nodes of several
+    cavities, as arrays of the shape of ``r`` gathered per node.  Nothing is
+    validated beyond the checks of :func:`limit_angles` and
+    :func:`s_factor`, so the caller validates every cavity once.  s^4 is
+    libm's ``pow`` (``np.float_power``), as on one float, so a node has
+    the same bits in an array as alone; numpy's vectorised ``**`` differs
+    from it in the last bit on a few percent of nodes.
+    """
+    window = limit_angles(cav, r)
+    s = s_factor(cav, r)
+    scale = k / np.float_power(s, 4.0)
+    x, z = _fan(window, cav.two_phi, cav.cphi, cav.sphi)
+    return scale * x, -scale * z
 
 
 def pressure_arrays(spec: CavitySpec, r, constants: PhysicalConstants = CODATA) -> tuple:
@@ -158,14 +192,11 @@ def pressure_arrays(spec: CavitySpec, r, constants: PhysicalConstants = CODATA) 
     (compression pulls the wings together); p_x keeps the sign of its
     integral, negative wherever the fan is dominated by forward-leaning
     rays.  Every call validates ``spec`` and raises :class:`OutOfRange` or
-    :class:`DegenerateFan` naming the first offending ``r``.
+    :class:`DegenerateFan` naming the first offending ``r``.  This is
+    :func:`wing_pressures` for one cavity.
     """
     validate(spec)
-    window = limit_angles(spec, r)
-    s = s_factor(spec, r)
-    scale = pressure_prefactor(spec, constants) / s**4
-    x, z = fan_integrals(window, spec.phi)
-    return scale * x, -scale * z
+    return wing_pressures(WingParams.of(spec), pressure_prefactor(spec, constants), r)
 
 
 def specific_pressures(

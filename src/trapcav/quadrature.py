@@ -6,14 +6,29 @@ scaled-residual inflation so the estimate stays honest on rough panels).
 
 The integrand takes a 1-D array of nodes and returns one value per node, or
 one row per component (shape (n,) or (k, n)); the value and error estimate
-come back as a float or a tuple of k floats.  Each call evaluates every node
-of a batch of panels: all initial panels at once, then both halves of each
-split.  All components share the panels, and every norm is the max-norm over
-components: the panel with the largest component estimate splits until the
-largest summed estimate meets max(rel_tol * max |value_i|, abs_tol), a panel
-reaches ``max_depth`` halvings, or the panel list hits a safety cap.  For a
-scalar integrand this is the plain rule |error| <= max(rel_tol * |value|,
-abs_tol).
+come back as a float or a tuple of k floats.  All components share the
+panels, and every norm is the max-norm over components: the panel with the
+largest component estimate splits until the largest summed estimate meets
+max(rel_tol * max |value_i|, abs_tol), a panel reaches ``max_depth``
+halvings, or the panel list hits a safety cap.  For a scalar integrand this
+is the plain rule |error| <= max(rel_tol * |value|, abs_tol).
+
+:func:`integrate_batch` runs many independent integrals in lock-step; its
+integrand also gets, for every node, the index of the integral the node
+belongs to.  Each round, every integral that has not finished runs one
+test-then-split step on its own heap and running totals, and then the new
+panels of all of them (every initial panel in the first round, both halves
+of a split after that) are evaluated in one call of the integrand.  An
+integral takes exactly the steps it would take alone, and gives the same
+bits: the kernel works node by node, and the rules reduce each panel with a
+per-row dot product (``np.vecdot``), whose result does not depend on how
+many panels share the call, as a BLAS matrix-vector product's does.  A
+failure stays with its own integral: when the batched call raises a
+:class:`TrapcavError` (a :class:`NonFiniteSample`, or a typed error of the
+integrand, such as the kernel's), each integral of the round is evaluated
+on its own, and one that raises finishes with that exception while the
+others go on.  :func:`integrate_adaptive` is the batch
+of one.
 
 Every accumulation that feeds a reported value runs through
 :func:`pairwise_sum`, a fixed stride-pair tree, so identical inputs produce
@@ -25,11 +40,11 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteSample, NotConverged
+from .errors import NonFiniteSample, NotConverged, TrapcavError
 
 #: A float, or a fixed-length tuple of floats for a vector integrand.
 Value = float | tuple[float, ...]
@@ -37,6 +52,9 @@ Value = float | tuple[float, ...]
 #: Maps a 1-D array of n nodes to shape (n,), or (k, n) for k components
 #: (an array, or a tuple of k arrays).
 Integrand = Callable[[np.ndarray], "np.ndarray | tuple[np.ndarray, ...]"]
+
+#: The same for a batch: also gets the index of each node's integral.
+BatchIntegrand = Callable[[np.ndarray, np.ndarray], "np.ndarray | tuple[np.ndarray, ...]"]
 
 # 15-point Kronrod abscissae on [-1, 1] (positive half; x[7] = 0 is implicit)
 _XGK = (
@@ -103,7 +121,8 @@ def pairwise_sum(values, axis: int = -1):
     if a.shape[axis] == 0:
         out = np.zeros(a.sum(axis=axis).shape)
         return float(out) if out.ndim == 0 else out
-    a = np.moveaxis(a, axis, -1)
+    if axis % a.ndim != a.ndim - 1:
+        a = np.moveaxis(a, axis, -1)
     while a.shape[-1] > 1:
         n = a.shape[-1]
         m = 2 * (n // 2)
@@ -135,10 +154,12 @@ def _gk15(f: Integrand, lo, hi) -> tuple[np.ndarray, np.ndarray]:
         j = int(np.argmin(np.isfinite(fv).reshape(-1, xs.size).all(axis=0)))
         raise NonFiniteSample(float(xs[j]), _shaped(fv[..., j]))
     fv = fv.reshape(fv.shape[:-1] + (lo.size, 15))  # (m, 15) or (k, m, 15)
-    resk = fv @ _WK15
-    resg = fv @ _WG15
-    resabs = (np.abs(fv) @ _WK15) * half
-    resasc = (np.abs(fv - 0.5 * resk[..., None]) @ _WK15) * half
+    # one dot product per panel and rule: a panel's bits do not depend on
+    # its batch
+    resk = np.vecdot(fv, _WK15)
+    resg = np.vecdot(fv, _WG15)
+    resabs = np.vecdot(np.abs(fv), _WK15) * half
+    resasc = np.vecdot(np.abs(fv - 0.5 * resk[..., None]), _WK15) * half
     err = np.abs(resk - resg) * half
     # inflate towards resasc unless the rules genuinely agree
     inflate = (resasc != 0.0) & (err != 0.0)
@@ -152,6 +173,176 @@ def _shaped(a) -> Value:
     # a float for a float integrand, a tuple of floats for a vector one
     out = np.asarray(a).tolist()
     return tuple(out) if isinstance(out, list) else out
+
+
+class _Integral:
+    """One integral of a batch: its panels, heap, running totals and counts."""
+
+    def __init__(self, owner: int, edges: list[float]) -> None:
+        self.owner = owner
+        # panels by key: (lo, hi, values, errs, depth), values and errs as
+        # lists of k floats; the heap holds (-max err, lo, hi, key), so its
+        # top is the leftmost worst panel
+        self.panels: dict[int, tuple] = {}
+        self.heap: list[tuple] = []
+        self.keys = itertools.count()
+        self.evaluations = 0
+        # the panels awaiting evaluation, and the panel they split (if any)
+        self.pending = (edges[:-1], edges[1:], 0)
+        self.parent: tuple | None = None
+
+    def absorb(self, values: np.ndarray, errs: np.ndarray) -> None:
+        """Add the evaluated pending panels and update the running totals."""
+        p_lo, p_hi, depth = self.pending
+        m = len(p_lo)
+        self.shape = values.shape[1:]
+        values, errs = values.reshape(m, -1).tolist(), errs.reshape(m, -1).tolist()
+        for panel in zip(p_lo, p_hi, values, errs):
+            key = next(self.keys)
+            self.panels[key] = (*panel, depth)
+            heapq.heappush(self.heap, (-max(panel[3]), panel[0], panel[1], key))
+        self.evaluations += 15 * m
+        if self.parent is None:
+            # running totals, the number of terms they have summed, and the
+            # sums of those terms' magnitudes, which bound their rounding
+            self.total = [sum(c) for c in zip(*values)]
+            self.total_err = [sum(c) for c in zip(*errs)]
+            self.mass = [sum(map(abs, c)) for c in zip(*values)]
+            self.err_mass = self.total_err
+            self.terms = m
+            return
+        (v1, v2), (e1, e2), (v, e) = values, errs, self.parent
+        self.total = [t + (a + b - c) for t, a, b, c in zip(self.total, v1, v2, v)]
+        self.total_err = [t + (a + b - c) for t, a, b, c in zip(self.total_err, e1, e2, e)]
+        self.mass = [t + (abs(a) + abs(b) + abs(c)) for t, a, b, c in zip(self.mass, v1, v2, v)]
+        self.err_mass = [t + (a + b + c) for t, a, b, c in zip(self.err_mass, e1, e2, e)]
+        self.terms += 3
+
+    def _pairwise_totals(self) -> tuple[np.ndarray, np.ndarray]:
+        tiles = sorted(self.panels.values(), key=lambda p: (p[0], p[1]))
+        return (
+            pairwise_sum(np.array([p[2] for p in tiles]).T).reshape(self.shape),
+            pairwise_sum(np.array([p[3] for p in tiles]).T).reshape(self.shape),
+        )
+
+    def step(
+        self, rel_tol: float, abs_tol: float, max_depth: int, max_panels: int
+    ) -> QuadratureResult | NotConverged | None:
+        """Test for convergence, else split the worst panel.
+
+        Returns the outcome once the integral has finished, or None after
+        making the two halves of its worst panel the pending panels.
+        """
+        # |running - pairwise| <= 2 terms eps mass, with a factor 2 to spare
+        slack = 4.0 * self.terms * _EPS
+        sums = None
+        if max(t - slack * m for t, m in zip(self.total_err, self.err_mass)) <= max(
+            rel_tol * max(abs(t) + slack * m for t, m in zip(self.total, self.mass)), abs_tol
+        ):
+            sums = self._pairwise_totals()
+            if np.max(sums[1]) <= max(rel_tol * np.max(np.abs(sums[0])), abs_tol):
+                return QuadratureResult(
+                    _shaped(sums[0]), _shaped(sums[1]), self.evaluations, True
+                )
+        key = self.heap[0][3]
+        p_lo, p_hi, value, err, depth = self.panels[key]
+        if depth >= max_depth or len(self.panels) >= max_panels:
+            best, best_err = sums or self._pairwise_totals()
+            return NotConverged(_shaped(best), _shaped(best_err), self.evaluations)
+        heapq.heappop(self.heap)
+        del self.panels[key]
+        mid = 0.5 * (p_lo + p_hi)
+        self.pending = ([p_lo, mid], [mid, p_hi], depth + 1)
+        self.parent = (value, err)
+        return None
+
+
+def _evaluate(f: BatchIntegrand, batch: list[_Integral]) -> list:
+    """Every integral's pending panels in one call of ``f``.
+
+    Returns, per integral, its (values, errors) or the exception its own
+    panels raise.  When the batched call raises, each integral of a batch
+    of several is evaluated alone, so an error stays with its integral.
+    """
+    p_lo, p_hi, owners = [], [], []
+    for item in batch:
+        p_lo += item.pending[0]
+        p_hi += item.pending[1]
+        owners += [item.owner] * len(item.pending[0])
+    owner = np.array(owners).repeat(15)
+    try:
+        values, errs = _gk15(lambda x: f(x, owner), p_lo, p_hi)
+    except TrapcavError as err:
+        if len(batch) == 1:
+            return [err]
+        return [_evaluate(f, [item])[0] for item in batch]
+    out, start = [], 0
+    for item in batch:
+        stop = start + len(item.pending[0])
+        out.append((values[start:stop], errs[start:stop]))
+        start = stop
+    return out
+
+
+def integrate_batch(
+    f: BatchIntegrand,
+    intervals: Sequence[tuple[float, float, Iterable[float]]],
+    rel_tol: float = 1e-9,
+    abs_tol: float = 1e-300,
+    max_depth: int = 50,
+    max_panels: int = 10_000,
+) -> list[QuadratureResult | TrapcavError]:
+    """Globally adaptive integrals of ``f`` over many intervals in lock-step.
+
+    ``intervals`` lists one (lo, hi, points) per integral, and ``f(x,
+    owner)`` gets the nodes ``x`` of all integrals with the index ``owner``
+    of each node's interval; it returns shape (n,) or (k, n), as for
+    :func:`integrate_adaptive`, which documents the stopping rule and the
+    breakpoints.  Each round evaluates the new panels of every unfinished
+    integral in one call of ``f``.  Returns one outcome per interval, in
+    order: a :class:`QuadratureResult`, or the exception that integral
+    alone would raise (:class:`NotConverged`, :class:`NonFiniteSample`, or
+    a :class:`TrapcavError` that ``f`` raises on its nodes).  Each outcome
+    is bit-identical to the integral's result in a batch of its own.
+    Out-of-order bounds and bad tolerances raise ``ValueError`` for the
+    whole batch, and any other exception of ``f`` propagates.
+    """
+    for lo, hi, _ in intervals:
+        if not (hi >= lo):
+            raise ValueError(f"integration bounds out of order: [{lo!r}, {hi!r}]")
+    if not (rel_tol > 0.0):
+        raise ValueError(f"rel_tol must be positive, got {rel_tol!r}")
+    if not (abs_tol >= 0.0):
+        raise ValueError(f"abs_tol must be non-negative, got {abs_tol!r}")
+
+    outcomes: list = [None] * len(intervals)
+    live = []
+    for owner, (lo, hi, points) in enumerate(intervals):
+        if hi > lo:
+            edges = [lo, *sorted({p for p in points if lo < p < hi}), hi]
+            live.append(_Integral(owner, edges))
+            continue
+        # an empty interval: one node at lo tells the integrand's shape
+        try:
+            shape = np.shape(f(np.array([lo]), np.array([owner])))[:-1]
+            zero = _shaped(np.zeros(shape))
+            outcomes[owner] = QuadratureResult(zero, zero, 0, True)
+        except TrapcavError as err:
+            outcomes[owner] = err
+    while live:
+        running = []
+        for item, panels in zip(live, _evaluate(f, live)):
+            if isinstance(panels, TrapcavError):
+                outcomes[item.owner] = panels
+                continue
+            item.absorb(*panels)
+            outcome = item.step(rel_tol, abs_tol, max_depth, max_panels)
+            if outcome is None:
+                running.append(item)
+            else:
+                outcomes[item.owner] = outcome
+        live = running
+    return outcomes
 
 
 def integrate_adaptive(
@@ -192,69 +383,11 @@ def integrate_adaptive(
     allowing for their rounding, it certainly fails; the test itself, and
     every reported value, sums the panels with :func:`pairwise_sum` in
     interval order, so results match a loop that re-sums after each split.
+    This is :func:`integrate_batch` on one interval.
     """
-    if not (hi >= lo):
-        raise ValueError(f"integration bounds out of order: [{lo!r}, {hi!r}]")
-    if not (rel_tol > 0.0):
-        raise ValueError(f"rel_tol must be positive, got {rel_tol!r}")
-    if not (abs_tol >= 0.0):
-        raise ValueError(f"abs_tol must be non-negative, got {abs_tol!r}")
-    if hi == lo:
-        zero = _shaped(np.zeros(np.shape(f(np.array([lo])))[:-1]))
-        return QuadratureResult(zero, zero, 0, True)
-
-    # panels by key: (lo, hi, value, err, depth); the heap holds
-    # (-max err, lo, hi, key), so its top is the leftmost worst panel
-    panels: dict[int, tuple] = {}
-    heap: list[tuple] = []
-    keys = itertools.count()
-
-    def add(p_lo: list, p_hi: list, depth: int) -> tuple[np.ndarray, np.ndarray]:
-        values, errs = _gk15(f, p_lo, p_hi)
-        worst = errs.reshape(len(errs), -1).max(axis=1).tolist()
-        for panel in zip(p_lo, p_hi, values, errs, worst):
-            key = next(keys)
-            panels[key] = (*panel[:4], depth)
-            heapq.heappush(heap, (-panel[4], panel[0], panel[1], key))
-        return values, errs
-
-    def pairwise_totals() -> tuple[np.ndarray, np.ndarray]:
-        tiles = sorted(panels.values(), key=lambda p: (p[0], p[1]))
-        return (
-            pairwise_sum([p[2] for p in tiles], axis=0),
-            pairwise_sum([p[3] for p in tiles], axis=0),
-        )
-
-    edges = [lo, *sorted({p for p in points if lo < p < hi}), hi]
-    values, errs = add(edges[:-1], edges[1:], 0)
-    evaluations = 15 * len(values)
-    # running totals, the number of terms they have summed, and the sums of
-    # those terms' magnitudes, which bound their rounding
-    total, total_err = values.sum(axis=0), errs.sum(axis=0)
-    mass, err_mass = np.abs(values).sum(axis=0), total_err
-    terms = len(values)
-    while True:
-        # |running - pairwise| <= 2 terms eps mass, with a factor 2 to spare
-        slack = 4.0 * terms * _EPS
-        sums = None
-        if np.max(total_err - slack * err_mass) <= max(
-            rel_tol * np.max(np.abs(total) + slack * mass), abs_tol
-        ):
-            sums = pairwise_totals()
-            if np.max(sums[1]) <= max(rel_tol * np.max(np.abs(sums[0])), abs_tol):
-                return QuadratureResult(_shaped(sums[0]), _shaped(sums[1]), evaluations, True)
-        key = heap[0][3]
-        p_lo, p_hi, value, err, depth = panels[key]
-        if depth >= max_depth or len(panels) >= max_panels:
-            best, best_err = sums or pairwise_totals()
-            raise NotConverged(_shaped(best), _shaped(best_err), evaluations)
-        heapq.heappop(heap)
-        del panels[key]
-        mid = 0.5 * (p_lo + p_hi)
-        values, errs = add([p_lo, mid], [mid, p_hi], depth + 1)
-        evaluations += 30
-        total = total + (values[0] + values[1] - value)
-        total_err = total_err + (errs[0] + errs[1] - err)
-        mass = mass + (np.abs(values[0]) + np.abs(values[1]) + np.abs(value))
-        err_mass = err_mass + (errs[0] + errs[1] + err)
-        terms += 3
+    (outcome,) = integrate_batch(
+        lambda x, owner: f(x), [(lo, hi, points)], rel_tol, abs_tol, max_depth, max_panels
+    )
+    if isinstance(outcome, TrapcavError):
+        raise outcome
+    return outcome

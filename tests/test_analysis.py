@@ -1,6 +1,8 @@
+import functools
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from trapcav import (
@@ -17,6 +19,7 @@ from trapcav import (
     total_forces,
 )
 import trapcav.analysis
+import trapcav.forces
 
 REDUCED = CavitySpec(a=1.0, R=10.0, L=1.0, phi=0.0, units=Units.REDUCED)
 SI_THIN = CavitySpec(a=4e-7, R=4e-6, L=1.0, phi=math.radians(1.0))
@@ -89,22 +92,27 @@ def test_sweep_input_validation():
 
 
 def test_sweep_flags_failed_rows(monkeypatch):
-    real = total_forces
+    # the kernel fails on the nodes of the 2-degree row only, inside the
+    # same batched calls that evaluate the other rows
     bad_phi = math.radians(2.0)
+    kernel = trapcav.forces.wing_pressures
 
-    def flaky(spec, rel_tol=1e-9, **kwargs):
-        if spec.phi == bad_phi:
+    def flaky(cav, k, r):
+        if np.any(cav.two_phi == 2.0 * bad_phi):
             raise NumericDegeneracy("synthetic row failure")
-        return real(spec, rel_tol, **kwargs)
+        return kernel(cav, k, r)
 
-    monkeypatch.setattr(trapcav.analysis, "total_forces", flaky)
     values = [math.radians(d) for d in (1.0, 2.0, 3.0)]
+    lone = [total_forces(replace(REDUCED, phi=v)) for v in values]
+    monkeypatch.setattr(trapcav.forces, "wing_pressures", flaky)
     table = sweep(REDUCED, SweepAxis.PHI, values)
     good1, bad, good2 = (fr for _, fr in table.points)
-    assert good1.converged and good2.converged
+    assert good1 == lone[0] and good2 == lone[2]
     assert not bad.converged
     assert math.isnan(bad.f_x) and math.isnan(bad.f_z)
     assert math.isinf(bad.err_x) and math.isinf(bad.err_z)
+    assert table.force_calls == 3
+    assert table.evaluations == lone[0].evaluations + lone[2].evaluations
 
 
 def test_optimize_locates_interior_maximum():
@@ -163,12 +171,13 @@ def test_optimize_rejects_flat_and_multimodal_objectives(monkeypatch):
 
         return inner
 
-    monkeypatch.setattr(trapcav.analysis, "total_forces", fake_forces("flat"))
-    with pytest.raises(NoInteriorMaximum):
-        optimize_phi(REDUCED, 0.05, 0.7)
-    monkeypatch.setattr(trapcav.analysis, "total_forces", fake_forces("wavy"))
-    with pytest.raises(NoInteriorMaximum):
-        optimize_phi(REDUCED, 0.05, 0.7)
+    for kind in ("flat", "wavy"):
+        fake = fake_forces(kind)
+        batch = lambda specs, rel_tol=1e-9, **kwargs: [fake(s, rel_tol) for s in specs]
+        monkeypatch.setattr(trapcav.analysis, "total_forces", fake)
+        monkeypatch.setattr(trapcav.analysis, "force_batch", batch)
+        with pytest.raises(NoInteriorMaximum):
+            optimize_phi(REDUCED, 0.05, 0.7)
 
 
 @pytest.mark.parametrize(
@@ -231,3 +240,75 @@ def test_rescale_accepts_reduced_input():
 def test_rescale_rejects_bad_scale(lam):
     with pytest.raises(ValueError):
         rescale_report(SI_THIN, lam)
+
+
+def force_key(fr):
+    # everything a force row reports, so that equal keys mean equal bits
+    return (fr.f_x, fr.f_z, fr.err_x, fr.err_z, fr.converged, fr.evaluations)
+
+
+IDENTITY_PHIS = [0.0, 1e-4, 0.01, 0.1, 0.3, 0.5, 0.78]
+IDENTITY_RATIOS = [1e-3, 0.1, 1.0, 10.0, 1e3, 1e5]
+
+
+@pytest.mark.parametrize("gap,units", [(1.0, Units.REDUCED), (4e-7, Units.SI)])
+def test_sweep_rows_equal_lone_total_forces(gap, units):
+    # every row of a batched sweep is the lone total_forces of its cavity,
+    # bit for bit, over eight decades of R/a and the whole phi range
+    for k, ratio in enumerate(IDENTITY_RATIOS):
+        base = CavitySpec(a=gap, R=gap * ratio, L=1.0, phi=0.0, units=units)
+        wing_count = 1 + k % 2
+        table = sweep(base, SweepAxis.PHI, IDENTITY_PHIS, wing_count=wing_count)
+        for phi, fr in table.points:
+            alone = total_forces(replace(base, phi=phi), wing_count=wing_count)
+            assert force_key(fr) == force_key(alone)
+        assert table.force_calls == len(IDENTITY_PHIS)
+        assert table.evaluations == sum(fr.evaluations for _, fr in table.points)
+    lengths = [gap * ratio for ratio in IDENTITY_RATIOS]
+    base = CavitySpec(a=gap, R=gap, L=1.0, phi=0.3, units=units)
+    for wing_count in (1, 2):
+        table = sweep(base, SweepAxis.R, lengths, rel_tol=1e-7, wing_count=wing_count)
+        for length, fr in table.points:
+            alone = total_forces(replace(base, R=length), 1e-7, wing_count=wing_count)
+            assert force_key(fr) == force_key(alone)
+
+
+def test_sweep_rows_that_stop_equal_lone_total_forces(monkeypatch):
+    # with a cap of 12 panels the longer wings stop unconverged; stopped and
+    # converged rows alike equal their lone results
+    capped = functools.partial(trapcav.forces.integrate_batch, max_panels=12)
+    monkeypatch.setattr(trapcav.forces, "integrate_batch", capped)
+    base = CavitySpec(a=1.0, R=1.0, L=1.0, phi=0.2, units=Units.REDUCED)
+    lengths = [0.5, 4.0, 60.0, 1e3, 1e4]
+    table = sweep(base, SweepAxis.R, lengths, rel_tol=1e-12)
+    rows = [fr for _, fr in table.points]
+    lone = [total_forces(replace(base, R=length), 1e-12) for length in lengths]
+    assert [force_key(fr) for fr in rows] == [force_key(fr) for fr in lone]
+    assert any(fr.converged for fr in rows) and not all(fr.converged for fr in rows)
+
+
+def test_prescan_and_counters_equal_lone_total_forces(monkeypatch):
+    batches, steps = [], []
+    batch, lone = trapcav.analysis.force_batch, trapcav.analysis.total_forces
+
+    def spy_batch(*args, **kwargs):
+        batches.append(batch(*args, **kwargs))
+        return batches[-1]
+
+    def spy_lone(*args, **kwargs):
+        steps.append(lone(*args, **kwargs))
+        return steps[-1]
+
+    monkeypatch.setattr(trapcav.analysis, "force_batch", spy_batch)
+    monkeypatch.setattr(trapcav.analysis, "total_forces", spy_lone)
+    report = optimize_phi(replace(REDUCED, R=30.0), 0.005, 0.6)
+    (prescan,) = batches
+    assert len(prescan) == len(report.grid_prescan) == 32
+    for (phi, f_x), fr in zip(report.grid_prescan, prescan):
+        alone = total_forces(replace(REDUCED, R=30.0, phi=phi))
+        assert force_key(fr) == force_key(alone) and f_x == alone.f_x
+    # golden section: two starting points, one per iteration, the final one
+    assert len(steps) == report.iterations + 3
+    assert report.force_calls == 32 + len(steps)
+    assert report.evaluations == sum(fr.evaluations for fr in prescan + steps)
+    assert report.f_x_star == steps[-1].f_x

@@ -9,11 +9,14 @@ import hypothesis.strategies as st
 
 from trapcav import (
     CavitySpec,
+    DegenerateFan,
     InvalidCavity,
+    NonFiniteSample,
     NotConverged,
     Units,
     pairwise_sum,
     pressure_profile,
+    specific_pressures,
     total_forces,
 )
 import trapcav.forces
@@ -105,10 +108,10 @@ def test_rejects_bad_tolerance_and_spec():
 
 
 def test_non_convergence_is_absorbed(monkeypatch):
-    def always_stops(f, lo, hi, **kwargs):
-        raise NotConverged((-0.5, -1.23), (0.01, 0.05), 77)
+    def always_stops(f, intervals, **kwargs):
+        return [NotConverged((-0.5, -1.23), (0.01, 0.05), 77) for _ in intervals]
 
-    monkeypatch.setattr(trapcav.forces, "integrate_adaptive", always_stops)
+    monkeypatch.setattr(trapcav.forces, "integrate_batch", always_stops)
     fr = total_forces(reduced_at(1.0))
     assert not fr.converged
     assert fr.f_x == -0.5 and fr.f_z == -1.23
@@ -118,13 +121,13 @@ def test_non_convergence_is_absorbed(monkeypatch):
 
 def test_each_node_is_evaluated_once(monkeypatch):
     batches = []
-    kernel = trapcav.forces.pressure_arrays
+    kernel = trapcav.forces.wing_pressures
 
-    def counting(spec, r, *args):
+    def counting(cav, k, r):
         batches.append(np.array(r))
-        return kernel(spec, r, *args)
+        return kernel(cav, k, r)
 
-    monkeypatch.setattr(trapcav.forces, "pressure_arrays", counting)
+    monkeypatch.setattr(trapcav.forces, "wing_pressures", counting)
     spec = replace(reduced_at(1.0), R=1e3)
     fr = total_forces(spec)
     assert fr.converged
@@ -144,8 +147,8 @@ def test_evaluations_are_reported(monkeypatch):
     assert total_forces(reduced_at(1.0), wing_count=2).evaluations == fr.evaluations
     # an integral that stops still reports what it spent: 5 initial panels
     # (breakpoints 1, 4, 6, 9) and 15 splits up to a cap of 20
-    capped = functools.partial(trapcav.forces.integrate_adaptive, max_panels=20)
-    monkeypatch.setattr(trapcav.forces, "integrate_adaptive", capped)
+    capped = functools.partial(trapcav.forces.integrate_batch, max_panels=20)
+    monkeypatch.setattr(trapcav.forces, "integrate_batch", capped)
     short = total_forces(reduced_at(1.0), rel_tol=1e-16)
     assert not short.converged and short.evaluations == 15 * 5 + 30 * 15
 
@@ -215,3 +218,43 @@ def test_compression_always_pulls(a, ratio, phi):
     assert fr.converged
     assert fr.f_z < 0.0
     assert fr.err_x >= 0.0 and fr.err_z >= 0.0
+
+
+def outcome_key(outcome):
+    # a force row's every field, or an error's type and message
+    if isinstance(outcome, Exception):
+        return (type(outcome), str(outcome))
+    return (outcome.f_x, outcome.f_z, outcome.err_x, outcome.err_z, outcome.converged, outcome.evaluations)
+
+
+@pytest.mark.parametrize("fault", ["nan", "raise"])
+def test_a_failing_cavity_fails_alone(monkeypatch, fault):
+    # the kernel fails on the nodes of one cavity of four, inside the same
+    # calls that evaluate the others
+    specs = [replace(reduced_at(3.0), R=length) for length in (0.7, 10.0, 300.0, 4e4)]
+    healthy = [total_forces(spec) for spec in specs]
+    bad_R = specs[2].R
+    kernel = trapcav.forces.wing_pressures
+
+    def faulty(cav, k, r):
+        hit = np.asarray(cav.R == bad_R) & (r > 0.5 * bad_R)
+        if fault == "raise" and hit.any():
+            raise DegenerateFan(f"synthetic failure at r={float(r[hit][0])!r}")
+        p_x, p_z = kernel(cav, k, r)
+        return np.where(hit, np.nan, p_x), p_z
+
+    monkeypatch.setattr(trapcav.forces, "wing_pressures", faulty)
+    outcomes = trapcav.forces.force_batch(specs)
+    with pytest.raises(NonFiniteSample if fault == "nan" else DegenerateFan) as alone:
+        total_forces(specs[2])
+    assert outcome_key(outcomes[2]) == outcome_key(alone.value)
+    for k in (0, 1, 3):
+        assert outcome_key(outcomes[k]) == outcome_key(healthy[k])
+
+
+def test_profile_samples_match_one_point_calls():
+    # one kernel call for the whole profile, with each sample's bits
+    for spec in (reduced_at(3.0), CavitySpec(a=4e-7, R=4e-3, L=1.0, phi=0.7)):
+        prof = pressure_profile(spec, 257)
+        for s in prof.samples:
+            assert s == specific_pressures(spec, s.r)

@@ -9,12 +9,14 @@ import hypothesis.strategies as st
 from trapcav import (
     NonFiniteSample,
     NotConverged,
+    NumericDegeneracy,
     QuadratureResult,
+    TrapcavError,
     integrate_adaptive,
     pairwise_sum,
 )
 import trapcav.quadrature
-from trapcav.quadrature import _EPS, _WG, _WGK, _XGK, _gk15
+from trapcav.quadrature import _EPS, _WG, _WGK, _XGK, _gk15, integrate_batch
 
 
 def sin5_primitive(u):
@@ -187,19 +189,28 @@ def test_gk15_matches_loop_reference():
 
 
 def test_gk15_batch_matches_single_panels():
-    # one call over m panels gives each panel what a call of its own gives,
-    # within the loop-reference bounds above
+    # one call over m panels gives each panel exactly what a call of its
+    # own gives: every panel is reduced on its own, whatever the batch
     los, his = zip(*GK15_PANELS)
     for f in GK15_CASES:
         values, errs = _gk15(f, los, his)
         assert values.shape == errs.shape == (len(los),)
         for v, e, lo, hi in zip(values, errs, los, his):
             (single_v,), (single_e,) = _gk15(f, [lo], [hi])
-            resabs = gk15_loop(f, lo, hi)[2]
-            assert abs(v - single_v) <= 4.0 * _EPS * resabs
-            assert math.isclose(e, single_e, rel_tol=1e-4)
+            assert v == single_v and e == single_e
     pairs, pair_errs = _gk15(lambda t: (np.sin(t), np.exp(t)), los, his)
     assert pairs.shape == pair_errs.shape == (len(los), 2)
+    # random panels in batches of every size up to 64, two components
+    rng = np.random.default_rng(11)
+    lo = rng.uniform(-3.0, 3.0, 64)
+    hi = lo + rng.uniform(1e-6, 2.0, 64)
+    f = lambda t: (np.sin(3.0 * t) * np.exp(t), 1.0 / (1.0 + t * t))
+    values, errs = _gk15(f, lo, hi)
+    for m in range(1, 65):
+        start = int(rng.integers(0, 65 - m))
+        part = _gk15(f, lo[start : start + m], hi[start : start + m])
+        assert np.array_equal(part[0], values[start : start + m])
+        assert np.array_equal(part[1], errs[start : start + m])
 
 
 def test_gk15_names_the_first_non_finite_node_of_a_batch():
@@ -285,6 +296,79 @@ def test_heap_matches_a_rescanning_loop(monkeypatch):
         )
         splits = (q.evaluations - 15) // 30
         assert splits >= 20 and len(calls) <= 10
+
+
+def outcome_key(outcome):
+    # everything an outcome reports, so that equal keys mean equal bits
+    if isinstance(outcome, NotConverged):
+        return ("stop", outcome.value, outcome.error_estimate, outcome.evaluations)
+    if isinstance(outcome, TrapcavError):
+        return (type(outcome), str(outcome))
+    return ("ok", outcome.value, outcome.error_estimate, outcome.evaluations)
+
+
+def lone(f, lo, hi, points=(), **kwargs):
+    # integrate_adaptive's outcome, returned rather than raised
+    try:
+        return integrate_adaptive(f, lo, hi, points=points, **kwargs)
+    except TrapcavError as err:
+        return err
+
+
+def broken(t):
+    raise NumericDegeneracy("synthetic integrand failure")
+
+
+def test_batch_outcomes_match_lone_integrals():
+    # owner 1 returns NaN, owners 2 and 3 cannot converge within the depth
+    # limit, owner 4 is empty and owner 6 raises; each gets what it gets
+    # alone, and the others their own bits, although all share the
+    # integrand's calls
+    cases = [
+        (lambda t: (np.sin(t), np.cos(3.0 * t)), 0.0, 2.0, ()),
+        (lambda t: (np.sin(t), np.where(t < 0.55, t, np.nan)), 0.0, 1.0, ()),
+        (lambda t: (np.sqrt(np.abs(t - 0.3)), t * t), 0.0, 1.0, (0.5,)),
+        (lambda t: (np.where(t < 0.3, 1.0, 0.0), t), 0.0, 1.0, ()),
+        (lambda t: (np.exp(t), t), 2.0, 2.0, ()),
+        (lambda t: (np.sin(1e3 * t * t), np.cos(t)), 0.0, 1.0, (0.25, 0.75)),
+        (broken, 0.0, 1.0, ()),
+    ]
+    calls = []
+
+    def f(x, owner):
+        calls.append(np.unique(owner).size)
+        out = np.empty((2, x.size))
+        # each owner's nodes go through its own integrand
+        for j in np.unique(owner):
+            at = owner == j
+            out[:, at] = np.asarray(cases[j][0](x[at]))
+        return out
+
+    kwargs = dict(rel_tol=1e-12, max_depth=12)
+    got = integrate_batch(f, [case[1:] for case in cases], **kwargs)
+    expect = [lone(g, lo, hi, points, **kwargs) for g, lo, hi, points in cases]
+    assert [outcome_key(o) for o in got] == [outcome_key(o) for o in expect]
+    assert isinstance(got[1], NonFiniteSample) and isinstance(got[3], NotConverged)
+    assert isinstance(got[6], NumericDegeneracy)
+    assert isinstance(got[0], QuadratureResult) and got[4].evaluations == 0
+    assert isinstance(got[5], QuadratureResult) and isinstance(got[2], NotConverged)
+    # the first round evaluates six integrals together
+    assert max(calls) == 6
+
+
+def test_batch_checks_its_arguments():
+    with pytest.raises(ValueError):
+        integrate_batch(lambda x, owner: x, [(0.0, 1.0, ()), (1.0, 0.0, ())])
+    with pytest.raises(ValueError):
+        integrate_batch(lambda x, owner: x, [(0.0, 1.0, ())], rel_tol=0.0)
+    assert integrate_batch(lambda x, owner: x, []) == []
+    # an error that is not the package's own is a fault of the caller's
+    # integrand and stops the whole batch
+    def careless(x, owner):
+        raise KeyError("not a package error")
+
+    with pytest.raises(KeyError):
+        integrate_batch(careless, [(0.0, 1.0, ())] * 2)
 
 
 def test_error_estimate_is_usually_an_upper_bound():
