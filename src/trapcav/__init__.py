@@ -21,7 +21,6 @@ from .errors import (
     NoInteriorMaximum,
     NonFiniteSample,
     NonPositiveGap,
-    NonPositiveRay,
     NotConverged,
     NumericDegeneracy,
     OutOfRange,
@@ -39,13 +38,9 @@ from .geometry import (
     validate,
 )
 from .kernels import (
-    CODATA,
-    PhysicalConstants,
     PressureSample,
-    casimir_energy_per_area,
     classical_casimir_pressure,
     fan_integrals,
-    local_ray_pressure,
     pressure_arrays,
     pressure_prefactor,
     specific_pressures,
@@ -65,21 +60,18 @@ __version__ = "0.1.0"
 __all__ = [
     "AngleWindow",
     "CavitySpec",
-    "CODATA",
     "DegenerateFan",
     "ForceResult",
     "InvalidCavity",
     "NoInteriorMaximum",
     "NonFiniteSample",
     "NonPositiveGap",
-    "NonPositiveRay",
     "NotConverged",
     "NumericDegeneracy",
     "OptimumReport",
     "OracleReport",
     "OutOfRange",
     "PHI_MAX",
-    "PhysicalConstants",
     "PressureProfile",
     "PressureSample",
     "QuadratureResult",
@@ -88,14 +80,12 @@ __all__ = [
     "SweepTable",
     "TrapcavError",
     "Units",
-    "casimir_energy_per_area",
     "classical_casimir_pressure",
     "fan_integrals",
     "force_batch",
     "integrate_adaptive",
     "limit_angles",
     "limit_angles_vector",
-    "local_ray_pressure",
     "optimize_phi",
     "pairwise_sum",
     "pressure_arrays",

@@ -20,7 +20,7 @@ from enum import Enum
 from .errors import NoInteriorMaximum, TrapcavError
 from .forces import ForceResult, force_batch, total_forces
 from .geometry import PHI_MAX, CavitySpec, Units, validate
-from .kernels import CODATA, PhysicalConstants, specific_pressures
+from .kernels import specific_pressures
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _PRESCAN_POINTS = 32
@@ -106,11 +106,9 @@ def _flagged_row(spec: CavitySpec, wing_count: int) -> ForceResult:
     )
 
 
-def _all_forces(
-    specs: list[CavitySpec], rel_tol: float, constants: PhysicalConstants
-) -> list[ForceResult]:
+def _all_forces(specs: list[CavitySpec], rel_tol: float) -> list[ForceResult]:
     # one batch; the first failure raises, as a loop of total_forces would
-    results = force_batch(specs, rel_tol, constants=constants)
+    results = force_batch(specs, rel_tol)
     for result in results:
         if isinstance(result, TrapcavError):
             raise result
@@ -125,7 +123,6 @@ def sweep(
     rel_tol: float = 1e-9,
     wing_count: int = 1,
     workers: int = 1,
-    constants: PhysicalConstants = CODATA,
 ) -> SweepTable:
     """One :func:`total_forces` evaluation per value along ``axis``.
 
@@ -145,7 +142,7 @@ def sweep(
             raise ValueError(f"sweep values must be strictly increasing, got {values!r}")
     field = "phi" if axis is SweepAxis.PHI else "R"
     specs = [replace(base, **{field: v}) for v in values]
-    rows = force_batch(specs, rel_tol, wing_count=wing_count, constants=constants)
+    rows = force_batch(specs, rel_tol, wing_count=wing_count)
     results = [
         _flagged_row(spec, wing_count) if isinstance(row, TrapcavError) else row
         for spec, row in zip(specs, rows)
@@ -160,13 +157,7 @@ def sweep(
 
 
 def optimize_phi(
-    base: CavitySpec,
-    lo: float,
-    hi: float,
-    tol: float = 1e-5,
-    *,
-    rel_tol: float = 1e-9,
-    constants: PhysicalConstants = CODATA,
+    base: CavitySpec, lo: float, hi: float, tol: float = 1e-5, *, rel_tol: float = 1e-9
 ) -> OptimumReport:
     """Locate the half-angle maximizing |f_x| inside (lo, hi).
 
@@ -186,12 +177,12 @@ def optimize_phi(
     evaluations = []
 
     def f_x(phi: float) -> float:
-        result = total_forces(replace(base, phi=phi), rel_tol, constants=constants)
+        result = total_forces(replace(base, phi=phi), rel_tol)
         evaluations.append(result.evaluations)
         return result.f_x
 
     grid = [lo + (hi - lo) * k / (_PRESCAN_POINTS - 1) for k in range(_PRESCAN_POINTS)]
-    scan = _all_forces([replace(base, phi=phi) for phi in grid], rel_tol, constants)
+    scan = _all_forces([replace(base, phi=phi) for phi in grid], rel_tol)
     evaluations += [result.evaluations for result in scan]
     signed = [result.f_x for result in scan]
     mags = [abs(v) for v in signed]
@@ -242,13 +233,7 @@ def optimize_phi(
     )
 
 
-def rescale_report(
-    spec: CavitySpec,
-    lam: float,
-    *,
-    rel_tol: float = 1e-9,
-    constants: PhysicalConstants = CODATA,
-) -> RescaleReport:
+def rescale_report(spec: CavitySpec, lam: float, *, rel_tol: float = 1e-9) -> RescaleReport:
     """Measure force and pressure ratios between ``spec`` and its lambda scale.
 
     The scaled cavity has (a, R) -> (lambda a, lambda R) at fixed L.  Both
@@ -264,9 +249,9 @@ def rescale_report(
     validate(base)
     scaled = replace(base, a=lam * base.a, R=lam * base.R)
 
-    f_base, f_scaled = _all_forces([base, scaled], rel_tol, constants)
-    p_base = specific_pressures(base, base.R / 3.0, constants)
-    p_scaled = specific_pressures(scaled, scaled.R / 3.0, constants)
+    f_base, f_scaled = _all_forces([base, scaled], rel_tol)
+    p_base = specific_pressures(base, base.R / 3.0)
+    p_scaled = specific_pressures(scaled, scaled.R / 3.0)
 
     def ratio(num: float, den: float, scale: float) -> float:
         # the x force vanishes identically at phi = 0 and integrates to

@@ -2,7 +2,8 @@
 
 Subcommands: profile, force, sweep, optimize, verify.  Angles are degrees
 on the command line and radians everywhere inside.  Exit codes: 0 success,
-1 numerical failure (reported as a JSON object on stderr), 2 usage error.
+1 numerical failure (reported as a JSON object on stderr), 2 usage error
+(an --out path that cannot be written included).
 """
 
 from __future__ import annotations
@@ -69,8 +70,6 @@ class PlotSpec:
     x_label: str
     y_label: str
     series: tuple[tuple[str, tuple[tuple[float, float], ...]], ...]
-    width: int = 640
-    height: int = 440
     ref_lines: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
@@ -85,8 +84,6 @@ class PlotSpec:
         for name, y in self.ref_lines:
             if not math.isfinite(y):
                 raise ValueError(f"reference line {name!r} is non-finite")
-        if self.width < 100 or self.height < 100:
-            raise ValueError("plot dimensions must be at least 100x100 pixels")
 
 
 def _checked(convert, ok, rule: str):
@@ -325,13 +322,13 @@ def emit_csv(table: PressureProfile | SweepTable) -> bytes:
 
 
 def emit_svg(plot: PlotSpec) -> bytes:
-    """Self-contained SVG: axes, ticks, one polyline per series or reference.
+    """Self-contained 640x440 SVG: axes, ticks, one polyline per series or reference.
 
     A flat series (all y identical) is drawn against a padded range of
     +/- max(1, |y|)/2 instead of failing; that is the documented handling
     of the degenerate-plot case.
     """
-    w, h = float(plot.width), float(plot.height)
+    w, h = 640.0, 440.0
     ml, mr, mt, mb = 70.0, 20.0, 20.0, 50.0
     xs = [p[0] for _, pts in plot.series for p in pts]
     ys = [p[1] for _, pts in plot.series for p in pts]
@@ -583,7 +580,14 @@ def run(config: RunConfig) -> int:
     except ValueError as err:
         _emit_error(_error_dict(err))
         return 2
-    _write_output(payload, config.out)
+    try:
+        _write_output(payload, config.out)
+    except OSError as err:
+        # the OS message names the temporary file; name the --out path
+        target = "stdout" if config.out is None else repr(config.out)
+        message = f"cannot write {target}: {err.strerror}"
+        _emit_error({**_error_dict(err), "message": message})
+        return 2
     return code
 
 

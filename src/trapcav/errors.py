@@ -39,10 +39,6 @@ class NonPositiveGap(TrapcavError):
     """Plate separation must be positive."""
 
 
-class NonPositiveRay(TrapcavError):
-    """Ray length must be positive."""
-
-
 class NotConverged(TrapcavError):
     """Adaptive integration stopped early; carries the best estimate found.
 

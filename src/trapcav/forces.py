@@ -31,14 +31,7 @@ import numpy as np
 
 from .errors import NotConverged, TrapcavError
 from .geometry import CavitySpec, WingParams, validate
-from .kernels import (
-    CODATA,
-    PhysicalConstants,
-    PressureSample,
-    pressure_arrays,
-    pressure_prefactor,
-    wing_pressures,
-)
+from .kernels import PressureSample, pressure_arrays, pressure_prefactor, wing_pressures
 from .quadrature import integrate_batch
 
 # bench/tracing.py wraps these by their names in this module
@@ -89,7 +82,6 @@ def force_batch(
     rel_tol: float = 1e-9,
     *,
     wing_count: int = 1,
-    constants: PhysicalConstants = CODATA,
 ) -> list[ForceResult | TrapcavError]:
     """:func:`total_forces` of many cavities, integrated in lock-step.
 
@@ -110,9 +102,7 @@ def force_batch(
 
     # one row per field of WingParams, then the prefactor K; one column
     # per cavity
-    columns = np.array(
-        [(*WingParams.of(spec), pressure_prefactor(spec, constants)) for spec in specs]
-    ).T
+    columns = np.array([(*WingParams.of(spec), pressure_prefactor(spec)) for spec in specs]).T
 
     def pressures(r: np.ndarray, owner: np.ndarray) -> tuple:
         *cav, k = (column[owner] for column in columns)
@@ -155,13 +145,7 @@ def _forces(spec: CavitySpec, q, wing_count: int) -> ForceResult | TrapcavError:
     )
 
 
-def total_forces(
-    spec: CavitySpec,
-    rel_tol: float = 1e-9,
-    *,
-    wing_count: int = 1,
-    constants: PhysicalConstants = CODATA,
-) -> ForceResult:
+def total_forces(spec: CavitySpec, rel_tol: float = 1e-9, *, wing_count: int = 1) -> ForceResult:
     """Adaptive integration of both force components over the wing.
 
     One integral of r -> (p_x, p_z) gives both components.  The pressures
@@ -175,15 +159,13 @@ def total_forces(
     propagating, so sweeps can flag rows and continue; the values then carry
     the best estimates found.  This is :func:`force_batch` of one spec.
     """
-    (outcome,) = force_batch([spec], rel_tol, wing_count=wing_count, constants=constants)
+    (outcome,) = force_batch([spec], rel_tol, wing_count=wing_count)
     if isinstance(outcome, TrapcavError):
         raise outcome
     return outcome
 
 
-def pressure_profile(
-    spec: CavitySpec, n: int, constants: PhysicalConstants = CODATA
-) -> PressureProfile:
+def pressure_profile(spec: CavitySpec, n: int) -> PressureProfile:
     """Sample both pressure components at ``n`` evenly spaced points on [0, R].
 
     Endpoints are included exactly: r_i = R * i / (n - 1), except that the
@@ -195,6 +177,6 @@ def pressure_profile(
     if n < 2:
         raise ValueError(f"profile needs at least 2 samples, got {n!r}")
     r = np.minimum(spec.R * np.arange(n) / (n - 1), spec.R)
-    p_x, p_z = pressure_arrays(spec, r, constants)
+    p_x, p_z = pressure_arrays(spec, r)
     samples = tuple(map(PressureSample, r.tolist(), p_x.tolist(), p_z.tolist()))
     return PressureProfile(spec=spec, samples=samples)

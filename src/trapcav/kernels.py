@@ -5,7 +5,9 @@ Two ideal parallel plates at distance ``a`` carry (per unit area)
     energy    E(a) = -hbar c pi^2 / (720 a^3) = -K / (3 a^3)
     pressure  P(a) = -hbar c pi^2 / (240 a^4) = -K / a^4
 
-with K = hbar c pi^2 / 240.  In the ray picture each direction ``theta`` in
+with K = hbar c pi^2 / 240, the module constant :data:`K` (2018
+recommended values of hbar and c): SI cavities take it as their prefactor,
+reduced ones take 1.  In the ray picture each direction ``theta`` in
 the visible fan contributes the parallel-plate pressure of its own ray
 length b(r, theta) = s / sin(theta - 2 phi), projected onto the wing frame.
 Substituting b and integrating over theta turns the fourth power of the
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveGap, NonPositiveRay
+from .errors import NonPositiveGap
 from .geometry import (
     AngleWindow,
     CavitySpec,
@@ -54,21 +56,8 @@ from .geometry import (
 )
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """CODATA values feeding the pressure prefactor K = hbar c pi^2 / 240."""
-
-    hbar: float = 1.054571817e-34  # J s
-    c: float = 2.99792458e8  # m / s
-
-    @property
-    def K(self) -> float:
-        """Prefactor of the parallel-plate pressure, in N m^2."""
-        return self.hbar * self.c * math.pi**2 / 240.0
-
-
-#: Default constants; every public entry point takes an override for auditing.
-CODATA = PhysicalConstants()
+#: Prefactor of the parallel-plate pressure, hbar c pi^2 / 240 in N m^2.
+K = 1.054571817e-34 * 2.99792458e8 * math.pi**2 / 240.0
 
 
 @dataclass(frozen=True)
@@ -85,41 +74,21 @@ class PressureSample:
     p_z: float
 
 
-def pressure_prefactor(spec: CavitySpec, constants: PhysicalConstants = CODATA) -> float:
+def pressure_prefactor(spec: CavitySpec) -> float:
     """K in SI mode, exactly 1.0 in reduced mode.
 
     Reduced mode exists because s^4 at nanometer scales times 1e-27 makes
     intermediate magnitudes miserable to compare; dropping the prefactor
     changes nothing about the geometry content.
     """
-    return 1.0 if spec.units is Units.REDUCED else constants.K
+    return 1.0 if spec.units is Units.REDUCED else K
 
 
-def casimir_energy_per_area(a: float, k: float | None = None) -> float:
-    """Parallel-plate Casimir energy per unit area, -K / (3 a^3)."""
+def classical_casimir_pressure(a: float, k: float = K) -> float:
+    """Parallel-plate Casimir pressure, -k / a^4 (attractive, so negative)."""
     if not (a > 0.0):
         raise NonPositiveGap(f"plate separation must be positive, got {a!r}")
-    if k is None:
-        k = CODATA.K
-    return -k / (3.0 * a**3)
-
-
-def classical_casimir_pressure(a: float, k: float | None = None) -> float:
-    """Parallel-plate Casimir pressure, -K / a^4 (attractive, so negative)."""
-    if not (a > 0.0):
-        raise NonPositiveGap(f"plate separation must be positive, got {a!r}")
-    if k is None:
-        k = CODATA.K
     return -k / a**4
-
-
-def local_ray_pressure(b: float, k: float | None = None) -> float:
-    """Pressure carried by a single ray of length ``b``: -K / b^4."""
-    if not (b > 0.0):
-        raise NonPositiveRay(f"ray length must be positive, got {b!r}")
-    if k is None:
-        k = CODATA.K
-    return -k / b**4
 
 
 def _sin5_primitive(u):
@@ -184,7 +153,7 @@ def wing_pressures(cav: WingParams, k, r) -> tuple:
     return scale * x, -scale * z
 
 
-def pressure_arrays(spec: CavitySpec, r, constants: PhysicalConstants = CODATA) -> tuple:
+def pressure_arrays(spec: CavitySpec, r) -> tuple:
     """Local pressure components (p_x, p_z) at the wing coordinates ``r``.
 
     p = (K / s^4) times the fan integrals, in the shape of ``r``: one call
@@ -196,15 +165,13 @@ def pressure_arrays(spec: CavitySpec, r, constants: PhysicalConstants = CODATA) 
     :func:`wing_pressures` for one cavity.
     """
     validate(spec)
-    return wing_pressures(WingParams.of(spec), pressure_prefactor(spec, constants), r)
+    return wing_pressures(WingParams.of(spec), pressure_prefactor(spec), r)
 
 
-def specific_pressures(
-    spec: CavitySpec, r: float, constants: PhysicalConstants = CODATA
-) -> PressureSample:
+def specific_pressures(spec: CavitySpec, r: float) -> PressureSample:
     """Local pressure components at one wing coordinate ``r``.
 
     The scalar form of :func:`pressure_arrays`, with the same checks.
     """
-    p_x, p_z = pressure_arrays(spec, r, constants)
+    p_x, p_z = pressure_arrays(spec, r)
     return PressureSample(r=r, p_x=float(p_x), p_z=float(p_z))

@@ -3,8 +3,9 @@
 Everything here is written against the raw construction -- explicit corner
 points, ray-segment intersection via 2D cross products, midpoint double
 sums -- and shares no computation with the closed-form modules; only the
-data types travel across.  Physical constants are duplicated as literals on
-purpose: corrupting the primary constants must not move the oracle.
+data types travel across.  The prefactor K = hbar c pi^2 / 240 is rebuilt
+from its own literals on purpose: a corrupted :data:`trapcav.kernels.K`
+must not move the oracle.
 
 Corner points of the cross section:
 
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,9 +32,6 @@ from .errors import DegenerateFan, NonFiniteSample, OutOfRange
 from .forces import ForceResult
 from .geometry import AngleWindow, CavitySpec, Units
 from .quadrature import pairwise_sum
-
-if TYPE_CHECKING:
-    from .kernels import PhysicalConstants
 
 # deliberate copies; see module docstring
 _HBAR = 1.054571817e-34
@@ -196,9 +193,7 @@ def riemann_forces(spec: CavitySpec, n_r: int, n_theta: int) -> ForceResult:
     )
 
 
-def verify_suite(
-    spec: CavitySpec, constants: "PhysicalConstants | None" = None
-) -> list[OracleReport]:
+def verify_suite(spec: CavitySpec) -> list[OracleReport]:
     """Run every primary-vs-oracle comparison on one cavity.
 
     Checks, in order: limit angles on a 17-point r grid (absolute radians),
@@ -208,20 +203,18 @@ def verify_suite(
     (relative), and both total forces against a 1024x1024 Riemann sum
     (relative; the x force is measured against the z scale where it
     vanishes).  Failures are reported in the returned list, never raised.
-    ``constants`` overrides the constants used by the primary path only;
-    the oracle keeps its own literals, which is what makes a
-    corrupted-constant run detectable.
+    The oracle keeps its own literal prefactor, so a corrupted
+    :data:`trapcav.kernels.K` moves only the primary forces and fails the
+    force checks.
     """
     # primary-path imports are confined here: this function is the
     # comparison harness, the oracle computations above stay independent
     from .forces import total_forces
     from .geometry import limit_angles, ray_length, validate
-    from .kernels import CODATA, fan_integrals
+    from .kernels import fan_integrals
     from .quadrature import integrate_adaptive
 
     validate(spec)
-    if constants is None:
-        constants = CODATA
     reports: list[OracleReport] = []
 
     worst = (0.0, 0.0, 0.0)
@@ -275,7 +268,7 @@ def verify_suite(
                 worst = (dev, value, quad.value)
         reports.append(_report(name, worst[1], worst[2], worst[0], 1e-10))
 
-    prim_f = total_forces(spec, 1e-9, constants=constants)
+    prim_f = total_forces(spec, 1e-9)
     orac_f = riemann_forces(spec, 1024, 1024)
     dev_z = abs(prim_f.f_z - orac_f.f_z) / abs(orac_f.f_z)
     reports.append(_report("total_force_z", prim_f.f_z, orac_f.f_z, dev_z, 1e-3))

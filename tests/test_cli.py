@@ -358,8 +358,6 @@ def test_plot_spec_validation():
     with pytest.raises(ValueError):
         PlotSpec(x_label="x", y_label="y", series=(("s", ((0.0, math.nan), (1.0, 2.0))),))
     with pytest.raises(ValueError):
-        PlotSpec(x_label="x", y_label="y", series=(("s", pts),), width=50)
-    with pytest.raises(ValueError):
         PlotSpec(x_label="x", y_label="y", series=(("s", pts),), ref_lines=(("r", math.inf),))
 
 
@@ -369,6 +367,7 @@ def test_flat_series_svg_is_padded_not_fatal():
     )
     svg = emit_svg(plot).decode("utf-8")
     assert "<polyline" in svg
+    assert 'width="640" height="440"' in svg
 
 
 def test_output_writes_are_atomic(tmp_path):
@@ -378,6 +377,24 @@ def test_output_writes_are_atomic(tmp_path):
     assert json.loads(out.read_text())["converged"] is True
     leftovers = [p.name for p in tmp_path.iterdir() if p.name != "force.json"]
     assert leftovers == []
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    # a missing directory and an existing directory: a JSON error on
+    # stderr, no traceback, no temporary file left behind
+    (tmp_path / "taken").mkdir()
+    for out, error in (
+        (tmp_path / "missing" / "force.json", "FileNotFoundError"),
+        (tmp_path / "taken", "IsADirectoryError"),
+    ):
+        assert main(["force", *REDUCED_ARGS, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err)
+        assert payload["error"] == error
+        assert payload["message"].startswith(f"cannot write {str(out)!r}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+        assert list((tmp_path / "taken").iterdir()) == []
 
 
 def test_verify_command_passes_and_validates_schema(tmp_path):

@@ -7,50 +7,43 @@ import hypothesis.strategies as st
 
 from trapcav import (
     AngleWindow,
-    CODATA,
     CavitySpec,
     DegenerateFan,
     InvalidCavity,
     NonPositiveGap,
-    NonPositiveRay,
     OutOfRange,
-    PhysicalConstants,
     Units,
-    casimir_energy_per_area,
     classical_casimir_pressure,
     fan_integrals,
-    local_ray_pressure,
     pressure_arrays,
     pressure_prefactor,
     specific_pressures,
 )
+import trapcav.kernels
 
-# hbar c pi^2 / 240 with CODATA hbar = 1.054571817e-34, c = 2.99792458e8
+# hbar c pi^2 / 240 with CODATA hbar = 1.054571817e-34, c = 2.99792458e8,
+# written with enough digits that == compares the bits
 K_EXPECTED = 1.3001257724477533e-27
 
-# -K / (3 a^3) at a = 1 micron and -K / a^4 at a = 400 nm
-ENERGY_1UM = -4.333752574825845e-10
+# -K / a^4 at a = 400 nm
 PRESSURE_400NM = -0.05078616298624037
 
 PARALLEL = CavitySpec(a=1.0, R=10.0, L=1.0, phi=0.0, units=Units.REDUCED)
 
 
 def test_prefactor_constant():
-    assert math.isclose(CODATA.K, K_EXPECTED, rel_tol=1e-15)
-    assert CODATA.hbar == 1.054571817e-34
-    assert CODATA.c == 2.99792458e8
+    # bit for bit the product hbar * c * pi^2 / 240, in that order
+    assert trapcav.kernels.K == K_EXPECTED
+    assert trapcav.kernels.K == 1.054571817e-34 * 2.99792458e8 * math.pi**2 / 240.0
 
 
 def test_prefactor_by_units():
     assert pressure_prefactor(PARALLEL) == 1.0
     si = CavitySpec(a=4e-7, R=4e-6, L=1.0, phi=0.0)
-    assert pressure_prefactor(si) == CODATA.K
-    doubled = PhysicalConstants(hbar=2 * CODATA.hbar)
-    assert pressure_prefactor(si, doubled) == 2 * CODATA.K
+    assert pressure_prefactor(si) == trapcav.kernels.K
 
 
 def test_energy_and_pressure_values():
-    assert math.isclose(casimir_energy_per_area(1e-6), ENERGY_1UM, rel_tol=1e-12)
     assert math.isclose(classical_casimir_pressure(4e-7), PRESSURE_400NM, rel_tol=1e-12)
     # reduced form: unit prefactor, unit gap
     assert classical_casimir_pressure(1.0, k=1.0) == -1.0
@@ -59,17 +52,7 @@ def test_energy_and_pressure_values():
 @pytest.mark.parametrize("bad", [0.0, -1e-9, -3.0])
 def test_energy_rejects_non_positive_gap(bad):
     with pytest.raises(NonPositiveGap):
-        casimir_energy_per_area(bad)
-    with pytest.raises(NonPositiveGap):
         classical_casimir_pressure(bad)
-
-
-def test_local_ray_pressure():
-    assert local_ray_pressure(1.0, k=1.0) == -1.0
-    # doubling the ray length cuts the magnitude by exactly 2^4
-    assert local_ray_pressure(2.0, k=1.0) == local_ray_pressure(1.0, k=1.0) / 16.0
-    with pytest.raises(NonPositiveRay):
-        local_ray_pressure(0.0)
 
 
 def test_inner_integral_full_fan():
@@ -115,10 +98,11 @@ def test_specific_pressures_validates():
         specific_pressures(CavitySpec(a=0.0, R=1.0, L=1.0, phi=0.0), 0.5)
 
 
-def test_specific_pressures_uses_constants():
+def test_specific_pressures_uses_constants(monkeypatch):
     si = CavitySpec(a=4e-7, R=4e-6, L=1.0, phi=0.0)
     base = specific_pressures(si, 2e-6)
-    doubled = specific_pressures(si, 2e-6, PhysicalConstants(hbar=2 * CODATA.hbar))
+    monkeypatch.setattr(trapcav.kernels, "K", 2 * trapcav.kernels.K)
+    doubled = specific_pressures(si, 2e-6)
     assert math.isclose(doubled.p_z, 2 * base.p_z, rel_tol=1e-15)
 
 
@@ -163,11 +147,3 @@ def test_inner_integrals_are_additive(phi, t1, t2, split):
     right = fan_integrals(AngleWindow(mid, hi), phi)
     for w, l, r in zip(whole, left, right):
         assert math.isclose(w, l + r, rel_tol=1e-12, abs_tol=1e-14)
-
-
-@given(b=st.floats(0.01, 100.0), lam=st.floats(0.1, 10.0))
-@settings(max_examples=200)
-def test_ray_pressure_quartic_scaling(b, lam):
-    lhs = local_ray_pressure(lam * b, k=1.0)
-    rhs = local_ray_pressure(b, k=1.0) / lam**4
-    assert math.isclose(lhs, rhs, rel_tol=1e-12)

@@ -10,7 +10,6 @@ from trapcav import (
     InvalidCavity,
     NonFiniteSample,
     OutOfRange,
-    PhysicalConstants,
     Units,
     limit_angles,
     ray_length,
@@ -23,6 +22,7 @@ from trapcav.oracle import (
     riemann_pressures,
     verify_suite,
 )
+import trapcav.kernels
 import trapcav.oracle
 
 REDUCED = CavitySpec(a=1.0, R=10.0, L=1.0, phi=0.0, units=Units.REDUCED)
@@ -141,11 +141,11 @@ def test_verify_suite_rejects_invalid_spec():
         verify_suite(CavitySpec(a=1.0, R=-1.0, L=1.0, phi=0.0))
 
 
-def test_verify_suite_detects_corrupted_constants():
+def test_verify_suite_detects_corrupted_constants(monkeypatch):
     # the oracle carries its own literals, so only the primary force path
     # inherits the corruption and only the force checks may fail
-    bad = PhysicalConstants(hbar=2e-34)
-    reports = {r.quantity: r for r in verify_suite(SI_THIN, constants=bad)}
+    monkeypatch.setattr(trapcav.kernels, "K", 2e-34 * 2.99792458e8 * math.pi**2 / 240.0)
+    reports = {r.quantity: r for r in verify_suite(SI_THIN)}
     assert not reports["total_force_z"].passed
     assert not reports["total_force_x"].passed
     for name in CHECK_NAMES[:4]:
