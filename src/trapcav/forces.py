@@ -32,7 +32,7 @@ import numpy as np
 from .errors import NotConverged, TrapcavError
 from .geometry import CavitySpec, WingParams, validate
 from .kernels import PressureSample, pressure_arrays, pressure_prefactor, wing_pressures
-from .quadrature import integrate_batch
+from .quadrature import REL_TOL_FLOOR, integrate_batch
 
 # bench/tracing.py wraps these by their names in this module
 from .kernels import specific_pressures  # noqa: F401
@@ -91,14 +91,14 @@ def force_batch(
     typed error of the kernel such as :class:`DegenerateFan`), which
     affects no other cavity.  Each round of the quadrature evaluates the new nodes of
     all unfinished cavities in one kernel call.  An invalid spec, a bad
-    ``wing_count`` or a bad ``rel_tol`` raises for the whole batch.
+    ``wing_count`` or a ``rel_tol`` under ``REL_TOL_FLOOR`` raises for the whole batch.
     """
     for spec in specs:
         validate(spec)
     if wing_count not in (1, 2):
         raise ValueError(f"wing_count must be 1 or 2, got {wing_count!r}")
-    if not (rel_tol > 0.0):
-        raise ValueError(f"rel_tol must be positive, got {rel_tol!r}")
+    if not (rel_tol >= REL_TOL_FLOOR):
+        raise ValueError(f"rel_tol must be at least {REL_TOL_FLOOR!r}, got {rel_tol!r}")
 
     # one row per field of WingParams, then the prefactor K; one column
     # per cavity
@@ -117,12 +117,8 @@ def force_batch(
 def _forces(spec: CavitySpec, q, wing_count: int) -> ForceResult | TrapcavError:
     # one integral's outcome as forces; errors other than NotConverged
     # pass through
-    if isinstance(q, NotConverged):
-        converged = False
-    elif isinstance(q, TrapcavError):
+    if isinstance(q, TrapcavError) and not isinstance(q, NotConverged):
         return q
-    else:
-        converged = True
     (vx, vz), (ex, ez) = q.value, q.error_estimate
     f_x = spec.L * vx
     f_z = spec.L * vz
@@ -140,7 +136,7 @@ def _forces(spec: CavitySpec, q, wing_count: int) -> ForceResult | TrapcavError:
         err_x=err_x,
         err_z=err_z,
         wing_count=wing_count,
-        converged=converged,
+        converged=not isinstance(q, NotConverged),
         evaluations=q.evaluations,
     )
 

@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Kronrod integration and pairwise reduction.
+"""Adaptive Gauss-Kronrod integration with exact panel totals.
 
 Panels use the 7-point Gauss / 15-point Kronrod pair; the difference between
 the two rules gives the per-panel error estimate (sharpened by the usual
@@ -13,10 +13,15 @@ max(rel_tol * max |value_i|, abs_tol), a panel reaches ``max_depth``
 halvings, or the panel list hits a safety cap.  For a scalar integrand this
 is the plain rule |error| <= max(rel_tol * |value|, abs_tol).
 
+Each integral sums its live panels' values and estimates exactly, as
+integers in units of 2**-1074, and every test and result rounds those sums
+once: a result is the ``math.fsum`` of its final panels, whatever the order
+in which they were made.
+
 :func:`integrate_batch` runs many independent integrals in lock-step; its
 integrand also gets, for every node, the index of the integral the node
 belongs to.  Each round, every integral that has not finished runs one
-test-then-split step on its own heap and running totals, and then the new
+test-then-split step on its own panel heap and totals, and then the new
 panels of all of them (every initial panel in the first round, both halves
 of a split after that) are evaluated in one call of the integrand.  An
 integral takes exactly the steps it would take alone, and gives the same
@@ -27,18 +32,13 @@ failure stays with its own integral: when the batched call raises a
 :class:`TrapcavError` (a :class:`NonFiniteSample`, or a typed error of the
 integrand, such as the kernel's), each integral of the round is evaluated
 on its own, and one that raises finishes with that exception while the
-others go on.  :func:`integrate_adaptive` is the batch
-of one.
-
-Every accumulation that feeds a reported value runs through
-:func:`pairwise_sum`, a fixed stride-pair tree, so identical inputs produce
-bit-identical outputs regardless of chunking.
+others go on.  :func:`integrate_adaptive` is the batch of one.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -94,6 +94,10 @@ _WG15 = np.array(_WG7 + (_WG[3],) + tuple(reversed(_WG7)))
 
 _EPS = 2.220446049250313e-16
 
+#: Each panel's error estimate is at least this share of the integral of |f|
+#: over it, so a relative tolerance below it can never be met.
+REL_TOL_FLOOR = 50.0 * _EPS
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -116,6 +120,7 @@ def pairwise_sum(values, axis: int = -1):
     The tree pairs elements (0,1), (2,3), ... and carries an odd trailing
     element to the next round unchanged, so the reduction order depends only
     on the length, never on chunking.  Returns a float for 1-D input.
+    It serves the oracle; the adaptive integrals sum their panels exactly.
     """
     a = np.asarray(values, dtype=float)
     if a.shape[axis] == 0:
@@ -134,6 +139,20 @@ def pairwise_sum(values, axis: int = -1):
     return float(out) if out.ndim == 0 else out
 
 
+def _fixed(x: float) -> int:
+    """The finite float ``x`` exactly, in units of 2**-1074 (the least subnormal)."""
+    n, d = x.as_integer_ratio()
+    return n << (1075 - d.bit_length())
+
+
+def _rounded(total: int) -> float:
+    """A total in units of 2**-1074, rounded once; +-inf beyond the float range."""
+    try:
+        return total / (1 << 1074)
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
+
+
 def _gk15(f: Integrand, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Kronrod panels [lo_i, hi_i], all nodes in one call of ``f``.
 
@@ -141,7 +160,8 @@ def _gk15(f: Integrand, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     gets the 15 m nodes panel after panel.  Returns (value, error estimate)
     arrays of shape (m,) for a scalar integrand and (m, k) for one of k
     components.  Raises :class:`NonFiniteSample` at the first node where
-    any component is NaN or infinite.
+    any component is NaN or infinite, or else at the center of the first
+    panel whose value or estimate overflows.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -166,7 +186,13 @@ def _gk15(f: Integrand, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     ratio = 200.0 * err / np.where(inflate, resasc, 1.0)
     err = np.where(inflate, resasc * np.minimum(1.0, ratio**1.5), err)
     # panels first
-    return (resk * half).T, np.maximum(err, 50.0 * _EPS * resabs).T
+    value, err = (resk * half).T, np.maximum(err, REL_TOL_FLOOR * resabs).T
+    finite = np.isfinite(value) & np.isfinite(err)
+    if not finite.all():
+        j = int(np.argmin(finite.reshape(lo.size, -1).all(axis=1)))
+        bad = value[j] if not np.isfinite(value[j]).all() else err[j]
+        raise NonFiniteSample(float(0.5 * (lo[j] + hi[j])), _shaped(bad))
+    return value, err
 
 
 def _shaped(a) -> Value:
@@ -176,84 +202,60 @@ def _shaped(a) -> Value:
 
 
 class _Integral:
-    """One integral of a batch: its panels, heap, running totals and counts."""
+    """One integral of a batch: its panel heap, exact totals and counts."""
 
     def __init__(self, owner: int, edges: list[float]) -> None:
         self.owner = owner
-        # panels by key: (lo, hi, values, errs, depth), values and errs as
-        # lists of k floats; the heap holds (-max err, lo, hi, key), so its
-        # top is the leftmost worst panel
-        self.panels: dict[int, tuple] = {}
+        self.center = 0.5 * (edges[0] + edges[-1])
+        # the live panels as (-max err, lo, hi, values, errs, depth), values
+        # and errs as lists of k floats: the top is the leftmost worst panel,
+        # and lo tells panels apart, so ties do not reach the lists
         self.heap: list[tuple] = []
-        self.keys = itertools.count()
         self.evaluations = 0
-        # the panels awaiting evaluation, and the panel they split (if any)
+        # the panels awaiting evaluation
         self.pending = (edges[:-1], edges[1:], 0)
-        self.parent: tuple | None = None
 
     def absorb(self, values: np.ndarray, errs: np.ndarray) -> None:
-        """Add the evaluated pending panels and update the running totals."""
+        """Add the evaluated pending panels to the heap and the totals."""
         p_lo, p_hi, depth = self.pending
         m = len(p_lo)
-        self.shape = values.shape[1:]
+        self.vector = values.ndim > 1
         values, errs = values.reshape(m, -1).tolist(), errs.reshape(m, -1).tolist()
         for panel in zip(p_lo, p_hi, values, errs):
-            key = next(self.keys)
-            self.panels[key] = (*panel, depth)
-            heapq.heappush(self.heap, (-max(panel[3]), panel[0], panel[1], key))
+            heapq.heappush(self.heap, (-max(panel[3]), *panel, depth))
+        if not self.evaluations:
+            # per component, the exact sums of the live panels' values and
+            # estimates, in units of 2**-1074
+            self.total = self.total_err = [0] * len(values[0])
+        self.total = [t + sum(map(_fixed, c)) for t, c in zip(self.total, zip(*values))]
+        self.total_err = [t + sum(map(_fixed, c)) for t, c in zip(self.total_err, zip(*errs))]
         self.evaluations += 15 * m
-        if self.parent is None:
-            # running totals, the number of terms they have summed, and the
-            # sums of those terms' magnitudes, which bound their rounding
-            self.total = [sum(c) for c in zip(*values)]
-            self.total_err = [sum(c) for c in zip(*errs)]
-            self.mass = [sum(map(abs, c)) for c in zip(*values)]
-            self.err_mass = self.total_err
-            self.terms = m
-            return
-        (v1, v2), (e1, e2), (v, e) = values, errs, self.parent
-        self.total = [t + (a + b - c) for t, a, b, c in zip(self.total, v1, v2, v)]
-        self.total_err = [t + (a + b - c) for t, a, b, c in zip(self.total_err, e1, e2, e)]
-        self.mass = [t + (abs(a) + abs(b) + abs(c)) for t, a, b, c in zip(self.mass, v1, v2, v)]
-        self.err_mass = [t + (a + b + c) for t, a, b, c in zip(self.err_mass, e1, e2, e)]
-        self.terms += 3
-
-    def _pairwise_totals(self) -> tuple[np.ndarray, np.ndarray]:
-        tiles = sorted(self.panels.values(), key=lambda p: (p[0], p[1]))
-        return (
-            pairwise_sum(np.array([p[2] for p in tiles]).T).reshape(self.shape),
-            pairwise_sum(np.array([p[3] for p in tiles]).T).reshape(self.shape),
-        )
 
     def step(
         self, rel_tol: float, abs_tol: float, max_depth: int, max_panels: int
-    ) -> QuadratureResult | NotConverged | None:
+    ) -> QuadratureResult | TrapcavError | None:
         """Test for convergence, else split the worst panel.
 
         Returns the outcome once the integral has finished, or None after
         making the two halves of its worst panel the pending panels.
         """
-        # |running - pairwise| <= 2 terms eps mass, with a factor 2 to spare
-        slack = 4.0 * self.terms * _EPS
-        sums = None
-        if max(t - slack * m for t, m in zip(self.total_err, self.err_mass)) <= max(
-            rel_tol * max(abs(t) + slack * m for t, m in zip(self.total, self.mass)), abs_tol
-        ):
-            sums = self._pairwise_totals()
-            if np.max(sums[1]) <= max(rel_tol * np.max(np.abs(sums[0])), abs_tol):
-                return QuadratureResult(
-                    _shaped(sums[0]), _shaped(sums[1]), self.evaluations, True
-                )
-        key = self.heap[0][3]
-        p_lo, p_hi, value, err, depth = self.panels[key]
-        if depth >= max_depth or len(self.panels) >= max_panels:
-            best, best_err = sums or self._pairwise_totals()
-            return NotConverged(_shaped(best), _shaped(best_err), self.evaluations)
+        value = [_rounded(t) for t in self.total]
+        err = [_rounded(t) for t in self.total_err]
+        shaped = (tuple(value), tuple(err)) if self.vector else (value[0], err[0])
+        for sums, out in zip((value, err), shaped):
+            if not all(map(math.isfinite, sums)):
+                # finite panels whose total lies beyond the float range
+                return NonFiniteSample(self.center, out)
+        if max(err) <= max(rel_tol * max(map(abs, value)), abs_tol):
+            return QuadratureResult(*shaped, self.evaluations, True)
+        _, p_lo, p_hi, values, errs, depth = self.heap[0]
+        if depth >= max_depth or len(self.heap) >= max_panels:
+            return NotConverged(*shaped, self.evaluations)
         heapq.heappop(self.heap)
-        del self.panels[key]
+        self.total = [t - _fixed(v) for t, v in zip(self.total, values)]
+        self.total_err = [t - _fixed(e) for t, e in zip(self.total_err, errs)]
         mid = 0.5 * (p_lo + p_hi)
         self.pending = ([p_lo, mid], [mid, p_hi], depth + 1)
-        self.parent = (value, err)
         return None
 
 
@@ -330,18 +332,13 @@ def integrate_batch(
         except TrapcavError as err:
             outcomes[owner] = err
     while live:
-        running = []
         for item, panels in zip(live, _evaluate(f, live)):
             if isinstance(panels, TrapcavError):
                 outcomes[item.owner] = panels
-                continue
-            item.absorb(*panels)
-            outcome = item.step(rel_tol, abs_tol, max_depth, max_panels)
-            if outcome is None:
-                running.append(item)
             else:
-                outcomes[item.owner] = outcome
-        live = running
+                item.absorb(*panels)
+                outcomes[item.owner] = item.step(rel_tol, abs_tol, max_depth, max_panels)
+        live = [item for item in live if outcomes[item.owner] is None]
     return outcomes
 
 
@@ -378,12 +375,14 @@ def integrate_adaptive(
     Points outside (lo, hi), duplicates and NaN are ignored.
 
     The panel to split, the one with the largest error estimate (the
-    leftmost among equals), comes off a heap.  Running totals of the panel
-    values and estimates serve only to skip the convergence test while,
-    allowing for their rounding, it certainly fails; the test itself, and
-    every reported value, sums the panels with :func:`pairwise_sum` in
-    interval order, so results match a loop that re-sums after each split.
-    This is :func:`integrate_batch` on one interval.
+    leftmost among equals), comes off a heap.  The panel values and
+    estimates are summed exactly and rounded once, for the convergence test
+    and for the reported value and estimate, so results match a loop that
+    re-sums every panel with ``math.fsum`` after each split.  A panel or
+    total beyond the float range raises :class:`NonFiniteSample` at its
+    center.  Each estimate is at least :data:`REL_TOL_FLOOR` (1.11e-14) of
+    the integral of ``|f|``, so a smaller ``rel_tol`` is met only through
+    ``abs_tol``.  This is :func:`integrate_batch` on one interval.
     """
     (outcome,) = integrate_batch(
         lambda x, owner: f(x), [(lo, hi, points)], rel_tol, abs_tol, max_depth, max_panels

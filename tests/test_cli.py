@@ -217,6 +217,15 @@ def test_force_json_payload(capsysbinary):
     assert payload["f_z"] < 0.0 and payload["f_x"] < 0.0
 
 
+def test_tolerance_below_the_error_floor_exits_2(capsys):
+    assert main(["force", *REDUCED_ARGS, "--tol", "1e-15"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["error"] == "ValueError"
+    assert "rel_tol must be at least" in payload["message"]
+
+
 def test_force_unconverged_exits_1(monkeypatch, capsys):
     spec = CavitySpec(a=1.0, R=10.0, L=1.0, phi=0.0, units=Units.REDUCED)
     stuck = ForceResult(

@@ -1,4 +1,3 @@
-import functools
 import math
 from dataclasses import replace
 
@@ -20,6 +19,7 @@ from trapcav import (
     total_forces,
 )
 import trapcav.forces
+from trapcav.quadrature import REL_TOL_FLOOR
 
 REDUCED = CavitySpec(a=1.0, R=10.0, L=1.0, phi=0.0, units=Units.REDUCED)
 
@@ -107,6 +107,28 @@ def test_rejects_bad_tolerance_and_spec():
         total_forces(CavitySpec(a=-1.0, R=1.0, L=1.0, phi=0.0))
 
 
+def test_tolerance_below_the_error_floor_fails_fast(monkeypatch):
+    # every panel estimate is at least REL_TOL_FLOOR of its |integral|, so a
+    # tighter target is refused before the kernel runs
+    calls = []
+    kernel = trapcav.forces.wing_pressures
+
+    def counting(cav, k, r):
+        calls.append(1)
+        return kernel(cav, k, r)
+
+    monkeypatch.setattr(trapcav.forces, "wing_pressures", counting)
+    for rel_tol in (1e-14, 0.5 * REL_TOL_FLOOR, math.nan):
+        with pytest.raises(ValueError, match="rel_tol must be at least"):
+            total_forces(REDUCED, rel_tol=rel_tol)
+        with pytest.raises(ValueError):
+            trapcav.forces.force_batch([REDUCED, reduced_at(1.0)], rel_tol)
+    assert calls == []
+    assert 1.1e-14 < REL_TOL_FLOOR < 1e-14 * 1.12
+    fr = total_forces(REDUCED, rel_tol=REL_TOL_FLOOR)
+    assert calls and fr.evaluations > 0
+
+
 def test_non_convergence_is_absorbed(monkeypatch):
     def always_stops(f, intervals, **kwargs):
         return [NotConverged((-0.5, -1.23), (0.01, 0.05), 77) for _ in intervals]
@@ -146,10 +168,12 @@ def test_evaluations_are_reported(monkeypatch):
     assert fr.converged and fr.evaluations > 15 and fr.evaluations % 15 == 0
     assert total_forces(reduced_at(1.0), wing_count=2).evaluations == fr.evaluations
     # an integral that stops still reports what it spent: 5 initial panels
-    # (breakpoints 1, 4, 6, 9) and 15 splits up to a cap of 20
-    capped = functools.partial(trapcav.forces.integrate_batch, max_panels=20)
+    # (breakpoints 1, 4, 6, 9) and 15 splits up to a cap of 20, at a
+    # tolerance below the error floor, which force_batch itself refuses
+    real = trapcav.forces.integrate_batch
+    capped = lambda f, intervals, rel_tol: real(f, intervals, rel_tol=1e-16, max_panels=20)
     monkeypatch.setattr(trapcav.forces, "integrate_batch", capped)
-    short = total_forces(reduced_at(1.0), rel_tol=1e-16)
+    short = total_forces(reduced_at(1.0))
     assert not short.converged and short.evaluations == 15 * 5 + 30 * 15
 
 
