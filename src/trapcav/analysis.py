@@ -3,8 +3,11 @@
 The expulsion force |f_x(phi)| rises from zero at phi = 0 (parallel plates,
 exact compensation), peaks at some interior phi*, and falls again as the
 widening fan dilutes the forward rays.  ``optimize_phi`` locates phi* with a
-coarse grid prescan followed by golden-section refinement; the prescan is
-kept in the report so a caller can audit the unimodality assumption.
+coarse grid prescan followed by safeguarded parabolic refinement (Brent,
+*Algorithms for Minimization without Derivatives*, 1973) run in batches:
+each round evaluates up to three angles in one :func:`force_batch`.  The
+prescan is kept in the report so a caller can audit the unimodality
+assumption.
 
 ``rescale_report`` exercises the pure dimensional content: scaling every
 length except L by lambda multiplies specific pressures by lambda^-4 and
@@ -13,17 +16,22 @@ per-wing forces by lambda^-3.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import NoInteriorMaximum, TrapcavError
-from .forces import ForceResult, force_batch, total_forces
+from .forces import ForceResult, force_batch
 from .geometry import PHI_MAX, CavitySpec, Units, validate
 from .kernels import specific_pressures
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# bench/tracing.py wraps total_forces by its name in this module
+from .forces import total_forces  # noqa: F401
+
 _PRESCAN_POINTS = 32
+# smallest optimize_phi tol, rad
+PHI_TOL_FLOOR = 1e-6
 
 
 class SweepAxis(str, Enum):
@@ -55,12 +63,14 @@ class SweepTable:
 class OptimumReport:
     """Located expulsion maximum.
 
-    ``bracket`` is the prescan bracket handed to the golden-section stage
-    (one grid step either side of the best prescan point); ``grid_prescan``
-    keeps the signed f_x at every prescan angle for audit.  ``force_calls``
-    counts the force integrals of the prescan, the golden-section steps and
-    the final evaluation at ``phi_star``, and ``evaluations`` their kernel
-    evaluations.
+    ``phi_star`` is the best angle sampled and ``f_x_star`` its signed f_x,
+    the bits of a lone ``total_forces`` there.  ``bracket`` is the prescan
+    bracket handed to the refinement (one grid step either side of the best
+    prescan point); ``grid_prescan`` keeps the signed f_x at every prescan
+    angle for audit.  ``iterations`` counts the refinement rounds, one
+    :func:`force_batch` of at most three angles each.  ``force_calls``
+    counts the force integrals of the prescan and of every round, and
+    ``evaluations`` their kernel evaluations.
     """
 
     phi_star: float
@@ -162,28 +172,25 @@ def optimize_phi(
     """Locate the half-angle maximizing |f_x| inside (lo, hi).
 
     A 32-point grid prescan, one :func:`force_batch`, must show a single
-    interior peak; the bracket one grid step around it is then refined by
-    golden-section search until the bracket width drops below ``tol``.  A
-    prescan maximum sitting on an edge, a flat prescan, or multiple
-    interior peaks raise :class:`NoInteriorMaximum` rather than returning a
-    doubtful optimum.
+    interior peak.  A prescan maximum sitting on an edge, a flat prescan,
+    or multiple interior peaks raise :class:`NoInteriorMaximum` rather than
+    returning a doubtful optimum.  Refinement then keeps every sample; its
+    bracket is the best sample and its nearest sampled neighbours, which
+    holds a unimodal peak by construction.  Each round is one
+    :func:`force_batch` of at most three angles at and around the vertex of
+    the parabola through those three samples, or, when that vertex is
+    unusable or the last round did not halve the bracket, three angles
+    quartering the bracket's wider side.  The search stops once the
+    bracket is narrower than ``tol``; ``phi_star`` is the best sample.
     """
     if not (0.0 < lo < hi < PHI_MAX):
         raise ValueError(f"need 0 < lo < hi < pi/4, got lo={lo!r}, hi={hi!r}")
-    if not (tol >= 1e-6):
-        raise ValueError(f"tol must be at least 1e-6 rad, got {tol!r}")
+    if not (tol >= PHI_TOL_FLOOR):
+        raise ValueError(f"tol must be at least {PHI_TOL_FLOOR!r} rad, got {tol!r}")
     validate(replace(base, phi=lo))
-
-    evaluations = []
-
-    def f_x(phi: float) -> float:
-        result = total_forces(replace(base, phi=phi), rel_tol)
-        evaluations.append(result.evaluations)
-        return result.f_x
 
     grid = [lo + (hi - lo) * k / (_PRESCAN_POINTS - 1) for k in range(_PRESCAN_POINTS)]
     scan = _all_forces([replace(base, phi=phi) for phi in grid], rel_tol)
-    evaluations += [result.evaluations for result in scan]
     signed = [result.f_x for result in scan]
     mags = [abs(v) for v in signed]
     best = max(range(len(mags)), key=lambda i: (mags[i], -i))
@@ -204,33 +211,61 @@ def optimize_phi(
         raise NoInteriorMaximum(f"prescan shows {len(peaks)} interior peaks, expected one")
 
     bracket = (grid[best - 1], grid[best + 1])
-    a, b = bracket
-    c = b - (b - a) * _INV_PHI
-    d = a + (b - a) * _INV_PHI
-    fc = abs(f_x(c))
-    fd = abs(f_x(d))
+    # every sample so far in angle order; the search bracket is always the
+    # best sample and its two neighbours, so a unimodal peak stays inside
+    phis = list(grid)
+    evaluations = [result.evaluations for result in scan]
     iterations = 0
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * _INV_PHI
-            fc = abs(f_x(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * _INV_PHI
-            fd = abs(f_x(d))
+    width, last_width = bracket[1] - bracket[0], math.inf
+    while width >= tol:
+        x, f = phis[best - 1 : best + 2], mags[best - 1 : best + 2]
+        angles = _refinement_angles(x, f, tol, width <= 0.5 * last_width)
+        results = _all_forces([replace(base, phi=phi) for phi in angles], rel_tol)
+        for phi, result in zip(angles, results):
+            k = bisect.bisect(phis, phi)
+            phis.insert(k, phi)
+            mags.insert(k, abs(result.f_x))
+            signed.insert(k, result.f_x)
+            evaluations.append(result.evaluations)
+        best = max(range(len(mags)), key=lambda i: (mags[i], -i))
+        width, last_width = phis[best + 1] - phis[best - 1], width
         iterations += 1
-    phi_star = 0.5 * (a + b)
-    f_x_star = f_x(phi_star)
     return OptimumReport(
-        phi_star=phi_star,
-        f_x_star=f_x_star,
+        phi_star=phis[best],
+        f_x_star=signed[best],
         bracket=bracket,
         iterations=iterations,
         grid_prescan=prescan,
         evaluations=sum(evaluations),
         force_calls=len(evaluations),
     )
+
+
+def _refinement_angles(
+    x: list[float], f: list[float], tol: float, shrank: bool
+) -> list[float]:
+    """New angles for one round, strictly inside the bracket ``x[0] < x[2]``.
+
+    ``x[1]`` is the best sample and ``f`` holds |f_x| at the three angles.
+    The angles go at and around the vertex of the parabola through them
+    (Brent 1973), spread by half the vertex's step from ``x[1]`` but at
+    least tol / 3, so that a winning vertex closes the bracket below
+    ``tol``.  A parabola that is not concave, a vertex outside the bracket
+    or on ``x[1]``, or a last round that did not halve the bracket
+    (``shrank`` false) makes the round quarter the wider side instead,
+    which leaves at most 5/8 of the bracket.
+    """
+    (lo, mid, hi), (f_lo, f_mid, f_hi) = x, f
+    left, right = mid - lo, hi - mid
+    # the parabola's vertex is mid - p / (2 q); it opens downwards iff q > 0
+    p = left * left * (f_mid - f_hi) - right * right * (f_mid - f_lo)
+    q = left * (f_mid - f_hi) + right * (f_mid - f_lo)
+    vertex = mid - 0.5 * p / q if q > 0.0 else mid
+    if shrank and lo < vertex < hi and vertex != mid:
+        spread = max(0.5 * abs(vertex - mid), tol / 3.0)
+        return [v for v in (vertex - spread, vertex, vertex + spread) if lo < v < hi and v != mid]
+    a, b = (lo, mid) if left > right else (mid, hi)
+    return [a + (b - a) * k / 4.0 for k in (1, 2, 3)]
 
 
 def rescale_report(spec: CavitySpec, lam: float, *, rel_tol: float = 1e-9) -> RescaleReport:

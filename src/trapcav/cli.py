@@ -17,12 +17,13 @@ import tempfile
 import typing
 from dataclasses import asdict, dataclass
 
-from .analysis import SweepAxis, SweepTable, optimize_phi, sweep
+from .analysis import PHI_TOL_FLOOR, SweepAxis, SweepTable, optimize_phi, sweep
 from .errors import InvalidCavity, OutOfRange, TrapcavError
 from .forces import ForceResult, PressureProfile, pressure_profile, total_forces
 from .geometry import CavitySpec, Units, validate
 from .kernels import classical_casimir_pressure, pressure_prefactor
 from .oracle import verify_suite
+from .quadrature import REL_TOL_FLOOR
 
 _FORMATS = {
     "profile": ("csv", "json", "svg"),
@@ -103,7 +104,14 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
-_positive = _checked(float, lambda v: v > 0, "must be positive")
+def _at_least(floor: float):
+    return _checked(float, lambda v: v >= floor, f"must be at least {floor!r}")
+
+
+# the floors of force_batch and optimize_phi, so that a flag or config
+# value under them is refused where it is read
+_tolerance = _at_least(REL_TOL_FLOOR)
+_phi_tolerance_deg = _at_least(math.degrees(PHI_TOL_FLOOR))
 _grid = _checked(
     _float_list,
     lambda v: len(v) > 0 and all(b > a for a, b in zip(v, v[1:])),
@@ -133,7 +141,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     )
     running = shared.add_argument_group("run")
     running.add_argument(
-        "--tol", type=_positive, default=1e-9,
+        "--tol", type=_tolerance, default=1e-9,
         help="force-integral relative tolerance (default %(default)s)",
     )
     running.add_argument(
@@ -178,7 +186,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     opt = commands["optimize"]
     opt.add_argument("--phi-lo-deg", type=float, required=True, dest="phi_lo_deg")
     opt.add_argument("--phi-hi-deg", type=float, required=True, dest="phi_hi_deg")
-    opt.add_argument("--phi-tol-deg", type=_positive, default=math.degrees(1e-5), dest="phi_tol_deg")
+    opt.add_argument(
+        "--phi-tol-deg", type=_phi_tolerance_deg, default=math.degrees(1e-5), dest="phi_tol_deg"
+    )
     return parser, commands
 
 

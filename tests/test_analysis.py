@@ -149,7 +149,7 @@ def test_optimize_halving_tol_is_stable():
     coarse = optimize_phi(REDUCED, 0.02, 0.5, tol=2e-5)
     fine = optimize_phi(REDUCED, 0.02, 0.5, tol=1e-5)
     assert abs(coarse.phi_star - fine.phi_star) <= 3e-5
-    assert fine.iterations > coarse.iterations
+    assert fine.iterations >= coarse.iterations
 
 
 def test_optimize_rejects_edge_maximum():
@@ -287,28 +287,107 @@ def test_sweep_rows_that_stop_equal_lone_total_forces(monkeypatch):
     assert any(fr.converged for fr in rows) and not all(fr.converged for fr in rows)
 
 
-def test_prescan_and_counters_equal_lone_total_forces(monkeypatch):
-    batches, steps = [], []
-    batch, lone = trapcav.analysis.force_batch, trapcav.analysis.total_forces
+def spy_batches(monkeypatch):
+    # every force_batch that optimize_phi makes, in order; a lone
+    # total_forces call fails the test
+    batches, batch = [], trapcav.analysis.force_batch
 
-    def spy_batch(*args, **kwargs):
+    def spy(*args, **kwargs):
         batches.append(batch(*args, **kwargs))
         return batches[-1]
 
-    def spy_lone(*args, **kwargs):
-        steps.append(lone(*args, **kwargs))
-        return steps[-1]
+    def lone(*args, **kwargs):
+        raise AssertionError("optimize_phi made a lone total_forces call")
 
-    monkeypatch.setattr(trapcav.analysis, "force_batch", spy_batch)
-    monkeypatch.setattr(trapcav.analysis, "total_forces", spy_lone)
-    report = optimize_phi(replace(REDUCED, R=30.0), 0.005, 0.6)
-    (prescan,) = batches
+    monkeypatch.setattr(trapcav.analysis, "force_batch", spy)
+    monkeypatch.setattr(trapcav.analysis, "total_forces", lone)
+    return batches
+
+
+def final_bracket(batches, phi_star):
+    # the best sample's nearest sampled neighbours
+    phis = sorted(fr.spec.phi for rows in batches for fr in rows)
+    k = phis.index(phi_star)
+    return phis[k - 1], phis[k + 1]
+
+
+def test_prescan_and_counters_equal_lone_total_forces(monkeypatch):
+    batches = spy_batches(monkeypatch)
+    base = replace(REDUCED, R=30.0)
+    report = optimize_phi(base, 0.005, 0.6)
+    prescan, *rounds = batches
     assert len(prescan) == len(report.grid_prescan) == 32
     for (phi, f_x), fr in zip(report.grid_prescan, prescan):
-        alone = total_forces(replace(REDUCED, R=30.0, phi=phi))
+        alone = total_forces(replace(base, phi=phi))
         assert force_key(fr) == force_key(alone) and f_x == alone.f_x
-    # golden section: two starting points, one per iteration, the final one
-    assert len(steps) == report.iterations + 3
-    assert report.force_calls == 32 + len(steps)
-    assert report.evaluations == sum(fr.evaluations for fr in prescan + steps)
-    assert report.f_x_star == steps[-1].f_x
+    # one batch of at most three angles per refinement round
+    assert len(rounds) == report.iterations > 0
+    assert all(1 <= len(rows) <= 3 for rows in rounds)
+    assert report.force_calls == 32 + sum(len(rows) for rows in rounds)
+    assert report.evaluations == sum(fr.evaluations for rows in batches for fr in rows)
+    assert report.f_x_star == total_forces(replace(base, phi=report.phi_star)).f_x
+
+
+WINDOW = (math.radians(0.5), math.radians(20.0))
+
+
+@pytest.mark.parametrize("ratio", [1.0, 4.0, 10.0, 100.0])
+def test_optimize_refines_in_few_small_batches(monkeypatch, ratio):
+    batches = spy_batches(monkeypatch)
+    report = optimize_phi(replace(REDUCED, R=ratio), *WINDOW, tol=1e-5)
+    _, *rounds = batches
+    assert 1 <= len(rounds) == report.iterations <= 8
+    assert all(1 <= len(rows) <= 3 for rows in rounds)
+    left, right = final_bracket(batches, report.phi_star)
+    assert right - left < 1e-5
+    best = max((abs(fr.f_x), fr.spec.phi) for rows in batches for fr in rows)
+    assert best == (abs(report.f_x_star), report.phi_star)
+
+
+@pytest.mark.parametrize("ratio", [1.0, 3.0, 10.0, 30.0, 100.0])
+def test_optimize_matches_bounded_scipy_reference(ratio):
+    pytest.importorskip("scipy")
+    from scipy.optimize import minimize_scalar
+
+    base = replace(REDUCED, R=ratio)
+    report = optimize_phi(base, *WINDOW, tol=1e-5)
+    ref = minimize_scalar(
+        lambda phi: -abs(total_forces(replace(base, phi=phi), rel_tol=1e-12).f_x),
+        bounds=report.bracket,
+        method="bounded",
+        options={"xatol": 1e-9},
+    )
+    assert ref.success
+    assert abs(report.phi_star - ref.x) <= 2.5e-6
+    assert report.iterations <= 8
+
+
+# unimodal |f_x| shapes that parabolas fit badly, each peaking at phi = p
+BAD_PEAKS = {
+    "cusp": lambda phi, p: 2.0 - abs(phi - p) ** 0.5,
+    "lopsided kink": lambda phi, p: math.exp(phi - p if phi < p else 300.0 * (p - phi)),
+    "lopsided smooth": lambda phi, p: (phi / p) ** 12 * math.exp(12.0 * (1.0 - phi / p)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(BAD_PEAKS))
+@pytest.mark.parametrize("peak", [0.1234567, 0.3010299, 0.5])
+def test_refinement_safeguard_keeps_shrinking(monkeypatch, shape, peak):
+    def fake_batch(specs, rel_tol=1e-9, **kwargs):
+        return [
+            ForceResult(spec=s, f_x=-BAD_PEAKS[shape](s.phi, peak), f_z=-3.0, err_x=0.0, err_z=0.0)
+            for s in specs
+        ]
+
+    monkeypatch.setattr(trapcav.analysis, "force_batch", fake_batch)
+    batches = spy_batches(monkeypatch)
+    lo, hi, tol = 0.05, 0.7, 1e-6
+    report = optimize_phi(REDUCED, lo, hi, tol=tol)
+    left, right = final_bracket(batches, report.phi_star)
+    assert right - left < tol
+    assert left < peak < right
+    # a round that does not halve the bracket is followed by one that
+    # leaves at most 5/8 of it, so every two rounds shrink it by 5/8
+    start = report.bracket[1] - report.bracket[0]
+    assert report.iterations <= 2 * (math.floor(math.log(start / tol) / math.log(8 / 5)) + 1)
+    assert all(len(rows) <= 3 for rows in batches[1:])

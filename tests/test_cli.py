@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -17,6 +18,8 @@ from trapcav.cli import (
     render_args,
 )
 import trapcav.cli
+from trapcav.analysis import PHI_TOL_FLOOR
+from trapcav.quadrature import REL_TOL_FLOOR
 
 REDUCED_ARGS = ["--a", "1", "--R", "10", "--units", "reduced"]
 
@@ -92,6 +95,7 @@ def test_config_file_command_is_ignored(tmp_path):
         json.dumps({"a": "x"}),
         json.dumps({"samples": "many"}),
         json.dumps({"tol": 0}),
+        json.dumps({"tol": 1e-15}),
     ],
 )
 def test_config_file_rejected(tmp_path, content):
@@ -109,6 +113,10 @@ def test_config_file_rejected(tmp_path, content):
     [
         (["profile", *REDUCED_ARGS], {"reference_classical": "yes"}),
         (["sweep", *REDUCED_ARGS, "--axis", "R"], {"values": [2, 1]}),
+        (
+            ["optimize", *REDUCED_ARGS, "--phi-lo-deg", "1", "--phi-hi-deg", "20"],
+            {"phi_tol_deg": 5e-5},
+        ),
     ],
 )
 def test_config_value_rejected_by_its_subcommand(tmp_path, argv, data):
@@ -161,6 +169,12 @@ def test_config_schema_matches_parser():
     actions = {a.dest: a for command in commands.values() for a in command._actions}
     for field in ("units", "quantity", "axis", "wing_count"):
         assert props[field]["enum"] == list(actions[field].choices)
+    # the tolerance floors of force_batch and optimize_phi (in degrees)
+    for field, floor in (("tol", REL_TOL_FLOOR), ("phi_tol_deg", math.degrees(PHI_TOL_FLOOR))):
+        assert props[field]["minimum"] == floor
+        assert actions[field].type(repr(floor)) == floor
+        with pytest.raises(argparse.ArgumentTypeError):
+            actions[field].type(repr(math.nextafter(floor, 0.0)))
 
 
 @pytest.mark.parametrize(
@@ -180,6 +194,8 @@ def test_config_schema_matches_parser():
         ["force", *REDUCED_ARGS, "--tol", "0"],
         ["force", *REDUCED_ARGS, "--units", "cgs"],
         [],
+        ["force", *REDUCED_ARGS, "--tol", "1e-15"],
+        ["optimize", *REDUCED_ARGS, "--phi-lo-deg", "1", "--phi-hi-deg", "20", "--phi-tol-deg", "5e-5"],
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -218,12 +234,11 @@ def test_force_json_payload(capsysbinary):
 
 
 def test_tolerance_below_the_error_floor_exits_2(capsys):
+    # the parser refuses it, before any force integral
     assert main(["force", *REDUCED_ARGS, "--tol", "1e-15"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    payload = json.loads(captured.err)
-    assert payload["error"] == "ValueError"
-    assert "rel_tol must be at least" in payload["message"]
+    assert f"--tol: must be at least {REL_TOL_FLOOR!r}" in captured.err
 
 
 def test_force_unconverged_exits_1(monkeypatch, capsys):
