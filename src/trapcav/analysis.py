@@ -185,8 +185,8 @@ def optimize_phi(
     """
     if not (0.0 < lo < hi < PHI_MAX):
         raise ValueError(f"need 0 < lo < hi < pi/4, got lo={lo!r}, hi={hi!r}")
-    if not (tol >= PHI_TOL_FLOOR):
-        raise ValueError(f"tol must be at least {PHI_TOL_FLOOR!r} rad, got {tol!r}")
+    if not (PHI_TOL_FLOOR <= tol < math.inf):
+        raise ValueError(f"tol must be at least {PHI_TOL_FLOOR!r} rad and finite, got {tol!r}")
     validate(replace(base, phi=lo))
 
     grid = [lo + (hi - lo) * k / (_PRESCAN_POINTS - 1) for k in range(_PRESCAN_POINTS)]

@@ -105,7 +105,8 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 
 def _at_least(floor: float):
-    return _checked(float, lambda v: v >= floor, f"must be at least {floor!r}")
+    rule = f"must be at least {floor!r} and finite"
+    return _checked(float, lambda v: floor <= v < math.inf, rule)
 
 
 # the floors of force_batch and optimize_phi, so that a flag or config

@@ -9,8 +9,9 @@ along the wing arc:
 Both components come from one adaptive integral of the vector integrand
 r -> (p_x, p_z).  :func:`force_batch` integrates the wings of many cavities
 in lock-step (:func:`~trapcav.quadrature.integrate_batch`): each round, the
-new quadrature nodes of every unfinished cavity (all initial panels, then
-both halves of each split) go through one call of the kernel
+quadrature nodes that every unfinished cavity needs next (all initial
+panels, then the halves of the split under way and of the worst panels its
+loop must still split) go through one call of the kernel
 :func:`~trapcav.kernels.wing_pressures`, with each node's cavity parameters
 gathered from its owner, and no node is evaluated twice.  Every cavity gets
 the same bits, evaluations and outcome as alone, and a cavity whose
@@ -25,6 +26,7 @@ estimates to rel_tol * max(|integral of p_x|, |integral of p_z|), and since
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +48,10 @@ class ForceResult:
     ``err_x`` and ``err_z`` are quadrature error estimates scaled like the
     forces themselves.  ``converged`` is False when the integral stopped at
     its depth or panel limit; the values then carry the best estimate found.
-    ``evaluations`` counts the wing points at which the pressure kernel was
-    evaluated, whether or not the integral converged.
+    ``evaluations`` counts the wing points of the quadrature panels that the
+    integral used, whether or not it converged.  Those are the kernel's
+    nodes, except when the integral stopped at its panel or depth limit
+    with halves evaluated ahead that it never split.
     """
 
     spec: CavitySpec
@@ -89,23 +93,24 @@ def force_batch(
     ``total_forces`` returns for it, bit for bit, or the exception that
     ``total_forces`` would raise for it (a :class:`NonFiniteSample`, or a
     typed error of the kernel such as :class:`DegenerateFan`), which
-    affects no other cavity.  Each round of the quadrature evaluates the new nodes of
-    all unfinished cavities in one kernel call.  An invalid spec, a bad
-    ``wing_count`` or a ``rel_tol`` under ``REL_TOL_FLOOR`` raises for the whole batch.
+    affects no other cavity.  Each round of the quadrature evaluates the
+    nodes that all unfinished cavities need next in one kernel call.  An
+    invalid spec, a bad ``wing_count``, or a ``rel_tol`` under
+    ``REL_TOL_FLOOR`` or not finite raises for the whole batch.
     """
     for spec in specs:
         validate(spec)
     if wing_count not in (1, 2):
         raise ValueError(f"wing_count must be 1 or 2, got {wing_count!r}")
-    if not (rel_tol >= REL_TOL_FLOOR):
-        raise ValueError(f"rel_tol must be at least {REL_TOL_FLOOR!r}, got {rel_tol!r}")
+    if not (REL_TOL_FLOOR <= rel_tol < math.inf):
+        raise ValueError(f"rel_tol must be at least {REL_TOL_FLOOR!r} and finite, got {rel_tol!r}")
 
     # one row per field of WingParams, then the prefactor K; one column
     # per cavity
     columns = np.array([(*WingParams.of(spec), pressure_prefactor(spec)) for spec in specs]).T
 
     def pressures(r: np.ndarray, owner: np.ndarray) -> tuple:
-        *cav, k = (column[owner] for column in columns)
+        *cav, k = columns[:, owner]
         return wing_pressures(WingParams(*cav), k, r)
 
     outcomes = integrate_batch(

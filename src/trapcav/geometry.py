@@ -148,6 +148,10 @@ class WingParams(NamedTuple):
         far = a + 2.0 * R * sphi
         return cls(a, R, 2.0 * spec.phi, cphi, sphi, cphi * far, sphi * far, a * cphi, a * sphi)
 
+    def s(self, r):
+        """:func:`s_factor` without its range check, for ``r`` checked already."""
+        return self.cphi * (self.a + 2.0 * r * self.sphi)
+
 
 def _params(cavity: CavitySpec | WingParams) -> WingParams:
     return cavity if isinstance(cavity, WingParams) else WingParams.of(cavity)
@@ -202,7 +206,7 @@ def s_factor(cavity: CavitySpec | WingParams, r):
     """
     cav = _params(cavity)
     _check_r(cav, r)
-    return cav.cphi * (cav.a + 2.0 * r * cav.sphi)
+    return cav.s(r)
 
 
 def ray_length(spec: CavitySpec, r: float, theta: float) -> float:

@@ -51,9 +51,11 @@ from .geometry import (
     Units,
     WingParams,
     limit_angles,
-    s_factor,
     validate,
 )
+
+# bench/tracing.py wraps it by its name in this module
+from .geometry import s_factor  # noqa: F401
 
 
 #: Prefactor of the parallel-plate pressure, hbar c pi^2 / 240 in N m^2.
@@ -140,14 +142,15 @@ def wing_pressures(cav: WingParams, k, r) -> tuple:
     The kernel's one formula: ``cav`` holds the geometry and ``k`` the
     prefactor, as floats for one cavity or, for the nodes of several
     cavities, as arrays of the shape of ``r`` gathered per node.  Nothing is
-    validated beyond the checks of :func:`limit_angles` and
-    :func:`s_factor`, so the caller validates every cavity once.  s^4 is
+    validated beyond the checks of :func:`limit_angles`, so the caller
+    validates every cavity once; s comes from :meth:`WingParams.s` on the
+    coordinates that those checks have passed.  s^4 is
     libm's ``pow`` (``np.float_power``), as on one float, so a node has
     the same bits in an array as alone; numpy's vectorised ``**`` differs
     from it in the last bit on a few percent of nodes.
     """
     window = limit_angles(cav, r)
-    s = s_factor(cav, r)
+    s = cav.s(r)
     scale = k / np.float_power(s, 4.0)
     x, z = _fan(window, cav.two_phi, cav.cphi, cav.sphi)
     return scale * x, -scale * z

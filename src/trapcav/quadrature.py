@@ -18,21 +18,36 @@ integers in units of 2**-1074, and every test and result rounds those sums
 once: a result is the ``math.fsum`` of its final panels, whatever the order
 in which they were made.
 
+The loop splits one panel per step, always the worst (QUADPACK's QAG
+order), but it evaluates panels ahead of that order.  When a step needs
+the halves of its worst panel and they have not been evaluated, the same
+call of the integrand also evaluates the halves of the fewest worst live
+panels whose removal would bring every component's estimate sum under the
+current target: unless the target grows, the loop cannot stop before it
+has split them.  The steps then go on, with no call of the integrand,
+until one needs halves that are not evaluated.  The look-ahead stops at
+``max_depth`` and at the splits left under the panel cap.  It changes
+which calls evaluate a panel, never which panels the loop makes or in what
+order: a result, its evaluation count (the nodes of the panels used) and
+its bits are those of one split per call.
+
 :func:`integrate_batch` runs many independent integrals in lock-step; its
 integrand also gets, for every node, the index of the integral the node
-belongs to.  Each round, every integral that has not finished runs one
-test-then-split step on its own panel heap and totals, and then the new
-panels of all of them (every initial panel in the first round, both halves
-of a split after that) are evaluated in one call of the integrand.  An
-integral takes exactly the steps it would take alone, and gives the same
-bits: the kernel works node by node, and the rules reduce each panel with a
-per-row dot product (``np.vecdot``), whose result does not depend on how
-many panels share the call, as a BLAS matrix-vector product's does.  A
-failure stays with its own integral: when the batched call raises a
-:class:`TrapcavError` (a :class:`NonFiniteSample`, or a typed error of the
-integrand, such as the kernel's), each integral of the round is evaluated
-on its own, and one that raises finishes with that exception while the
-others go on.  :func:`integrate_adaptive` is the batch of one.
+belongs to.  Each round, every integral that has not finished steps until
+it needs panels that are not evaluated, and then the panels all of them
+need, with their look-ahead (every initial panel in the first round), are
+evaluated in one call of the integrand.  An integral takes exactly the
+steps it would take alone, and gives the same bits: the kernel works node
+by node, and the rules reduce each panel with a per-row dot product
+(``np.vecdot``), whose result does not depend on how many panels share the
+call, as a BLAS matrix-vector product's does.  A failure stays with its own
+integral: when the batched call raises a :class:`TrapcavError` (a
+:class:`NonFiniteSample`, or a typed error of the integrand, such as the
+kernel's), each integral of the round is evaluated on its own, and one that
+raises is evaluated again on the panels it needs now alone, so that a
+look-ahead panel cannot decide an outcome; one whose own panels raise
+finishes with that exception while the others go on.
+:func:`integrate_adaptive` is the batch of one.
 """
 
 from __future__ import annotations
@@ -139,6 +154,10 @@ def pairwise_sum(values, axis: int = -1):
     return float(out) if out.ndim == 0 else out
 
 
+# the least subnormal, 2**-1074, is the unit of the exact totals
+_UNITS_PER_ONE = 1 << 1074
+
+
 def _fixed(x: float) -> int:
     """The finite float ``x`` exactly, in units of 2**-1074 (the least subnormal)."""
     n, d = x.as_integer_ratio()
@@ -148,7 +167,7 @@ def _fixed(x: float) -> int:
 def _rounded(total: int) -> float:
     """A total in units of 2**-1074, rounded once; +-inf beyond the float range."""
     try:
-        return total / (1 << 1074)
+        return total / _UNITS_PER_ONE
     except OverflowError:
         return math.inf if total > 0 else -math.inf
 
@@ -173,7 +192,23 @@ def _gk15(f: Integrand, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(fv).all():
         j = int(np.argmin(np.isfinite(fv).reshape(-1, xs.size).all(axis=0)))
         raise NonFiniteSample(float(xs[j]), _shaped(fv[..., j]))
-    fv = fv.reshape(fv.shape[:-1] + (lo.size, 15))  # (m, 15) or (k, m, 15)
+    value, err = _rules(fv.reshape(fv.shape[:-1] + (lo.size, 15)), half)
+    finite = np.isfinite(value) & np.isfinite(err)
+    if not finite.all():
+        j = int(np.argmin(finite.reshape(lo.size, -1).all(axis=1)))
+        bad = value[j] if not np.isfinite(value[j]).all() else err[j]
+        raise NonFiniteSample(float(0.5 * (lo[j] + hi[j])), _shaped(bad))
+    return value, err
+
+
+# finite samples can still overflow a panel's sums, and _gk15 names such a
+# panel, so numpy need not warn about it
+@np.errstate(over="ignore", invalid="ignore")
+def _rules(fv: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value and error estimate of sampled panels, shape (m, 15) or (k, m, 15).
+
+    Returns arrays of shape (m,) or (m, k), panels first.
+    """
     # one dot product per panel and rule: a panel's bits do not depend on
     # its batch
     resk = np.vecdot(fv, _WK15)
@@ -185,14 +220,7 @@ def _gk15(f: Integrand, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     inflate = (resasc != 0.0) & (err != 0.0)
     ratio = 200.0 * err / np.where(inflate, resasc, 1.0)
     err = np.where(inflate, resasc * np.minimum(1.0, ratio**1.5), err)
-    # panels first
-    value, err = (resk * half).T, np.maximum(err, REL_TOL_FLOOR * resabs).T
-    finite = np.isfinite(value) & np.isfinite(err)
-    if not finite.all():
-        j = int(np.argmin(finite.reshape(lo.size, -1).all(axis=1)))
-        bad = value[j] if not np.isfinite(value[j]).all() else err[j]
-        raise NonFiniteSample(float(0.5 * (lo[j] + hi[j])), _shaped(bad))
-    return value, err
+    return (resk * half).T, np.maximum(err, REL_TOL_FLOOR * resabs).T
 
 
 def _shaped(a) -> Value:
@@ -212,75 +240,149 @@ class _Integral:
         # and lo tells panels apart, so ties do not reach the lists
         self.heap: list[tuple] = []
         self.evaluations = 0
-        # the panels awaiting evaluation
-        self.pending = (edges[:-1], edges[1:], 0)
+        # the panels to add next, as (lo, hi), and their depth: the initial
+        # panels, then the two halves of each split
+        self.todo = list(zip(edges[:-1], edges[1:]))
+        self.depth = 0
+        # the panels for the next call of the integrand: those of todo, then
+        # the look-ahead halves
+        self.pending = self.todo
+        # evaluated look-ahead halves, (lo, hi) -> (values, errs)
+        self.ready: dict = {}
+        # whether the integrand has a component axis, told by each call
+        self.vector = False
 
-    def absorb(self, values: np.ndarray, errs: np.ndarray) -> None:
-        """Add the evaluated pending panels to the heap and the totals."""
-        p_lo, p_hi, depth = self.pending
-        m = len(p_lo)
-        self.vector = values.ndim > 1
-        values, errs = values.reshape(m, -1).tolist(), errs.reshape(m, -1).tolist()
-        for panel in zip(p_lo, p_hi, values, errs):
-            heapq.heappush(self.heap, (-max(panel[3]), *panel, depth))
+    def advance(
+        self,
+        values: list[list[float]],
+        errs: list[list[float]],
+        rel_tol: float,
+        abs_tol: float,
+        max_depth: int,
+        max_panels: int,
+    ) -> QuadratureResult | TrapcavError | None:
+        """Take the evaluated pending panels, then step while the next are ready.
+
+        ``values`` and ``errs`` hold k floats per pending panel.  Returns
+        the outcome once the integral has finished, or None after setting
+        the pending panels: the panels to add, then the look-ahead.
+        """
+        n = len(self.todo)
+        ready = self.ready
+        if len(values) > n:
+            ready.update(zip(self.pending[n:], zip(values[n:], errs[n:])))
+            del values[n:], errs[n:]
+        while True:
+            self._add(values, errs)
+            outcome = self._step(rel_tol, abs_tol, max_depth, max_panels)
+            if outcome is not None:
+                return outcome
+            if not (ready and all(map(ready.__contains__, self.todo))):
+                break
+            values, errs = zip(*map(ready.pop, self.todo))
+        self.pending = self.todo + self._look_ahead(max_depth, max_panels)
+        return None
+
+    def _add(self, values: list[list[float]], errs: list[list[float]]) -> None:
+        # the panels of todo, with these values and estimates, join the heap
+        # and the totals
+        for (lo, hi), v, e in zip(self.todo, values, errs):
+            heapq.heappush(self.heap, (-max(e), lo, hi, v, e, self.depth))
         if not self.evaluations:
             # per component, the exact sums of the live panels' values and
             # estimates, in units of 2**-1074
             self.total = self.total_err = [0] * len(values[0])
         self.total = [t + sum(map(_fixed, c)) for t, c in zip(self.total, zip(*values))]
         self.total_err = [t + sum(map(_fixed, c)) for t, c in zip(self.total_err, zip(*errs))]
-        self.evaluations += 15 * m
+        self.evaluations += 15 * len(values)
 
-    def step(
+    def _step(
         self, rel_tol: float, abs_tol: float, max_depth: int, max_panels: int
     ) -> QuadratureResult | TrapcavError | None:
-        """Test for convergence, else split the worst panel.
-
-        Returns the outcome once the integral has finished, or None after
-        making the two halves of its worst panel the pending panels.
-        """
-        value = [_rounded(t) for t in self.total]
-        err = [_rounded(t) for t in self.total_err]
-        shaped = (tuple(value), tuple(err)) if self.vector else (value[0], err[0])
-        for sums, out in zip((value, err), shaped):
+        # test for convergence, else make the halves of the worst panel the
+        # panels to add
+        value = list(map(_rounded, self.total))
+        err = list(map(_rounded, self.total_err))
+        for sums in (value, err):
             if not all(map(math.isfinite, sums)):
                 # finite panels whose total lies beyond the float range
-                return NonFiniteSample(self.center, out)
-        if max(err) <= max(rel_tol * max(map(abs, value)), abs_tol):
-            return QuadratureResult(*shaped, self.evaluations, True)
+                return NonFiniteSample(self.center, self._value(sums))
+        self.target = max(rel_tol * max(map(abs, value)), abs_tol)
+        if max(err) <= self.target:
+            return QuadratureResult(self._value(value), self._value(err), self.evaluations, True)
         _, p_lo, p_hi, values, errs, depth = self.heap[0]
         if depth >= max_depth or len(self.heap) >= max_panels:
-            return NotConverged(*shaped, self.evaluations)
+            return NotConverged(self._value(value), self._value(err), self.evaluations)
         heapq.heappop(self.heap)
         self.total = [t - _fixed(v) for t, v in zip(self.total, values)]
         self.total_err = [t - _fixed(e) for t, e in zip(self.total_err, errs)]
         mid = 0.5 * (p_lo + p_hi)
-        self.pending = ([p_lo, mid], [mid, p_hi], depth + 1)
+        self.todo = [(p_lo, mid), (mid, p_hi)]
+        self.depth = depth + 1
         return None
+
+    def _value(self, sums: list[float]) -> Value:
+        # a float for a scalar integrand, a tuple of k floats for a vector one
+        return tuple(sums) if self.vector else sums[0]
+
+    def _look_ahead(self, max_depth: int, max_panels: int) -> list[tuple[float, float]]:
+        """The halves not yet evaluated of the live panels the loop must split.
+
+        Those are the fewest worst live panels whose removal brings every
+        component's estimate sum under the last target: the loop splits the
+        worst panel first and halves add estimates, so while one of them is
+        live it cannot stop, unless the target grows.  The look-ahead ends
+        at a panel of ``max_depth`` and at the splits left under
+        ``max_panels`` after the one under way.
+        """
+        left = self.total_err
+        halves: list[tuple[float, float]] = []
+        heap = self.heap.copy()
+        room = max_panels - len(heap) - 2
+        # the live panels in the loop's order, worst first, while needed;
+        # left is the exact sum of the estimates of those not taken, so it
+        # meets the target before the heap runs out
+        while room > 0 and _rounded(max(left)) > self.target:
+            _, lo, hi, _, errs, depth = heapq.heappop(heap)
+            if depth >= max_depth:
+                break
+            mid = 0.5 * (lo + hi)
+            halves += [half for half in ((lo, mid), (mid, hi)) if half not in self.ready]
+            left = [t - _fixed(e) for t, e in zip(left, errs)]
+            room -= 1
+        return halves
 
 
 def _evaluate(f: BatchIntegrand, batch: list[_Integral]) -> list:
     """Every integral's pending panels in one call of ``f``.
 
-    Returns, per integral, its (values, errors) or the exception its own
-    panels raise.  When the batched call raises, each integral of a batch
-    of several is evaluated alone, so an error stays with its integral.
+    Returns, per integral, the (values, errors) of its pending panels, as
+    lists of k floats per panel, or the exception that the panels it needs
+    now raise, and tells each integral whether ``f`` is a vector integrand.
+    When the batched call raises, each integral of a batch of several is
+    evaluated alone, so an error stays with its integral, and a lone
+    integral is evaluated again without its look-ahead, so a look-ahead
+    panel cannot change an outcome.
     """
-    p_lo, p_hi, owners = [], [], []
-    for item in batch:
-        p_lo += item.pending[0]
-        p_hi += item.pending[1]
-        owners += [item.owner] * len(item.pending[0])
-    owner = np.array(owners).repeat(15)
+    p_lo, p_hi = zip(*[panel for item in batch for panel in item.pending])
+    owner = np.array([item.owner for item in batch for _ in item.pending]).repeat(15)
     try:
         values, errs = _gk15(lambda x: f(x, owner), p_lo, p_hi)
     except TrapcavError as err:
-        if len(batch) == 1:
+        if len(batch) > 1:
+            return [_evaluate(f, [item])[0] for item in batch]
+        (item,) = batch
+        if len(item.pending) == len(item.todo):
             return [err]
-        return [_evaluate(f, [item])[0] for item in batch]
+        item.pending = item.todo
+        return _evaluate(f, batch)
+    vector = values.ndim > 1
+    m = len(values)
+    values, errs = values.reshape(m, -1).tolist(), errs.reshape(m, -1).tolist()
     out, start = [], 0
     for item in batch:
-        stop = start + len(item.pending[0])
+        item.vector = vector
+        stop = start + len(item.pending)
         out.append((values[start:stop], errs[start:stop]))
         start = stop
     return out
@@ -300,22 +402,24 @@ def integrate_batch(
     owner)`` gets the nodes ``x`` of all integrals with the index ``owner``
     of each node's interval; it returns shape (n,) or (k, n), as for
     :func:`integrate_adaptive`, which documents the stopping rule and the
-    breakpoints.  Each round evaluates the new panels of every unfinished
-    integral in one call of ``f``.  Returns one outcome per interval, in
-    order: a :class:`QuadratureResult`, or the exception that integral
-    alone would raise (:class:`NotConverged`, :class:`NonFiniteSample`, or
-    a :class:`TrapcavError` that ``f`` raises on its nodes).  Each outcome
-    is bit-identical to the integral's result in a batch of its own.
+    breakpoints.  Each round evaluates, in one call of ``f``, the panels
+    that every unfinished integral needs next, with the halves of the
+    panels it must still split (the module docstring has the rule).
+    Returns one outcome per interval, in order: a :class:`QuadratureResult`,
+    or the exception that integral alone would raise (:class:`NotConverged`,
+    :class:`NonFiniteSample`, or a :class:`TrapcavError` that ``f`` raises
+    on its nodes).  Each outcome is bit-identical to the integral's result
+    in a batch of its own.
     Out-of-order bounds and bad tolerances raise ``ValueError`` for the
     whole batch, and any other exception of ``f`` propagates.
     """
     for lo, hi, _ in intervals:
         if not (hi >= lo):
             raise ValueError(f"integration bounds out of order: [{lo!r}, {hi!r}]")
-    if not (rel_tol > 0.0):
-        raise ValueError(f"rel_tol must be positive, got {rel_tol!r}")
-    if not (abs_tol >= 0.0):
-        raise ValueError(f"abs_tol must be non-negative, got {abs_tol!r}")
+    if not (0.0 < rel_tol < math.inf):
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol!r}")
+    if not (0.0 <= abs_tol < math.inf):
+        raise ValueError(f"abs_tol must be non-negative and finite, got {abs_tol!r}")
 
     outcomes: list = [None] * len(intervals)
     live = []
@@ -336,8 +440,9 @@ def integrate_batch(
             if isinstance(panels, TrapcavError):
                 outcomes[item.owner] = panels
             else:
-                item.absorb(*panels)
-                outcomes[item.owner] = item.step(rel_tol, abs_tol, max_depth, max_panels)
+                outcomes[item.owner] = item.advance(
+                    *panels, rel_tol, abs_tol, max_depth, max_panels
+                )
         live = [item for item in live if outcomes[item.owner] is None]
     return outcomes
 
@@ -358,7 +463,10 @@ def integrate_adaptive(
     for a scalar integrand or (k, n) for k components (a tuple of k arrays
     will do); the value and error estimate then come back as a float or a
     tuple of k floats.  All initial panels are evaluated in one call of
-    ``f``, and both halves of each split in one more.  Convergence means
+    ``f``; each later call evaluates both halves of the split under way and
+    of the worst panels the loop must still split, so a run of splits can
+    take no further call.  ``evaluations`` counts the nodes of the panels
+    the loop used.  Convergence means
     the largest component of the summed panel error estimate is at most
     max(rel_tol * max_i |value_i|, abs_tol), so a component that integrates
     to (nearly) zero is held to the scale of the largest one.  On failure

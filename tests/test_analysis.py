@@ -195,6 +195,11 @@ def test_optimize_rejects_bad_windows(lo, hi, tol):
         optimize_phi(REDUCED, lo, hi, tol=tol)
 
 
+def test_optimize_refuses_infinite_tol():
+    with pytest.raises(ValueError, match="finite"):
+        optimize_phi(REDUCED, 0.1, 0.5, tol=math.inf)
+
+
 def test_optimize_validates_base_spec():
     with pytest.raises(InvalidCavity):
         optimize_phi(CavitySpec(a=-1.0, R=1.0, L=1.0, phi=0.0), 0.05, 0.5)

@@ -241,6 +241,21 @@ def test_tolerance_below_the_error_floor_exits_2(capsys):
     assert f"--tol: must be at least {REL_TOL_FLOOR!r}" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["force", *REDUCED_ARGS, "--tol", "inf"],
+        ["optimize", *REDUCED_ARGS, "--phi-lo-deg", "1", "--phi-hi-deg", "20"]
+        + ["--phi-tol-deg", "inf"],
+    ],
+)
+def test_infinite_tolerance_exits_2(argv, capsys):
+    # the parser refuses it, before any force integral
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "and finite, got 'inf'" in captured.err
+
+
 def test_force_unconverged_exits_1(monkeypatch, capsys):
     spec = CavitySpec(a=1.0, R=10.0, L=1.0, phi=0.0, units=Units.REDUCED)
     stuck = ForceResult(

@@ -155,12 +155,28 @@ def test_each_node_is_evaluated_once(monkeypatch):
     assert fr.converged
     seen = np.concatenate(batches)
     assert len(np.unique(seen)) == len(seen) == fr.evaluations
-    # one call for every initial panel, then one per split (its two halves)
-    initial = len(trapcav.forces._edge_breakpoints(spec)) + 1
+    # the first call holds every initial panel, each in its own gap
+    # between breakpoints
+    edges = [0.0, *sorted(trapcav.forces._edge_breakpoints(spec)), spec.R]
+    initial = len(edges) - 1
     assert initial > 1
+    first = batches[0].reshape(-1, 15)
+    assert len(first) == initial
+    assert all(lo < p.min() and p.max() < hi for lo, hi, p in zip(edges, edges[1:], first))
+    # every later call is a whole number of splits (both halves of each),
+    # with the look-ahead in fewer calls than one per split
     splits = (fr.evaluations - 15 * initial) // 30
-    assert len(batches) == 1 + splits
-    assert [len(b) for b in batches] == [15 * initial] + [30] * splits
+    assert splits > 1
+    assert all(len(b) % 30 == 0 and len(b) > 0 for b in batches[1:])
+    assert len(batches) < 1 + splits
+
+
+def test_infinite_tolerance_is_refused():
+    for rel_tol in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match="rel_tol must be at least"):
+            trapcav.forces.force_batch([REDUCED], rel_tol)
+        with pytest.raises(ValueError):
+            total_forces(REDUCED, rel_tol=rel_tol)
 
 
 def test_evaluations_are_reported(monkeypatch):

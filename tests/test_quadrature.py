@@ -421,6 +421,151 @@ def test_batch_checks_its_arguments():
         integrate_batch(careless, [(0.0, 1.0, ())] * 2)
 
 
+def test_batch_refuses_infinite_tolerances():
+    for kwargs in (dict(rel_tol=math.inf), dict(abs_tol=math.inf), dict(rel_tol=math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            integrate_batch(lambda x, owner: x, [(0.0, 1.0, ())], **kwargs)
+
+
+def without_look_ahead(monkeypatch):
+    # the loop that evaluates only the panels it needs now: one call of the
+    # integrand per split
+    monkeypatch.setattr(trapcav.quadrature._Integral, "_look_ahead", lambda self, *limits: [])
+
+
+def counted(f):
+    # f, and the list of node arrays of its calls
+    calls = []
+
+    def wrapped(*args):
+        calls.append(np.array(args[0]))
+        return f(*args)
+
+    return wrapped, calls
+
+
+def test_look_ahead_stops_at_the_depth_limit():
+    # the loop stops once its worst panel has max_depth halvings; the
+    # look-ahead evaluates no halves beyond that depth
+    f, calls = counted(lambda t: np.sin(3.0 * t))
+    with pytest.raises(NotConverged) as err:
+        integrate_adaptive(f, 0.0, 2.0, rel_tol=1e-14, abs_tol=0.0, max_depth=6)
+    assert err.value.evaluations == 1545
+    assert sum(map(len, calls)) <= 1.05 * err.value.evaluations
+
+
+def panels_of(calls):
+    # the nodes of every panel evaluated, 15 to a panel
+    return {tuple(x[i : i + 15]) for x in calls for i in range(0, len(x), 15)}
+
+
+def test_look_ahead_spends_the_panel_cap_in_few_calls(monkeypatch):
+    # rel_tol lies under the estimate floor of a sign-changing integrand, so
+    # the loop splits until the 10 000-panel cap; the look-ahead evaluates
+    # the panels it must split many at a time, with the same outcome
+    f, calls = counted(lambda t: np.sin(3.0 * t))
+    with pytest.raises(NotConverged) as err:
+        integrate_adaptive(f, 0.0, 2.0, rel_tol=1e-12)
+    stop = err.value
+    assert stop.evaluations == 299_985 and len(calls) <= 200
+    # no panel is evaluated twice, and the look-ahead stays within the
+    # splits left under the cap, so almost none go unused
+    nodes = sum(map(len, calls))
+    assert len(panels_of(calls)) == nodes // 15 and nodes <= 1.01 * stop.evaluations
+    assert math.isclose(stop.value, (1.0 - math.cos(6.0)) / 3.0, rel_tol=1e-12)
+    without_look_ahead(monkeypatch)
+    one_by_one, calls = counted(lambda t: np.sin(3.0 * t))
+    with pytest.raises(NotConverged) as err:
+        integrate_adaptive(one_by_one, 0.0, 2.0, rel_tol=1e-12)
+    assert outcome_key(err.value) == outcome_key(stop) and len(calls) == 10_000
+
+
+def test_a_failing_look_ahead_panel_changes_no_outcome():
+    # the chirp stops at the panel cap with look-ahead halves it never
+    # used; an integrand that raises on one of them gets the outcome of the
+    # loop that never evaluates them
+    chirp = lambda x: np.sin(1e5 * x * x)
+    expect = rescanning_loop(chirp, 0.0, 1.0, max_panels=500)
+    f, calls = counted(chirp)
+    with pytest.raises(NotConverged):
+        integrate_adaptive(f, 0.0, 1.0, max_panels=500)
+    looked, reference_calls = counted(chirp)
+    rescanning_loop(looked, 0.0, 1.0, max_panels=500)
+    # no panel is evaluated twice, though some are evaluated unused
+    assert len(panels_of(calls)) * 15 == sum(map(len, calls))
+    unused = sorted(panels_of(calls) - panels_of(reference_calls))
+    assert unused
+    bad = np.array(unused[len(unused) // 2])
+    raised = []
+
+    def fragile(x):
+        if np.isin(x, bad).any():
+            raised.append(x.size)
+            raise NumericDegeneracy("synthetic failure on a look-ahead panel")
+        return chirp(x)
+
+    with pytest.raises(NotConverged) as err:
+        integrate_adaptive(fragile, 0.0, 1.0, max_panels=500)
+    stop = err.value
+    assert (stop.value, stop.error_estimate, stop.evaluations, False) == expect
+    assert raised
+
+
+def test_look_ahead_batch_matches_lone_integrals(monkeypatch):
+    # converging, capped and depth-limited integrals, one that raises on
+    # its first panel and one that raises on a look-ahead panel it never
+    # uses, all in one batch: each gets its lone outcome, and the loop
+    # without look-ahead gets the same
+    chirp = lambda t: np.sin(1e4 * t * t)
+    kwargs = dict(rel_tol=1e-10, max_depth=20, max_panels=200)
+    f, calls = counted(chirp)
+    lone(f, 0.0, 1.0, **kwargs)
+    with monkeypatch.context() as patch:
+        without_look_ahead(patch)
+        g, needed_calls = counted(chirp)
+        lone(g, 0.0, 1.0, **kwargs)
+    bad = np.array(min(panels_of(calls) - panels_of(needed_calls)))
+    raised = []
+
+    def fragile(t):
+        if np.isin(t, bad).any():
+            raised.append(t.size)
+            raise NumericDegeneracy("synthetic failure on a look-ahead panel")
+        return chirp(t)
+
+    cases = [
+        (lambda t: np.sqrt(t), 0.0, 1.0, ()),
+        (chirp, 0.0, 1.0, ()),
+        (lambda t: np.where(t < 0.3, 1.0, 0.0), 0.0, 1.0, ()),
+        (broken, 0.0, 1.0, ()),
+        (lambda t: np.exp(-t) * np.sin(40.0 * t), 0.0, 3.0, (1.0, 2.0)),
+        (lambda t: np.abs(t - 0.7) ** 0.25, 0.0, 1.0, ()),
+        (fragile, 0.0, 1.0, ()),
+    ]
+    splits = []
+
+    def batched(x, owner):
+        out = np.empty(x.size)
+        for j in np.unique(owner):
+            out[owner == j] = cases[j][0](x[owner == j])
+        splits.append(np.bincount(owner, minlength=len(cases)) // 30)
+        return out
+
+    got = integrate_batch(batched, [case[1:] for case in cases], **kwargs)
+    assert raised
+    expect = [lone(g, lo, hi, points, **kwargs) for g, lo, hi, points in cases]
+    assert [outcome_key(o) for o in got] == [outcome_key(o) for o in expect]
+    assert [type(o) for o in got] == [QuadratureResult, NotConverged, NotConverged] + [
+        NumericDegeneracy, QuadratureResult, NotConverged, NotConverged
+    ]
+    assert outcome_key(got[6]) == outcome_key(got[1])
+    # some call evaluated several splits of one integral
+    assert max(max(s) for s in splits[1:]) > 1
+    without_look_ahead(monkeypatch)
+    one_by_one = integrate_batch(batched, [case[1:] for case in cases], **kwargs)
+    assert [outcome_key(o) for o in one_by_one] == [outcome_key(o) for o in got]
+
+
 def test_error_estimate_is_usually_an_upper_bound():
     # 95 percent coverage over randomized subintervals of known integrals
     rng = random.Random(314159)
