@@ -49,12 +49,14 @@ class NotConverged(TrapcavError):
         value: best integral estimate at the point of giving up.
         error_estimate: summed panel error estimate for that value.
         evaluations: integrand evaluations spent.
+        kernel_calls: calls of the integrand that evaluated its panels.
     """
 
-    def __init__(self, value, error_estimate, evaluations: int) -> None:
+    def __init__(self, value, error_estimate, evaluations: int, kernel_calls: int = 0) -> None:
         self.value = value
         self.error_estimate = error_estimate
         self.evaluations = evaluations
+        self.kernel_calls = kernel_calls
         super().__init__(
             f"quadrature stopped at value={value!r} "
             f"with error estimate {error_estimate!r} after {evaluations} evaluations"

@@ -14,8 +14,8 @@ panels, then the halves of the split under way and of the worst panels its
 loop must still split) go through one call of the kernel
 :func:`~trapcav.kernels.wing_pressures`, with each node's cavity parameters
 gathered from its owner, and no node is evaluated twice.  Every cavity gets
-the same bits, evaluations and outcome as alone, and a cavity whose
-integral fails fails alone.  :func:`total_forces` is the batch of one.
+the same bits, evaluations, kernel calls and outcome as alone, and a cavity
+whose integral fails fails alone.  :func:`total_forces` is the batch of one.
 The z integrand is single-signed and never integrates to zero for a valid
 cavity.  The x integrand changes sign along the wing and at phi = 0
 integrates to exactly zero by symmetry, where no relative target of its own
@@ -51,7 +51,8 @@ class ForceResult:
     ``evaluations`` counts the wing points of the quadrature panels that the
     integral used, whether or not it converged.  Those are the kernel's
     nodes, except when the integral stopped at its panel or depth limit
-    with halves evaluated ahead that it never split.
+    with halves evaluated ahead that it never split.  ``kernel_calls``
+    counts the kernel calls that evaluated them: the rounds of the integral.
     """
 
     spec: CavitySpec
@@ -62,6 +63,7 @@ class ForceResult:
     wing_count: int = 1
     converged: bool = True
     evaluations: int = 0
+    kernel_calls: int = 0
 
 
 @dataclass(frozen=True)
@@ -73,11 +75,13 @@ class PressureProfile:
 
 
 def _edge_breakpoints(spec: CavitySpec) -> list[float]:
+    # a (2^k - 1) and R - a (2^k - 1) below R/2: each panel is about as wide
+    # as its distance to the nearer wing end, plus a
     points = []
     step = spec.a
     while step < 0.5 * spec.R:
         points += [step, spec.R - step]
-        step *= 4.0
+        step = 2.0 * step + spec.a
     return points
 
 
@@ -143,6 +147,7 @@ def _forces(spec: CavitySpec, q, wing_count: int) -> ForceResult | TrapcavError:
         wing_count=wing_count,
         converged=not isinstance(q, NotConverged),
         evaluations=q.evaluations,
+        kernel_calls=q.kernel_calls,
     )
 
 
@@ -152,8 +157,11 @@ def total_forces(spec: CavitySpec, rel_tol: float = 1e-9, *, wing_count: int = 1
     One integral of r -> (p_x, p_z) gives both components.  The pressures
     change on the scale of the gap ``a`` near both wing ends, so on a long
     wing the initial panels are graded towards the ends, meeting at
-    a 4^k and R - a 4^k (a 4^k < R/2); panels spanning the whole wing would
-    never sample those edge regions and could agree on a wrong value.  With
+    a (2^k - 1) and R - a (2^k - 1) (a (2^k - 1) < R/2): each is about as
+    wide as its distance to the nearer end plus ``a``.  Panels spanning the
+    whole wing would never sample those edge regions and could agree on a
+    wrong value; on these, most integrals at rel_tol 1e-9 converge in the
+    kernel call that evaluates them (``kernel_calls`` is 1).  With
     ``wing_count=2`` the x force doubles and the z force cancels exactly
     between the mirror-image wings; nothing is recomputed.  A
     :class:`NotConverged` is absorbed into ``converged=False`` instead of

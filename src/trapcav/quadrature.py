@@ -10,13 +10,16 @@ come back as a float or a tuple of k floats.  All components share the
 panels, and every norm is the max-norm over components: the panel with the
 largest component estimate splits until the largest summed estimate meets
 max(rel_tol * max |value_i|, abs_tol), a panel reaches ``max_depth``
-halvings, or the panel list hits a safety cap.  For a scalar integrand this
+halvings, the panel list hits a safety cap, or the estimate floors of the
+live panels (``REL_TOL_FLOOR`` times each one's integral of |f|, which no
+split lowers much) alone sum past that target.  For a scalar integrand this
 is the plain rule |error| <= max(rel_tol * |value|, abs_tol).
 
-Each integral sums its live panels' values and estimates exactly, as
-integers in units of 2**-1074, and every test and result rounds those sums
-once: a result is the ``math.fsum`` of its final panels, whatever the order
-in which they were made.
+Every test and result rounds the exact sums of the live panels' values and
+estimates once: a result is the ``math.fsum`` of its final panels, whatever
+the order in which they were made.  The first test, on the initial panels,
+sums them with ``math.fsum``; an integral that must split keeps its sums
+exactly from then on, as integers in units of 2**-1074.
 
 The loop splits one panel per step, always the worst (QUADPACK's QAG
 order), but it evaluates panels ahead of that order.  When a step needs
@@ -119,13 +122,16 @@ class QuadratureResult:
     """Integral value with its error estimate and cost accounting.
 
     ``value`` and ``error_estimate`` have the integrand's shape: floats, or
-    tuples of floats of the integrand's length.
+    tuples of floats of the integrand's length.  ``evaluations`` counts the
+    nodes of the panels used, ``kernel_calls`` the calls of the integrand
+    that evaluated its panels, the same in a batch as alone.
     """
 
     value: Value
     error_estimate: Value
     evaluations: int
     converged: bool
+    kernel_calls: int = 0
     method: str = "gauss-kronrod-7-15"
 
 
@@ -172,15 +178,17 @@ def _rounded(total: int) -> float:
         return math.inf if total > 0 else -math.inf
 
 
-def _gk15(f: Integrand, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+def _gk15(f: Integrand, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss-Kronrod panels [lo_i, hi_i], all nodes in one call of ``f``.
 
     ``lo`` and ``hi`` are 1-D arrays of m panel edges, ``lo <= hi``; ``f``
-    gets the 15 m nodes panel after panel.  Returns (value, error estimate)
-    arrays of shape (m,) for a scalar integrand and (m, k) for one of k
-    components.  Raises :class:`NonFiniteSample` at the first node where
-    any component is NaN or infinite, or else at the center of the first
-    panel whose value or estimate overflows.
+    gets the 15 m nodes panel after panel.  Returns (value, error estimate,
+    estimate floor) arrays of shape (m,) for a scalar integrand and (m, k)
+    for one of k components; the floor, ``REL_TOL_FLOOR`` times the
+    panel's integral of ``|f|``, is the least estimate the panel can have.
+    Raises :class:`NonFiniteSample` at the first node where any component
+    is NaN or infinite, or else at the center of the first panel whose
+    value or estimate overflows.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -192,20 +200,21 @@ def _gk15(f: Integrand, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(fv).all():
         j = int(np.argmin(np.isfinite(fv).reshape(-1, xs.size).all(axis=0)))
         raise NonFiniteSample(float(xs[j]), _shaped(fv[..., j]))
-    value, err = _rules(fv.reshape(fv.shape[:-1] + (lo.size, 15)), half)
+    value, err, floor = _rules(fv.reshape(fv.shape[:-1] + (lo.size, 15)), half)
     finite = np.isfinite(value) & np.isfinite(err)
     if not finite.all():
         j = int(np.argmin(finite.reshape(lo.size, -1).all(axis=1)))
         bad = value[j] if not np.isfinite(value[j]).all() else err[j]
         raise NonFiniteSample(float(0.5 * (lo[j] + hi[j])), _shaped(bad))
-    return value, err
+    return value, err, floor
 
 
 # finite samples can still overflow a panel's sums, and _gk15 names such a
 # panel, so numpy need not warn about it
 @np.errstate(over="ignore", invalid="ignore")
-def _rules(fv: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Value and error estimate of sampled panels, shape (m, 15) or (k, m, 15).
+def _rules(fv: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Value, error estimate and its floor of sampled panels, shape (m, 15)
+    or (k, m, 15).
 
     Returns arrays of shape (m,) or (m, k), panels first.
     """
@@ -220,7 +229,8 @@ def _rules(fv: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inflate = (resasc != 0.0) & (err != 0.0)
     ratio = 200.0 * err / np.where(inflate, resasc, 1.0)
     err = np.where(inflate, resasc * np.minimum(1.0, ratio**1.5), err)
-    return (resk * half).T, np.maximum(err, REL_TOL_FLOOR * resabs).T
+    floor = REL_TOL_FLOOR * resabs
+    return (resk * half).T, np.maximum(err, floor).T, floor.T
 
 
 def _shaped(a) -> Value:
@@ -229,17 +239,35 @@ def _shaped(a) -> Value:
     return tuple(out) if isinstance(out, list) else out
 
 
+def _plus(total: list[int], rows) -> list[int]:
+    # per component, the total plus the exact units of every row of k floats
+    return [t + sum(map(_fixed, c)) for t, c in zip(total, zip(*rows))]
+
+
+def _minus(total: list[int], row: list[float]) -> list[int]:
+    # per component, the total less the exact units of one row of k floats
+    return [t - _fixed(x) for t, x in zip(total, row)]
+
+
+def _target(value: list[float], rel_tol: float, abs_tol: float) -> float:
+    # the bound on every component's summed estimate
+    return max(rel_tol * max(map(abs, value)), abs_tol)
+
+
 class _Integral:
     """One integral of a batch: its panel heap, exact totals and counts."""
 
     def __init__(self, owner: int, edges: list[float]) -> None:
         self.owner = owner
         self.center = 0.5 * (edges[0] + edges[-1])
-        # the live panels as (-max err, lo, hi, values, errs, depth), values
-        # and errs as lists of k floats: the top is the leftmost worst panel,
-        # and lo tells panels apart, so ties do not reach the lists
+        # the live panels as (-max err, lo, hi, values, errs, floors, depth),
+        # values, errs and floors as lists of k floats: the top is the
+        # leftmost worst panel, and lo tells panels apart, so ties do not
+        # reach the lists
         self.heap: list[tuple] = []
         self.evaluations = 0
+        # the calls of the integrand that evaluated its panels
+        self.kernel_calls = 0
         # the panels to add next, as (lo, hi), and their depth: the initial
         # panels, then the two halves of each split
         self.todo = list(zip(edges[:-1], edges[1:]))
@@ -247,7 +275,7 @@ class _Integral:
         # the panels for the next call of the integrand: those of todo, then
         # the look-ahead halves
         self.pending = self.todo
-        # evaluated look-ahead halves, (lo, hi) -> (values, errs)
+        # evaluated look-ahead halves, (lo, hi) -> (values, errs, floors)
         self.ready: dict = {}
         # whether the integrand has a component axis, told by each call
         self.vector = False
@@ -256,6 +284,7 @@ class _Integral:
         self,
         values: list[list[float]],
         errs: list[list[float]],
+        floors: list[list[float]],
         rel_tol: float,
         abs_tol: float,
         max_depth: int,
@@ -263,37 +292,64 @@ class _Integral:
     ) -> QuadratureResult | TrapcavError | None:
         """Take the evaluated pending panels, then step while the next are ready.
 
-        ``values`` and ``errs`` hold k floats per pending panel.  Returns
-        the outcome once the integral has finished, or None after setting
-        the pending panels: the panels to add, then the look-ahead.
+        ``values``, ``errs`` and ``floors`` hold k floats per pending panel.
+        Returns the outcome once the integral has finished, or None after
+        setting the pending panels: the panels to add, then the look-ahead.
         """
         n = len(self.todo)
         ready = self.ready
         if len(values) > n:
-            ready.update(zip(self.pending[n:], zip(values[n:], errs[n:])))
-            del values[n:], errs[n:]
+            ready.update(zip(self.pending[n:], zip(values[n:], errs[n:], floors[n:])))
+            del values[n:], errs[n:], floors[n:]
+        if not self.evaluations:
+            outcome = self._initial_test(values, errs, rel_tol, abs_tol)
+            if outcome is not None:
+                return outcome
         while True:
-            self._add(values, errs)
+            self._add(values, errs, floors)
             outcome = self._step(rel_tol, abs_tol, max_depth, max_panels)
             if outcome is not None:
                 return outcome
             if not (ready and all(map(ready.__contains__, self.todo))):
                 break
-            values, errs = zip(*map(ready.pop, self.todo))
+            values, errs, floors = zip(*map(ready.pop, self.todo))
         self.pending = self.todo + self._look_ahead(max_depth, max_panels)
         return None
 
-    def _add(self, values: list[list[float]], errs: list[list[float]]) -> None:
-        # the panels of todo, with these values and estimates, join the heap
-        # and the totals
-        for (lo, hi), v, e in zip(self.todo, values, errs):
-            heapq.heappush(self.heap, (-max(e), lo, hi, v, e, self.depth))
+    def _initial_test(
+        self, values: list[list[float]], errs: list[list[float]], rel_tol: float, abs_tol: float
+    ) -> QuadratureResult | None:
+        # the first convergence test, on the initial panels summed by
+        # math.fsum, which rounds once as the exact totals do: an integral
+        # that converges here never builds them.  An intermediate overflow
+        # leaves the test to them.
+        try:
+            value = [math.fsum(c) for c in zip(*values)]
+            err = [math.fsum(c) for c in zip(*errs)]
+        except OverflowError:
+            return None
+        if max(err) > _target(value, rel_tol, abs_tol):
+            return None
+        return QuadratureResult(
+            self._value(value), self._value(err), 15 * len(values), True, self.kernel_calls
+        )
+
+    def _add(
+        self, values: list[list[float]], errs: list[list[float]], floors: list[list[float]]
+    ) -> None:
+        # the panels of todo, with these values, estimates and floors, join
+        # the heap and the totals
+        for (lo, hi), v, e, fl in zip(self.todo, values, errs, floors):
+            heapq.heappush(self.heap, (-max(e), lo, hi, v, e, fl, self.depth))
         if not self.evaluations:
             # per component, the exact sums of the live panels' values and
-            # estimates, in units of 2**-1074
+            # estimates, in units of 2**-1074, and the float sum of their
+            # estimate floors, which only tells when to give up
             self.total = self.total_err = [0] * len(values[0])
-        self.total = [t + sum(map(_fixed, c)) for t, c in zip(self.total, zip(*values))]
-        self.total_err = [t + sum(map(_fixed, c)) for t, c in zip(self.total_err, zip(*errs))]
+            self.floor = [0.0] * len(values[0])
+        self.total = _plus(self.total, values)
+        self.total_err = _plus(self.total_err, errs)
+        self.floor = [t + sum(c) for t, c in zip(self.floor, zip(*floors))]
         self.evaluations += 15 * len(values)
 
     def _step(
@@ -307,15 +363,24 @@ class _Integral:
             if not all(map(math.isfinite, sums)):
                 # finite panels whose total lies beyond the float range
                 return NonFiniteSample(self.center, self._value(sums))
-        self.target = max(rel_tol * max(map(abs, value)), abs_tol)
+        self.target = _target(value, rel_tol, abs_tol)
         if max(err) <= self.target:
-            return QuadratureResult(self._value(value), self._value(err), self.evaluations, True)
-        _, p_lo, p_hi, values, errs, depth = self.heap[0]
-        if depth >= max_depth or len(self.heap) >= max_panels:
-            return NotConverged(self._value(value), self._value(err), self.evaluations)
+            return QuadratureResult(
+                self._value(value), self._value(err), self.evaluations, True, self.kernel_calls
+            )
+        _, p_lo, p_hi, values, errs, floors, depth = self.heap[0]
+        # each estimate is at least its floor, and the halves' integrals of
+        # |f| sum to about their parent's: once the floors alone exceed the
+        # target, splitting cannot meet it
+        stuck = max(self.floor) > self.target
+        if stuck or depth >= max_depth or len(self.heap) >= max_panels:
+            return NotConverged(
+                self._value(value), self._value(err), self.evaluations, self.kernel_calls
+            )
         heapq.heappop(self.heap)
-        self.total = [t - _fixed(v) for t, v in zip(self.total, values)]
-        self.total_err = [t - _fixed(e) for t, e in zip(self.total_err, errs)]
+        self.total = _minus(self.total, values)
+        self.total_err = _minus(self.total_err, errs)
+        self.floor = [t - x for t, x in zip(self.floor, floors)]
         mid = 0.5 * (p_lo + p_hi)
         self.todo = [(p_lo, mid), (mid, p_hi)]
         self.depth = depth + 1
@@ -343,12 +408,12 @@ class _Integral:
         # left is the exact sum of the estimates of those not taken, so it
         # meets the target before the heap runs out
         while room > 0 and _rounded(max(left)) > self.target:
-            _, lo, hi, _, errs, depth = heapq.heappop(heap)
+            _, lo, hi, _, errs, _, depth = heapq.heappop(heap)
             if depth >= max_depth:
                 break
             mid = 0.5 * (lo + hi)
             halves += [half for half in ((lo, mid), (mid, hi)) if half not in self.ready]
-            left = [t - _fixed(e) for t, e in zip(left, errs)]
+            left = _minus(left, errs)
             room -= 1
         return halves
 
@@ -356,18 +421,19 @@ class _Integral:
 def _evaluate(f: BatchIntegrand, batch: list[_Integral]) -> list:
     """Every integral's pending panels in one call of ``f``.
 
-    Returns, per integral, the (values, errors) of its pending panels, as
-    lists of k floats per panel, or the exception that the panels it needs
-    now raise, and tells each integral whether ``f`` is a vector integrand.
-    When the batched call raises, each integral of a batch of several is
-    evaluated alone, so an error stays with its integral, and a lone
-    integral is evaluated again without its look-ahead, so a look-ahead
-    panel cannot change an outcome.
+    Returns, per integral, the (values, errors, floors) of its pending
+    panels, as lists of k floats per panel, or the exception that the panels
+    it needs now raise, and tells each integral whether ``f`` is a vector
+    integrand and that the call evaluated its panels.  When the batched
+    call raises, each integral of a batch of several is evaluated alone, so
+    an error stays with its integral, and a lone integral is evaluated
+    again without its look-ahead, so a look-ahead panel cannot change an
+    outcome; a call that raised counts for no integral's ``kernel_calls``.
     """
     p_lo, p_hi = zip(*[panel for item in batch for panel in item.pending])
     owner = np.array([item.owner for item in batch for _ in item.pending]).repeat(15)
     try:
-        values, errs = _gk15(lambda x: f(x, owner), p_lo, p_hi)
+        values, errs, floors = _gk15(lambda x: f(x, owner), p_lo, p_hi)
     except TrapcavError as err:
         if len(batch) > 1:
             return [_evaluate(f, [item])[0] for item in batch]
@@ -378,12 +444,13 @@ def _evaluate(f: BatchIntegrand, batch: list[_Integral]) -> list:
         return _evaluate(f, batch)
     vector = values.ndim > 1
     m = len(values)
-    values, errs = values.reshape(m, -1).tolist(), errs.reshape(m, -1).tolist()
+    values, errs, floors = (a.reshape(m, -1).tolist() for a in (values, errs, floors))
     out, start = [], 0
     for item in batch:
         item.vector = vector
+        item.kernel_calls += 1
         stop = start + len(item.pending)
-        out.append((values[start:stop], errs[start:stop]))
+        out.append((values[start:stop], errs[start:stop], floors[start:stop]))
         start = stop
     return out
 
@@ -410,12 +477,15 @@ def integrate_batch(
     :class:`NonFiniteSample`, or a :class:`TrapcavError` that ``f`` raises
     on its nodes).  Each outcome is bit-identical to the integral's result
     in a batch of its own.
-    Out-of-order bounds and bad tolerances raise ``ValueError`` for the
-    whole batch, and any other exception of ``f`` propagates.
+    Out-of-order bounds, bounds of infinite width and bad tolerances raise
+    ``ValueError`` for the whole batch, and any other exception of ``f``
+    propagates.
     """
     for lo, hi, _ in intervals:
         if not (hi >= lo):
             raise ValueError(f"integration bounds out of order: [{lo!r}, {hi!r}]")
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"integration bounds must have a finite width: [{lo!r}, {hi!r}]")
     if not (0.0 < rel_tol < math.inf):
         raise ValueError(f"rel_tol must be positive and finite, got {rel_tol!r}")
     if not (0.0 <= abs_tol < math.inf):
@@ -466,12 +536,13 @@ def integrate_adaptive(
     ``f``; each later call evaluates both halves of the split under way and
     of the worst panels the loop must still split, so a run of splits can
     take no further call.  ``evaluations`` counts the nodes of the panels
-    the loop used.  Convergence means
+    the loop used, and ``kernel_calls`` the calls of ``f`` that evaluated
+    them.  Convergence means
     the largest component of the summed panel error estimate is at most
     max(rel_tol * max_i |value_i|, abs_tol), so a component that integrates
     to (nearly) zero is held to the scale of the largest one.  On failure
     raises :class:`NotConverged` carrying the best value, its estimate, and
-    the evaluation count.  ``max_panels`` is a safety valve against
+    both counts.  ``max_panels`` is a safety valve against
     integrands whose error estimates never shrink anywhere.  An empty
     interval integrates to zero in the integrand's shape; ``f`` is called
     once on the single node ``lo`` to learn that shape, and no evaluation
@@ -490,7 +561,10 @@ def integrate_adaptive(
     total beyond the float range raises :class:`NonFiniteSample` at its
     center.  Each estimate is at least :data:`REL_TOL_FLOOR` (1.11e-14) of
     the integral of ``|f|``, so a smaller ``rel_tol`` is met only through
-    ``abs_tol``.  This is :func:`integrate_batch` on one interval.
+    ``abs_tol``, and the loop stops unconverged once those floors, summed
+    over the live panels, exceed the target.  Bounds whose width ``hi -
+    lo`` is not finite raise ``ValueError``.  This is
+    :func:`integrate_batch` on one interval.
     """
     (outcome,) = integrate_batch(
         lambda x, owner: f(x), [(lo, hi, points)], rel_tol, abs_tol, max_depth, max_panels

@@ -131,14 +131,14 @@ def test_tolerance_below_the_error_floor_fails_fast(monkeypatch):
 
 def test_non_convergence_is_absorbed(monkeypatch):
     def always_stops(f, intervals, **kwargs):
-        return [NotConverged((-0.5, -1.23), (0.01, 0.05), 77) for _ in intervals]
+        return [NotConverged((-0.5, -1.23), (0.01, 0.05), 77, 3) for _ in intervals]
 
     monkeypatch.setattr(trapcav.forces, "integrate_batch", always_stops)
     fr = total_forces(reduced_at(1.0))
     assert not fr.converged
     assert fr.f_x == -0.5 and fr.f_z == -1.23
     assert fr.err_x == 0.01 and fr.err_z == 0.05
-    assert fr.evaluations == 77
+    assert fr.evaluations == 77 and fr.kernel_calls == 3
 
 
 def test_each_node_is_evaluated_once(monkeypatch):
@@ -151,8 +151,8 @@ def test_each_node_is_evaluated_once(monkeypatch):
 
     monkeypatch.setattr(trapcav.forces, "wing_pressures", counting)
     spec = replace(reduced_at(1.0), R=1e3)
-    fr = total_forces(spec)
-    assert fr.converged
+    fr = total_forces(spec, rel_tol=1e-12)
+    assert fr.converged and fr.kernel_calls == len(batches)
     seen = np.concatenate(batches)
     assert len(np.unique(seen)) == len(seen) == fr.evaluations
     # the first call holds every initial panel, each in its own gap
@@ -171,6 +171,38 @@ def test_each_node_is_evaluated_once(monkeypatch):
     assert len(batches) < 1 + splits
 
 
+def test_most_integrals_take_one_kernel_call():
+    # the initial panels are graded to the gap, so at rel_tol 1e-9 nine in
+    # ten integrals of an even grid over eight decades of R/a converge on
+    # them, in the kernel call that evaluates them
+    specs = [
+        replace(REDUCED, R=float(ratio), phi=phi)
+        for ratio in 10.0 ** np.linspace(-3.0, 5.0, 161)
+        for phi in (0.0, 1e-4, 1e-2, 0.1, 0.4, 0.78)
+    ]
+    results = trapcav.forces.force_batch(specs, 1e-9)
+    assert all(fr.converged for fr in results)
+    calls = [fr.kernel_calls for fr in results]
+    assert min(calls) == 1 and sum(c == 1 for c in calls) >= 0.9 * len(calls)
+    # a lone call of each kind makes as many kernel calls as its batch row
+    for k in (0, len(specs) // 2, len(specs) - 1):
+        assert total_forces(specs[k]) == results[k]
+
+
+@pytest.mark.parametrize("phi", [0.0, 1e-3, 0.3, 0.78])
+def test_graded_mesh_matches_a_tight_run(phi):
+    # over eight decades of R/a, a 1e-12 integral lies within 1e-11 |f_z| of
+    # one at 2e-14 (which, at phi = 0 and R/a 100 and 1000, stops at the
+    # panel cap with an estimate near 1e-13 |f_z|)
+    specs = [replace(REDUCED, R=10.0**k, phi=phi) for k in range(-3, 6)]
+    coarse = trapcav.forces.force_batch(specs, 1e-12)
+    fine = trapcav.forces.force_batch(specs, 2e-14)
+    for c, f in zip(coarse, fine):
+        assert c.converged and f.err_z <= 1e-12 * abs(f.f_z)
+        assert abs(c.f_z - f.f_z) <= 1e-11 * abs(f.f_z)
+        assert abs(c.f_x - f.f_x) <= 1e-11 * abs(f.f_z)
+
+
 def test_infinite_tolerance_is_refused():
     for rel_tol in (math.inf, -math.inf):
         with pytest.raises(ValueError, match="rel_tol must be at least"):
@@ -184,13 +216,13 @@ def test_evaluations_are_reported(monkeypatch):
     assert fr.converged and fr.evaluations > 15 and fr.evaluations % 15 == 0
     assert total_forces(reduced_at(1.0), wing_count=2).evaluations == fr.evaluations
     # an integral that stops still reports what it spent: 5 initial panels
-    # (breakpoints 1, 4, 6, 9) and 15 splits up to a cap of 20, at a
-    # tolerance below the error floor, which force_batch itself refuses
+    # (breakpoints 1, 3, 7, 9) and 3 splits up to a cap of 8, in two calls
     real = trapcav.forces.integrate_batch
-    capped = lambda f, intervals, rel_tol: real(f, intervals, rel_tol=1e-16, max_panels=20)
+    capped = lambda f, intervals, rel_tol: real(f, intervals, rel_tol=1.2e-14, max_panels=8)
     monkeypatch.setattr(trapcav.forces, "integrate_batch", capped)
     short = total_forces(reduced_at(1.0))
-    assert not short.converged and short.evaluations == 15 * 5 + 30 * 15
+    assert not short.converged and short.evaluations == 15 * 5 + 30 * 3
+    assert short.kernel_calls == 2
 
 
 def test_matches_trapezoid_over_dense_profile():

@@ -80,10 +80,10 @@ def test_adaptive_rejects_misshapen_integrands(f):
 
 
 def test_adaptive_reports_failure_with_best_value():
-    # a step cannot be resolved to 1e-14 with only 5 halvings
+    # a step cannot be resolved to 1e-13 with only 5 halvings
     step = lambda x: np.where(x < 0.3, 1.0, 0.0)
     with pytest.raises(NotConverged) as err:
-        integrate_adaptive(step, 0.0, 1.0, rel_tol=1e-14, max_depth=5)
+        integrate_adaptive(step, 0.0, 1.0, rel_tol=1e-13, max_depth=5)
     assert 0.25 < err.value.value < 0.35
     assert err.value.error_estimate > 0.0
     assert err.value.evaluations > 15
@@ -109,7 +109,7 @@ def test_adaptive_breakpoints_seed_the_panels():
 def test_adaptive_panel_cap():
     step = lambda x: np.where(x < 0.3, 1.0, 0.0)
     with pytest.raises(NotConverged) as err:
-        integrate_adaptive(step, 0.0, 1.0, rel_tol=1e-14, max_panels=8)
+        integrate_adaptive(step, 0.0, 1.0, rel_tol=1e-13, max_panels=8)
     # 7 splits from one seed panel: 15 panels of 15 samples each
     assert 15 < err.value.evaluations <= 15 * 15
 
@@ -216,10 +216,11 @@ def test_gk15_matches_loop_reference():
     for f, g in zip(GK15_CASES, GK15_CASES[1:]):
         for lo, hi in GK15_PANELS:
             refs = [gk15_loop(h, lo, hi) for h in (f, g)]
-            (value,), (err,) = _gk15(lambda t: (f(t), g(t)), [lo], [hi])
-            for v, e, (rv, re, ra) in zip(value, err, refs):
+            (value,), (err,), (floor,) = _gk15(lambda t: (f(t), g(t)), [lo], [hi])
+            for v, e, fl, (rv, re, ra) in zip(value, err, floor, refs):
                 assert abs(v - rv) <= 4.0 * _EPS * ra
                 assert math.isclose(e, re, rel_tol=1e-4)
+                assert math.isclose(fl, 50.0 * _EPS * ra, rel_tol=1e-14) and fl <= e
 
 
 def test_gk15_batch_matches_single_panels():
@@ -227,24 +228,24 @@ def test_gk15_batch_matches_single_panels():
     # own gives: every panel is reduced on its own, whatever the batch
     los, his = zip(*GK15_PANELS)
     for f in GK15_CASES:
-        values, errs = _gk15(f, los, his)
-        assert values.shape == errs.shape == (len(los),)
-        for v, e, lo, hi in zip(values, errs, los, his):
-            (single_v,), (single_e,) = _gk15(f, [lo], [hi])
-            assert v == single_v and e == single_e
-    pairs, pair_errs = _gk15(lambda t: (np.sin(t), np.exp(t)), los, his)
-    assert pairs.shape == pair_errs.shape == (len(los), 2)
+        values, errs, floors = _gk15(f, los, his)
+        assert values.shape == errs.shape == floors.shape == (len(los),)
+        for v, e, fl, lo, hi in zip(values, errs, floors, los, his):
+            (single_v,), (single_e,), (single_fl,) = _gk15(f, [lo], [hi])
+            assert v == single_v and e == single_e and fl == single_fl
+    pairs, pair_errs, pair_floors = _gk15(lambda t: (np.sin(t), np.exp(t)), los, his)
+    assert pairs.shape == pair_errs.shape == pair_floors.shape == (len(los), 2)
     # random panels in batches of every size up to 64, two components
     rng = np.random.default_rng(11)
     lo = rng.uniform(-3.0, 3.0, 64)
     hi = lo + rng.uniform(1e-6, 2.0, 64)
     f = lambda t: (np.sin(3.0 * t) * np.exp(t), 1.0 / (1.0 + t * t))
-    values, errs = _gk15(f, lo, hi)
+    whole = _gk15(f, lo, hi)
     for m in range(1, 65):
         start = int(rng.integers(0, 65 - m))
         part = _gk15(f, lo[start : start + m], hi[start : start + m])
-        assert np.array_equal(part[0], values[start : start + m])
-        assert np.array_equal(part[1], errs[start : start + m])
+        for got, expect in zip(part, whole):
+            assert np.array_equal(got, expect[start : start + m])
 
 
 def test_gk15_names_the_first_non_finite_node_of_a_batch():
@@ -271,26 +272,30 @@ def rescanning_loop(f, lo, hi, rel_tol=1e-9, max_depth=50, max_panels=10_000):
     """The panel loop without heap or exact totals, for a scalar integrand.
 
     After every split it re-sums all panels with ``math.fsum`` and rescans
-    them for the worst (largest error, leftmost among equals).  Returns
-    (value, error estimate, evaluations, converged).
+    them for the worst (largest error, leftmost among equals).  It stops
+    unconverged at ``max_depth``, at ``max_panels``, or once the panels'
+    estimate floors sum past the target.  Returns (value, error estimate,
+    evaluations, converged).
     """
-    values, errs = _gk15(f, [lo], [hi])
-    panels = [(lo, hi, values[0], errs[0], 0)]
+    values, errs, floors = _gk15(f, [lo], [hi])
+    panels = [(lo, hi, values[0], errs[0], floors[0], 0)]
     evaluations = 15
     while True:
         total = math.fsum(p[2] for p in panels)
         total_err = math.fsum(p[3] for p in panels)
-        if total_err <= rel_tol * abs(total):
+        target = rel_tol * abs(total)
+        if total_err <= target:
             return total, total_err, evaluations, True
         worst = max(range(len(panels)), key=lambda i: (panels[i][3], -panels[i][0]))
-        p_lo, p_hi, _, _, depth = panels[worst]
-        if depth >= max_depth or len(panels) >= max_panels:
+        p_lo, p_hi, _, _, _, depth = panels[worst]
+        stuck = math.fsum(p[4] for p in panels) > target
+        if stuck or depth >= max_depth or len(panels) >= max_panels:
             return total, total_err, evaluations, False
         mid = 0.5 * (p_lo + p_hi)
-        values, errs = _gk15(f, [p_lo, mid], [mid, p_hi])
+        values, errs, floors = _gk15(f, [p_lo, mid], [mid, p_hi])
         panels[worst : worst + 1] = [
-            (p_lo, mid, values[0], errs[0], depth + 1),
-            (mid, p_hi, values[1], errs[1], depth + 1),
+            (p_lo, mid, values[0], errs[0], floors[0], depth + 1),
+            (mid, p_hi, values[1], errs[1], floors[1], depth + 1),
         ]
         evaluations += 30
 
@@ -375,6 +380,11 @@ def test_batch_outcomes_match_lone_integrals():
     got = integrate_batch(f, [case[1:] for case in cases], **kwargs)
     expect = [lone(g, lo, hi, points, **kwargs) for g, lo, hi, points in cases]
     assert [outcome_key(o) for o in got] == [outcome_key(o) for o in expect]
+    # the calls that evaluated each integral's panels: those of its lone run,
+    # though the batched calls that met a NaN or a raise were made again
+    calls_of = lambda outcomes: [getattr(o, "kernel_calls", None) for o in outcomes]
+    assert calls_of(got) == calls_of(expect)
+    assert got[0].kernel_calls > 1 and got[4].kernel_calls == 0
     assert isinstance(got[1], NonFiniteSample) and isinstance(got[3], NotConverged)
     assert isinstance(got[6], NumericDegeneracy)
     assert isinstance(got[0], QuadratureResult) and got[4].evaluations == 0
@@ -427,6 +437,78 @@ def test_batch_refuses_infinite_tolerances():
             integrate_batch(lambda x, owner: x, [(0.0, 1.0, ())], **kwargs)
 
 
+def test_batch_refuses_bounds_of_infinite_width():
+    # a width beyond the float range would put infinite or NaN nodes
+    # before the integrand
+    calls = []
+
+    def f(x, owner):
+        calls.append(x)
+        return np.ones_like(x)
+
+    for lo, hi in ((-1e308, 1e308), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="finite width"):
+            integrate_batch(f, [(0.0, 1.0, ()), (lo, hi, ())])
+        with pytest.raises(ValueError, match="finite width"):
+            integrate_adaptive(np.ones_like, lo, hi)
+    assert calls == []
+
+
+def test_an_integral_stops_once_its_floors_exceed_the_target():
+    # |sin 3t| integrates to about 100 times |sin 3t| over [0, 2], so the
+    # estimate floors alone, 50 eps of that, exceed a 1e-12 target: the loop
+    # stops with the reference loop's outcome, not at the panel cap
+    wave = lambda t: np.sin(3.0 * t)
+    f, calls = counted(wave)
+    with pytest.raises(NotConverged) as err:
+        integrate_adaptive(f, 0.0, 2.0, rel_tol=1e-12, abs_tol=0.0)
+    stop = err.value
+    assert (stop.value, stop.error_estimate, stop.evaluations, False) == rescanning_loop(
+        wave, 0.0, 2.0, 1e-12
+    )
+    assert stop.evaluations < 1000 and stop.kernel_calls == len(calls) == 1
+    assert math.isclose(stop.value, (1.0 - math.cos(6.0)) / 3.0, rel_tol=1e-6)
+    # ten times the target lies above the floors, and the loop meets it
+    q = integrate_adaptive(wave, 0.0, 2.0, rel_tol=1e-11, abs_tol=0.0)
+    assert q.converged and math.isclose(q.value, (1.0 - math.cos(6.0)) / 3.0, rel_tol=1e-11)
+
+
+def bits(outcome):
+    # outcome_key with the exact bits of every float and the call count
+    return repr(outcome_key(outcome)), outcome.kernel_calls
+
+
+def test_initial_sums_match_the_exact_totals(monkeypatch):
+    # integrals that converge on their initial panels are summed by fsum,
+    # with the bits the exact totals give them
+    cases = [
+        (np.sin, 0.0, 1.0, ()),
+        (np.exp, -1.0, 3.0, (0.0, 1.0, 2.0)),
+        (lambda t: (np.sin(t), np.cos(t)), 0.0, 2.0 * math.pi, (math.pi,)),
+        (lambda t: 1e-300 * np.cos(t), 0.0, 1.0, (0.1, 0.2, 0.7)),
+        (lambda t: (t - 1.5) ** 3, 0.0, 3.0, (1.0, 1.5, 2.0)),
+        (lambda t: (-np.ones_like(t), 0.5 * t), 0.0, 1.0, (0.5,)),
+    ]
+    fast = [lone(f, lo, hi, points, abs_tol=1e-13) for f, lo, hi, points in cases]
+    assert all(q.converged and q.kernel_calls == 1 for q in fast)
+    monkeypatch.setattr(trapcav.quadrature._Integral, "_initial_test", lambda self, *args: None)
+    exact = [lone(f, lo, hi, points, abs_tol=1e-13) for f, lo, hi, points in cases]
+    assert list(map(bits, fast)) == list(map(bits, exact))
+
+
+def test_an_intermediate_overflow_of_fsum_leaves_the_sums_to_the_exact_totals():
+    # fsum gives up on 0.8e308 + 0.8e308 + 0.8e308, though the sum of the
+    # four panels, 1.6e308, is a float
+    f = lambda t: np.where(t < 3.0, 0.8e308, -0.8e308)
+    values, _, _ = _gk15(f, [0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(OverflowError):
+        math.fsum(values)
+    q = integrate_adaptive(f, 0.0, 4.0, points=(1.0, 2.0, 3.0))
+    assert q.converged and q.value == _rounded(sum(map(_fixed, values.tolist())))
+    assert math.isclose(q.value, 1.6e308, rel_tol=1e-14)
+    assert (q.evaluations, q.kernel_calls) == (60, 1)
+
+
 def without_look_ahead(monkeypatch):
     # the loop that evaluates only the panels it needs now: one call of the
     # integrand per split
@@ -446,12 +528,14 @@ def counted(f):
 
 def test_look_ahead_stops_at_the_depth_limit():
     # the loop stops once its worst panel has max_depth halvings; the
-    # look-ahead evaluates no halves beyond that depth
-    f, calls = counted(lambda t: np.sin(3.0 * t))
+    # look-ahead evaluates no halves beyond that depth, although no panel
+    # of that depth resolves the chirp
+    f, calls = counted(lambda t: np.sin(1e5 * t * t))
     with pytest.raises(NotConverged) as err:
-        integrate_adaptive(f, 0.0, 2.0, rel_tol=1e-14, abs_tol=0.0, max_depth=6)
-    assert err.value.evaluations == 1545
+        integrate_adaptive(f, 0.0, 1.0, max_depth=6)
+    assert err.value.evaluations == 1875
     assert sum(map(len, calls)) <= 1.05 * err.value.evaluations
+    assert err.value.kernel_calls == len(calls)
 
 
 def panels_of(calls):
@@ -460,24 +544,27 @@ def panels_of(calls):
 
 
 def test_look_ahead_spends_the_panel_cap_in_few_calls(monkeypatch):
-    # rel_tol lies under the estimate floor of a sign-changing integrand, so
-    # the loop splits until the 10 000-panel cap; the look-ahead evaluates
-    # the panels it must split many at a time, with the same outcome
-    f, calls = counted(lambda t: np.sin(3.0 * t))
+    # some 6400 oscillations, each resolved to 1e-12, need more panels than
+    # the 10 000-panel cap; the look-ahead evaluates the panels the loop
+    # must split many at a time, with the same outcome
+    wave = lambda t: 1.0 + np.sin(2e4 * t)
+    f, calls = counted(wave)
     with pytest.raises(NotConverged) as err:
         integrate_adaptive(f, 0.0, 2.0, rel_tol=1e-12)
     stop = err.value
     assert stop.evaluations == 299_985 and len(calls) <= 200
+    assert stop.kernel_calls == len(calls)
     # no panel is evaluated twice, and the look-ahead stays within the
     # splits left under the cap, so almost none go unused
     nodes = sum(map(len, calls))
     assert len(panels_of(calls)) == nodes // 15 and nodes <= 1.01 * stop.evaluations
-    assert math.isclose(stop.value, (1.0 - math.cos(6.0)) / 3.0, rel_tol=1e-12)
+    assert math.isclose(stop.value, 2.0 + (1.0 - math.cos(4e4)) / 2e4, rel_tol=1e-12)
     without_look_ahead(monkeypatch)
-    one_by_one, calls = counted(lambda t: np.sin(3.0 * t))
+    one_by_one, calls = counted(wave)
     with pytest.raises(NotConverged) as err:
         integrate_adaptive(one_by_one, 0.0, 2.0, rel_tol=1e-12)
     assert outcome_key(err.value) == outcome_key(stop) and len(calls) == 10_000
+    assert err.value.kernel_calls == 10_000
 
 
 def test_a_failing_look_ahead_panel_changes_no_outcome():
