@@ -19,7 +19,8 @@ Every test and result rounds the exact sums of the live panels' values and
 estimates once: a result is the ``math.fsum`` of its final panels, whatever
 the order in which they were made.  The first test, on the initial panels,
 sums them with ``math.fsum``; an integral that must split keeps its sums
-exactly from then on, as integers in units of 2**-1074.
+exactly from then on, as integers in units of 2**-1074, and each live
+panel keeps its estimates in those units from when it was made.
 
 The loop splits one panel per step, always the worst (QUADPACK's QAG
 order), but it evaluates panels ahead of that order.  When a step needs
@@ -36,20 +37,26 @@ its bits are those of one split per call.
 
 :func:`integrate_batch` runs many independent integrals in lock-step; its
 integrand also gets, for every node, the index of the integral the node
-belongs to.  Each round, every integral that has not finished steps until
-it needs panels that are not evaluated, and then the panels all of them
-need, with their look-ahead (every initial panel in the first round), are
-evaluated in one call of the integrand.  An integral takes exactly the
+belongs to.  The first round is array-at-a-time: the initial panels of all
+integrals, laid out as flat arrays of panel edges, go through one call of
+the integrand, and each integral is tested on the ``math.fsum`` of its own
+slice.  One that converges there returns its result at once and keeps no
+state; only the others become lock-step integrals, which start from the
+panels already evaluated.  Each later round, every integral that has not
+finished steps until it needs panels that are not evaluated, and then the
+panels all of them need, with their look-ahead, are evaluated in one call
+of the integrand.  An integral takes exactly the
 steps it would take alone, and gives the same bits: the kernel works node
 by node, and the rules reduce each panel with a per-row dot product
 (``np.vecdot``), whose result does not depend on how many panels share the
 call, as a BLAS matrix-vector product's does.  A failure stays with its own
 integral: when the batched call raises a :class:`TrapcavError` (a
 :class:`NonFiniteSample`, or a typed error of the integrand, such as the
-kernel's), each integral of the round is evaluated on its own, and one that
-raises is evaluated again on the panels it needs now alone, so that a
-look-ahead panel cannot decide an outcome; one whose own panels raise
-finishes with that exception while the others go on.
+kernel's), each integral of the round, the first round included, is
+evaluated on its own, and one that raises is evaluated again on the panels
+it needs now alone, so that a look-ahead panel cannot decide an outcome;
+one whose own panels raise finishes with that exception while the others
+go on.
 :func:`integrate_adaptive` is the batch of one.
 """
 
@@ -249,25 +256,68 @@ def _minus(total: list[int], row: list[float]) -> list[int]:
     return [t - _fixed(x) for t, x in zip(total, row)]
 
 
+def _threshold(target: float) -> int:
+    # the least total, in units of 2**-1074, whose rounding exceeds the
+    # finite target: the midpoint of the target and the next float up, or
+    # the unit above it when the tie rounds down
+    total = _fixed(target) + _fixed(math.ulp(target)) // 2
+    return total if _rounded(total) > target else total + 1
+
+
 def _target(value: list[float], rel_tol: float, abs_tol: float) -> float:
     # the bound on every component's summed estimate
     return max(rel_tol * max(map(abs, value)), abs_tol)
 
 
-class _Integral:
-    """One integral of a batch: its panel heap, exact totals and counts."""
+def _value(sums: list[float], vector: bool) -> Value:
+    # a float for a scalar integrand, a tuple of k floats for a vector one
+    return tuple(sums) if vector else sums[0]
 
-    def __init__(self, owner: int, edges: list[float]) -> None:
+
+def _initial_sums(
+    values: list[list[float]], errs: list[list[float]], rel_tol: float, abs_tol: float
+) -> tuple[list[float], list[float]] | None:
+    """The first convergence test, on an integral's initial panels.
+
+    ``values`` and ``errs`` hold the panels' floats per component.  Returns
+    their ``math.fsum`` per component when the estimates meet the target,
+    else None.  fsum rounds once, as the exact totals do, so an integral
+    that converges here gets their bits without building them; an
+    intermediate overflow of fsum leaves the test to them.
+    """
+    try:
+        value = [math.fsum(c) for c in values]
+        err = [math.fsum(c) for c in errs]
+    except OverflowError:
+        return None
+    if max(err) > _target(value, rel_tol, abs_tol):
+        return None
+    return value, err
+
+
+class _Integral:
+    """An integral that must split: its panel heap, exact totals and counts."""
+
+    def __init__(self, owner: int, edges: list[float], vector: bool, k: int) -> None:
         self.owner = owner
         self.center = 0.5 * (edges[0] + edges[-1])
-        # the live panels as (-max err, lo, hi, values, errs, floors, depth),
-        # values, errs and floors as lists of k floats: the top is the
+        # whether the integrand has a component axis
+        self.vector = vector
+        # the live panels as (-max err, lo, hi, values, err units, floors,
+        # depth), values and floors as k floats and the estimates as k
+        # integers in units of 2**-1074, converted once: the top is the
         # leftmost worst panel, and lo tells panels apart, so ties do not
         # reach the lists
         self.heap: list[tuple] = []
+        # per component, the exact sums of the live panels' values and
+        # estimates, in units of 2**-1074, and the float sum of their
+        # estimate floors, which only tells when to give up
+        self.total = self.total_err = [0] * k
+        self.floor = [0.0] * k
         self.evaluations = 0
-        # the calls of the integrand that evaluated its panels
-        self.kernel_calls = 0
+        # the calls of the integrand that evaluated its panels, starting
+        # with the first round's
+        self.kernel_calls = 1
         # the panels to add next, as (lo, hi), and their depth: the initial
         # panels, then the two halves of each split
         self.todo = list(zip(edges[:-1], edges[1:]))
@@ -277,8 +327,6 @@ class _Integral:
         self.pending = self.todo
         # evaluated look-ahead halves, (lo, hi) -> (values, errs, floors)
         self.ready: dict = {}
-        # whether the integrand has a component axis, told by each call
-        self.vector = False
 
     def advance(
         self,
@@ -301,10 +349,6 @@ class _Integral:
         if len(values) > n:
             ready.update(zip(self.pending[n:], zip(values[n:], errs[n:], floors[n:])))
             del values[n:], errs[n:], floors[n:]
-        if not self.evaluations:
-            outcome = self._initial_test(values, errs, rel_tol, abs_tol)
-            if outcome is not None:
-                return outcome
         while True:
             self._add(values, errs, floors)
             outcome = self._step(rel_tol, abs_tol, max_depth, max_panels)
@@ -316,39 +360,16 @@ class _Integral:
         self.pending = self.todo + self._look_ahead(max_depth, max_panels)
         return None
 
-    def _initial_test(
-        self, values: list[list[float]], errs: list[list[float]], rel_tol: float, abs_tol: float
-    ) -> QuadratureResult | None:
-        # the first convergence test, on the initial panels summed by
-        # math.fsum, which rounds once as the exact totals do: an integral
-        # that converges here never builds them.  An intermediate overflow
-        # leaves the test to them.
-        try:
-            value = [math.fsum(c) for c in zip(*values)]
-            err = [math.fsum(c) for c in zip(*errs)]
-        except OverflowError:
-            return None
-        if max(err) > _target(value, rel_tol, abs_tol):
-            return None
-        return QuadratureResult(
-            self._value(value), self._value(err), 15 * len(values), True, self.kernel_calls
-        )
-
     def _add(
         self, values: list[list[float]], errs: list[list[float]], floors: list[list[float]]
     ) -> None:
         # the panels of todo, with these values, estimates and floors, join
-        # the heap and the totals
-        for (lo, hi), v, e, fl in zip(self.todo, values, errs, floors):
-            heapq.heappush(self.heap, (-max(e), lo, hi, v, e, fl, self.depth))
-        if not self.evaluations:
-            # per component, the exact sums of the live panels' values and
-            # estimates, in units of 2**-1074, and the float sum of their
-            # estimate floors, which only tells when to give up
-            self.total = self.total_err = [0] * len(values[0])
-            self.floor = [0.0] * len(values[0])
+        # the heap and the totals; each keeps its estimates' units
+        units = [list(map(_fixed, e)) for e in errs]
+        for (lo, hi), v, e, u, fl in zip(self.todo, values, errs, units, floors):
+            heapq.heappush(self.heap, (-max(e), lo, hi, v, u, fl, self.depth))
         self.total = _plus(self.total, values)
-        self.total_err = _plus(self.total_err, errs)
+        self.total_err = [t + sum(c) for t, c in zip(self.total_err, zip(*units))]
         self.floor = [t + sum(c) for t, c in zip(self.floor, zip(*floors))]
         self.evaluations += 15 * len(values)
 
@@ -362,33 +383,36 @@ class _Integral:
         for sums in (value, err):
             if not all(map(math.isfinite, sums)):
                 # finite panels whose total lies beyond the float range
-                return NonFiniteSample(self.center, self._value(sums))
+                return NonFiniteSample(self.center, _value(sums, self.vector))
         self.target = _target(value, rel_tol, abs_tol)
         if max(err) <= self.target:
             return QuadratureResult(
-                self._value(value), self._value(err), self.evaluations, True, self.kernel_calls
+                _value(value, self.vector),
+                _value(err, self.vector),
+                self.evaluations,
+                True,
+                self.kernel_calls,
             )
-        _, p_lo, p_hi, values, errs, floors, depth = self.heap[0]
+        _, p_lo, p_hi, values, units, floors, depth = self.heap[0]
         # each estimate is at least its floor, and the halves' integrals of
         # |f| sum to about their parent's: once the floors alone exceed the
         # target, splitting cannot meet it
         stuck = max(self.floor) > self.target
         if stuck or depth >= max_depth or len(self.heap) >= max_panels:
             return NotConverged(
-                self._value(value), self._value(err), self.evaluations, self.kernel_calls
+                _value(value, self.vector),
+                _value(err, self.vector),
+                self.evaluations,
+                self.kernel_calls,
             )
         heapq.heappop(self.heap)
         self.total = _minus(self.total, values)
-        self.total_err = _minus(self.total_err, errs)
+        self.total_err = [t - u for t, u in zip(self.total_err, units)]
         self.floor = [t - x for t, x in zip(self.floor, floors)]
         mid = 0.5 * (p_lo + p_hi)
         self.todo = [(p_lo, mid), (mid, p_hi)]
         self.depth = depth + 1
         return None
-
-    def _value(self, sums: list[float]) -> Value:
-        # a float for a scalar integrand, a tuple of k floats for a vector one
-        return tuple(sums) if self.vector else sums[0]
 
     def _look_ahead(self, max_depth: int, max_panels: int) -> list[tuple[float, float]]:
         """The halves not yet evaluated of the live panels the loop must split.
@@ -400,6 +424,9 @@ class _Integral:
         at a panel of ``max_depth`` and at the splits left under
         ``max_panels`` after the one under way.
         """
+        # a remaining total rounds above the target exactly when it reaches
+        # this many units
+        over = _threshold(self.target)
         left = self.total_err
         halves: list[tuple[float, float]] = []
         heap = self.heap.copy()
@@ -407,15 +434,75 @@ class _Integral:
         # the live panels in the loop's order, worst first, while needed;
         # left is the exact sum of the estimates of those not taken, so it
         # meets the target before the heap runs out
-        while room > 0 and _rounded(max(left)) > self.target:
-            _, lo, hi, _, errs, _, depth = heapq.heappop(heap)
+        while room > 0 and max(left) >= over:
+            _, lo, hi, _, units, _, depth = heapq.heappop(heap)
             if depth >= max_depth:
                 break
             mid = 0.5 * (lo + hi)
             halves += [half for half in ((lo, mid), (mid, hi)) if half not in self.ready]
-            left = _minus(left, errs)
+            left = [t - u for t, u in zip(left, units)]
             room -= 1
         return halves
+
+
+def _first_round(
+    f: BatchIntegrand,
+    firsts: list[tuple[int, list[float]]],
+    rel_tol: float,
+    abs_tol: float,
+    max_depth: int,
+    max_panels: int,
+    outcomes: list,
+) -> list[_Integral]:
+    """The initial panels of every integral in one call of ``f``, and their test.
+
+    ``firsts`` lists (owner, edges) per integral, ``edges`` the bounds and
+    breakpoints in order.  An integral whose initial panels meet its target
+    (:func:`_initial_sums`) gets its result in ``outcomes`` at once, with
+    no per-integral state; the others become :class:`_Integral` objects
+    that take those panels and are returned with their next panels
+    pending, unless they finish on them (their outcome then also goes to
+    ``outcomes``).  When the call raises a :class:`TrapcavError`, each
+    integral of several is evaluated alone, and a lone one finishes with
+    the exception, so an error stays with its own integral.
+    """
+    counts = [len(edges) - 1 for _, edges in firsts]
+    lo = [x for _, edges in firsts for x in edges[:-1]]
+    hi = [x for _, edges in firsts for x in edges[1:]]
+    owner = np.repeat([item[0] for item in firsts], [15 * n for n in counts])
+    try:
+        values, errs, floors = _gk15(lambda x: f(x, owner), lo, hi)
+    except TrapcavError as err:
+        if len(firsts) == 1:
+            outcomes[firsts[0][0]] = err
+            return []
+        args = (rel_tol, abs_tol, max_depth, max_panels, outcomes)
+        return [item for first in firsts for item in _first_round(f, [first], *args)]
+    vector = values.ndim > 1
+    k = values.size // len(lo)
+    # per component, one list of the floats of every panel
+    values, errs, floors = (a.reshape(len(lo), k).T.tolist() for a in (values, errs, floors))
+    live, start = [], 0
+    for (owner, edges), n in zip(firsts, counts):
+        stop = start + n
+        v, e = [c[start:stop] for c in values], [c[start:stop] for c in errs]
+        sums = _initial_sums(v, e, rel_tol, abs_tol)
+        if sums is not None:
+            value, err = sums
+            outcomes[owner] = QuadratureResult(
+                _value(value, vector), _value(err, vector), 15 * n, True, 1
+            )
+        else:
+            # the panels as rows of k floats
+            rows = [list(zip(*c)) for c in (v, e, [c[start:stop] for c in floors])]
+            item = _Integral(owner, edges, vector, k)
+            outcome = item.advance(*rows, rel_tol, abs_tol, max_depth, max_panels)
+            if outcome is None:
+                live.append(item)
+            else:
+                outcomes[owner] = outcome
+        start = stop
+    return live
 
 
 def _evaluate(f: BatchIntegrand, batch: list[_Integral]) -> list:
@@ -423,12 +510,12 @@ def _evaluate(f: BatchIntegrand, batch: list[_Integral]) -> list:
 
     Returns, per integral, the (values, errors, floors) of its pending
     panels, as lists of k floats per panel, or the exception that the panels
-    it needs now raise, and tells each integral whether ``f`` is a vector
-    integrand and that the call evaluated its panels.  When the batched
-    call raises, each integral of a batch of several is evaluated alone, so
-    an error stays with its integral, and a lone integral is evaluated
-    again without its look-ahead, so a look-ahead panel cannot change an
-    outcome; a call that raised counts for no integral's ``kernel_calls``.
+    it needs now raise, and tells each integral that the call evaluated its
+    panels.  When the batched call raises, each integral of a batch of
+    several is evaluated alone, so an error stays with its integral, and a
+    lone integral is evaluated again without its look-ahead, so a
+    look-ahead panel cannot change an outcome; a call that raised counts
+    for no integral's ``kernel_calls``.
     """
     p_lo, p_hi = zip(*[panel for item in batch for panel in item.pending])
     owner = np.array([item.owner for item in batch for _ in item.pending]).repeat(15)
@@ -442,12 +529,10 @@ def _evaluate(f: BatchIntegrand, batch: list[_Integral]) -> list:
             return [err]
         item.pending = item.todo
         return _evaluate(f, batch)
-    vector = values.ndim > 1
     m = len(values)
     values, errs, floors = (a.reshape(m, -1).tolist() for a in (values, errs, floors))
     out, start = [], 0
     for item in batch:
-        item.vector = vector
         item.kernel_calls += 1
         stop = start + len(item.pending)
         out.append((values[start:stop], errs[start:stop], floors[start:stop]))
@@ -469,7 +554,11 @@ def integrate_batch(
     owner)`` gets the nodes ``x`` of all integrals with the index ``owner``
     of each node's interval; it returns shape (n,) or (k, n), as for
     :func:`integrate_adaptive`, which documents the stopping rule and the
-    breakpoints.  Each round evaluates, in one call of ``f``, the panels
+    breakpoints.  The first round evaluates the initial panels of every
+    integral in one call of ``f``, as flat arrays of panel edges, and tests
+    each integral on the ``math.fsum`` of its own; one that converges there
+    is done, with no per-integral state.  The others then advance in
+    lock-step: each later round evaluates, in one call of ``f``, the panels
     that every unfinished integral needs next, with the halves of the
     panels it must still split (the module docstring has the rule).
     Returns one outcome per interval, in order: a :class:`QuadratureResult`,
@@ -492,11 +581,10 @@ def integrate_batch(
         raise ValueError(f"abs_tol must be non-negative and finite, got {abs_tol!r}")
 
     outcomes: list = [None] * len(intervals)
-    live = []
+    firsts = []
     for owner, (lo, hi, points) in enumerate(intervals):
         if hi > lo:
-            edges = [lo, *sorted({p for p in points if lo < p < hi}), hi]
-            live.append(_Integral(owner, edges))
+            firsts.append((owner, [lo, *sorted({p for p in points if lo < p < hi}), hi]))
             continue
         # an empty interval: one node at lo tells the integrand's shape
         try:
@@ -505,6 +593,9 @@ def integrate_batch(
             outcomes[owner] = QuadratureResult(zero, zero, 0, True)
         except TrapcavError as err:
             outcomes[owner] = err
+    if not firsts:
+        return outcomes
+    live = _first_round(f, firsts, rel_tol, abs_tol, max_depth, max_panels, outcomes)
     while live:
         for item, panels in zip(live, _evaluate(f, live)):
             if isinstance(panels, TrapcavError):
@@ -533,9 +624,10 @@ def integrate_adaptive(
     for a scalar integrand or (k, n) for k components (a tuple of k arrays
     will do); the value and error estimate then come back as a float or a
     tuple of k floats.  All initial panels are evaluated in one call of
-    ``f``; each later call evaluates both halves of the split under way and
-    of the worst panels the loop must still split, so a run of splits can
-    take no further call.  ``evaluations`` counts the nodes of the panels
+    ``f``, and the first convergence test sums them with ``math.fsum``: an
+    integral that passes it takes that one call.  Each later call evaluates
+    both halves of the split under way and of the worst panels the loop
+    must still split, so a run of splits can take no further call.  ``evaluations`` counts the nodes of the panels
     the loop used, and ``kernel_calls`` the calls of ``f`` that evaluated
     them.  Convergence means
     the largest component of the summed panel error estimate is at most

@@ -172,9 +172,9 @@ def test_each_node_is_evaluated_once(monkeypatch):
 
 
 def test_most_integrals_take_one_kernel_call():
-    # the initial panels are graded to the gap, so at rel_tol 1e-9 nine in
-    # ten integrals of an even grid over eight decades of R/a converge on
-    # them, in the kernel call that evaluates them
+    # the initial panels are graded to the gap and meet at R/2, so at
+    # rel_tol 1e-9 99 in 100 integrals of an even grid over eight decades
+    # of R/a converge on them, in the kernel call that evaluates them
     specs = [
         replace(REDUCED, R=float(ratio), phi=phi)
         for ratio in 10.0 ** np.linspace(-3.0, 5.0, 161)
@@ -183,10 +183,33 @@ def test_most_integrals_take_one_kernel_call():
     results = trapcav.forces.force_batch(specs, 1e-9)
     assert all(fr.converged for fr in results)
     calls = [fr.kernel_calls for fr in results]
-    assert min(calls) == 1 and sum(c == 1 for c in calls) >= 0.9 * len(calls)
+    assert min(calls) == 1 and sum(c == 1 for c in calls) >= 0.99 * len(calls)
     # a lone call of each kind makes as many kernel calls as its batch row
     for k in (0, len(specs) // 2, len(specs) - 1):
         assert total_forces(specs[k]) == results[k]
+
+
+def test_the_analysis_window_takes_one_kernel_call(monkeypatch):
+    # every cavity of a phi sweep or phi* search over R/a 1..100 and
+    # 0.5..20 degrees converges on its initial panels at rel_tol 1e-9, so a
+    # force_batch of them is one kernel call
+    specs = [
+        replace(REDUCED, R=float(ratio), phi=math.radians(deg))
+        for ratio in 10.0 ** np.linspace(0.0, 2.0, 33)
+        for deg in np.linspace(0.5, 20.0, 32)
+    ]
+    results = trapcav.forces.force_batch(specs, 1e-9)
+    assert all(fr.converged and fr.kernel_calls == 1 for fr in results)
+    calls = []
+    kernel = trapcav.forces.wing_pressures
+
+    def counting(cav, k, r):
+        calls.append(r.size)
+        return kernel(cav, k, r)
+
+    monkeypatch.setattr(trapcav.forces, "wing_pressures", counting)
+    trapcav.forces.force_batch(specs, 1e-9)
+    assert calls == [sum(fr.evaluations for fr in results)]
 
 
 @pytest.mark.parametrize("phi", [0.0, 1e-3, 0.3, 0.78])
@@ -215,13 +238,14 @@ def test_evaluations_are_reported(monkeypatch):
     fr = total_forces(reduced_at(1.0))
     assert fr.converged and fr.evaluations > 15 and fr.evaluations % 15 == 0
     assert total_forces(reduced_at(1.0), wing_count=2).evaluations == fr.evaluations
-    # an integral that stops still reports what it spent: 5 initial panels
-    # (breakpoints 1, 3, 7, 9) and 3 splits up to a cap of 8, in two calls
+    # an integral that stops still reports what it spent: 6 initial panels
+    # (breakpoints 1, 3, 5, 7, 9) and 3 splits up to a cap of 9, in two calls
+    assert sorted(trapcav.forces._edge_breakpoints(reduced_at(1.0))) == [1.0, 3.0, 5.0, 7.0, 9.0]
     real = trapcav.forces.integrate_batch
-    capped = lambda f, intervals, rel_tol: real(f, intervals, rel_tol=1.2e-14, max_panels=8)
+    capped = lambda f, intervals, rel_tol: real(f, intervals, rel_tol=1.2e-14, max_panels=9)
     monkeypatch.setattr(trapcav.forces, "integrate_batch", capped)
     short = total_forces(reduced_at(1.0))
-    assert not short.converged and short.evaluations == 15 * 5 + 30 * 3
+    assert not short.converged and short.evaluations == 15 * 6 + 30 * 3
     assert short.kernel_calls == 2
 
 

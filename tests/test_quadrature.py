@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from trapcav import (
@@ -391,6 +391,26 @@ def test_batch_outcomes_match_lone_integrals():
     assert isinstance(got[5], QuadratureResult) and isinstance(got[2], NotConverged)
     # the first round evaluates six integrals together
     assert max(calls) == 6
+    # an integral whose initial panels overflow fsum, though their exact
+    # total is a float, takes the exact totals in a batch whose other
+    # integrals converge on their fsum, and all get their lone outcomes
+    cases = [
+        (np.sin, 0.0, 1.0, ()),
+        (lambda t: np.where(t < 3.0, 0.8e308, -0.8e308), 0.0, 4.0, (1.0, 2.0, 3.0)),
+        (np.exp, -1.0, 3.0, (0.0, 1.0, 2.0)),
+    ]
+
+    def batched(x, owner):
+        out = np.empty(x.size)
+        for j in np.unique(owner):
+            out[owner == j] = cases[j][0](x[owner == j])
+        return out
+
+    got = integrate_batch(batched, [case[1:] for case in cases])
+    expect = [lone(g, lo, hi, points) for g, lo, hi, points in cases]
+    assert [outcome_key(o) for o in got] == [outcome_key(o) for o in expect]
+    assert all(o.converged and o.kernel_calls == 1 for o in got)
+    assert math.isclose(got[1].value, 1.6e308, rel_tol=1e-14)
 
 
 def test_batch_overflow_stays_with_its_integral():
@@ -491,7 +511,7 @@ def test_initial_sums_match_the_exact_totals(monkeypatch):
     ]
     fast = [lone(f, lo, hi, points, abs_tol=1e-13) for f, lo, hi, points in cases]
     assert all(q.converged and q.kernel_calls == 1 for q in fast)
-    monkeypatch.setattr(trapcav.quadrature._Integral, "_initial_test", lambda self, *args: None)
+    monkeypatch.setattr(trapcav.quadrature, "_initial_sums", lambda *args: None)
     exact = [lone(f, lo, hi, points, abs_tol=1e-13) for f, lo, hi, points in cases]
     assert list(map(bits, fast)) == list(map(bits, exact))
 
@@ -565,6 +585,43 @@ def test_look_ahead_spends_the_panel_cap_in_few_calls(monkeypatch):
         integrate_adaptive(one_by_one, 0.0, 2.0, rel_tol=1e-12)
     assert outcome_key(err.value) == outcome_key(stop) and len(calls) == 10_000
     assert err.value.kernel_calls == 10_000
+
+
+def test_look_ahead_converts_each_panel_once(monkeypatch):
+    # a panel's values and estimates become units when it joins, and a split
+    # takes its value units off again; the look-ahead reuses the stored
+    # estimate units and converts only its target, so the panel-cap
+    # integral makes about 2.5 conversions per panel (7.6 when each
+    # look-ahead converted every panel it popped)
+    fixed = trapcav.quadrature._fixed
+    conversions = []
+
+    def counting(x):
+        conversions.append(x)
+        return fixed(x)
+
+    monkeypatch.setattr(trapcav.quadrature, "_fixed", counting)
+    with pytest.raises(NotConverged) as err:
+        integrate_adaptive(lambda t: 1.0 + np.sin(2e4 * t), 0.0, 2.0, rel_tol=1e-12)
+    stop = err.value
+    assert (stop.evaluations, stop.kernel_calls) == (299_985, 50)
+    assert len(conversions) <= 3 * stop.evaluations // 15
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=0.0, max_value=sys.float_info.max))
+@example(0.0)
+@example(5e-324)
+@example(1.0)
+@example(1.0000000000000002)
+@example(sys.float_info.max)
+def test_look_ahead_threshold_is_the_least_total_above_the_target(target):
+    # the look-ahead compares exact totals with this threshold in place of
+    # rounding them: one unit less rounds to at most the target.  Ties
+    # round to even, up from 1 + 2**-52 and down from 1.0, and the greatest
+    # float's threshold rounds to infinity
+    over = trapcav.quadrature._threshold(target)
+    assert _rounded(over) > target >= _rounded(over - 1)
 
 
 def test_a_failing_look_ahead_panel_changes_no_outcome():
