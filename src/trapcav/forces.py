@@ -10,8 +10,8 @@ Both components come from one adaptive integral of the vector integrand
 r -> (p_x, p_z).  :func:`force_batch` integrates the wings of many cavities
 in lock-step (:func:`~trapcav.quadrature.integrate_batch`): each round, the
 quadrature nodes that every unfinished cavity needs next (all initial
-panels, then the halves of the split under way and of the worst panels its
-loop must still split) go through one call of the kernel
+panels, then the halves of every panel its loop must still split) go
+through one call of the kernel
 :func:`~trapcav.kernels.wing_pressures`, with each node's cavity parameters
 gathered from its owner, and no node is evaluated twice.  Every cavity gets
 the same bits, evaluations, kernel calls and outcome as alone, and a cavity
@@ -49,10 +49,9 @@ class ForceResult:
     forces themselves.  ``converged`` is False when the integral stopped at
     its depth or panel limit; the values then carry the best estimate found.
     ``evaluations`` counts the wing points of the quadrature panels that the
-    integral used, whether or not it converged.  Those are the kernel's
-    nodes, except when the integral stopped at its panel or depth limit
-    with halves evaluated ahead that it never split.  ``kernel_calls``
-    counts the kernel calls that evaluated them: the rounds of the integral.
+    integral made, whether or not it converged: the kernel's nodes, each
+    evaluated once and all used.  ``kernel_calls`` counts the kernel calls
+    that evaluated them: the rounds of the integral.
     """
 
     spec: CavitySpec

@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Kronrod integration with exact panel totals.
+"""Globally adaptive Gauss-Kronrod integration, many panels halved per round.
 
 Panels use the 7-point Gauss / 15-point Kronrod pair; the difference between
 the two rules gives the per-panel error estimate (sharpened by the usual
@@ -7,33 +7,24 @@ scaled-residual inflation so the estimate stays honest on rough panels).
 The integrand takes a 1-D array of nodes and returns one value per node, or
 one row per component (shape (n,) or (k, n)); the value and error estimate
 come back as a float or a tuple of k floats.  All components share the
-panels, and every norm is the max-norm over components: the panel with the
-largest component estimate splits until the largest summed estimate meets
-max(rel_tol * max |value_i|, abs_tol), a panel reaches ``max_depth``
-halvings, the panel list hits a safety cap, or the estimate floors of the
-live panels (``REL_TOL_FLOOR`` times each one's integral of |f|, which no
-split lowers much) alone sum past that target.  For a scalar integrand this
-is the plain rule |error| <= max(rel_tol * |value|, abs_tol).
+panels, and every norm is the max-norm over components.
 
-Every test and result rounds the exact sums of the live panels' values and
-estimates once: a result is the ``math.fsum`` of its final panels, whatever
-the order in which they were made.  The first test, on the initial panels,
-sums them with ``math.fsum``; an integral that must split keeps its sums
-exactly from then on, as integers in units of 2**-1074, and each live
-panel keeps its estimates in those units from when it was made.
-
-The loop splits one panel per step, always the worst (QUADPACK's QAG
-order), but it evaluates panels ahead of that order.  When a step needs
-the halves of its worst panel and they have not been evaluated, the same
-call of the integrand also evaluates the halves of the fewest worst live
-panels whose removal would bring every component's estimate sum under the
-current target: unless the target grows, the loop cannot stop before it
-has split them.  The steps then go on, with no call of the integrand,
-until one needs halves that are not evaluated.  The look-ahead stops at
-``max_depth`` and at the splits left under the panel cap.  It changes
-which calls evaluate a panel, never which panels the loop makes or in what
-order: a result, its evaluation count (the nodes of the panels used) and
-its bits are those of one split per call.
+The loop runs in rounds.  Each round an integral sums its live panels'
+values and estimates with ``math.fsum`` (exactly, with fractions, when
+fsum overflows part-way), so a result is the correctly rounded sum of its
+final panels.  It stops when the largest summed estimate meets
+max(rel_tol * max |value_i|, abs_tol), or unconverged when the estimate
+floors of the live panels (``REL_TOL_FLOOR`` times each one's integral of
+|f|, which no split lowers much) alone sum past that target.  For a scalar
+integrand this is the plain rule |error| <= max(rel_tol * |value|, abs_tol).
+Otherwise it halves at once the fewest worst panels (largest component
+estimate, the leftmost among equals) whose removal would leave every
+component's estimate sum within the target: halves add estimates, so
+while they are live the integral cannot stop unless the target grows.
+That set ends before the first panel of ``max_depth`` halvings and at the
+room left under the panel cap; an integral that can halve nothing stops
+unconverged.  This is QUADPACK's globally adaptive QAG with many panels
+split per round.
 
 :func:`integrate_batch` runs many independent integrals in lock-step; its
 integrand also gets, for every node, the index of the integral the node
@@ -41,30 +32,25 @@ belongs to.  The first round is array-at-a-time: the initial panels of all
 integrals, laid out as flat arrays of panel edges, go through one call of
 the integrand, and each integral is tested on the ``math.fsum`` of its own
 slice.  One that converges there returns its result at once and keeps no
-state; only the others become lock-step integrals, which start from the
-panels already evaluated.  Each later round, every integral that has not
-finished steps until it needs panels that are not evaluated, and then the
-panels all of them need, with their look-ahead, are evaluated in one call
-of the integrand.  An integral takes exactly the
-steps it would take alone, and gives the same bits: the kernel works node
+state; only the others become lock-step integrals.  Each later round, the
+halves of every unfinished integral go through one call of the integrand.
+An integral gives the same bits in a batch as alone: the kernel works node
 by node, and the rules reduce each panel with a per-row dot product
 (``np.vecdot``), whose result does not depend on how many panels share the
 call, as a BLAS matrix-vector product's does.  A failure stays with its own
-integral: when the batched call raises a :class:`TrapcavError` (a
+integral: when a batched call raises a :class:`TrapcavError` (a
 :class:`NonFiniteSample`, or a typed error of the integrand, such as the
 kernel's), each integral of the round, the first round included, is
-evaluated on its own, and one that raises is evaluated again on the panels
-it needs now alone, so that a look-ahead panel cannot decide an outcome;
-one whose own panels raise finishes with that exception while the others
-go on.
+evaluated on its own, and one whose own panels raise finishes with that
+exception while the others go on.
 :func:`integrate_adaptive` is the batch of one.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -148,7 +134,8 @@ def pairwise_sum(values, axis: int = -1):
     The tree pairs elements (0,1), (2,3), ... and carries an odd trailing
     element to the next round unchanged, so the reduction order depends only
     on the length, never on chunking.  Returns a float for 1-D input.
-    It serves the oracle; the adaptive integrals sum their panels exactly.
+    It serves the oracle; the adaptive integrals sum their panels with
+    ``math.fsum``.
     """
     a = np.asarray(values, dtype=float)
     if a.shape[axis] == 0:
@@ -165,24 +152,6 @@ def pairwise_sum(values, axis: int = -1):
         a = paired
     out = a[..., 0]
     return float(out) if out.ndim == 0 else out
-
-
-# the least subnormal, 2**-1074, is the unit of the exact totals
-_UNITS_PER_ONE = 1 << 1074
-
-
-def _fixed(x: float) -> int:
-    """The finite float ``x`` exactly, in units of 2**-1074 (the least subnormal)."""
-    n, d = x.as_integer_ratio()
-    return n << (1075 - d.bit_length())
-
-
-def _rounded(total: int) -> float:
-    """A total in units of 2**-1074, rounded once; +-inf beyond the float range."""
-    try:
-        return total / _UNITS_PER_ONE
-    except OverflowError:
-        return math.inf if total > 0 else -math.inf
 
 
 def _gk15(f: Integrand, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -246,27 +215,30 @@ def _shaped(a) -> Value:
     return tuple(out) if isinstance(out, list) else out
 
 
-def _plus(total: list[int], rows) -> list[int]:
-    # per component, the total plus the exact units of every row of k floats
-    return [t + sum(map(_fixed, c)) for t, c in zip(total, zip(*rows))]
+def _sum(column: list[float]) -> float:
+    # the floats' exact sum, rounded once: math.fsum, or a sum of fractions
+    # when fsum overflows part-way; +-inf beyond the float range
+    try:
+        return math.fsum(column)
+    except OverflowError:
+        total = sum(map(Fraction, column))
+        try:
+            return float(total)
+        except OverflowError:
+            return math.inf if total > 0 else -math.inf
 
 
-def _minus(total: list[int], row: list[float]) -> list[int]:
-    # per component, the total less the exact units of one row of k floats
-    return [t - _fixed(x) for t, x in zip(total, row)]
+def _totals(panels: np.ndarray, rel_tol: float, abs_tol: float) -> tuple:
+    """Per component, the sums of the panels' values and estimates.
 
-
-def _threshold(target: float) -> int:
-    # the least total, in units of 2**-1074, whose rounding exceeds the
-    # finite target: the midpoint of the target and the next float up, or
-    # the unit above it when the tie rounds down
-    total = _fixed(target) + _fixed(math.ulp(target)) // 2
-    return total if _rounded(total) > target else total + 1
-
-
-def _target(value: list[float], rel_tol: float, abs_tol: float) -> float:
-    # the bound on every component's summed estimate
-    return max(rel_tol * max(map(abs, value)), abs_tol)
+    ``panels`` holds one row per panel, as :func:`_evaluate` gives them.
+    Also returns the target, the bound on every component's summed
+    estimate.
+    """
+    k = panels.shape[1] // 3
+    sums = list(map(_sum, panels[:, : 2 * k].T.tolist()))
+    value = sums[:k]
+    return value, sums[k:], max(rel_tol * max(map(abs, value)), abs_tol)
 
 
 def _value(sums: list[float], vector: bool) -> Value:
@@ -274,118 +246,39 @@ def _value(sums: list[float], vector: bool) -> Value:
     return tuple(sums) if vector else sums[0]
 
 
-def _initial_sums(
-    values: list[list[float]], errs: list[list[float]], rel_tol: float, abs_tol: float
-) -> tuple[list[float], list[float]] | None:
-    """The first convergence test, on an integral's initial panels.
-
-    ``values`` and ``errs`` hold the panels' floats per component.  Returns
-    their ``math.fsum`` per component when the estimates meet the target,
-    else None.  fsum rounds once, as the exact totals do, so an integral
-    that converges here gets their bits without building them; an
-    intermediate overflow of fsum leaves the test to them.
-    """
-    try:
-        value = [math.fsum(c) for c in values]
-        err = [math.fsum(c) for c in errs]
-    except OverflowError:
-        return None
-    if max(err) > _target(value, rel_tol, abs_tol):
-        return None
-    return value, err
-
-
 class _Integral:
-    """An integral that must split: its panel heap, exact totals and counts."""
+    """An integral that did not converge on its initial panels."""
 
-    def __init__(self, owner: int, edges: list[float], vector: bool, k: int) -> None:
+    def __init__(self, owner: int, lo, hi, panels: np.ndarray, vector: bool) -> None:
         self.owner = owner
-        self.center = 0.5 * (edges[0] + edges[-1])
+        self.center = 0.5 * (lo[0] + hi[-1])
         # whether the integrand has a component axis
         self.vector = vector
-        # the live panels as (-max err, lo, hi, values, err units, floors,
-        # depth), values and floors as k floats and the estimates as k
-        # integers in units of 2**-1074, converted once: the top is the
-        # leftmost worst panel, and lo tells panels apart, so ties do not
-        # reach the lists
-        self.heap: list[tuple] = []
-        # per component, the exact sums of the live panels' values and
-        # estimates, in units of 2**-1074, and the float sum of their
-        # estimate floors, which only tells when to give up
-        self.total = self.total_err = [0] * k
-        self.floor = [0.0] * k
-        self.evaluations = 0
+        # the live panels: edges and halvings, and the k values, k estimates
+        # and k estimate floors of each, as :func:`_evaluate` gives them
+        self.lo = np.asarray(lo, dtype=float)
+        self.hi = np.asarray(hi, dtype=float)
+        self.depth = np.zeros(len(lo), dtype=int)
+        self.panels = panels
+        self.evaluations = 15 * len(lo)
         # the calls of the integrand that evaluated its panels, starting
         # with the first round's
         self.kernel_calls = 1
-        # the panels to add next, as (lo, hi), and their depth: the initial
-        # panels, then the two halves of each split
-        self.todo = list(zip(edges[:-1], edges[1:]))
-        self.depth = 0
-        # the panels for the next call of the integrand: those of todo, then
-        # the look-ahead halves
-        self.pending = self.todo
-        # evaluated look-ahead halves, (lo, hi) -> (values, errs, floors)
-        self.ready: dict = {}
 
-    def advance(
-        self,
-        values: list[list[float]],
-        errs: list[list[float]],
-        floors: list[list[float]],
-        rel_tol: float,
-        abs_tol: float,
-        max_depth: int,
-        max_panels: int,
-    ) -> QuadratureResult | TrapcavError | None:
-        """Take the evaluated pending panels, then step while the next are ready.
-
-        ``values``, ``errs`` and ``floors`` hold k floats per pending panel.
-        Returns the outcome once the integral has finished, or None after
-        setting the pending panels: the panels to add, then the look-ahead.
-        """
-        n = len(self.todo)
-        ready = self.ready
-        if len(values) > n:
-            ready.update(zip(self.pending[n:], zip(values[n:], errs[n:], floors[n:])))
-            del values[n:], errs[n:], floors[n:]
-        while True:
-            self._add(values, errs, floors)
-            outcome = self._step(rel_tol, abs_tol, max_depth, max_panels)
-            if outcome is not None:
-                return outcome
-            if not (ready and all(map(ready.__contains__, self.todo))):
-                break
-            values, errs, floors = zip(*map(ready.pop, self.todo))
-        self.pending = self.todo + self._look_ahead(max_depth, max_panels)
-        return None
-
-    def _add(
-        self, values: list[list[float]], errs: list[list[float]], floors: list[list[float]]
-    ) -> None:
-        # the panels of todo, with these values, estimates and floors, join
-        # the heap and the totals; each keeps its estimates' units
-        units = [list(map(_fixed, e)) for e in errs]
-        for (lo, hi), v, e, u, fl in zip(self.todo, values, errs, units, floors):
-            heapq.heappush(self.heap, (-max(e), lo, hi, v, u, fl, self.depth))
-        self.total = _plus(self.total, values)
-        self.total_err = [t + sum(c) for t, c in zip(self.total_err, zip(*units))]
-        self.floor = [t + sum(c) for t, c in zip(self.floor, zip(*floors))]
-        self.evaluations += 15 * len(values)
-
-    def _step(
+    def step(
         self, rel_tol: float, abs_tol: float, max_depth: int, max_panels: int
     ) -> QuadratureResult | TrapcavError | None:
-        # test for convergence, else make the halves of the worst panel the
-        # panels to add
-        value = list(map(_rounded, self.total))
-        err = list(map(_rounded, self.total_err))
+        """Test the live panels, else take out those to halve.
+
+        Returns the outcome once the integral has finished, or None after
+        setting ``pending`` to the edges and depth of the halves.
+        """
+        value, err, target = _totals(self.panels, rel_tol, abs_tol)
         for sums in (value, err):
             if not all(map(math.isfinite, sums)):
-                # finite panels whose total lies beyond the float range
+                # finite panels whose sum lies beyond the float range
                 return NonFiniteSample(self.center, _value(sums, self.vector))
-        self.target = _target(value, rel_tol, abs_tol)
-        if max(err) <= self.target:
+        if max(err) <= target:
             return QuadratureResult(
                 _value(value, self.vector),
                 _value(err, self.vector),
@@ -393,150 +286,78 @@ class _Integral:
                 True,
                 self.kernel_calls,
             )
-        _, p_lo, p_hi, values, units, floors, depth = self.heap[0]
+        # the live panels worst first, the leftmost among equals; left[j],
+        # the estimate sums of all but the j worst, added from the least up,
+        # only falls.  Halves add estimates, so the integral cannot stop
+        # while one of the worst panels up to the first that leaves every
+        # sum within the target is live, unless the target grows
+        k = len(err)
+        errs = self.panels[:, k : 2 * k]
+        order = np.lexsort((self.hi, self.lo, -errs.max(axis=1)))
+        left = np.cumsum(errs[order[::-1]], axis=0)[::-1]
+        count = 1 + np.count_nonzero((left[1:] > target).any(axis=1))
+        chosen = order[: max(0, min(count, max_panels - len(order)))]
+        deep = self.depth[chosen] >= max_depth
+        if deep.any():
+            chosen = chosen[: int(deep.argmax())]
         # each estimate is at least its floor, and the halves' integrals of
         # |f| sum to about their parent's: once the floors alone exceed the
         # target, splitting cannot meet it
-        stuck = max(self.floor) > self.target
-        if stuck or depth >= max_depth or len(self.heap) >= max_panels:
+        floors = self.panels[:, 2 * k :]
+        if not chosen.size or max(map(_sum, floors.T.tolist())) > target:
             return NotConverged(
                 _value(value, self.vector),
                 _value(err, self.vector),
                 self.evaluations,
                 self.kernel_calls,
             )
-        heapq.heappop(self.heap)
-        self.total = _minus(self.total, values)
-        self.total_err = [t - u for t, u in zip(self.total_err, units)]
-        self.floor = [t - x for t, x in zip(self.floor, floors)]
-        mid = 0.5 * (p_lo + p_hi)
-        self.todo = [(p_lo, mid), (mid, p_hi)]
-        self.depth = depth + 1
+        lo, hi, depth = self.lo[chosen], self.hi[chosen], self.depth[chosen] + 1
+        mid = 0.5 * (lo + hi)
+        self.pending = (np.concatenate((lo, mid)), np.concatenate((mid, hi)))
+        self.pending_depth = np.concatenate((depth, depth))
+        rest = order[chosen.size :]
+        self.lo, self.hi, self.depth = self.lo[rest], self.hi[rest], self.depth[rest]
+        self.panels = self.panels[rest]
         return None
 
-    def _look_ahead(self, max_depth: int, max_panels: int) -> list[tuple[float, float]]:
-        """The halves not yet evaluated of the live panels the loop must split.
-
-        Those are the fewest worst live panels whose removal brings every
-        component's estimate sum under the last target: the loop splits the
-        worst panel first and halves add estimates, so while one of them is
-        live it cannot stop, unless the target grows.  The look-ahead ends
-        at a panel of ``max_depth`` and at the splits left under
-        ``max_panels`` after the one under way.
-        """
-        # a remaining total rounds above the target exactly when it reaches
-        # this many units
-        over = _threshold(self.target)
-        left = self.total_err
-        halves: list[tuple[float, float]] = []
-        heap = self.heap.copy()
-        room = max_panels - len(heap) - 2
-        # the live panels in the loop's order, worst first, while needed;
-        # left is the exact sum of the estimates of those not taken, so it
-        # meets the target before the heap runs out
-        while room > 0 and max(left) >= over:
-            _, lo, hi, _, units, _, depth = heapq.heappop(heap)
-            if depth >= max_depth:
-                break
-            mid = 0.5 * (lo + hi)
-            halves += [half for half in ((lo, mid), (mid, hi)) if half not in self.ready]
-            left = [t - u for t, u in zip(left, units)]
-            room -= 1
-        return halves
+    def take(self, panels: np.ndarray) -> None:
+        """Make the evaluated pending halves live panels."""
+        lo, hi = self.pending
+        self.lo = np.concatenate((self.lo, lo))
+        self.hi = np.concatenate((self.hi, hi))
+        self.depth = np.concatenate((self.depth, self.pending_depth))
+        self.panels = np.concatenate((self.panels, panels))
+        self.evaluations += 15 * len(lo)
+        self.kernel_calls += 1
 
 
-def _first_round(
-    f: BatchIntegrand,
-    firsts: list[tuple[int, list[float]]],
-    rel_tol: float,
-    abs_tol: float,
-    max_depth: int,
-    max_panels: int,
-    outcomes: list,
-) -> list[_Integral]:
-    """The initial panels of every integral in one call of ``f``, and their test.
+def _evaluate(f: BatchIntegrand, jobs: list[tuple]) -> list:
+    """The panels of every job in one call of ``f``.
 
-    ``firsts`` lists (owner, edges) per integral, ``edges`` the bounds and
-    breakpoints in order.  An integral whose initial panels meet its target
-    (:func:`_initial_sums`) gets its result in ``outcomes`` at once, with
-    no per-integral state; the others become :class:`_Integral` objects
-    that take those panels and are returned with their next panels
-    pending, unless they finish on them (their outcome then also goes to
-    ``outcomes``).  When the call raises a :class:`TrapcavError`, each
-    integral of several is evaluated alone, and a lone one finishes with
-    the exception, so an error stays with its own integral.
+    ``jobs`` lists (owner, lo, hi) per integral, ``lo`` and ``hi`` the
+    edges of its panels.  Returns, per job, the exception that its panels
+    raise, or an array of one row per panel, its k values, k estimates and
+    k estimate floors (:func:`_gk15`), with whether the integrand has a
+    component axis.  When the batched call raises a :class:`TrapcavError`,
+    each job of several is evaluated on its own, so an error stays with its
+    integral.
     """
-    counts = [len(edges) - 1 for _, edges in firsts]
-    lo = [x for _, edges in firsts for x in edges[:-1]]
-    hi = [x for _, edges in firsts for x in edges[1:]]
-    owner = np.repeat([item[0] for item in firsts], [15 * n for n in counts])
+    counts = [len(lo) for _, lo, _ in jobs]
+    owner = np.array([owner for owner, _, _ in jobs]).repeat([15 * n for n in counts])
+    lo = np.concatenate([lo for _, lo, _ in jobs])
+    hi = np.concatenate([hi for _, _, hi in jobs])
     try:
-        values, errs, floors = _gk15(lambda x: f(x, owner), lo, hi)
+        rules = _gk15(lambda x: f(x, owner), lo, hi)
     except TrapcavError as err:
-        if len(firsts) == 1:
-            outcomes[firsts[0][0]] = err
-            return []
-        args = (rel_tol, abs_tol, max_depth, max_panels, outcomes)
-        return [item for first in firsts for item in _first_round(f, [first], *args)]
-    vector = values.ndim > 1
-    k = values.size // len(lo)
-    # per component, one list of the floats of every panel
-    values, errs, floors = (a.reshape(len(lo), k).T.tolist() for a in (values, errs, floors))
-    live, start = [], 0
-    for (owner, edges), n in zip(firsts, counts):
-        stop = start + n
-        v, e = [c[start:stop] for c in values], [c[start:stop] for c in errs]
-        sums = _initial_sums(v, e, rel_tol, abs_tol)
-        if sums is not None:
-            value, err = sums
-            outcomes[owner] = QuadratureResult(
-                _value(value, vector), _value(err, vector), 15 * n, True, 1
-            )
-        else:
-            # the panels as rows of k floats
-            rows = [list(zip(*c)) for c in (v, e, [c[start:stop] for c in floors])]
-            item = _Integral(owner, edges, vector, k)
-            outcome = item.advance(*rows, rel_tol, abs_tol, max_depth, max_panels)
-            if outcome is None:
-                live.append(item)
-            else:
-                outcomes[owner] = outcome
-        start = stop
-    return live
-
-
-def _evaluate(f: BatchIntegrand, batch: list[_Integral]) -> list:
-    """Every integral's pending panels in one call of ``f``.
-
-    Returns, per integral, the (values, errors, floors) of its pending
-    panels, as lists of k floats per panel, or the exception that the panels
-    it needs now raise, and tells each integral that the call evaluated its
-    panels.  When the batched call raises, each integral of a batch of
-    several is evaluated alone, so an error stays with its integral, and a
-    lone integral is evaluated again without its look-ahead, so a
-    look-ahead panel cannot change an outcome; a call that raised counts
-    for no integral's ``kernel_calls``.
-    """
-    p_lo, p_hi = zip(*[panel for item in batch for panel in item.pending])
-    owner = np.array([item.owner for item in batch for _ in item.pending]).repeat(15)
-    try:
-        values, errs, floors = _gk15(lambda x: f(x, owner), p_lo, p_hi)
-    except TrapcavError as err:
-        if len(batch) > 1:
-            return [_evaluate(f, [item])[0] for item in batch]
-        (item,) = batch
-        if len(item.pending) == len(item.todo):
+        if len(jobs) == 1:
             return [err]
-        item.pending = item.todo
-        return _evaluate(f, batch)
-    m = len(values)
-    values, errs, floors = (a.reshape(m, -1).tolist() for a in (values, errs, floors))
+        return [_evaluate(f, [job])[0] for job in jobs]
+    vector = rules[0].ndim > 1
+    panels = np.concatenate([a.reshape(len(lo), -1) for a in rules], axis=1)
     out, start = [], 0
-    for item in batch:
-        item.kernel_calls += 1
-        stop = start + len(item.pending)
-        out.append((values[start:stop], errs[start:stop], floors[start:stop]))
-        start = stop
+    for n in counts:
+        out.append((panels[start : start + n], vector))
+        start += n
     return out
 
 
@@ -558,9 +379,9 @@ def integrate_batch(
     integral in one call of ``f``, as flat arrays of panel edges, and tests
     each integral on the ``math.fsum`` of its own; one that converges there
     is done, with no per-integral state.  The others then advance in
-    lock-step: each later round evaluates, in one call of ``f``, the panels
-    that every unfinished integral needs next, with the halves of the
-    panels it must still split (the module docstring has the rule).
+    lock-step: each later round evaluates, in one call of ``f``, the halves
+    of every panel that each unfinished integral must still split (the
+    module docstring has the rule).
     Returns one outcome per interval, in order: a :class:`QuadratureResult`,
     or the exception that integral alone would raise (:class:`NotConverged`,
     :class:`NonFiniteSample`, or a :class:`TrapcavError` that ``f`` raises
@@ -581,10 +402,11 @@ def integrate_batch(
         raise ValueError(f"abs_tol must be non-negative and finite, got {abs_tol!r}")
 
     outcomes: list = [None] * len(intervals)
-    firsts = []
+    jobs = []
     for owner, (lo, hi, points) in enumerate(intervals):
         if hi > lo:
-            firsts.append((owner, [lo, *sorted({p for p in points if lo < p < hi}), hi]))
+            edges = [lo, *sorted({p for p in points if lo < p < hi}), hi]
+            jobs.append((owner, edges[:-1], edges[1:]))
             continue
         # an empty interval: one node at lo tells the integrand's shape
         try:
@@ -593,17 +415,33 @@ def integrate_batch(
             outcomes[owner] = QuadratureResult(zero, zero, 0, True)
         except TrapcavError as err:
             outcomes[owner] = err
-    if not firsts:
-        return outcomes
-    live = _first_round(f, firsts, rel_tol, abs_tol, max_depth, max_panels, outcomes)
+    limits = (rel_tol, abs_tol, max_depth, max_panels)
+    live = []
+    for (owner, lo, hi), evaluated in zip(jobs, _evaluate(f, jobs) if jobs else ()):
+        if isinstance(evaluated, TrapcavError):
+            outcomes[owner] = evaluated
+            continue
+        # an integral that converges on its initial panels builds no state;
+        # one whose sums overflow meets its outcome in its own step
+        panels, vector = evaluated
+        value, err, target = _totals(panels, rel_tol, abs_tol)
+        if max(err) <= target and math.isfinite(target):
+            outcomes[owner] = QuadratureResult(
+                _value(value, vector), _value(err, vector), 15 * len(lo), True, 1
+            )
+            continue
+        item = _Integral(owner, lo, hi, panels, vector)
+        outcomes[owner] = item.step(*limits)
+        if outcomes[owner] is None:
+            live.append(item)
     while live:
-        for item, panels in zip(live, _evaluate(f, live)):
-            if isinstance(panels, TrapcavError):
-                outcomes[item.owner] = panels
-            else:
-                outcomes[item.owner] = item.advance(
-                    *panels, rel_tol, abs_tol, max_depth, max_panels
-                )
+        jobs = [(item.owner, *item.pending) for item in live]
+        for item, evaluated in zip(live, _evaluate(f, jobs)):
+            if isinstance(evaluated, TrapcavError):
+                outcomes[item.owner] = evaluated
+                continue
+            item.take(evaluated[0])
+            outcomes[item.owner] = item.step(*limits)
         live = [item for item in live if outcomes[item.owner] is None]
     return outcomes
 
@@ -624,13 +462,12 @@ def integrate_adaptive(
     for a scalar integrand or (k, n) for k components (a tuple of k arrays
     will do); the value and error estimate then come back as a float or a
     tuple of k floats.  All initial panels are evaluated in one call of
-    ``f``, and the first convergence test sums them with ``math.fsum``: an
-    integral that passes it takes that one call.  Each later call evaluates
-    both halves of the split under way and of the worst panels the loop
-    must still split, so a run of splits can take no further call.  ``evaluations`` counts the nodes of the panels
-    the loop used, and ``kernel_calls`` the calls of ``f`` that evaluated
-    them.  Convergence means
-    the largest component of the summed panel error estimate is at most
+    ``f``, and an integral that converges on them takes that one call.
+    Each later call evaluates the halves of every panel the loop must
+    still split.  ``evaluations`` counts the nodes of the panels the loop
+    made, every one of which it used, and ``kernel_calls`` the calls of
+    ``f`` that evaluated them.  Convergence means the largest component of
+    the summed panel error estimate is at most
     max(rel_tol * max_i |value_i|, abs_tol), so a component that integrates
     to (nearly) zero is held to the scale of the largest one.  On failure
     raises :class:`NotConverged` carrying the best value, its estimate, and
@@ -645,11 +482,13 @@ def integrate_adaptive(
     than [lo, hi], which the first panels would otherwise never sample.
     Points outside (lo, hi), duplicates and NaN are ignored.
 
-    The panel to split, the one with the largest error estimate (the
-    leftmost among equals), comes off a heap.  The panel values and
-    estimates are summed exactly and rounded once, for the convergence test
-    and for the reported value and estimate, so results match a loop that
-    re-sums every panel with ``math.fsum`` after each split.  A panel or
+    Each round halves, at once, the fewest panels of largest error estimate
+    (the leftmost among equals) whose removal would bring the summed
+    estimate within the target.  The panel values and estimates are summed
+    with ``math.fsum`` each round, for the convergence test and for the
+    reported value and estimate, so results do not depend on the order in
+    which the panels were made.  ``max_depth`` and ``max_panels`` cut that
+    set, and the loop stops unconverged when they leave it empty.  A panel or
     total beyond the float range raises :class:`NonFiniteSample` at its
     center.  Each estimate is at least :data:`REL_TOL_FLOOR` (1.11e-14) of
     the integral of ``|f|``, so a smaller ``rel_tol`` is met only through

@@ -164,7 +164,7 @@ def test_each_node_is_evaluated_once(monkeypatch):
     assert len(first) == initial
     assert all(lo < p.min() and p.max() < hi for lo, hi, p in zip(edges, edges[1:], first))
     # every later call is a whole number of splits (both halves of each),
-    # with the look-ahead in fewer calls than one per split
+    # several of them in one round, so fewer calls than splits
     splits = (fr.evaluations - 15 * initial) // 30
     assert splits > 1
     assert all(len(b) % 30 == 0 and len(b) > 0 for b in batches[1:])

@@ -2,6 +2,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -23,9 +24,8 @@ from trapcav.quadrature import (
     _WG,
     _WGK,
     _XGK,
-    _fixed,
     _gk15,
-    _rounded,
+    _sum,
     integrate_batch,
 )
 
@@ -268,66 +268,91 @@ def test_gk15_names_the_first_non_finite_node_of_a_batch():
     assert value[0] == 1.0 and math.isnan(value[1])
 
 
-def rescanning_loop(f, lo, hi, rel_tol=1e-9, max_depth=50, max_panels=10_000):
-    """The panel loop without heap or exact totals, for a scalar integrand.
+def rescanning_loop(
+    f, lo, hi, rel_tol=1e-9, abs_tol=1e-300, max_depth=50, max_panels=10_000, points=()
+):
+    """The round rule in plain Python, for a scalar integrand.
 
-    After every split it re-sums all panels with ``math.fsum`` and rescans
-    them for the worst (largest error, leftmost among equals).  It stops
-    unconverged at ``max_depth``, at ``max_panels``, or once the panels'
-    estimate floors sum past the target.  Returns (value, error estimate,
-    evaluations, converged).
+    Every round re-sums all panels with ``math.fsum`` and sorts them worst
+    first (largest error, leftmost among equals).  Unless the panels meet
+    the target, it halves the fewest worst ones whose removal leaves the
+    estimate sum of the others, added from the least up, within the
+    target, cut at the first panel of ``max_depth`` and at the room left
+    under ``max_panels``, and evaluates all the halves in one call.  It
+    stops unconverged when that leaves nothing to halve or once the
+    panels' estimate floors sum past the target.  Returns (value, error
+    estimate, evaluations, converged, calls).
     """
-    values, errs, floors = _gk15(f, [lo], [hi])
-    panels = [(lo, hi, values[0], errs[0], floors[0], 0)]
-    evaluations = 15
+    edges = [lo, *sorted(p for p in points if lo < p < hi), hi]
+    todo = [(a, b, 0) for a, b in zip(edges, edges[1:])]
+    panels, evaluations, calls = [], 0, 0
     while True:
-        total = math.fsum(p[2] for p in panels)
-        total_err = math.fsum(p[3] for p in panels)
-        target = rel_tol * abs(total)
+        values, errs, floors = _gk15(f, [p[0] for p in todo], [p[1] for p in todo])
+        panels += [(*p, *map(float, t)) for p, t in zip(todo, zip(values, errs, floors))]
+        evaluations += 15 * len(todo)
+        calls += 1
+        total = math.fsum(p[3] for p in panels)
+        total_err = math.fsum(p[4] for p in panels)
+        target = max(rel_tol * abs(total), abs_tol)
         if total_err <= target:
-            return total, total_err, evaluations, True
-        worst = max(range(len(panels)), key=lambda i: (panels[i][3], -panels[i][0]))
-        p_lo, p_hi, _, _, _, depth = panels[worst]
-        stuck = math.fsum(p[4] for p in panels) > target
-        if stuck or depth >= max_depth or len(panels) >= max_panels:
-            return total, total_err, evaluations, False
-        mid = 0.5 * (p_lo + p_hi)
-        values, errs, floors = _gk15(f, [p_lo, mid], [mid, p_hi])
-        panels[worst : worst + 1] = [
-            (p_lo, mid, values[0], errs[0], floors[0], depth + 1),
-            (mid, p_hi, values[1], errs[1], floors[1], depth + 1),
-        ]
-        evaluations += 30
+            return total, total_err, evaluations, True, calls
+        worst = sorted(panels, key=lambda p: (-p[4], p[0], p[1]))
+        # left[j]: the estimate sum of all but the j worst
+        left = list(accumulate(p[4] for p in reversed(worst)))[::-1] + [0.0]
+        count = next(j for j in range(1, len(worst) + 1) if left[j] <= target)
+        count = max(0, min(count, max_panels - len(worst)))
+        count = next((j for j in range(count) if worst[j][2] >= max_depth), count)
+        if not count or math.fsum(p[5] for p in panels) > target:
+            return total, total_err, evaluations, False, calls
+        todo = []
+        for a, b, depth, *_ in worst[:count]:
+            mid = 0.5 * (a + b)
+            todo += [(a, mid, depth + 1), (mid, b, depth + 1)]
+        panels = worst[count:]
 
 
-def test_heap_matches_a_rescanning_loop(monkeypatch):
-    # the exact totals, rounded once, are the fsum of the final panels: the
-    # outcome matches a loop that re-sums every panel after each split
-    chirp = lambda x: np.sin(1e5 * x * x)
-    expect = rescanning_loop(chirp, 0.0, 1.0, max_panels=500)
-    assert not expect[3]
-
+def test_round_loop_matches_a_rescanning_loop(monkeypatch):
+    # fsum of the live panels after every round, and the panels to halve
+    # chosen by sorting them: the outcome, its bits and its calls match the
+    # plain reference loop
     def forbidden(*args, **kwargs):
         raise AssertionError("the adaptive loop called pairwise_sum")
 
     monkeypatch.setattr(trapcav.quadrature, "pairwise_sum", forbidden)
+    chirp = lambda x: np.sin(1e5 * x * x)
+    # the chirp stopped by the panel cap and by the depth limit
+    for limits in (dict(max_panels=500), dict(max_depth=6), dict(max_panels=77, max_depth=9)):
+        expect = rescanning_loop(chirp, 0.0, 1.0, **limits)
+        assert not expect[3]
+        with pytest.raises(NotConverged) as err:
+            integrate_adaptive(chirp, 0.0, 1.0, **limits)
+        stop = err.value
+        assert (stop.value, stop.error_estimate, stop.evaluations, False, stop.kernel_calls) == expect
+    assert rescanning_loop(chirp, 0.0, 1.0, max_panels=500)[2] == 15 + 30 * 499
+    # two panels with the same nodes' values, hence the same estimate, and
+    # room for one split: the left one is halved, so the narrow bump in the
+    # right one, at the center of its right half, stays unseen
+    square = lambda t: np.where(t % 1.0 < 0.3, 1.0, 0.0) + (np.abs(t - 1.75) < 1e-3)
     with pytest.raises(NotConverged) as err:
-        integrate_adaptive(chirp, 0.0, 1.0, max_panels=500)
+        integrate_adaptive(square, 0.0, 2.0, points=(1.0,), max_panels=3)
     stop = err.value
-    assert (stop.value, stop.error_estimate, stop.evaluations) == expect[:3]
-    assert stop.evaluations == 15 + 30 * 499
-    # converging integrals stop at the same split with the same bits
+    expect = rescanning_loop(square, 0.0, 2.0, points=(1.0,), max_panels=3)
+    assert (stop.value, stop.error_estimate, stop.evaluations, False, stop.kernel_calls) == expect
+    assert stop.evaluations == 60 and math.isclose(stop.value, 0.6, rel_tol=0.1)
+    # converging integrals stop in the same round with the same bits
     cases = [
-        (lambda t: np.sqrt(1.0 - t), 1e-12),
-        (lambda t: np.sin(1e3 * t * t), 1e-9),
-        (lambda t: np.where(t < 0.3, 1.0, 0.0), 1e-9),
+        (lambda t: np.sqrt(1.0 - t), 1e-12, ()),
+        (lambda t: np.sin(1e3 * t * t), 1e-9, ()),
+        (lambda t: np.where(t < 0.3, 1.0, 0.0), 1e-9, ()),
+        (lambda t: np.abs(t - 0.7) ** 0.25, 1e-11, (0.5, 0.9)),
+        (lambda t: 1.0 + np.sin(200.0 * t), 1e-13, (0.25,)),
     ]
-    for f, rel_tol in cases:
-        q = integrate_adaptive(f, 0.0, 1.0, rel_tol=rel_tol, abs_tol=0.0)
-        assert (q.value, q.error_estimate, q.evaluations, True) == rescanning_loop(
-            f, 0.0, 1.0, rel_tol
+    for f, rel_tol, points in cases:
+        q = integrate_adaptive(f, 0.0, 1.0, rel_tol=rel_tol, abs_tol=0.0, points=points)
+        assert (q.value, q.error_estimate, q.evaluations, True, q.kernel_calls) == rescanning_loop(
+            f, 0.0, 1.0, rel_tol, 0.0, points=points
         )
-        assert (q.evaluations - 15) // 30 >= 20
+        assert (q.evaluations - 15 * (len(points) + 1)) // 30 >= 20
 
 
 def outcome_key(outcome):
@@ -392,7 +417,7 @@ def test_batch_outcomes_match_lone_integrals():
     # the first round evaluates six integrals together
     assert max(calls) == 6
     # an integral whose initial panels overflow fsum, though their exact
-    # total is a float, takes the exact totals in a batch whose other
+    # total is a float, is summed with fractions in a batch whose other
     # integrals converge on their fsum, and all get their lone outcomes
     cases = [
         (np.sin, 0.0, 1.0, ()),
@@ -483,8 +508,8 @@ def test_an_integral_stops_once_its_floors_exceed_the_target():
     with pytest.raises(NotConverged) as err:
         integrate_adaptive(f, 0.0, 2.0, rel_tol=1e-12, abs_tol=0.0)
     stop = err.value
-    assert (stop.value, stop.error_estimate, stop.evaluations, False) == rescanning_loop(
-        wave, 0.0, 2.0, 1e-12
+    assert (stop.value, stop.error_estimate, stop.evaluations, False, 1) == rescanning_loop(
+        wave, 0.0, 2.0, 1e-12, 0.0
     )
     assert stop.evaluations < 1000 and stop.kernel_calls == len(calls) == 1
     assert math.isclose(stop.value, (1.0 - math.cos(6.0)) / 3.0, rel_tol=1e-6)
@@ -495,12 +520,13 @@ def test_an_integral_stops_once_its_floors_exceed_the_target():
 
 def bits(outcome):
     # outcome_key with the exact bits of every float and the call count
-    return repr(outcome_key(outcome)), outcome.kernel_calls
+    return repr(outcome_key(outcome)), getattr(outcome, "kernel_calls", None)
 
 
-def test_initial_sums_match_the_exact_totals(monkeypatch):
-    # integrals that converge on their initial panels are summed by fsum,
-    # with the bits the exact totals give them
+def test_initial_sums_match_the_exact_totals():
+    # integrals that converge on their initial panels are summed by fsum:
+    # each value and estimate is the exact sum of the panels' floats,
+    # rounded once
     cases = [
         (np.sin, 0.0, 1.0, ()),
         (np.exp, -1.0, 3.0, (0.0, 1.0, 2.0)),
@@ -509,30 +535,36 @@ def test_initial_sums_match_the_exact_totals(monkeypatch):
         (lambda t: (t - 1.5) ** 3, 0.0, 3.0, (1.0, 1.5, 2.0)),
         (lambda t: (-np.ones_like(t), 0.5 * t), 0.0, 1.0, (0.5,)),
     ]
-    fast = [lone(f, lo, hi, points, abs_tol=1e-13) for f, lo, hi, points in cases]
-    assert all(q.converged and q.kernel_calls == 1 for q in fast)
-    monkeypatch.setattr(trapcav.quadrature, "_initial_sums", lambda *args: None)
-    exact = [lone(f, lo, hi, points, abs_tol=1e-13) for f, lo, hi, points in cases]
-    assert list(map(bits, fast)) == list(map(bits, exact))
+    for f, lo, hi, points in cases:
+        q = integrate_adaptive(f, lo, hi, abs_tol=1e-13, points=points)
+        assert q.converged and q.kernel_calls == 1
+        edges = [lo, *points, hi]
+        values, errs, _ = _gk15(f, edges[:-1], edges[1:])
+        exact = [
+            tuple(float(sum(map(Fraction, c))) for c in a.reshape(len(edges) - 1, -1).T.tolist())
+            for a in (values, errs)
+        ]
+        assert (q.value, q.error_estimate) == tuple(e if values.ndim > 1 else e[0] for e in exact)
 
 
 def test_an_intermediate_overflow_of_fsum_leaves_the_sums_to_the_exact_totals():
     # fsum gives up on 0.8e308 + 0.8e308 + 0.8e308, though the sum of the
-    # four panels, 1.6e308, is a float
+    # four panels, 1.6e308, is a float: the sum of fractions, rounded once,
+    # decides
     f = lambda t: np.where(t < 3.0, 0.8e308, -0.8e308)
     values, _, _ = _gk15(f, [0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(OverflowError):
         math.fsum(values)
     q = integrate_adaptive(f, 0.0, 4.0, points=(1.0, 2.0, 3.0))
-    assert q.converged and q.value == _rounded(sum(map(_fixed, values.tolist())))
+    assert q.converged and q.value == float(sum(map(Fraction, values.tolist())))
     assert math.isclose(q.value, 1.6e308, rel_tol=1e-14)
     assert (q.evaluations, q.kernel_calls) == (60, 1)
-
-
-def without_look_ahead(monkeypatch):
-    # the loop that evaluates only the panels it needs now: one call of the
-    # integrand per split
-    monkeypatch.setattr(trapcav.quadrature._Integral, "_look_ahead", lambda self, *limits: [])
+    # an integral that must split sums its panels the same way in later
+    # rounds: the square root at 3 makes the fourth panel split
+    g = lambda t: np.where(t < 3.0, 0.8e308, -0.8e308 + 1e306 * np.sqrt(np.abs(t - 3.0)))
+    q = integrate_adaptive(g, 0.0, 4.0, rel_tol=1e-12, points=(1.0, 2.0, 3.0))
+    assert q.converged and q.kernel_calls > 1
+    assert math.isclose(q.value, 1.6e308 + 1e306 * 2.0 / 3.0, rel_tol=1e-12)
 
 
 def counted(f):
@@ -547,15 +579,16 @@ def counted(f):
 
 
 def test_look_ahead_stops_at_the_depth_limit():
-    # the loop stops once its worst panel has max_depth halvings; the
-    # look-ahead evaluates no halves beyond that depth, although no panel
-    # of that depth resolves the chirp
+    # the loop stops once its worst panel has max_depth halvings; no round
+    # halves a panel of that depth, although none of them resolves the
+    # chirp, and every panel evaluated is used
     f, calls = counted(lambda t: np.sin(1e5 * t * t))
     with pytest.raises(NotConverged) as err:
         integrate_adaptive(f, 0.0, 1.0, max_depth=6)
-    assert err.value.evaluations == 1875
-    assert sum(map(len, calls)) <= 1.05 * err.value.evaluations
+    assert err.value.evaluations == sum(map(len, calls)) == 1905
     assert err.value.kernel_calls == len(calls)
+    widths = np.concatenate([np.ptp(x.reshape(-1, 15), axis=1) for x in calls])
+    assert widths.min() > 0.9 * 2.0**-6
 
 
 def panels_of(calls):
@@ -563,118 +596,63 @@ def panels_of(calls):
     return {tuple(x[i : i + 15]) for x in calls for i in range(0, len(x), 15)}
 
 
-def test_look_ahead_spends_the_panel_cap_in_few_calls(monkeypatch):
+def test_look_ahead_spends_the_panel_cap_in_few_calls():
     # some 6400 oscillations, each resolved to 1e-12, need more panels than
-    # the 10 000-panel cap; the look-ahead evaluates the panels the loop
-    # must split many at a time, with the same outcome
+    # the 10 000-panel cap; each round halves every panel the loop must
+    # split, so the cap is spent in few calls of the integrand
     wave = lambda t: 1.0 + np.sin(2e4 * t)
     f, calls = counted(wave)
     with pytest.raises(NotConverged) as err:
         integrate_adaptive(f, 0.0, 2.0, rel_tol=1e-12)
     stop = err.value
-    assert stop.evaluations == 299_985 and len(calls) <= 200
+    assert stop.evaluations == 299_985 and len(calls) <= 20
     assert stop.kernel_calls == len(calls)
-    # no panel is evaluated twice, and the look-ahead stays within the
-    # splits left under the cap, so almost none go unused
+    # no panel is evaluated twice, and every one evaluated is used
     nodes = sum(map(len, calls))
-    assert len(panels_of(calls)) == nodes // 15 and nodes <= 1.01 * stop.evaluations
+    assert len(panels_of(calls)) == nodes // 15 and nodes == stop.evaluations
     assert math.isclose(stop.value, 2.0 + (1.0 - math.cos(4e4)) / 2e4, rel_tol=1e-12)
-    without_look_ahead(monkeypatch)
-    one_by_one, calls = counted(wave)
-    with pytest.raises(NotConverged) as err:
-        integrate_adaptive(one_by_one, 0.0, 2.0, rel_tol=1e-12)
-    assert outcome_key(err.value) == outcome_key(stop) and len(calls) == 10_000
-    assert err.value.kernel_calls == 10_000
 
 
-def test_look_ahead_converts_each_panel_once(monkeypatch):
-    # a panel's values and estimates become units when it joins, and a split
-    # takes its value units off again; the look-ahead reuses the stored
-    # estimate units and converts only its target, so the panel-cap
-    # integral makes about 2.5 conversions per panel (7.6 when each
-    # look-ahead converted every panel it popped)
-    fixed = trapcav.quadrature._fixed
-    conversions = []
+@pytest.mark.parametrize("limits", [dict(max_depth=0), dict(max_panels=3)])
+def test_limits_below_the_initial_panels_stop_after_one_call(limits):
+    # no initial panel may be halved: an integral that does not converge on
+    # them stops after the call that evaluates them, alone and in a batch,
+    # and one that converges on them is unaffected
+    cases = [
+        (np.sqrt, 0.0, 1.0, (0.25, 0.5, 0.75)),
+        (lambda t: t * t, 0.0, 1.0, (0.25, 0.5, 0.75)),
+        (lambda t: np.abs(t - 0.3), 0.0, 2.0, (0.5, 1.0, 1.5)),
+    ]
+    calls = []
 
-    def counting(x):
-        conversions.append(x)
-        return fixed(x)
+    def batched(x, owner):
+        calls.append(x.size)
+        out = np.empty(x.size)
+        for j in np.unique(owner):
+            out[owner == j] = cases[j][0](x[owner == j])
+        return out
 
-    monkeypatch.setattr(trapcav.quadrature, "_fixed", counting)
-    with pytest.raises(NotConverged) as err:
-        integrate_adaptive(lambda t: 1.0 + np.sin(2e4 * t), 0.0, 2.0, rel_tol=1e-12)
-    stop = err.value
-    assert (stop.evaluations, stop.kernel_calls) == (299_985, 50)
-    assert len(conversions) <= 3 * stop.evaluations // 15
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.floats(min_value=0.0, max_value=sys.float_info.max))
-@example(0.0)
-@example(5e-324)
-@example(1.0)
-@example(1.0000000000000002)
-@example(sys.float_info.max)
-def test_look_ahead_threshold_is_the_least_total_above_the_target(target):
-    # the look-ahead compares exact totals with this threshold in place of
-    # rounding them: one unit less rounds to at most the target.  Ties
-    # round to even, up from 1 + 2**-52 and down from 1.0, and the greatest
-    # float's threshold rounds to infinity
-    over = trapcav.quadrature._threshold(target)
-    assert _rounded(over) > target >= _rounded(over - 1)
+    got = integrate_batch(batched, [case[1:] for case in cases], rel_tol=1e-12, **limits)
+    expect = [lone(g, lo, hi, points, rel_tol=1e-12, **limits) for g, lo, hi, points in cases]
+    assert list(map(bits, got)) == list(map(bits, expect))
+    assert calls == [3 * 60]
+    assert [type(o) for o in got] == [NotConverged, QuadratureResult, NotConverged]
+    assert all(o.evaluations == 60 and o.kernel_calls == 1 for o in got)
 
 
-def test_a_failing_look_ahead_panel_changes_no_outcome():
-    # the chirp stops at the panel cap with look-ahead halves it never
-    # used; an integrand that raises on one of them gets the outcome of the
-    # loop that never evaluates them
-    chirp = lambda x: np.sin(1e5 * x * x)
-    expect = rescanning_loop(chirp, 0.0, 1.0, max_panels=500)
-    f, calls = counted(chirp)
-    with pytest.raises(NotConverged):
-        integrate_adaptive(f, 0.0, 1.0, max_panels=500)
-    looked, reference_calls = counted(chirp)
-    rescanning_loop(looked, 0.0, 1.0, max_panels=500)
-    # no panel is evaluated twice, though some are evaluated unused
-    assert len(panels_of(calls)) * 15 == sum(map(len, calls))
-    unused = sorted(panels_of(calls) - panels_of(reference_calls))
-    assert unused
-    bad = np.array(unused[len(unused) // 2])
-    raised = []
-
-    def fragile(x):
-        if np.isin(x, bad).any():
-            raised.append(x.size)
-            raise NumericDegeneracy("synthetic failure on a look-ahead panel")
-        return chirp(x)
-
-    with pytest.raises(NotConverged) as err:
-        integrate_adaptive(fragile, 0.0, 1.0, max_panels=500)
-    stop = err.value
-    assert (stop.value, stop.error_estimate, stop.evaluations, False) == expect
-    assert raised
-
-
-def test_look_ahead_batch_matches_lone_integrals(monkeypatch):
+def test_look_ahead_batch_matches_lone_integrals():
     # converging, capped and depth-limited integrals, one that raises on
-    # its first panel and one that raises on a look-ahead panel it never
-    # uses, all in one batch: each gets its lone outcome, and the loop
-    # without look-ahead gets the same
+    # its first panel and one that raises in a later round, all in one
+    # batch: each gets its lone outcome
     chirp = lambda t: np.sin(1e4 * t * t)
     kwargs = dict(rel_tol=1e-10, max_depth=20, max_panels=200)
-    f, calls = counted(chirp)
-    lone(f, 0.0, 1.0, **kwargs)
-    with monkeypatch.context() as patch:
-        without_look_ahead(patch)
-        g, needed_calls = counted(chirp)
-        lone(g, 0.0, 1.0, **kwargs)
-    bad = np.array(min(panels_of(calls) - panels_of(needed_calls)))
     raised = []
 
     def fragile(t):
-        if np.isin(t, bad).any():
+        # no node of the first panel, [0, 1], lies in (0.7, 0.701)
+        if ((t > 0.7) & (t < 0.701)).any():
             raised.append(t.size)
-            raise NumericDegeneracy("synthetic failure on a look-ahead panel")
+            raise NumericDegeneracy("synthetic failure on a later panel")
         return chirp(t)
 
     cases = [
@@ -698,16 +676,12 @@ def test_look_ahead_batch_matches_lone_integrals(monkeypatch):
     got = integrate_batch(batched, [case[1:] for case in cases], **kwargs)
     assert raised
     expect = [lone(g, lo, hi, points, **kwargs) for g, lo, hi, points in cases]
-    assert [outcome_key(o) for o in got] == [outcome_key(o) for o in expect]
+    assert list(map(bits, got)) == list(map(bits, expect))
     assert [type(o) for o in got] == [QuadratureResult, NotConverged, NotConverged] + [
-        NumericDegeneracy, QuadratureResult, NotConverged, NotConverged
+        NumericDegeneracy, QuadratureResult, NotConverged, NumericDegeneracy
     ]
-    assert outcome_key(got[6]) == outcome_key(got[1])
     # some call evaluated several splits of one integral
     assert max(max(s) for s in splits[1:]) > 1
-    without_look_ahead(monkeypatch)
-    one_by_one = integrate_batch(batched, [case[1:] for case in cases], **kwargs)
-    assert [outcome_key(o) for o in one_by_one] == [outcome_key(o) for o in got]
 
 
 def test_error_estimate_is_usually_an_upper_bound():
@@ -743,25 +717,20 @@ FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
 )
 
 
-@given(st.lists(FLOATS, max_size=40), FLOATS)
+@given(st.lists(FLOATS, max_size=40))
 @settings(max_examples=300)
-def test_fixed_point_totals_round_like_fsum(xs, y):
-    # every float is a whole number of units of 2**-1074, summed exactly
-    assert all(Fraction(_fixed(x), 1 << 1074) == Fraction(x) for x in xs)
-    total = sum(map(_fixed, xs))
+def test_panel_sums_round_like_fsum(xs):
+    # fsum, or, when fsum gives up on an intermediate overflow, the exact
+    # rational sum rounded once
     try:
         expect = math.fsum(xs)
     except OverflowError:
-        # fsum gives up on an intermediate overflow; the exact rational sum
-        # decides, rounded once
         exact = sum(map(Fraction, xs))
         try:
             expect = float(exact)
         except OverflowError:
             expect = math.inf if exact > 0 else -math.inf
-    assert _rounded(total) == expect
-    # taking a term out restores the previous total exactly
-    assert total + _fixed(y) - _fixed(y) == total
+    assert _sum(xs) == expect
 
 
 def test_pairwise_sum_basics():
