@@ -150,7 +150,19 @@ class WingParams(NamedTuple):
 
     def s(self, r):
         """:func:`s_factor` without its range check, for ``r`` checked already."""
-        return self.cphi * (self.a + 2.0 * r * self.sphi)
+        return self.cphi * (self.a + r * (2.0 * self.sphi))
+
+    def angles(self, r) -> np.ndarray:
+        """theta1 and theta2 of :func:`limit_angles`, without its checks.
+
+        Returns an array of shape (2, *r.shape): both angles come from one
+        ``atan2`` call.  Its transposed operands put the pair axis last, so
+        that a float cross product pairs with every node and an array one
+        with its own.
+        """
+        cross = np.array((self.far_cross, self.near_cross))
+        dot = np.array(((self.R - r) - self.far_dot, -self.near_dot - r))
+        return np.arctan2(cross.T, dot.T).T
 
 
 def _params(cavity: CavitySpec | WingParams) -> WingParams:
@@ -186,8 +198,7 @@ def limit_angles(cavity: CavitySpec | WingParams, r) -> AngleWindow:
     """
     cav = _params(cavity)
     _check_r(cav, r)
-    theta1 = np.arctan2(cav.far_cross, (cav.R - r) - cav.far_dot)
-    theta2 = np.arctan2(cav.near_cross, -(r + cav.near_dot))
+    theta1, theta2 = cav.angles(r)
     collapsed = theta1 >= theta2
     if collapsed.any():
         r0, t1, t2 = _first(collapsed, r, theta1, theta2)

@@ -27,11 +27,14 @@ whose antiderivatives are
 so the z integrand integrates to cos(phi) dF5 + sin(phi) dG5 and the x
 integrand to cos(phi) dG5 - sin(phi) dF5; :func:`fan_integrals` returns both
 from one evaluation of each primitive difference.  The kernel is written
-once, in numpy ufuncs, as :func:`wing_pressures`, which takes the cavity
-parameters per node, so that one call can evaluate the quadrature nodes of
-many cavities.  :func:`pressure_arrays` is its form for one cavity and an
-array of wing coordinates, and :func:`specific_pressures` its one-point
-form.  Over the full half-space
+once, in numpy ufuncs, as :func:`wing_pressures`: it takes one cavity's
+parameters as floats, or several cavities' gathered per node, so that one
+call can evaluate the quadrature nodes of many cavities, and both limit
+angles come from one ``atan2`` call.  s^4 is the product (s s)^2, exact
+in IEEE arithmetic, so a node has the same bits alone, in an array, and
+with floats or gathered parameters.  :func:`pressure_arrays` is its form
+for one cavity and an array of wing coordinates, and
+:func:`specific_pressures` its one-point form.  Over the full half-space
 fan (0, pi) at phi = 0 the z integral is 16/15 — the factor by which an
 ideal half-space of rays beats the single perpendicular ray — and the x
 integral over (0, pi/2) is +1/5, flipping sign on (pi/2, pi).
@@ -109,14 +112,19 @@ def _sin4cos_primitive(u):
     return s * s2 * s2 / 5.0
 
 
-def _fan(window: AngleWindow, two_phi, cphi, sphi) -> tuple:
-    # fan_integrals with 2 phi, cos(phi) and sin(phi) given per fan or per
-    # node; both limits go into one array, so each primitive is one pass
-    u = np.array((window.theta1, window.theta2)) - two_phi
-    f5, g5 = _sin5_primitive(u), _sin4cos_primitive(u)
-    d_f5 = f5[1] - f5[0]
-    d_g5 = g5[1] - g5[0]
-    return cphi * d_g5 - sphi * d_f5, cphi * d_f5 + sphi * d_g5
+def _fan(theta: np.ndarray, two_phi, cphi, sphi) -> np.ndarray:
+    # x and -z of fan_integrals, stacked on a new first axis: both limit
+    # angles come in one array (theta[0], theta[1]), so each primitive is
+    # one pass, and 2 phi, cos(phi) and sin(phi) per fan or per node
+    u = theta - two_phi
+    primitives = np.array((_sin4cos_primitive(u), _sin5_primitive(u)))
+    # dG5, dF5
+    d = primitives[:, 1] - primitives[:, 0]
+    # cos(phi) dG5 - sin(phi) dF5, -cos(phi) dF5 - sin(phi) dG5
+    out = cphi * d
+    out[1:] *= -1.0
+    out -= sphi * d[::-1]
+    return out
 
 
 def fan_integrals(window: AngleWindow, phi: float) -> tuple:
@@ -133,33 +141,39 @@ def fan_integrals(window: AngleWindow, phi: float) -> tuple:
     changes sign where the fan crosses theta = pi/2 + 2 phi; the full
     half-space fan at phi = 0 integrates to exactly zero.
     """
-    return _fan(window, 2.0 * phi, math.cos(phi), math.sin(phi))
+    theta = np.array((window.theta1, window.theta2))
+    x, minus_z = _fan(theta, 2.0 * phi, math.cos(phi), math.sin(phi))
+    return x, -minus_z
 
 
-def wing_pressures(cav: WingParams, k, r) -> tuple:
-    """Local pressure components (p_x, p_z) for parameters given per node.
-
-    The kernel's one formula: ``cav`` holds the geometry and ``k`` the
-    prefactor, as floats for one cavity or, for the nodes of several
-    cavities, as arrays of the shape of ``r`` gathered per node.  Nothing is
-    validated beyond the checks of :func:`limit_angles`, so the caller
-    validates every cavity once; s comes from :meth:`WingParams.s` on the
-    coordinates that those checks have passed.  s^4 is
-    libm's ``pow`` (``np.float_power``), as on one float, so a node has
-    the same bits in an array as alone; numpy's vectorised ``**`` differs
-    from it in the last bit on a few percent of nodes.
-    """
-    window = limit_angles(cav, r)
-    s = cav.s(r)
-    scale = k / np.float_power(s, 4.0)
-    x, z = _fan(window, cav.two_phi, cav.cphi, cav.sphi)
-    return scale * x, -scale * z
-
-
-def pressure_arrays(spec: CavitySpec, r) -> tuple:
+def wing_pressures(cav: WingParams, k, r) -> np.ndarray:
     """Local pressure components (p_x, p_z) at the wing coordinates ``r``.
 
-    p = (K / s^4) times the fan integrals, in the shape of ``r``: one call
+    The kernel's one formula: ``cav`` holds the geometry and ``k`` the
+    prefactor, as floats for one cavity, or, for the nodes of several
+    cavities, as arrays of the shape of ``r`` gathered per node.  Returns
+    p_x and p_z as the two rows of one array.  Floats and gathered arrays
+    give a node the same bits, and so do arrays and one point: s^4 is
+    (s s)^2, exact IEEE products.  The fast path tests the range of ``r``,
+    then the fans; only when a test fails does :func:`limit_angles` run,
+    to raise :class:`OutOfRange` or :class:`DegenerateFan` for the first
+    offending ``r``.  Nothing else is validated, so the caller validates
+    every cavity once; s comes from :meth:`WingParams.s` on the
+    coordinates that those checks have passed.
+    """
+    r = np.asarray(r)
+    theta = cav.angles(r)
+    if not ((0.0 <= r) & (r <= cav.R)).all() or (theta[0] >= theta[1]).any():
+        limit_angles(cav, r)  # raises OutOfRange or DegenerateFan
+    s2 = np.square(cav.s(r))
+    return _fan(theta, cav.two_phi, cav.cphi, cav.sphi) * (k / (s2 * s2))
+
+
+def pressure_arrays(spec: CavitySpec, r) -> np.ndarray:
+    """Local pressure components (p_x, p_z) at the wing coordinates ``r``.
+
+    p = (K / s^4) times the fan integrals, in the shape of ``r``, as the
+    two rows of one array: one call
     evaluates a whole batch of nodes.  p_z carries an explicit minus sign
     (compression pulls the wings together); p_x keeps the sign of its
     integral, negative wherever the fan is dominated by forward-leaning

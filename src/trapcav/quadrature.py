@@ -30,9 +30,11 @@ split per round.
 integrand also gets, for every node, the index of the integral the node
 belongs to.  The first round is array-at-a-time: the initial panels of all
 integrals, laid out as flat arrays of panel edges, go through one call of
-the integrand, and each integral is tested on the ``math.fsum`` of its own
-slice.  One that converges there returns its result at once and keeps no
-state; only the others become lock-step integrals.  Each later round, the
+the integrand and one pass of the rules, one ``tolist`` turns the value and
+estimate columns of all of them into lists, and each integral is tested on
+the ``math.fsum`` of its own slice.  One that converges there returns its
+result at once and builds nothing else; only the others get panel rows and
+become lock-step integrals.  Each later round, the
 halves of every unfinished integral go through one call of the integrand.
 An integral gives the same bits in a batch as alone: the kernel works node
 by node, and the rules reduce each panel with a per-row dot product
@@ -154,17 +156,18 @@ def pairwise_sum(values, axis: int = -1):
     return float(out) if out.ndim == 0 else out
 
 
-def _gk15(f: Integrand, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gk15(f: Integrand, lo, hi) -> np.ndarray:
     """Gauss-Kronrod panels [lo_i, hi_i], all nodes in one call of ``f``.
 
     ``lo`` and ``hi`` are 1-D arrays of m panel edges, ``lo <= hi``; ``f``
-    gets the 15 m nodes panel after panel.  Returns (value, error estimate,
-    estimate floor) arrays of shape (m,) for a scalar integrand and (m, k)
-    for one of k components; the floor, ``REL_TOL_FLOOR`` times the
-    panel's integral of ``|f|``, is the least estimate the panel can have.
-    Raises :class:`NonFiniteSample` at the first node where any component
-    is NaN or infinite, or else at the center of the first panel whose
-    value or estimate overflows.
+    gets the 15 m nodes panel after panel.  Returns the panels' values,
+    error estimates and estimate floors stacked on the first axis: shape
+    (3, m) for a scalar integrand and (3, m, k) for one of k components.
+    The floor, ``REL_TOL_FLOOR`` times the panel's integral of ``|f|``, is
+    the least estimate the panel can have.  Raises
+    :class:`NonFiniteSample` at the first node where any component is NaN
+    or infinite, or else at the center of the first panel whose value or
+    estimate overflows.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -173,40 +176,50 @@ def _gk15(f: Integrand, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     fv = np.asarray(f(xs), dtype=float)
     if fv.ndim not in (1, 2) or fv.shape[-1] != xs.size:
         raise ValueError(f"integrand returned shape {fv.shape} for {xs.size} nodes")
-    if not np.isfinite(fv).all():
-        j = int(np.argmin(np.isfinite(fv).reshape(-1, xs.size).all(axis=0)))
-        raise NonFiniteSample(float(xs[j]), _shaped(fv[..., j]))
-    value, err, floor = _rules(fv.reshape(fv.shape[:-1] + (lo.size, 15)), half)
-    finite = np.isfinite(value) & np.isfinite(err)
-    if not finite.all():
-        j = int(np.argmin(finite.reshape(lo.size, -1).all(axis=1)))
-        bad = value[j] if not np.isfinite(value[j]).all() else err[j]
+    rules = _rules(fv.reshape(fv.shape[:-1] + (lo.size, 15)), half)
+    # every Kronrod weight is positive, so a panel with a node that is not
+    # finite has a value that is not finite either
+    if not np.isfinite(rules[:2]).all():
+        bad = ~np.isfinite(fv).reshape(-1, xs.size).all(axis=0)
+        if bad.any():
+            j = int(bad.argmax())
+            raise NonFiniteSample(float(xs[j]), _shaped(fv[..., j]))
+        j = int(np.argmin(np.isfinite(rules[:2]).reshape(2, lo.size, -1).all(axis=(0, 2))))
+        bad = next(a for a in rules[:2, j] if not np.isfinite(a).all())
         raise NonFiniteSample(float(0.5 * (lo[j] + hi[j])), _shaped(bad))
-    return value, err, floor
+    return rules
 
 
-# finite samples can still overflow a panel's sums, and _gk15 names such a
-# panel, so numpy need not warn about it
-@np.errstate(over="ignore", invalid="ignore")
-def _rules(fv: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+# samples that are not finite, and finite ones whose panel sums overflow,
+# make the rules' arithmetic overflow or go invalid, and _gk15 names such a
+# node or panel; a panel whose f is constant divides by its zero resasc, a
+# quotient that the rules then discard: numpy need not warn about either
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _rules(fv: np.ndarray, half: np.ndarray) -> np.ndarray:
     """Value, error estimate and its floor of sampled panels, shape (m, 15)
     or (k, m, 15).
 
-    Returns arrays of shape (m,) or (m, k), panels first.
+    Returns them stacked as :func:`_gk15` does, in shape (3, m) or
+    (3, m, k): a view of an array laid out as (3, k, m), whose value and
+    estimate rows are one block.
     """
     # one dot product per panel and rule: a panel's bits do not depend on
     # its batch
     resk = np.vecdot(fv, _WK15)
     resg = np.vecdot(fv, _WG15)
-    resabs = np.vecdot(np.abs(fv), _WK15) * half
-    resasc = np.vecdot(np.abs(fv - 0.5 * resk[..., None]), _WK15) * half
-    err = np.abs(resk - resg) * half
-    # inflate towards resasc unless the rules genuinely agree
-    inflate = (resasc != 0.0) & (err != 0.0)
-    ratio = 200.0 * err / np.where(inflate, resasc, 1.0)
-    err = np.where(inflate, resasc * np.minimum(1.0, ratio**1.5), err)
-    floor = REL_TOL_FLOOR * resabs
-    return (resk * half).T, np.maximum(err, floor).T, floor.T
+    resabs = np.vecdot(np.abs(fv), _WK15)
+    resasc = np.vecdot(np.abs(fv - 0.5 * resk[..., None]), _WK15)
+    # the value, the estimate, then its floor, and resasc, all scaled
+    # to the panel
+    out = np.array((resk, np.abs(resk - resg), resabs, resasc)) * half
+    value, err, floor, resasc = out
+    # inflate towards resasc unless the rules genuinely agree (both nonzero)
+    inflate = np.logical_and(resasc, err)
+    ratio = 200.0 * err / resasc
+    inflated = np.where(inflate, resasc * np.minimum(1.0, ratio**1.5), err)
+    floor *= REL_TOL_FLOOR
+    np.maximum(inflated, floor, out=err)
+    return out[:3].swapaxes(1, -1)
 
 
 def _shaped(a) -> Value:
@@ -228,17 +241,16 @@ def _sum(column: list[float]) -> float:
             return math.inf if total > 0 else -math.inf
 
 
-def _totals(panels: np.ndarray, rel_tol: float, abs_tol: float) -> tuple:
+def _totals(columns: list[list[float]], rel_tol: float, abs_tol: float) -> tuple:
     """Per component, the sums of the panels' values and estimates.
 
-    ``panels`` holds one row per panel, as :func:`_evaluate` gives them.
-    Also returns the target, the bound on every component's summed
-    estimate.
+    ``columns`` lists the panels' k value columns, then their k estimate
+    columns.  Also returns the target, the bound on every component's
+    summed estimate.
     """
-    k = panels.shape[1] // 3
-    sums = list(map(_sum, panels[:, : 2 * k].T.tolist()))
-    value = sums[:k]
-    return value, sums[k:], max(rel_tol * max(map(abs, value)), abs_tol)
+    sums = list(map(_sum, columns))
+    value = sums[: len(sums) // 2]
+    return value, sums[len(value) :], max(rel_tol * max(map(abs, value)), abs_tol)
 
 
 def _value(sums: list[float], vector: bool) -> Value:
@@ -246,21 +258,24 @@ def _value(sums: list[float], vector: bool) -> Value:
     return tuple(sums) if vector else sums[0]
 
 
+def _rows(edges: np.ndarray, rules: np.ndarray) -> np.ndarray:
+    # one row per panel: its lower and upper edges and halvings (the rows
+    # of ``edges``), then its k values, k estimates and k estimate floors
+    # (``rules``, as :func:`_gk15` gives them)
+    return np.concatenate((edges.T, rules.swapaxes(0, 1).reshape(edges.shape[1], -1)), axis=1)
+
+
 class _Integral:
     """An integral that did not converge on its initial panels."""
 
-    def __init__(self, owner: int, lo, hi, panels: np.ndarray, vector: bool) -> None:
+    def __init__(self, owner: int, center: float, rows: np.ndarray, vector: bool) -> None:
         self.owner = owner
-        self.center = 0.5 * (lo[0] + hi[-1])
+        self.center = center
         # whether the integrand has a component axis
         self.vector = vector
-        # the live panels: edges and halvings, and the k values, k estimates
-        # and k estimate floors of each, as :func:`_evaluate` gives them
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = np.asarray(hi, dtype=float)
-        self.depth = np.zeros(len(lo), dtype=int)
-        self.panels = panels
-        self.evaluations = 15 * len(lo)
+        # the live panels, one row each, as :func:`_rows` gives them
+        self.rows = rows
+        self.evaluations = 15 * len(rows)
         # the calls of the integrand that evaluated its panels, starting
         # with the first round's
         self.kernel_calls = 1
@@ -271,9 +286,12 @@ class _Integral:
         """Test the live panels, else take out those to halve.
 
         Returns the outcome once the integral has finished, or None after
-        setting ``pending`` to the edges and depth of the halves.
+        setting ``pending`` to the edges and halvings of the halves, as the
+        rows of an array.
         """
-        value, err, target = _totals(self.panels, rel_tol, abs_tol)
+        k = self.rows.shape[1] // 3 - 1
+        columns = self.rows[:, 3:].T.tolist()
+        value, err, target = _totals(columns[: 2 * k], rel_tol, abs_tol)
         for sums in (value, err):
             if not all(map(math.isfinite, sums)):
                 # finite panels whose sum lies beyond the float range
@@ -291,74 +309,67 @@ class _Integral:
         # only falls.  Halves add estimates, so the integral cannot stop
         # while one of the worst panels up to the first that leaves every
         # sum within the target is live, unless the target grows
-        k = len(err)
-        errs = self.panels[:, k : 2 * k]
-        order = np.lexsort((self.hi, self.lo, -errs.max(axis=1)))
-        left = np.cumsum(errs[order[::-1]], axis=0)[::-1]
+        errs = self.rows[:, 3 + k : 3 + 2 * k]
+        order = np.lexsort((self.rows[:, 1], self.rows[:, 0], -errs.max(axis=1)))
+        left = errs[order[::-1]].cumsum(axis=0)[::-1]
         count = 1 + np.count_nonzero((left[1:] > target).any(axis=1))
-        chosen = order[: max(0, min(count, max_panels - len(order)))]
-        deep = self.depth[chosen] >= max_depth
+        edges = self.rows[order[: max(0, min(count, max_panels - len(order)))], :3]
+        deep = edges[:, 2] >= max_depth
         if deep.any():
-            chosen = chosen[: int(deep.argmax())]
+            edges = edges[: int(deep.argmax())]
         # each estimate is at least its floor, and the halves' integrals of
         # |f| sum to about their parent's: once the floors alone exceed the
         # target, splitting cannot meet it
-        floors = self.panels[:, 2 * k :]
-        if not chosen.size or max(map(_sum, floors.T.tolist())) > target:
+        if not len(edges) or max(map(_sum, columns[2 * k :])) > target:
             return NotConverged(
                 _value(value, self.vector),
                 _value(err, self.vector),
                 self.evaluations,
                 self.kernel_calls,
             )
-        lo, hi, depth = self.lo[chosen], self.hi[chosen], self.depth[chosen] + 1
-        mid = 0.5 * (lo + hi)
-        self.pending = (np.concatenate((lo, mid)), np.concatenate((mid, hi)))
-        self.pending_depth = np.concatenate((depth, depth))
-        rest = order[chosen.size :]
-        self.lo, self.hi, self.depth = self.lo[rest], self.hi[rest], self.depth[rest]
-        self.panels = self.panels[rest]
+        # every left half, then every right half, one halving deeper
+        n = len(edges)
+        self.pending = np.concatenate((edges, edges)).T
+        self.pending[1, :n] = self.pending[0, n:] = 0.5 * (edges[:, 0] + edges[:, 1])
+        self.pending[2] += 1.0
+        self.rows = self.rows[order[n:]]
         return None
 
-    def take(self, panels: np.ndarray) -> None:
+    def take(self, rows: np.ndarray) -> None:
         """Make the evaluated pending halves live panels."""
-        lo, hi = self.pending
-        self.lo = np.concatenate((self.lo, lo))
-        self.hi = np.concatenate((self.hi, hi))
-        self.depth = np.concatenate((self.depth, self.pending_depth))
-        self.panels = np.concatenate((self.panels, panels))
-        self.evaluations += 15 * len(lo)
+        self.rows = np.concatenate((self.rows, rows))
+        self.evaluations += 15 * len(rows)
         self.kernel_calls += 1
 
 
-def _evaluate(f: BatchIntegrand, jobs: list[tuple]) -> list:
-    """The panels of every job in one call of ``f``.
+def _evaluate(f: BatchIntegrand, owners: list[int], counts: list[int], edges: np.ndarray) -> tuple:
+    """The panels of many integrals in one call of ``f``.
 
-    ``jobs`` lists (owner, lo, hi) per integral, ``lo`` and ``hi`` the
-    edges of its panels.  Returns, per job, the exception that its panels
-    raise, or an array of one row per panel, its k values, k estimates and
-    k estimate floors (:func:`_gk15`), with whether the integrand has a
-    component axis.  When the batched call raises a :class:`TrapcavError`,
-    each job of several is evaluated on its own, so an error stays with its
-    integral.
+    The rows of ``edges`` hold the panels' lower and upper edges and
+    halvings, and integral ``owners[j]`` has the next ``counts[j]`` panels.
+    Returns the array of :func:`_gk15` for all panels, and per integral the
+    slice of its panels, or the exception that they raise.  When the
+    batched call raises a :class:`TrapcavError`, each integral of several
+    is evaluated on its own, so an error stays with its integral; the
+    panels of one that fails are NaN.
     """
-    counts = [len(lo) for _, lo, _ in jobs]
-    owner = np.array([owner for owner, _, _ in jobs]).repeat([15 * n for n in counts])
-    lo = np.concatenate([lo for _, lo, _ in jobs])
-    hi = np.concatenate([hi for _, _, hi in jobs])
-    try:
-        rules = _gk15(lambda x: f(x, owner), lo, hi)
-    except TrapcavError as err:
-        if len(jobs) == 1:
-            return [err]
-        return [_evaluate(f, [job])[0] for job in jobs]
-    vector = rules[0].ndim > 1
-    panels = np.concatenate([a.reshape(len(lo), -1) for a in rules], axis=1)
-    out, start = [], 0
+    owner = np.array(owners).repeat([15 * n for n in counts])
+    spans, end = [], 0
     for n in counts:
-        out.append((panels[start : start + n], vector))
-        start += n
-    return out
+        spans.append(slice(end, end := end + n))
+    try:
+        return _gk15(lambda x: f(x, owner), edges[0], edges[1]), spans
+    except TrapcavError as error:
+        if len(owners) == 1:
+            return np.full((3, counts[0]), np.nan), [error]
+    # each integral on its own: per integral its rules and its one outcome,
+    # a slice if it did not fail
+    alone = [_evaluate(f, [one], [n], edges[:, s]) for one, n, s in zip(owners, counts, spans)]
+    ok = [isinstance(got, slice) for _, (got,) in alone]
+    tail = next((r.shape[2:] for (r, _), g in zip(alone, ok) if g), ())
+    blocks = [r if g else np.full((3, n, *tail), np.nan) for (r, _), g, n in zip(alone, ok, counts)]
+    outcomes = [s if g else e for (_, (e,)), g, s in zip(alone, ok, spans)]
+    return np.concatenate(blocks, axis=1), outcomes
 
 
 def integrate_batch(
@@ -402,45 +413,58 @@ def integrate_batch(
         raise ValueError(f"abs_tol must be non-negative and finite, got {abs_tol!r}")
 
     outcomes: list = [None] * len(intervals)
-    jobs = []
-    for owner, (lo, hi, points) in enumerate(intervals):
-        if hi > lo:
-            edges = [lo, *sorted({p for p in points if lo < p < hi}), hi]
-            jobs.append((owner, edges[:-1], edges[1:]))
+    owners, counts, lo, hi = [], [], [], []
+    for owner, (a, b, points) in enumerate(intervals):
+        if b > a:
+            edges = [a, *sorted({p for p in points if a < p < b}), b]
+            owners.append(owner)
+            counts.append(len(edges) - 1)
+            lo += edges[:-1]
+            hi += edges[1:]
             continue
-        # an empty interval: one node at lo tells the integrand's shape
+        # an empty interval: one node at a tells the integrand's shape
         try:
-            shape = np.shape(f(np.array([lo]), np.array([owner])))[:-1]
+            shape = np.shape(f(np.array([a]), np.array([owner])))[:-1]
             zero = _shaped(np.zeros(shape))
             outcomes[owner] = QuadratureResult(zero, zero, 0, True)
         except TrapcavError as err:
             outcomes[owner] = err
+    if not owners:
+        return outcomes
     limits = (rel_tol, abs_tol, max_depth, max_panels)
+    # the first round: every initial panel at halving 0, the value and
+    # estimate columns of all of them as lists, and an fsum test per
+    # integral; only one that fails it gets its panels' rows
+    edges = np.array((lo, hi, [0.0] * len(lo)))
+    rules, spans = _evaluate(f, owners, counts, edges)
+    vector = rules.ndim > 2
+    columns = rules[:2].swapaxes(1, -1).reshape(-1, len(lo)).tolist()
     live = []
-    for (owner, lo, hi), evaluated in zip(jobs, _evaluate(f, jobs) if jobs else ()):
-        if isinstance(evaluated, TrapcavError):
-            outcomes[owner] = evaluated
+    for owner, span in zip(owners, spans):
+        if isinstance(span, TrapcavError):
+            outcomes[owner] = span
             continue
-        # an integral that converges on its initial panels builds no state;
-        # one whose sums overflow meets its outcome in its own step
-        panels, vector = evaluated
-        value, err, target = _totals(panels, rel_tol, abs_tol)
+        value, err, target = _totals([column[span] for column in columns], rel_tol, abs_tol)
         if max(err) <= target and math.isfinite(target):
             outcomes[owner] = QuadratureResult(
-                _value(value, vector), _value(err, vector), 15 * len(lo), True, 1
+                _value(value, vector), _value(err, vector), 15 * (span.stop - span.start), True, 1
             )
             continue
-        item = _Integral(owner, lo, hi, panels, vector)
+        # one whose sums overflow meets its outcome in its own step
+        a, b, _ = intervals[owner]
+        item = _Integral(owner, 0.5 * (a + b), _rows(edges[:, span], rules[:, span]), vector)
         outcomes[owner] = item.step(*limits)
         if outcomes[owner] is None:
             live.append(item)
     while live:
-        jobs = [(item.owner, *item.pending) for item in live]
-        for item, evaluated in zip(live, _evaluate(f, jobs)):
-            if isinstance(evaluated, TrapcavError):
-                outcomes[item.owner] = evaluated
+        edges = np.concatenate([item.pending for item in live], axis=1)
+        counts = [item.pending.shape[1] for item in live]
+        rules, spans = _evaluate(f, [item.owner for item in live], counts, edges)
+        for item, span in zip(live, spans):
+            if isinstance(span, TrapcavError):
+                outcomes[item.owner] = span
                 continue
-            item.take(evaluated[0])
+            item.take(_rows(edges[:, span], rules[:, span]))
             outcomes[item.owner] = item.step(*limits)
         live = [item for item in live if outcomes[item.owner] is None]
     return outcomes

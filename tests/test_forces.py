@@ -212,6 +212,28 @@ def test_the_analysis_window_takes_one_kernel_call(monkeypatch):
     assert calls == [sum(fr.evaluations for fr in results)]
 
 
+@pytest.mark.parametrize("rel_tol", [1e-9, 1e-12])
+def test_batch_rows_equal_lone_calls(rel_tol):
+    # a lone call passes its cavity's floats to the kernel, a batch gathers
+    # them per node: every field of every row has the bits of its lone call
+    specs = []
+    for i, ratio in enumerate(10.0 ** np.linspace(-3.0, 5.0, 15)):
+        for j, phi in enumerate((0.0, 1e-4, 0.1, 0.78)):
+            # SI and reduced units alternate over both ratio and angle
+            if (i + j) % 2:
+                specs.append(CavitySpec(a=4e-7, R=float(ratio) * 4e-7, L=1.0, phi=phi))
+            else:
+                specs.append(CavitySpec(1.0, float(ratio), 1.0, phi, Units.REDUCED))
+    fields = lambda fr: (
+        fr.f_x, fr.f_z, fr.err_x, fr.err_z, fr.converged, fr.evaluations, fr.kernel_calls
+    )
+    rows = trapcav.forces.force_batch(specs, rel_tol)
+    assert len(rows) == 60 and {spec.units for spec in specs} == set(Units)
+    assert [fields(row) for row in rows] == [fields(total_forces(s, rel_tol)) for s in specs]
+    if rel_tol < 1e-9:
+        assert any(row.kernel_calls > 1 for row in rows)
+
+
 @pytest.mark.parametrize("phi", [0.0, 1e-3, 0.3, 0.78])
 def test_graded_mesh_matches_a_tight_run(phi):
     # over eight decades of R/a, a 1e-12 integral lies within 1e-11 |f_z| of

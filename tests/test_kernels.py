@@ -119,6 +119,43 @@ def test_pressure_arrays_match_one_point_calls():
             assert abs(p_x[i] - one.p_x) <= 1e-13 * abs(one.p_z)
 
 
+def test_pressures_match_mpmath():
+    # the kernel against 40-digit arithmetic at the same float inputs: the
+    # limit angles from the raw corner vectors, the fan integrals from the
+    # primitives F5 and G5; short wings (R/a <= 1e-3) lose p_x to
+    # cancellation in the fan width and are left out
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+
+    def primitives(u):
+        c, s = mp.cos(u), mp.sin(u)
+        return -c + 2 * c**3 / 3 - c**5 / 5, s**5 / 5
+
+    worst_z = worst_x = 0.0
+    for ratio in (0.1, 1.0, 10.0, 1e3, 1e5, 1e6):
+        for phi in (0.0, 1e-6, 1e-3, 0.1, 0.5, 0.78):
+            spec = CavitySpec(a=1.0, R=ratio, L=1.0, phi=phi, units=Units.REDUCED)
+            R = spec.R
+            r = np.array([0.0, 1e-3 * R, 0.3 * R, 0.5 * R, R - 1e-4 * R, R - 1e-7 * R, R])
+            p_x, p_z = pressure_arrays(spec, r)
+            c, s = mp.cos(phi), mp.sin(phi)
+            corners = ((mp.mpf(R) * c, -mp.mpf(R) * s - 1), (0, mp.mpf(-1)))
+            for i, ri in enumerate(r.tolist()):
+                wx, wz = mp.mpf(ri) * c, mp.mpf(ri) * s
+                theta = [
+                    mp.atan2(s * (mx - wx) - c * (mz - wz), c * (mx - wx) + s * (mz - wz))
+                    for mx, mz in corners
+                ]
+                (f1, g1), (f2, g2) = (primitives(t - 2 * mp.mpf(phi)) for t in theta)
+                scale = (c * (1 + 2 * mp.mpf(ri) * s)) ** 4
+                ref_x = (c * (g2 - g1) - s * (f2 - f1)) / scale
+                ref_z = -(c * (f2 - f1) + s * (g2 - g1)) / scale
+                worst_z = max(worst_z, float(abs((p_z[i] - ref_z) / ref_z)))
+                worst_x = max(worst_x, float(abs((p_x[i] - ref_x) / ref_z)))
+    assert worst_z <= 1e-13 and worst_x <= 1e-13
+
+
 def test_pressure_arrays_check_every_call():
     with pytest.raises(InvalidCavity):
         pressure_arrays(CavitySpec(a=0.0, R=1.0, L=1.0, phi=0.0), np.array([0.5]))
