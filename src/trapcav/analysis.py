@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -276,10 +277,20 @@ def rescale_report(spec: CavitySpec, lam: float, *, rel_tol: float = 1e-9) -> Re
     reduced mode pins a = 1, which the scaled twin would violate; every
     reported ratio is prefactor-free so this changes nothing.  Pressures
     are compared at the matched interior point r = R/3 (r = R/2 would sit
-    exactly on the p_x zero of the parallel-plate case).
+    exactly on the p_x zero of the parallel-plate case).  A ``lam`` that
+    is not positive and finite, or for which lam**-3 or lam**-4 is not a
+    normal float, raises ``ValueError`` before any force integral.
     """
     if not (lam > 0.0) or not math.isfinite(lam):
         raise ValueError(f"scale factor must be positive and finite, got {lam!r}")
+    # lam**-3 underflows to 0 and lam**-4 overflows at extreme scales, and
+    # a subnormal ratio has lost digits
+    try:
+        expected_f, expected_p = lam**-3, lam**-4
+    except OverflowError:
+        expected_f = expected_p = math.inf
+    if not all(sys.float_info.min <= e <= sys.float_info.max for e in (expected_f, expected_p)):
+        raise ValueError(f"scale factor {lam!r} makes lam**-3 or lam**-4 leave the normal floats")
     base = replace(spec, units=Units.SI)
     validate(base)
     scaled = replace(base, a=lam * base.a, R=lam * base.R)
@@ -300,8 +311,6 @@ def rescale_report(spec: CavitySpec, lam: float, *, rel_tol: float = 1e-9) -> Re
     fr_z = ratio(f_scaled.f_z, f_base.f_z, abs(f_base.f_z))
     pr_x = ratio(p_scaled.p_x, p_base.p_x, abs(p_base.p_z))
     pr_z = ratio(p_scaled.p_z, p_base.p_z, abs(p_base.p_z))
-    expected_f = lam**-3
-    expected_p = lam**-4
     deviations = [
         abs(fr_x / expected_f - 1.0) if math.isfinite(fr_x) else 0.0,
         abs(fr_z / expected_f - 1.0),

@@ -230,7 +230,7 @@ def ray_length(spec: CavitySpec, r: float, theta: float) -> float:
     """
     s = s_factor(spec, r)
     denom = math.sin(theta - 2.0 * spec.phi)
-    if denom <= _SIN_FLOOR:
+    if not (denom > _SIN_FLOOR):  # NaN too
         raise NumericDegeneracy(
             f"sin(theta - 2 phi) not positive at theta={theta!r} (phi={spec.phi!r})"
         )

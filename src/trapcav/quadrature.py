@@ -26,16 +26,18 @@ room left under the panel cap; an integral that can halve nothing stops
 unconverged.  This is QUADPACK's globally adaptive QAG with many panels
 split per round.
 
-:func:`integrate_batch` runs many independent integrals in lock-step; its
-integrand also gets, for every node, the index of the integral the node
-belongs to.  The first round is array-at-a-time: the initial panels of all
-integrals, laid out as flat arrays of panel edges, go through one call of
-the integrand and one pass of the rules, one ``tolist`` turns the value and
-estimate columns of all of them into lists, and each integral is tested on
-the ``math.fsum`` of its own slice.  One that converges there returns its
-result at once and builds nothing else; only the others get panel rows and
-become lock-step integrals.  Each later round, the
-halves of every unfinished integral go through one call of the integrand.
+:func:`integrate_batch` runs many independent integrals in lock-step, in
+one loop of rounds; its integrand also gets, for every node, the index of
+the integral the node belongs to.  Each round, the pending panels of every
+live integral go through one call of the integrand and one pass of the
+rules: in the first round the initial panels of all integrals, laid out as
+flat arrays of panel edges, and later the halves of every panel that an
+unfinished integral must split.  Each integral then runs the one stopping
+test and selection.  In the first round it reads its sums from its slice
+of one ``tolist`` of the value and estimate rows of all panels, so one that
+converges there keeps no panels; later it sums its kept panels and the new
+halves.  Every live integral takes part in every round, so its
+``kernel_calls`` is the round it finished in.
 An integral gives the same bits in a batch as alone: the kernel works node
 by node, and the rules reduce each panel with a per-row dot product
 (``np.vecdot``), whose result does not depend on how many panels share the
@@ -118,8 +120,10 @@ class QuadratureResult:
 
     ``value`` and ``error_estimate`` have the integrand's shape: floats, or
     tuples of floats of the integrand's length.  ``evaluations`` counts the
-    nodes of the panels used, ``kernel_calls`` the calls of the integrand
-    that evaluated its panels, the same in a batch as alone.
+    nodes of the panels used, ``kernel_calls`` the rounds of the loop that
+    evaluated them: one call of the integrand each, counted once also when
+    a failed batched call is redone integral by integral, so it is the same
+    in a batch as alone.
     """
 
     value: Value
@@ -241,105 +245,9 @@ def _sum(column: list[float]) -> float:
             return math.inf if total > 0 else -math.inf
 
 
-def _totals(columns: list[list[float]], rel_tol: float, abs_tol: float) -> tuple:
-    """Per component, the sums of the panels' values and estimates.
-
-    ``columns`` lists the panels' k value columns, then their k estimate
-    columns.  Also returns the target, the bound on every component's
-    summed estimate.
-    """
-    sums = list(map(_sum, columns))
-    value = sums[: len(sums) // 2]
-    return value, sums[len(value) :], max(rel_tol * max(map(abs, value)), abs_tol)
-
-
 def _value(sums: list[float], vector: bool) -> Value:
     # a float for a scalar integrand, a tuple of k floats for a vector one
     return tuple(sums) if vector else sums[0]
-
-
-def _rows(edges: np.ndarray, rules: np.ndarray) -> np.ndarray:
-    # one row per panel: its lower and upper edges and halvings (the rows
-    # of ``edges``), then its k values, k estimates and k estimate floors
-    # (``rules``, as :func:`_gk15` gives them)
-    return np.concatenate((edges.T, rules.swapaxes(0, 1).reshape(edges.shape[1], -1)), axis=1)
-
-
-class _Integral:
-    """An integral that did not converge on its initial panels."""
-
-    def __init__(self, owner: int, center: float, rows: np.ndarray, vector: bool) -> None:
-        self.owner = owner
-        self.center = center
-        # whether the integrand has a component axis
-        self.vector = vector
-        # the live panels, one row each, as :func:`_rows` gives them
-        self.rows = rows
-        self.evaluations = 15 * len(rows)
-        # the calls of the integrand that evaluated its panels, starting
-        # with the first round's
-        self.kernel_calls = 1
-
-    def step(
-        self, rel_tol: float, abs_tol: float, max_depth: int, max_panels: int
-    ) -> QuadratureResult | TrapcavError | None:
-        """Test the live panels, else take out those to halve.
-
-        Returns the outcome once the integral has finished, or None after
-        setting ``pending`` to the edges and halvings of the halves, as the
-        rows of an array.
-        """
-        k = self.rows.shape[1] // 3 - 1
-        columns = self.rows[:, 3:].T.tolist()
-        value, err, target = _totals(columns[: 2 * k], rel_tol, abs_tol)
-        for sums in (value, err):
-            if not all(map(math.isfinite, sums)):
-                # finite panels whose sum lies beyond the float range
-                return NonFiniteSample(self.center, _value(sums, self.vector))
-        if max(err) <= target:
-            return QuadratureResult(
-                _value(value, self.vector),
-                _value(err, self.vector),
-                self.evaluations,
-                True,
-                self.kernel_calls,
-            )
-        # the live panels worst first, the leftmost among equals; left[j],
-        # the estimate sums of all but the j worst, added from the least up,
-        # only falls.  Halves add estimates, so the integral cannot stop
-        # while one of the worst panels up to the first that leaves every
-        # sum within the target is live, unless the target grows
-        errs = self.rows[:, 3 + k : 3 + 2 * k]
-        order = np.lexsort((self.rows[:, 1], self.rows[:, 0], -errs.max(axis=1)))
-        left = errs[order[::-1]].cumsum(axis=0)[::-1]
-        count = 1 + np.count_nonzero((left[1:] > target).any(axis=1))
-        edges = self.rows[order[: max(0, min(count, max_panels - len(order)))], :3]
-        deep = edges[:, 2] >= max_depth
-        if deep.any():
-            edges = edges[: int(deep.argmax())]
-        # each estimate is at least its floor, and the halves' integrals of
-        # |f| sum to about their parent's: once the floors alone exceed the
-        # target, splitting cannot meet it
-        if not len(edges) or max(map(_sum, columns[2 * k :])) > target:
-            return NotConverged(
-                _value(value, self.vector),
-                _value(err, self.vector),
-                self.evaluations,
-                self.kernel_calls,
-            )
-        # every left half, then every right half, one halving deeper
-        n = len(edges)
-        self.pending = np.concatenate((edges, edges)).T
-        self.pending[1, :n] = self.pending[0, n:] = 0.5 * (edges[:, 0] + edges[:, 1])
-        self.pending[2] += 1.0
-        self.rows = self.rows[order[n:]]
-        return None
-
-    def take(self, rows: np.ndarray) -> None:
-        """Make the evaluated pending halves live panels."""
-        self.rows = np.concatenate((self.rows, rows))
-        self.evaluations += 15 * len(rows)
-        self.kernel_calls += 1
 
 
 def _evaluate(f: BatchIntegrand, owners: list[int], counts: list[int], edges: np.ndarray) -> tuple:
@@ -386,13 +294,14 @@ def integrate_batch(
     owner)`` gets the nodes ``x`` of all integrals with the index ``owner``
     of each node's interval; it returns shape (n,) or (k, n), as for
     :func:`integrate_adaptive`, which documents the stopping rule and the
-    breakpoints.  The first round evaluates the initial panels of every
-    integral in one call of ``f``, as flat arrays of panel edges, and tests
-    each integral on the ``math.fsum`` of its own; one that converges there
-    is done, with no per-integral state.  The others then advance in
-    lock-step: each later round evaluates, in one call of ``f``, the halves
-    of every panel that each unfinished integral must still split (the
-    module docstring has the rule).
+    breakpoints.  Each round evaluates, in one call of ``f``, the pending
+    panels of every live integral: first all initial panels, as flat arrays
+    of panel edges, then the halves of every panel that each unfinished
+    integral must still split (the module docstring has the rule).  Each
+    integral then tests its panels and picks those to halve: in the first
+    round on the ``math.fsum`` of its slice of one list, so one that
+    converges there keeps no panels, and later on its kept panels and the
+    new halves.
     Returns one outcome per interval, in order: a :class:`QuadratureResult`,
     or the exception that integral alone would raise (:class:`NotConverged`,
     :class:`NonFiniteSample`, or a :class:`TrapcavError` that ``f`` raises
@@ -413,11 +322,13 @@ def integrate_batch(
         raise ValueError(f"abs_tol must be non-negative and finite, got {abs_tol!r}")
 
     outcomes: list = [None] * len(intervals)
-    owners, counts, lo, hi = [], [], [], []
+    # per live integral: its owner, evaluations, and kept panels (their
+    # edges and halvings, then their rules, none before the first round)
+    live, counts, lo, hi = [], [], [], []
     for owner, (a, b, points) in enumerate(intervals):
         if b > a:
             edges = [a, *sorted({p for p in points if a < p < b}), b]
-            owners.append(owner)
+            live.append((owner, 0, None, None))
             counts.append(len(edges) - 1)
             lo += edges[:-1]
             hi += edges[1:]
@@ -429,44 +340,81 @@ def integrate_batch(
             outcomes[owner] = QuadratureResult(zero, zero, 0, True)
         except TrapcavError as err:
             outcomes[owner] = err
-    if not owners:
-        return outcomes
-    limits = (rel_tol, abs_tol, max_depth, max_panels)
-    # the first round: every initial panel at halving 0, the value and
-    # estimate columns of all of them as lists, and an fsum test per
-    # integral; only one that fails it gets its panels' rows
-    edges = np.array((lo, hi, [0.0] * len(lo)))
-    rules, spans = _evaluate(f, owners, counts, edges)
-    vector = rules.ndim > 2
-    columns = rules[:2].swapaxes(1, -1).reshape(-1, len(lo)).tolist()
-    live = []
-    for owner, span in zip(owners, spans):
-        if isinstance(span, TrapcavError):
-            outcomes[owner] = span
-            continue
-        value, err, target = _totals([column[span] for column in columns], rel_tol, abs_tol)
-        if max(err) <= target and math.isfinite(target):
-            outcomes[owner] = QuadratureResult(
-                _value(value, vector), _value(err, vector), 15 * (span.stop - span.start), True, 1
-            )
-            continue
-        # one whose sums overflow meets its outcome in its own step
-        a, b, _ = intervals[owner]
-        item = _Integral(owner, 0.5 * (a + b), _rows(edges[:, span], rules[:, span]), vector)
-        outcomes[owner] = item.step(*limits)
-        if outcomes[owner] is None:
-            live.append(item)
+    # the rows of ``pending`` hold the edges and halvings of the panels
+    # that the live integrals evaluate next, at first every initial panel
+    pending = np.array((lo, hi, [0.0] * len(lo)))
+    calls = 0
     while live:
-        edges = np.concatenate([item.pending for item in live], axis=1)
-        counts = [item.pending.shape[1] for item in live]
-        rules, spans = _evaluate(f, [item.owner for item in live], counts, edges)
-        for item, span in zip(live, spans):
+        calls += 1
+        rules, spans = _evaluate(f, [item[0] for item in live], counts, pending)
+        vector = rules.ndim > 2
+        # k value rows, k estimate rows, k floor rows; a column per panel
+        panels = rules.swapaxes(1, -1).reshape(-1, pending.shape[1])
+        k = len(panels) // 3
+        # the first round reads every integral's sums from one list; later
+        # ones from its kept panels and the new halves
+        columns = panels[: 2 * k].tolist() if calls == 1 else None
+        going, halves = [], []
+        for (owner, evaluations, kept_edges, kept), span in zip(live, spans):
             if isinstance(span, TrapcavError):
-                outcomes[item.owner] = span
+                outcomes[owner] = span
                 continue
-            item.take(_rows(edges[:, span], rules[:, span]))
-            outcomes[item.owner] = item.step(*limits)
-        live = [item for item in live if outcomes[item.owner] is None]
+            evaluations += 15 * (span.stop - span.start)
+            if kept is None:
+                edges, rows = pending[:, span], panels[:, span]
+                sums = [_sum(column[span]) for column in columns]
+            else:
+                edges = np.concatenate((kept_edges, pending[:, span]), axis=1)
+                rows = np.concatenate((kept, panels[:, span]), axis=1)
+                sums = list(map(_sum, rows[: 2 * k].tolist()))
+            value, err = sums[:k], sums[k:]
+            target = max(rel_tol * max(map(abs, value)), abs_tol)
+            done = max(err) <= target
+            if not (done and math.isfinite(target)):
+                # finite panels whose sum lies beyond the float range
+                bad = next((s for s in (value, err) if not all(map(math.isfinite, s))), None)
+                if bad is not None:
+                    a, b, _ = intervals[owner]
+                    outcomes[owner] = NonFiniteSample(0.5 * (a + b), _value(bad, vector))
+                    continue
+            if done:
+                outcomes[owner] = QuadratureResult(
+                    _value(value, vector), _value(err, vector), evaluations, True, calls
+                )
+                continue
+            # the live panels worst first, the leftmost among equals;
+            # left[:, j], the estimate sums of all but the j worst, added
+            # from the least up, only falls.  Halves add estimates, so the
+            # integral cannot stop while one of the worst panels up to the
+            # first that leaves every sum within the target is live, unless
+            # the target grows
+            errs = rows[k : 2 * k]
+            order = np.lexsort((edges[1], edges[0], -errs.max(axis=0)))
+            left = errs[:, order[::-1]].cumsum(axis=1)[:, ::-1]
+            count = 1 + np.count_nonzero((left[:, 1:] > target).any(axis=0))
+            split = edges[:, order[: max(0, min(count, max_panels - len(order)))]]
+            deep = split[2] >= max_depth
+            if deep.any():
+                split = split[:, : int(deep.argmax())]
+            # each estimate is at least its floor, and the halves' integrals
+            # of |f| sum to about their parent's: once the floors alone
+            # exceed the target, splitting cannot meet it
+            n = split.shape[1]
+            if not n or max(map(_sum, rows[2 * k :].tolist())) > target:
+                outcomes[owner] = NotConverged(
+                    _value(value, vector), _value(err, vector), evaluations, calls
+                )
+                continue
+            # every left half, then every right half, one halving deeper
+            half = np.concatenate((split, split), axis=1)
+            half[1, :n] = half[0, n:] = 0.5 * (split[0] + split[1])
+            half[2] += 1.0
+            halves.append(half)
+            going.append((owner, evaluations, edges[:, order[n:]], rows[:, order[n:]]))
+        live = going
+        if live:
+            pending = np.concatenate(halves, axis=1)
+            counts = [half.shape[1] for half in halves]
     return outcomes
 
 

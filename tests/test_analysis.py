@@ -247,6 +247,23 @@ def test_rescale_rejects_bad_scale(lam):
         rescale_report(SI_THIN, lam)
 
 
+@pytest.mark.parametrize(
+    "gap, lam",
+    [
+        (4e-7, 1e110),  # lam**-3 underflows to 0
+        (1.0, 1e-78),  # lam**-4 overflows
+        (1e-6, 1e80),  # lam**-4 is subnormal, and so are the scaled pressures
+    ],
+)
+def test_rescale_refuses_scales_beyond_the_normal_floats(gap, lam, monkeypatch):
+    def no_forces(*args, **kwargs):
+        raise AssertionError("a force integral ran")
+
+    monkeypatch.setattr(trapcav.analysis, "force_batch", no_forces)
+    with pytest.raises(ValueError):
+        rescale_report(replace(SI_THIN, a=gap, R=10 * gap), lam)
+
+
 def force_key(fr):
     # everything a force row reports, so that equal keys mean equal bits
     return (fr.f_x, fr.f_z, fr.err_x, fr.err_z, fr.converged, fr.evaluations)

@@ -215,6 +215,16 @@ def test_invalid_cavity_exits_2(capsys):
     assert payload["field"] == "a"
 
 
+def test_a_non_finite_force_writes_one_json_object(capfd):
+    # at a = 1e-90 m s^4 underflows to 0 and the pressures are not finite;
+    # numpy must not warn on stderr before the error object
+    code = main(["force", "--a", "1e-90", "--R", "4e-90", "--phi-deg", "5"])
+    assert code == 1
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "NonFiniteSample"
+
+
 def test_no_interior_maximum_exits_1(capsys):
     code = main(
         ["optimize", *REDUCED_ARGS, "--phi-lo-deg", "18", "--phi-hi-deg", "40"]

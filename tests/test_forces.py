@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -315,6 +316,24 @@ def test_profile_last_sample_is_exactly_R():
 def test_profile_needs_two_samples():
     with pytest.raises(ValueError):
         pressure_profile(REDUCED, 1)
+
+
+def test_profile_refuses_a_count_that_is_not_an_integer():
+    # r = R i / (n - 1) with n = 3.5 would give r = 0, 1.6, 3.2 and then R
+    with pytest.raises(ValueError):
+        pressure_profile(replace(REDUCED, R=4.0), 3.5)
+
+
+def test_a_wing_whose_s4_overflows_warns_nothing():
+    # s^4 overflows to inf far out on the wing, where the pressure is 0;
+    # numpy's RuntimeWarning would be an error here
+    long_wing = CavitySpec(a=1e-6, R=1e300, L=1.0, phi=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = total_forces(long_wing)
+        prof = pressure_profile(long_wing, 5)
+    assert res.converged and res.f_z < 0.0 and res.f_x < 0.0
+    assert prof.samples[0].p_z < 0.0 and prof.samples[-1].p_z == 0.0
 
 
 def test_edge_pressure_halves_for_wide_plates():

@@ -166,6 +166,11 @@ def test_ray_length_rejects_directions_outside_fan():
             ray_length(s, 1.0, theta)
 
 
+def test_ray_length_rejects_a_nan_direction():
+    with pytest.raises(NumericDegeneracy):
+        ray_length(REDUCED_10, 1.0, math.nan)
+
+
 def test_degenerate_fan_guard():
     # at the far end of a wing far shorter than the gap both corners lie
     # in the same direction, pi/2 + phi, to within rounding
