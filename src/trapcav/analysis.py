@@ -3,7 +3,8 @@
 The expulsion force |f_x(phi)| rises from zero at phi = 0 (parallel plates,
 exact compensation), peaks at some interior phi*, and falls again as the
 widening fan dilutes the forward rays.  ``optimize_phi`` locates phi* with a
-coarse grid prescan followed by safeguarded parabolic refinement (Brent,
+coarse prescan on a geometric grid, whose steps shrink with phi like phi*
+shrinks with R/a, followed by safeguarded parabolic refinement (Brent,
 *Algorithms for Minimization without Derivatives*, 1973) run in batches:
 each round evaluates up to three angles in one :func:`force_batch`.  The
 prescan is kept in the report so a caller can audit the unimodality
@@ -49,8 +50,8 @@ class SweepTable:
     ``points`` pairs each parameter value with its :class:`ForceResult`.
     Rows that failed numerically carry NaN forces, infinite error estimates
     and ``converged=False`` instead of aborting the sweep.  ``force_calls``
-    counts the force integrals (one per row) and ``evaluations`` the kernel
-    evaluations of the rows that did not fail.
+    counts the force calls (one per row) and ``evaluations`` sums the
+    rows' ``ForceResult.evaluations``, 0 for the closed-form forces.
     """
 
     axis: SweepAxis
@@ -70,8 +71,8 @@ class OptimumReport:
     prescan point); ``grid_prescan`` keeps the signed f_x at every prescan
     angle for audit.  ``iterations`` counts the refinement rounds, one
     :func:`force_batch` of at most three angles each.  ``force_calls``
-    counts the force integrals of the prescan and of every round, and
-    ``evaluations`` their kernel evaluations.
+    counts the force calls of the prescan and of every round, and
+    ``evaluations`` sums their ``ForceResult.evaluations``.
     """
 
     phi_star: float
@@ -172,12 +173,17 @@ def optimize_phi(
 ) -> OptimumReport:
     """Locate the half-angle maximizing |f_x| inside (lo, hi).
 
-    A 32-point grid prescan, one :func:`force_batch`, must show a single
-    interior peak.  A prescan maximum sitting on an edge, a flat prescan,
-    or multiple interior peaks raise :class:`NoInteriorMaximum` rather than
-    returning a doubtful optimum.  Refinement then keeps every sample; its
-    bracket is the best sample and its nearest sampled neighbours, which
-    holds a unimodal peak by construction.  Each round is one
+    A 32-point prescan, one :func:`force_batch`, must show a single
+    interior peak.  Its angles are spaced geometrically, lo (hi/lo)^(k/31)
+    with the last one exactly hi, so that each step is the same fraction
+    of its angle: phi* falls like a/R on long wings (1.4e-4 rad at R/a
+    65536), where an even grid over a window of a few tenths of a radian
+    would put it below the first step.  A prescan maximum sitting on an
+    edge, a flat prescan, or multiple interior peaks raise
+    :class:`NoInteriorMaximum` rather than returning a doubtful optimum.
+    Refinement then keeps every sample; its bracket is the best sample and
+    its nearest sampled neighbours, which holds a unimodal peak by
+    construction.  Each round is one
     :func:`force_batch` of at most three angles at and around the vertex of
     the parabola through those three samples, or, when that vertex is
     unusable or the last round did not halve the bracket, three angles
@@ -190,7 +196,8 @@ def optimize_phi(
         raise ValueError(f"tol must be at least {PHI_TOL_FLOOR!r} rad and finite, got {tol!r}")
     validate(replace(base, phi=lo))
 
-    grid = [lo + (hi - lo) * k / (_PRESCAN_POINTS - 1) for k in range(_PRESCAN_POINTS)]
+    last = _PRESCAN_POINTS - 1
+    grid = [lo * (hi / lo) ** (k / last) for k in range(last)] + [hi]
     scan = _all_forces([replace(base, phi=phi) for phi in grid], rel_tol)
     signed = [result.f_x for result in scan]
     mags = [abs(v) for v in signed]
@@ -279,7 +286,7 @@ def rescale_report(spec: CavitySpec, lam: float, *, rel_tol: float = 1e-9) -> Re
     are compared at the matched interior point r = R/3 (r = R/2 would sit
     exactly on the p_x zero of the parallel-plate case).  A ``lam`` that
     is not positive and finite, or for which lam**-3 or lam**-4 is not a
-    normal float, raises ``ValueError`` before any force integral.
+    normal float, raises ``ValueError`` before any force is computed.
     """
     if not (lam > 0.0) or not math.isfinite(lam):
         raise ValueError(f"scale factor must be positive and finite, got {lam!r}")

@@ -143,7 +143,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     running = shared.add_argument_group("run")
     running.add_argument(
         "--tol", type=_tolerance, default=1e-9,
-        help="force-integral relative tolerance (default %(default)s)",
+        help="relative tolerance a force's rounding bound must meet (default %(default)s)",
     )
     running.add_argument(
         "--samples", type=_checked(int, lambda v: v >= 2, "must be at least 2"), default=256,

@@ -1,59 +1,98 @@
 """Total forces on a wing and sampled pressure profiles.
 
-The force per cavity width L follows from integrating the local pressures
-along the wing arc:
+The force per cavity width L is the pressure integrated along the wing,
 
     F_z = L * integral_0^R p_z(r) dr      (compression, < 0)
     F_x = L * integral_0^R p_x(r) dr      (expulsion; < 0 for phi > 0)
 
-Both components come from one adaptive integral of the vector integrand
-r -> (p_x, p_z).  :func:`force_batch` integrates the wings of many cavities
-in lock-step (:func:`~trapcav.quadrature.integrate_batch`): each round, the
-quadrature nodes that every unfinished cavity needs next (all initial
-panels, then the halves of every panel its loop must still split) go
-through one call of the kernel
-:func:`~trapcav.kernels.wing_pressures`, with each node's cavity parameters
-gathered from its owner (a batch of one passes its cavity's floats), and no
-node is evaluated twice.  Every cavity gets the same bits, evaluations,
-kernel calls and outcome as alone, and a cavity whose integral fails fails
-alone.  :func:`total_forces` is the batch of one.
-The z integrand is single-signed and never integrates to zero for a valid
-cavity.  The x integrand changes sign along the wing and at phi = 0
-integrates to exactly zero by symmetry, where no relative target of its own
-can be met.  The quadrature's max-norm stopping rule holds both error
-estimates to rel_tol * max(|integral of p_x|, |integral of p_z|), and since
-|F_x| <= |F_z| that is the z scale: the cavity's own force scale anchors x.
+and both integrals have closed forms.  Every force is computed in units of
+the gap, from rho = R/a and phi alone, and K L / a^3 is applied once.
+
+Three-ray form (rho > 1/4).  p(r) is the fan integral of the primitives F5
+and G5 of :mod:`~trapcav.kernels` between the limit angles, over s(r)^4.
+Along the wing each limit angle sweeps the rays from one fixed corner of
+the lower wing, so the wing integral can be taken in that ray's own angle
+u instead of r (u = theta - 2 phi): for the near corner M3,
+s(r) = a c sin u / sin(u + 2 phi) and dr = a c du / sin^2(u + 2 phi)
+(c = cos phi), so s^-4 dr = (a c)^-3 sin^2(u + 2 phi) sin^-4 u du; for the
+far corner M2 the same holds with a replaced by a w, w = 1 + 2 rho sin phi.  Each corner then
+contributes (a c)^-3 times the difference of a primitive I between the
+angles of its end rays, and the primitives are rational in sigma = sin u
+and kappa = cos u, with C = cos 2 phi and S = sin 2 phi:
+
+    45 sigma^3 I_F = 8 S^2 + sigma^2 (24 C^2 - 12 S^2)
+                     + 3 sigma^4 (S^2 - 4 C^2) + 3 sigma^6 (S^2 - C^2)
+                     + 6 C S sigma kappa^3 (5 - kappa^2)
+          15 I_G = C^2 kappa (kappa^2 - 3) + 2 C S sigma^3 - S^2 kappa^3
+
+The end rays are A = M3 seen from the wing tip, M = either corner seen
+from its own wing end (u = pi/2 - phi for both), and B = M2 seen from the
+apex.  With I_x = c I_G - sin(phi) I_F and I_z = c I_F + sin(phi) I_G,
+
+    f_x a^3 / (K L) = c^-3 [(I_x(A) - I_x(M)) - (I_x(M) - I_x(B)) / w^3]
+
+and f_z is the same in I_z with a leading minus sign.  There is no log and
+no division by sin 2 phi, so phi = 0 is an ordinary point.  The B terms
+divide by (sigma_B w)^3, never by sigma_B^3 alone, which underflows on
+wings longer than about 1e102 gaps.
+
+Tensor rule (rho <= 1/4).  On a short wing the three rays nearly coincide
+and their differences lose digits as (a / R)^2.  There the force is the
+angle-free double integral over both wings,
+
+    f = K L integral_0^R integral_0^R s(r) (d_x, d_z) / |d|^7 dt dr,
+
+with d = Q(t) - P(r), P = r (cos phi, sin phi) on the upper wing and
+Q = (t cos phi, -a - t sin phi) on the lower one, summed with 8-point
+Gauss-Legendre rules on both axes: within 1.1e-15 |f_z| of 50 digits.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
 
-from .errors import NotConverged, TrapcavError
-from .geometry import CavitySpec, WingParams, validate
-from .kernels import PressureSample, pressure_arrays, pressure_prefactor, wing_pressures
-from .quadrature import REL_TOL_FLOOR, integrate_batch
+from .errors import NonFiniteSample, TrapcavError
+from .geometry import CavitySpec, validate
+from .kernels import PressureSample, pressure_arrays, pressure_prefactor
+from .quadrature import REL_TOL_FLOOR
 
 # bench/tracing.py wraps these by their names in this module
 from .kernels import specific_pressures  # noqa: F401
 from .quadrature import integrate_adaptive  # noqa: F401
 
+# the reported error bound of either formula, per unit of the summed
+# magnitudes of its terms: 8 eps, where a 50-digit grid over R/a
+# 1e-6..1e6 and phi 0..0.78 (24 000 cavities) found at most 5.96 eps
+_ROUNDING = 8.0 * sys.float_info.epsilon
+
+# wings up to this many gaps long use the tensor rule
+_SHORT_WING = 0.25
+
+# 8-point Gauss-Legendre nodes and weights on [-1, 1]
+_GL_X = (
+    -0.9602898564975363, -0.7966664774136267, -0.525532409916329, -0.1834346424956498,
+    0.1834346424956498, 0.525532409916329, 0.7966664774136267, 0.9602898564975363,
+)
+_GL_W = (
+    0.10122853629037626, 0.22238103445337448, 0.31370664587788727, 0.362683783378362,
+    0.362683783378362, 0.31370664587788727, 0.22238103445337448, 0.10122853629037626,
+)
+
 
 @dataclass(frozen=True)
 class ForceResult:
-    """Integrated forces with error estimates, per ``wing_count`` wings.
+    """Forces on ``wing_count`` wings, with bounds on their rounding errors.
 
-    ``err_x`` and ``err_z`` are quadrature error estimates scaled like the
-    forces themselves.  ``converged`` is False when the integral stopped at
-    its depth or panel limit; the values then carry the best estimate found.
-    ``evaluations`` counts the wing points of the quadrature panels that the
-    integral made, whether or not it converged: the kernel's nodes, each
-    evaluated once and all used.  ``kernel_calls`` counts the kernel calls
-    that evaluated them: the rounds of the integral.
+    ``err_x`` and ``err_z`` bound the rounding error of the closed forms:
+    a fixed multiple of eps times the summed magnitudes of their terms,
+    scaled like the forces.  ``converged`` is True when the larger bound is
+    within ``rel_tol`` of the larger force component of one wing.
+    ``evaluations`` and ``kernel_calls`` are 0: no pressure kernel runs.
     """
 
     spec: CavitySpec
@@ -75,16 +114,11 @@ class PressureProfile:
     samples: tuple[PressureSample, ...]
 
 
-def _edge_breakpoints(spec: CavitySpec) -> list[float]:
-    # R/2, then a (2^k - 1) and R - a (2^k - 1) below R/2: each panel is
-    # about as wide as its distance to the nearer wing end, plus a, and no
-    # panel spans both ends or the middle of a long wing
-    points = [0.5 * spec.R]
-    step = spec.a
-    while step < 0.5 * spec.R:
-        points += [step, spec.R - step]
-        step = 2.0 * step + spec.a
-    return points
+def _check_options(rel_tol: float, wing_count: int) -> None:
+    if wing_count not in (1, 2):
+        raise ValueError(f"wing_count must be 1 or 2, got {wing_count!r}")
+    if not (REL_TOL_FLOOR <= rel_tol < math.inf):
+        raise ValueError(f"rel_tol must be at least {REL_TOL_FLOOR!r} and finite, got {rel_tol!r}")
 
 
 def force_batch(
@@ -93,101 +127,143 @@ def force_batch(
     *,
     wing_count: int = 1,
 ) -> list[ForceResult | TrapcavError]:
-    """:func:`total_forces` of many cavities, integrated in lock-step.
+    """:func:`total_forces` of many cavities, one after another.
 
     Returns one outcome per spec, in order: the :class:`ForceResult` that
-    ``total_forces`` returns for it, bit for bit, or the exception that
-    ``total_forces`` would raise for it (a :class:`NonFiniteSample`, or a
-    typed error of the kernel such as :class:`DegenerateFan`), which
-    affects no other cavity.  Each round of the quadrature's one loop
-    evaluates the nodes that all unfinished cavities need next in one
-    kernel call.  The batch size picks how the kernel gets its parameters:
-    several specs' are gathered per node from one column per cavity, and
-    one spec's floats go straight to the kernel, through the same formula
-    and with the same bits, because the gather alone would make a lone
-    call 1.09-1.18x slower (R/a 0.01..1e5).  A lone call that converges on
-    its initial panels makes one kernel call, one GK15 rules pass, one
-    ``tolist`` and one ``math.fsum`` per component, and keeps no panels:
-    at R/a = 40 (10 panels, 150 nodes, rel_tol 1e-9) it takes about
-    0.11 ms on a 2-vCPU Xeon (Python 3.11, numpy 2.4), a third of it in the
-    kernel and a fifth in the rules, and the rest in fixed numpy and Python
-    costs.  An invalid spec, a bad ``wing_count``, or a ``rel_tol`` under
-    ``REL_TOL_FLOOR`` or not finite raises for the whole batch.
+    ``total_forces`` returns for it, or the :class:`NonFiniteSample` that it
+    would raise, which affects no other cavity.  An invalid spec, a bad
+    ``wing_count``, or a ``rel_tol`` under ``REL_TOL_FLOOR`` or not finite
+    raises for the whole batch.
     """
     for spec in specs:
         validate(spec)
-    if wing_count not in (1, 2):
-        raise ValueError(f"wing_count must be 1 or 2, got {wing_count!r}")
-    if not (REL_TOL_FLOOR <= rel_tol < math.inf):
-        raise ValueError(f"rel_tol must be at least {REL_TOL_FLOOR!r} and finite, got {rel_tol!r}")
-
-    if len(specs) == 1:
-        # one cavity: its floats go straight to the kernel
-        cav, k = WingParams.of(specs[0]), pressure_prefactor(specs[0])
-        pressures = lambda r, owner: wing_pressures(cav, k, r)
-    else:
-        # one row per field of WingParams, then the prefactor K; one
-        # column per cavity, gathered per node
-        cols = np.array([(*WingParams.of(spec), pressure_prefactor(spec)) for spec in specs]).T
-        pressures = lambda r, i: wing_pressures(WingParams(*cols[:-1, i]), cols[-1, i], r)
-
-    outcomes = integrate_batch(
-        pressures, [(0.0, spec.R, _edge_breakpoints(spec)) for spec in specs], rel_tol=rel_tol
-    )
-    return [_forces(spec, q, wing_count) for spec, q in zip(specs, outcomes)]
-
-
-def _forces(spec: CavitySpec, q, wing_count: int) -> ForceResult | TrapcavError:
-    # one integral's outcome as forces; errors other than NotConverged
-    # pass through
-    if isinstance(q, TrapcavError) and not isinstance(q, NotConverged):
-        return q
-    (vx, vz), (ex, ez) = q.value, q.error_estimate
-    f_x = spec.L * vx
-    f_z = spec.L * vz
-    err_x = spec.L * ex
-    err_z = spec.L * ez
-    if wing_count == 2:
-        f_x *= 2.0
-        err_x *= 2.0
-        f_z = 0.0
-        err_z = 0.0
-    return ForceResult(
-        spec=spec,
-        f_x=f_x,
-        f_z=f_z,
-        err_x=err_x,
-        err_z=err_z,
-        wing_count=wing_count,
-        converged=not isinstance(q, NotConverged),
-        evaluations=q.evaluations,
-        kernel_calls=q.kernel_calls,
-    )
+    _check_options(rel_tol, wing_count)
+    outcomes: list[ForceResult | TrapcavError] = []
+    for spec in specs:
+        try:
+            outcomes.append(_forces(spec, rel_tol, wing_count))
+        except TrapcavError as err:
+            outcomes.append(err)
+    return outcomes
 
 
 def total_forces(spec: CavitySpec, rel_tol: float = 1e-9, *, wing_count: int = 1) -> ForceResult:
-    """Adaptive integration of both force components over the wing.
+    """Both force components on one wing, from the closed forms.
 
-    One integral of r -> (p_x, p_z) gives both components.  The pressures
-    change on the scale of the gap ``a`` near both wing ends, so the
-    initial panels meet at R/2 and, on a long wing, are graded towards the
-    ends, meeting at a (2^k - 1) and R - a (2^k - 1) (a (2^k - 1) < R/2):
-    each is about as wide as its distance to the nearer end plus ``a``, and
-    none spans both ends.  Panels spanning the whole wing would never
-    sample those edge regions and could agree on a wrong value; on these,
-    99 in 100 integrals at rel_tol 1e-9 converge in the kernel call that
-    evaluates them (``kernel_calls`` is 1), every one of R/a 1..100 and phi
-    0.5..20 degrees among them.  With
-    ``wing_count=2`` the x force doubles and the z force cancels exactly
-    between the mirror-image wings; nothing is recomputed.  A
-    :class:`NotConverged` is absorbed into ``converged=False`` instead of
-    propagating, so sweeps can flag rows and continue; the values then carry
-    the best estimates found.  This is :func:`force_batch` of one spec.
+    Wings longer than a quarter of the gap use the three-ray form, shorter
+    ones the 8 x 8 tensor rule (see the module docstring); either costs a
+    fixed number of float operations.  ``err_x`` and ``err_z`` are 8 eps
+    times the summed magnitudes of each component's terms: the four
+    primitive values of the three-ray form, each as the magnitudes of its
+    two projections, or the tensor rule's terms, which have one sign.  On
+    a 50-digit grid over R/a 1e-6..1e6 and phi 0..0.78 the largest error
+    seen was 0.75 of its bound, and every force was within 3.5e-14 |f_z|
+    (the worst just above R/a = 1/4 near phi = pi/4; 3e-15 |f_z| for
+    R/a >= 10).  ``rel_tol`` only sets ``converged``, which holds when the
+    larger bound is within ``rel_tol`` of the larger component; it must be
+    at least ``REL_TOL_FLOOR`` and finite.  With ``wing_count=2`` the x
+    force and its bound double and the z force cancels exactly between the
+    mirror-image wings.  A force that is not
+    finite, or an f_z that is not a normal float (SI gaps below about
+    1e-112 m, or R/a below about 1e-154), raises :class:`NonFiniteSample`.
     """
-    (outcome,) = force_batch([spec], rel_tol, wing_count=wing_count)
-    if isinstance(outcome, TrapcavError):
-        raise outcome
-    return outcome
+    validate(spec)
+    _check_options(rel_tol, wing_count)
+    return _forces(spec, rel_tol, wing_count)
+
+
+def _forces(spec: CavitySpec, rel_tol: float, wing_count: int) -> ForceResult:
+    # a validated spec's forces, in units of the gap, then scaled
+    rho = spec.R / spec.a
+    c, s = math.cos(spec.phi), math.sin(spec.phi)
+    if rho > _SHORT_WING:
+        x, z, abs_x, abs_z = _three_ray(rho, c, s, math.cos(2.0 * spec.phi), math.sin(2.0 * spec.phi))
+    else:
+        x, z, abs_x, abs_z = _tensor_rule(rho, c, s)
+    scale = pressure_prefactor(spec) / spec.a / spec.a / spec.a * spec.L
+    f_x, f_z = x * scale, z * scale
+    for value in (f_x, f_z):
+        if not math.isfinite(value):
+            raise NonFiniteSample(spec.R, value)
+    if not abs(f_z) >= sys.float_info.min:
+        raise NonFiniteSample(spec.R, f_z)
+    err_x, err_z = _ROUNDING * abs_x * scale, _ROUNDING * abs_z * scale
+    converged = max(err_x, err_z) <= rel_tol * max(abs(f_x), abs(f_z))
+    if wing_count == 2:
+        f_x, err_x = 2.0 * f_x, 2.0 * err_x
+        f_z = err_z = 0.0
+    return ForceResult(spec, f_x, f_z, err_x, err_z, wing_count, converged)
+
+
+def _ray(sg: float, ka: float, mu: float, t: float, w: float, C: float, S: float):
+    # I_F / w^3 and I_G / w^3 at the ray of sine sg and cosine ka, where
+    # mu = C sg + S ka is the sine of the ray angle plus 2 phi and t = sg w.
+    # 45 sg^3 I_F is written with mu, which is small where its own terms
+    # would cancel, and as a polynomial in 1/t, so that neither sg^3 nor
+    # w^3 divides alone
+    cc, ss, cs = C * C, S * S, C * S
+    w2 = w * w
+    w3 = w2 * w
+    sg2, ka2 = sg * sg, ka * ka
+    i_f = (
+        ((8.0 * ss / t + 24.0 * C * mu / w) / t - 12.0 * ss / w2) / t
+        + (3.0 * sg * ((ss - 4.0 * cc) + sg2 * (ss - cc)) - 6.0 * cs * ka * (3.0 + sg2)) / w3
+    ) / 45.0
+    i_g = (cc * ka * (ka2 - 3.0) + 2.0 * cs * sg2 * sg - ss * ka * ka2) / (15.0 * w3)
+    return i_f, i_g
+
+
+def _three_ray(rho: float, c: float, s: float, C: float, S: float):
+    # reduced (f_x, f_z) on a wing of rho > 1/4 gaps, and the summed
+    # magnitudes of each one's terms.  A and B lie at the same distance h
+    # from their wing points, and the sine of A is sigma_B w
+    w = 1.0 + 2.0 * rho * s
+    h = math.hypot(rho + s, c)
+    sg = (c + rho * S) / h
+    a_f, a_g = _ray(sg, (s - rho * C) / h, c / h, sg, 1.0, C, S)
+    m_f, m_g = _ray(c, s, c, c, 1.0, C, S)
+    b_f, b_g = _ray(c / h, (rho + s) / h, sg, sg, w, C, S)
+    # the four terms of each primitive: A, M, M / w^3 and B / w^3
+    w3 = w * w * w
+    n_f, n_g = m_f / w3, m_g / w3
+    d_f = (a_f - m_f) - (n_f - b_f)
+    d_g = (a_g - m_g) - (n_g - b_g)
+    t_f = abs(a_f) + abs(m_f) + abs(n_f) + abs(b_f)
+    t_g = abs(a_g) + abs(m_g) + abs(n_g) + abs(b_g)
+    c3 = c * c * c
+    return (
+        (c * d_g - s * d_f) / c3,
+        -(c * d_f + s * d_g) / c3,
+        (c * t_g + s * t_f) / c3,
+        (c * t_f + s * t_g) / c3,
+    )
+
+
+def _tensor_rule(rho: float, c: float, s: float):
+    # reduced (f_x, f_z) on a wing of rho <= 1/4 gaps, and the summed
+    # magnitudes of each one's terms: 8 x 8 Gauss-Legendre on [0, rho]^2.
+    # With e = cos(phi) (r - t) and g = 1 + (r + t) sin(phi), |d|^2 is
+    # e^2 + g^2, and the integrand's halves at (r, t) and (t, r) add up to
+    # -sin(phi) e^2 and -cos(phi) g^2 over |d|^7, so each node pair is
+    # evaluated once and every term has one sign
+    nodes = [(0.5 * rho * (1.0 + x), 0.5 * rho * w) for x, w in zip(_GL_X, _GL_W)]
+    diagonal = pairs_x = pairs_z = 0.0
+    for i, (r, w_r) in enumerate(nodes):
+        g = 1.0 + 2.0 * r * s
+        g2 = g * g
+        diagonal += w_r * w_r / (g2 * g2 * g)
+        for t, w_t in nodes[i + 1 :]:
+            e = c * (r - t)
+            g = 1.0 + (r + t) * s
+            e2, g2 = e * e, g * g
+            q = e2 + g2
+            weight = w_r * w_t / (q * q * q * math.sqrt(q))
+            pairs_x += weight * e2
+            pairs_z += weight * g2
+    # 0.0 - x, not -x, keeps f_x = +0.0 at phi = 0
+    f_x = 0.0 - 2.0 * s * pairs_x
+    f_z = -c * (diagonal + 2.0 * pairs_z)
+    return f_x, f_z, -f_x, -f_z
 
 
 def pressure_profile(spec: CavitySpec, n: int) -> PressureProfile:
@@ -197,7 +273,9 @@ def pressure_profile(spec: CavitySpec, n: int) -> PressureProfile:
     last point is r = R itself, since R * (n - 1) / (n - 1) can round one
     ulp above R.  All samples are one call of the array kernel, and each
     has the bits of a one-point :func:`specific_pressures` call.  A count
-    that is not an integer, or is below 2, raises ``ValueError``.
+    that is not an integer, or is below 2, raises ``ValueError``, and a
+    sample that is not finite (K / a^4 overflows at SI gaps below about
+    1e-81 m) raises :class:`NonFiniteSample`.
     """
     validate(spec)
     if not isinstance(n, Integral):
@@ -205,6 +283,11 @@ def pressure_profile(spec: CavitySpec, n: int) -> PressureProfile:
     if n < 2:
         raise ValueError(f"profile needs at least 2 samples, got {n!r}")
     r = np.minimum(spec.R * np.arange(n) / (n - 1), spec.R)
-    p_x, p_z = pressure_arrays(spec, r)
+    pressures = pressure_arrays(spec, r)
+    bad = ~np.isfinite(pressures)
+    if bad.any():
+        component, i = np.argwhere(bad)[0]
+        raise NonFiniteSample(float(r[i]), float(pressures[component, i]))
+    p_x, p_z = pressures
     samples = tuple(map(PressureSample, r.tolist(), p_x.tolist(), p_z.tolist()))
     return PressureProfile(spec=spec, samples=samples)

@@ -148,7 +148,7 @@ def fan_integrals(window: AngleWindow, phi: float) -> tuple:
 
 # s^4 overflows to inf on long wings, where the pressure is 0, and
 # underflows to 0 at tiny gaps, where the pressure is not finite, which
-# the quadrature reports as NonFiniteSample: numpy need not warn about either
+# pressure_profile reports as NonFiniteSample: numpy need not warn about either
 @np.errstate(over="ignore", divide="ignore")
 def wing_pressures(cav: WingParams, k, r) -> np.ndarray:
     """Local pressure components (p_x, p_z) at the wing coordinates ``r``.

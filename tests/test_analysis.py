@@ -1,4 +1,3 @@
-import functools
 import math
 from dataclasses import replace
 
@@ -10,7 +9,6 @@ from trapcav import (
     ForceResult,
     InvalidCavity,
     NoInteriorMaximum,
-    NumericDegeneracy,
     SweepAxis,
     Units,
     optimize_phi,
@@ -19,7 +17,7 @@ from trapcav import (
     total_forces,
 )
 import trapcav.analysis
-import trapcav.forces
+from trapcav.quadrature import REL_TOL_FLOOR
 
 REDUCED = CavitySpec(a=1.0, R=10.0, L=1.0, phi=0.0, units=Units.REDUCED)
 SI_THIN = CavitySpec(a=4e-7, R=4e-6, L=1.0, phi=math.radians(1.0))
@@ -91,28 +89,33 @@ def test_sweep_input_validation():
         sweep(REDUCED, SweepAxis.PHI, [0.1, 1.0])
 
 
-def test_sweep_flags_failed_rows(monkeypatch):
-    # the kernel fails on the nodes of the 2-degree row only, inside the
-    # same batched calls that evaluate the other rows
-    bad_phi = math.radians(2.0)
-    kernel = trapcav.forces.wing_pressures
-
-    def flaky(cav, k, r):
-        if np.any(cav.two_phi == 2.0 * bad_phi):
-            raise NumericDegeneracy("synthetic row failure")
-        return kernel(cav, k, r)
-
-    values = [math.radians(d) for d in (1.0, 2.0, 3.0)]
-    lone = [total_forces(replace(REDUCED, phi=v)) for v in values]
-    monkeypatch.setattr(trapcav.forces, "wing_pressures", flaky)
-    table = sweep(REDUCED, SweepAxis.PHI, values)
-    good1, bad, good2 = (fr for _, fr in table.points)
-    assert good1 == lone[0] and good2 == lone[2]
+def test_sweep_flags_failed_rows():
+    # the shortest wing's f_z underflows to 0, which is not a force; the
+    # other rows of the same batch are their lone results
+    base = replace(REDUCED, phi=math.radians(2.0))
+    values = [1e-200, 1.0, 10.0]
+    lone = [total_forces(replace(base, R=v)) for v in values[1:]]
+    table = sweep(base, SweepAxis.R, values)
+    bad, good1, good2 = (fr for _, fr in table.points)
+    assert [good1, good2] == lone
     assert not bad.converged
     assert math.isnan(bad.f_x) and math.isnan(bad.f_z)
     assert math.isinf(bad.err_x) and math.isinf(bad.err_z)
     assert table.force_calls == 3
-    assert table.evaluations == lone[0].evaluations + lone[2].evaluations
+
+
+@pytest.mark.parametrize("ratio,phi_star", [(16384.0, 3.8028e-4), (65536.0, 1.3756e-4)])
+def test_optimize_finds_small_phi_star_on_long_wings(ratio, phi_star):
+    # phi* falls like 1/(R/a); the geometric prescan resolves it inside a
+    # window of most of (0, pi/4), and the search lands within tol of the
+    # 40-digit optimum
+    tol = 1e-5
+    report = optimize_phi(replace(REDUCED, R=ratio), 1e-4, math.pi / 4 - 1e-3, tol)
+    assert abs(report.phi_star - phi_star) <= tol
+    grid = [phi for phi, _ in report.grid_prescan]
+    assert grid[0] == 1e-4 and grid[-1] == math.pi / 4 - 1e-3
+    ratios = [b / a for a, b in zip(grid, grid[1:])]
+    assert max(ratios) - min(ratios) <= 1e-12
 
 
 def test_optimize_locates_interior_maximum():
@@ -295,16 +298,14 @@ def test_sweep_rows_equal_lone_total_forces(gap, units):
             assert force_key(fr) == force_key(alone)
 
 
-def test_sweep_rows_that_stop_equal_lone_total_forces(monkeypatch):
-    # with a cap of 12 panels the longer wings stop unconverged; stopped and
-    # converged rows alike equal their lone results
-    capped = functools.partial(trapcav.forces.integrate_batch, max_panels=12)
-    monkeypatch.setattr(trapcav.forces, "integrate_batch", capped)
-    base = CavitySpec(a=1.0, R=1.0, L=1.0, phi=0.2, units=Units.REDUCED)
+def test_sweep_rows_that_stop_equal_lone_total_forces():
+    # at the tightest target the shortest wing's rounding bound is too
+    # large; unconverged and converged rows alike equal their lone results
+    base = CavitySpec(a=1.0, R=1.0, L=1.0, phi=0.5, units=Units.REDUCED)
     lengths = [0.5, 4.0, 60.0, 1e3, 1e4]
-    table = sweep(base, SweepAxis.R, lengths, rel_tol=1e-12)
+    table = sweep(base, SweepAxis.R, lengths, rel_tol=REL_TOL_FLOOR)
     rows = [fr for _, fr in table.points]
-    lone = [total_forces(replace(base, R=length), 1e-12) for length in lengths]
+    lone = [total_forces(replace(base, R=length), REL_TOL_FLOOR) for length in lengths]
     assert [force_key(fr) for fr in rows] == [force_key(fr) for fr in lone]
     assert any(fr.converged for fr in rows) and not all(fr.converged for fr in rows)
 

@@ -1,8 +1,12 @@
 import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -204,6 +208,19 @@ def test_usage_errors_exit_2(argv):
     assert err.value.code == 2
 
 
+def test_import_loads_neither_numpy_polynomial_nor_scipy():
+    # every trapcav process pays for what the package imports: numpy's
+    # polynomial package alone takes milliseconds, and scipy is a test extra
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys, trapcav, trapcav.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('numpy.polynomial', 'scipy'))))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_help_exits_clean():
     assert main(["--help"]) == 0
 
@@ -216,10 +233,20 @@ def test_invalid_cavity_exits_2(capsys):
 
 
 def test_a_non_finite_force_writes_one_json_object(capfd):
-    # at a = 1e-90 m s^4 underflows to 0 and the pressures are not finite;
-    # numpy must not warn on stderr before the error object
-    code = main(["force", "--a", "1e-90", "--R", "4e-90", "--phi-deg", "5"])
+    # at a = 1e-120 m K L / a^3 overflows and the force is not finite;
+    # nothing may warn on stderr before the error object
+    code = main(["force", "--a", "1e-120", "--R", "4e-120", "--phi-deg", "5"])
     assert code == 1
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "NonFiniteSample"
+
+
+def test_a_non_finite_profile_writes_one_json_object(capfd):
+    # at a = 1e-90 m K / a^4 overflows: the profile exits 1 instead of
+    # writing Infinity, which is not JSON
+    argv = ["profile", "--a", "1e-90", "--R", "4e-90", "--phi-deg", "5", "--samples", "3", "--format", "json"]
+    assert main(argv) == 1
     captured = capfd.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "NonFiniteSample"
@@ -375,7 +402,7 @@ def test_sweep_svg_peak_matches_sweep_table(tmp_path):
 def test_sweep_svg_leaves_out_flagged_rows(tmp_path, capsysbinary):
     argv = [
         "sweep", "--a", "1", "--R", "1", "--units", "reduced", "--phi-deg", "5",
-        "--axis", "R", "--values", "1e-17,1e-15,1e-14",
+        "--axis", "R", "--values", "1e-200,1e-15,1e-14",
     ]
     assert main([*argv, "--format", "csv"]) == 0
     rows = capsysbinary.readouterr().out.decode("ascii").splitlines()[1:]
@@ -389,7 +416,7 @@ def test_sweep_svg_leaves_out_flagged_rows(tmp_path, capsysbinary):
 def test_sweep_svg_without_two_finite_rows_exits_1(tmp_path, capsys):
     out = tmp_path / "s.svg"
     argv = [
-        "sweep", "--a", "1", "--R", "1e-20", "--units", "reduced",
+        "sweep", "--a", "1", "--R", "1e-200", "--units", "reduced",
         "--axis", "phi", "--values", "10,17.19", "--format", "svg", "--out", str(out),
     ]
     assert main(argv) == 1

@@ -9,10 +9,8 @@ import hypothesis.strategies as st
 
 from trapcav import (
     CavitySpec,
-    DegenerateFan,
     InvalidCavity,
     NonFiniteSample,
-    NotConverged,
     Units,
     pairwise_sum,
     pressure_profile,
@@ -20,6 +18,7 @@ from trapcav import (
     total_forces,
 )
 import trapcav.forces
+import trapcav.kernels
 from trapcav.quadrature import REL_TOL_FLOOR
 
 REDUCED = CavitySpec(a=1.0, R=10.0, L=1.0, phi=0.0, units=Units.REDUCED)
@@ -108,109 +107,29 @@ def test_rejects_bad_tolerance_and_spec():
         total_forces(CavitySpec(a=-1.0, R=1.0, L=1.0, phi=0.0))
 
 
-def test_tolerance_below_the_error_floor_fails_fast(monkeypatch):
-    # every panel estimate is at least REL_TOL_FLOOR of its |integral|, so a
-    # tighter target is refused before the kernel runs
-    calls = []
-    kernel = trapcav.forces.wing_pressures
-
-    def counting(cav, k, r):
-        calls.append(1)
-        return kernel(cav, k, r)
-
-    monkeypatch.setattr(trapcav.forces, "wing_pressures", counting)
+def test_tolerance_below_the_error_floor_fails_fast():
+    # a target tighter than the floor is refused for a lone call and for a
+    # whole batch alike, and the floor itself is accepted
     for rel_tol in (1e-14, 0.5 * REL_TOL_FLOOR, math.nan):
         with pytest.raises(ValueError, match="rel_tol must be at least"):
             total_forces(REDUCED, rel_tol=rel_tol)
         with pytest.raises(ValueError):
             trapcav.forces.force_batch([REDUCED, reduced_at(1.0)], rel_tol)
-    assert calls == []
     assert 1.1e-14 < REL_TOL_FLOOR < 1e-14 * 1.12
     fr = total_forces(REDUCED, rel_tol=REL_TOL_FLOOR)
-    assert calls and fr.evaluations > 0
+    assert fr.f_z == total_forces(REDUCED).f_z < 0.0
 
 
-def test_non_convergence_is_absorbed(monkeypatch):
-    def always_stops(f, intervals, **kwargs):
-        return [NotConverged((-0.5, -1.23), (0.01, 0.05), 77, 3) for _ in intervals]
-
-    monkeypatch.setattr(trapcav.forces, "integrate_batch", always_stops)
-    fr = total_forces(reduced_at(1.0))
-    assert not fr.converged
-    assert fr.f_x == -0.5 and fr.f_z == -1.23
-    assert fr.err_x == 0.01 and fr.err_z == 0.05
-    assert fr.evaluations == 77 and fr.kernel_calls == 3
-
-
-def test_each_node_is_evaluated_once(monkeypatch):
-    batches = []
-    kernel = trapcav.forces.wing_pressures
-
-    def counting(cav, k, r):
-        batches.append(np.array(r))
-        return kernel(cav, k, r)
-
-    monkeypatch.setattr(trapcav.forces, "wing_pressures", counting)
-    spec = replace(reduced_at(1.0), R=1e3)
-    fr = total_forces(spec, rel_tol=1e-12)
-    assert fr.converged and fr.kernel_calls == len(batches)
-    seen = np.concatenate(batches)
-    assert len(np.unique(seen)) == len(seen) == fr.evaluations
-    # the first call holds every initial panel, each in its own gap
-    # between breakpoints
-    edges = [0.0, *sorted(trapcav.forces._edge_breakpoints(spec)), spec.R]
-    initial = len(edges) - 1
-    assert initial > 1
-    first = batches[0].reshape(-1, 15)
-    assert len(first) == initial
-    assert all(lo < p.min() and p.max() < hi for lo, hi, p in zip(edges, edges[1:], first))
-    # every later call is a whole number of splits (both halves of each),
-    # several of them in one round, so fewer calls than splits
-    splits = (fr.evaluations - 15 * initial) // 30
-    assert splits > 1
-    assert all(len(b) % 30 == 0 and len(b) > 0 for b in batches[1:])
-    assert len(batches) < 1 + splits
-
-
-def test_most_integrals_take_one_kernel_call():
-    # the initial panels are graded to the gap and meet at R/2, so at
-    # rel_tol 1e-9 99 in 100 integrals of an even grid over eight decades
-    # of R/a converge on them, in the kernel call that evaluates them
-    specs = [
-        replace(REDUCED, R=float(ratio), phi=phi)
-        for ratio in 10.0 ** np.linspace(-3.0, 5.0, 161)
-        for phi in (0.0, 1e-4, 1e-2, 0.1, 0.4, 0.78)
-    ]
-    results = trapcav.forces.force_batch(specs, 1e-9)
-    assert all(fr.converged for fr in results)
-    calls = [fr.kernel_calls for fr in results]
-    assert min(calls) == 1 and sum(c == 1 for c in calls) >= 0.99 * len(calls)
-    # a lone call of each kind makes as many kernel calls as its batch row
-    for k in (0, len(specs) // 2, len(specs) - 1):
-        assert total_forces(specs[k]) == results[k]
-
-
-def test_the_analysis_window_takes_one_kernel_call(monkeypatch):
-    # every cavity of a phi sweep or phi* search over R/a 1..100 and
-    # 0.5..20 degrees converges on its initial panels at rel_tol 1e-9, so a
-    # force_batch of them is one kernel call
-    specs = [
-        replace(REDUCED, R=float(ratio), phi=math.radians(deg))
-        for ratio in 10.0 ** np.linspace(0.0, 2.0, 33)
-        for deg in np.linspace(0.5, 20.0, 32)
-    ]
-    results = trapcav.forces.force_batch(specs, 1e-9)
-    assert all(fr.converged and fr.kernel_calls == 1 for fr in results)
-    calls = []
-    kernel = trapcav.forces.wing_pressures
-
-    def counting(cav, k, r):
-        calls.append(r.size)
-        return kernel(cav, k, r)
-
-    monkeypatch.setattr(trapcav.forces, "wing_pressures", counting)
-    trapcav.forces.force_batch(specs, 1e-9)
-    assert calls == [sum(fr.evaluations for fr in results)]
+def test_non_convergence_is_absorbed():
+    # near phi = pi/4 on a short wing the near and far corners cancel to 2%
+    # of their terms, so the rounding bound exceeds the tightest target;
+    # the result says so instead of raising, with the same forces
+    spec = CavitySpec(a=1.0, R=0.26, L=1.0, phi=0.78, units=Units.REDUCED)
+    tight = total_forces(spec, rel_tol=REL_TOL_FLOOR)
+    loose = total_forces(spec)
+    assert not tight.converged and loose.converged
+    assert max(tight.err_x, tight.err_z) > REL_TOL_FLOOR * abs(tight.f_z)
+    assert (tight.f_x, tight.f_z, tight.err_x, tight.err_z) == (loose.f_x, loose.f_z, loose.err_x, loose.err_z)
 
 
 @pytest.mark.parametrize("rel_tol", [1e-9, 1e-12])
@@ -231,22 +150,36 @@ def test_batch_rows_equal_lone_calls(rel_tol):
     rows = trapcav.forces.force_batch(specs, rel_tol)
     assert len(rows) == 60 and {spec.units for spec in specs} == set(Units)
     assert [fields(row) for row in rows] == [fields(total_forces(s, rel_tol)) for s in specs]
-    if rel_tol < 1e-9:
-        assert any(row.kernel_calls > 1 for row in rows)
 
 
 @pytest.mark.parametrize("phi", [0.0, 1e-3, 0.3, 0.78])
 def test_graded_mesh_matches_a_tight_run(phi):
-    # over eight decades of R/a, a 1e-12 integral lies within 1e-11 |f_z| of
-    # one at 2e-14 (which, at phi = 0 and R/a 100 and 1000, stops at the
-    # panel cap with an estimate near 1e-13 |f_z|)
+    # over eight decades of R/a the forces do not depend on rel_tol, which
+    # only sets converged; at 2e-14 the bound still holds on every wing
     specs = [replace(REDUCED, R=10.0**k, phi=phi) for k in range(-3, 6)]
     coarse = trapcav.forces.force_batch(specs, 1e-12)
     fine = trapcav.forces.force_batch(specs, 2e-14)
     for c, f in zip(coarse, fine):
         assert c.converged and f.err_z <= 1e-12 * abs(f.f_z)
-        assert abs(c.f_z - f.f_z) <= 1e-11 * abs(f.f_z)
-        assert abs(c.f_x - f.f_x) <= 1e-11 * abs(f.f_z)
+        assert (c.f_x, c.f_z, c.err_x, c.err_z) == (f.f_x, f.f_z, f.err_x, f.err_z)
+
+
+def test_gauss_legendre_literals_are_the_rule():
+    # the tensor rule's nodes and weights are literals, so that importing
+    # the package does not import numpy.polynomial
+    x, w = np.polynomial.legendre.leggauss(8)
+    assert np.allclose(trapcav.forces._GL_X, x, rtol=0.0, atol=4e-16)
+    assert np.allclose(trapcav.forces._GL_W, w, rtol=0.0, atol=1e-15)
+
+
+def test_formulas_agree_at_the_switch():
+    # the tensor rule just below R/a = 1/4 and the three-ray form just
+    # above it give the same force to rounding
+    for phi in (0.0, 1e-3, 0.3, 0.78):
+        below = total_forces(replace(REDUCED, R=0.25, phi=phi))
+        above = total_forces(replace(REDUCED, R=math.nextafter(0.25, 1.0), phi=phi))
+        assert abs(above.f_z - below.f_z) <= 1e-13 * abs(below.f_z)
+        assert abs(above.f_x - below.f_x) <= 1e-13 * abs(below.f_z)
 
 
 def test_infinite_tolerance_is_refused():
@@ -258,18 +191,16 @@ def test_infinite_tolerance_is_refused():
 
 
 def test_evaluations_are_reported(monkeypatch):
-    fr = total_forces(reduced_at(1.0))
-    assert fr.converged and fr.evaluations > 15 and fr.evaluations % 15 == 0
-    assert total_forces(reduced_at(1.0), wing_count=2).evaluations == fr.evaluations
-    # an integral that stops still reports what it spent: 6 initial panels
-    # (breakpoints 1, 3, 5, 7, 9) and 3 splits up to a cap of 9, in two calls
-    assert sorted(trapcav.forces._edge_breakpoints(reduced_at(1.0))) == [1.0, 3.0, 5.0, 7.0, 9.0]
-    real = trapcav.forces.integrate_batch
-    capped = lambda f, intervals, rel_tol: real(f, intervals, rel_tol=1.2e-14, max_panels=9)
-    monkeypatch.setattr(trapcav.forces, "integrate_batch", capped)
-    short = total_forces(reduced_at(1.0))
-    assert not short.converged and short.evaluations == 15 * 6 + 30 * 3
-    assert short.kernel_calls == 2
+    # the closed forms run no pressure kernel, and say so
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a pressure kernel ran")
+
+    monkeypatch.setattr(trapcav.kernels, "wing_pressures", no_kernel)
+    monkeypatch.setattr(trapcav.forces, "pressure_arrays", no_kernel)
+    for spec in (reduced_at(1.0), replace(reduced_at(1.0), R=0.1)):
+        for wing_count in (1, 2):
+            fr = total_forces(spec, wing_count=wing_count)
+            assert fr.converged and fr.evaluations == 0 and fr.kernel_calls == 0
 
 
 def test_matches_trapezoid_over_dense_profile():
@@ -311,6 +242,15 @@ def test_profile_last_sample_is_exactly_R():
     rs = [s.r for s in prof.samples]
     assert rs[-1] == spec.R
     assert rs[:-1] == [spec.R * i / 100 for i in range(100)]
+
+
+def test_profile_refuses_pressures_that_are_not_finite():
+    # K / a^4 overflows at a = 1e-90 m, where the forces are still finite
+    spec = CavitySpec(a=1e-90, R=4e-90, L=1.0, phi=math.radians(5.0))
+    with pytest.raises(NonFiniteSample) as err:
+        pressure_profile(spec, 3)
+    assert err.value.x == 0.0 and math.isinf(err.value.value)
+    assert math.isfinite(total_forces(spec).f_z)
 
 
 def test_profile_needs_two_samples():
@@ -365,25 +305,19 @@ def outcome_key(outcome):
 
 
 @pytest.mark.parametrize("fault", ["nan", "raise"])
-def test_a_failing_cavity_fails_alone(monkeypatch, fault):
-    # the kernel fails on the nodes of one cavity of four, inside the same
-    # calls that evaluate the others
+def test_a_failing_cavity_fails_alone(fault):
+    # one cavity of four has no finite force: with "nan" its R/a overflows
+    # and the formulas give NaN, with "raise" its f_z underflows to 0
     specs = [replace(reduced_at(3.0), R=length) for length in (0.7, 10.0, 300.0, 4e4)]
     healthy = [total_forces(spec) for spec in specs]
-    bad_R = specs[2].R
-    kernel = trapcav.forces.wing_pressures
-
-    def faulty(cav, k, r):
-        hit = np.asarray(cav.R == bad_R) & (r > 0.5 * bad_R)
-        if fault == "raise" and hit.any():
-            raise DegenerateFan(f"synthetic failure at r={float(r[hit][0])!r}")
-        p_x, p_z = kernel(cav, k, r)
-        return np.where(hit, np.nan, p_x), p_z
-
-    monkeypatch.setattr(trapcav.forces, "wing_pressures", faulty)
+    if fault == "nan":
+        specs[2] = CavitySpec(a=1e-10, R=1e300, L=1.0, phi=0.3)
+    else:
+        specs[2] = replace(specs[2], R=1e-200)
     outcomes = trapcav.forces.force_batch(specs)
-    with pytest.raises(NonFiniteSample if fault == "nan" else DegenerateFan) as alone:
+    with pytest.raises(NonFiniteSample) as alone:
         total_forces(specs[2])
+    assert math.isnan(alone.value.value) == (fault == "nan")
     assert outcome_key(outcomes[2]) == outcome_key(alone.value)
     for k in (0, 1, 3):
         assert outcome_key(outcomes[k]) == outcome_key(healthy[k])
