@@ -50,7 +50,6 @@ from .oracle import (
     limit_angles_vector,
     ray_length_intersection,
     riemann_forces,
-    riemann_pressures,
     verify_suite,
 )
 from .quadrature import QuadratureResult, integrate_adaptive, pairwise_sum
@@ -95,7 +94,6 @@ __all__ = [
     "ray_length_intersection",
     "rescale_report",
     "riemann_forces",
-    "riemann_pressures",
     "s_factor",
     "specific_pressures",
     "sweep",

@@ -423,14 +423,24 @@ def emit_svg(plot: PlotSpec) -> bytes:
 
 
 def _emit_error(payload: dict) -> None:
-    sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
+    sys.stderr.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
+
+
+def _json_number(v):
+    # JSON has no inf or NaN: they go out as the strings "inf", "-inf" and
+    # "nan", also inside a vector integrand's tuple
+    if isinstance(v, tuple):
+        return [_json_number(x) for x in v]
+    if isinstance(v, float) and not math.isfinite(v):
+        return str(float(v))
+    return v
 
 
 def _error_dict(err: Exception) -> dict:
     payload = {"error": type(err).__name__, "message": str(err)}
     for attr in ("field", "value", "error_estimate", "evaluations", "name"):
         if hasattr(err, attr):
-            payload[attr] = getattr(err, attr)
+            payload[attr] = _json_number(getattr(err, attr))
     return payload
 
 

@@ -125,21 +125,18 @@ class WingParams(NamedTuple):
     where far_cross = cos(phi) w and far_dot = sin(phi) w belong to the far
     corner M2 and near_cross = a cos(phi) and near_dot = a sin(phi) to the
     near corner M3.  :meth:`of` computes every constant once per cavity in
-    floats, with cos and sin from :mod:`math`.  The fields may also be
-    arrays with one entry per wing node, gathered from each node's cavity,
-    so that the nodes of many cavities go through the formulas together
-    with the same bits as alone.
+    floats, with cos and sin from :mod:`math`.
     """
 
-    a: float | np.ndarray
-    R: float | np.ndarray
-    two_phi: float | np.ndarray
-    cphi: float | np.ndarray
-    sphi: float | np.ndarray
-    far_cross: float | np.ndarray
-    far_dot: float | np.ndarray
-    near_cross: float | np.ndarray
-    near_dot: float | np.ndarray
+    a: float
+    R: float
+    two_phi: float
+    cphi: float
+    sphi: float
+    far_cross: float
+    far_dot: float
+    near_cross: float
+    near_dot: float
 
     @classmethod
     def of(cls, spec: CavitySpec) -> "WingParams":
@@ -157,46 +154,41 @@ class WingParams(NamedTuple):
 
         Returns an array of shape (2, *r.shape): both angles come from one
         ``atan2`` call.  Its transposed operands put the pair axis last, so
-        that a float cross product pairs with every node and an array one
-        with its own.
+        that each corner's cross product pairs with every node.
         """
         cross = np.array((self.far_cross, self.near_cross))
         dot = np.array(((self.R - r) - self.far_dot, -self.near_dot - r))
         return np.arctan2(cross.T, dot.T).T
 
 
-def _params(cavity: CavitySpec | WingParams) -> WingParams:
-    return cavity if isinstance(cavity, WingParams) else WingParams.of(cavity)
-
-
 def _first(where, *values) -> tuple[float, ...]:
-    # the entries of ``values`` at the first place ``where`` holds
+    # the entries of ``values``, each of the shape of ``where``, at the
+    # first place ``where`` holds
     i = np.flatnonzero(where)[0]
-    return tuple(float(np.broadcast_to(v, np.shape(where)).flat[i]) for v in values)
+    return tuple(float(np.ravel(v)[i]) for v in values)
 
 
 def _check_r(cav: WingParams, r) -> None:
     r = np.asarray(r)
     inside = (0.0 <= r) & (r <= cav.R)
     if not inside.all():
-        r0, R0 = _first(~inside, r, cav.R)
-        raise OutOfRange("r", r0, 0.0, R0)
+        (r0,) = _first(~inside, r)
+        raise OutOfRange("r", r0, 0.0, float(cav.R))
 
 
 def limit_angles(cavity: CavitySpec | WingParams, r) -> AngleWindow:
     """Visibility window (theta1, theta2) for the upper-wing point at ``r``.
 
     ``r`` is a float or an array of wing coordinates; the window's angles
-    then have its shape.  ``cavity`` is a spec, or :class:`WingParams` of
-    the shape of ``r`` when the nodes belong to several cavities.  theta1
-    aims at the far corner M2: it stays above 2 phi (where the ray would
-    run parallel to the lower wing) and climbs to pi/2 + phi at r = R.
+    then have its shape.  ``cavity`` is a spec, or its :class:`WingParams`.
+    theta1 aims at the far corner M2: it stays above 2 phi (where the ray
+    would run parallel to the lower wing) and climbs to pi/2 + phi at r = R.
     theta2 aims at the near corner M3: it starts at exactly pi/2 + phi at
     r = 0 and climbs towards pi as r/a grows.  Raises :class:`OutOfRange`
     naming the first ``r`` outside [0, R] and :class:`DegenerateFan` naming
     the first whose fan is empty.
     """
-    cav = _params(cavity)
+    cav = cavity if isinstance(cavity, WingParams) else WingParams.of(cavity)
     _check_r(cav, r)
     theta1, theta2 = cav.angles(r)
     collapsed = theta1 >= theta2
@@ -206,16 +198,15 @@ def limit_angles(cavity: CavitySpec | WingParams, r) -> AngleWindow:
     return AngleWindow(theta1=theta1, theta2=theta2)
 
 
-def s_factor(cavity: CavitySpec | WingParams, r):
+def s_factor(spec: CavitySpec, r):
     """Length scale s(r) of the fan, the numerator of every ray length.
 
     s = cos(phi) (a + 2 r sin(phi)), the closed form of
     sin(2 phi - theta2) (a + r sin phi) / sin(phi - theta2), in the shape
-    of ``r``; ``cavity`` is as for :func:`limit_angles`.  Every term is
-    positive, so the result is good to a few ulps for any valid cavity and
-    reduces to the gap ``a`` exactly at phi = 0.
+    of ``r``.  Every term is positive, so the result is good to a few ulps
+    for any valid cavity and reduces to the gap ``a`` exactly at phi = 0.
     """
-    cav = _params(cavity)
+    cav = WingParams.of(spec)
     _check_r(cav, r)
     return cav.s(r)
 

@@ -28,12 +28,10 @@ so the z integrand integrates to cos(phi) dF5 + sin(phi) dG5 and the x
 integrand to cos(phi) dG5 - sin(phi) dF5; :func:`fan_integrals` returns both
 from one evaluation of each primitive difference.  The kernel is written
 once, in numpy ufuncs, as :func:`wing_pressures`: it takes one cavity's
-parameters as floats, or several cavities' gathered per node, so that one
-call can evaluate the quadrature nodes of many cavities, and both limit
+parameters as floats and any array of wing coordinates, and both limit
 angles come from one ``atan2`` call.  s^4 is the product (s s)^2, exact
-in IEEE arithmetic, so a node has the same bits alone, in an array, and
-with floats or gathered parameters.  :func:`pressure_arrays` is its form
-for one cavity and an array of wing coordinates, and
+in IEEE arithmetic, so a node has the same bits alone and in an array.
+:func:`pressure_arrays` is its form for a cavity spec, and
 :func:`specific_pressures` its one-point form.  Over the full half-space
 fan (0, pi) at phi = 0 the z integral is 16/15 — the factor by which an
 ideal half-space of rays beats the single perpendicular ray — and the x
@@ -112,10 +110,10 @@ def _sin4cos_primitive(u):
     return s * s2 * s2 / 5.0
 
 
-def _fan(theta: np.ndarray, two_phi, cphi, sphi) -> np.ndarray:
+def _fan(theta: np.ndarray, two_phi: float, cphi: float, sphi: float) -> np.ndarray:
     # x and -z of fan_integrals, stacked on a new first axis: both limit
     # angles come in one array (theta[0], theta[1]), so each primitive is
-    # one pass, and 2 phi, cos(phi) and sin(phi) per fan or per node
+    # one pass, and 2 phi, cos(phi) and sin(phi) of the fan's cavity
     u = theta - two_phi
     primitives = np.array((_sin4cos_primitive(u), _sin5_primitive(u)))
     # dG5, dF5
@@ -150,20 +148,18 @@ def fan_integrals(window: AngleWindow, phi: float) -> tuple:
 # underflows to 0 at tiny gaps, where the pressure is not finite, which
 # pressure_profile reports as NonFiniteSample: numpy need not warn about either
 @np.errstate(over="ignore", divide="ignore")
-def wing_pressures(cav: WingParams, k, r) -> np.ndarray:
+def wing_pressures(cav: WingParams, k: float, r) -> np.ndarray:
     """Local pressure components (p_x, p_z) at the wing coordinates ``r``.
 
-    The kernel's one formula: ``cav`` holds the geometry and ``k`` the
-    prefactor, as floats for one cavity, or, for the nodes of several
-    cavities, as arrays of the shape of ``r`` gathered per node.  Returns
-    p_x and p_z as the two rows of one array.  Floats and gathered arrays
-    give a node the same bits, and so do arrays and one point: s^4 is
-    (s s)^2, exact IEEE products.  The fast path tests the range of ``r``,
-    then the fans; only when a test fails does :func:`limit_angles` run,
-    to raise :class:`OutOfRange` or :class:`DegenerateFan` for the first
-    offending ``r``.  Nothing else is validated, so the caller validates
-    every cavity once; s comes from :meth:`WingParams.s` on the
-    coordinates that those checks have passed.
+    The kernel's one formula: ``cav`` holds one cavity's geometry and ``k``
+    its prefactor.  Returns p_x and p_z as the two rows of one array.  An
+    array and one point give a node the same bits: s^4 is (s s)^2, exact
+    IEEE products.  The fast path tests the range of ``r``, then the fans;
+    only when a test fails does :func:`limit_angles` run, to raise
+    :class:`OutOfRange` or :class:`DegenerateFan` for the first offending
+    ``r``.  Nothing else is validated, so the caller validates the cavity
+    once; s comes from :meth:`WingParams.s` on the coordinates that those
+    checks have passed.
     """
     r = np.asarray(r)
     theta = cav.angles(r)

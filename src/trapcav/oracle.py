@@ -123,20 +123,6 @@ def _windows_raw(spec: CavitySpec, r: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return out[0], out[1]
 
 
-def riemann_pressures(spec: CavitySpec, r: float, n_theta: int) -> tuple[float, float]:
-    """Midpoint sum over the fan at one wing point: returns (p_x, p_z).
-
-    Uses the raw intersection ray length per direction; the projections are
-    cos(theta - phi) for x and sin(theta - phi) for z, with the x component
-    carrying the sign that makes forward-leaning rays push toward the apex.
-    """
-    if n_theta < 2:
-        raise ValueError(f"need at least 2 angular panels, got {n_theta!r}")
-    limit_angles_vector(spec, r)  # raises OutOfRange or DegenerateFan
-    p_x, p_z = _fan_sums(spec, np.array([r]), n_theta)
-    return float(p_x[0]), float(p_z[0])
-
-
 def _fan_sums(spec: CavitySpec, r: np.ndarray, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
     """(p_x, p_z) at each wing point ``r`` from an ``n_theta``-point midpoint sum."""
     theta1, theta2 = _windows_raw(spec, r)

@@ -9,45 +9,28 @@ one row per component (shape (n,) or (k, n)); the value and error estimate
 come back as a float or a tuple of k floats.  All components share the
 panels, and every norm is the max-norm over components.
 
-The loop runs in rounds.  Each round an integral sums its live panels'
-values and estimates with ``math.fsum`` (exactly, with fractions, when
-fsum overflows part-way), so a result is the correctly rounded sum of its
-final panels.  It stops when the largest summed estimate meets
-max(rel_tol * max |value_i|, abs_tol), or unconverged when the estimate
-floors of the live panels (``REL_TOL_FLOOR`` times each one's integral of
-|f|, which no split lowers much) alone sum past that target.  For a scalar
-integrand this is the plain rule |error| <= max(rel_tol * |value|, abs_tol).
-Otherwise it halves at once the fewest worst panels (largest component
-estimate, the leftmost among equals) whose removal would leave every
-component's estimate sum within the target: halves add estimates, so
-while they are live the integral cannot stop unless the target grows.
-That set ends before the first panel of ``max_depth`` halvings and at the
-room left under the panel cap; an integral that can halve nothing stops
-unconverged.  This is QUADPACK's globally adaptive QAG with many panels
-split per round.
-
-:func:`integrate_batch` runs many independent integrals in lock-step, in
-one loop of rounds; its integrand also gets, for every node, the index of
-the integral the node belongs to.  Each round, the pending panels of every
-live integral go through one call of the integrand and one pass of the
-rules: in the first round the initial panels of all integrals, laid out as
-flat arrays of panel edges, and later the halves of every panel that an
-unfinished integral must split.  Each integral then runs the one stopping
-test and selection.  In the first round it reads its sums from its slice
-of one ``tolist`` of the value and estimate rows of all panels, so one that
-converges there keeps no panels; later it sums its kept panels and the new
-halves.  Every live integral takes part in every round, so its
-``kernel_calls`` is the round it finished in.
-An integral gives the same bits in a batch as alone: the kernel works node
-by node, and the rules reduce each panel with a per-row dot product
-(``np.vecdot``), whose result does not depend on how many panels share the
-call, as a BLAS matrix-vector product's does.  A failure stays with its own
-integral: when a batched call raises a :class:`TrapcavError` (a
-:class:`NonFiniteSample`, or a typed error of the integrand, such as the
-kernel's), each integral of the round, the first round included, is
-evaluated on its own, and one whose own panels raise finishes with that
-exception while the others go on.
-:func:`integrate_adaptive` is the batch of one.
+The loop runs in rounds.  Each round evaluates its pending panels in one
+call of the integrand and one pass of the rules: first the initial panels,
+as arrays of panel edges, then the halves of every panel the integral must
+still split, so ``kernel_calls`` is the number of rounds.  It then sums its
+live panels' values and estimates with ``math.fsum`` (exactly, with
+fractions, when fsum overflows part-way), so a result is the correctly
+rounded sum of its final panels.  It stops when the largest summed estimate
+meets max(rel_tol * max |value_i|, abs_tol), or unconverged when the
+estimate floors of the live panels (``REL_TOL_FLOOR`` times each one's
+integral of |f|, which no split lowers much) alone sum past that target.
+For a scalar integrand this is the plain rule
+|error| <= max(rel_tol * |value|, abs_tol).  Otherwise it halves at once
+the fewest worst panels (largest component estimate, the leftmost among
+equals) whose removal would leave every component's estimate sum within
+the target: halves add estimates, so while they are live the integral
+cannot stop unless the target grows.  That set ends before the first panel
+of ``max_depth`` halvings and at the room left under the panel cap; an
+integral that can halve nothing stops unconverged.  This is QUADPACK's
+globally adaptive QAG with many panels split per round.  Each panel is
+reduced by its own per-row dot product (``np.vecdot``), so its bits do not
+depend on how many panels share the call, as a BLAS matrix-vector
+product's would.
 """
 
 from __future__ import annotations
@@ -55,11 +38,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import NonFiniteSample, NotConverged, TrapcavError
+from .errors import NonFiniteSample, NotConverged
 
 #: A float, or a fixed-length tuple of floats for a vector integrand.
 Value = float | tuple[float, ...]
@@ -67,9 +50,6 @@ Value = float | tuple[float, ...]
 #: Maps a 1-D array of n nodes to shape (n,), or (k, n) for k components
 #: (an array, or a tuple of k arrays).
 Integrand = Callable[[np.ndarray], "np.ndarray | tuple[np.ndarray, ...]"]
-
-#: The same for a batch: also gets the index of each node's integral.
-BatchIntegrand = Callable[[np.ndarray, np.ndarray], "np.ndarray | tuple[np.ndarray, ...]"]
 
 # 15-point Kronrod abscissae on [-1, 1] (positive half; x[7] = 0 is implicit)
 _XGK = (
@@ -121,9 +101,7 @@ class QuadratureResult:
     ``value`` and ``error_estimate`` have the integrand's shape: floats, or
     tuples of floats of the integrand's length.  ``evaluations`` counts the
     nodes of the panels used, ``kernel_calls`` the rounds of the loop that
-    evaluated them: one call of the integrand each, counted once also when
-    a failed batched call is redone integral by integral, so it is the same
-    in a batch as alone.
+    evaluated them, one call of the integrand each.
     """
 
     value: Value
@@ -250,174 +228,6 @@ def _value(sums: list[float], vector: bool) -> Value:
     return tuple(sums) if vector else sums[0]
 
 
-def _evaluate(f: BatchIntegrand, owners: list[int], counts: list[int], edges: np.ndarray) -> tuple:
-    """The panels of many integrals in one call of ``f``.
-
-    The rows of ``edges`` hold the panels' lower and upper edges and
-    halvings, and integral ``owners[j]`` has the next ``counts[j]`` panels.
-    Returns the array of :func:`_gk15` for all panels, and per integral the
-    slice of its panels, or the exception that they raise.  When the
-    batched call raises a :class:`TrapcavError`, each integral of several
-    is evaluated on its own, so an error stays with its integral; the
-    panels of one that fails are NaN.
-    """
-    owner = np.array(owners).repeat([15 * n for n in counts])
-    spans, end = [], 0
-    for n in counts:
-        spans.append(slice(end, end := end + n))
-    try:
-        return _gk15(lambda x: f(x, owner), edges[0], edges[1]), spans
-    except TrapcavError as error:
-        if len(owners) == 1:
-            return np.full((3, counts[0]), np.nan), [error]
-    # each integral on its own: per integral its rules and its one outcome,
-    # a slice if it did not fail
-    alone = [_evaluate(f, [one], [n], edges[:, s]) for one, n, s in zip(owners, counts, spans)]
-    ok = [isinstance(got, slice) for _, (got,) in alone]
-    tail = next((r.shape[2:] for (r, _), g in zip(alone, ok) if g), ())
-    blocks = [r if g else np.full((3, n, *tail), np.nan) for (r, _), g, n in zip(alone, ok, counts)]
-    outcomes = [s if g else e for (_, (e,)), g, s in zip(alone, ok, spans)]
-    return np.concatenate(blocks, axis=1), outcomes
-
-
-def integrate_batch(
-    f: BatchIntegrand,
-    intervals: Sequence[tuple[float, float, Iterable[float]]],
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-300,
-    max_depth: int = 50,
-    max_panels: int = 10_000,
-) -> list[QuadratureResult | TrapcavError]:
-    """Globally adaptive integrals of ``f`` over many intervals in lock-step.
-
-    ``intervals`` lists one (lo, hi, points) per integral, and ``f(x,
-    owner)`` gets the nodes ``x`` of all integrals with the index ``owner``
-    of each node's interval; it returns shape (n,) or (k, n), as for
-    :func:`integrate_adaptive`, which documents the stopping rule and the
-    breakpoints.  Each round evaluates, in one call of ``f``, the pending
-    panels of every live integral: first all initial panels, as flat arrays
-    of panel edges, then the halves of every panel that each unfinished
-    integral must still split (the module docstring has the rule).  Each
-    integral then tests its panels and picks those to halve: in the first
-    round on the ``math.fsum`` of its slice of one list, so one that
-    converges there keeps no panels, and later on its kept panels and the
-    new halves.
-    Returns one outcome per interval, in order: a :class:`QuadratureResult`,
-    or the exception that integral alone would raise (:class:`NotConverged`,
-    :class:`NonFiniteSample`, or a :class:`TrapcavError` that ``f`` raises
-    on its nodes).  Each outcome is bit-identical to the integral's result
-    in a batch of its own.
-    Out-of-order bounds, bounds of infinite width and bad tolerances raise
-    ``ValueError`` for the whole batch, and any other exception of ``f``
-    propagates.
-    """
-    for lo, hi, _ in intervals:
-        if not (hi >= lo):
-            raise ValueError(f"integration bounds out of order: [{lo!r}, {hi!r}]")
-        if not math.isfinite(hi - lo):
-            raise ValueError(f"integration bounds must have a finite width: [{lo!r}, {hi!r}]")
-    if not (0.0 < rel_tol < math.inf):
-        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol!r}")
-    if not (0.0 <= abs_tol < math.inf):
-        raise ValueError(f"abs_tol must be non-negative and finite, got {abs_tol!r}")
-
-    outcomes: list = [None] * len(intervals)
-    # per live integral: its owner, evaluations, and kept panels (their
-    # edges and halvings, then their rules, none before the first round)
-    live, counts, lo, hi = [], [], [], []
-    for owner, (a, b, points) in enumerate(intervals):
-        if b > a:
-            edges = [a, *sorted({p for p in points if a < p < b}), b]
-            live.append((owner, 0, None, None))
-            counts.append(len(edges) - 1)
-            lo += edges[:-1]
-            hi += edges[1:]
-            continue
-        # an empty interval: one node at a tells the integrand's shape
-        try:
-            shape = np.shape(f(np.array([a]), np.array([owner])))[:-1]
-            zero = _shaped(np.zeros(shape))
-            outcomes[owner] = QuadratureResult(zero, zero, 0, True)
-        except TrapcavError as err:
-            outcomes[owner] = err
-    # the rows of ``pending`` hold the edges and halvings of the panels
-    # that the live integrals evaluate next, at first every initial panel
-    pending = np.array((lo, hi, [0.0] * len(lo)))
-    calls = 0
-    while live:
-        calls += 1
-        rules, spans = _evaluate(f, [item[0] for item in live], counts, pending)
-        vector = rules.ndim > 2
-        # k value rows, k estimate rows, k floor rows; a column per panel
-        panels = rules.swapaxes(1, -1).reshape(-1, pending.shape[1])
-        k = len(panels) // 3
-        # the first round reads every integral's sums from one list; later
-        # ones from its kept panels and the new halves
-        columns = panels[: 2 * k].tolist() if calls == 1 else None
-        going, halves = [], []
-        for (owner, evaluations, kept_edges, kept), span in zip(live, spans):
-            if isinstance(span, TrapcavError):
-                outcomes[owner] = span
-                continue
-            evaluations += 15 * (span.stop - span.start)
-            if kept is None:
-                edges, rows = pending[:, span], panels[:, span]
-                sums = [_sum(column[span]) for column in columns]
-            else:
-                edges = np.concatenate((kept_edges, pending[:, span]), axis=1)
-                rows = np.concatenate((kept, panels[:, span]), axis=1)
-                sums = list(map(_sum, rows[: 2 * k].tolist()))
-            value, err = sums[:k], sums[k:]
-            target = max(rel_tol * max(map(abs, value)), abs_tol)
-            done = max(err) <= target
-            if not (done and math.isfinite(target)):
-                # finite panels whose sum lies beyond the float range
-                bad = next((s for s in (value, err) if not all(map(math.isfinite, s))), None)
-                if bad is not None:
-                    a, b, _ = intervals[owner]
-                    outcomes[owner] = NonFiniteSample(0.5 * (a + b), _value(bad, vector))
-                    continue
-            if done:
-                outcomes[owner] = QuadratureResult(
-                    _value(value, vector), _value(err, vector), evaluations, True, calls
-                )
-                continue
-            # the live panels worst first, the leftmost among equals;
-            # left[:, j], the estimate sums of all but the j worst, added
-            # from the least up, only falls.  Halves add estimates, so the
-            # integral cannot stop while one of the worst panels up to the
-            # first that leaves every sum within the target is live, unless
-            # the target grows
-            errs = rows[k : 2 * k]
-            order = np.lexsort((edges[1], edges[0], -errs.max(axis=0)))
-            left = errs[:, order[::-1]].cumsum(axis=1)[:, ::-1]
-            count = 1 + np.count_nonzero((left[:, 1:] > target).any(axis=0))
-            split = edges[:, order[: max(0, min(count, max_panels - len(order)))]]
-            deep = split[2] >= max_depth
-            if deep.any():
-                split = split[:, : int(deep.argmax())]
-            # each estimate is at least its floor, and the halves' integrals
-            # of |f| sum to about their parent's: once the floors alone
-            # exceed the target, splitting cannot meet it
-            n = split.shape[1]
-            if not n or max(map(_sum, rows[2 * k :].tolist())) > target:
-                outcomes[owner] = NotConverged(
-                    _value(value, vector), _value(err, vector), evaluations, calls
-                )
-                continue
-            # every left half, then every right half, one halving deeper
-            half = np.concatenate((split, split), axis=1)
-            half[1, :n] = half[0, n:] = 0.5 * (split[0] + split[1])
-            half[2] += 1.0
-            halves.append(half)
-            going.append((owner, evaluations, edges[:, order[n:]], rows[:, order[n:]]))
-        live = going
-        if live:
-            pending = np.concatenate(halves, axis=1)
-            counts = [half.shape[1] for half in halves]
-    return outcomes
-
-
 def integrate_adaptive(
     f: Integrand,
     lo: float,
@@ -465,13 +275,72 @@ def integrate_adaptive(
     center.  Each estimate is at least :data:`REL_TOL_FLOOR` (1.11e-14) of
     the integral of ``|f|``, so a smaller ``rel_tol`` is met only through
     ``abs_tol``, and the loop stops unconverged once those floors, summed
-    over the live panels, exceed the target.  Bounds whose width ``hi -
-    lo`` is not finite raise ``ValueError``.  This is
-    :func:`integrate_batch` on one interval.
+    over the live panels, exceed the target.  Out-of-order bounds, bounds
+    whose width ``hi - lo`` is not finite and tolerances that are not
+    finite raise ``ValueError`` before ``f`` is called.  Any exception of
+    ``f`` propagates as it is.
     """
-    (outcome,) = integrate_batch(
-        lambda x, owner: f(x), [(lo, hi, points)], rel_tol, abs_tol, max_depth, max_panels
-    )
-    if isinstance(outcome, TrapcavError):
-        raise outcome
-    return outcome
+    if not (hi >= lo):
+        raise ValueError(f"integration bounds out of order: [{lo!r}, {hi!r}]")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"integration bounds must have a finite width: [{lo!r}, {hi!r}]")
+    if not (0.0 < rel_tol < math.inf):
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol!r}")
+    if not (0.0 <= abs_tol < math.inf):
+        raise ValueError(f"abs_tol must be non-negative and finite, got {abs_tol!r}")
+    if not hi > lo:
+        # an empty interval: one node at lo tells the integrand's shape
+        zero = _shaped(np.zeros(np.shape(f(np.array([lo])))[:-1]))
+        return QuadratureResult(zero, zero, 0, True)
+    bounds = [lo, *sorted({p for p in points if lo < p < hi}), hi]
+    # the rows of ``pending`` hold the edges and halvings of the panels to
+    # evaluate next, at first the initial ones; ``edges`` holds those of the
+    # live panels, and ``rows`` their k value, k estimate and k floor rows
+    pending = np.array((bounds[:-1], bounds[1:], [0.0] * (len(bounds) - 1)))
+    edges, rows = pending, None
+    evaluations = calls = 0
+    while True:
+        calls += 1
+        evaluations += 15 * pending.shape[1]
+        rules = _gk15(f, pending[0], pending[1])
+        vector = rules.ndim > 2
+        panels = rules.swapaxes(1, -1).reshape(-1, pending.shape[1])
+        rows = panels if rows is None else np.concatenate((rows, panels), axis=1)
+        k = len(rows) // 3
+        sums = list(map(_sum, rows[: 2 * k].tolist()))
+        value, err = sums[:k], sums[k:]
+        target = max(rel_tol * max(map(abs, value)), abs_tol)
+        done = max(err) <= target
+        if not (done and math.isfinite(target)):
+            # finite panels whose sum lies beyond the float range
+            bad = next((s for s in (value, err) if not all(map(math.isfinite, s))), None)
+            if bad is not None:
+                raise NonFiniteSample(0.5 * (lo + hi), _value(bad, vector))
+        if done:
+            return QuadratureResult(_value(value, vector), _value(err, vector), evaluations, True, calls)
+        # the live panels worst first, the leftmost among equals;
+        # left[:, j], the estimate sums of all but the j worst, added
+        # from the least up, only falls.  Halves add estimates, so the
+        # integral cannot stop while one of the worst panels up to the
+        # first that leaves every sum within the target is live, unless
+        # the target grows
+        errs = rows[k : 2 * k]
+        order = np.lexsort((edges[1], edges[0], -errs.max(axis=0)))
+        left = errs[:, order[::-1]].cumsum(axis=1)[:, ::-1]
+        count = 1 + np.count_nonzero((left[:, 1:] > target).any(axis=0))
+        split = edges[:, order[: max(0, min(count, max_panels - len(order)))]]
+        deep = split[2] >= max_depth
+        if deep.any():
+            split = split[:, : int(deep.argmax())]
+        # each estimate is at least its floor, and the halves' integrals
+        # of |f| sum to about their parent's: once the floors alone
+        # exceed the target, splitting cannot meet it
+        n = split.shape[1]
+        if not n or max(map(_sum, rows[2 * k :].tolist())) > target:
+            raise NotConverged(_value(value, vector), _value(err, vector), evaluations, calls)
+        # every left half, then every right half, one halving deeper
+        pending = np.concatenate((split, split), axis=1)
+        pending[1, :n] = pending[0, n:] = 0.5 * (split[0] + split[1])
+        pending[2] += 1.0
+        edges = np.concatenate((edges[:, order[n:]], pending), axis=1)
+        rows = rows[:, order[n:]]

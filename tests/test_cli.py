@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from trapcav import CavitySpec, ForceResult, SweepAxis, SweepTable, Units, sweep
+from trapcav import CavitySpec, ForceResult, NotConverged, SweepAxis, SweepTable, Units, sweep
 from trapcav.cli import (
     PlotSpec,
     RunConfig,
@@ -232,6 +232,14 @@ def test_invalid_cavity_exits_2(capsys):
     assert payload["field"] == "a"
 
 
+def strict_json(text):
+    # RFC 8259 JSON: Python's Infinity, -Infinity and NaN are refused
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_a_non_finite_force_writes_one_json_object(capfd):
     # at a = 1e-120 m K L / a^3 overflows and the force is not finite;
     # nothing may warn on stderr before the error object
@@ -239,7 +247,8 @@ def test_a_non_finite_force_writes_one_json_object(capfd):
     assert code == 1
     captured = capfd.readouterr()
     assert captured.out == ""
-    assert json.loads(captured.err)["error"] == "NonFiniteSample"
+    payload = strict_json(captured.err)
+    assert payload["error"] == "NonFiniteSample" and payload["value"] == "-inf"
 
 
 def test_a_non_finite_profile_writes_one_json_object(capfd):
@@ -249,7 +258,18 @@ def test_a_non_finite_profile_writes_one_json_object(capfd):
     assert main(argv) == 1
     captured = capfd.readouterr()
     assert captured.out == ""
-    assert json.loads(captured.err)["error"] == "NonFiniteSample"
+    payload = strict_json(captured.err)
+    assert payload["error"] == "NonFiniteSample" and payload["value"] in ("inf", "-inf")
+
+
+def test_error_objects_write_non_finite_values_as_strings(capsys):
+    # a vector integrand's tuples too; finite values keep their numbers
+    err = NotConverged((1.5, math.inf), (math.nan, -math.inf), 30, 2)
+    trapcav.cli._emit_error(trapcav.cli._error_dict(err))
+    payload = strict_json(capsys.readouterr().err)
+    assert payload["value"] == [1.5, "inf"]
+    assert payload["error_estimate"] == ["nan", "-inf"]
+    assert payload["evaluations"] == 30
 
 
 def test_no_interior_maximum_exits_1(capsys):

@@ -19,7 +19,6 @@ from trapcav.oracle import (
     limit_angles_vector,
     ray_length_intersection,
     riemann_forces,
-    riemann_pressures,
     verify_suite,
 )
 import trapcav.kernels
@@ -67,15 +66,6 @@ def test_intersection_ray_matches_closed_form():
             closed = ray_length(spec, r, theta)
             raw = ray_length_intersection(spec, r, theta)
             assert math.isclose(closed, raw, rel_tol=1e-12)
-
-
-def test_riemann_pressures_recover_enhancement():
-    wide = CavitySpec(a=1.0, R=1e4, L=1.0, phi=0.0, units=Units.REDUCED)
-    p_x, p_z = riemann_pressures(wide, 5e3, 2048)
-    assert math.isclose(p_z, -16.0 / 15.0, rel_tol=1e-4)
-    assert abs(p_x) < 1e-6
-    with pytest.raises(ValueError):
-        riemann_pressures(wide, 5e3, 1)
 
 
 def test_riemann_forces_parallel_plates_cancel_expulsion():

@@ -14,7 +14,6 @@ from trapcav import (
     NotConverged,
     NumericDegeneracy,
     QuadratureResult,
-    TrapcavError,
     integrate_adaptive,
     pairwise_sum,
 )
@@ -26,7 +25,6 @@ from trapcav.quadrature import (
     _XGK,
     _gk15,
     _sum,
-    integrate_batch,
 )
 
 
@@ -61,13 +59,28 @@ def test_adaptive_empty_interval():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [dict(lo=1.0, hi=0.0), dict(rel_tol=0.0), dict(rel_tol=-1e-9), dict(abs_tol=-1.0)],
+    [
+        dict(lo=1.0, hi=0.0),
+        dict(rel_tol=0.0),
+        dict(rel_tol=-1e-9),
+        dict(abs_tol=-1.0),
+        dict(rel_tol=math.inf),
+        dict(abs_tol=math.inf),
+        dict(rel_tol=math.nan),
+        # a width beyond the float range would put infinite or NaN nodes
+        # before the integrand
+        dict(lo=-1e308, hi=1e308),
+        dict(lo=0.0, hi=math.inf),
+    ],
 )
 def test_adaptive_rejects_bad_arguments(kwargs):
+    # refused before the integrand is ever called
+    f, calls = counted(np.sin)
     args = dict(lo=0.0, hi=1.0)
     args.update(kwargs)
     with pytest.raises(ValueError):
-        integrate_adaptive(np.sin, **args)
+        integrate_adaptive(f, **args)
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -112,6 +125,34 @@ def test_adaptive_panel_cap():
         integrate_adaptive(step, 0.0, 1.0, rel_tol=1e-13, max_panels=8)
     # 7 splits from one seed panel: 15 panels of 15 samples each
     assert 15 < err.value.evaluations <= 15 * 15
+
+
+def test_adaptive_propagates_integrand_errors():
+    # the integrand's own TrapcavError, on the initial panels or on a later
+    # round's halves, is raised as it is; so is any other exception
+    failure = NumericDegeneracy("synthetic integrand failure")
+
+    def broken(t):
+        raise failure
+
+    with pytest.raises(NumericDegeneracy) as err:
+        integrate_adaptive(broken, 0.0, 1.0)
+    assert err.value is failure
+    # no node of the first panel, [0, 1], lies in (0.7, 0.701)
+    chirp = lambda t: np.sin(1e4 * t * t)
+    fragile = lambda t: broken(t) if ((t > 0.7) & (t < 0.701)).any() else chirp(t)
+    f, calls = counted(fragile)
+    with pytest.raises(NumericDegeneracy) as err:
+        integrate_adaptive(f, 0.0, 1.0, rel_tol=1e-10)
+    assert err.value is failure and len(calls) > 1
+
+    def careless(t):
+        raise KeyError("not a package error")
+
+    with pytest.raises(KeyError):
+        integrate_adaptive(careless, 0.0, 1.0)
+    with pytest.raises(KeyError):
+        integrate_adaptive(careless, 1.0, 1.0)
 
 
 def test_adaptive_propagates_non_finite():
@@ -355,150 +396,6 @@ def test_round_loop_matches_a_rescanning_loop(monkeypatch):
         assert (q.evaluations - 15 * (len(points) + 1)) // 30 >= 20
 
 
-def outcome_key(outcome):
-    # everything an outcome reports, so that equal keys mean equal bits
-    if isinstance(outcome, NotConverged):
-        return ("stop", outcome.value, outcome.error_estimate, outcome.evaluations)
-    if isinstance(outcome, TrapcavError):
-        return (type(outcome), str(outcome))
-    return ("ok", outcome.value, outcome.error_estimate, outcome.evaluations)
-
-
-def lone(f, lo, hi, points=(), **kwargs):
-    # integrate_adaptive's outcome, returned rather than raised
-    try:
-        return integrate_adaptive(f, lo, hi, points=points, **kwargs)
-    except TrapcavError as err:
-        return err
-
-
-def broken(t):
-    raise NumericDegeneracy("synthetic integrand failure")
-
-
-def test_batch_outcomes_match_lone_integrals():
-    # owner 1 returns NaN, owners 2 and 3 cannot converge within the depth
-    # limit, owner 4 is empty and owner 6 raises; each gets what it gets
-    # alone, and the others their own bits, although all share the
-    # integrand's calls
-    cases = [
-        (lambda t: (np.sin(t), np.cos(3.0 * t)), 0.0, 2.0, ()),
-        (lambda t: (np.sin(t), np.where(t < 0.55, t, np.nan)), 0.0, 1.0, ()),
-        (lambda t: (np.sqrt(np.abs(t - 0.3)), t * t), 0.0, 1.0, (0.5,)),
-        (lambda t: (np.where(t < 0.3, 1.0, 0.0), t), 0.0, 1.0, ()),
-        (lambda t: (np.exp(t), t), 2.0, 2.0, ()),
-        (lambda t: (np.sin(1e3 * t * t), np.cos(t)), 0.0, 1.0, (0.25, 0.75)),
-        (broken, 0.0, 1.0, ()),
-    ]
-    calls = []
-
-    def f(x, owner):
-        calls.append(np.unique(owner).size)
-        out = np.empty((2, x.size))
-        # each owner's nodes go through its own integrand
-        for j in np.unique(owner):
-            at = owner == j
-            out[:, at] = np.asarray(cases[j][0](x[at]))
-        return out
-
-    kwargs = dict(rel_tol=1e-12, max_depth=12)
-    got = integrate_batch(f, [case[1:] for case in cases], **kwargs)
-    expect = [lone(g, lo, hi, points, **kwargs) for g, lo, hi, points in cases]
-    assert [outcome_key(o) for o in got] == [outcome_key(o) for o in expect]
-    # the calls that evaluated each integral's panels: those of its lone run,
-    # though the batched calls that met a NaN or a raise were made again
-    calls_of = lambda outcomes: [getattr(o, "kernel_calls", None) for o in outcomes]
-    assert calls_of(got) == calls_of(expect)
-    assert got[0].kernel_calls > 1 and got[4].kernel_calls == 0
-    assert isinstance(got[1], NonFiniteSample) and isinstance(got[3], NotConverged)
-    assert isinstance(got[6], NumericDegeneracy)
-    assert isinstance(got[0], QuadratureResult) and got[4].evaluations == 0
-    assert isinstance(got[5], QuadratureResult) and isinstance(got[2], NotConverged)
-    # the first round evaluates six integrals together
-    assert max(calls) == 6
-    # an integral whose initial panels overflow fsum, though their exact
-    # total is a float, is summed with fractions in a batch whose other
-    # integrals converge on their fsum, and all get their lone outcomes
-    cases = [
-        (np.sin, 0.0, 1.0, ()),
-        (lambda t: np.where(t < 3.0, 0.8e308, -0.8e308), 0.0, 4.0, (1.0, 2.0, 3.0)),
-        (np.exp, -1.0, 3.0, (0.0, 1.0, 2.0)),
-    ]
-
-    def batched(x, owner):
-        out = np.empty(x.size)
-        for j in np.unique(owner):
-            out[owner == j] = cases[j][0](x[owner == j])
-        return out
-
-    got = integrate_batch(batched, [case[1:] for case in cases])
-    expect = [lone(g, lo, hi, points) for g, lo, hi, points in cases]
-    assert [outcome_key(o) for o in got] == [outcome_key(o) for o in expect]
-    assert all(o.converged and o.kernel_calls == 1 for o in got)
-    assert math.isclose(got[1].value, 1.6e308, rel_tol=1e-14)
-
-
-def test_batch_overflow_stays_with_its_integral():
-    # an overflowing panel and an overflowing total each fail their own
-    # integral; the others keep the bits they get alone
-    cases = [
-        (lambda t: np.sin(3.0 * t), 0.0, 1.0, ()),
-        (lambda t: np.full_like(t, 1e308), 0.0, 4.0, ()),
-        (lambda t: np.sqrt(t), 0.0, 1.0, (0.5,)),
-        (lambda t: np.full_like(t, 0.8e308), 0.0, 4.0, (1.0, 2.0, 3.0)),
-        (lambda t: np.exp(-t), 0.0, 5.0, ()),
-    ]
-
-    def f(x, owner):
-        out = np.empty(x.size)
-        for j in np.unique(owner):
-            out[owner == j] = cases[j][0](x[owner == j])
-        return out
-
-    got = integrate_batch(f, [case[1:] for case in cases], rel_tol=1e-12)
-    expect = [lone(g, lo, hi, points, rel_tol=1e-12) for g, lo, hi, points in cases]
-    assert [outcome_key(o) for o in got] == [outcome_key(o) for o in expect]
-    assert [type(o) for o in got] == [QuadratureResult, NonFiniteSample] * 2 + [QuadratureResult]
-
-
-def test_batch_checks_its_arguments():
-    with pytest.raises(ValueError):
-        integrate_batch(lambda x, owner: x, [(0.0, 1.0, ()), (1.0, 0.0, ())])
-    with pytest.raises(ValueError):
-        integrate_batch(lambda x, owner: x, [(0.0, 1.0, ())], rel_tol=0.0)
-    assert integrate_batch(lambda x, owner: x, []) == []
-    # an error that is not the package's own is a fault of the caller's
-    # integrand and stops the whole batch
-    def careless(x, owner):
-        raise KeyError("not a package error")
-
-    with pytest.raises(KeyError):
-        integrate_batch(careless, [(0.0, 1.0, ())] * 2)
-
-
-def test_batch_refuses_infinite_tolerances():
-    for kwargs in (dict(rel_tol=math.inf), dict(abs_tol=math.inf), dict(rel_tol=math.nan)):
-        with pytest.raises(ValueError, match="finite"):
-            integrate_batch(lambda x, owner: x, [(0.0, 1.0, ())], **kwargs)
-
-
-def test_batch_refuses_bounds_of_infinite_width():
-    # a width beyond the float range would put infinite or NaN nodes
-    # before the integrand
-    calls = []
-
-    def f(x, owner):
-        calls.append(x)
-        return np.ones_like(x)
-
-    for lo, hi in ((-1e308, 1e308), (0.0, math.inf)):
-        with pytest.raises(ValueError, match="finite width"):
-            integrate_batch(f, [(0.0, 1.0, ()), (lo, hi, ())])
-        with pytest.raises(ValueError, match="finite width"):
-            integrate_adaptive(np.ones_like, lo, hi)
-    assert calls == []
-
-
 def test_an_integral_stops_once_its_floors_exceed_the_target():
     # |sin 3t| integrates to about 100 times |sin 3t| over [0, 2], so the
     # estimate floors alone, 50 eps of that, exceed a 1e-12 target: the loop
@@ -516,11 +413,6 @@ def test_an_integral_stops_once_its_floors_exceed_the_target():
     # ten times the target lies above the floors, and the loop meets it
     q = integrate_adaptive(wave, 0.0, 2.0, rel_tol=1e-11, abs_tol=0.0)
     assert q.converged and math.isclose(q.value, (1.0 - math.cos(6.0)) / 3.0, rel_tol=1e-11)
-
-
-def bits(outcome):
-    # outcome_key with the exact bits of every float and the call count
-    return repr(outcome_key(outcome)), getattr(outcome, "kernel_calls", None)
 
 
 def test_initial_sums_match_the_exact_totals():
@@ -616,72 +508,22 @@ def test_look_ahead_spends_the_panel_cap_in_few_calls():
 @pytest.mark.parametrize("limits", [dict(max_depth=0), dict(max_panels=3)])
 def test_limits_below_the_initial_panels_stop_after_one_call(limits):
     # no initial panel may be halved: an integral that does not converge on
-    # them stops after the call that evaluates them, alone and in a batch,
-    # and one that converges on them is unaffected
+    # them stops after the call that evaluates them, and one that converges
+    # on them is unaffected
     cases = [
-        (np.sqrt, 0.0, 1.0, (0.25, 0.5, 0.75)),
-        (lambda t: t * t, 0.0, 1.0, (0.25, 0.5, 0.75)),
-        (lambda t: np.abs(t - 0.3), 0.0, 2.0, (0.5, 1.0, 1.5)),
+        (np.sqrt, 0.0, 1.0, (0.25, 0.5, 0.75), NotConverged),
+        (lambda t: t * t, 0.0, 1.0, (0.25, 0.5, 0.75), QuadratureResult),
+        (lambda t: np.abs(t - 0.3), 0.0, 2.0, (0.5, 1.0, 1.5), NotConverged),
     ]
-    calls = []
-
-    def batched(x, owner):
-        calls.append(x.size)
-        out = np.empty(x.size)
-        for j in np.unique(owner):
-            out[owner == j] = cases[j][0](x[owner == j])
-        return out
-
-    got = integrate_batch(batched, [case[1:] for case in cases], rel_tol=1e-12, **limits)
-    expect = [lone(g, lo, hi, points, rel_tol=1e-12, **limits) for g, lo, hi, points in cases]
-    assert list(map(bits, got)) == list(map(bits, expect))
-    assert calls == [3 * 60]
-    assert [type(o) for o in got] == [NotConverged, QuadratureResult, NotConverged]
-    assert all(o.evaluations == 60 and o.kernel_calls == 1 for o in got)
-
-
-def test_look_ahead_batch_matches_lone_integrals():
-    # converging, capped and depth-limited integrals, one that raises on
-    # its first panel and one that raises in a later round, all in one
-    # batch: each gets its lone outcome
-    chirp = lambda t: np.sin(1e4 * t * t)
-    kwargs = dict(rel_tol=1e-10, max_depth=20, max_panels=200)
-    raised = []
-
-    def fragile(t):
-        # no node of the first panel, [0, 1], lies in (0.7, 0.701)
-        if ((t > 0.7) & (t < 0.701)).any():
-            raised.append(t.size)
-            raise NumericDegeneracy("synthetic failure on a later panel")
-        return chirp(t)
-
-    cases = [
-        (lambda t: np.sqrt(t), 0.0, 1.0, ()),
-        (chirp, 0.0, 1.0, ()),
-        (lambda t: np.where(t < 0.3, 1.0, 0.0), 0.0, 1.0, ()),
-        (broken, 0.0, 1.0, ()),
-        (lambda t: np.exp(-t) * np.sin(40.0 * t), 0.0, 3.0, (1.0, 2.0)),
-        (lambda t: np.abs(t - 0.7) ** 0.25, 0.0, 1.0, ()),
-        (fragile, 0.0, 1.0, ()),
-    ]
-    splits = []
-
-    def batched(x, owner):
-        out = np.empty(x.size)
-        for j in np.unique(owner):
-            out[owner == j] = cases[j][0](x[owner == j])
-        splits.append(np.bincount(owner, minlength=len(cases)) // 30)
-        return out
-
-    got = integrate_batch(batched, [case[1:] for case in cases], **kwargs)
-    assert raised
-    expect = [lone(g, lo, hi, points, **kwargs) for g, lo, hi, points in cases]
-    assert list(map(bits, got)) == list(map(bits, expect))
-    assert [type(o) for o in got] == [QuadratureResult, NotConverged, NotConverged] + [
-        NumericDegeneracy, QuadratureResult, NotConverged, NumericDegeneracy
-    ]
-    # some call evaluated several splits of one integral
-    assert max(max(s) for s in splits[1:]) > 1
+    for g, lo, hi, points, kind in cases:
+        f, calls = counted(g)
+        try:
+            outcome = integrate_adaptive(f, lo, hi, rel_tol=1e-12, points=points, **limits)
+        except NotConverged as err:
+            outcome = err
+        assert type(outcome) is kind
+        assert [x.size for x in calls] == [60]
+        assert outcome.evaluations == 60 and outcome.kernel_calls == 1
 
 
 def test_error_estimate_is_usually_an_upper_bound():
