@@ -4,7 +4,15 @@ The package computes the compression pressure p_z and the noncompensated
 expulsion pressure p_x on the wings of an open trapezoid cavity, integrates
 them into per-wing forces, sweeps and optimizes over the opening angle, and
 cross-checks every closed form against brute-force oracles.
+
+``import trapcav`` loads the numpy-free core: the errors, the cavity spec
+and its checks, the closed-form forces, sweeps and the optimizer.  The
+names of the array layer (the pressure kernel, the adaptive quadrature and
+the oracle) resolve on first use (PEP 562), which imports their module and
+numpy with it.
 """
+
+import importlib
 
 from .analysis import (
     OptimumReport,
@@ -33,26 +41,39 @@ from .geometry import (
     CavitySpec,
     Units,
     limit_angles,
+    pressure_prefactor,
     ray_length,
     s_factor,
     validate,
 )
-from .kernels import (
-    PressureSample,
-    classical_casimir_pressure,
-    fan_integrals,
-    pressure_arrays,
-    pressure_prefactor,
-    specific_pressures,
-)
-from .oracle import (
-    OracleReport,
-    limit_angles_vector,
-    ray_length_intersection,
-    riemann_forces,
-    verify_suite,
-)
-from .quadrature import QuadratureResult, integrate_adaptive, pairwise_sum
+
+# the array layer's public names, by the module that defines them
+_LAZY = {
+    "PressureSample": "kernels",
+    "classical_casimir_pressure": "kernels",
+    "fan_integrals": "kernels",
+    "pressure_arrays": "kernels",
+    "specific_pressures": "kernels",
+    "OracleReport": "oracle",
+    "limit_angles_vector": "oracle",
+    "ray_length_intersection": "oracle",
+    "riemann_forces": "oracle",
+    "verify_suite": "oracle",
+    "QuadratureResult": "quadrature",
+    "integrate_adaptive": "quadrature",
+    "pairwise_sum": "quadrature",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "0.1.0"
 

@@ -64,12 +64,20 @@ class NotConverged(TrapcavError):
 
 
 class NonFiniteSample(TrapcavError):
-    """The integrand returned NaN or infinity."""
+    """An integrand or pressure sample is NaN or infinite, or a force is no normal float.
 
-    def __init__(self, x: float, value: float) -> None:
+    ``x`` is the sample's coordinate.  A force names its ``component``
+    (``"f_x"`` or ``"f_z"``) instead, and ``x`` is its wing length.
+    """
+
+    def __init__(self, x: float, value: float, component: str | None = None) -> None:
         self.x = x
         self.value = value
-        super().__init__(f"integrand returned {value!r} at x={x!r}")
+        if component is None:
+            message = f"integrand returned {value!r} at x={x!r}"
+        else:
+            message = f"force component {component} is {value!r}, not a normal float"
+        super().__init__(message)
 
 
 class NoInteriorMaximum(TrapcavError):

@@ -45,25 +45,25 @@ angle-free double integral over both wings,
 with d = Q(t) - P(r), P = r (cos phi, sin phi) on the upper wing and
 Q = (t cos phi, -a - t sin phi) on the lower one, summed with 8-point
 Gauss-Legendre rules on both axes: within 1.1e-15 |f_z| of 50 digits.
+
+Both forms run on plain floats, so the force path imports no numpy; only
+:func:`pressure_profile` loads the array kernel, on its first call.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 import sys
 from dataclasses import dataclass
 from numbers import Integral
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import NonFiniteSample, TrapcavError
-from .geometry import CavitySpec, validate
-from .kernels import PressureSample, pressure_arrays, pressure_prefactor
-from .quadrature import REL_TOL_FLOOR
+from .geometry import REL_TOL_FLOOR, CavitySpec, pressure_prefactor, validate
 
-# bench/tracing.py wraps these by their names in this module
-from .kernels import specific_pressures  # noqa: F401
-from .quadrature import integrate_adaptive  # noqa: F401
+if TYPE_CHECKING:
+    from .kernels import PressureSample
 
 # the reported error bound of either formula, per unit of the summed
 # magnitudes of its terms: 8 eps, where a 50-digit grid over R/a
@@ -82,6 +82,17 @@ _GL_W = (
     0.10122853629037626, 0.22238103445337448, 0.31370664587788727, 0.362683783378362,
     0.362683783378362, 0.31370664587788727, 0.22238103445337448, 0.10122853629037626,
 )
+
+
+# bench/tracing.py wraps these by their names in this module; they resolve
+# on first use, so that importing this module imports no numpy
+_LAZY = {"specific_pressures": "kernels", "integrate_adaptive": "quadrature"}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -182,11 +193,11 @@ def _forces(spec: CavitySpec, rel_tol: float, wing_count: int) -> ForceResult:
         x, z, abs_x, abs_z = _tensor_rule(rho, c, s)
     scale = pressure_prefactor(spec) / spec.a / spec.a / spec.a * spec.L
     f_x, f_z = x * scale, z * scale
-    for value in (f_x, f_z):
+    for component, value in (("f_x", f_x), ("f_z", f_z)):
         if not math.isfinite(value):
-            raise NonFiniteSample(spec.R, value)
+            raise NonFiniteSample(spec.R, value, component)
     if not abs(f_z) >= sys.float_info.min:
-        raise NonFiniteSample(spec.R, f_z)
+        raise NonFiniteSample(spec.R, f_z, "f_z")
     err_x, err_z = _ROUNDING * abs_x * scale, _ROUNDING * abs_z * scale
     converged = max(err_x, err_z) <= rel_tol * max(abs(f_x), abs(f_z))
     if wing_count == 2:
@@ -275,8 +286,13 @@ def pressure_profile(spec: CavitySpec, n: int) -> PressureProfile:
     has the bits of a one-point :func:`specific_pressures` call.  A count
     that is not an integer, or is below 2, raises ``ValueError``, and a
     sample that is not finite (K / a^4 overflows at SI gaps below about
-    1e-81 m) raises :class:`NonFiniteSample`.
+    1e-81 m) raises :class:`NonFiniteSample`.  The first call imports the
+    array kernel, and numpy with it.
     """
+    import numpy as np
+
+    from .kernels import PressureSample, pressure_arrays
+
     validate(spec)
     if not isinstance(n, Integral):
         raise ValueError(f"profile needs a whole number of samples, got {n!r}")

@@ -30,21 +30,37 @@ Inside the fan the ray length back to the lower wing is
 so ``s`` is the single length scale of the fan at ``r``.  With ``phi``
 restricted below pi/4 the window satisfies 2 phi < theta1 < theta2 <= pi and
 every denominator above stays strictly positive.
+
+The module also holds what the numpy-free core of the package reads: the
+spec, its units and :func:`validate`, the prefactor :data:`K` and
+:data:`REL_TOL_FLOOR`.  numpy is imported only inside the functions that
+take arrays of wing coordinates, on their first call.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DegenerateFan, InvalidCavity, NumericDegeneracy, OutOfRange
 
+if TYPE_CHECKING:
+    import numpy as np
+
 #: Exclusive upper bound for the half-opening angle.
 PHI_MAX = math.pi / 4
+
+#: Prefactor of the parallel-plate pressure, hbar c pi^2 / 240 in N m^2
+#: (2018 recommended values of hbar and c).
+K = 1.054571817e-34 * 2.99792458e8 * math.pi**2 / 240.0
+
+#: Smallest relative tolerance a force or an adaptive integral accepts: each
+#: Gauss-Kronrod panel's error estimate is at least this share of the
+#: integral of |f| over it, so a tolerance below it can never be met.
+REL_TOL_FLOOR = 50.0 * sys.float_info.epsilon
 
 # sine denominators below this are treated as degenerate
 _SIN_FLOOR = 1e-14
@@ -114,6 +130,16 @@ def validate(spec: CavitySpec) -> None:
         raise InvalidCavity("a", "reduced units fix the gap at a = 1")
 
 
+def pressure_prefactor(spec: CavitySpec) -> float:
+    """K in SI mode, exactly 1.0 in reduced mode.
+
+    Reduced mode exists because s^4 at nanometer scales times 1e-27 makes
+    intermediate magnitudes miserable to compare; dropping the prefactor
+    changes nothing about the geometry content.
+    """
+    return 1.0 if spec.units is Units.REDUCED else K
+
+
 class WingParams(NamedTuple):
     """The per-cavity constants of the wing formulas.
 
@@ -156,6 +182,8 @@ class WingParams(NamedTuple):
         ``atan2`` call.  Its transposed operands put the pair axis last, so
         that each corner's cross product pairs with every node.
         """
+        import numpy as np
+
         cross = np.array((self.far_cross, self.near_cross))
         dot = np.array(((self.R - r) - self.far_dot, -self.near_dot - r))
         return np.arctan2(cross.T, dot.T).T
@@ -164,11 +192,15 @@ class WingParams(NamedTuple):
 def _first(where, *values) -> tuple[float, ...]:
     # the entries of ``values``, each of the shape of ``where``, at the
     # first place ``where`` holds
+    import numpy as np
+
     i = np.flatnonzero(where)[0]
     return tuple(float(np.ravel(v)[i]) for v in values)
 
 
 def _check_r(cav: WingParams, r) -> None:
+    import numpy as np
+
     r = np.asarray(r)
     inside = (0.0 <= r) & (r <= cav.R)
     if not inside.all():

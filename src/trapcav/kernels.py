@@ -5,9 +5,11 @@ Two ideal parallel plates at distance ``a`` carry (per unit area)
     energy    E(a) = -hbar c pi^2 / (720 a^3) = -K / (3 a^3)
     pressure  P(a) = -hbar c pi^2 / (240 a^4) = -K / a^4
 
-with K = hbar c pi^2 / 240, the module constant :data:`K` (2018
-recommended values of hbar and c): SI cavities take it as their prefactor,
-reduced ones take 1.  In the ray picture each direction ``theta`` in
+with K = hbar c pi^2 / 240, the constant :data:`K` (2018 recommended
+values of hbar and c): SI cavities take it as their prefactor, reduced ones
+take 1.  ``K`` and :func:`pressure_prefactor` are defined once, in
+:mod:`~trapcav.geometry`, which the numpy-free force path imports, and
+re-exported here.  In the ray picture each direction ``theta`` in
 the visible fan contributes the parallel-plate pressure of its own ray
 length b(r, theta) = s / sin(theta - 2 phi), projected onto the wing frame.
 Substituting b and integrating over theta turns the fourth power of the
@@ -47,20 +49,17 @@ import numpy as np
 
 from .errors import NonPositiveGap
 from .geometry import (
+    K,
     AngleWindow,
     CavitySpec,
-    Units,
     WingParams,
     limit_angles,
+    pressure_prefactor,
     validate,
 )
 
 # bench/tracing.py wraps it by its name in this module
 from .geometry import s_factor  # noqa: F401
-
-
-#: Prefactor of the parallel-plate pressure, hbar c pi^2 / 240 in N m^2.
-K = 1.054571817e-34 * 2.99792458e8 * math.pi**2 / 240.0
 
 
 @dataclass(frozen=True)
@@ -75,16 +74,6 @@ class PressureSample:
     r: float
     p_x: float
     p_z: float
-
-
-def pressure_prefactor(spec: CavitySpec) -> float:
-    """K in SI mode, exactly 1.0 in reduced mode.
-
-    Reduced mode exists because s^4 at nanometer scales times 1e-27 makes
-    intermediate magnitudes miserable to compare; dropping the prefactor
-    changes nothing about the geometry content.
-    """
-    return 1.0 if spec.units is Units.REDUCED else K
 
 
 def classical_casimir_pressure(a: float, k: float = K) -> float:

@@ -4,7 +4,7 @@ Everything here is written against the raw construction -- explicit corner
 points, ray-segment intersection via 2D cross products, midpoint double
 sums -- and shares no computation with the closed-form modules; only the
 data types travel across.  The prefactor K = hbar c pi^2 / 240 is rebuilt
-from its own literals on purpose: a corrupted :data:`trapcav.kernels.K`
+from its own literals on purpose: a corrupted :data:`trapcav.geometry.K`
 must not move the oracle.
 
 Corner points of the cross section:
@@ -190,7 +190,7 @@ def verify_suite(spec: CavitySpec) -> list[OracleReport]:
     (relative; the x force is measured against the z scale where it
     vanishes).  Failures are reported in the returned list, never raised.
     The oracle keeps its own literal prefactor, so a corrupted
-    :data:`trapcav.kernels.K` moves only the primary forces and fails the
+    :data:`trapcav.geometry.K` moves only the primary forces and fails the
     force checks.
     """
     # primary-path imports are confined here: this function is the

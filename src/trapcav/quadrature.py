@@ -43,6 +43,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import NonFiniteSample, NotConverged
+from .geometry import REL_TOL_FLOOR
 
 #: A float, or a fixed-length tuple of floats for a vector integrand.
 Value = float | tuple[float, ...]
@@ -86,12 +87,6 @@ _X15 = np.array([-x for x in _XGK] + [0.0] + list(reversed(_XGK)))
 _WK15 = np.array(_WGK + tuple(reversed(_WGK[:7])))
 _WG7 = (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0)
 _WG15 = np.array(_WG7 + (_WG[3],) + tuple(reversed(_WG7)))
-
-_EPS = 2.220446049250313e-16
-
-#: Each panel's error estimate is at least this share of the integral of |f|
-#: over it, so a relative tolerance below it can never be met.
-REL_TOL_FLOOR = 50.0 * _EPS
 
 
 @dataclass(frozen=True)

@@ -208,17 +208,64 @@ def test_usage_errors_exit_2(argv):
     assert err.value.code == 2
 
 
-def test_import_loads_neither_numpy_polynomial_nor_scipy():
-    # every trapcav process pays for what the package imports: numpy's
-    # polynomial package alone takes milliseconds, and scipy is a test extra
+def fresh_python(code: str, *argv: str) -> str:
+    """The stdout of ``code`` run with ``argv`` in a fresh interpreter."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
+    cmd = [sys.executable, "-c", code, *argv]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, check=True).stdout
+
+
+# runs trapcav.cli.main on its arguments, if any, and prints the exit code
+# and the numpy and scipy modules then loaded
+FRESH_MAIN = """
+import json, sys
+import trapcav, trapcav.cli
+code = trapcav.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))]))
+"""
+
+
+def run_fresh(*argv: str) -> tuple[int, list[str]]:
+    code, loaded = json.loads(fresh_python(FRESH_MAIN, *argv).splitlines()[-1])
+    return code, loaded
+
+
+def test_import_loads_neither_numpy_polynomial_nor_scipy():
+    # every trapcav process pays for what it imports, and numpy alone takes
+    # most of a force run's wall time: the package, force, optimize and
+    # sweep run on plain floats and must leave numpy (and the scipy test
+    # extra) unloaded
+    sweep_args = ["sweep", *REDUCED_ARGS, "--axis", "phi", "--values", "1,5,10,20"]
+    for argv in (
+        [],
+        ["force", "--a", "4e-7", "--R", "4e-6", "--phi-deg", "5", "--wing-count", "2"],
+        ["force", *REDUCED_ARGS, "--phi-deg", "5"],
+        ["optimize", *REDUCED_ARGS, "--phi-lo-deg", "0.5", "--phi-hi-deg", "20"],
+        *([*sweep_args, "--format", fmt] for fmt in ("json", "csv", "svg")),
+    ):
+        assert run_fresh(*argv) == (0, []), argv
+
+
+def test_profile_and_verify_load_the_array_layer_on_demand():
+    for argv in (
+        ["profile", *REDUCED_ARGS, "--phi-deg", "5", "--samples", "9", "--format", "json"],
+        ["profile", *REDUCED_ARGS, "--samples", "9", "--format", "svg", "--reference-classical"],
+        ["verify", "--a", "4e-7", "--R", "4e-6", "--phi-deg", "1"],
+    ):
+        code, loaded = run_fresh(*argv)
+        assert code == 0 and "numpy" in loaded, argv
+
+
+def test_every_public_name_resolves_in_a_fresh_process():
+    # the array layer's names resolve on first use, also through import *
     probe = (
-        "import sys, trapcav, trapcav.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith(('numpy.polynomial', 'scipy'))))"
+        "import trapcav\n"
+        "names = {}\n"
+        "exec('from trapcav import *', names)\n"
+        "print([n for n in trapcav.__all__ if n not in names or n not in dir(trapcav)])\n"
     )
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert fresh_python(probe).strip() == "[]"
 
 
 def test_help_exits_clean():
@@ -249,6 +296,8 @@ def test_a_non_finite_force_writes_one_json_object(capfd):
     assert captured.out == ""
     payload = strict_json(captured.err)
     assert payload["error"] == "NonFiniteSample" and payload["value"] == "-inf"
+    # no integrand runs for a force: the message names the force component
+    assert payload["message"] == "force component f_x is -inf, not a normal float"
 
 
 def test_a_non_finite_profile_writes_one_json_object(capfd):

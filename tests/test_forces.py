@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,11 +200,26 @@ def test_evaluations_are_reported(monkeypatch):
         raise AssertionError("a pressure kernel ran")
 
     monkeypatch.setattr(trapcav.kernels, "wing_pressures", no_kernel)
-    monkeypatch.setattr(trapcav.forces, "pressure_arrays", no_kernel)
+    monkeypatch.setattr(trapcav.kernels, "pressure_arrays", no_kernel)
     for spec in (reduced_at(1.0), replace(reduced_at(1.0), R=0.1)):
         for wing_count in (1, 2):
             fr = total_forces(spec, wing_count=wing_count)
             assert fr.converged and fr.evaluations == 0 and fr.kernel_calls == 0
+    # nor do they import the array layer: in a fresh process, both forms
+    # leave numpy unloaded
+    probe = (
+        "import math, sys\n"
+        "from trapcav import CavitySpec, Units, total_forces\n"
+        "for R in (10.0, 0.1):\n"
+        "    for wings in (1, 2):\n"
+        "        spec = CavitySpec(1.0, R, 1.0, math.radians(1.0), Units.REDUCED)\n"
+        "        assert total_forces(spec, wing_count=wings).converged\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_matches_trapezoid_over_dense_profile():
@@ -318,6 +337,7 @@ def test_a_failing_cavity_fails_alone(fault):
     with pytest.raises(NonFiniteSample) as alone:
         total_forces(specs[2])
     assert math.isnan(alone.value.value) == (fault == "nan")
+    assert str(alone.value).startswith("force component f_" + ("x" if fault == "nan" else "z"))
     assert outcome_key(outcomes[2]) == outcome_key(alone.value)
     for k in (0, 1, 3):
         assert outcome_key(outcomes[k]) == outcome_key(healthy[k])

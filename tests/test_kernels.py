@@ -19,6 +19,7 @@ from trapcav import (
     pressure_prefactor,
     specific_pressures,
 )
+import trapcav.geometry
 import trapcav.kernels
 
 # hbar c pi^2 / 240 with CODATA hbar = 1.054571817e-34, c = 2.99792458e8,
@@ -99,9 +100,12 @@ def test_specific_pressures_validates():
 
 
 def test_specific_pressures_uses_constants(monkeypatch):
+    # K has one definition, in geometry, and the kernel reads it per call
+    assert trapcav.kernels.K is trapcav.geometry.K
+    assert trapcav.kernels.pressure_prefactor is trapcav.geometry.pressure_prefactor
     si = CavitySpec(a=4e-7, R=4e-6, L=1.0, phi=0.0)
     base = specific_pressures(si, 2e-6)
-    monkeypatch.setattr(trapcav.kernels, "K", 2 * trapcav.kernels.K)
+    monkeypatch.setattr(trapcav.geometry, "K", 2 * trapcav.geometry.K)
     doubled = specific_pressures(si, 2e-6)
     assert math.isclose(doubled.p_z, 2 * base.p_z, rel_tol=1e-15)
 

@@ -21,7 +21,7 @@ from trapcav.oracle import (
     riemann_forces,
     verify_suite,
 )
-import trapcav.kernels
+import trapcav.geometry
 import trapcav.oracle
 
 REDUCED = CavitySpec(a=1.0, R=10.0, L=1.0, phi=0.0, units=Units.REDUCED)
@@ -134,7 +134,7 @@ def test_verify_suite_rejects_invalid_spec():
 def test_verify_suite_detects_corrupted_constants(monkeypatch):
     # the oracle carries its own literals, so only the primary force path
     # inherits the corruption and only the force checks may fail
-    monkeypatch.setattr(trapcav.kernels, "K", 2e-34 * 2.99792458e8 * math.pi**2 / 240.0)
+    monkeypatch.setattr(trapcav.geometry, "K", 2e-34 * 2.99792458e8 * math.pi**2 / 240.0)
     reports = {r.quantity: r for r in verify_suite(SI_THIN)}
     assert not reports["total_force_z"].passed
     assert not reports["total_force_x"].passed

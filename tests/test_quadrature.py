@@ -19,13 +19,14 @@ from trapcav import (
 )
 import trapcav.quadrature
 from trapcav.quadrature import (
-    _EPS,
     _WG,
     _WGK,
     _XGK,
     _gk15,
     _sum,
 )
+
+_EPS = sys.float_info.epsilon
 
 
 def sin5_primitive(u):

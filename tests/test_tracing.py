@@ -2,6 +2,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import trapcav.cli
+
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
@@ -21,3 +23,18 @@ def test_wrap_points_resolve():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def test_traced_cli_runs_record_the_lazily_loaded_layers(capsysbinary):
+    # the cli calls verify_suite and pressure_profile through its module
+    # attributes, so the wrappers installed there see the calls even though
+    # the oracle and the array kernel load only on first use
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert trapcav.cli.main(["verify", "--a", "4e-7", "--R", "4e-6", "--phi-deg", "1"]) == 0
+        assert trapcav.cli.main(["profile", "--a", "1", "--R", "4", "--units", "reduced", "--samples", "9"]) == 0
+    finally:
+        tracer.uninstall()
+    recorded = {tracer.names[i] for i in tracer.name}
+    assert {"oracle.verify_suite", "forces.pressure_profile", "forces.total_forces"} <= recorded
