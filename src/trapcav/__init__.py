@@ -5,11 +5,11 @@ expulsion pressure p_x on the wings of an open trapezoid cavity, integrates
 them into per-wing forces, sweeps and optimizes over the opening angle, and
 cross-checks every closed form against brute-force oracles.
 
-``import trapcav`` loads the numpy-free core: the errors, the cavity spec
-and its checks, the closed-form forces, sweeps and the optimizer.  The
-names of the array layer (the pressure kernel, the adaptive quadrature and
-the oracle) resolve on first use (PEP 562), which imports their module and
-numpy with it.
+``import trapcav`` loads everything that runs on plain floats: the errors,
+the cavity spec and its checks, the pressure kernel, the closed-form
+forces, sweeps and the optimizer.  The names of the two numerical
+cross-checks, the adaptive quadrature and the oracle, resolve on first use
+(PEP 562), which imports their module and numpy with it.
 """
 
 import importlib
@@ -46,14 +46,10 @@ from .geometry import (
     s_factor,
     validate,
 )
+from .kernels import PressureSample, classical_casimir_pressure, fan_integrals, specific_pressures
 
-# the array layer's public names, by the module that defines them
+# the cross-checks' public names, by the module that defines them
 _LAZY = {
-    "PressureSample": "kernels",
-    "classical_casimir_pressure": "kernels",
-    "fan_integrals": "kernels",
-    "pressure_arrays": "kernels",
-    "specific_pressures": "kernels",
     "OracleReport": "oracle",
     "limit_angles_vector": "oracle",
     "ray_length_intersection": "oracle",
@@ -108,7 +104,6 @@ __all__ = [
     "limit_angles_vector",
     "optimize_phi",
     "pairwise_sum",
-    "pressure_arrays",
     "pressure_prefactor",
     "pressure_profile",
     "ray_length",

@@ -26,6 +26,7 @@ from enum import Enum
 from .errors import NoInteriorMaximum, TrapcavError
 from .forces import ForceResult, force_batch
 from .geometry import PHI_MAX, CavitySpec, Units, validate
+from .kernels import specific_pressures
 
 # bench/tracing.py wraps total_forces by its name in this module
 from .forces import total_forces  # noqa: F401
@@ -286,10 +287,7 @@ def rescale_report(spec: CavitySpec, lam: float, *, rel_tol: float = 1e-9) -> Re
     exactly on the p_x zero of the parallel-plate case).  A ``lam`` that
     is not positive and finite, or for which lam**-3 or lam**-4 is not a
     normal float, raises ``ValueError`` before any force is computed.
-    The pressures come from the array kernel, which this imports.
     """
-    from .kernels import specific_pressures
-
     if not (lam > 0.0) or not math.isfinite(lam):
         raise ValueError(f"scale factor must be positive and finite, got {lam!r}")
     # lam**-3 underflows to 0 and lam**-4 overflows at extreme scales, and

@@ -21,6 +21,7 @@ from .analysis import PHI_TOL_FLOOR, SweepAxis, SweepTable, optimize_phi, sweep
 from .errors import InvalidCavity, OutOfRange, TrapcavError
 from .forces import ForceResult, PressureProfile, pressure_profile, total_forces
 from .geometry import REL_TOL_FLOOR, CavitySpec, Units, pressure_prefactor, validate
+from .kernels import classical_casimir_pressure
 
 _FORMATS = {
     "profile": ("csv", "json", "svg"),
@@ -504,8 +505,6 @@ def _profile_payload(config: RunConfig, spec: CavitySpec) -> bytes:
         series.append(("p_z", tuple(zip(rs, (s.p_z for s in profile.samples)))))
     refs = ()
     if config.reference_classical:
-        from .kernels import classical_casimir_pressure
-
         level = classical_casimir_pressure(spec.a, k=pressure_prefactor(spec))
         refs = (("classical", level),)
     plot = PlotSpec(

@@ -66,8 +66,10 @@ class NotConverged(TrapcavError):
 class NonFiniteSample(TrapcavError):
     """An integrand or pressure sample is NaN or infinite, or a force is no normal float.
 
-    ``x`` is the sample's coordinate.  A force names its ``component``
-    (``"f_x"`` or ``"f_z"``) instead, and ``x`` is its wing length.
+    ``x`` is the sample's coordinate.  A pressure names its ``component``
+    (``"p_x"`` or ``"p_z"``), and ``x`` is its wing coordinate r.  A force
+    names its component (``"f_x"`` or ``"f_z"``), and ``x`` is its wing
+    length.
     """
 
     def __init__(self, x: float, value: float, component: str | None = None) -> None:
@@ -75,6 +77,8 @@ class NonFiniteSample(TrapcavError):
         self.value = value
         if component is None:
             message = f"integrand returned {value!r} at x={x!r}"
+        elif component.startswith("p"):
+            message = f"pressure {component} is {value!r} at r={x!r}"
         else:
             message = f"force component {component} is {value!r}, not a normal float"
         super().__init__(message)

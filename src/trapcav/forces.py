@@ -46,24 +46,23 @@ with d = Q(t) - P(r), P = r (cos phi, sin phi) on the upper wing and
 Q = (t cos phi, -a - t sin phi) on the lower one, summed with 8-point
 Gauss-Legendre rules on both axes: within 1.1e-15 |f_z| of 50 digits.
 
-Both forms run on plain floats, so the force path imports no numpy; only
-:func:`pressure_profile` loads the array kernel, on its first call.
+Both forms run on plain floats, as does :func:`pressure_profile`, which
+samples the pressure kernel of :mod:`~trapcav.kernels`.
 """
 
 from __future__ import annotations
 
-import importlib
 import math
 import sys
 from dataclasses import dataclass
 from numbers import Integral
-from typing import TYPE_CHECKING
 
 from .errors import NonFiniteSample, TrapcavError
-from .geometry import REL_TOL_FLOOR, CavitySpec, pressure_prefactor, validate
+from .geometry import REL_TOL_FLOOR, CavitySpec, WingParams, pressure_prefactor, validate
+from .kernels import PressureSample, wing_pressures
 
-if TYPE_CHECKING:
-    from .kernels import PressureSample
+# bench/tracing.py wraps it by its name in this module
+from .kernels import specific_pressures  # noqa: F401
 
 # the reported error bound of either formula, per unit of the summed
 # magnitudes of its terms: 8 eps, where a 50-digit grid over R/a
@@ -84,14 +83,13 @@ _GL_W = (
 )
 
 
-# bench/tracing.py wraps these by their names in this module; they resolve
-# on first use, so that importing this module imports no numpy
-_LAZY = {"specific_pressures": "kernels", "integrate_adaptive": "quadrature"}
-
-
 def __getattr__(name: str):
-    if name in _LAZY:
-        return getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    # bench/tracing.py wraps integrate_adaptive by its name in this module;
+    # it resolves on first use, so that importing this module imports no numpy
+    if name == "integrate_adaptive":
+        from .quadrature import integrate_adaptive
+
+        return integrate_adaptive
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -282,28 +280,24 @@ def pressure_profile(spec: CavitySpec, n: int) -> PressureProfile:
 
     Endpoints are included exactly: r_i = R * i / (n - 1), except that the
     last point is r = R itself, since R * (n - 1) / (n - 1) can round one
-    ulp above R.  All samples are one call of the array kernel, and each
-    has the bits of a one-point :func:`specific_pressures` call.  A count
-    that is not an integer, or is below 2, raises ``ValueError``, and a
-    sample that is not finite (K / a^4 overflows at SI gaps below about
-    1e-81 m) raises :class:`NonFiniteSample`.  The first call imports the
-    array kernel, and numpy with it.
+    ulp above R.  Each sample has the bits of a one-point
+    :func:`specific_pressures` call.  A count that is not an integer, or is
+    below 2, raises ``ValueError``, and a sample that is not finite
+    (K / a^4 overflows at SI gaps below about 1.6e-84 m) raises
+    :class:`NonFiniteSample` naming the component and its ``r``.
     """
-    import numpy as np
-
-    from .kernels import PressureSample, pressure_arrays
-
     validate(spec)
     if not isinstance(n, Integral):
         raise ValueError(f"profile needs a whole number of samples, got {n!r}")
     if n < 2:
         raise ValueError(f"profile needs at least 2 samples, got {n!r}")
-    r = np.minimum(spec.R * np.arange(n) / (n - 1), spec.R)
-    pressures = pressure_arrays(spec, r)
-    bad = ~np.isfinite(pressures)
-    if bad.any():
-        component, i = np.argwhere(bad)[0]
-        raise NonFiniteSample(float(r[i]), float(pressures[component, i]))
-    p_x, p_z = pressures
-    samples = tuple(map(PressureSample, r.tolist(), p_x.tolist(), p_z.tolist()))
-    return PressureProfile(spec=spec, samples=samples)
+    cav, k = WingParams.of(spec), pressure_prefactor(spec)
+    samples = []
+    for i in range(n):
+        r = min(spec.R * i / (n - 1), spec.R)
+        p_x, p_z = wing_pressures(cav, k, r)
+        for component, value in (("p_x", p_x), ("p_z", p_z)):
+            if not math.isfinite(value):
+                raise NonFiniteSample(r, value, component)
+        samples.append(PressureSample(r, p_x, p_z))
+    return PressureProfile(spec=spec, samples=tuple(samples))

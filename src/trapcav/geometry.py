@@ -31,10 +31,9 @@ so ``s`` is the single length scale of the fan at ``r``.  With ``phi``
 restricted below pi/4 the window satisfies 2 phi < theta1 < theta2 <= pi and
 every denominator above stays strictly positive.
 
-The module also holds what the numpy-free core of the package reads: the
-spec, its units and :func:`validate`, the prefactor :data:`K` and
-:data:`REL_TOL_FLOOR`.  numpy is imported only inside the functions that
-take arrays of wing coordinates, on their first call.
+The module also holds the spec, its units and :func:`validate`, the
+prefactor :data:`K` and :data:`REL_TOL_FLOOR`.  Every function takes one
+wing coordinate ``r`` as a float and runs on :mod:`math` alone.
 """
 
 from __future__ import annotations
@@ -43,12 +42,9 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import DegenerateFan, InvalidCavity, NumericDegeneracy, OutOfRange
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Exclusive upper bound for the half-opening angle.
 PHI_MAX = math.pi / 4
@@ -96,13 +92,10 @@ class CavitySpec:
 
 @dataclass(frozen=True)
 class AngleWindow:
-    """Limit angles of a visible fan, ``0 <= theta1 < theta2 <= pi``.
+    """Limit angles of a visible fan, ``0 <= theta1 < theta2 <= pi``."""
 
-    Both angles are floats, or arrays of one shape for a batch of fans.
-    """
-
-    theta1: float | np.ndarray
-    theta2: float | np.ndarray
+    theta1: float
+    theta2: float
 
     @property
     def width(self) -> float:
@@ -171,72 +164,48 @@ class WingParams(NamedTuple):
         far = a + 2.0 * R * sphi
         return cls(a, R, 2.0 * spec.phi, cphi, sphi, cphi * far, sphi * far, a * cphi, a * sphi)
 
-    def s(self, r):
+    def s(self, r: float) -> float:
         """:func:`s_factor` without its range check, for ``r`` checked already."""
         return self.cphi * (self.a + r * (2.0 * self.sphi))
 
-    def angles(self, r) -> np.ndarray:
-        """theta1 and theta2 of :func:`limit_angles`, without its checks.
-
-        Returns an array of shape (2, *r.shape): both angles come from one
-        ``atan2`` call.  Its transposed operands put the pair axis last, so
-        that each corner's cross product pairs with every node.
-        """
-        import numpy as np
-
-        cross = np.array((self.far_cross, self.near_cross))
-        dot = np.array(((self.R - r) - self.far_dot, -self.near_dot - r))
-        return np.arctan2(cross.T, dot.T).T
+    def angles(self, r: float) -> tuple[float, float]:
+        """theta1 and theta2 of :func:`limit_angles`, without its checks."""
+        return (
+            math.atan2(self.far_cross, (self.R - r) - self.far_dot),
+            math.atan2(self.near_cross, -self.near_dot - r),
+        )
 
 
-def _first(where, *values) -> tuple[float, ...]:
-    # the entries of ``values``, each of the shape of ``where``, at the
-    # first place ``where`` holds
-    import numpy as np
-
-    i = np.flatnonzero(where)[0]
-    return tuple(float(np.ravel(v)[i]) for v in values)
+def _check_r(cav: WingParams, r: float) -> None:
+    if not (0.0 <= r <= cav.R):  # NaN too
+        raise OutOfRange("r", r, 0.0, cav.R)
 
 
-def _check_r(cav: WingParams, r) -> None:
-    import numpy as np
-
-    r = np.asarray(r)
-    inside = (0.0 <= r) & (r <= cav.R)
-    if not inside.all():
-        (r0,) = _first(~inside, r)
-        raise OutOfRange("r", r0, 0.0, float(cav.R))
-
-
-def limit_angles(cavity: CavitySpec | WingParams, r) -> AngleWindow:
+def limit_angles(cavity: CavitySpec | WingParams, r: float) -> AngleWindow:
     """Visibility window (theta1, theta2) for the upper-wing point at ``r``.
 
-    ``r`` is a float or an array of wing coordinates; the window's angles
-    then have its shape.  ``cavity`` is a spec, or its :class:`WingParams`.
+    ``cavity`` is a spec, or its :class:`WingParams`.
     theta1 aims at the far corner M2: it stays above 2 phi (where the ray
     would run parallel to the lower wing) and climbs to pi/2 + phi at r = R.
     theta2 aims at the near corner M3: it starts at exactly pi/2 + phi at
     r = 0 and climbs towards pi as r/a grows.  Raises :class:`OutOfRange`
-    naming the first ``r`` outside [0, R] and :class:`DegenerateFan` naming
-    the first whose fan is empty.
+    for an ``r`` outside [0, R] and :class:`DegenerateFan` for an empty fan.
     """
     cav = cavity if isinstance(cavity, WingParams) else WingParams.of(cavity)
     _check_r(cav, r)
     theta1, theta2 = cav.angles(r)
-    collapsed = theta1 >= theta2
-    if collapsed.any():
-        r0, t1, t2 = _first(collapsed, r, theta1, theta2)
-        raise DegenerateFan(f"visible fan collapsed at r={r0!r}: theta1={t1!r} >= theta2={t2!r}")
+    if theta1 >= theta2:
+        raise DegenerateFan(f"visible fan collapsed at r={r!r}: theta1={theta1!r} >= theta2={theta2!r}")
     return AngleWindow(theta1=theta1, theta2=theta2)
 
 
-def s_factor(spec: CavitySpec, r):
+def s_factor(spec: CavitySpec, r: float) -> float:
     """Length scale s(r) of the fan, the numerator of every ray length.
 
     s = cos(phi) (a + 2 r sin(phi)), the closed form of
-    sin(2 phi - theta2) (a + r sin phi) / sin(phi - theta2), in the shape
-    of ``r``.  Every term is positive, so the result is good to a few ulps
-    for any valid cavity and reduces to the gap ``a`` exactly at phi = 0.
+    sin(2 phi - theta2) (a + r sin phi) / sin(phi - theta2).  Every term
+    is positive, so the result is good to a few ulps for any valid cavity
+    and reduces to the gap ``a`` exactly at phi = 0.
     """
     cav = WingParams.of(spec)
     _check_r(cav, r)

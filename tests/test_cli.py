@@ -233,28 +233,45 @@ def run_fresh(*argv: str) -> tuple[int, list[str]]:
 
 def test_import_loads_neither_numpy_polynomial_nor_scipy():
     # every trapcav process pays for what it imports, and numpy alone takes
-    # most of a force run's wall time: the package, force, optimize and
-    # sweep run on plain floats and must leave numpy (and the scipy test
+    # most of a force run's wall time: the package and every command but
+    # verify run on plain floats and must leave numpy (and the scipy test
     # extra) unloaded
     sweep_args = ["sweep", *REDUCED_ARGS, "--axis", "phi", "--values", "1,5,10,20"]
+    profile_args = ["profile", *REDUCED_ARGS, "--phi-deg", "5", "--samples", "9"]
     for argv in (
         [],
         ["force", "--a", "4e-7", "--R", "4e-6", "--phi-deg", "5", "--wing-count", "2"],
         ["force", *REDUCED_ARGS, "--phi-deg", "5"],
         ["optimize", *REDUCED_ARGS, "--phi-lo-deg", "0.5", "--phi-hi-deg", "20"],
         *([*sweep_args, "--format", fmt] for fmt in ("json", "csv", "svg")),
+        *([*profile_args, "--format", fmt] for fmt in ("json", "csv")),
+        ["profile", *REDUCED_ARGS, "--samples", "9", "--format", "svg", "--reference-classical"],
     ):
         assert run_fresh(*argv) == (0, []), argv
 
 
-def test_profile_and_verify_load_the_array_layer_on_demand():
-    for argv in (
-        ["profile", *REDUCED_ARGS, "--phi-deg", "5", "--samples", "9", "--format", "json"],
-        ["profile", *REDUCED_ARGS, "--samples", "9", "--format", "svg", "--reference-classical"],
-        ["verify", "--a", "4e-7", "--R", "4e-6", "--phi-deg", "1"],
-    ):
-        code, loaded = run_fresh(*argv)
-        assert code == 0 and "numpy" in loaded, argv
+def test_scalar_apis_leave_numpy_unloaded():
+    probe = (
+        "import math, sys\n"
+        "from trapcav import AngleWindow, CavitySpec, fan_integrals, limit_angles\n"
+        "from trapcav import pressure_profile, ray_length, rescale_report, s_factor\n"
+        "from trapcav import specific_pressures\n"
+        "spec = CavitySpec(4e-7, 4e-6, 1.0, math.radians(5.0))\n"
+        "limit_angles(spec, 1e-6)\n"
+        "s_factor(spec, 1e-6)\n"
+        "ray_length(spec, 1e-6, 2.0)\n"
+        "specific_pressures(spec, 1e-6)\n"
+        "fan_integrals(AngleWindow(0.5, 2.0), spec.phi)\n"
+        "pressure_profile(spec, 9)\n"
+        "rescale_report(spec, 2.0)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    assert fresh_python(probe).strip() == "[]"
+
+
+def test_verify_loads_the_array_layer_on_demand():
+    code, loaded = run_fresh("verify", "--a", "4e-7", "--R", "4e-6", "--phi-deg", "1")
+    assert code == 0 and "numpy" in loaded
 
 
 def test_every_public_name_resolves_in_a_fresh_process():
@@ -309,6 +326,8 @@ def test_a_non_finite_profile_writes_one_json_object(capfd):
     assert captured.out == ""
     payload = strict_json(captured.err)
     assert payload["error"] == "NonFiniteSample" and payload["value"] in ("inf", "-inf")
+    # no integrand runs for a profile: the message names the pressure and r
+    assert payload["message"] == f"pressure p_x is {payload['value']} at r=0.0"
 
 
 def test_error_objects_write_non_finite_values_as_strings(capsys):

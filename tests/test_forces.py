@@ -200,7 +200,6 @@ def test_evaluations_are_reported(monkeypatch):
         raise AssertionError("a pressure kernel ran")
 
     monkeypatch.setattr(trapcav.kernels, "wing_pressures", no_kernel)
-    monkeypatch.setattr(trapcav.kernels, "pressure_arrays", no_kernel)
     for spec in (reduced_at(1.0), replace(reduced_at(1.0), R=0.1)):
         for wing_count in (1, 2):
             fr = total_forces(spec, wing_count=wing_count)
@@ -270,6 +269,21 @@ def test_profile_refuses_pressures_that_are_not_finite():
         pressure_profile(spec, 3)
     assert err.value.x == 0.0 and math.isinf(err.value.value)
     assert math.isfinite(total_forces(spec).f_z)
+
+
+def test_profile_pressures_scale_as_a_to_the_minus_4_down_to_tiny_gaps():
+    # the kernel works in units of the gap, so p_z a^4 keeps its digits
+    # where a^4 and s^4 are subnormal or 0, until K / a^4 overflows
+    def scaled_p_z(a):
+        prof = pressure_profile(CavitySpec(a, 4.0 * a, 1.0, math.radians(5.0)), 3)
+        return [s.p_z * a * a * a * a for s in prof.samples]
+
+    expected = scaled_p_z(1e-7)
+    for a in (1e-77, 1e-80, 1e-83):
+        for got, want in zip(scaled_p_z(a), expected):
+            assert abs(got - want) <= 1e-14 * abs(want), a
+    with pytest.raises(NonFiniteSample):
+        scaled_p_z(1e-300)
 
 
 def test_profile_needs_two_samples():

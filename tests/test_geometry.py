@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
@@ -179,35 +178,16 @@ def test_degenerate_fan_guard():
         limit_angles(tiny, tiny.R)
 
 
-def test_arrays_of_coordinates_match_one_point_calls():
-    # one formula for both: array and one-point results differ by at most
-    # the ulp that numpy's vector arctan2 may round differently
-    for phi in (0.0, 1e-4, 0.3, 0.78):
-        spec = CavitySpec(a=1.0, R=7.0, L=1.0, phi=phi, units=Units.REDUCED)
-        r = np.linspace(0.0, spec.R, 41)
-        w = limit_angles(spec, r)
-        s = s_factor(spec, r)
-        assert w.theta1.shape == w.theta2.shape == s.shape == r.shape
-        for i, ri in enumerate(r.tolist()):
-            one = limit_angles(spec, ri)
-            assert abs(w.theta1[i] - one.theta1) <= 4.5e-16
-            assert abs(w.theta2[i] - one.theta2) <= 4.5e-16
-            assert s[i] == s_factor(spec, ri)
-
-
 def test_arrays_name_the_first_bad_coordinate():
-    r = np.array([1.0, -0.5, 11.0, math.nan])
+    # the range check is one chained comparison, which NaN fails too
     for f in (limit_angles, s_factor):
         with pytest.raises(OutOfRange) as err:
-            f(REDUCED_10, r)
-        assert err.value.value == -0.5
-    with pytest.raises(OutOfRange) as err:
-        limit_angles(REDUCED_10, np.array([0.0, math.nan]))
-    assert math.isnan(err.value.value)
-    # every fan of this wing is empty; the error names the first r given
+            f(REDUCED_10, math.nan)
+        assert math.isnan(err.value.value)
+    # every fan of this wing is empty; the error names the r given
     tiny = CavitySpec(a=1.0, R=1e-20, L=1.0, phi=0.3)
     with pytest.raises(DegenerateFan, match=r"at r=1e-20:"):
-        limit_angles(tiny, np.array([tiny.R, 0.0, 0.5 * tiny.R]))
+        limit_angles(tiny, tiny.R)
 
 
 @given(spec=spec_strategy(), frac=st.floats(0.0, 1.0))

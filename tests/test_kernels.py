@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -15,7 +14,6 @@ from trapcav import (
     Units,
     classical_casimir_pressure,
     fan_integrals,
-    pressure_arrays,
     pressure_prefactor,
     specific_pressures,
 )
@@ -110,19 +108,6 @@ def test_specific_pressures_uses_constants(monkeypatch):
     assert math.isclose(doubled.p_z, 2 * base.p_z, rel_tol=1e-15)
 
 
-def test_pressure_arrays_match_one_point_calls():
-    for phi in (0.0, 0.05, 0.6):
-        spec = CavitySpec(a=4e-7, R=4e-6, L=1.0, phi=phi)
-        r = np.linspace(0.0, spec.R, 33)
-        p_x, p_z = pressure_arrays(spec, r)
-        assert p_x.shape == p_z.shape == r.shape
-        for i, ri in enumerate(r.tolist()):
-            one = specific_pressures(spec, ri)
-            assert one.r == ri
-            assert math.isclose(p_z[i], one.p_z, rel_tol=1e-13)
-            assert abs(p_x[i] - one.p_x) <= 1e-13 * abs(one.p_z)
-
-
 def test_pressures_match_mpmath():
     # the kernel against 40-digit arithmetic at the same float inputs: the
     # limit angles from the raw corner vectors, the fan integrals from the
@@ -141,11 +126,10 @@ def test_pressures_match_mpmath():
         for phi in (0.0, 1e-6, 1e-3, 0.1, 0.5, 0.78):
             spec = CavitySpec(a=1.0, R=ratio, L=1.0, phi=phi, units=Units.REDUCED)
             R = spec.R
-            r = np.array([0.0, 1e-3 * R, 0.3 * R, 0.5 * R, R - 1e-4 * R, R - 1e-7 * R, R])
-            p_x, p_z = pressure_arrays(spec, r)
             c, s = mp.cos(phi), mp.sin(phi)
             corners = ((mp.mpf(R) * c, -mp.mpf(R) * s - 1), (0, mp.mpf(-1)))
-            for i, ri in enumerate(r.tolist()):
+            for ri in (0.0, 1e-3 * R, 0.3 * R, 0.5 * R, R - 1e-4 * R, R - 1e-7 * R, R):
+                p = specific_pressures(spec, ri)
                 wx, wz = mp.mpf(ri) * c, mp.mpf(ri) * s
                 theta = [
                     mp.atan2(s * (mx - wx) - c * (mz - wz), c * (mx - wx) + s * (mz - wz))
@@ -155,20 +139,20 @@ def test_pressures_match_mpmath():
                 scale = (c * (1 + 2 * mp.mpf(ri) * s)) ** 4
                 ref_x = (c * (g2 - g1) - s * (f2 - f1)) / scale
                 ref_z = -(c * (f2 - f1) + s * (g2 - g1)) / scale
-                worst_z = max(worst_z, float(abs((p_z[i] - ref_z) / ref_z)))
-                worst_x = max(worst_x, float(abs((p_x[i] - ref_x) / ref_z)))
+                worst_z = max(worst_z, float(abs((p.p_z - ref_z) / ref_z)))
+                worst_x = max(worst_x, float(abs((p.p_x - ref_x) / ref_z)))
     assert worst_z <= 1e-13 and worst_x <= 1e-13
 
 
 def test_pressure_arrays_check_every_call():
     with pytest.raises(InvalidCavity):
-        pressure_arrays(CavitySpec(a=0.0, R=1.0, L=1.0, phi=0.0), np.array([0.5]))
+        specific_pressures(CavitySpec(a=0.0, R=1.0, L=1.0, phi=0.0), 0.5)
     with pytest.raises(OutOfRange) as err:
-        pressure_arrays(PARALLEL, np.array([0.0, 10.5, -1.0]))
+        specific_pressures(PARALLEL, 10.5)
     assert err.value.value == 10.5
     tiny = CavitySpec(a=1.0, R=1e-20, L=1.0, phi=0.3)
     with pytest.raises(DegenerateFan):
-        pressure_arrays(tiny, np.array([0.0, tiny.R]))
+        specific_pressures(tiny, tiny.R)
 
 
 @given(
