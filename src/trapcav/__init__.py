@@ -5,11 +5,13 @@ expulsion pressure p_x on the wings of an open trapezoid cavity, integrates
 them into per-wing forces, sweeps and optimizes over the opening angle, and
 cross-checks every closed form against brute-force oracles.
 
-``import trapcav`` loads everything that runs on plain floats: the errors,
-the cavity spec and its checks, the pressure kernel, the closed-form
-forces, sweeps and the optimizer.  The names of the two numerical
-cross-checks, the adaptive quadrature and the oracle, resolve on first use
-(PEP 562), which imports their module and numpy with it.
+``import trapcav`` loads the errors, the cavity spec and its checks, the
+pressure kernel, the closed-form forces, sweeps and the optimizer.  The
+names of the two numerical cross-checks, the adaptive quadrature and the
+oracle, resolve on first use (PEP 562), which imports their module.  Only
+the quadrature's names (``integrate_adaptive``, ``pairwise_sum``,
+``QuadratureResult``) and a call of ``riemann_forces`` load numpy;
+everything else, ``verify_suite`` included, runs on plain floats.
 """
 
 import importlib

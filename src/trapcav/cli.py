@@ -35,9 +35,9 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 
 def __getattr__(name: str):
-    # the oracle, and numpy with it, loads only when verify looks it up;
-    # bench/tracing.py wraps verify_suite under this name, so run() calls it
-    # through this module's attribute
+    # the oracle loads only when verify looks it up; bench/tracing.py wraps
+    # verify_suite under this name, so run() calls it through this module's
+    # attribute
     if name == "verify_suite":
         from .oracle import verify_suite
 

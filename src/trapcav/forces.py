@@ -295,9 +295,5 @@ def pressure_profile(spec: CavitySpec, n: int) -> PressureProfile:
     samples = []
     for i in range(n):
         r = min(spec.R * i / (n - 1), spec.R)
-        p_x, p_z = wing_pressures(cav, k, r)
-        for component, value in (("p_x", p_x), ("p_z", p_z)):
-            if not math.isfinite(value):
-                raise NonFiniteSample(r, value, component)
-        samples.append(PressureSample(r, p_x, p_z))
+        samples.append(PressureSample(r, *wing_pressures(cav, k, r)))
     return PressureProfile(spec=spec, samples=tuple(samples))

@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonPositiveGap
+from .errors import NonFiniteSample, NonPositiveGap
 from .geometry import (
     K,
     AngleWindow,
@@ -129,7 +129,9 @@ def wing_pressures(cav: WingParams, k: float, r: float) -> tuple[float, float]:
     subnormal, and overflows to inf only on wings so long that the
     pressure is 0.  The fast path tests the range of ``r`` and the fan;
     only when a test fails does :func:`limit_angles` run, to raise
-    :class:`OutOfRange` or :class:`DegenerateFan`.  Nothing else is
+    :class:`OutOfRange` or :class:`DegenerateFan`.  A component that is not
+    finite (k / a^4 overflows at SI gaps below about 1.6e-84 m) raises
+    :class:`NonFiniteSample` naming it and ``r``.  Nothing else is
     validated, so the caller validates the cavity once.
     """
     theta1, theta2 = cav.angles(r)
@@ -140,7 +142,11 @@ def wing_pressures(cav: WingParams, k: float, r: float) -> tuple[float, float]:
     q = cav.s(r) / a
     q2 = q * q
     scale = k / a / a / a / a / (q2 * q2)
-    return x * scale, -z * scale
+    p_x, p_z = x * scale, -z * scale
+    for component, value in (("p_x", p_x), ("p_z", p_z)):
+        if not math.isfinite(value):
+            raise NonFiniteSample(r, value, component)
+    return p_x, p_z
 
 
 def specific_pressures(spec: CavitySpec, r: float) -> PressureSample:
@@ -150,7 +156,8 @@ def specific_pressures(spec: CavitySpec, r: float) -> PressureSample:
     together); p_x keeps the sign of its integral, negative wherever the
     fan is dominated by forward-leaning rays.  Every call validates
     ``spec`` and raises :class:`OutOfRange` or :class:`DegenerateFan` for
-    an ``r`` off the wing or with an empty fan.  This is
+    an ``r`` off the wing or with an empty fan, and
+    :class:`NonFiniteSample` for a component that is not finite.  This is
     :func:`wing_pressures` for one cavity spec.
     """
     validate(spec)

@@ -1,11 +1,11 @@
-"""Brute-force reference paths: raw vector geometry and dense Riemann sums.
+"""Independent reference paths: raw vector geometry, Gauss-Legendre and Riemann sums.
 
 Everything here is written against the raw construction -- explicit corner
-points, ray-segment intersection via 2D cross products, midpoint double
-sums -- and shares no computation with the closed-form modules; only the
-data types travel across.  The prefactor K = hbar c pi^2 / 240 is rebuilt
-from its own literals on purpose: a corrupted :data:`trapcav.geometry.K`
-must not move the oracle.
+points, ray-segment intersection via 2D cross products, sums over plain
+quadrature nodes -- and shares no computation with the closed-form modules;
+only the data types travel across.  The prefactor K = hbar c pi^2 / 240 is
+rebuilt from its own literals on purpose: a corrupted
+:data:`trapcav.geometry.K` must not move the oracle.
 
 Corner points of the cross section:
 
@@ -19,6 +19,18 @@ angles are the angles between the wing direction (cos phi, sin phi) and the
 rays P->M2 (far end) and P->M3 (near end).  The wing direction is given
 geometry, never reconstructed from P: normalizing P loses the direction
 entirely once r sin phi underflows.
+
+The force oracle of :func:`verify_suite` is the angle-free double integral
+over both wings,
+
+    f = K L integral_0^R integral_0^R s(r) (d_x, d_z) / |d|^7 dt dr,
+
+with d = Q(t) - P(r), Q(t) = (t cos phi, -a - t sin phi) and
+s(r) = cos phi (a + 2 r sin phi), summed with a 20-point Gauss-Legendre
+rule on panels placed as QUADPACK's QAGP places breakpoints (Piessens et
+al., 1983).  It uses no limit angle and no fan integral.  Everything runs
+on :mod:`math` floats; numpy loads only inside :func:`riemann_forces`, the
+dense midpoint sum that the acceptance tests compare against.
 """
 
 from __future__ import annotations
@@ -26,12 +38,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DegenerateFan, NonFiniteSample, OutOfRange
+from .errors import DegenerateFan, NonFiniteSample, NumericDegeneracy, OutOfRange
 from .forces import ForceResult
 from .geometry import AngleWindow, CavitySpec, Units
-from .quadrature import pairwise_sum
 
 # deliberate copies; see module docstring
 _HBAR = 1.054571817e-34
@@ -39,6 +48,23 @@ _C = 2.99792458e8
 _K = _HBAR * _C * math.pi**2 / 240.0
 
 _CHUNK_ROWS = 256
+
+# 20-point Gauss-Legendre nodes and weights on [-1, 1]
+_GL_X = (
+    -0.993128599185095, -0.9639719272779138, -0.912234428251326, -0.8391169718222188,
+    -0.7463319064601508, -0.636053680726515, -0.5108670019508271, -0.37370608871541955,
+    -0.22778585114164507, -0.07652652113349734, 0.07652652113349734, 0.22778585114164507,
+    0.37370608871541955, 0.5108670019508271, 0.636053680726515, 0.7463319064601508,
+    0.8391169718222188, 0.912234428251326, 0.9639719272779138, 0.993128599185095,
+)
+_GL_W = (
+    0.017614007139150893, 0.040601429800386446, 0.06267204833410879, 0.08327674157670471,
+    0.1019301198172407, 0.1181945319615186, 0.1316886384491769, 0.1420961093183824,
+    0.14917298647260424, 0.15275338713072628, 0.15275338713072628, 0.14917298647260424,
+    0.1420961093183824, 0.1316886384491769, 0.1181945319615186, 0.1019301198172407,
+    0.08327674157670471, 0.06267204833410879, 0.040601429800386446, 0.017614007139150893,
+)
+_GL = tuple(zip(_GL_X, _GL_W))
 
 
 @dataclass(frozen=True)
@@ -60,15 +86,7 @@ class OracleReport:
 
 
 def _report(quantity: str, primary: float, oracle: float, dev: float, tol: float) -> OracleReport:
-    # plain floats and bool, also where the primary path hands numpy scalars
-    return OracleReport(
-        quantity=quantity,
-        closed_form=float(primary),
-        oracle=float(oracle),
-        rel_deviation=float(dev),
-        tolerance=tol,
-        passed=bool(dev <= tol),
-    )
+    return OracleReport(quantity, primary, oracle, dev, tol, dev <= tol)
 
 
 def _prefactor(spec: CavitySpec) -> float:
@@ -78,16 +96,15 @@ def _prefactor(spec: CavitySpec) -> float:
 def limit_angles_vector(spec: CavitySpec, r: float) -> AngleWindow:
     """Limit angles from explicitly constructed points, no algebra applied.
 
-    Builds P, M2, M3 and reads both angles off arctan2 of the plain cross
-    and dot products of the wing direction (cos phi, sin phi) with P->M2
-    and P->M3 (see :func:`_windows_raw`).  The direction is given geometry
-    and is never recovered by normalizing P: at denormal r the components
-    of P round with so few bits that P / |P| can point anywhere.
+    Builds P, M2, M3 and reads both angles off ``math.atan2`` of the plain
+    cross and dot products of the wing direction (cos phi, sin phi) with
+    P->M2 and P->M3 (see :func:`_windows_raw`).  The direction is given
+    geometry and is never recovered by normalizing P: at denormal r the
+    components of P round with so few bits that P / |P| can point anywhere.
     """
     if not (0.0 <= r <= spec.R):
         raise OutOfRange("r", r, 0.0, spec.R)
-    t1, t2 = _windows_raw(spec, np.array([r]))
-    theta1, theta2 = float(t1[0]), float(t2[0])
+    theta1, theta2 = _windows_raw(spec, r, math.atan2)
     if theta1 >= theta2:
         raise DegenerateFan(
             f"oracle fan collapsed at r={r!r}: theta1={theta1!r} >= theta2={theta2!r}"
@@ -100,17 +117,22 @@ def ray_length_intersection(spec: CavitySpec, r: float, theta: float) -> float:
 
     u = (cos(phi - theta), sin(phi - theta)) and the lower wing is
     M3 + t (cos phi, -sin phi); b solves the 2x2 system via cross products.
-    No trig reduction is applied, which is the point.
+    No trig reduction is applied, which is the point.  A ray parallel to
+    the lower wing raises :class:`NumericDegeneracy`.
     """
-    return float(_ray_lengths_raw(spec, np.array([r]), np.array([[theta]]))[0, 0])
+    try:
+        return _ray_lengths_raw(spec, r, theta, math.cos, math.sin)
+    except ZeroDivisionError:
+        raise NumericDegeneracy(f"ray at theta={theta!r} is parallel to the lower wing") from None
 
 
-def _windows_raw(spec: CavitySpec, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized limit angles at the wing points ``r``.
+def _windows_raw(spec: CavitySpec, r, atan2):
+    """Limit angles at the wing point(s) ``r``, with the given ``atan2``.
 
-    Each angle is arctan2(cross, dot) of the wing direction with the raw
+    Each angle is atan2(cross, dot) of the wing direction with the raw
     vector P->M2 or P->M3, the cross product signed so that the clockwise
-    angles of the fan come out positive.
+    angles of the fan come out positive.  ``r`` is a float with
+    ``math.atan2`` or an array with ``np.arctan2``.
     """
     cphi = math.cos(spec.phi)
     sphi = math.sin(spec.phi)
@@ -119,18 +141,41 @@ def _windows_raw(spec: CavitySpec, r: np.ndarray) -> tuple[np.ndarray, np.ndarra
     out = []
     for tx, tz in ((m2x, m2z), (0.0, -spec.a)):
         qx, qz = tx - px, tz - pz
-        out.append(np.arctan2(sphi * qx - cphi * qz, cphi * qx + sphi * qz))
+        out.append(atan2(sphi * qx - cphi * qz, cphi * qx + sphi * qz))
     return out[0], out[1]
 
 
-def _fan_sums(spec: CavitySpec, r: np.ndarray, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
-    """(p_x, p_z) at each wing point ``r`` from an ``n_theta``-point midpoint sum."""
-    theta1, theta2 = _windows_raw(spec, r)
+def _ray_lengths_raw(spec: CavitySpec, r, theta, cos, sin):
+    """Raw-intersection ray lengths, with the given ``cos`` and ``sin``.
+
+    Floats with :mod:`math`, or arrays with numpy: ``r`` of shape (n, 1)
+    and ``theta`` of shape (n, m).
+    """
+    cphi = math.cos(spec.phi)
+    sphi = math.sin(spec.phi)
+    qx = -r * cphi
+    qz = -spec.a - r * sphi
+    d3x, d3z = cphi, -sphi
+    num = qx * d3z - qz * d3x
+    ux = cos(spec.phi - theta)
+    uz = sin(spec.phi - theta)
+    den = ux * d3z - uz * d3x
+    return num / den
+
+
+def _fan_sums(spec: CavitySpec, r, n_theta: int):
+    """(p_x, p_z) arrays at each wing point of the array ``r``, from an
+    ``n_theta``-point midpoint sum."""
+    import numpy as np
+
+    from .quadrature import pairwise_sum
+
+    theta1, theta2 = _windows_raw(spec, r, np.arctan2)
     h_t = (theta2 - theta1) / n_theta
     theta = theta1[:, None] + (np.arange(n_theta)[None, :] + 0.5) * h_t[:, None]
     # degenerate geometry surfaces as non-finite pressure, checked below
     with np.errstate(divide="ignore", invalid="ignore"):
-        b = _ray_lengths_raw(spec, r, theta)
+        b = _ray_lengths_raw(spec, r[:, None], theta, np.cos, np.sin)
         pc = -_prefactor(spec) / b**4
     if not np.all(np.isfinite(pc)):
         bad = int(np.flatnonzero(~np.isfinite(pc))[0])
@@ -138,20 +183,6 @@ def _fan_sums(spec: CavitySpec, r: np.ndarray, n_theta: int) -> tuple[np.ndarray
     row_x = -pairwise_sum(pc * np.cos(theta - spec.phi), axis=1) * h_t
     row_z = pairwise_sum(pc * np.sin(theta - spec.phi), axis=1) * h_t
     return row_x, row_z
-
-
-def _ray_lengths_raw(spec: CavitySpec, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Raw-intersection ray lengths; r has shape (n,), theta (n, m)."""
-    cphi = math.cos(spec.phi)
-    sphi = math.sin(spec.phi)
-    qx = -r * cphi
-    qz = -spec.a - r * sphi
-    d3x, d3z = cphi, -sphi
-    num = qx * d3z - qz * d3x
-    ux = np.cos(spec.phi - theta)
-    uz = np.sin(spec.phi - theta)
-    den = ux * d3z - uz * d3x
-    return num[:, None] / den
 
 
 def riemann_forces(spec: CavitySpec, n_r: int, n_theta: int) -> ForceResult:
@@ -162,7 +193,12 @@ def riemann_forces(spec: CavitySpec, n_r: int, n_theta: int) -> ForceResult:
     parallel-plate pressure of its raw-intersection ray length.  All
     reductions run through the fixed pairwise tree, and rows are processed
     in chunks purely for memory locality -- chunking cannot change the sum.
+    This is the one function of the module that loads numpy.
     """
+    import numpy as np
+
+    from .quadrature import pairwise_sum
+
     if n_r < 2 or n_theta < 2:
         raise ValueError(f"need at least 2 panels per axis, got ({n_r!r}, {n_theta!r})")
     h_r = spec.R / n_r
@@ -179,26 +215,100 @@ def riemann_forces(spec: CavitySpec, n_r: int, n_theta: int) -> ForceResult:
     )
 
 
+def _nodes(panels):
+    """(node, weight) pairs of the 20-point rule on (start, width) panels."""
+    out = []
+    for lo, width in panels:
+        h = 0.5 * width
+        m = lo + h
+        out.extend((m + h * x, h * w) for x, w in _GL)
+    return out
+
+
+def _panels(edges):
+    """(start, width) panels between consecutive edges."""
+    return [(lo, hi - lo) for lo, hi in zip(edges, edges[1:])]
+
+
+def _wing_panels(rho: float):
+    # r panels on [0, rho] meeting at rho / 2 and at 4^k and rho - 4^k below
+    # it, graded towards both wing ends, where the pressure varies on the
+    # scale of the gap
+    half = 0.5 * rho
+    near = []
+    p = 1.0
+    while p < half:
+        near.append(p)
+        p *= 4.0
+    return _panels([0.0, *near, half, *(rho - p for p in reversed(near)), rho])
+
+
+def _offset_panels(lo: float, scale: float, rho: float):
+    # t panels in u = t - t*, from lo = -t* to rho - t*, meeting at u = 0
+    # and u = +-scale 4^k.  The last width is the correctly rounded
+    # rho - t* - edge, so the widths add up to rho even where the wing is
+    # much shorter than |t*|
+    hi = rho + lo
+    inner = [0.0] if lo < 0.0 < hi else []
+    step = scale
+    while -step > lo or step < hi:
+        inner.extend(p for p in (-step, step) if lo < p < hi)
+        step *= 4.0
+    edges = [lo, *sorted(inner)]
+    return [*_panels(edges), (edges[-1], math.fsum((rho, lo, -edges[-1])))]
+
+
+def _gauss_forces(spec: CavitySpec) -> tuple[float, float]:
+    """(f_x, f_z) from the 20-point Gauss-Legendre double integral.
+
+    In units of the gap (rho = R/a), with its own literal K L / a^3 applied
+    once.  For each r node the lower wing is integrated in u = t - t*, the
+    offset from the foot t* = r cos 2 phi - sin phi of the perpendicular
+    from P(r): there d = (cos phi u - sin phi s, -cos phi s - sin phi u)
+    and |d|^2 = u^2 + s^2, with s = s(r), so the peak of width s at u = 0
+    keeps its digits on wings of any length.
+    """
+    rho = spec.R / spec.a
+    c, s = math.cos(spec.phi), math.sin(spec.phi)
+    c2 = math.cos(2.0 * spec.phi)
+    f_x = f_z = 0.0
+    for r, w_r in _nodes(_wing_panels(rho)):
+        sr = c * (1.0 + 2.0 * r * s)
+        sr2 = sr * sr
+        # sums of 1 / |d|^7 and u / |d|^7 along the lower wing
+        a0 = a1 = 0.0
+        for u, w_t in _nodes(_offset_panels(s - r * c2, sr, rho)):
+            q = u * u + sr2
+            k = w_t / (q * q * q * math.sqrt(q))
+            a0 += k
+            a1 += k * u
+        f_x += w_r * sr * (c * a1 - s * sr * a0)
+        f_z -= w_r * sr * (c * sr * a0 + s * a1)
+    scale = _prefactor(spec) / spec.a / spec.a / spec.a * spec.L
+    return f_x * scale, f_z * scale
+
+
 def verify_suite(spec: CavitySpec) -> list[OracleReport]:
     """Run every primary-vs-oracle comparison on one cavity.
 
     Checks, in order: limit angles on a 17-point r grid (absolute radians),
     ray lengths on a (r, theta) grid (relative), both components of
     :func:`fan_integrals` (reported as ``inner_integral_z`` and
-    ``inner_integral_x``) against adaptive quadrature of the raw integrand
-    (relative), and both total forces against a 1024x1024 Riemann sum
-    (relative; the x force is measured against the z scale where it
-    vanishes).  Failures are reported in the returned list, never raised.
-    The oracle keeps its own literal prefactor, so a corrupted
-    :data:`trapcav.geometry.K` moves only the primary forces and fails the
-    force checks.
+    ``inner_integral_x``) against the 20-point Gauss-Legendre rule on each
+    half of the window (relative, gated at 1e-10), and both total forces
+    against the Gauss-Legendre double integral of :func:`_gauss_forces`
+    (relative, gated at 1e-10; the x force is measured against the z scale
+    where it vanishes).  Every check runs on :mod:`math` floats, so a
+    ``verify`` process loads no numpy.  Failures are reported in the
+    returned list, never raised.  The oracle keeps its own literal
+    prefactor, so a corrupted :data:`trapcav.geometry.K` moves only the
+    primary forces and fails the force checks.
     """
     # primary-path imports are confined here: this function is the
     # comparison harness, the oracle computations above stay independent
     from .forces import total_forces
     from .geometry import limit_angles, ray_length, validate
     from .kernels import fan_integrals
-    from .quadrature import integrate_adaptive
 
     validate(spec)
     reports: list[OracleReport] = []
@@ -228,37 +338,35 @@ def verify_suite(spec: CavitySpec) -> list[OracleReport]:
     reports.append(_report("ray_length", worst[1], worst[2], worst[0], 1e-12))
 
     for name, component, trig in (
-        ("inner_integral_z", 1, np.sin),
-        ("inner_integral_x", 0, np.cos),
+        ("inner_integral_z", 1, math.sin),
+        ("inner_integral_x", 0, math.cos),
     ):
         worst = (0.0, 0.0, 0.0)
         for frac in (0.0, 0.5, 15 / 16):
             r = spec.R * frac
             window = limit_angles(spec, r)
             value = fan_integrals(window, spec.phi)[component]
-
-            def raw(theta: np.ndarray) -> np.ndarray:
-                return np.sin(theta - 2.0 * spec.phi) ** 4 * trig(theta - spec.phi)
-
-            # abs_tol matters: the x integrand is antisymmetric over the
-            # parallel-plate window, so its true integral is 0 and a pure
-            # relative target is unreachable; the windows are O(1) wide
-            quad = integrate_adaptive(
-                raw, window.theta1, window.theta2, rel_tol=1e-12, abs_tol=1e-13
+            # the raw integrand is a degree-5 trig polynomial, which the
+            # rule on each half of an O(1)-wide window gets to below 1e-20
+            mid = window.theta1 + 0.5 * window.width
+            halves = _panels((window.theta1, mid, window.theta2))
+            quad = math.fsum(
+                w * math.sin(theta - 2.0 * spec.phi) ** 4 * trig(theta - spec.phi)
+                for theta, w in _nodes(halves)
             )
             # both values can be ~0 (antisymmetric x integrand); the window
             # width bounds the integral and gives the comparison a scale
             floor = 0.1 * window.width
-            dev = abs(value - quad.value) / max(abs(value), abs(quad.value), floor)
+            dev = abs(value - quad) / max(abs(value), abs(quad), floor)
             if dev >= worst[0]:
-                worst = (dev, value, quad.value)
+                worst = (dev, value, quad)
         reports.append(_report(name, worst[1], worst[2], worst[0], 1e-10))
 
     prim_f = total_forces(spec, 1e-9)
-    orac_f = riemann_forces(spec, 1024, 1024)
-    dev_z = abs(prim_f.f_z - orac_f.f_z) / abs(orac_f.f_z)
-    reports.append(_report("total_force_z", prim_f.f_z, orac_f.f_z, dev_z, 1e-3))
-    scale_x = max(abs(orac_f.f_x), abs(orac_f.f_z))
-    dev_x = abs(prim_f.f_x - orac_f.f_x) / scale_x
-    reports.append(_report("total_force_x", prim_f.f_x, orac_f.f_x, dev_x, 1e-3))
+    orac_x, orac_z = _gauss_forces(spec)
+    dev_z = abs(prim_f.f_z - orac_z) / abs(orac_z)
+    reports.append(_report("total_force_z", prim_f.f_z, orac_z, dev_z, 1e-10))
+    scale_x = max(abs(orac_x), abs(orac_z))
+    dev_x = abs(prim_f.f_x - orac_x) / scale_x
+    reports.append(_report("total_force_x", prim_f.f_x, orac_x, dev_x, 1e-10))
     return reports

@@ -233,9 +233,8 @@ def run_fresh(*argv: str) -> tuple[int, list[str]]:
 
 def test_import_loads_neither_numpy_polynomial_nor_scipy():
     # every trapcav process pays for what it imports, and numpy alone takes
-    # most of a force run's wall time: the package and every command but
-    # verify run on plain floats and must leave numpy (and the scipy test
-    # extra) unloaded
+    # most of a force run's wall time: the package and every command run on
+    # plain floats and must leave numpy (and the scipy test extra) unloaded
     sweep_args = ["sweep", *REDUCED_ARGS, "--axis", "phi", "--values", "1,5,10,20"]
     profile_args = ["profile", *REDUCED_ARGS, "--phi-deg", "5", "--samples", "9"]
     for argv in (
@@ -246,6 +245,7 @@ def test_import_loads_neither_numpy_polynomial_nor_scipy():
         *([*sweep_args, "--format", fmt] for fmt in ("json", "csv", "svg")),
         *([*profile_args, "--format", fmt] for fmt in ("json", "csv")),
         ["profile", *REDUCED_ARGS, "--samples", "9", "--format", "svg", "--reference-classical"],
+        ["verify", *REDUCED_ARGS, "--phi-deg", "5"],
     ):
         assert run_fresh(*argv) == (0, []), argv
 
@@ -269,9 +269,15 @@ def test_scalar_apis_leave_numpy_unloaded():
     assert fresh_python(probe).strip() == "[]"
 
 
-def test_verify_loads_the_array_layer_on_demand():
-    code, loaded = run_fresh("verify", "--a", "4e-7", "--R", "4e-6", "--phi-deg", "1")
-    assert code == 0 and "numpy" in loaded
+def test_verify_leaves_numpy_unloaded():
+    # a long tilted wing (R/a = 1e5, 44.7 degrees): every check passes, the
+    # force checks against the Gauss-Legendre oracle too, on math floats
+    argv = ("verify", "--a", "1e-7", "--R", "1e-2", "--phi-deg", "44.7")
+    *report, last = fresh_python(FRESH_MAIN, *argv).splitlines()
+    assert json.loads(last) == [0, []]
+    payload = json.loads("\n".join(report))
+    assert payload["all_passed"] is True
+    assert {c["quantity"]: c["tolerance"] for c in payload["checks"]}["total_force_z"] == 1e-10
 
 
 def test_every_public_name_resolves_in_a_fresh_process():

@@ -9,12 +9,14 @@ from trapcav import (
     CavitySpec,
     DegenerateFan,
     InvalidCavity,
+    NonFiniteSample,
     NonPositiveGap,
     OutOfRange,
     Units,
     classical_casimir_pressure,
     fan_integrals,
     pressure_prefactor,
+    pressure_profile,
     specific_pressures,
 )
 import trapcav.geometry
@@ -95,6 +97,17 @@ def test_specific_pressures_signs_at_phi_zero():
 def test_specific_pressures_validates():
     with pytest.raises(InvalidCavity):
         specific_pressures(CavitySpec(a=0.0, R=1.0, L=1.0, phi=0.0), 0.5)
+
+
+def test_specific_pressures_refuse_pressures_that_are_not_finite():
+    # K / a^4 overflows at a = 1e-90 m; one sample and a profile raise alike
+    spec = CavitySpec(a=1e-90, R=4e-90, L=1.0, phi=math.radians(5.0))
+    with pytest.raises(NonFiniteSample) as one:
+        specific_pressures(spec, 0.0)
+    with pytest.raises(NonFiniteSample) as profile:
+        pressure_profile(spec, 3)
+    assert str(one.value) == str(profile.value) == "pressure p_x is inf at r=0.0"
+    assert one.value.x == 0.0 and one.value.value == math.inf
 
 
 def test_specific_pressures_uses_constants(monkeypatch):

@@ -9,6 +9,7 @@ from trapcav import (
     CavitySpec,
     InvalidCavity,
     NonFiniteSample,
+    NumericDegeneracy,
     OutOfRange,
     Units,
     limit_angles,
@@ -68,6 +69,11 @@ def test_intersection_ray_matches_closed_form():
             assert math.isclose(closed, raw, rel_tol=1e-12)
 
 
+def test_intersection_refuses_a_ray_parallel_to_the_lower_wing():
+    with pytest.raises(NumericDegeneracy):
+        ray_length_intersection(REDUCED, 1.0, 0.0)
+
+
 def test_riemann_forces_parallel_plates_cancel_expulsion():
     fr = riemann_forces(REDUCED, 1024, 1024)
     assert abs(fr.f_x) <= 1e-6 * abs(fr.f_z)
@@ -117,6 +123,38 @@ def test_verify_suite_passes(deg):
     for r in reports:
         assert r.passed == (r.rel_deviation <= r.tolerance)
         assert r.passed, f"{r.quantity}: {r.rel_deviation} > {r.tolerance}"
+
+
+@pytest.mark.parametrize("units", [Units.REDUCED, Units.SI])
+@pytest.mark.parametrize("phi", [0.0873, 0.5, 0.78])
+@pytest.mark.parametrize("ratio", [100.0, 1e3, 1e4, 1e5])
+def test_verify_suite_passes_on_long_tilted_wings(ratio, phi, units):
+    # a uniform Riemann sum in r steps over the apex, where the pressure
+    # peaks, and missed these forces by up to 1.2e4 at R/a = 1e5
+    a = 1.0 if units is Units.REDUCED else 1e-7
+    reports = verify_suite(CavitySpec(a=a, R=a * ratio, L=1.0, phi=phi, units=units))
+    assert [r.quantity for r in reports] == CHECK_NAMES
+    for r in reports:
+        assert r.passed, f"{r.quantity}: {r.rel_deviation} > {r.tolerance}"
+
+
+def test_gauss_rule_matches_numpy_nodes():
+    np = pytest.importorskip("numpy")
+    x, w = np.polynomial.legendre.leggauss(20)
+    assert np.max(np.abs(np.array(trapcav.oracle._GL_X) - x)) <= 1e-15
+    assert np.max(np.abs(np.array(trapcav.oracle._GL_W) - w)) <= 1e-15
+
+
+def test_gauss_forces_match_closed_form():
+    # the oracle against the closed forms (three-ray form and tensor rule)
+    # from a micro-gap wing to a million gaps, flat to nearly pi/4
+    for ratio in (1e-6, 1e-3, 0.26, 1.0, 40.0, 1e3, 1e5, 1e6):
+        for phi in (0.0, 1e-8, 1e-4, 0.3, 0.78):
+            spec = CavitySpec(a=1.0, R=ratio, L=1.0, phi=phi, units=Units.REDUCED)
+            ref = total_forces(spec, rel_tol=1e-13)
+            f_x, f_z = trapcav.oracle._gauss_forces(spec)
+            assert abs(f_z - ref.f_z) <= 1e-12 * abs(ref.f_z), (ratio, phi)
+            assert abs(f_x - ref.f_x) <= 1e-12 * abs(ref.f_z), (ratio, phi)
 
 
 @pytest.mark.parametrize("phi", [0.0, 1e-4, 0.5])
