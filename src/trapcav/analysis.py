@@ -20,8 +20,8 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import NoInteriorMaximum, TrapcavError
 from .forces import ForceResult, force_batch
@@ -43,8 +43,7 @@ class SweepAxis(str, Enum):
     R = "R"
 
 
-@dataclass(frozen=True)
-class SweepTable:
+class SweepTable(NamedTuple):
     """One force evaluation per parameter value, plus the base spec echo.
 
     ``points`` pairs each parameter value with its :class:`ForceResult`.
@@ -61,8 +60,7 @@ class SweepTable:
     force_calls: int = 0
 
 
-@dataclass(frozen=True)
-class OptimumReport:
+class OptimumReport(NamedTuple):
     """Located expulsion maximum.
 
     ``phi_star`` is the best angle sampled and ``f_x_star`` its signed f_x,
@@ -84,8 +82,7 @@ class OptimumReport:
     force_calls: int = 0
 
 
-@dataclass(frozen=True)
-class RescaleReport:
+class RescaleReport(NamedTuple):
     """Measured vs analytic scaling ratios for a lambda-scaled cavity.
 
     Ratios are scaled-over-base, componentwise.  A component whose base
@@ -153,7 +150,7 @@ def sweep(
         if not (second > first):
             raise ValueError(f"sweep values must be strictly increasing, got {values!r}")
     field = "phi" if axis is SweepAxis.PHI else "R"
-    specs = [replace(base, **{field: v}) for v in values]
+    specs = [base._replace(**{field: v}) for v in values]
     rows = force_batch(specs, rel_tol, wing_count=wing_count)
     results = [
         _flagged_row(spec, wing_count) if isinstance(row, TrapcavError) else row
@@ -194,11 +191,11 @@ def optimize_phi(
         raise ValueError(f"need 0 < lo < hi < pi/4, got lo={lo!r}, hi={hi!r}")
     if not (PHI_TOL_FLOOR <= tol < math.inf):
         raise ValueError(f"tol must be at least {PHI_TOL_FLOOR!r} rad and finite, got {tol!r}")
-    validate(replace(base, phi=lo))
+    validate(base._replace(phi=lo))
 
     last = _PRESCAN_POINTS - 1
     grid = [lo * (hi / lo) ** (k / last) for k in range(last)] + [hi]
-    scan = _all_forces([replace(base, phi=phi) for phi in grid], rel_tol)
+    scan = _all_forces([base._replace(phi=phi) for phi in grid], rel_tol)
     signed = [result.f_x for result in scan]
     mags = [abs(v) for v in signed]
     best = max(range(len(mags)), key=lambda i: (mags[i], -i))
@@ -228,7 +225,7 @@ def optimize_phi(
     while width >= tol:
         x, f = phis[best - 1 : best + 2], mags[best - 1 : best + 2]
         angles = _refinement_angles(x, f, tol, width <= 0.5 * last_width)
-        results = _all_forces([replace(base, phi=phi) for phi in angles], rel_tol)
+        results = _all_forces([base._replace(phi=phi) for phi in angles], rel_tol)
         for phi, result in zip(angles, results):
             k = bisect.bisect(phis, phi)
             phis.insert(k, phi)
@@ -298,9 +295,9 @@ def rescale_report(spec: CavitySpec, lam: float, *, rel_tol: float = 1e-9) -> Re
         expected_f = expected_p = math.inf
     if not all(sys.float_info.min <= e <= sys.float_info.max for e in (expected_f, expected_p)):
         raise ValueError(f"scale factor {lam!r} makes lam**-3 or lam**-4 leave the normal floats")
-    base = replace(spec, units=Units.SI)
+    base = spec._replace(units=Units.SI)
     validate(base)
-    scaled = replace(base, a=lam * base.a, R=lam * base.R)
+    scaled = base._replace(a=lam * base.a, R=lam * base.R)
 
     f_base, f_scaled = _all_forces([base, scaled], rel_tol)
     p_base = specific_pressures(base, base.R / 3.0)

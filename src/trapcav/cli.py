@@ -13,9 +13,7 @@ import json
 import math
 import os
 import sys
-import tempfile
 import typing
-from dataclasses import asdict, dataclass
 
 from .analysis import PHI_TOL_FLOOR, SweepAxis, SweepTable, optimize_phi, sweep
 from .errors import InvalidCavity, OutOfRange, TrapcavError
@@ -45,8 +43,7 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(typing.NamedTuple):
     """Fully resolved invocation; the unit of CLI round-tripping.
 
     A field the subcommand does not define is None.
@@ -73,27 +70,16 @@ class RunConfig:
     phi_tol_deg: float | None
 
 
-@dataclass(frozen=True)
-class PlotSpec:
-    """Single-panel line chart: labeled series plus optional horizontal references."""
+class PlotSpec(typing.NamedTuple):
+    """Single-panel line chart: labeled series plus optional horizontal references.
+
+    :func:`emit_svg` checks it before drawing.
+    """
 
     x_label: str
     y_label: str
     series: tuple[tuple[str, tuple[tuple[float, float], ...]], ...]
     ref_lines: tuple[tuple[str, float], ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.series:
-            raise ValueError("plot needs at least one series")
-        for name, points in self.series:
-            if len(points) < 2:
-                raise ValueError(f"series {name!r} needs at least 2 points")
-            for x, y in points:
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    raise ValueError(f"series {name!r} has a non-finite point ({x!r}, {y!r})")
-        for name, y in self.ref_lines:
-            if not math.isfinite(y):
-                raise ValueError(f"reference line {name!r} is non-finite")
 
 
 def _checked(convert, ok, rule: str):
@@ -220,7 +206,7 @@ def _config_tokens(
         parser.error(f"--config: {path!r} is not valid JSON: {err}")
     if not isinstance(data, dict):
         parser.error(f"--config: {path!r} must contain a JSON object")
-    unknown = sorted(set(data) - set(RunConfig.__dataclass_fields__))
+    unknown = sorted(set(data) - set(RunConfig._fields))
     if unknown:
         parser.error(f"--config: unknown keys {', '.join(unknown)}")
     actions = {action.dest: action for action in command._actions}
@@ -264,7 +250,7 @@ def parse_args(argv: list[str]) -> RunConfig:
     ns = parser.parse_args(argv)
     if ns.command == "optimize" and not (0.0 < ns.phi_lo_deg < ns.phi_hi_deg < 45.0):
         parser.error("optimize needs 0 < --phi-lo-deg < --phi-hi-deg < 45")
-    return RunConfig(**{name: getattr(ns, name, None) for name in RunConfig.__dataclass_fields__})
+    return RunConfig(**{name: getattr(ns, name, None) for name in RunConfig._fields})
 
 
 def render_args(config: RunConfig) -> list[str]:
@@ -346,8 +332,21 @@ def emit_svg(plot: PlotSpec) -> bytes:
 
     A flat series (all y identical) is drawn against a padded range of
     +/- max(1, |y|)/2 instead of failing; that is the documented handling
-    of the degenerate-plot case.
+    of the degenerate-plot case.  A plot without a series, a series with
+    fewer than 2 points, or a coordinate or reference level that is not
+    finite raises ``ValueError``.
     """
+    if not plot.series:
+        raise ValueError("plot needs at least one series")
+    for name, points in plot.series:
+        if len(points) < 2:
+            raise ValueError(f"series {name!r} needs at least 2 points")
+        for x, y in points:
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"series {name!r} has a non-finite point ({x!r}, {y!r})")
+    for name, y in plot.ref_lines:
+        if not math.isfinite(y):
+            raise ValueError(f"reference line {name!r} is non-finite")
     w, h = 640.0, 440.0
     ml, mr, mt, mb = 70.0, 20.0, 20.0, 50.0
     xs = [p[0] for _, pts in plot.series for p in pts]
@@ -458,6 +457,9 @@ def _write_output(payload: bytes, out: str | None) -> None:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
         return
+    # only --out needs tempfile; the other runs skip its import
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(out))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".trapcav-tmp-")
     try:
@@ -594,7 +596,7 @@ def run(config: RunConfig) -> int:
                 {
                     "spec": _spec_dict(spec),
                     "all_passed": all_passed,
-                    "checks": [asdict(r) for r in reports],
+                    "checks": [r._asdict() for r in reports],
                 }
             )
             if not all_passed:

@@ -54,8 +54,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from numbers import Integral
+from typing import NamedTuple
 
 from .errors import NonFiniteSample, TrapcavError
 from .geometry import REL_TOL_FLOOR, CavitySpec, WingParams, pressure_prefactor, validate
@@ -93,8 +93,7 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class ForceResult:
+class ForceResult(NamedTuple):
     """Forces on ``wing_count`` wings, with bounds on their rounding errors.
 
     ``err_x`` and ``err_z`` bound the rounding error of the closed forms:
@@ -115,8 +114,7 @@ class ForceResult:
     kernel_calls: int = 0
 
 
-@dataclass(frozen=True)
-class PressureProfile:
+class PressureProfile(NamedTuple):
     """Pressure samples along the wing, strictly increasing in ``r``."""
 
     spec: CavitySpec

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -75,8 +74,7 @@ class Units(str, Enum):
     REDUCED = "reduced"
 
 
-@dataclass(frozen=True)
-class CavitySpec:
+class CavitySpec(NamedTuple):
     """Trapezoid cavity: gap ``a``, wing length ``R``, width ``L``, half-angle ``phi``.
 
     ``phi`` is in radians.  ``L`` is the extent along the translation axis;
@@ -90,8 +88,7 @@ class CavitySpec:
     units: Units = Units.SI
 
 
-@dataclass(frozen=True)
-class AngleWindow:
+class AngleWindow(NamedTuple):
     """Limit angles of a visible fan, ``0 <= theta1 < theta2 <= pi``."""
 
     theta1: float

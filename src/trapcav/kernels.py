@@ -42,7 +42,7 @@ integral over (0, pi/2) is +1/5, flipping sign on (pi/2, pi).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NonFiniteSample, NonPositiveGap
 from .geometry import (
@@ -59,8 +59,7 @@ from .geometry import (
 from .geometry import s_factor  # noqa: F401
 
 
-@dataclass(frozen=True)
-class PressureSample:
+class PressureSample(NamedTuple):
     """Local pressures at arc coordinate ``r`` on the upper wing.
 
     ``p_z`` is the compression component (normal to the mid-plane, always

@@ -36,7 +36,7 @@ dense midpoint sum that the acceptance tests compare against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateFan, NonFiniteSample, NumericDegeneracy, OutOfRange
 from .forces import ForceResult
@@ -67,8 +67,7 @@ _GL_W = (
 _GL = tuple(zip(_GL_X, _GL_W))
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     """One primary-vs-oracle comparison.
 
     ``rel_deviation`` is relative for quantities with a scale (lengths,

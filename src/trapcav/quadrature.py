@@ -36,9 +36,8 @@ product's would.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -89,8 +88,7 @@ _WG7 = (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0)
 _WG15 = np.array(_WG7 + (_WG[3],) + tuple(reversed(_WG7)))
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     """Integral value with its error estimate and cost accounting.
 
     ``value`` and ``error_estimate`` have the integrand's shape: floats, or

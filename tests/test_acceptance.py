@@ -8,7 +8,6 @@ PASSED/FAILED verdict of ``pytest -v`` mirrors the same ten lines).
 import math
 import random
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 
@@ -86,7 +85,7 @@ def test_criterion_06_optimal_angle_shrinks_with_wing_length():
     with criterion(6, "phi* is interior and strictly decreasing over R = 2, 4, 8"):
         stars = []
         for R in (2.0, 4.0, 8.0):
-            base = replace(REDUCED_10, R=R)
+            base = REDUCED_10._replace(R=R)
             report = optimize_phi(base, 0.01, math.pi / 4 - 0.02, tol=1e-5)
             assert 0.01 < report.phi_star < math.pi / 4 - 0.02
             stars.append(report.phi_star)
@@ -117,7 +116,7 @@ def test_criterion_07_closed_forms_match_adaptive_quadrature():
 def test_criterion_08_independent_oracle_agreement():
     with criterion(8, "2048^2 midpoint oracle and raw angle paths agree"):
         for deg in (0.0, 1.0, 5.0):
-            spec = replace(REDUCED_10, phi=math.radians(deg))
+            spec = REDUCED_10._replace(phi=math.radians(deg))
             ref = total_forces(spec)
             rie = riemann_forces(spec, 2048, 2048)
             assert abs(ref.f_z - rie.f_z) / abs(rie.f_z) <= 1e-4

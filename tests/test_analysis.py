@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -92,9 +91,9 @@ def test_sweep_input_validation():
 def test_sweep_flags_failed_rows():
     # the shortest wing's f_z underflows to 0, which is not a force; the
     # other rows of the same batch are their lone results
-    base = replace(REDUCED, phi=math.radians(2.0))
+    base = REDUCED._replace(phi=math.radians(2.0))
     values = [1e-200, 1.0, 10.0]
-    lone = [total_forces(replace(base, R=v)) for v in values[1:]]
+    lone = [total_forces(base._replace(R=v)) for v in values[1:]]
     table = sweep(base, SweepAxis.R, values)
     bad, good1, good2 = (fr for _, fr in table.points)
     assert [good1, good2] == lone
@@ -110,7 +109,7 @@ def test_optimize_finds_small_phi_star_on_long_wings(ratio, phi_star):
     # window of most of (0, pi/4), and the search lands within tol of the
     # 40-digit optimum
     tol = 1e-5
-    report = optimize_phi(replace(REDUCED, R=ratio), 1e-4, math.pi / 4 - 1e-3, tol)
+    report = optimize_phi(REDUCED._replace(R=ratio), 1e-4, math.pi / 4 - 1e-3, tol)
     assert abs(report.phi_star - phi_star) <= tol
     grid = [phi for phi, _ in report.grid_prescan]
     assert grid[0] == 1e-4 and grid[-1] == math.pi / 4 - 1e-3
@@ -129,7 +128,7 @@ def test_optimize_locates_interior_maximum():
     assert report.bracket[0] < star < report.bracket[1]
 
     def mag(phi):
-        return abs(total_forces(replace(REDUCED, phi=phi)).f_x)
+        return abs(total_forces(REDUCED._replace(phi=phi)).f_x)
 
     assert abs(report.f_x_star) > mag(star / 2)
     assert abs(report.f_x_star) > mag(1.5 * star)
@@ -142,7 +141,7 @@ def test_optimize_agrees_with_dense_grid():
     best, best_mag = lo, -1.0
     for k in range(n):
         phi = lo + k * step
-        mag = abs(total_forces(replace(REDUCED, phi=phi), rel_tol=1e-7).f_x)
+        mag = abs(total_forces(REDUCED._replace(phi=phi), rel_tol=1e-7).f_x)
         if mag > best_mag:
             best, best_mag = phi, mag
     assert abs(report.phi_star - best) <= 2 * step
@@ -231,7 +230,7 @@ def test_rescale_parallel_plates_excludes_vanishing_force():
     # the x force is cancellation noise at phi = 0 and must be excluded;
     # the x pressure at r = R/3 is a genuine value and must not be
     for lam in (2.0, 10.0):
-        report = rescale_report(replace(SI_THIN, phi=0.0), lam)
+        report = rescale_report(SI_THIN._replace(phi=0.0), lam)
         assert math.isnan(report.force_ratio_x)
         assert math.isclose(report.pressure_ratio_x, lam**-4, rel_tol=1e-9)
         assert math.isclose(report.force_ratio_z, lam**-3, rel_tol=1e-10)
@@ -239,7 +238,7 @@ def test_rescale_parallel_plates_excludes_vanishing_force():
 
 
 def test_rescale_accepts_reduced_input():
-    reduced = replace(REDUCED, phi=math.radians(2.0))
+    reduced = REDUCED._replace(phi=math.radians(2.0))
     report = rescale_report(reduced, 2.0)
     assert math.isclose(report.force_ratio_x, 0.125, rel_tol=1e-9)
 
@@ -264,7 +263,7 @@ def test_rescale_refuses_scales_beyond_the_normal_floats(gap, lam, monkeypatch):
 
     monkeypatch.setattr(trapcav.analysis, "force_batch", no_forces)
     with pytest.raises(ValueError):
-        rescale_report(replace(SI_THIN, a=gap, R=10 * gap), lam)
+        rescale_report(SI_THIN._replace(a=gap, R=10 * gap), lam)
 
 
 def force_key(fr):
@@ -285,7 +284,7 @@ def test_sweep_rows_equal_lone_total_forces(gap, units):
         wing_count = 1 + k % 2
         table = sweep(base, SweepAxis.PHI, IDENTITY_PHIS, wing_count=wing_count)
         for phi, fr in table.points:
-            alone = total_forces(replace(base, phi=phi), wing_count=wing_count)
+            alone = total_forces(base._replace(phi=phi), wing_count=wing_count)
             assert force_key(fr) == force_key(alone)
         assert table.force_calls == len(IDENTITY_PHIS)
         assert table.evaluations == sum(fr.evaluations for _, fr in table.points)
@@ -294,7 +293,7 @@ def test_sweep_rows_equal_lone_total_forces(gap, units):
     for wing_count in (1, 2):
         table = sweep(base, SweepAxis.R, lengths, rel_tol=1e-7, wing_count=wing_count)
         for length, fr in table.points:
-            alone = total_forces(replace(base, R=length), 1e-7, wing_count=wing_count)
+            alone = total_forces(base._replace(R=length), 1e-7, wing_count=wing_count)
             assert force_key(fr) == force_key(alone)
 
 
@@ -305,7 +304,7 @@ def test_sweep_rows_that_stop_equal_lone_total_forces():
     lengths = [0.5, 4.0, 60.0, 1e3, 1e4]
     table = sweep(base, SweepAxis.R, lengths, rel_tol=REL_TOL_FLOOR)
     rows = [fr for _, fr in table.points]
-    lone = [total_forces(replace(base, R=length), REL_TOL_FLOOR) for length in lengths]
+    lone = [total_forces(base._replace(R=length), REL_TOL_FLOOR) for length in lengths]
     assert [force_key(fr) for fr in rows] == [force_key(fr) for fr in lone]
     assert any(fr.converged for fr in rows) and not all(fr.converged for fr in rows)
 
@@ -336,19 +335,19 @@ def final_bracket(batches, phi_star):
 
 def test_prescan_and_counters_equal_lone_total_forces(monkeypatch):
     batches = spy_batches(monkeypatch)
-    base = replace(REDUCED, R=30.0)
+    base = REDUCED._replace(R=30.0)
     report = optimize_phi(base, 0.005, 0.6)
     prescan, *rounds = batches
     assert len(prescan) == len(report.grid_prescan) == 32
     for (phi, f_x), fr in zip(report.grid_prescan, prescan):
-        alone = total_forces(replace(base, phi=phi))
+        alone = total_forces(base._replace(phi=phi))
         assert force_key(fr) == force_key(alone) and f_x == alone.f_x
     # one batch of at most three angles per refinement round
     assert len(rounds) == report.iterations > 0
     assert all(1 <= len(rows) <= 3 for rows in rounds)
     assert report.force_calls == 32 + sum(len(rows) for rows in rounds)
     assert report.evaluations == sum(fr.evaluations for rows in batches for fr in rows)
-    assert report.f_x_star == total_forces(replace(base, phi=report.phi_star)).f_x
+    assert report.f_x_star == total_forces(base._replace(phi=report.phi_star)).f_x
 
 
 WINDOW = (math.radians(0.5), math.radians(20.0))
@@ -357,7 +356,7 @@ WINDOW = (math.radians(0.5), math.radians(20.0))
 @pytest.mark.parametrize("ratio", [1.0, 4.0, 10.0, 100.0])
 def test_optimize_refines_in_few_small_batches(monkeypatch, ratio):
     batches = spy_batches(monkeypatch)
-    report = optimize_phi(replace(REDUCED, R=ratio), *WINDOW, tol=1e-5)
+    report = optimize_phi(REDUCED._replace(R=ratio), *WINDOW, tol=1e-5)
     _, *rounds = batches
     assert 1 <= len(rounds) == report.iterations <= 8
     assert all(1 <= len(rows) <= 3 for rows in rounds)
@@ -372,10 +371,10 @@ def test_optimize_matches_bounded_scipy_reference(ratio):
     pytest.importorskip("scipy")
     from scipy.optimize import minimize_scalar
 
-    base = replace(REDUCED, R=ratio)
+    base = REDUCED._replace(R=ratio)
     report = optimize_phi(base, *WINDOW, tol=1e-5)
     ref = minimize_scalar(
-        lambda phi: -abs(total_forces(replace(base, phi=phi), rel_tol=1e-12).f_x),
+        lambda phi: -abs(total_forces(base._replace(phi=phi), rel_tol=1e-12).f_x),
         bounds=report.bracket,
         method="bounded",
         options={"xatol": 1e-9},

@@ -168,7 +168,7 @@ def test_config_boolean_loses_to_flag(tmp_path):
 
 def test_config_schema_matches_parser():
     props = load_schema("config.schema.json")["properties"]
-    assert set(props) == set(RunConfig.__dataclass_fields__)
+    assert set(props) == set(RunConfig._fields)
     _, commands = trapcav.cli._build_parser()
     actions = {a.dest: a for command in commands.values() for a in command._actions}
     for field in ("units", "quantity", "axis", "wing_count"):
@@ -217,12 +217,13 @@ def fresh_python(code: str, *argv: str) -> str:
 
 
 # runs trapcav.cli.main on its arguments, if any, and prints the exit code
-# and the numpy and scipy modules then loaded
+# and the numpy, scipy and dataclasses modules then loaded
 FRESH_MAIN = """
 import json, sys
 import trapcav, trapcav.cli
 code = trapcav.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))]))
+unwanted = ("numpy", "scipy", "dataclasses")
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] in unwanted)]))
 """
 
 
@@ -231,10 +232,12 @@ def run_fresh(*argv: str) -> tuple[int, list[str]]:
     return code, loaded
 
 
-def test_import_loads_neither_numpy_polynomial_nor_scipy():
+def test_import_loads_neither_numpy_scipy_nor_dataclasses():
     # every trapcav process pays for what it imports, and numpy alone takes
     # most of a force run's wall time: the package and every command run on
-    # plain floats and must leave numpy (and the scipy test extra) unloaded
+    # plain floats and must leave numpy (and the scipy test extra) unloaded;
+    # the records are NamedTuples, so dataclasses (and the inspect, ast and
+    # dis it imports) stays unloaded too
     sweep_args = ["sweep", *REDUCED_ARGS, "--axis", "phi", "--values", "1,5,10,20"]
     profile_args = ["profile", *REDUCED_ARGS, "--phi-deg", "5", "--samples", "9"]
     for argv in (
@@ -248,6 +251,17 @@ def test_import_loads_neither_numpy_polynomial_nor_scipy():
         ["verify", *REDUCED_ARGS, "--phi-deg", "5"],
     ):
         assert run_fresh(*argv) == (0, []), argv
+
+
+def test_cli_import_leaves_tempfile_unloaded():
+    # only --out needs tempfile; -S skips site-packages' .pth files, which
+    # may import it on their own
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = "import sys, trapcav.cli; print(sorted({'dataclasses', 'tempfile'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=src)
+    cmd = [sys.executable, "-S", "-c", probe]
+    out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_scalar_apis_leave_numpy_unloaded():
@@ -520,15 +534,16 @@ def test_sweep_svg_without_two_finite_rows_exits_1(tmp_path, capsys):
 
 
 def test_plot_spec_validation():
+    # emit_svg checks the plot it draws
     pts = ((0.0, 1.0), (1.0, 2.0))
-    with pytest.raises(ValueError):
-        PlotSpec(x_label="x", y_label="y", series=())
-    with pytest.raises(ValueError):
-        PlotSpec(x_label="x", y_label="y", series=(("s", ((0.0, 1.0),)),))
-    with pytest.raises(ValueError):
-        PlotSpec(x_label="x", y_label="y", series=(("s", ((0.0, math.nan), (1.0, 2.0))),))
-    with pytest.raises(ValueError):
-        PlotSpec(x_label="x", y_label="y", series=(("s", pts),), ref_lines=(("r", math.inf),))
+    with pytest.raises(ValueError, match="^plot needs at least one series$"):
+        emit_svg(PlotSpec(x_label="x", y_label="y", series=()))
+    with pytest.raises(ValueError, match="^series 's' needs at least 2 points$"):
+        emit_svg(PlotSpec(x_label="x", y_label="y", series=(("s", ((0.0, 1.0),)),)))
+    with pytest.raises(ValueError, match=r"^series 's' has a non-finite point \(0.0, nan\)$"):
+        emit_svg(PlotSpec(x_label="x", y_label="y", series=(("s", ((0.0, math.nan), (1.0, 2.0))),)))
+    with pytest.raises(ValueError, match="^reference line 'r' is non-finite$"):
+        emit_svg(PlotSpec(x_label="x", y_label="y", series=(("s", pts),), ref_lines=(("r", math.inf),)))
 
 
 def test_flat_series_svg_is_padded_not_fatal():

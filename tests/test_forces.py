@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +38,7 @@ FZ_SI_1DEG = -1.169569984e-07
 
 
 def reduced_at(deg: float) -> CavitySpec:
-    return replace(REDUCED, phi=math.radians(deg))
+    return REDUCED._replace(phi=math.radians(deg))
 
 
 def test_forces_frozen_reduced_values():
@@ -69,7 +68,7 @@ def test_parallel_plates_have_no_expulsion():
 def test_long_parallel_plates_match_exact_force(ratio):
     # F_z = -(16/15) R/a + 2/5 exactly at phi = 0; the gap-wide edge
     # deficits are invisible to panels spanning the whole wing
-    fr = total_forces(replace(REDUCED, R=ratio))
+    fr = total_forces(REDUCED._replace(R=ratio))
     exact = -16.0 / 15.0 * ratio + 0.4
     assert fr.converged
     assert math.isclose(fr.f_z, exact, rel_tol=1e-12)
@@ -83,7 +82,7 @@ def test_error_estimates_are_sane():
 
 def test_length_scales_linearly():
     base = total_forces(reduced_at(3.0))
-    doubled = total_forces(replace(reduced_at(3.0), L=2.0))
+    doubled = total_forces(reduced_at(3.0)._replace(L=2.0))
     assert doubled.f_x == 2.0 * base.f_x
     assert doubled.f_z == 2.0 * base.f_z
 
@@ -160,7 +159,7 @@ def test_batch_rows_equal_lone_calls(rel_tol):
 def test_graded_mesh_matches_a_tight_run(phi):
     # over eight decades of R/a the forces do not depend on rel_tol, which
     # only sets converged; at 2e-14 the bound still holds on every wing
-    specs = [replace(REDUCED, R=10.0**k, phi=phi) for k in range(-3, 6)]
+    specs = [REDUCED._replace(R=10.0**k, phi=phi) for k in range(-3, 6)]
     coarse = trapcav.forces.force_batch(specs, 1e-12)
     fine = trapcav.forces.force_batch(specs, 2e-14)
     for c, f in zip(coarse, fine):
@@ -180,8 +179,8 @@ def test_formulas_agree_at_the_switch():
     # the tensor rule just below R/a = 1/4 and the three-ray form just
     # above it give the same force to rounding
     for phi in (0.0, 1e-3, 0.3, 0.78):
-        below = total_forces(replace(REDUCED, R=0.25, phi=phi))
-        above = total_forces(replace(REDUCED, R=math.nextafter(0.25, 1.0), phi=phi))
+        below = total_forces(REDUCED._replace(R=0.25, phi=phi))
+        above = total_forces(REDUCED._replace(R=math.nextafter(0.25, 1.0), phi=phi))
         assert abs(above.f_z - below.f_z) <= 1e-13 * abs(below.f_z)
         assert abs(above.f_x - below.f_x) <= 1e-13 * abs(below.f_z)
 
@@ -200,7 +199,7 @@ def test_evaluations_are_reported(monkeypatch):
         raise AssertionError("a pressure kernel ran")
 
     monkeypatch.setattr(trapcav.kernels, "wing_pressures", no_kernel)
-    for spec in (reduced_at(1.0), replace(reduced_at(1.0), R=0.1)):
+    for spec in (reduced_at(1.0), reduced_at(1.0)._replace(R=0.1)):
         for wing_count in (1, 2):
             fr = total_forces(spec, wing_count=wing_count)
             assert fr.converged and fr.evaluations == 0 and fr.kernel_calls == 0
@@ -254,7 +253,7 @@ def test_profile_sign_change_moves_with_angle():
 
 def test_profile_last_sample_is_exactly_R():
     # R * 100 / 100 rounds one ulp above this R
-    spec = replace(reduced_at(1.0), R=1874.971575805314)
+    spec = reduced_at(1.0)._replace(R=1874.971575805314)
     assert spec.R * 100 / 100 > spec.R
     prof = pressure_profile(spec, 101)
     rs = [s.r for s in prof.samples]
@@ -294,7 +293,7 @@ def test_profile_needs_two_samples():
 def test_profile_refuses_a_count_that_is_not_an_integer():
     # r = R i / (n - 1) with n = 3.5 would give r = 0, 1.6, 3.2 and then R
     with pytest.raises(ValueError):
-        pressure_profile(replace(REDUCED, R=4.0), 3.5)
+        pressure_profile(REDUCED._replace(R=4.0), 3.5)
 
 
 def test_a_wing_whose_s4_overflows_warns_nothing():
@@ -341,12 +340,12 @@ def outcome_key(outcome):
 def test_a_failing_cavity_fails_alone(fault):
     # one cavity of four has no finite force: with "nan" its R/a overflows
     # and the formulas give NaN, with "raise" its f_z underflows to 0
-    specs = [replace(reduced_at(3.0), R=length) for length in (0.7, 10.0, 300.0, 4e4)]
+    specs = [reduced_at(3.0)._replace(R=length) for length in (0.7, 10.0, 300.0, 4e4)]
     healthy = [total_forces(spec) for spec in specs]
     if fault == "nan":
         specs[2] = CavitySpec(a=1e-10, R=1e300, L=1.0, phi=0.3)
     else:
-        specs[2] = replace(specs[2], R=1e-200)
+        specs[2] = specs[2]._replace(R=1e-200)
     outcomes = trapcav.forces.force_batch(specs)
     with pytest.raises(NonFiniteSample) as alone:
         total_forces(specs[2])

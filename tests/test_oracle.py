@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +39,7 @@ CHECK_NAMES = [
 
 def test_vector_angles_match_closed_form():
     for deg in (0.0, 1.0, 5.0, 20.0):
-        spec = replace(REDUCED, phi=math.radians(deg))
+        spec = REDUCED._replace(phi=math.radians(deg))
         for k in range(17):
             r = spec.R * k / 16
             closed = limit_angles(spec, r)
@@ -58,7 +57,7 @@ def test_vector_angles_apex_point():
 
 
 def test_intersection_ray_matches_closed_form():
-    spec = replace(REDUCED, phi=math.radians(5.0))
+    spec = REDUCED._replace(phi=math.radians(5.0))
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         r = spec.R * frac
         w = limit_angles(spec, r)
@@ -89,7 +88,7 @@ def test_riemann_forces_validates_panel_counts():
 
 
 def test_riemann_forces_second_order_refinement():
-    spec = replace(REDUCED, phi=math.radians(1.0))
+    spec = REDUCED._replace(phi=math.radians(1.0))
     ref = total_forces(spec, rel_tol=1e-12)
     errs_z, errs_x = [], []
     for n in (256, 512, 1024):
@@ -102,7 +101,7 @@ def test_riemann_forces_second_order_refinement():
 
 
 def test_riemann_chunking_cannot_change_the_sum(monkeypatch):
-    spec = replace(REDUCED, phi=math.radians(2.0))
+    spec = REDUCED._replace(phi=math.radians(2.0))
     chunked = riemann_forces(spec, 300, 64)
     monkeypatch.setattr(trapcav.oracle, "_CHUNK_ROWS", 4096)
     whole = riemann_forces(spec, 300, 64)
@@ -118,7 +117,7 @@ def test_riemann_flags_non_finite_geometry():
 
 @pytest.mark.parametrize("deg", [0.0, 5.0])
 def test_verify_suite_passes(deg):
-    reports = verify_suite(replace(REDUCED, phi=math.radians(deg)))
+    reports = verify_suite(REDUCED._replace(phi=math.radians(deg)))
     assert [r.quantity for r in reports] == CHECK_NAMES
     for r in reports:
         assert r.passed == (r.rel_deviation <= r.tolerance)
