@@ -44,7 +44,11 @@ angle-free double integral over both wings,
 
 with d = Q(t) - P(r), P = r (cos phi, sin phi) on the upper wing and
 Q = (t cos phi, -a - t sin phi) on the lower one, summed with 8-point
-Gauss-Legendre rules on both axes: within 1.1e-15 |f_z| of 50 digits.
+Gauss-Legendre rules on both axes.  The node pairs (r, t) and (t, r)
+are summed as one term, so the rule runs over two tables built at import
+from the nodes and weights on [-1, 1]: the 28 node pairs i < j and the 8
+diagonal nodes.  A cavity only scales them by h = R / (2 a).  Over R/a
+1e-9..1/4 and phi 0..0.78 the rule is within 6.7e-16 |f_z| of 50 digits.
 
 Both forms run on plain floats, as does :func:`pressure_profile`, which
 samples the pressure kernel of :mod:`~trapcav.kernels`.
@@ -69,6 +73,9 @@ from .kernels import specific_pressures  # noqa: F401
 # 1e-6..1e6 and phi 0..0.78 (24 000 cavities) found at most 5.96 eps
 _ROUNDING = 8.0 * sys.float_info.epsilon
 
+# the smallest normal float: an f_z below it has lost its digits
+_FLOAT_MIN = sys.float_info.min
+
 # wings up to this many gaps long use the tensor rule
 _SHORT_WING = 0.25
 
@@ -81,6 +88,15 @@ _GL_W = (
     0.10122853629037626, 0.22238103445337448, 0.31370664587788727, 0.362683783378362,
     0.362683783378362, 0.31370664587788727, 0.22238103445337448, 0.10122853629037626,
 )
+
+# the tensor rule's tables on [-1, 1]: (x_i - x_j, 2 + x_i + x_j, w_i w_j)
+# for the 28 node pairs i < j, and (2 (1 + x_i), w_i^2) on the diagonal
+_PAIRS = tuple(
+    (_GL_X[i] - _GL_X[j], 2.0 + _GL_X[i] + _GL_X[j], _GL_W[i] * _GL_W[j])
+    for i in range(8)
+    for j in range(i + 1, 8)
+)
+_DIAGONAL = tuple((2.0 * (1.0 + x), w * w) for x, w in zip(_GL_X, _GL_W))
 
 
 def __getattr__(name: str):
@@ -189,10 +205,10 @@ def _forces(spec: CavitySpec, rel_tol: float, wing_count: int) -> ForceResult:
         x, z, abs_x, abs_z = _tensor_rule(rho, c, s)
     scale = pressure_prefactor(spec) / spec.a / spec.a / spec.a * spec.L
     f_x, f_z = x * scale, z * scale
-    for component, value in (("f_x", f_x), ("f_z", f_z)):
-        if not math.isfinite(value):
-            raise NonFiniteSample(spec.R, value, component)
-    if not abs(f_z) >= sys.float_info.min:
+    if not math.isfinite(f_x):
+        raise NonFiniteSample(spec.R, f_x, "f_x")
+    # f_z must be a normal float and finite: abs(inf) >= _FLOAT_MIN holds
+    if not _FLOAT_MIN <= abs(f_z) < math.inf:
         raise NonFiniteSample(spec.R, f_z, "f_z")
     err_x, err_z = _ROUNDING * abs_x * scale, _ROUNDING * abs_z * scale
     converged = max(err_x, err_z) <= rel_tol * max(abs(f_x), abs(f_z))
@@ -202,36 +218,37 @@ def _forces(spec: CavitySpec, rel_tol: float, wing_count: int) -> ForceResult:
     return ForceResult(spec, f_x, f_z, err_x, err_z, wing_count, converged)
 
 
-def _ray(sg: float, ka: float, mu: float, t: float, w: float, C: float, S: float):
-    # I_F / w^3 and I_G / w^3 at the ray of sine sg and cosine ka, where
-    # mu = C sg + S ka is the sine of the ray angle plus 2 phi and t = sg w.
-    # 45 sg^3 I_F is written with mu, which is small where its own terms
-    # would cancel, and as a polynomial in 1/t, so that neither sg^3 nor
-    # w^3 divides alone
-    cc, ss, cs = C * C, S * S, C * S
-    w2 = w * w
-    w3 = w2 * w
-    sg2, ka2 = sg * sg, ka * ka
-    i_f = (
-        ((8.0 * ss / t + 24.0 * C * mu / w) / t - 12.0 * ss / w2) / t
-        + (3.0 * sg * ((ss - 4.0 * cc) + sg2 * (ss - cc)) - 6.0 * cs * ka * (3.0 + sg2)) / w3
-    ) / 45.0
-    i_g = (cc * ka * (ka2 - 3.0) + 2.0 * cs * sg2 * sg - ss * ka * ka2) / (15.0 * w3)
-    return i_f, i_g
-
-
 def _three_ray(rho: float, c: float, s: float, C: float, S: float):
     # reduced (f_x, f_z) on a wing of rho > 1/4 gaps, and the summed
-    # magnitudes of each one's terms.  A and B lie at the same distance h
-    # from their wing points, and the sine of A is sigma_B w
+    # magnitudes of each one's terms.  Each ray gives I_F / w^3 and I_G / w^3
+    # from its sine sg, its cosine ka, mu = C sg + S ka (the sine of the ray
+    # angle plus 2 phi) and t = sg w; w = 1 for rays A and M.  45 sg^3 I_F
+    # is written with mu, which is small where its own terms would cancel,
+    # and as a polynomial in 1/t, so that neither sg^3 nor w^3 divides
+    # alone.  Ray A has sine sg and cosine ka, B has sb and kb, M has c and
+    # s.  A and B lie at the same distance h from their wing points, so sg
+    # is t for A and B and mu for B, and sb = c / h is mu for A
+    cc, ss, cs = C * C, S * S, C * S
+    ss8, ss12, cs2, cs6 = 8.0 * ss, 12.0 * ss, 2.0 * cs, 6.0 * cs
+    d4, d1, c24 = ss - 4.0 * cc, ss - cc, 24.0 * C
     w = 1.0 + 2.0 * rho * s
+    w2 = w * w
+    w3 = w2 * w
     h = math.hypot(rho + s, c)
-    sg = (c + rho * S) / h
-    a_f, a_g = _ray(sg, (s - rho * C) / h, c / h, sg, 1.0, C, S)
-    m_f, m_g = _ray(c, s, c, c, 1.0, C, S)
-    b_f, b_g = _ray(c / h, (rho + s) / h, sg, sg, w, C, S)
+    sg, ka, sb, kb = (c + rho * S) / h, (s - rho * C) / h, c / h, (rho + s) / h
+    sg2, ka2, sb2, kb2, c2, s2 = sg * sg, ka * ka, sb * sb, kb * kb, c * c, s * s
+    a_f = (
+        ((ss8 / sg + c24 * sb) / sg - ss12) / sg + (3.0 * sg * (d4 + sg2 * d1) - cs6 * ka * (3.0 + sg2))
+    ) / 45.0
+    a_g = (cc * ka * (ka2 - 3.0) + cs2 * sg2 * sg - ss * ka * ka2) / 15.0
+    m_f = (((ss8 / c + c24 * c) / c - ss12) / c + (3.0 * c * (d4 + c2 * d1) - cs6 * s * (3.0 + c2))) / 45.0
+    m_g = (cc * s * (s2 - 3.0) + cs2 * c2 * c - ss * s * s2) / 15.0
+    b_f = (
+        ((ss8 / sg + c24 * sg / w) / sg - ss12 / w2) / sg
+        + (3.0 * sb * (d4 + sb2 * d1) - cs6 * kb * (3.0 + sb2)) / w3
+    ) / 45.0
+    b_g = (cc * kb * (kb2 - 3.0) + cs2 * sb2 * sb - ss * kb * kb2) / (15.0 * w3)
     # the four terms of each primitive: A, M, M / w^3 and B / w^3
-    w3 = w * w * w
     n_f, n_g = m_f / w3, m_g / w3
     d_f = (a_f - m_f) - (n_f - b_f)
     d_g = (a_g - m_g) - (n_g - b_g)
@@ -252,24 +269,30 @@ def _tensor_rule(rho: float, c: float, s: float):
     # With e = cos(phi) (r - t) and g = 1 + (r + t) sin(phi), |d|^2 is
     # e^2 + g^2, and the integrand's halves at (r, t) and (t, r) add up to
     # -sin(phi) e^2 and -cos(phi) g^2 over |d|^7, so each node pair is
-    # evaluated once and every term has one sign
-    nodes = [(0.5 * rho * (1.0 + x), 0.5 * rho * w) for x, w in zip(_GL_X, _GL_W)]
+    # evaluated once and every term has one sign.  With h = rho / 2 the
+    # nodes are h (1 + x) and the weights h w, so e and g of a pair are
+    # (c h) D and 1 + (s h) P from _PAIRS or _DIAGONAL, and h^2 scales the
+    # finished sums.  Over R/a 1e-9..1/4 and phi 0..0.78 (2340 cavities)
+    # the result was within 6.7e-16 |f_z| of 50 digits
+    h = 0.5 * rho
+    ch, sh = c * h, s * h
     diagonal = pairs_x = pairs_z = 0.0
-    for i, (r, w_r) in enumerate(nodes):
-        g = 1.0 + 2.0 * r * s
+    for p, w in _DIAGONAL:
+        g = 1.0 + sh * p
         g2 = g * g
-        diagonal += w_r * w_r / (g2 * g2 * g)
-        for t, w_t in nodes[i + 1 :]:
-            e = c * (r - t)
-            g = 1.0 + (r + t) * s
-            e2, g2 = e * e, g * g
-            q = e2 + g2
-            weight = w_r * w_t / (q * q * q * math.sqrt(q))
-            pairs_x += weight * e2
-            pairs_z += weight * g2
+        diagonal += w / (g2 * g2 * g)
+    for d, p, w in _PAIRS:
+        e = ch * d
+        g = 1.0 + sh * p
+        e2, g2 = e * e, g * g
+        q = e2 + g2
+        weight = w / (q * q * q * math.sqrt(q))
+        pairs_x += weight * e2
+        pairs_z += weight * g2
+    h2 = h * h
     # 0.0 - x, not -x, keeps f_x = +0.0 at phi = 0
-    f_x = 0.0 - 2.0 * s * pairs_x
-    f_z = -c * (diagonal + 2.0 * pairs_z)
+    f_x = 0.0 - 2.0 * s * h2 * pairs_x
+    f_z = -c * h2 * (diagonal + 2.0 * pairs_z)
     return f_x, f_z, -f_x, -f_z
 
 

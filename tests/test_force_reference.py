@@ -99,7 +99,7 @@ def test_reference_matches_quadrature_of_the_pressure(rho, phi):
     assert abs(f_z - ref_z) <= mp.mpf(10) ** -25 * abs(ref_z)
 
 
-GATE_RATIOS = [1e-6, 1e-3, 0.1, 0.25, 0.26, 1.0, 40.0, 1e3, 1e6]
+GATE_RATIOS = [1e-6, 1e-3, 1e-2, 0.1, 0.2, 0.25, 0.26, 1.0, 40.0, 1e3, 1e6]
 GATE_PHIS = [0.0, 1e-8, 1e-4, 1e-2, 0.3, 0.78]
 
 

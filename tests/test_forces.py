@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -16,6 +17,7 @@ from trapcav import (
     NonFiniteSample,
     Units,
     pairwise_sum,
+    pressure_prefactor,
     pressure_profile,
     specific_pressures,
     total_forces,
@@ -173,6 +175,105 @@ def test_gauss_legendre_literals_are_the_rule():
     x, w = np.polynomial.legendre.leggauss(8)
     assert np.allclose(trapcav.forces._GL_X, x, rtol=0.0, atol=4e-16)
     assert np.allclose(trapcav.forces._GL_W, w, rtol=0.0, atol=1e-15)
+    # the rule runs over tables of those literals: the 28 node pairs i < j,
+    # in order, and the 8 diagonal nodes
+    x, w = trapcav.forces._GL_X, trapcav.forces._GL_W
+    pairs = [(x[i] - x[j], 2.0 + x[i] + x[j], w[i] * w[j]) for i, j in itertools.combinations(range(8), 2)]
+    assert len(pairs) == 28 and list(trapcav.forces._PAIRS) == pairs
+    diagonal = [(2.0 * (1.0 + x[i]), w[i] * w[i]) for i in range(8)]
+    assert list(trapcav.forces._DIAGONAL) == diagonal
+
+
+# The three-ray form as it was written with one call per ray.  The forces
+# of wings longer than a quarter gap must keep its bits: the shared ray
+# constants of trapcav.forces only reuse values, and reorder no operation.
+def _ray(sg: float, ka: float, mu: float, t: float, w: float, C: float, S: float):
+    # I_F / w^3 and I_G / w^3 at the ray of sine sg and cosine ka, where
+    # mu = C sg + S ka is the sine of the ray angle plus 2 phi and t = sg w.
+    # 45 sg^3 I_F is written with mu, which is small where its own terms
+    # would cancel, and as a polynomial in 1/t, so that neither sg^3 nor
+    # w^3 divides alone
+    cc, ss, cs = C * C, S * S, C * S
+    w2 = w * w
+    w3 = w2 * w
+    sg2, ka2 = sg * sg, ka * ka
+    i_f = (
+        ((8.0 * ss / t + 24.0 * C * mu / w) / t - 12.0 * ss / w2) / t
+        + (3.0 * sg * ((ss - 4.0 * cc) + sg2 * (ss - cc)) - 6.0 * cs * ka * (3.0 + sg2)) / w3
+    ) / 45.0
+    i_g = (cc * ka * (ka2 - 3.0) + 2.0 * cs * sg2 * sg - ss * ka * ka2) / (15.0 * w3)
+    return i_f, i_g
+
+
+def _three_ray(rho: float, c: float, s: float, C: float, S: float):
+    # reduced (f_x, f_z) on a wing of rho > 1/4 gaps, and the summed
+    # magnitudes of each one's terms.  A and B lie at the same distance h
+    # from their wing points, and the sine of A is sigma_B w
+    w = 1.0 + 2.0 * rho * s
+    h = math.hypot(rho + s, c)
+    sg = (c + rho * S) / h
+    a_f, a_g = _ray(sg, (s - rho * C) / h, c / h, sg, 1.0, C, S)
+    m_f, m_g = _ray(c, s, c, c, 1.0, C, S)
+    b_f, b_g = _ray(c / h, (rho + s) / h, sg, sg, w, C, S)
+    # the four terms of each primitive: A, M, M / w^3 and B / w^3
+    w3 = w * w * w
+    n_f, n_g = m_f / w3, m_g / w3
+    d_f = (a_f - m_f) - (n_f - b_f)
+    d_g = (a_g - m_g) - (n_g - b_g)
+    t_f = abs(a_f) + abs(m_f) + abs(n_f) + abs(b_f)
+    t_g = abs(a_g) + abs(m_g) + abs(n_g) + abs(b_g)
+    c3 = c * c * c
+    return (
+        (c * d_g - s * d_f) / c3,
+        -(c * d_f + s * d_g) / c3,
+        (c * t_g + s * t_f) / c3,
+        (c * t_f + s * t_g) / c3,
+    )
+
+
+def _three_ray_fields(spec: CavitySpec, rel_tol: float, wing_count: int):
+    # the hex fields of total_forces from the reference above, with the
+    # scaling, bounds and two-wing rule of trapcav.forces
+    phi = spec.phi
+    c, s, C, S = math.cos(phi), math.sin(phi), math.cos(2.0 * phi), math.sin(2.0 * phi)
+    x, z, abs_x, abs_z = _three_ray(spec.R / spec.a, c, s, C, S)
+    scale = pressure_prefactor(spec) / spec.a / spec.a / spec.a * spec.L
+    f_x, f_z = x * scale, z * scale
+    err_x, err_z = trapcav.forces._ROUNDING * abs_x * scale, trapcav.forces._ROUNDING * abs_z * scale
+    converged = max(err_x, err_z) <= rel_tol * max(abs(f_x), abs(f_z))
+    if wing_count == 2:
+        f_x, err_x = 2.0 * f_x, 2.0 * err_x
+        f_z = err_z = 0.0
+    return f_x.hex(), f_z.hex(), err_x.hex(), err_z.hex(), converged
+
+
+@given(
+    ratio=st.one_of(
+        st.just(math.nextafter(0.25, 1.0)),
+        st.floats(-0.6, 6.0).map(lambda e: 10.0**e),
+        # the B terms divide by (sigma_B w)^3, which stays normal here
+        st.floats(102.0, 300.0).map(lambda e: 10.0**e),
+    ),
+    phi=st.floats(0.0, math.pi / 4, exclude_max=True),
+    gap=st.one_of(st.none(), st.floats(-9.0, -5.0)),
+    wing_count=st.sampled_from([1, 2]),
+    rel_tol=st.sampled_from([1e-9, REL_TOL_FLOOR]),
+)
+@settings(max_examples=300, deadline=None)
+def test_three_ray_form_keeps_its_bits(ratio, phi, gap, wing_count, rel_tol):
+    # total_forces and force_batch on wings longer than a quarter gap, in
+    # both unit systems, against the one-call-per-ray reference bit for bit
+    if gap is None:
+        spec = CavitySpec(a=1.0, R=ratio, L=1.0, phi=phi, units=Units.REDUCED)
+    else:
+        a = 10.0**gap
+        spec = CavitySpec(a=a, R=a * ratio, L=1e-3, phi=phi)
+    assert spec.R / spec.a > trapcav.forces._SHORT_WING
+    fields = lambda fr: (fr.f_x.hex(), fr.f_z.hex(), fr.err_x.hex(), fr.err_z.hex(), fr.converged)
+    expected = _three_ray_fields(spec, rel_tol, wing_count)
+    assert fields(total_forces(spec, rel_tol, wing_count=wing_count)) == expected
+    (row,) = trapcav.forces.force_batch([spec], rel_tol, wing_count=wing_count)
+    assert fields(row) == expected
 
 
 def test_formulas_agree_at_the_switch():
