@@ -6,9 +6,11 @@ widening fan dilutes the forward rays.  ``optimize_phi`` locates phi* with a
 coarse prescan on a geometric grid, whose steps shrink with phi like phi*
 shrinks with R/a, followed by safeguarded parabolic refinement (Brent,
 *Algorithms for Minimization without Derivatives*, 1973) run in batches:
-each round evaluates up to three angles in one :func:`force_batch`.  The
-prescan is kept in the report so a caller can audit the unimodality
-assumption.
+each round evaluates up to three angles.  It reads nothing but f_x, so
+the prescan and every round are one call of
+:func:`~trapcav.forces.expulsion`, the bare closed form per angle, with
+the bits of a lone ``total_forces``.  The prescan is kept in the report
+so a caller can audit the unimodality assumption.
 
 ``rescale_report`` exercises the pure dimensional content: scaling every
 length except L by lambda multiplies specific pressures by lambda^-4 and
@@ -24,7 +26,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import NoInteriorMaximum, TrapcavError
-from .forces import ForceResult, force_batch
+from .forces import ForceResult, _check_options, expulsion, force_batch
 from .geometry import PHI_MAX, CavitySpec, Units, validate
 from .kernels import specific_pressures
 
@@ -67,10 +69,10 @@ class OptimumReport(NamedTuple):
     the bits of a lone ``total_forces`` there.  ``bracket`` is the prescan
     bracket handed to the refinement (one grid step either side of the best
     prescan point); ``grid_prescan`` keeps the signed f_x at every prescan
-    angle for audit.  ``iterations`` counts the refinement rounds, one
-    :func:`force_batch` of at most three angles each.  ``force_calls``
-    counts the force calls of the prescan and of every round, and
-    ``evaluations`` sums their ``ForceResult.evaluations``.
+    angle for audit.  ``iterations`` counts the refinement rounds, of at
+    most three angles each.  ``force_calls`` counts the sampled angles,
+    one force each, of the prescan and of every round.  ``evaluations``
+    is 0: the closed forms run no pressure kernel.
     """
 
     phi_star: float
@@ -149,8 +151,11 @@ def sweep(
     for first, second in zip(values, values[1:]):
         if not (second > first):
             raise ValueError(f"sweep values must be strictly increasing, got {values!r}")
-    field = "phi" if axis is SweepAxis.PHI else "R"
-    specs = [base._replace(**{field: v}) for v in values]
+    a, R, L, phi, units = base
+    if axis is SweepAxis.PHI:
+        specs = [CavitySpec(a, R, L, v, units) for v in values]
+    else:
+        specs = [CavitySpec(a, v, L, phi, units) for v in values]
     rows = force_batch(specs, rel_tol, wing_count=wing_count)
     results = [
         _flagged_row(spec, wing_count) if isinstance(row, TrapcavError) else row
@@ -170,38 +175,43 @@ def optimize_phi(
 ) -> OptimumReport:
     """Locate the half-angle maximizing |f_x| inside (lo, hi).
 
-    A 32-point prescan, one :func:`force_batch`, must show a single
-    interior peak.  Its angles are spaced geometrically, lo (hi/lo)^(k/31)
-    with the last one exactly hi, so that each step is the same fraction
-    of its angle: phi* falls like a/R on long wings (1.4e-4 rad at R/a
-    65536), where an even grid over a window of a few tenths of a radian
-    would put it below the first step.  A prescan maximum sitting on an
+    The window and ``base`` with ``phi=lo`` are checked first, which
+    proves every sampled angle a valid cavity, and ``rel_tol`` is refused
+    as :func:`total_forces` refuses it, although no result here reports
+    ``converged``.  Each sample is then the bare f_x of
+    :func:`~trapcav.forces.expulsion`, bit for bit the lone
+    ``total_forces`` f_x.  A 32-point prescan must show a single interior
+    peak.  Its angles are spaced geometrically, lo (hi/lo)^(k/31) with the
+    last one exactly hi, so that each step is the same fraction of its
+    angle: phi* falls like a/R on long wings (1.4e-4 rad at R/a 65536),
+    where an even grid over a window of a few tenths of a radian would put
+    it below the first step.  A prescan maximum sitting on an
     edge, a flat prescan, or multiple interior peaks raise
     :class:`NoInteriorMaximum` rather than returning a doubtful optimum.
     Refinement then keeps every sample; its bracket is the best sample and
     its nearest sampled neighbours, which holds a unimodal peak by
-    construction.  Each round is one
-    :func:`force_batch` of at most three angles at and around the vertex of
-    the parabola through those three samples, or, when that vertex is
-    unusable or the last round did not halve the bracket, three angles
-    quartering the bracket's wider side.  The search stops once the
+    construction.  Each round samples at most three angles at and around
+    the vertex of the parabola through those three samples, or, when that
+    vertex is unusable or the last round did not halve the bracket, three
+    angles quartering the bracket's wider side.  The search stops once the
     bracket is narrower than ``tol``; ``phi_star`` is the best sample.
     """
     if not (0.0 < lo < hi < PHI_MAX):
         raise ValueError(f"need 0 < lo < hi < pi/4, got lo={lo!r}, hi={hi!r}")
     if not (PHI_TOL_FLOOR <= tol < math.inf):
         raise ValueError(f"tol must be at least {PHI_TOL_FLOOR!r} rad and finite, got {tol!r}")
+    # with the window check, this proves every angle sampled below valid
     validate(base._replace(phi=lo))
+    _check_options(rel_tol, 1)
 
     last = _PRESCAN_POINTS - 1
     grid = [lo * (hi / lo) ** (k / last) for k in range(last)] + [hi]
-    scan = _all_forces([base._replace(phi=phi) for phi in grid], rel_tol)
-    signed = [result.f_x for result in scan]
+    signed = expulsion(base, grid)
     mags = [abs(v) for v in signed]
-    best = max(range(len(mags)), key=lambda i: (mags[i], -i))
+    best = mags.index(max(mags))
     prescan = tuple(zip(grid, signed))
 
-    if sum(1 for m in mags if m == mags[best]) > 1:
+    if mags.count(mags[best]) > 1:
         raise NoInteriorMaximum("prescan objective is flat; no single peak to bracket")
     if best == 0 or best == len(grid) - 1:
         raise NoInteriorMaximum(
@@ -219,20 +229,17 @@ def optimize_phi(
     # every sample so far in angle order; the search bracket is always the
     # best sample and its two neighbours, so a unimodal peak stays inside
     phis = list(grid)
-    evaluations = [result.evaluations for result in scan]
     iterations = 0
     width, last_width = bracket[1] - bracket[0], math.inf
     while width >= tol:
         x, f = phis[best - 1 : best + 2], mags[best - 1 : best + 2]
         angles = _refinement_angles(x, f, tol, width <= 0.5 * last_width)
-        results = _all_forces([base._replace(phi=phi) for phi in angles], rel_tol)
-        for phi, result in zip(angles, results):
+        for phi, f_x in zip(angles, expulsion(base, angles)):
             k = bisect.bisect(phis, phi)
             phis.insert(k, phi)
-            mags.insert(k, abs(result.f_x))
-            signed.insert(k, result.f_x)
-            evaluations.append(result.evaluations)
-        best = max(range(len(mags)), key=lambda i: (mags[i], -i))
+            mags.insert(k, abs(f_x))
+            signed.insert(k, f_x)
+        best = mags.index(max(mags))
         width, last_width = phis[best + 1] - phis[best - 1], width
         iterations += 1
     return OptimumReport(
@@ -241,8 +248,7 @@ def optimize_phi(
         bracket=bracket,
         iterations=iterations,
         grid_prescan=prescan,
-        evaluations=sum(evaluations),
-        force_calls=len(evaluations),
+        force_calls=len(phis),
     )
 
 

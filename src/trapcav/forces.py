@@ -51,7 +51,9 @@ diagonal nodes.  A cavity only scales them by h = R / (2 a).  Over R/a
 1e-9..1/4 and phi 0..0.78 the rule is within 6.7e-16 |f_z| of 50 digits.
 
 Both forms run on plain floats, as does :func:`pressure_profile`, which
-samples the pressure kernel of :mod:`~trapcav.kernels`.
+samples the pressure kernel of :mod:`~trapcav.kernels`.  :func:`expulsion`
+evaluates the same forms at many angles of one cavity and keeps only f_x,
+for the phi* search of :mod:`~trapcav.analysis`.
 """
 
 from __future__ import annotations
@@ -195,14 +197,33 @@ def total_forces(spec: CavitySpec, rel_tol: float = 1e-9, *, wing_count: int = 1
     return _forces(spec, rel_tol, wing_count)
 
 
+def expulsion(base: CavitySpec, angles: list[float]) -> list[float]:
+    """The signed f_x of a validated ``base`` at each of ``angles``.
+
+    Each value has the bits of ``total_forces(base._replace(phi=phi)).f_x``
+    and a failing angle raises the :class:`NonFiniteSample` that call
+    would; no spec, check or :class:`ForceResult` is made per angle.  The
+    caller vouches that ``base`` with each angle is a valid cavity.
+    """
+    # the scale and the checks of _forces, in its order; both are written
+    # out in each, since helper calls cost a lone total_forces about 2%
+    rho, R = base.R / base.a, base.R
+    scale = pressure_prefactor(base) / base.a / base.a / base.a * base.L
+    values = []
+    for phi in angles:
+        x, z, _, _ = _reduced(rho, phi)
+        f_x, f_z = x * scale, z * scale
+        if not math.isfinite(f_x):
+            raise NonFiniteSample(R, f_x, "f_x")
+        if not _FLOAT_MIN <= abs(f_z) < math.inf:
+            raise NonFiniteSample(R, f_z, "f_z")
+        values.append(f_x)
+    return values
+
+
 def _forces(spec: CavitySpec, rel_tol: float, wing_count: int) -> ForceResult:
     # a validated spec's forces, in units of the gap, then scaled
-    rho = spec.R / spec.a
-    c, s = math.cos(spec.phi), math.sin(spec.phi)
-    if rho > _SHORT_WING:
-        x, z, abs_x, abs_z = _three_ray(rho, c, s, math.cos(2.0 * spec.phi), math.sin(2.0 * spec.phi))
-    else:
-        x, z, abs_x, abs_z = _tensor_rule(rho, c, s)
+    x, z, abs_x, abs_z = _reduced(spec.R / spec.a, spec.phi)
     scale = pressure_prefactor(spec) / spec.a / spec.a / spec.a * spec.L
     f_x, f_z = x * scale, z * scale
     if not math.isfinite(f_x):
@@ -216,6 +237,15 @@ def _forces(spec: CavitySpec, rel_tol: float, wing_count: int) -> ForceResult:
         f_x, err_x = 2.0 * f_x, 2.0 * err_x
         f_z = err_z = 0.0
     return ForceResult(spec, f_x, f_z, err_x, err_z, wing_count, converged)
+
+
+def _reduced(rho: float, phi: float):
+    # reduced (f_x, f_z) on a wing of rho gaps at half-angle phi, and the
+    # summed magnitudes of each one's terms, by the formula for its length
+    c, s = math.cos(phi), math.sin(phi)
+    if rho > _SHORT_WING:
+        return _three_ray(rho, c, s, math.cos(2.0 * phi), math.sin(2.0 * phi))
+    return _tensor_rule(rho, c, s)
 
 
 def _three_ray(rho: float, c: float, s: float, C: float, S: float):

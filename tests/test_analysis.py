@@ -1,12 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
 
 from trapcav import (
     CavitySpec,
-    ForceResult,
     InvalidCavity,
+    NonFiniteSample,
     NoInteriorMaximum,
     SweepAxis,
     Units,
@@ -163,21 +166,10 @@ def test_optimize_rejects_edge_maximum():
 
 
 def test_optimize_rejects_flat_and_multimodal_objectives(monkeypatch):
-    def fake_forces(kind):
-        def inner(spec, rel_tol=1e-9, **kwargs):
-            phi = spec.phi
-            f_x = 1.0 if kind == "flat" else math.sin(40.0 * phi)
-            return ForceResult(
-                spec=spec, f_x=f_x, f_z=-1.0, err_x=0.0, err_z=0.0
-            )
-
-        return inner
-
-    for kind in ("flat", "wavy"):
-        fake = fake_forces(kind)
-        batch = lambda specs, rel_tol=1e-9, **kwargs: [fake(s, rel_tol) for s in specs]
-        monkeypatch.setattr(trapcav.analysis, "total_forces", fake)
-        monkeypatch.setattr(trapcav.analysis, "force_batch", batch)
+    shapes = {"flat": lambda phi: 1.0, "wavy": lambda phi: math.sin(40.0 * phi)}
+    for shape in shapes.values():
+        fake = lambda base, angles, shape=shape: [shape(phi) for phi in angles]
+        monkeypatch.setattr(trapcav.analysis, "expulsion", fake)
         with pytest.raises(NoInteriorMaximum):
             optimize_phi(REDUCED, 0.05, 0.7)
 
@@ -205,6 +197,29 @@ def test_optimize_refuses_infinite_tol():
 def test_optimize_validates_base_spec():
     with pytest.raises(InvalidCavity):
         optimize_phi(CavitySpec(a=-1.0, R=1.0, L=1.0, phi=0.0), 0.05, 0.5)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-20, math.inf])
+def test_optimize_refuses_rel_tol_before_any_force(monkeypatch, rel_tol):
+    def no_forces(*args, **kwargs):
+        raise AssertionError("a force ran")
+
+    monkeypatch.setattr(trapcav.analysis, "expulsion", no_forces)
+    message = f"rel_tol must be at least {REL_TOL_FLOOR!r} and finite, got {rel_tol!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        optimize_phi(REDUCED, 0.01, 0.5, rel_tol=rel_tol)
+
+
+def test_optimize_raises_the_first_non_finite_force():
+    # K L / a^3 overflows at a = 1e-120 m, so the first prescan angle's
+    # f_x is -inf, reported with the wing length as total_forces does
+    spec = CavitySpec(a=1e-120, R=4e-120, L=1.0, phi=0.0)
+    with pytest.raises(NonFiniteSample, match="force component f_x is -inf") as info:
+        optimize_phi(spec, 0.01, 0.5)
+    assert info.value.x == 4e-120 and info.value.value == -math.inf
+    with pytest.raises(NonFiniteSample) as alone:
+        total_forces(spec._replace(phi=0.01))
+    assert str(alone.value) == str(info.value)
 
 
 def test_rescale_identity():
@@ -310,27 +325,35 @@ def test_sweep_rows_that_stop_equal_lone_total_forces():
 
 
 def spy_batches(monkeypatch):
-    # every force_batch that optimize_phi makes, in order; a lone
-    # total_forces call fails the test
-    batches, batch = [], trapcav.analysis.force_batch
+    # the (phi, f_x) samples of every objective call that optimize_phi
+    # makes, one list per call, in order; a lone total_forces call or a
+    # force_batch fails the test
+    batches, objective = [], trapcav.analysis.expulsion
 
-    def spy(*args, **kwargs):
-        batches.append(batch(*args, **kwargs))
-        return batches[-1]
+    def spy(base, angles):
+        values = objective(base, angles)
+        batches.append(list(zip(angles, values)))
+        return values
 
-    def lone(*args, **kwargs):
-        raise AssertionError("optimize_phi made a lone total_forces call")
+    def forbidden(*args, **kwargs):
+        raise AssertionError("optimize_phi made a ForceResult")
 
-    monkeypatch.setattr(trapcav.analysis, "force_batch", spy)
-    monkeypatch.setattr(trapcav.analysis, "total_forces", lone)
+    monkeypatch.setattr(trapcav.analysis, "expulsion", spy)
+    monkeypatch.setattr(trapcav.analysis, "total_forces", forbidden)
+    monkeypatch.setattr(trapcav.analysis, "force_batch", forbidden)
     return batches
 
 
 def final_bracket(batches, phi_star):
     # the best sample's nearest sampled neighbours
-    phis = sorted(fr.spec.phi for rows in batches for fr in rows)
+    phis = sorted(phi for rows in batches for phi, _ in rows)
     k = phis.index(phi_star)
     return phis[k - 1], phis[k + 1]
+
+
+def lone_f_x(base, phi):
+    # the bits of a lone total_forces f_x, as a comparable string
+    return total_forces(base._replace(phi=phi)).f_x.hex()
 
 
 def test_prescan_and_counters_equal_lone_total_forces(monkeypatch):
@@ -339,15 +362,60 @@ def test_prescan_and_counters_equal_lone_total_forces(monkeypatch):
     report = optimize_phi(base, 0.005, 0.6)
     prescan, *rounds = batches
     assert len(prescan) == len(report.grid_prescan) == 32
-    for (phi, f_x), fr in zip(report.grid_prescan, prescan):
-        alone = total_forces(base._replace(phi=phi))
-        assert force_key(fr) == force_key(alone) and f_x == alone.f_x
-    # one batch of at most three angles per refinement round
+    assert prescan == list(report.grid_prescan)
+    for rows in batches:
+        assert all(f_x.hex() == lone_f_x(base, phi) for phi, f_x in rows)
+    # one objective call of at most three angles per refinement round
     assert len(rounds) == report.iterations > 0
     assert all(1 <= len(rows) <= 3 for rows in rounds)
     assert report.force_calls == 32 + sum(len(rows) for rows in rounds)
-    assert report.evaluations == sum(fr.evaluations for rows in batches for fr in rows)
-    assert report.f_x_star == total_forces(base._replace(phi=report.phi_star)).f_x
+    assert report.evaluations == 0
+    assert report.f_x_star.hex() == lone_f_x(base, report.phi_star)
+
+
+@given(
+    log_ratio=st.floats(math.log10(0.05), 4.0),
+    log_gap=st.one_of(st.none(), st.floats(-12.0, -3.0)),
+    lo=st.floats(1e-4, 0.3),
+    span=st.floats(1.5, 1e3),
+)
+@settings(max_examples=150, deadline=None)
+# a located optimum on either formula, in either unit system
+@example(log_ratio=-1.0, log_gap=None, lo=1e-3, span=780.0)
+@example(log_ratio=-1.0, log_gap=-6.4, lo=0.2, span=3.9)
+@example(log_ratio=math.log10(30.0), log_gap=None, lo=5e-3, span=120.0)
+@example(log_ratio=math.log10(30.0), log_gap=-8.5, lo=5e-3, span=120.0)
+def test_optimum_equals_lone_total_forces_on_both_formulas(log_ratio, log_gap, lo, span):
+    # R/a 0.05..1e4 runs the tensor rule (R/a <= 1/4) and the three-ray
+    # form, in reduced and SI units; every sample, the prescan and the
+    # optimum carry the bits of a lone total_forces at their angle
+    ratio = 10.0**log_ratio
+    if log_gap is None:
+        base = CavitySpec(a=1.0, R=ratio, L=1.0, phi=0.0, units=Units.REDUCED)
+    else:
+        a = 10.0**log_gap
+        base = CavitySpec(a=a, R=a * ratio, L=2e-3, phi=0.0)
+    hi = min(lo * span, 0.78)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        batches = spy_batches(monkeypatch)
+        try:
+            report = optimize_phi(base, lo, hi)
+        except NoInteriorMaximum:
+            report = None
+    for rows in batches:
+        assert all(f_x.hex() == lone_f_x(base, phi) for phi, f_x in rows)
+    if report is None:
+        # the prescan ran and found no single interior peak
+        assert len(batches) == 1 and len(batches[0]) == 32
+        return
+    assert [(phi, f_x.hex()) for phi, f_x in report.grid_prescan] == [
+        (phi, lone_f_x(base, phi)) for phi, _ in report.grid_prescan
+    ]
+    samples = sorted(phi for rows in batches for phi, _ in rows)
+    mags = [abs(total_forces(base._replace(phi=phi)).f_x) for phi in samples]
+    assert report.phi_star == samples[mags.index(max(mags))]
+    assert report.f_x_star.hex() == lone_f_x(base, report.phi_star)
+    assert report.force_calls == len(samples) and report.evaluations == 0
 
 
 WINDOW = (math.radians(0.5), math.radians(20.0))
@@ -362,7 +430,7 @@ def test_optimize_refines_in_few_small_batches(monkeypatch, ratio):
     assert all(1 <= len(rows) <= 3 for rows in rounds)
     left, right = final_bracket(batches, report.phi_star)
     assert right - left < 1e-5
-    best = max((abs(fr.f_x), fr.spec.phi) for rows in batches for fr in rows)
+    best = max((abs(f_x), phi) for rows in batches for phi, f_x in rows)
     assert best == (abs(report.f_x_star), report.phi_star)
 
 
@@ -395,13 +463,10 @@ BAD_PEAKS = {
 @pytest.mark.parametrize("shape", sorted(BAD_PEAKS))
 @pytest.mark.parametrize("peak", [0.1234567, 0.3010299, 0.5])
 def test_refinement_safeguard_keeps_shrinking(monkeypatch, shape, peak):
-    def fake_batch(specs, rel_tol=1e-9, **kwargs):
-        return [
-            ForceResult(spec=s, f_x=-BAD_PEAKS[shape](s.phi, peak), f_z=-3.0, err_x=0.0, err_z=0.0)
-            for s in specs
-        ]
+    def fake_objective(base, angles):
+        return [-BAD_PEAKS[shape](phi, peak) for phi in angles]
 
-    monkeypatch.setattr(trapcav.analysis, "force_batch", fake_batch)
+    monkeypatch.setattr(trapcav.analysis, "expulsion", fake_objective)
     batches = spy_batches(monkeypatch)
     lo, hi, tol = 0.05, 0.7, 1e-6
     report = optimize_phi(REDUCED, lo, hi, tol=tol)
