@@ -43,12 +43,15 @@ angle-free double integral over both wings,
     f = K L integral_0^R integral_0^R s(r) (d_x, d_z) / |d|^7 dt dr,
 
 with d = Q(t) - P(r), P = r (cos phi, sin phi) on the upper wing and
-Q = (t cos phi, -a - t sin phi) on the lower one, summed with 8-point
-Gauss-Legendre rules on both axes.  The node pairs (r, t) and (t, r)
-are summed as one term, so the rule runs over two tables built at import
-from the nodes and weights on [-1, 1]: the 28 node pairs i < j and the 8
-diagonal nodes.  A cavity only scales them by h = R / (2 a).  Over R/a
-1e-9..1/4 and phi 0..0.78 the rule is within 6.7e-16 |f_z| of 50 digits.
+Q = (t cos phi, -a - t sin phi) on the lower one, summed with an n-point
+Gauss-Legendre rule on both axes.  Its truncation error falls like
+(R / a)^(2n), so n grows with the wing from 4 (R/a <= 0.004) to 8
+(R/a > 0.13), and each rule's truncation stays within 1.6 eps of each
+component.  The node pairs (r, t) and (t, r) are summed as one term, so
+each rule runs over two tables built at import from its nodes and
+weights on [-1, 1]: the n (n - 1) / 2 node pairs i < j and the n diagonal
+nodes.  A cavity only scales them by h = R / (2 a).  Over R/a 1e-9..1/4
+and phi 0..0.785 the rules are within 6.1e-16 |f_z| of 80 digits.
 
 Both forms run on plain floats, as does :func:`pressure_profile`, which
 samples the pressure kernel of :mod:`~trapcav.kernels`.  :func:`expulsion`
@@ -59,8 +62,8 @@ for the phi* search of :mod:`~trapcav.analysis`.
 from __future__ import annotations
 
 import math
+import operator
 import sys
-from numbers import Integral
 from typing import NamedTuple
 
 from .errors import NonFiniteSample, TrapcavError
@@ -81,24 +84,66 @@ _FLOAT_MIN = sys.float_info.min
 # wings up to this many gaps long use the tensor rule
 _SHORT_WING = 0.25
 
-# 8-point Gauss-Legendre nodes and weights on [-1, 1]
-_GL_X = (
-    -0.9602898564975363, -0.7966664774136267, -0.525532409916329, -0.1834346424956498,
-    0.1834346424956498, 0.525532409916329, 0.7966664774136267, 0.9602898564975363,
-)
-_GL_W = (
-    0.10122853629037626, 0.22238103445337448, 0.31370664587788727, 0.362683783378362,
-    0.362683783378362, 0.31370664587788727, 0.22238103445337448, 0.10122853629037626,
-)
+# n-point Gauss-Legendre nodes and weights on [-1, 1], n = 4..8, each the
+# correctly rounded value of the exact node or weight
+_GL = {
+    4: (
+        (-0.8611363115940526, -0.33998104358485626, 0.33998104358485626, 0.8611363115940526),
+        (0.34785484513745385, 0.6521451548625461, 0.6521451548625461, 0.34785484513745385),
+    ),
+    5: (
+        (-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831, 0.906179845938664),
+        (
+            0.23692688505618908, 0.47862867049936647, 0.5688888888888889, 0.47862867049936647,
+            0.23692688505618908,
+        ),
+    ),
+    6: (
+        (
+            -0.932469514203152, -0.6612093864662645, -0.2386191860831969, 0.2386191860831969,
+            0.6612093864662645, 0.932469514203152,
+        ),
+        (
+            0.17132449237917036, 0.3607615730481386, 0.46791393457269104, 0.46791393457269104,
+            0.3607615730481386, 0.17132449237917036,
+        ),
+    ),
+    7: (
+        (
+            -0.9491079123427585, -0.7415311855993945, -0.4058451513773972, 0.0,
+            0.4058451513773972, 0.7415311855993945, 0.9491079123427585,
+        ),
+        (
+            0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694,
+            0.3818300505051189, 0.27970539148927664, 0.1294849661688697,
+        ),
+    ),
+    8: (
+        (
+            -0.9602898564975363, -0.7966664774136267, -0.525532409916329, -0.1834346424956498,
+            0.1834346424956498, 0.525532409916329, 0.7966664774136267, 0.9602898564975363,
+        ),
+        (
+            0.10122853629037626, 0.22238103445337448, 0.31370664587788727, 0.362683783378362,
+            0.362683783378362, 0.31370664587788727, 0.22238103445337448, 0.10122853629037626,
+        ),
+    ),
+}
 
-# the tensor rule's tables on [-1, 1]: (x_i - x_j, 2 + x_i + x_j, w_i w_j)
-# for the 28 node pairs i < j, and (2 (1 + x_i), w_i^2) on the diagonal
-_PAIRS = tuple(
-    (_GL_X[i] - _GL_X[j], 2.0 + _GL_X[i] + _GL_X[j], _GL_W[i] * _GL_W[j])
-    for i in range(8)
-    for j in range(i + 1, 8)
+
+def _tables(x: tuple[float, ...], w: tuple[float, ...]):
+    # the tensor rule's tables on [-1, 1]: (x_i - x_j, 2 + x_i + x_j, w_i w_j)
+    # for the node pairs i < j, and (2 (1 + x_i), w_i^2) on the diagonal
+    n = len(x)
+    pairs = tuple((x[i] - x[j], 2.0 + x[i] + x[j], w[i] * w[j]) for i in range(n) for j in range(i + 1, n))
+    return pairs, tuple((2.0 * (1.0 + xi), wi * wi) for xi, wi in zip(x, w))
+
+
+# (longest R/a, pairs, diagonal) of each order, shortest wings first; the
+# limits are calibrated in _tensor_rule
+_RULES = tuple(
+    (limit, *_tables(*_GL[n])) for limit, n in ((0.004, 4), (0.02, 5), (0.05, 6), (0.13, 7), (_SHORT_WING, 8))
 )
-_DIAGONAL = tuple((2.0 * (1.0 + x), w * w) for x, w in zip(_GL_X, _GL_W))
 
 
 def __getattr__(name: str):
@@ -176,11 +221,12 @@ def total_forces(spec: CavitySpec, rel_tol: float = 1e-9, *, wing_count: int = 1
     """Both force components on one wing, from the closed forms.
 
     Wings longer than a quarter of the gap use the three-ray form, shorter
-    ones the 8 x 8 tensor rule (see the module docstring); either costs a
-    fixed number of float operations.  ``err_x`` and ``err_z`` are 8 eps
-    times the summed magnitudes of each component's terms: the four
-    primitive values of the three-ray form, each as the magnitudes of its
-    two projections, or the tensor rule's terms, which have one sign.  On
+    ones an n x n tensor rule, n = 4..8 by wing length (see the module
+    docstring); either costs a fixed number of float operations.
+    ``err_x`` and ``err_z`` are 8 eps times the summed magnitudes of each
+    component's terms: the four primitive values of the three-ray form,
+    each as the magnitudes of its two projections, or the tensor rule's
+    terms, which have one sign.  On
     a 50-digit grid over R/a 1e-6..1e6 and phi 0..0.78 the largest error
     seen was 0.75 of its bound, and every force was within 3.5e-14 |f_z|
     (the worst just above R/a = 1/4 near phi = pi/4; 3e-15 |f_z| for
@@ -295,23 +341,34 @@ def _three_ray(rho: float, c: float, s: float, C: float, S: float):
 
 def _tensor_rule(rho: float, c: float, s: float):
     # reduced (f_x, f_z) on a wing of rho <= 1/4 gaps, and the summed
-    # magnitudes of each one's terms: 8 x 8 Gauss-Legendre on [0, rho]^2.
+    # magnitudes of each one's terms: n x n Gauss-Legendre on [0, rho]^2,
+    # with the fewest nodes n = 4..8 whose limit in _RULES reaches rho.
     # With e = cos(phi) (r - t) and g = 1 + (r + t) sin(phi), |d|^2 is
     # e^2 + g^2, and the integrand's halves at (r, t) and (t, r) add up to
     # -sin(phi) e^2 and -cos(phi) g^2 over |d|^7, so each node pair is
     # evaluated once and every term has one sign.  With h = rho / 2 the
     # nodes are h (1 + x) and the weights h w, so e and g of a pair are
-    # (c h) D and 1 + (s h) P from _PAIRS or _DIAGONAL, and h^2 scales the
-    # finished sums.  Over R/a 1e-9..1/4 and phi 0..0.78 (2340 cavities)
-    # the result was within 6.7e-16 |f_z| of 50 digits
+    # (c h) D and 1 + (s h) P from the rule's pairs or diagonal, and h^2
+    # scales the finished sums.  The truncation error falls like rho^(2n).
+    # At each rule's limit, against 16 nodes at 40 digits over 41 phi in
+    # 1e-3..0.785, it is at most 0.20 eps of either component's own size
+    # with 4 nodes (R/a 0.004), 0.10 with 5 (0.02), 0.034 with 6 (0.05),
+    # 0.39 with 7 (0.13) and 1.6 with 8 (1/4), so none outgrows the 8-point
+    # rule's at 1/4 and _ROUNDING still bounds the error.  Over 63 R/a in
+    # 1e-9..1/4 (each limit and its float neighbours) and 11 phi in
+    # 0..0.785 the result was within 6.1e-16 |f_z| of 80 digits and within
+    # 0.67 of its bound
+    for limit, pairs, diagonal_nodes in _RULES:
+        if rho <= limit:
+            break
     h = 0.5 * rho
     ch, sh = c * h, s * h
     diagonal = pairs_x = pairs_z = 0.0
-    for p, w in _DIAGONAL:
+    for p, w in diagonal_nodes:
         g = 1.0 + sh * p
         g2 = g * g
         diagonal += w / (g2 * g2 * g)
-    for d, p, w in _PAIRS:
+    for d, p, w in pairs:
         e = ch * d
         g = 1.0 + sh * p
         e2, g2 = e * e, g * g
@@ -338,8 +395,10 @@ def pressure_profile(spec: CavitySpec, n: int) -> PressureProfile:
     :class:`NonFiniteSample` naming the component and its ``r``.
     """
     validate(spec)
-    if not isinstance(n, Integral):
-        raise ValueError(f"profile needs a whole number of samples, got {n!r}")
+    try:
+        operator.index(n)
+    except TypeError:
+        raise ValueError(f"profile needs a whole number of samples, got {n!r}") from None
     if n < 2:
         raise ValueError(f"profile needs at least 2 samples, got {n!r}")
     cav, k = WingParams.of(spec), pressure_prefactor(spec)

@@ -102,7 +102,16 @@ def test_reference_matches_quadrature_of_the_pressure(rho, phi):
     assert abs(f_z - ref_z) <= mp.mpf(10) ** -25 * abs(ref_z)
 
 
-GATE_RATIOS = [1e-9, 1e-6, 1e-3, 1e-2, 0.1, 0.2, 0.25, 0.26, 1.0, 40.0, 1e3, 1e6]
+# the limits of the 4- to 7-point tensor rules and their upper float
+# neighbours, where the next rule takes over (the 8-point rule's limit is
+# R/a = 1/4; just above it, near phi = pi/4, the three-ray form's bound
+# exceeds 1e-13 |f_z|, so that wing is not converged at this gate)
+TENSOR_LIMITS = [0.004, 0.02, 0.05, 0.13]
+GATE_RATIOS = sorted(
+    {1e-9, 1e-6, 1e-3, 1e-2, 0.1, 0.2, 0.25, 0.26, 1.0, 40.0, 1e3, 1e6}
+    | set(TENSOR_LIMITS)
+    | {math.nextafter(limit, 1.0) for limit in TENSOR_LIMITS}
+)
 GATE_PHIS = [0.0, 1e-8, 1e-4, 1e-2, 0.3, 0.78]
 
 

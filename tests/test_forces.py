@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -169,19 +171,36 @@ def test_graded_mesh_matches_a_tight_run(phi):
         assert (c.f_x, c.f_z, c.err_x, c.err_z) == (f.f_x, f.f_z, f.err_x, f.err_z)
 
 
+# each tensor rule's order and the longest wing, in gaps, that it serves
+RULE_LIMITS = [(0.004, 4), (0.02, 5), (0.05, 6), (0.13, 7), (0.25, 8)]
+
+
 def test_gauss_legendre_literals_are_the_rule():
-    # the tensor rule's nodes and weights are literals, so that importing
+    # the tensor rules' nodes and weights are literals, so that importing
     # the package does not import numpy.polynomial
-    x, w = np.polynomial.legendre.leggauss(8)
-    assert np.allclose(trapcav.forces._GL_X, x, rtol=0.0, atol=4e-16)
-    assert np.allclose(trapcav.forces._GL_W, w, rtol=0.0, atol=1e-15)
-    # the rule runs over tables of those literals: the 28 node pairs i < j,
-    # in order, and the 8 diagonal nodes
-    x, w = trapcav.forces._GL_X, trapcav.forces._GL_W
-    pairs = [(x[i] - x[j], 2.0 + x[i] + x[j], w[i] * w[j]) for i, j in itertools.combinations(range(8), 2)]
-    assert len(pairs) == 28 and list(trapcav.forces._PAIRS) == pairs
-    diagonal = [(2.0 * (1.0 + x[i]), w[i] * w[i]) for i in range(8)]
-    assert list(trapcav.forces._DIAGONAL) == diagonal
+    mpmath = pytest.importorskip("mpmath")
+    assert [(limit, len(diagonal)) for limit, _, diagonal in trapcav.forces._RULES] == RULE_LIMITS
+    assert trapcav.forces._RULES[-1][0] == trapcav.forces._SHORT_WING
+    for (limit, n), rule in zip(RULE_LIMITS, trapcav.forces._RULES):
+        x, w = trapcav.forces._GL[n]
+        nodes, weights = np.polynomial.legendre.leggauss(n)
+        assert np.allclose(x, nodes, rtol=0.0, atol=4e-16), n
+        assert np.allclose(w, weights, rtol=0.0, atol=1e-15), n
+        # each literal is the correctly rounded node or weight: Newton's
+        # method on P_n from the literal node, at 30 digits
+        with mpmath.workdps(30):
+            for xi, wi in zip(x, w):
+                t = mpmath.mpf(xi)
+                for _ in range(4):
+                    p, q = mpmath.legendre(n, t), mpmath.legendre(n - 1, t)
+                    t -= p * (t * t - 1) / (n * (t * p - q))
+                dp = n * (t * mpmath.legendre(n, t) - mpmath.legendre(n - 1, t)) / (t * t - 1)
+                assert (float(t), float(2 / ((1 - t * t) * dp * dp))) == (xi, wi), (n, xi)
+        # the rule runs over tables of those literals: the n (n - 1) / 2
+        # node pairs i < j, in order, and the n diagonal nodes
+        pairs = [(x[i] - x[j], 2.0 + x[i] + x[j], w[i] * w[j]) for i, j in itertools.combinations(range(n), 2)]
+        diagonal = [(2.0 * (1.0 + x[i]), w[i] * w[i]) for i in range(n)]
+        assert rule == (limit, tuple(pairs), tuple(diagonal)), n
 
 
 # The three-ray form as it was written with one call per ray.  The forces
@@ -284,6 +303,17 @@ def test_formulas_agree_at_the_switch():
         above = total_forces(REDUCED._replace(R=math.nextafter(0.25, 1.0), phi=phi))
         assert abs(above.f_z - below.f_z) <= 1e-13 * abs(below.f_z)
         assert abs(above.f_x - below.f_x) <= 1e-13 * abs(below.f_z)
+
+
+@pytest.mark.parametrize("limit", [limit for limit, _ in RULE_LIMITS[:-1]])
+def test_tensor_rules_agree_at_their_limits(limit):
+    # the n-point rule at its limit and the (n + 1)-point rule just above
+    # it give the same force to rounding
+    for phi in (0.0, 1e-8, 1e-3, 0.3, 0.78):
+        below = total_forces(REDUCED._replace(R=limit, phi=phi))
+        above = total_forces(REDUCED._replace(R=math.nextafter(limit, 1.0), phi=phi))
+        assert abs(above.f_z - below.f_z) <= 1e-15 * abs(below.f_z), phi
+        assert abs(above.f_x - below.f_x) <= below.err_x, phi
 
 
 def test_infinite_tolerance_is_refused():
@@ -395,6 +425,18 @@ def test_profile_refuses_a_count_that_is_not_an_integer():
     # r = R i / (n - 1) with n = 3.5 would give r = 0, 1.6, 3.2 and then R
     with pytest.raises(ValueError):
         pressure_profile(REDUCED._replace(R=4.0), 3.5)
+
+
+@pytest.mark.parametrize("n", [3, np.int64(3), np.int32(3), np.uint8(3)])
+def test_profile_accepts_any_integer_count(n):
+    prof = pressure_profile(REDUCED._replace(R=4.0), n)
+    assert [sample.r for sample in prof.samples] == [0.0, 2.0, 4.0]
+
+
+@pytest.mark.parametrize("n", [3.0, np.float64(3.0), "3", None, Fraction(3), Decimal(3)])
+def test_profile_refuses_counts_of_other_types(n):
+    with pytest.raises(ValueError, match="whole number of samples"):
+        pressure_profile(REDUCED, n)
 
 
 def test_a_wing_whose_s4_overflows_warns_nothing():
