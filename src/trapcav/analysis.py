@@ -26,12 +26,9 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import NoInteriorMaximum, TrapcavError
-from .forces import ForceResult, _check_options, expulsion, force_batch
+from .forces import ForceResult, _check_options, expulsion, force_batch, total_forces
 from .geometry import PHI_MAX, CavitySpec, Units, validate
 from .kernels import specific_pressures
-
-# bench/tracing.py wraps total_forces by its name in this module
-from .forces import total_forces  # noqa: F401
 
 _PRESCAN_POINTS = 32
 # smallest optimize_phi tol, rad
@@ -51,14 +48,12 @@ class SweepTable(NamedTuple):
     ``points`` pairs each parameter value with its :class:`ForceResult`.
     Rows that failed numerically carry NaN forces, infinite error estimates
     and ``converged=False`` instead of aborting the sweep.  ``force_calls``
-    counts the force calls (one per row) and ``evaluations`` sums the
-    rows' ``ForceResult.evaluations``, 0 for the closed-form forces.
+    counts the force calls, one per row.
     """
 
     axis: SweepAxis
     points: tuple[tuple[float, ForceResult], ...]
     base: CavitySpec
-    evaluations: int = 0
     force_calls: int = 0
 
 
@@ -71,8 +66,7 @@ class OptimumReport(NamedTuple):
     prescan point); ``grid_prescan`` keeps the signed f_x at every prescan
     angle for audit.  ``iterations`` counts the refinement rounds, of at
     most three angles each.  ``force_calls`` counts the sampled angles,
-    one force each, of the prescan and of every round.  ``evaluations``
-    is 0: the closed forms run no pressure kernel.
+    one force each, of the prescan and of every round.
     """
 
     phi_star: float
@@ -80,7 +74,6 @@ class OptimumReport(NamedTuple):
     bracket: tuple[float, float]
     iterations: int
     grid_prescan: tuple[tuple[float, float], ...]
-    evaluations: int = 0
     force_calls: int = 0
 
 
@@ -115,15 +108,6 @@ def _flagged_row(spec: CavitySpec, wing_count: int) -> ForceResult:
         wing_count=wing_count,
         converged=False,
     )
-
-
-def _all_forces(specs: list[CavitySpec], rel_tol: float) -> list[ForceResult]:
-    # one batch; the first failure raises, as a loop of total_forces would
-    results = force_batch(specs, rel_tol)
-    for result in results:
-        if isinstance(result, TrapcavError):
-            raise result
-    return results
 
 
 def sweep(
@@ -165,7 +149,6 @@ def sweep(
         axis=axis,
         points=tuple(zip(values, results)),
         base=base,
-        evaluations=sum(result.evaluations for result in results),
         force_calls=len(results),
     )
 
@@ -304,8 +287,10 @@ def rescale_report(spec: CavitySpec, lam: float, *, rel_tol: float = 1e-9) -> Re
     base = spec._replace(units=Units.SI)
     validate(base)
     scaled = base._replace(a=lam * base.a, R=lam * base.R)
-
-    f_base, f_scaled = _all_forces([base, scaled], rel_tol)
+    # both cavities are checked before rel_tol, and rel_tol before any force
+    validate(scaled)
+    f_base = total_forces(base, rel_tol)
+    f_scaled = total_forces(scaled, rel_tol)
     p_base = specific_pressures(base, base.R / 3.0)
     p_scaled = specific_pressures(scaled, scaled.R / 3.0)
 

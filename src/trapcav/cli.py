@@ -435,10 +435,7 @@ def _emit_error(payload: dict) -> None:
 
 
 def _json_number(v):
-    # JSON has no inf or NaN: they go out as the strings "inf", "-inf" and
-    # "nan", also inside a vector integrand's tuple
-    if isinstance(v, tuple):
-        return [_json_number(x) for x in v]
+    # JSON has no inf or NaN: they go out as the strings "inf", "-inf" and "nan"
     if isinstance(v, float) and not math.isfinite(v):
         return str(float(v))
     return v
@@ -446,7 +443,7 @@ def _json_number(v):
 
 def _error_dict(err: Exception) -> dict:
     payload = {"error": type(err).__name__, "message": str(err)}
-    for attr in ("field", "value", "error_estimate", "evaluations", "name"):
+    for attr in ("field", "value", "name"):
         if hasattr(err, attr):
             payload[attr] = _json_number(getattr(err, attr))
     return payload

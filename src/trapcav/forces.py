@@ -163,7 +163,6 @@ class ForceResult(NamedTuple):
     a fixed multiple of eps times the summed magnitudes of their terms,
     scaled like the forces.  ``converged`` is True when the larger bound is
     within ``rel_tol`` of the larger force component of one wing.
-    ``evaluations`` and ``kernel_calls`` are 0: no pressure kernel runs.
     """
 
     spec: CavitySpec
@@ -173,8 +172,6 @@ class ForceResult(NamedTuple):
     err_z: float
     wing_count: int = 1
     converged: bool = True
-    evaluations: int = 0
-    kernel_calls: int = 0
 
 
 class PressureProfile(NamedTuple):
@@ -396,7 +393,7 @@ def pressure_profile(spec: CavitySpec, n: int) -> PressureProfile:
     """
     validate(spec)
     try:
-        operator.index(n)
+        n = operator.index(n)
     except TypeError:
         raise ValueError(f"profile needs a whole number of samples, got {n!r}") from None
     if n < 2:

@@ -52,9 +52,11 @@ PHI_MAX = math.pi / 4
 #: (2018 recommended values of hbar and c).
 K = 1.054571817e-34 * 2.99792458e8 * math.pi**2 / 240.0
 
-#: Smallest relative tolerance a force or an adaptive integral accepts: each
-#: Gauss-Kronrod panel's error estimate is at least this share of the
-#: integral of |f| over it, so a tolerance below it can never be met.
+#: Smallest relative tolerance a force or an adaptive integral accepts.  It
+#: has two users: :mod:`~trapcav.quadrature` floors each Gauss-Kronrod
+#: panel's error estimate at this share of the integral of |f| over it, so
+#: a tolerance below it can never be met there, and the force functions of
+#: :mod:`~trapcav.forces` refuse a ``rel_tol`` below it.
 REL_TOL_FLOOR = 50.0 * sys.float_info.epsilon
 
 # sine denominators below this are treated as degenerate

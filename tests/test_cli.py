@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from trapcav import CavitySpec, ForceResult, NotConverged, SweepAxis, SweepTable, Units, sweep
+from trapcav import CavitySpec, ForceResult, SweepAxis, SweepTable, Units, sweep
 from trapcav.cli import (
     PlotSpec,
     RunConfig,
@@ -23,7 +23,7 @@ from trapcav.cli import (
 )
 import trapcav.cli
 from trapcav.analysis import PHI_TOL_FLOOR
-from trapcav.quadrature import REL_TOL_FLOOR
+from trapcav.geometry import REL_TOL_FLOOR
 
 REDUCED_ARGS = ["--a", "1", "--R", "10", "--units", "reduced"]
 
@@ -350,16 +350,6 @@ def test_a_non_finite_profile_writes_one_json_object(capfd):
     assert payload["message"] == f"pressure p_x is {payload['value']} at r=0.0"
 
 
-def test_error_objects_write_non_finite_values_as_strings(capsys):
-    # a vector integrand's tuples too; finite values keep their numbers
-    err = NotConverged((1.5, math.inf), (math.nan, -math.inf), 30, 2)
-    trapcav.cli._emit_error(trapcav.cli._error_dict(err))
-    payload = strict_json(capsys.readouterr().err)
-    assert payload["value"] == [1.5, "inf"]
-    assert payload["error_estimate"] == ["nan", "-inf"]
-    assert payload["evaluations"] == 30
-
-
 def test_no_interior_maximum_exits_1(capsys):
     code = main(
         ["optimize", *REDUCED_ARGS, "--phi-lo-deg", "18", "--phi-hi-deg", "40"]
@@ -378,8 +368,30 @@ def test_force_json_payload(capsysbinary):
     assert payload["f_z"] < 0.0 and payload["f_x"] < 0.0
 
 
+SPEC_KEYS = {"a", "R", "L", "phi", "units"}
+FORCE_KEYS = {"f_x", "f_z", "err_x", "err_z", "wing_count", "converged"}
+
+
+def test_json_payload_keys_are_pinned(capsysbinary):
+    # the exact keys of the force, sweep and optimize payloads: a record
+    # field that is added or removed must not reach them
+    def payload(argv):
+        assert main(argv) == 0
+        return json.loads(capsysbinary.readouterr().out)
+
+    force = payload(["force", *REDUCED_ARGS, "--phi-deg", "5"])
+    assert set(force) == {"spec"} | FORCE_KEYS and set(force["spec"]) == SPEC_KEYS
+    table = payload(["sweep", *REDUCED_ARGS, "--axis", "phi", "--values", "1,5,20", "--format", "json"])
+    assert set(table) == {"axis", "base", "points"} and set(table["base"]) == SPEC_KEYS
+    assert len(table["points"]) == 3
+    assert all(set(point) == {"param"} | FORCE_KEYS for point in table["points"])
+    report = payload(["optimize", *REDUCED_ARGS, "--phi-lo-deg", "0.5", "--phi-hi-deg", "20"])
+    keys = {"spec", "phi_star", "f_x_star", "bracket", "iterations", "grid_prescan"}
+    assert set(report) == keys and set(report["spec"]) == SPEC_KEYS
+
+
 def test_tolerance_below_the_error_floor_exits_2(capsys):
-    # the parser refuses it, before any force integral
+    # the parser refuses it, before any force is computed
     assert main(["force", *REDUCED_ARGS, "--tol", "1e-15"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -395,7 +407,7 @@ def test_tolerance_below_the_error_floor_exits_2(capsys):
     ],
 )
 def test_infinite_tolerance_exits_2(argv, capsys):
-    # the parser refuses it, before any force integral
+    # the parser refuses it, before any force is computed
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "and finite, got 'inf'" in captured.err

@@ -26,7 +26,7 @@ from trapcav import (
 )
 import trapcav.forces
 import trapcav.kernels
-from trapcav.quadrature import REL_TOL_FLOOR
+from trapcav.geometry import REL_TOL_FLOOR
 
 REDUCED = CavitySpec(a=1.0, R=10.0, L=1.0, phi=0.0, units=Units.REDUCED)
 
@@ -141,8 +141,8 @@ def test_non_convergence_is_absorbed():
 
 @pytest.mark.parametrize("rel_tol", [1e-9, 1e-12])
 def test_batch_rows_equal_lone_calls(rel_tol):
-    # a lone call passes its cavity's floats to the kernel, a batch gathers
-    # them per node: every field of every row has the bits of its lone call
+    # a batch runs the lone call's formula once per cavity: every field of
+    # every row has the bits of its lone call
     specs = []
     for i, ratio in enumerate(10.0 ** np.linspace(-3.0, 5.0, 15)):
         for j, phi in enumerate((0.0, 1e-4, 0.1, 0.78)):
@@ -151,16 +151,14 @@ def test_batch_rows_equal_lone_calls(rel_tol):
                 specs.append(CavitySpec(a=4e-7, R=float(ratio) * 4e-7, L=1.0, phi=phi))
             else:
                 specs.append(CavitySpec(1.0, float(ratio), 1.0, phi, Units.REDUCED))
-    fields = lambda fr: (
-        fr.f_x, fr.f_z, fr.err_x, fr.err_z, fr.converged, fr.evaluations, fr.kernel_calls
-    )
+    fields = lambda fr: (fr.f_x, fr.f_z, fr.err_x, fr.err_z, fr.converged)
     rows = trapcav.forces.force_batch(specs, rel_tol)
     assert len(rows) == 60 and {spec.units for spec in specs} == set(Units)
     assert [fields(row) for row in rows] == [fields(total_forces(s, rel_tol)) for s in specs]
 
 
 @pytest.mark.parametrize("phi", [0.0, 1e-3, 0.3, 0.78])
-def test_graded_mesh_matches_a_tight_run(phi):
+def test_forces_do_not_depend_on_rel_tol(phi):
     # over eight decades of R/a the forces do not depend on rel_tol, which
     # only sets converged; at 2e-14 the bound still holds on every wing
     specs = [REDUCED._replace(R=10.0**k, phi=phi) for k in range(-3, 6)]
@@ -324,16 +322,17 @@ def test_infinite_tolerance_is_refused():
             total_forces(REDUCED, rel_tol=rel_tol)
 
 
-def test_evaluations_are_reported(monkeypatch):
-    # the closed forms run no pressure kernel, and say so
+def test_forces_run_no_kernel_and_leave_numpy_unloaded(monkeypatch):
+    # the closed forms run no pressure kernel
     def no_kernel(*args, **kwargs):
         raise AssertionError("a pressure kernel ran")
 
-    monkeypatch.setattr(trapcav.kernels, "wing_pressures", no_kernel)
+    for module in (trapcav.kernels, trapcav.forces):
+        monkeypatch.setattr(module, "wing_pressures", no_kernel)
+        monkeypatch.setattr(module, "specific_pressures", no_kernel)
     for spec in (reduced_at(1.0), reduced_at(1.0)._replace(R=0.1)):
         for wing_count in (1, 2):
-            fr = total_forces(spec, wing_count=wing_count)
-            assert fr.converged and fr.evaluations == 0 and fr.kernel_calls == 0
+            assert total_forces(spec, wing_count=wing_count).converged
     # nor do they import the array layer: in a fresh process, both forms
     # leave numpy unloaded
     probe = (
@@ -429,8 +428,10 @@ def test_profile_refuses_a_count_that_is_not_an_integer():
 
 @pytest.mark.parametrize("n", [3, np.int64(3), np.int32(3), np.uint8(3)])
 def test_profile_accepts_any_integer_count(n):
+    # a numpy count gives the same plain-float samples as an int
     prof = pressure_profile(REDUCED._replace(R=4.0), n)
     assert [sample.r for sample in prof.samples] == [0.0, 2.0, 4.0]
+    assert all(type(x) is float for sample in prof.samples for x in sample)
 
 
 @pytest.mark.parametrize("n", [3.0, np.float64(3.0), "3", None, Fraction(3), Decimal(3)])
@@ -476,7 +477,7 @@ def outcome_key(outcome):
     # a force row's every field, or an error's type and message
     if isinstance(outcome, Exception):
         return (type(outcome), str(outcome))
-    return (outcome.f_x, outcome.f_z, outcome.err_x, outcome.err_z, outcome.converged, outcome.evaluations)
+    return (outcome.f_x, outcome.f_z, outcome.err_x, outcome.err_z, outcome.converged)
 
 
 @pytest.mark.parametrize("fault", ["nan", "raise"])
@@ -500,7 +501,7 @@ def test_a_failing_cavity_fails_alone(fault):
 
 
 def test_profile_samples_match_one_point_calls():
-    # one kernel call for the whole profile, with each sample's bits
+    # each sample has the bits of a one-point specific_pressures call
     for spec in (reduced_at(3.0), CavitySpec(a=4e-7, R=4e-3, L=1.0, phi=0.7)):
         prof = pressure_profile(spec, 257)
         for s in prof.samples:

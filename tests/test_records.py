@@ -21,7 +21,7 @@ from trapcav.cli import PlotSpec, parse_args
 SPEC = "CavitySpec(a=1.0, R=4.0, L=1.0, phi=0.1, units=<Units.REDUCED: 'reduced'>)"
 FORCE = (
     f"ForceResult(spec={SPEC}, f_x=-0.5, f_z=-1.25, err_x=1e-16, err_z=2e-16, "
-    "wing_count=1, converged=True, evaluations=0, kernel_calls=0)"
+    "wing_count=1, converged=True)"
 )
 SAMPLE = "PressureSample(r=0.5, p_x=0.25, p_z=-0.75)"
 
@@ -58,7 +58,7 @@ RECORDS = {
     "SweepTable": (
         lambda: SweepTable(axis=SweepAxis.PHI, points=((0.1, force()),), base=spec(), force_calls=1),
         f"SweepTable(axis=<SweepAxis.PHI: 'phi'>, points=((0.1, {FORCE}),), base={SPEC}, "
-        "evaluations=0, force_calls=1)",
+        "force_calls=1)",
         "force_calls",
         2,
     ),
@@ -72,7 +72,7 @@ RECORDS = {
             force_calls=5,
         ),
         "OptimumReport(phi_star=0.125, f_x_star=-0.5, bracket=(0.0625, 0.25), iterations=3, "
-        "grid_prescan=((0.0625, -0.25), (0.25, -0.375)), evaluations=0, force_calls=5)",
+        "grid_prescan=((0.0625, -0.25), (0.25, -0.375)), force_calls=5)",
         "phi_star",
         0.25,
     ),
