@@ -36,7 +36,7 @@ from .errors import (
     OutOfRange,
     TrapcavError,
 )
-from .forces import ForceResult, PressureProfile, force_batch, pressure_profile, total_forces
+from .forces import ForceResult, PressureProfile, pressure_profile, total_forces
 from .geometry import (
     PHI_MAX,
     AngleWindow,
@@ -100,7 +100,6 @@ __all__ = [
     "Units",
     "classical_casimir_pressure",
     "fan_integrals",
-    "force_batch",
     "integrate_adaptive",
     "limit_angles",
     "limit_angles_vector",

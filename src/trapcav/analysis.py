@@ -25,9 +25,9 @@ import sys
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import NoInteriorMaximum, TrapcavError
-from .forces import ForceResult, _check_options, expulsion, force_batch, total_forces
-from .geometry import PHI_MAX, CavitySpec, Units, validate
+from .errors import InvalidCavity, NoInteriorMaximum, NonFiniteSample
+from .forces import ForceResult, _check_options, _forces, expulsion, total_forces
+from .geometry import PHI_MAX, CavitySpec, Units, pressure_prefactor, validate
 from .kernels import specific_pressures
 
 _PRESCAN_POINTS = 32
@@ -45,10 +45,12 @@ class SweepAxis(str, Enum):
 class SweepTable(NamedTuple):
     """One force evaluation per parameter value, plus the base spec echo.
 
-    ``points`` pairs each parameter value with its :class:`ForceResult`.
-    Rows that failed numerically carry NaN forces, infinite error estimates
-    and ``converged=False`` instead of aborting the sweep.  ``force_calls``
-    counts the force calls, one per row.
+    ``points`` pairs each parameter value with its :class:`ForceResult`,
+    which has the bits of the lone :func:`total_forces` of its cavity.
+    Rows whose ``total_forces`` would raise :class:`NonFiniteSample` carry
+    NaN forces, infinite error estimates and ``converged=False`` instead of
+    aborting the sweep.  ``force_calls`` counts the force calls, one per
+    row.
     """
 
     axis: SweepAxis
@@ -121,13 +123,18 @@ def sweep(
 ) -> SweepTable:
     """One :func:`total_forces` evaluation per value along ``axis``.
 
-    Values must be strictly increasing and each must yield a valid cavity
-    (checked up front).  All rows are one :func:`force_batch`, and each
-    row equals its own ``total_forces`` bit for bit.  ``workers`` is
-    accepted for compatibility and must be at least 1; it runs nothing
-    concurrently and cannot change the table (a thread pool gave no
-    speedup on these GIL-bound rows).  A row that fails numerically is
-    flagged, never fatal, and leaves the other rows as they are.
+    Values must be strictly increasing and each must yield a valid cavity,
+    which is checked before ``rel_tol`` and ``wing_count`` and before any
+    force.  The rows share ``a``, ``L`` and ``units``, and the valid phi
+    [0, pi/4) and R (0, inf) are intervals, so valid first and last rows
+    prove every row valid; otherwise the rows are checked in order and the
+    first invalid one is named.  The scale K L / a^3 is computed once, and
+    each row then runs the closed form of ``total_forces`` alone, so it
+    equals its own ``total_forces`` bit for bit.  ``workers`` is accepted
+    for compatibility and must be at least 1; it runs nothing concurrently
+    and cannot change the table (a thread pool gave no speedup on these
+    GIL-bound rows).  A row that fails numerically is flagged, never
+    fatal, and leaves the other rows as they are.
     """
     axis = SweepAxis(axis)
     if workers < 1:
@@ -136,15 +143,28 @@ def sweep(
         if not (second > first):
             raise ValueError(f"sweep values must be strictly increasing, got {values!r}")
     a, R, L, phi, units = base
+    # tuple.__new__ skips the NamedTuple's Python-level __new__, a
+    # twentieth of a row's time
     if axis is SweepAxis.PHI:
-        specs = [CavitySpec(a, R, L, v, units) for v in values]
+        specs = [tuple.__new__(CavitySpec, (a, R, L, v, units)) for v in values]
     else:
-        specs = [CavitySpec(a, v, L, phi, units) for v in values]
-    rows = force_batch(specs, rel_tol, wing_count=wing_count)
-    results = [
-        _flagged_row(spec, wing_count) if isinstance(row, TrapcavError) else row
-        for spec, row in zip(specs, rows)
-    ]
+        specs = [tuple.__new__(CavitySpec, (a, v, L, phi, units)) for v in values]
+    # valid end rows prove the rows between them valid
+    try:
+        for spec in specs[:1] + specs[-1:]:
+            validate(spec)
+    except InvalidCavity:
+        for spec in specs:
+            validate(spec)
+    _check_options(rel_tol, wing_count)
+    # an empty sweep checks no cavity, so its base may have no scale
+    scale = pressure_prefactor(base) / a / a / a * L if specs else 0.0
+    results = []
+    for spec in specs:
+        try:
+            results.append(_forces(spec, scale, rel_tol, wing_count))
+        except NonFiniteSample:
+            results.append(_flagged_row(spec, wing_count))
     return SweepTable(
         axis=axis,
         points=tuple(zip(values, results)),

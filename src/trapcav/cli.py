@@ -104,7 +104,7 @@ def _at_least(floor: float):
     return _checked(float, lambda v: floor <= v < math.inf, rule)
 
 
-# the floors of force_batch and optimize_phi, so that a flag or config
+# the floors of total_forces and optimize_phi, so that a flag or config
 # value under them is refused where it is read
 _tolerance = _at_least(REL_TOL_FLOOR)
 _phi_tolerance_deg = _at_least(math.degrees(PHI_TOL_FLOOR))

@@ -66,7 +66,7 @@ import operator
 import sys
 from typing import NamedTuple
 
-from .errors import NonFiniteSample, TrapcavError
+from .errors import NonFiniteSample
 from .geometry import REL_TOL_FLOOR, CavitySpec, WingParams, pressure_prefactor, validate
 from .kernels import PressureSample, wing_pressures
 
@@ -188,32 +188,6 @@ def _check_options(rel_tol: float, wing_count: int) -> None:
         raise ValueError(f"rel_tol must be at least {REL_TOL_FLOOR!r} and finite, got {rel_tol!r}")
 
 
-def force_batch(
-    specs: list[CavitySpec],
-    rel_tol: float = 1e-9,
-    *,
-    wing_count: int = 1,
-) -> list[ForceResult | TrapcavError]:
-    """:func:`total_forces` of many cavities, one after another.
-
-    Returns one outcome per spec, in order: the :class:`ForceResult` that
-    ``total_forces`` returns for it, or the :class:`NonFiniteSample` that it
-    would raise, which affects no other cavity.  An invalid spec, a bad
-    ``wing_count``, or a ``rel_tol`` under ``REL_TOL_FLOOR`` or not finite
-    raises for the whole batch.
-    """
-    for spec in specs:
-        validate(spec)
-    _check_options(rel_tol, wing_count)
-    outcomes: list[ForceResult | TrapcavError] = []
-    for spec in specs:
-        try:
-            outcomes.append(_forces(spec, rel_tol, wing_count))
-        except TrapcavError as err:
-            outcomes.append(err)
-    return outcomes
-
-
 def total_forces(spec: CavitySpec, rel_tol: float = 1e-9, *, wing_count: int = 1) -> ForceResult:
     """Both force components on one wing, from the closed forms.
 
@@ -237,7 +211,7 @@ def total_forces(spec: CavitySpec, rel_tol: float = 1e-9, *, wing_count: int = 1
     """
     validate(spec)
     _check_options(rel_tol, wing_count)
-    return _forces(spec, rel_tol, wing_count)
+    return _forces(spec, pressure_prefactor(spec) / spec.a / spec.a / spec.a * spec.L, rel_tol, wing_count)
 
 
 def expulsion(base: CavitySpec, angles: list[float]) -> list[float]:
@@ -248,8 +222,9 @@ def expulsion(base: CavitySpec, angles: list[float]) -> list[float]:
     would; no spec, check or :class:`ForceResult` is made per angle.  The
     caller vouches that ``base`` with each angle is a valid cavity.
     """
-    # the scale and the checks of _forces, in its order; both are written
-    # out in each, since helper calls cost a lone total_forces about 2%
+    # the scale of total_forces and the checks of _forces, in their order;
+    # both are written out in each, since helper calls cost a lone
+    # total_forces about 2%
     rho, R = base.R / base.a, base.R
     scale = pressure_prefactor(base) / base.a / base.a / base.a * base.L
     values = []
@@ -264,10 +239,11 @@ def expulsion(base: CavitySpec, angles: list[float]) -> list[float]:
     return values
 
 
-def _forces(spec: CavitySpec, rel_tol: float, wing_count: int) -> ForceResult:
-    # a validated spec's forces, in units of the gap, then scaled
+def _forces(spec: CavitySpec, scale: float, rel_tol: float, wing_count: int) -> ForceResult:
+    # a validated spec's forces, in units of the gap, then times its scale
+    # K L / a^3, which total_forces and sweep compute as
+    # pressure_prefactor(spec) / a / a / a * L
     x, z, abs_x, abs_z = _reduced(spec.R / spec.a, spec.phi)
-    scale = pressure_prefactor(spec) / spec.a / spec.a / spec.a * spec.L
     f_x, f_z = x * scale, z * scale
     if not math.isfinite(f_x):
         raise NonFiniteSample(spec.R, f_x, "f_x")
@@ -279,7 +255,8 @@ def _forces(spec: CavitySpec, rel_tol: float, wing_count: int) -> ForceResult:
     if wing_count == 2:
         f_x, err_x = 2.0 * f_x, 2.0 * err_x
         f_z = err_z = 0.0
-    return ForceResult(spec, f_x, f_z, err_x, err_z, wing_count, converged)
+    # as ForceResult(...), without the NamedTuple's Python-level __new__
+    return tuple.__new__(ForceResult, (spec, f_x, f_z, err_x, err_z, wing_count, converged))
 
 
 def _reduced(rho: float, phi: float):

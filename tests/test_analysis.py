@@ -19,7 +19,8 @@ from trapcav import (
     total_forces,
 )
 import trapcav.analysis
-from trapcav.geometry import REL_TOL_FLOOR
+import trapcav.forces
+from trapcav.geometry import REL_TOL_FLOOR, validate
 
 REDUCED = CavitySpec(a=1.0, R=10.0, L=1.0, phi=0.0, units=Units.REDUCED)
 SI_THIN = CavitySpec(a=4e-7, R=4e-6, L=1.0, phi=math.radians(1.0))
@@ -104,6 +105,37 @@ def test_sweep_flags_failed_rows():
     assert math.isnan(bad.f_x) and math.isnan(bad.f_z)
     assert math.isinf(bad.err_x) and math.isinf(bad.err_z)
     assert table.force_calls == 3
+
+
+def test_sweep_names_the_first_invalid_row():
+    # the end rows fail, so the rows are checked in order: the first
+    # invalid one is named, not the last
+    with pytest.raises(InvalidCavity) as info:
+        sweep(REDUCED, SweepAxis.PHI, [0.1, 0.9, 1.0])
+    assert info.value.field == "phi" and str(info.value).endswith("got 0.9")
+
+
+def test_an_empty_sweep_checks_only_its_options():
+    # with no row there is no cavity to check, not even the base, but a
+    # bad rel_tol is still refused
+    closed = REDUCED._replace(a=0.0)
+    table = sweep(closed, SweepAxis.PHI, [])
+    assert table.points == () and table.force_calls == 0 and table.base == closed
+    with pytest.raises(ValueError, match="rel_tol must be at least"):
+        sweep(closed, SweepAxis.PHI, [], rel_tol=0.0)
+
+
+def test_sweep_checks_cavities_then_options_then_forces(monkeypatch):
+    def no_forces(*args, **kwargs):
+        raise AssertionError("a force was computed")
+
+    monkeypatch.setattr(trapcav.forces, "_reduced", no_forces)
+    with pytest.raises(InvalidCavity):
+        sweep(REDUCED, SweepAxis.PHI, [0.1, 1.0], rel_tol=0.0)
+    with pytest.raises(ValueError, match="rel_tol must be at least"):
+        sweep(REDUCED, SweepAxis.PHI, [0.1, 0.2], rel_tol=0.0)
+    with pytest.raises(ValueError, match="wing_count"):
+        sweep(REDUCED, SweepAxis.PHI, [0.1, 0.2], wing_count=3)
 
 
 @pytest.mark.parametrize("ratio,phi_star", [(16384.0, 3.8028e-4), (65536.0, 1.3756e-4)])
@@ -338,10 +370,81 @@ def test_sweep_rows_that_stop_equal_lone_total_forces():
     assert any(fr.converged for fr in rows) and not all(fr.converged for fr in rows)
 
 
+PHI_EDGE = math.nextafter(math.pi / 4, 0.0)
+
+
+@st.composite
+def sweep_cases(draw):
+    # a base cavity in either unit system, an axis and a strictly
+    # increasing grid along it, which holds an invalid value in about half
+    # of the cases: phi outside [0, pi/4), or R not positive and finite
+    if draw(st.booleans()):
+        gap, L, units = 1.0, 1.0, Units.REDUCED
+    else:
+        gap, L, units = 10.0 ** draw(st.floats(-9.0, -5.0)), 1e-3, Units.SI
+    ratio = st.floats(-9.0, 6.0).map(lambda e: 10.0**e)
+    phi = st.one_of(st.sampled_from([0.0, PHI_EDGE]), st.floats(0.0, math.pi / 4, exclude_max=True))
+    axis = draw(st.sampled_from(SweepAxis))
+    if axis is SweepAxis.PHI:
+        valid = phi
+        invalid = st.one_of(st.floats(-1.0, 0.0, exclude_max=True), st.floats(math.pi / 4, 2.0), st.just(math.inf))
+    else:
+        valid = ratio.map(lambda r: gap * r)
+        invalid = st.one_of(st.floats(-1.0, 0.0).map(lambda v: gap * v), st.just(math.inf))
+    values = st.one_of(valid, invalid) if draw(st.booleans()) else valid
+    grid = sorted(draw(st.lists(values, min_size=1, max_size=8, unique=True)))
+    base = CavitySpec(gap, gap * draw(ratio), L, draw(phi), units)
+    return base, axis, grid
+
+
+def row_spec(base, axis, value):
+    return base._replace(phi=value) if axis is SweepAxis.PHI else base._replace(R=value)
+
+
+@given(
+    case=sweep_cases(),
+    wing_count=st.sampled_from([1, 2]),
+    rel_tol=st.sampled_from([1e-9, REL_TOL_FLOOR]),
+)
+@example(case=(REDUCED, SweepAxis.R, [1e-9, 0.25, math.nextafter(0.25, 1.0), 1e6]), wing_count=2, rel_tol=1e-9)
+@example(case=(SI_THIN, SweepAxis.PHI, [0.0, 0.3, PHI_EDGE]), wing_count=1, rel_tol=REL_TOL_FLOOR)
+@example(case=(REDUCED, SweepAxis.PHI, [0.1, 0.9, 1.0]), wing_count=1, rel_tol=1e-9)
+@settings(max_examples=300, deadline=None)
+def test_sweep_rows_keep_the_bits_and_errors_of_lone_calls(case, wing_count, rel_tol):
+    # valid end rows prove the whole grid valid: a grid with an invalid
+    # value raises what validating its rows in order raises, and every row
+    # of a valid grid has the bits of its lone total_forces, or is flagged
+    # where that call raises
+    base, axis, values = case
+    specs = [row_spec(base, axis, v) for v in values]
+    first_error = None
+    for spec in specs:
+        try:
+            validate(spec)
+        except InvalidCavity as err:
+            first_error = err
+            break
+    if first_error is not None:
+        with pytest.raises(InvalidCavity) as info:
+            sweep(base, axis, values, rel_tol=rel_tol, wing_count=wing_count)
+        assert (info.value.field, str(info.value)) == (first_error.field, str(first_error))
+        return
+    table = sweep(base, axis, values, rel_tol=rel_tol, wing_count=wing_count)
+    bits = lambda fr: (fr.spec, fr.f_x.hex(), fr.f_z.hex(), fr.err_x.hex(), fr.err_z.hex(), fr.wing_count, fr.converged)
+    assert [v for v, _ in table.points] == values
+    for spec, (_, row) in zip(specs, table.points):
+        try:
+            alone = total_forces(spec, rel_tol, wing_count=wing_count)
+        except NonFiniteSample:
+            assert row.spec == spec and not row.converged and math.isnan(row.f_x)
+        else:
+            assert bits(row) == bits(alone)
+
+
 def spy_batches(monkeypatch):
     # the (phi, f_x) samples of every objective call that optimize_phi
     # makes, one list per call, in order; a lone total_forces call or a
-    # force_batch fails the test
+    # ForceResult made by forces._forces fails the test
     batches, objective = [], trapcav.analysis.expulsion
 
     def spy(base, angles):
@@ -354,7 +457,7 @@ def spy_batches(monkeypatch):
 
     monkeypatch.setattr(trapcav.analysis, "expulsion", spy)
     monkeypatch.setattr(trapcav.analysis, "total_forces", forbidden)
-    monkeypatch.setattr(trapcav.analysis, "force_batch", forbidden)
+    monkeypatch.setattr(trapcav.analysis, "_forces", forbidden)
     return batches
 
 

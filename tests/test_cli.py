@@ -173,7 +173,7 @@ def test_config_schema_matches_parser():
     actions = {a.dest: a for command in commands.values() for a in command._actions}
     for field in ("units", "quantity", "axis", "wing_count"):
         assert props[field]["enum"] == list(actions[field].choices)
-    # the tolerance floors of force_batch and optimize_phi (in degrees)
+    # the tolerance floors of total_forces and optimize_phi (in degrees)
     for field, floor in (("tol", REL_TOL_FLOOR), ("phi_tol_deg", math.degrees(PHI_TOL_FLOOR))):
         assert props[field]["minimum"] == floor
         assert actions[field].type(repr(floor)) == floor

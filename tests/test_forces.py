@@ -17,11 +17,13 @@ from trapcav import (
     CavitySpec,
     InvalidCavity,
     NonFiniteSample,
+    SweepAxis,
     Units,
     pairwise_sum,
     pressure_prefactor,
     pressure_profile,
     specific_pressures,
+    sweep,
     total_forces,
 )
 import trapcav.forces
@@ -116,12 +118,12 @@ def test_rejects_bad_tolerance_and_spec():
 
 def test_tolerance_below_the_error_floor_fails_fast():
     # a target tighter than the floor is refused for a lone call and for a
-    # whole batch alike, and the floor itself is accepted
+    # whole sweep alike, and the floor itself is accepted
     for rel_tol in (1e-14, 0.5 * REL_TOL_FLOOR, math.nan):
         with pytest.raises(ValueError, match="rel_tol must be at least"):
             total_forces(REDUCED, rel_tol=rel_tol)
         with pytest.raises(ValueError):
-            trapcav.forces.force_batch([REDUCED, reduced_at(1.0)], rel_tol)
+            sweep(REDUCED, SweepAxis.PHI, [0.0, math.radians(1.0)], rel_tol=rel_tol)
     assert 1.1e-14 < REL_TOL_FLOOR < 1e-14 * 1.12
     fr = total_forces(REDUCED, rel_tol=REL_TOL_FLOOR)
     assert fr.f_z == total_forces(REDUCED).f_z < 0.0
@@ -141,30 +143,27 @@ def test_non_convergence_is_absorbed():
 
 @pytest.mark.parametrize("rel_tol", [1e-9, 1e-12])
 def test_batch_rows_equal_lone_calls(rel_tol):
-    # a batch runs the lone call's formula once per cavity: every field of
-    # every row has the bits of its lone call
-    specs = []
-    for i, ratio in enumerate(10.0 ** np.linspace(-3.0, 5.0, 15)):
-        for j, phi in enumerate((0.0, 1e-4, 0.1, 0.78)):
-            # SI and reduced units alternate over both ratio and angle
-            if (i + j) % 2:
-                specs.append(CavitySpec(a=4e-7, R=float(ratio) * 4e-7, L=1.0, phi=phi))
-            else:
-                specs.append(CavitySpec(1.0, float(ratio), 1.0, phi, Units.REDUCED))
-    fields = lambda fr: (fr.f_x, fr.f_z, fr.err_x, fr.err_z, fr.converged)
-    rows = trapcav.forces.force_batch(specs, rel_tol)
-    assert len(rows) == 60 and {spec.units for spec in specs} == set(Units)
-    assert [fields(row) for row in rows] == [fields(total_forces(s, rel_tol)) for s in specs]
+    # a sweep runs the lone call's formula once per row: every field of
+    # every row has the bits of its lone call, in both unit systems
+    ratios = [float(ratio) for ratio in 10.0 ** np.linspace(-3.0, 5.0, 15)]
+    fields = lambda fr: (fr.spec, fr.f_x, fr.f_z, fr.err_x, fr.err_z, fr.wing_count, fr.converged)
+    rows = []
+    for phi in (0.0, 1e-4, 0.1, 0.78):
+        for gap, units in ((1.0, Units.REDUCED), (4e-7, Units.SI)):
+            base = CavitySpec(gap, gap, 1.0, phi, units)
+            rows += [row for _, row in sweep(base, SweepAxis.R, [gap * r for r in ratios], rel_tol=rel_tol).points]
+    assert len(rows) == 120 and {row.spec.units for row in rows} == set(Units)
+    assert [fields(row) for row in rows] == [fields(total_forces(row.spec, rel_tol)) for row in rows]
 
 
 @pytest.mark.parametrize("phi", [0.0, 1e-3, 0.3, 0.78])
 def test_forces_do_not_depend_on_rel_tol(phi):
     # over eight decades of R/a the forces do not depend on rel_tol, which
     # only sets converged; at 2e-14 the bound still holds on every wing
-    specs = [REDUCED._replace(R=10.0**k, phi=phi) for k in range(-3, 6)]
-    coarse = trapcav.forces.force_batch(specs, 1e-12)
-    fine = trapcav.forces.force_batch(specs, 2e-14)
-    for c, f in zip(coarse, fine):
+    lengths = [10.0**k for k in range(-3, 6)]
+    coarse = sweep(REDUCED._replace(phi=phi), SweepAxis.R, lengths, rel_tol=1e-12)
+    fine = sweep(REDUCED._replace(phi=phi), SweepAxis.R, lengths, rel_tol=2e-14)
+    for (_, c), (_, f) in zip(coarse.points, fine.points):
         assert c.converged and f.err_z <= 1e-12 * abs(f.f_z)
         assert (c.f_x, c.f_z, c.err_x, c.err_z) == (f.f_x, f.f_z, f.err_x, f.err_z)
 
@@ -278,7 +277,7 @@ def _three_ray_fields(spec: CavitySpec, rel_tol: float, wing_count: int):
 )
 @settings(max_examples=300, deadline=None)
 def test_three_ray_form_keeps_its_bits(ratio, phi, gap, wing_count, rel_tol):
-    # total_forces and force_batch on wings longer than a quarter gap, in
+    # total_forces and a sweep row on wings longer than a quarter gap, in
     # both unit systems, against the one-call-per-ray reference bit for bit
     if gap is None:
         spec = CavitySpec(a=1.0, R=ratio, L=1.0, phi=phi, units=Units.REDUCED)
@@ -289,7 +288,7 @@ def test_three_ray_form_keeps_its_bits(ratio, phi, gap, wing_count, rel_tol):
     fields = lambda fr: (fr.f_x.hex(), fr.f_z.hex(), fr.err_x.hex(), fr.err_z.hex(), fr.converged)
     expected = _three_ray_fields(spec, rel_tol, wing_count)
     assert fields(total_forces(spec, rel_tol, wing_count=wing_count)) == expected
-    (row,) = trapcav.forces.force_batch([spec], rel_tol, wing_count=wing_count)
+    ((_, row),) = sweep(spec, SweepAxis.R, [spec.R], rel_tol=rel_tol, wing_count=wing_count).points
     assert fields(row) == expected
 
 
@@ -317,7 +316,7 @@ def test_tensor_rules_agree_at_their_limits(limit):
 def test_infinite_tolerance_is_refused():
     for rel_tol in (math.inf, -math.inf):
         with pytest.raises(ValueError, match="rel_tol must be at least"):
-            trapcav.forces.force_batch([REDUCED], rel_tol)
+            sweep(REDUCED, SweepAxis.PHI, [0.0], rel_tol=rel_tol)
         with pytest.raises(ValueError):
             total_forces(REDUCED, rel_tol=rel_tol)
 
@@ -473,31 +472,27 @@ def test_compression_always_pulls(a, ratio, phi):
     assert fr.err_x >= 0.0 and fr.err_z >= 0.0
 
 
-def outcome_key(outcome):
-    # a force row's every field, or an error's type and message
-    if isinstance(outcome, Exception):
-        return (type(outcome), str(outcome))
-    return (outcome.f_x, outcome.f_z, outcome.err_x, outcome.err_z, outcome.converged)
-
-
 @pytest.mark.parametrize("fault", ["nan", "raise"])
 def test_a_failing_cavity_fails_alone(fault):
-    # one cavity of four has no finite force: with "nan" its R/a overflows
-    # and the formulas give NaN, with "raise" its f_z underflows to 0
-    specs = [reduced_at(3.0)._replace(R=length) for length in (0.7, 10.0, 300.0, 4e4)]
-    healthy = [total_forces(spec) for spec in specs]
+    # one sweep row of four has no finite force: with "nan" its R/a
+    # overflows and the formulas give NaN, with "raise" its f_z underflows
+    # to 0.  That row is flagged where its lone call raises, and the other
+    # rows are their lone results
     if fault == "nan":
-        specs[2] = CavitySpec(a=1e-10, R=1e300, L=1.0, phi=0.3)
+        base, lengths, bad = CavitySpec(a=1e-10, R=1e-9, L=1.0, phi=0.3), [7e-11, 1e-9, 3e-8, 1e300], 3
     else:
-        specs[2] = specs[2]._replace(R=1e-200)
-    outcomes = trapcav.forces.force_batch(specs)
+        base, lengths, bad = reduced_at(3.0), [1e-200, 0.7, 10.0, 4e4], 0
+    rows = [row for _, row in sweep(base, SweepAxis.R, lengths).points]
     with pytest.raises(NonFiniteSample) as alone:
-        total_forces(specs[2])
+        total_forces(rows[bad].spec)
     assert math.isnan(alone.value.value) == (fault == "nan")
     assert str(alone.value).startswith("force component f_" + ("x" if fault == "nan" else "z"))
-    assert outcome_key(outcomes[2]) == outcome_key(alone.value)
-    for k in (0, 1, 3):
-        assert outcome_key(outcomes[k]) == outcome_key(healthy[k])
+    assert rows[bad].spec == base._replace(R=lengths[bad]) and not rows[bad].converged
+    assert math.isnan(rows[bad].f_x) and math.isnan(rows[bad].f_z)
+    assert math.isinf(rows[bad].err_x) and math.isinf(rows[bad].err_z)
+    for k, row in enumerate(rows):
+        if k != bad:
+            assert row == total_forces(row.spec)
 
 
 def test_profile_samples_match_one_point_calls():
