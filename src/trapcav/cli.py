@@ -525,6 +525,11 @@ def _sweep_payload(config: RunConfig, spec: CavitySpec) -> bytes:
         wing_count=config.wing_count,
         workers=config.workers,
     )
+    pts = tuple((param, abs(res.f_x)) for param, res in table.points if math.isfinite(res.f_x))
+    # a table of flagged rows only reports no force, and a plot needs 2 points
+    if len(pts) < (2 if config.format == "svg" else 1):
+        need = "sweep SVG needs 2 rows" if config.format == "svg" else "sweep needs a row"
+        raise TrapcavError(f"{need} with a finite f_x, {len(pts)} of {len(table.points)} have one")
     if config.format == "csv":
         return emit_csv(table)
     if config.format == "json":
@@ -537,10 +542,6 @@ def _sweep_payload(config: RunConfig, spec: CavitySpec) -> bytes:
                 ],
             }
         )
-    pts = tuple((param, abs(res.f_x)) for param, res in table.points if math.isfinite(res.f_x))
-    if len(pts) < 2:
-        found = f"{len(pts)} of {len(table.points)}"
-        raise TrapcavError(f"sweep SVG needs 2 rows with a finite f_x, {found} have one")
     label = "phi [rad]" if axis is SweepAxis.PHI else "R"
     plot = PlotSpec(x_label=label, y_label="|f_x|", series=(("|f_x|", pts),))
     return emit_svg(plot)

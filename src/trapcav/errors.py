@@ -42,21 +42,16 @@ class NonPositiveGap(TrapcavError):
 class NotConverged(TrapcavError):
     """Adaptive integration stopped early; carries the best estimate found.
 
-    ``value`` and ``error_estimate`` follow the integrand's shape: floats,
-    or tuples of floats for a vector integrand.
-
     Attributes:
         value: best integral estimate at the point of giving up.
         error_estimate: summed panel error estimate for that value.
         evaluations: integrand evaluations spent.
-        kernel_calls: calls of the integrand that evaluated its panels.
     """
 
-    def __init__(self, value, error_estimate, evaluations: int, kernel_calls: int = 0) -> None:
+    def __init__(self, value: float, error_estimate: float, evaluations: int) -> None:
         self.value = value
         self.error_estimate = error_estimate
         self.evaluations = evaluations
-        self.kernel_calls = kernel_calls
         super().__init__(
             f"quadrature stopped at value={value!r} "
             f"with error estimate {error_estimate!r} after {evaluations} evaluations"

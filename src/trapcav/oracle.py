@@ -179,8 +179,8 @@ def _fan_sums(spec: CavitySpec, r, n_theta: int):
     if not np.all(np.isfinite(pc)):
         bad = int(np.flatnonzero(~np.isfinite(pc))[0])
         raise NonFiniteSample(float(theta.ravel()[bad]), float(pc.ravel()[bad]))
-    row_x = -pairwise_sum(pc * np.cos(theta - spec.phi), axis=1) * h_t
-    row_z = pairwise_sum(pc * np.sin(theta - spec.phi), axis=1) * h_t
+    row_x = -pairwise_sum(pc * np.cos(theta - spec.phi)) * h_t
+    row_z = pairwise_sum(pc * np.sin(theta - spec.phi)) * h_t
     return row_x, row_z
 
 

@@ -4,52 +4,44 @@ Panels use the 7-point Gauss / 15-point Kronrod pair; the difference between
 the two rules gives the per-panel error estimate (sharpened by the usual
 scaled-residual inflation so the estimate stays honest on rough panels).
 
-The integrand takes a 1-D array of nodes and returns one value per node, or
-one row per component (shape (n,) or (k, n)); the value and error estimate
-come back as a float or a tuple of k floats.  All components share the
-panels, and every norm is the max-norm over components.
+The integrand takes a 1-D array of nodes and returns one float per node.
 
 The loop runs in rounds.  Each round evaluates its pending panels in one
-call of the integrand and one pass of the rules: first the initial panels,
-as arrays of panel edges, then the halves of every panel the integral must
-still split, so ``kernel_calls`` is the number of rounds.  It then sums its
-live panels' values and estimates with ``math.fsum`` (exactly, with
+call of the integrand and one pass of the rules: first the panel [lo, hi],
+then the halves of every panel the integral must still split.  It then sums
+its live panels' values and estimates with ``math.fsum`` (exactly, with
 fractions, when fsum overflows part-way), so a result is the correctly
-rounded sum of its final panels.  It stops when the largest summed estimate
-meets max(rel_tol * max |value_i|, abs_tol), or unconverged when the
-estimate floors of the live panels (``REL_TOL_FLOOR`` times each one's
-integral of |f|, which no split lowers much) alone sum past that target.
-For a scalar integrand this is the plain rule
-|error| <= max(rel_tol * |value|, abs_tol).  Otherwise it halves at once
-the fewest worst panels (largest component estimate, the leftmost among
-equals) whose removal would leave every component's estimate sum within
-the target: halves add estimates, so while they are live the integral
-cannot stop unless the target grows.  That set ends before the first panel
-of ``max_depth`` halvings and at the room left under the panel cap; an
-integral that can halve nothing stops unconverged.  This is QUADPACK's
-globally adaptive QAG with many panels split per round.  Each panel is
-reduced by its own per-row dot product (``np.vecdot``), so its bits do not
-depend on how many panels share the call, as a BLAS matrix-vector
-product's would.
+rounded sum of its final panels.  It stops when the summed estimate meets
+max(rel_tol * |value|, abs_tol), or unconverged when the estimate floors of
+the live panels (``REL_TOL_FLOOR`` times each one's integral of |f|, which
+no split lowers much) alone sum past that target.  Otherwise it halves at
+once the fewest worst panels (largest estimate, the leftmost among equals)
+whose removal would leave the estimate sum within the target: halves add
+estimates, so while they are live the integral cannot stop unless the
+target grows.  That set ends before the first panel of ``MAX_DEPTH``
+halvings and at the room left under ``MAX_PANELS``; an integral that can
+halve nothing stops unconverged.  This is QUADPACK's globally adaptive QAG
+with many panels split per round.  Each panel is reduced by its own
+per-row dot product (``np.vecdot``), so its bits do not depend on how many
+panels share the call, as a BLAS matrix-vector product's would.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import NonFiniteSample, NotConverged
 from .geometry import REL_TOL_FLOOR
 
-#: A float, or a fixed-length tuple of floats for a vector integrand.
-Value = float | tuple[float, ...]
-
-#: Maps a 1-D array of n nodes to shape (n,), or (k, n) for k components
-#: (an array, or a tuple of k arrays).
-Integrand = Callable[[np.ndarray], "np.ndarray | tuple[np.ndarray, ...]"]
+#: halvings of [lo, hi] beyond which no panel is split
+MAX_DEPTH = 50
+#: live panels beyond which no panel is split, a safety valve against
+#: integrands whose error estimates never shrink anywhere
+MAX_PANELS = 10_000
 
 # 15-point Kronrod abscissae on [-1, 1] (positive half; x[7] = 0 is implicit)
 _XGK = (
@@ -88,25 +80,22 @@ _WG7 = (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0)
 _WG15 = np.array(_WG7 + (_WG[3],) + tuple(reversed(_WG7)))
 
 
+
+
 class QuadratureResult(NamedTuple):
     """Integral value with its error estimate and cost accounting.
 
-    ``value`` and ``error_estimate`` have the integrand's shape: floats, or
-    tuples of floats of the integrand's length.  ``evaluations`` counts the
-    nodes of the panels used, ``kernel_calls`` the rounds of the loop that
-    evaluated them, one call of the integrand each.
+    ``evaluations`` counts the nodes of the panels used.
     """
 
-    value: Value
-    error_estimate: Value
+    value: float
+    error_estimate: float
     evaluations: int
     converged: bool
-    kernel_calls: int = 0
-    method: str = "gauss-kronrod-7-15"
 
 
-def pairwise_sum(values, axis: int = -1):
-    """Sum along ``axis`` with a fixed adjacent-pair tree.
+def pairwise_sum(values):
+    """Sum along the last axis with a fixed adjacent-pair tree.
 
     The tree pairs elements (0,1), (2,3), ... and carries an odd trailing
     element to the next round unchanged, so the reduction order depends only
@@ -115,11 +104,9 @@ def pairwise_sum(values, axis: int = -1):
     ``math.fsum``.
     """
     a = np.asarray(values, dtype=float)
-    if a.shape[axis] == 0:
-        out = np.zeros(a.sum(axis=axis).shape)
+    if a.shape[-1] == 0:
+        out = np.zeros(a.shape[:-1])
         return float(out) if out.ndim == 0 else out
-    if axis % a.ndim != a.ndim - 1:
-        a = np.moveaxis(a, axis, -1)
     while a.shape[-1] > 1:
         n = a.shape[-1]
         m = 2 * (n // 2)
@@ -131,17 +118,16 @@ def pairwise_sum(values, axis: int = -1):
     return float(out) if out.ndim == 0 else out
 
 
-def _gk15(f: Integrand, lo, hi) -> np.ndarray:
+def _gk15(f: Callable[[np.ndarray], np.ndarray], lo, hi) -> np.ndarray:
     """Gauss-Kronrod panels [lo_i, hi_i], all nodes in one call of ``f``.
 
     ``lo`` and ``hi`` are 1-D arrays of m panel edges, ``lo <= hi``; ``f``
     gets the 15 m nodes panel after panel.  Returns the panels' values,
-    error estimates and estimate floors stacked on the first axis: shape
-    (3, m) for a scalar integrand and (3, m, k) for one of k components.
+    error estimates and estimate floors as the rows of a (3, m) array.
     The floor, ``REL_TOL_FLOOR`` times the panel's integral of ``|f|``, is
     the least estimate the panel can have.  Raises
-    :class:`NonFiniteSample` at the first node where any component is NaN
-    or infinite, or else at the center of the first panel whose value or
+    :class:`NonFiniteSample` at the first node where ``f`` is NaN or
+    infinite, or else at the center of the first panel whose value or
     estimate overflows.
     """
     lo = np.asarray(lo, dtype=float)
@@ -149,19 +135,19 @@ def _gk15(f: Integrand, lo, hi) -> np.ndarray:
     half = 0.5 * (hi - lo)
     xs = ((0.5 * (lo + hi))[:, None] + half[:, None] * _X15).ravel()
     fv = np.asarray(f(xs), dtype=float)
-    if fv.ndim not in (1, 2) or fv.shape[-1] != xs.size:
+    if fv.shape != xs.shape:
         raise ValueError(f"integrand returned shape {fv.shape} for {xs.size} nodes")
-    rules = _rules(fv.reshape(fv.shape[:-1] + (lo.size, 15)), half)
+    rules = _rules(fv.reshape(lo.size, 15), half)
     # every Kronrod weight is positive, so a panel with a node that is not
     # finite has a value that is not finite either
     if not np.isfinite(rules[:2]).all():
-        bad = ~np.isfinite(fv).reshape(-1, xs.size).all(axis=0)
+        bad = ~np.isfinite(fv)
         if bad.any():
             j = int(bad.argmax())
-            raise NonFiniteSample(float(xs[j]), _shaped(fv[..., j]))
-        j = int(np.argmin(np.isfinite(rules[:2]).reshape(2, lo.size, -1).all(axis=(0, 2))))
-        bad = next(a for a in rules[:2, j] if not np.isfinite(a).all())
-        raise NonFiniteSample(float(0.5 * (lo[j] + hi[j])), _shaped(bad))
+            raise NonFiniteSample(float(xs[j]), float(fv[j]))
+        j = int(np.argmin(np.isfinite(rules[:2]).all(axis=0)))
+        value, err = rules[:2, j].tolist()
+        raise NonFiniteSample(float(0.5 * (lo[j] + hi[j])), err if math.isfinite(value) else value)
     return rules
 
 
@@ -171,13 +157,8 @@ def _gk15(f: Integrand, lo, hi) -> np.ndarray:
 # quotient that the rules then discard: numpy need not warn about either
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _rules(fv: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """Value, error estimate and its floor of sampled panels, shape (m, 15)
-    or (k, m, 15).
-
-    Returns them stacked as :func:`_gk15` does, in shape (3, m) or
-    (3, m, k): a view of an array laid out as (3, k, m), whose value and
-    estimate rows are one block.
-    """
+    """Value, error estimate and its floor of sampled panels, shape (m, 15),
+    as the rows of a (3, m) array."""
     # one dot product per panel and rule: a panel's bits do not depend on
     # its batch
     resk = np.vecdot(fv, _WK15)
@@ -194,13 +175,7 @@ def _rules(fv: np.ndarray, half: np.ndarray) -> np.ndarray:
     inflated = np.where(inflate, resasc * np.minimum(1.0, ratio**1.5), err)
     floor *= REL_TOL_FLOOR
     np.maximum(inflated, floor, out=err)
-    return out[:3].swapaxes(1, -1)
-
-
-def _shaped(a) -> Value:
-    # a float for a float integrand, a tuple of floats for a vector one
-    out = np.asarray(a).tolist()
-    return tuple(out) if isinstance(out, list) else out
+    return out[:3]
 
 
 def _sum(column: list[float]) -> float:
@@ -216,62 +191,42 @@ def _sum(column: list[float]) -> float:
             return math.inf if total > 0 else -math.inf
 
 
-def _value(sums: list[float], vector: bool) -> Value:
-    # a float for a scalar integrand, a tuple of k floats for a vector one
-    return tuple(sums) if vector else sums[0]
-
-
 def integrate_adaptive(
-    f: Integrand,
+    f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     rel_tol: float = 1e-9,
     abs_tol: float = 1e-300,
-    max_depth: int = 50,
-    max_panels: int = 10_000,
-    points: Iterable[float] = (),
 ) -> QuadratureResult:
     """Globally adaptive integral of ``f`` over [lo, hi].
 
-    ``f`` takes a 1-D array of n nodes and returns an array of shape (n,)
-    for a scalar integrand or (k, n) for k components (a tuple of k arrays
-    will do); the value and error estimate then come back as a float or a
-    tuple of k floats.  All initial panels are evaluated in one call of
-    ``f``, and an integral that converges on them takes that one call.
-    Each later call evaluates the halves of every panel the loop must
-    still split.  ``evaluations`` counts the nodes of the panels the loop
-    made, every one of which it used, and ``kernel_calls`` the calls of
-    ``f`` that evaluated them.  Convergence means the largest component of
-    the summed panel error estimate is at most
-    max(rel_tol * max_i |value_i|, abs_tol), so a component that integrates
-    to (nearly) zero is held to the scale of the largest one.  On failure
-    raises :class:`NotConverged` carrying the best value, its estimate, and
-    both counts.  ``max_panels`` is a safety valve against
-    integrands whose error estimates never shrink anywhere.  An empty
-    interval integrates to zero in the integrand's shape; ``f`` is called
-    once on the single node ``lo`` to learn that shape, and no evaluation
-    is counted.
-
-    ``points`` are breakpoints where the initial panels meet, as in
-    QUADPACK's QAGP: place them where ``f`` changes on a scale much smaller
-    than [lo, hi], which the first panels would otherwise never sample.
-    Points outside (lo, hi), duplicates and NaN are ignored.
+    ``f`` takes a 1-D array of n nodes and returns an array of shape (n,);
+    any other shape raises ``ValueError``.  The first call of ``f``
+    evaluates the panel [lo, hi], and an integral that converges on it
+    takes that one call.  Each later call evaluates the halves of every
+    panel the loop must still split.  ``evaluations`` counts the nodes of
+    the panels the loop made, every one of which it used.  Convergence
+    means the summed panel error estimate is at most
+    max(rel_tol * |value|, abs_tol).  On failure raises
+    :class:`NotConverged` carrying the best value, its estimate and the
+    evaluation count.  An empty interval integrates to zero without a call
+    of ``f``.
 
     Each round halves, at once, the fewest panels of largest error estimate
     (the leftmost among equals) whose removal would bring the summed
     estimate within the target.  The panel values and estimates are summed
     with ``math.fsum`` each round, for the convergence test and for the
     reported value and estimate, so results do not depend on the order in
-    which the panels were made.  ``max_depth`` and ``max_panels`` cut that
-    set, and the loop stops unconverged when they leave it empty.  A panel or
-    total beyond the float range raises :class:`NonFiniteSample` at its
-    center.  Each estimate is at least :data:`REL_TOL_FLOOR` (1.11e-14) of
-    the integral of ``|f|``, so a smaller ``rel_tol`` is met only through
-    ``abs_tol``, and the loop stops unconverged once those floors, summed
-    over the live panels, exceed the target.  Out-of-order bounds, bounds
-    whose width ``hi - lo`` is not finite and tolerances that are not
-    finite raise ``ValueError`` before ``f`` is called.  Any exception of
-    ``f`` propagates as it is.
+    which the panels were made.  :data:`MAX_DEPTH` and :data:`MAX_PANELS`
+    cut that set, and the loop stops unconverged when they leave it empty.
+    A panel or total beyond the float range raises :class:`NonFiniteSample`
+    at its center.  Each estimate is at least :data:`REL_TOL_FLOOR`
+    (1.11e-14) of the integral of ``|f|``, so a smaller ``rel_tol`` is met
+    only through ``abs_tol``, and the loop stops unconverged once those
+    floors, summed over the live panels, exceed the target.  Out-of-order
+    bounds, bounds whose width ``hi - lo`` is not finite and tolerances
+    that are not finite raise ``ValueError`` before ``f`` is called.  Any
+    exception of ``f`` propagates as it is.
     """
     if not (hi >= lo):
         raise ValueError(f"integration bounds out of order: [{lo!r}, {hi!r}]")
@@ -282,55 +237,44 @@ def integrate_adaptive(
     if not (0.0 <= abs_tol < math.inf):
         raise ValueError(f"abs_tol must be non-negative and finite, got {abs_tol!r}")
     if not hi > lo:
-        # an empty interval: one node at lo tells the integrand's shape
-        zero = _shaped(np.zeros(np.shape(f(np.array([lo])))[:-1]))
-        return QuadratureResult(zero, zero, 0, True)
-    bounds = [lo, *sorted({p for p in points if lo < p < hi}), hi]
+        return QuadratureResult(0.0, 0.0, 0, True)
     # the rows of ``pending`` hold the edges and halvings of the panels to
-    # evaluate next, at first the initial ones; ``edges`` holds those of the
-    # live panels, and ``rows`` their k value, k estimate and k floor rows
-    pending = np.array((bounds[:-1], bounds[1:], [0.0] * (len(bounds) - 1)))
-    edges, rows = pending, None
-    evaluations = calls = 0
+    # evaluate next, at first [lo, hi]; ``edges`` holds those of the live
+    # panels, and ``rows`` their values, estimates and floors
+    pending = np.array(((lo,), (hi,), (0.0,)))
+    edges, rows = pending, np.empty((3, 0))
+    evaluations = 0
     while True:
-        calls += 1
         evaluations += 15 * pending.shape[1]
-        rules = _gk15(f, pending[0], pending[1])
-        vector = rules.ndim > 2
-        panels = rules.swapaxes(1, -1).reshape(-1, pending.shape[1])
-        rows = panels if rows is None else np.concatenate((rows, panels), axis=1)
-        k = len(rows) // 3
-        sums = list(map(_sum, rows[: 2 * k].tolist()))
-        value, err = sums[:k], sums[k:]
-        target = max(rel_tol * max(map(abs, value)), abs_tol)
-        done = max(err) <= target
+        rows = np.concatenate((rows, _gk15(f, pending[0], pending[1])), axis=1)
+        value, err = map(_sum, rows[:2].tolist())
+        target = max(rel_tol * abs(value), abs_tol)
+        done = err <= target
         if not (done and math.isfinite(target)):
             # finite panels whose sum lies beyond the float range
-            bad = next((s for s in (value, err) if not all(map(math.isfinite, s))), None)
+            bad = next((s for s in (value, err) if not math.isfinite(s)), None)
             if bad is not None:
-                raise NonFiniteSample(0.5 * (lo + hi), _value(bad, vector))
+                raise NonFiniteSample(0.5 * (lo + hi), bad)
         if done:
-            return QuadratureResult(_value(value, vector), _value(err, vector), evaluations, True, calls)
-        # the live panels worst first, the leftmost among equals;
-        # left[:, j], the estimate sums of all but the j worst, added
-        # from the least up, only falls.  Halves add estimates, so the
-        # integral cannot stop while one of the worst panels up to the
-        # first that leaves every sum within the target is live, unless
-        # the target grows
-        errs = rows[k : 2 * k]
-        order = np.lexsort((edges[1], edges[0], -errs.max(axis=0)))
-        left = errs[:, order[::-1]].cumsum(axis=1)[:, ::-1]
-        count = 1 + np.count_nonzero((left[:, 1:] > target).any(axis=0))
-        split = edges[:, order[: max(0, min(count, max_panels - len(order)))]]
-        deep = split[2] >= max_depth
+            return QuadratureResult(value, err, evaluations, True)
+        # the live panels worst first, the leftmost among equals; left[j],
+        # the estimate sum of all but the j worst, added from the least
+        # up, only falls.  Halves add estimates, so the integral cannot
+        # stop while one of the worst panels up to the first that leaves
+        # the sum within the target is live, unless the target grows
+        order = np.lexsort((edges[1], edges[0], -rows[1]))
+        left = rows[1, order[::-1]].cumsum()[::-1]
+        count = 1 + np.count_nonzero(left[1:] > target)
+        split = edges[:, order[: max(0, min(count, MAX_PANELS - len(order)))]]
+        deep = split[2] >= MAX_DEPTH
         if deep.any():
             split = split[:, : int(deep.argmax())]
         # each estimate is at least its floor, and the halves' integrals
         # of |f| sum to about their parent's: once the floors alone
         # exceed the target, splitting cannot meet it
         n = split.shape[1]
-        if not n or max(map(_sum, rows[2 * k :].tolist())) > target:
-            raise NotConverged(_value(value, vector), _value(err, vector), evaluations, calls)
+        if not n or _sum(rows[2].tolist()) > target:
+            raise NotConverged(value, err, evaluations)
         # every left half, then every right half, one halving deeper
         pending = np.concatenate((split, split), axis=1)
         pending[1, :n] = pending[0, n:] = 0.5 * (split[0] + split[1])

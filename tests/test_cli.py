@@ -545,6 +545,41 @@ def test_sweep_svg_without_two_finite_rows_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_with_every_row_flagged_exits_1(fmt, capsysbinary):
+    # f_x overflows on every row, as force on this cavity reports: the
+    # table holds no force, so nothing goes to stdout
+    argv = [
+        "sweep", "--a", "1e-200", "--R", "4e-200", "--phi-deg", "3",
+        "--axis", "phi", "--values", "1,5", "--format", fmt,
+    ]
+    assert main(argv) == 1
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    payload = json.loads(captured.err)
+    assert payload == {
+        "error": "TrapcavError",
+        "message": "sweep needs a row with a finite f_x, 0 of 2 have one",
+    }
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_with_some_rows_flagged_exits_0(fmt, capsysbinary):
+    argv = [
+        "sweep", "--a", "1", "--R", "1", "--units", "reduced",
+        "--axis", "R", "--values", "1e-160,1", "--format", fmt,
+    ]
+    assert main(argv) == 0
+    captured = capsysbinary.readouterr()
+    assert captured.err == b""
+    if fmt == "csv":
+        rows = captured.out.decode("ascii").splitlines()[1:]
+        converged = [row.endswith(",true") for row in rows]
+    else:
+        converged = [p["converged"] for p in json.loads(captured.out)["points"]]
+    assert converged == [False, True]
+
+
 def test_plot_spec_validation():
     # emit_svg checks the plot it draws
     pts = ((0.0, 1.0), (1.0, 2.0))

@@ -2,7 +2,12 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import trapcav.cli
+import trapcav.quadrature
+from trapcav import NotConverged
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -38,3 +43,24 @@ def test_traced_cli_runs_record_the_lazily_loaded_layers(capsysbinary):
         tracer.uninstall()
     recorded = {tracer.names[i] for i in tracer.name}
     assert {"oracle.verify_suite", "forces.pressure_profile", "forces.total_forces"} <= recorded
+
+
+def test_traced_quadrature_counts_its_evaluations():
+    # the tracer reads evaluations from a result and from a NotConverged,
+    # and counts each NotConverged once
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        q = trapcav.quadrature.integrate_adaptive(np.sin, 0.0, 1.0)
+        assert q.converged and q.evaluations == 15
+        assert tracer.counts["quadrature.evals"] == 15
+        assert tracer.counts["quadrature.not_converged"] == 0
+        # the estimate floors of sin 3t exceed a 1e-12 target
+        with pytest.raises(NotConverged) as err:
+            trapcav.quadrature.integrate_adaptive(lambda t: np.sin(3.0 * t), 0.0, 2.0, 1e-12, 0.0)
+    finally:
+        tracer.uninstall()
+    assert err.value.evaluations == 15
+    assert tracer.counts["quadrature.evals"] == 30
+    assert tracer.counts["quadrature.not_converged"] == 1
+    assert tracer.layer_totals()["quadrature.integrate_adaptive"]["calls"] == 2
