@@ -21,26 +21,23 @@ from .forces import ForceResult, PressureProfile, pressure_profile, total_forces
 from .geometry import REL_TOL_FLOOR, CavitySpec, Units, pressure_prefactor, validate
 from .kernels import classical_casimir_pressure
 
-_FORMATS = {
-    "profile": ("csv", "json", "svg"),
-    "force": ("json",),
-    "sweep": ("csv", "json", "svg"),
-    "optimize": ("json",),
-    "verify": ("json",),
+# each subcommand's help and output formats; the first format is its default
+_COMMANDS = {
+    "profile": ("pressures along the wing", ("csv", "json", "svg")),
+    "force": ("total forces on one wing", ("json",)),
+    "sweep": ("forces along a parameter grid", ("csv", "json", "svg")),
+    "optimize": ("locate the expulsion maximum", ("json",)),
+    "verify": ("run the oracle cross-check suite", ("json",)),
 }
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 
-def __getattr__(name: str):
-    # the oracle loads only when verify looks it up; bench/tracing.py wraps
-    # verify_suite under this name, so run() calls it through this module's
-    # attribute
-    if name == "verify_suite":
-        from .oracle import verify_suite
+def verify_suite(spec: CavitySpec) -> list:
+    """:func:`trapcav.oracle.verify_suite`; the oracle loads on the first call."""
+    from .oracle import verify_suite
 
-        return verify_suite
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return verify_suite(spec)
 
 
 class RunConfig(typing.NamedTuple):
@@ -116,7 +113,11 @@ _grid = _checked(
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser and its subcommand parsers by name; each field is declared once here."""
+    """The parser and its subcommand parsers by name.
+
+    Every flag is declared only here: --config files and :func:`render_args`
+    write their tokens from these parsers' actions.
+    """
     parser = argparse.ArgumentParser(
         prog="trapcav",
         description="Casimir compression and expulsion forces on open trapezoid cavities",
@@ -157,15 +158,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     running.add_argument("--config", help="JSON file with the same fields; explicit flags win")
 
     commands = {}
-    for name, summary in (
-        ("profile", "pressures along the wing"),
-        ("force", "total forces on one wing"),
-        ("sweep", "forces along a parameter grid"),
-        ("optimize", "locate the expulsion maximum"),
-        ("verify", "run the oracle cross-check suite"),
-    ):
+    for name, (summary, formats) in _COMMANDS.items():
         command = sub.add_parser(name, parents=[shared], help=summary)
-        command.add_argument("--format", choices=_FORMATS[name], default=_FORMATS[name][0])
+        command.add_argument("--format", choices=formats, default=formats[0])
         commands[name] = command
 
     profile = commands["profile"]
@@ -188,13 +183,35 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, commands
 
 
+def _tokens(command: argparse.ArgumentParser, fields: dict) -> list[str]:
+    """``--flag=value`` tokens for the fields that ``command`` defines.
+
+    Fields that are None or that belong to another subcommand are dropped.
+    A boolean goes out as a BooleanOptionalAction flag or its ``--no-``
+    form, and a --values list or tuple is joined with commas.
+    """
+    actions = {action.dest: action for action in command._actions}
+    tokens = []
+    for key, value in fields.items():
+        action = actions.get(key)
+        if action is None or value is None:
+            continue
+        flag = action.option_strings[0]
+        if isinstance(action, argparse.BooleanOptionalAction) and isinstance(value, bool):
+            tokens.append(flag if value else action.option_strings[1])
+        elif isinstance(value, (list, tuple)) and action.type is _grid:
+            tokens.append(f"{flag}={','.join(map(str, value))}")
+        else:
+            tokens.append(f"{flag}={value}")
+    return tokens
+
+
 def _config_tokens(
     parser: argparse.ArgumentParser, command: argparse.ArgumentParser, path: str
 ) -> list[str]:
-    """The --config file as ``--flag=value`` tokens for ``command``'s own fields.
+    """The --config file as :func:`_tokens` for ``command``.
 
-    Keys of another subcommand, ``command`` and null values are dropped;
-    keys that are no :class:`RunConfig` field are rejected.  An integral
+    Keys that are no :class:`RunConfig` field are rejected.  An integral
     float for an integer field (``256.0``) is passed as its integer.
     """
     try:
@@ -209,24 +226,12 @@ def _config_tokens(
     unknown = sorted(set(data) - set(RunConfig._fields))
     if unknown:
         parser.error(f"--config: unknown keys {', '.join(unknown)}")
-    actions = {action.dest: action for action in command._actions}
     int_fields = {name for name, kind in typing.get_type_hints(RunConfig).items() if kind is int}
-    tokens = []
     for key, value in data.items():
-        action = actions.get(key)
-        if action is None or value is None:
-            continue
         if key in int_fields and isinstance(value, float) and value.is_integer():
             # JSON Schema's "integer" takes 256.0 as well as 256
-            value = int(value)
-        flag = action.option_strings[0]
-        if isinstance(action, argparse.BooleanOptionalAction) and isinstance(value, bool):
-            tokens.append(flag if value else action.option_strings[1])
-        elif isinstance(value, list) and action.type is _grid:
-            tokens.append(f"{flag}={','.join(map(str, value))}")
-        else:
-            tokens.append(f"{flag}={value}")
-    return tokens
+            data[key] = int(value)
+    return _tokens(command, data)
 
 
 def parse_args(argv: list[str]) -> RunConfig:
@@ -254,34 +259,13 @@ def parse_args(argv: list[str]) -> RunConfig:
 
 
 def render_args(config: RunConfig) -> list[str]:
-    """Canonical argv for a config: parse_args(render_args(c)) == c."""
-    argv = [
-        config.command,
-        "--a", repr(config.a),
-        "--R", repr(config.R),
-        "--L", repr(config.L),
-        "--phi-deg", repr(config.phi_deg),
-        "--units", config.units,
-        "--tol", repr(config.tol),
-        "--samples", str(config.samples),
-        "--wing-count", str(config.wing_count),
-        "--workers", str(config.workers),
-        "--format", config.format,
-    ]
-    if config.out is not None:
-        argv += ["--out", config.out]
-    if config.command == "profile":
-        argv += ["--quantity", config.quantity]
-        argv += ["--reference-classical" if config.reference_classical else "--no-reference-classical"]
-    elif config.command == "sweep":
-        argv += ["--axis", config.axis, "--values", ",".join(repr(v) for v in config.values)]
-    elif config.command == "optimize":
-        argv += [
-            "--phi-lo-deg", repr(config.phi_lo_deg),
-            "--phi-hi-deg", repr(config.phi_hi_deg),
-            "--phi-tol-deg", repr(config.phi_tol_deg),
-        ]
-    return argv
+    """Canonical argv for a config: parse_args(render_args(c)) == c.
+
+    The subcommand followed by one ``--flag=value`` token per field it
+    defines, written by the parser's own actions.
+    """
+    _, commands = _build_parser()
+    return [config.command, *_tokens(commands[config.command], config._asdict())]
 
 
 def _spec_dict(spec: CavitySpec) -> dict:
@@ -588,7 +572,7 @@ def run(config: RunConfig) -> int:
                 }
             )
         elif config.command == "verify":
-            reports = sys.modules[__name__].verify_suite(spec)
+            reports = verify_suite(spec)
             all_passed = all(r.passed for r in reports)
             payload = _json_bytes(
                 {

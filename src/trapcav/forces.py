@@ -146,14 +146,13 @@ _RULES = tuple(
 )
 
 
-def __getattr__(name: str):
+def integrate_adaptive(*args, **kwargs):
     # bench/tracing.py wraps integrate_adaptive by its name in this module;
-    # it resolves on first use, so that importing this module imports no numpy
-    if name == "integrate_adaptive":
-        from .quadrature import integrate_adaptive
+    # the quadrature loads on the first call, so that importing this module
+    # imports no numpy
+    from .quadrature import integrate_adaptive
 
-        return integrate_adaptive
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return integrate_adaptive(*args, **kwargs)
 
 
 class ForceResult(NamedTuple):

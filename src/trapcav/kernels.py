@@ -27,10 +27,12 @@ whose antiderivatives are
 
 so the z integrand integrates to cos(phi) dF5 + sin(phi) dG5 and the x
 integrand to cos(phi) dG5 - sin(phi) dF5; :func:`fan_integrals` returns both
-from one evaluation of each primitive difference.  The kernel is
-:func:`wing_pressures`, one scalar formula in :mod:`math` floats for one
-cavity's parameters and one wing coordinate, and :func:`specific_pressures`
-is its form for a cavity spec.  It works in units of the gap: the fan
+from one evaluation of each primitive difference.  Each difference is
+written as a product with sin h, h the window's half-width, so a narrow
+window (a short wing) keeps the digits that F5(u2) - F5(u1) would lose to
+cancellation.  The kernel is :func:`wing_pressures`, one scalar formula in
+:mod:`math` floats for one cavity's parameters and one wing coordinate, and
+:func:`specific_pressures` is its form for a cavity spec.  It works in units of the gap: the fan
 integrals are divided by (s/a)^4 and multiplied by K / a^4, computed as
 K / a / a / a / a, so neither a^4 nor s^4 is ever formed, and a tiny gap
 keeps its digits until K / a^4 itself overflows.  Over the full half-space
@@ -79,26 +81,24 @@ def classical_casimir_pressure(a: float, k: float = K) -> float:
     return -k / a / a / a / a
 
 
-def _sin5_primitive(u: float) -> float:
-    # antiderivative of sin^5: -c + (2/3) c^3 - (1/5) c^5, in Horner form
-    c = math.cos(u)
-    c2 = c * c
-    return c * (c2 * (2.0 / 3.0 - c2 / 5.0) - 1.0)
-
-
-def _sin4cos_primitive(u: float) -> float:
-    # antiderivative of sin^4 cos: s^5 / 5
-    s = math.sin(u)
-    s2 = s * s
-    return s * s2 * s2 / 5.0
-
-
 def _fan(theta1: float, theta2: float, two_phi: float, cphi: float, sphi: float) -> tuple[float, float]:
-    # (x, z) of fan_integrals from the two primitive differences, given
-    # 2 phi, cos(phi) and sin(phi) of the fan's cavity
+    # (x, z) of fan_integrals, given 2 phi, cos(phi) and sin(phi) of the
+    # fan's cavity.  With h the window's half-width and m its midpoint in u,
+    # cos u2 - cos u1 = -2 sin m sin h and sin u2 - sin u1 = 2 cos m sin h,
+    # and c2^k - c1^k is (c2 - c1) times a sum of products of c1 and c2, so
+    # a narrow window takes no difference of nearly equal primitives
+    h = 0.5 * (theta2 - theta1)
     u1, u2 = theta1 - two_phi, theta2 - two_phi
-    d_g = _sin4cos_primitive(u2) - _sin4cos_primitive(u1)
-    d_f = _sin5_primitive(u2) - _sin5_primitive(u1)
+    m = u1 + h
+    sh = math.sin(h)
+    c1, c2, s1, s2 = math.cos(u1), math.cos(u2), math.sin(u1), math.sin(u2)
+    # dF5 = (c2 - c1) (-1 + (2/3) (c2^3 - c1^3)/(c2 - c1) - (1/5) (c2^5 - c1^5)/(c2 - c1)),
+    # where (c2^3 - c1^3)/(c2 - c1) = p + t and (c2^5 - c1^5)/(c2 - c1) = p (p + t) - t^2
+    p, t = c1 * c1 + c2 * c2, c1 * c2
+    d_f = -2.0 * math.sin(m) * sh * (-1.0 + (2.0 / 3.0) * (p + t) - 0.2 * (p * (p + t) - t * t))
+    # dG5 = (1/5) (s2 - s1) (s2^5 - s1^5)/(s2 - s1)
+    p, t = s1 * s1 + s2 * s2, s1 * s2
+    d_g = 0.4 * math.cos(m) * sh * (p * (p + t) - t * t)
     return cphi * d_g - sphi * d_f, cphi * d_f + sphi * d_g
 
 

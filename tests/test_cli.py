@@ -26,6 +26,11 @@ from trapcav.analysis import PHI_TOL_FLOOR
 from trapcav.geometry import REL_TOL_FLOOR
 
 REDUCED_ARGS = ["--a", "1", "--R", "10", "--units", "reduced"]
+# every shared flag at a value other than its default
+SHARED_ARGS = [
+    "--a", "4e-07", "--R", "4e-06", "--L", "2.5", "--phi-deg", "3", "--units", "si",
+    "--tol", "1e-10", "--samples", "17", "--wing-count", "2", "--workers", "3", "--out", "run.out",
+]
 
 
 def load_schema(name: str) -> dict:
@@ -66,6 +71,14 @@ def test_parse_profile_defaults_to_csv():
         ["optimize", *REDUCED_ARGS, "--phi-lo-deg", "0.5", "--phi-hi-deg", "30",
          "--phi-tol-deg", "0.001"],
         ["verify", *REDUCED_ARGS],
+        # each subcommand's every field away from its default, and each format
+        ["profile", *SHARED_ARGS, "--format", "json", "--quantity", "pz", "--no-reference-classical"],
+        ["profile", *SHARED_ARGS, "--format", "csv", "--quantity", "px", "--reference-classical"],
+        ["force", *SHARED_ARGS, "--format", "json"],
+        ["sweep", *SHARED_ARGS, "--axis", "R", "--values", "1e-06,2.5e-06", "--format", "svg"],
+        ["optimize", *SHARED_ARGS, "--phi-lo-deg", "0.5", "--phi-hi-deg", "30",
+         "--phi-tol-deg", "0.001", "--format", "json"],
+        ["verify", *SHARED_ARGS, "--format", "json"],
     ],
 )
 def test_render_round_trip(argv):

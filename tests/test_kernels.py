@@ -124,8 +124,9 @@ def test_specific_pressures_uses_constants(monkeypatch):
 def test_pressures_match_mpmath():
     # the kernel against 40-digit arithmetic at the same float inputs: the
     # limit angles from the raw corner vectors, the fan integrals from the
-    # primitives F5 and G5; short wings (R/a <= 1e-3) lose p_x to
-    # cancellation in the fan width and are left out
+    # primitives F5 and G5; on short wings (R/a <= 1e-3) p_z is not gated,
+    # because the width of the window carries the rounding of the two atan2
+    # calls (about 5e-10 |p_z| at R/a 1e-6), while p_x keeps its gate
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp.clone()
     mp.dps = 40
@@ -135,7 +136,7 @@ def test_pressures_match_mpmath():
         return -c + 2 * c**3 / 3 - c**5 / 5, s**5 / 5
 
     worst_z = worst_x = 0.0
-    for ratio in (0.1, 1.0, 10.0, 1e3, 1e5, 1e6):
+    for ratio in (1e-6, 1e-4, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e5, 1e6):
         for phi in (0.0, 1e-6, 1e-3, 0.1, 0.5, 0.78):
             spec = CavitySpec(a=1.0, R=ratio, L=1.0, phi=phi, units=Units.REDUCED)
             R = spec.R
@@ -152,7 +153,8 @@ def test_pressures_match_mpmath():
                 scale = (c * (1 + 2 * mp.mpf(ri) * s)) ** 4
                 ref_x = (c * (g2 - g1) - s * (f2 - f1)) / scale
                 ref_z = -(c * (f2 - f1) + s * (g2 - g1)) / scale
-                worst_z = max(worst_z, float(abs((p.p_z - ref_z) / ref_z)))
+                if ratio > 1e-3:
+                    worst_z = max(worst_z, float(abs((p.p_z - ref_z) / ref_z)))
                 worst_x = max(worst_x, float(abs((p.p_x - ref_x) / ref_z)))
     assert worst_z <= 1e-13 and worst_x <= 1e-13
 

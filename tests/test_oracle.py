@@ -137,6 +137,19 @@ def test_verify_suite_passes_on_long_tilted_wings(ratio, phi, units):
         assert r.passed, f"{r.quantity}: {r.rel_deviation} > {r.tolerance}"
 
 
+@pytest.mark.parametrize("units", [Units.REDUCED, Units.SI])
+@pytest.mark.parametrize("phi", [0.0, 1e-4, 0.0873, 0.5, 0.78])
+@pytest.mark.parametrize("ratio", [1e-6, 1e-3])
+def test_verify_suite_passes_on_short_wings(ratio, phi, units):
+    # a difference of the fan primitives over a narrow window missed the
+    # inner integrals' 1e-10 gate by up to 7e-10 at R/a = 1e-6
+    a = 1.0 if units is Units.REDUCED else 1e-7
+    reports = verify_suite(CavitySpec(a=a, R=a * ratio, L=1.0, phi=phi, units=units))
+    assert [r.quantity for r in reports] == CHECK_NAMES
+    for r in reports:
+        assert r.passed, f"{r.quantity}: {r.rel_deviation} > {r.tolerance}"
+
+
 def test_gauss_rule_matches_numpy_nodes():
     np = pytest.importorskip("numpy")
     x, w = np.polynomial.legendre.leggauss(20)

@@ -30,10 +30,30 @@ def test_wrap_points_resolve():
     assert missing == []
 
 
+def test_uninstall_restores_every_wrap_point():
+    # uninstall must put back the very object each wrap point named, or a
+    # stale wrapper keeps counting into a finished tracer
+    tracing = load_tracing()
+
+    def wrap_points():
+        return [getattr(importlib.import_module(module), attr) for module, attr in tracing.WRAP_POINTS]
+
+    before = wrap_points()
+    tracer = tracing.Tracer()
+    tracer.install()
+    tracer.uninstall()
+    moved = [
+        f"{module}.{attr}"
+        for (module, attr), old, new in zip(tracing.WRAP_POINTS, before, wrap_points())
+        if new is not old
+    ]
+    assert moved == []
+
+
 def test_traced_cli_runs_record_the_lazily_loaded_layers(capsysbinary):
-    # the cli calls verify_suite and pressure_profile through its module
-    # attributes, so the wrappers installed there see the calls even though
-    # the oracle and the array kernel load only on first use
+    # the cli calls verify_suite and pressure_profile by their names in its
+    # module, so the wrappers installed there see the calls, verify_suite's
+    # although the oracle loads only on its first call
     tracer = load_tracing().Tracer()
     tracer.install()
     try:
