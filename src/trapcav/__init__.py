@@ -5,26 +5,19 @@ expulsion pressure p_x on the wings of an open trapezoid cavity, integrates
 them into per-wing forces, sweeps and optimizes over the opening angle, and
 cross-checks every closed form against brute-force oracles.
 
-``import trapcav`` loads the errors, the cavity spec and its checks, the
-pressure kernel, the closed-form forces, sweeps and the optimizer.  The
-names of the two numerical cross-checks, the adaptive quadrature and the
-oracle, resolve on first use (PEP 562), which imports their module.  Only
-the quadrature's names (``integrate_adaptive``, ``pairwise_sum``,
-``QuadratureResult``) and a call of ``riemann_forces`` load numpy;
-everything else, ``verify_suite`` included, runs on plain floats.
+``import trapcav`` loads the errors, the cavity spec and its checks, and
+the closed-form forces: what a ``trapcav force`` process runs.  Every other
+public name resolves on first use (PEP 562), which imports its module:
+the sweeps and the optimizer (:mod:`~trapcav.analysis`), the pressure
+kernel (:mod:`~trapcav.kernels`), and the two numerical cross-checks, the
+adaptive quadrature and the oracle.  Only the quadrature's names
+(``integrate_adaptive``, ``pairwise_sum``, ``QuadratureResult``) and a
+call of ``riemann_forces`` load numpy; everything else, ``verify_suite``
+included, runs on plain floats.
 """
 
 import importlib
 
-from .analysis import (
-    OptimumReport,
-    RescaleReport,
-    SweepAxis,
-    SweepTable,
-    optimize_phi,
-    rescale_report,
-    sweep,
-)
 from .errors import (
     DegenerateFan,
     InvalidCavity,
@@ -48,10 +41,20 @@ from .geometry import (
     s_factor,
     validate,
 )
-from .kernels import PressureSample, classical_casimir_pressure, fan_integrals, specific_pressures
 
-# the cross-checks' public names, by the module that defines them
+# the public names that load on first use, by the module that defines them
 _LAZY = {
+    "OptimumReport": "analysis",
+    "RescaleReport": "analysis",
+    "SweepAxis": "analysis",
+    "SweepTable": "analysis",
+    "optimize_phi": "analysis",
+    "rescale_report": "analysis",
+    "sweep": "analysis",
+    "PressureSample": "kernels",
+    "classical_casimir_pressure": "kernels",
+    "fan_integrals": "kernels",
+    "specific_pressures": "kernels",
     "OracleReport": "oracle",
     "limit_angles_vector": "oracle",
     "ray_length_intersection": "oracle",

@@ -27,12 +27,9 @@ from typing import NamedTuple
 
 from .errors import InvalidCavity, NoInteriorMaximum, NonFiniteSample
 from .forces import ForceResult, _check_options, _forces, expulsion, total_forces
-from .geometry import PHI_MAX, CavitySpec, Units, pressure_prefactor, validate
-from .kernels import specific_pressures
+from .geometry import PHI_MAX, PHI_TOL_FLOOR, CavitySpec, Units, pressure_prefactor, validate
 
 _PRESCAN_POINTS = 32
-# smallest optimize_phi tol, rad
-PHI_TOL_FLOOR = 1e-6
 
 
 class SweepAxis(str, Enum):
@@ -311,6 +308,8 @@ def rescale_report(spec: CavitySpec, lam: float, *, rel_tol: float = 1e-9) -> Re
     validate(scaled)
     f_base = total_forces(base, rel_tol)
     f_scaled = total_forces(scaled, rel_tol)
+    from .kernels import specific_pressures
+
     p_base = specific_pressures(base, base.R / 3.0)
     p_scaled = specific_pressures(scaled, scaled.R / 3.0)
 

@@ -1,4 +1,4 @@
-"""Command-line front end and serialization: CSV, JSON, SVG.
+"""Command-line front end and its JSON output; CSV and SVG are in :mod:`~trapcav.emit`.
 
 Subcommands: profile, force, sweep, optimize, verify.  Angles are degrees
 on the command line and radians everywhere inside.  Exit codes: 0 success,
@@ -15,11 +15,9 @@ import os
 import sys
 import typing
 
-from .analysis import PHI_TOL_FLOOR, SweepAxis, SweepTable, optimize_phi, sweep
 from .errors import InvalidCavity, OutOfRange, TrapcavError
-from .forces import ForceResult, PressureProfile, pressure_profile, total_forces
-from .geometry import REL_TOL_FLOOR, CavitySpec, Units, pressure_prefactor, validate
-from .kernels import classical_casimir_pressure
+from .forces import ForceResult, pressure_profile, total_forces
+from .geometry import PHI_TOL_FLOOR, REL_TOL_FLOOR, CavitySpec, Units, pressure_prefactor, validate
 
 # each subcommand's help and output formats; the first format is its default
 _COMMANDS = {
@@ -30,7 +28,23 @@ _COMMANDS = {
     "verify": ("run the oracle cross-check suite", ("json",)),
 }
 
-_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+
+# sweep and optimize_phi stay names of this module, but the sweep and
+# optimize commands import the analysis's own functions where they call
+# them, so that a wrapper installed on both names (a profiler's, say) runs
+# once per call, not twice
+def sweep(*args, **kwargs):
+    """:func:`trapcav.analysis.sweep`; the analysis loads on the first call."""
+    from .analysis import sweep
+
+    return sweep(*args, **kwargs)
+
+
+def optimize_phi(*args, **kwargs):
+    """:func:`trapcav.analysis.optimize_phi`; the analysis loads on the first call."""
+    from .analysis import optimize_phi
+
+    return optimize_phi(*args, **kwargs)
 
 
 def verify_suite(spec: CavitySpec) -> list:
@@ -65,18 +79,6 @@ class RunConfig(typing.NamedTuple):
     phi_lo_deg: float | None
     phi_hi_deg: float | None
     phi_tol_deg: float | None
-
-
-class PlotSpec(typing.NamedTuple):
-    """Single-panel line chart: labeled series plus optional horizontal references.
-
-    :func:`emit_svg` checks it before drawing.
-    """
-
-    x_label: str
-    y_label: str
-    series: tuple[tuple[str, tuple[tuple[float, float], ...]], ...]
-    ref_lines: tuple[tuple[str, float], ...] = ()
 
 
 def _checked(convert, ok, rule: str):
@@ -287,133 +289,6 @@ def _json_bytes(payload: dict) -> bytes:
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
-def emit_csv(table: PressureProfile | SweepTable) -> bytes:
-    """CSV with 17 significant digits, \\n line endings, no locale."""
-    lines = []
-    if isinstance(table, PressureProfile):
-        lines.append("r,p_x,p_z")
-        for s in table.samples:
-            lines.append(f"{_fmt(s.r)},{_fmt(s.p_x)},{_fmt(s.p_z)}")
-    elif isinstance(table, SweepTable):
-        lines.append("param,f_x,f_z,err_x,err_z,converged")
-        for param, res in table.points:
-            flag = "true" if res.converged else "false"
-            lines.append(
-                f"{_fmt(param)},{_fmt(res.f_x)},{_fmt(res.f_z)},"
-                f"{_fmt(res.err_x)},{_fmt(res.err_z)},{flag}"
-            )
-    else:
-        raise TypeError(f"no CSV form for {type(table).__name__}")
-    return ("\n".join(lines) + "\n").encode("ascii")
-
-
-def emit_svg(plot: PlotSpec) -> bytes:
-    """Self-contained 640x440 SVG: axes, ticks, one polyline per series or reference.
-
-    A flat series (all y identical) is drawn against a padded range of
-    +/- max(1, |y|)/2 instead of failing; that is the documented handling
-    of the degenerate-plot case.  A plot without a series, a series with
-    fewer than 2 points, or a coordinate or reference level that is not
-    finite raises ``ValueError``.
-    """
-    if not plot.series:
-        raise ValueError("plot needs at least one series")
-    for name, points in plot.series:
-        if len(points) < 2:
-            raise ValueError(f"series {name!r} needs at least 2 points")
-        for x, y in points:
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError(f"series {name!r} has a non-finite point ({x!r}, {y!r})")
-    for name, y in plot.ref_lines:
-        if not math.isfinite(y):
-            raise ValueError(f"reference line {name!r} is non-finite")
-    w, h = 640.0, 440.0
-    ml, mr, mt, mb = 70.0, 20.0, 20.0, 50.0
-    xs = [p[0] for _, pts in plot.series for p in pts]
-    ys = [p[1] for _, pts in plot.series for p in pts]
-    ys += [y for _, y in plot.ref_lines]
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
-    if xmax == xmin:
-        pad = 0.5 * max(1.0, abs(xmin))
-        xmin, xmax = xmin - pad, xmax + pad
-    if ymax == ymin:
-        pad = 0.5 * max(1.0, abs(ymin))
-        ymin, ymax = ymin - pad, ymax + pad
-
-    def px(x: float) -> float:
-        return ml + (x - xmin) / (xmax - xmin) * (w - ml - mr)
-
-    def py(y: float) -> float:
-        return (h - mb) - (y - ymin) / (ymax - ymin) * (h - mt - mb)
-
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.0f}" height="{h:.0f}" '
-        f'viewBox="0 0 {w:.0f} {h:.0f}">',
-        f'<rect x="0" y="0" width="{w:.0f}" height="{h:.0f}" fill="white"/>',
-        f'<line x1="{ml:.2f}" y1="{h - mb:.2f}" x2="{w - mr:.2f}" y2="{h - mb:.2f}" '
-        'stroke="black" stroke-width="1"/>',
-        f'<line x1="{ml:.2f}" y1="{mt:.2f}" x2="{ml:.2f}" y2="{h - mb:.2f}" '
-        'stroke="black" stroke-width="1"/>',
-    ]
-    for k in range(5):
-        xv = xmin + (xmax - xmin) * k / 4
-        yv = ymin + (ymax - ymin) * k / 4
-        xp, yp = px(xv), py(yv)
-        parts.append(
-            f'<line x1="{xp:.2f}" y1="{h - mb:.2f}" x2="{xp:.2f}" y2="{h - mb + 5:.2f}" '
-            'stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{xp:.2f}" y="{h - mb + 18:.2f}" font-size="11" '
-            f'text-anchor="middle" font-family="sans-serif">{format(xv, ".4g")}</text>'
-        )
-        parts.append(
-            f'<line x1="{ml - 5:.2f}" y1="{yp:.2f}" x2="{ml:.2f}" y2="{yp:.2f}" '
-            'stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{ml - 8:.2f}" y="{yp + 4:.2f}" font-size="11" '
-            f'text-anchor="end" font-family="sans-serif">{format(yv, ".4g")}</text>'
-        )
-    parts.append(
-        f'<text x="{(ml + w - mr) / 2:.2f}" y="{h - 12:.2f}" font-size="13" '
-        f'text-anchor="middle" font-family="sans-serif">{plot.x_label}</text>'
-    )
-    parts.append(
-        f'<text x="14" y="{(mt + h - mb) / 2:.2f}" font-size="13" text-anchor="middle" '
-        f'font-family="sans-serif" transform="rotate(-90 14 {(mt + h - mb) / 2:.2f})">'
-        f"{plot.y_label}</text>"
-    )
-    for name, yv in plot.ref_lines:
-        yp = py(yv)
-        parts.append(
-            f'<polyline fill="none" stroke="#777777" stroke-width="1" '
-            f'stroke-dasharray="6,4" points="{px(xmin):.2f},{yp:.2f} {px(xmax):.2f},{yp:.2f}"/>'
-        )
-        parts.append(
-            f'<text x="{w - mr - 4:.2f}" y="{yp - 4:.2f}" font-size="11" '
-            f'text-anchor="end" font-family="sans-serif" fill="#777777">{name}</text>'
-        )
-    for idx, (name, pts) in enumerate(plot.series):
-        color = _PALETTE[idx % len(_PALETTE)]
-        coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>'
-        )
-        parts.append(
-            f'<text x="{w - mr - 4:.2f}" y="{mt + 14 + 16 * idx:.2f}" font-size="12" '
-            f'text-anchor="end" font-family="sans-serif" fill="{color}">{name}</text>'
-        )
-    parts.append("</svg>")
-    return ("\n".join(parts) + "\n").encode("utf-8")
-
-
 def _emit_error(payload: dict) -> None:
     sys.stderr.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
 
@@ -469,8 +344,6 @@ def _build_spec(config: RunConfig) -> CavitySpec:
 
 def _profile_payload(config: RunConfig, spec: CavitySpec) -> bytes:
     profile = pressure_profile(spec, config.samples)
-    if config.format == "csv":
-        return emit_csv(profile)
     if config.format == "json":
         return _json_bytes(
             {
@@ -480,6 +353,11 @@ def _profile_payload(config: RunConfig, spec: CavitySpec) -> bytes:
                 ],
             }
         )
+    # only csv and svg output loads the emitter
+    from .emit import PlotSpec, emit_csv, emit_svg
+
+    if config.format == "csv":
+        return emit_csv(profile)
     rs = [s.r for s in profile.samples]
     series = []
     if config.quantity in ("px", "both"):
@@ -488,6 +366,8 @@ def _profile_payload(config: RunConfig, spec: CavitySpec) -> bytes:
         series.append(("p_z", tuple(zip(rs, (s.p_z for s in profile.samples)))))
     refs = ()
     if config.reference_classical:
+        from .kernels import classical_casimir_pressure
+
         level = classical_casimir_pressure(spec.a, k=pressure_prefactor(spec))
         refs = (("classical", level),)
     plot = PlotSpec(
@@ -497,6 +377,8 @@ def _profile_payload(config: RunConfig, spec: CavitySpec) -> bytes:
 
 
 def _sweep_payload(config: RunConfig, spec: CavitySpec) -> bytes:
+    from .analysis import SweepAxis, sweep
+
     axis = SweepAxis(config.axis)
     values = list(config.values)
     if axis is SweepAxis.PHI:
@@ -514,8 +396,6 @@ def _sweep_payload(config: RunConfig, spec: CavitySpec) -> bytes:
     if len(pts) < (2 if config.format == "svg" else 1):
         need = "sweep SVG needs 2 rows" if config.format == "svg" else "sweep needs a row"
         raise TrapcavError(f"{need} with a finite f_x, {len(pts)} of {len(table.points)} have one")
-    if config.format == "csv":
-        return emit_csv(table)
     if config.format == "json":
         return _json_bytes(
             {
@@ -526,6 +406,11 @@ def _sweep_payload(config: RunConfig, spec: CavitySpec) -> bytes:
                 ],
             }
         )
+    # only csv and svg output loads the emitter
+    from .emit import PlotSpec, emit_csv, emit_svg
+
+    if config.format == "csv":
+        return emit_csv(table)
     label = "phi [rad]" if axis is SweepAxis.PHI else "R"
     plot = PlotSpec(x_label=label, y_label="|f_x|", series=(("|f_x|", pts),))
     return emit_svg(plot)
@@ -545,7 +430,7 @@ def run(config: RunConfig) -> int:
                 _emit_error(
                     {
                         "error": "NotConverged",
-                        "message": "force integration did not converge",
+                        "message": "the larger rounding bound exceeds --tol times the larger force component",
                         **_force_dict(result),
                     }
                 )
@@ -554,6 +439,8 @@ def run(config: RunConfig) -> int:
         elif config.command == "sweep":
             payload = _sweep_payload(config, spec)
         elif config.command == "optimize":
+            from .analysis import optimize_phi
+
             report = optimize_phi(
                 spec,
                 math.radians(config.phi_lo_deg),

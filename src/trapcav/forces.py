@@ -64,14 +64,13 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NonFiniteSample
 from .geometry import REL_TOL_FLOOR, CavitySpec, WingParams, pressure_prefactor, validate
-from .kernels import PressureSample, wing_pressures
 
-# bench/tracing.py wraps it by its name in this module
-from .kernels import specific_pressures  # noqa: F401
+if TYPE_CHECKING:
+    from .kernels import PressureSample
 
 # the reported error bound of either formula, per unit of the summed
 # magnitudes of its terms: 8 eps, where a 50-digit grid over R/a
@@ -153,6 +152,15 @@ def integrate_adaptive(*args, **kwargs):
     from .quadrature import integrate_adaptive
 
     return integrate_adaptive(*args, **kwargs)
+
+
+def specific_pressures(spec: CavitySpec, r: float) -> PressureSample:
+    # bench/tracing.py wraps specific_pressures by its name in this module;
+    # the kernels load on the first call, so that a process that only runs
+    # the closed forms does not compile them
+    from .kernels import specific_pressures
+
+    return specific_pressures(spec, r)
 
 
 class ForceResult(NamedTuple):
@@ -374,6 +382,8 @@ def pressure_profile(spec: CavitySpec, n: int) -> PressureProfile:
         raise ValueError(f"profile needs a whole number of samples, got {n!r}") from None
     if n < 2:
         raise ValueError(f"profile needs at least 2 samples, got {n!r}")
+    from .kernels import PressureSample, wing_pressures
+
     cav, k = WingParams.of(spec), pressure_prefactor(spec)
     samples = []
     for i in range(n):

@@ -32,8 +32,9 @@ restricted below pi/4 the window satisfies 2 phi < theta1 < theta2 <= pi and
 every denominator above stays strictly positive.
 
 The module also holds the spec, its units and :func:`validate`, the
-prefactor :data:`K` and :data:`REL_TOL_FLOOR`.  Every function takes one
-wing coordinate ``r`` as a float and runs on :mod:`math` alone.
+prefactor :data:`K`, and the tolerance floors :data:`REL_TOL_FLOOR` and
+:data:`PHI_TOL_FLOOR`.  Every function takes one wing coordinate ``r`` as
+a float and runs on :mod:`math` alone.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ K = 1.054571817e-34 * 2.99792458e8 * math.pi**2 / 240.0
 #: a tolerance below it can never be met there, and the force functions of
 #: :mod:`~trapcav.forces` refuse a ``rel_tol`` below it.
 REL_TOL_FLOOR = 50.0 * sys.float_info.epsilon
+
+#: Smallest angle tolerance, in radians, that
+#: :func:`~trapcav.analysis.optimize_phi` accepts.
+PHI_TOL_FLOOR = 1e-6
 
 # sine denominators below this are treated as degenerate
 _SIN_FLOOR = 1e-14

@@ -12,18 +12,10 @@ import jsonschema
 import pytest
 
 from trapcav import CavitySpec, ForceResult, SweepAxis, SweepTable, Units, sweep
-from trapcav.cli import (
-    PlotSpec,
-    RunConfig,
-    emit_csv,
-    emit_svg,
-    main,
-    parse_args,
-    render_args,
-)
+from trapcav.cli import RunConfig, main, parse_args, render_args
 import trapcav.cli
-from trapcav.analysis import PHI_TOL_FLOOR
-from trapcav.geometry import REL_TOL_FLOOR
+from trapcav.emit import PlotSpec, emit_csv, emit_svg
+from trapcav.geometry import PHI_TOL_FLOOR, REL_TOL_FLOOR
 
 REDUCED_ARGS = ["--a", "1", "--R", "10", "--units", "reduced"]
 # every shared flag at a value other than its default
@@ -229,20 +221,21 @@ def fresh_python(code: str, *argv: str) -> str:
     return subprocess.run(cmd, env=env, capture_output=True, text=True, check=True).stdout
 
 
-# runs trapcav.cli.main on its arguments, if any, and prints the exit code
-# and the numpy, scipy and dataclasses modules then loaded
+# runs trapcav.cli.main on its arguments, if any, and prints the exit code,
+# the numpy, scipy and dataclasses modules then loaded and the trapcav ones
 FRESH_MAIN = """
 import json, sys
 import trapcav, trapcav.cli
 code = trapcav.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 unwanted = ("numpy", "scipy", "dataclasses")
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] in unwanted)]))
+loaded = [sorted(m for m in sys.modules if m.split(".")[0] in names) for names in (unwanted, ("trapcav",))]
+print(json.dumps([code, *loaded]))
 """
 
 
-def run_fresh(*argv: str) -> tuple[int, list[str]]:
-    code, loaded = json.loads(fresh_python(FRESH_MAIN, *argv).splitlines()[-1])
-    return code, loaded
+def run_fresh(*argv: str) -> tuple[int, list[str], list[str]]:
+    code, unwanted, trapcav_modules = json.loads(fresh_python(FRESH_MAIN, *argv).splitlines()[-1])
+    return code, unwanted, trapcav_modules
 
 
 def test_import_loads_neither_numpy_scipy_nor_dataclasses():
@@ -263,7 +256,36 @@ def test_import_loads_neither_numpy_scipy_nor_dataclasses():
         ["profile", *REDUCED_ARGS, "--samples", "9", "--format", "svg", "--reference-classical"],
         ["verify", *REDUCED_ARGS, "--phi-deg", "5"],
     ):
-        assert run_fresh(*argv) == (0, []), argv
+        assert run_fresh(*argv)[:2] == (0, []), argv
+
+
+# what importing trapcav.cli loads: the package, the errors, the cavity spec
+# and the closed-form forces
+CLI_MODULES = ["trapcav", "trapcav.cli", "trapcav.errors", "trapcav.forces", "trapcav.geometry"]
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        ([], []),
+        (["force", *REDUCED_ARGS, "--phi-deg", "5"], []),
+        (["optimize", *REDUCED_ARGS, "--phi-lo-deg", "0.5", "--phi-hi-deg", "20"], ["analysis"]),
+        (["sweep", *REDUCED_ARGS, "--axis", "phi", "--values", "1,5", "--format", "json"], ["analysis"]),
+        (["sweep", *REDUCED_ARGS, "--axis", "phi", "--values", "1,5", "--format", "csv"], ["analysis", "emit"]),
+        (["sweep", *REDUCED_ARGS, "--axis", "phi", "--values", "1,5", "--format", "svg"], ["analysis", "emit"]),
+        (["profile", *REDUCED_ARGS, "--samples", "9", "--format", "json"], ["kernels"]),
+        (["profile", *REDUCED_ARGS, "--samples", "9", "--format", "csv"], ["emit", "kernels"]),
+        (["profile", *REDUCED_ARGS, "--samples", "9", "--format", "svg", "--reference-classical"], ["emit", "kernels"]),
+        (["verify", *REDUCED_ARGS, "--phi-deg", "5"], ["kernels", "oracle"]),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, extra):
+    # a trapcav process compiles every module it imports (no bytecode cache
+    # where PYTHONDONTWRITEBYTECODE is set), so a command loads no module
+    # that it does not run: force needs only what importing trapcav.cli loads
+    code, _, loaded = run_fresh(*argv)
+    assert code == 0
+    assert loaded == sorted(CLI_MODULES + [f"trapcav.{name}" for name in extra])
 
 
 def test_cli_import_leaves_tempfile_unloaded():
@@ -301,7 +323,7 @@ def test_verify_leaves_numpy_unloaded():
     # force checks against the Gauss-Legendre oracle too, on math floats
     argv = ("verify", "--a", "1e-7", "--R", "1e-2", "--phi-deg", "44.7")
     *report, last = fresh_python(FRESH_MAIN, *argv).splitlines()
-    assert json.loads(last) == [0, []]
+    assert json.loads(last)[:2] == [0, []]
     payload = json.loads("\n".join(report))
     assert payload["all_passed"] is True
     assert {c["quantity"]: c["tolerance"] for c in payload["checks"]}["total_force_z"] == 1e-10
@@ -435,6 +457,7 @@ def test_force_unconverged_exits_1(monkeypatch, capsys):
     assert main(["force", *REDUCED_ARGS]) == 1
     payload = json.loads(capsys.readouterr().err)
     assert payload["error"] == "NotConverged"
+    assert payload["message"] == "the larger rounding bound exceeds --tol times the larger force component"
     assert payload["f_z"] == -0.5
 
 

@@ -326,8 +326,9 @@ def test_forces_run_no_kernel_and_leave_numpy_unloaded(monkeypatch):
     def no_kernel(*args, **kwargs):
         raise AssertionError("a pressure kernel ran")
 
+    # forces imports wing_pressures from kernels where it samples a profile
+    monkeypatch.setattr(trapcav.kernels, "wing_pressures", no_kernel)
     for module in (trapcav.kernels, trapcav.forces):
-        monkeypatch.setattr(module, "wing_pressures", no_kernel)
         monkeypatch.setattr(module, "specific_pressures", no_kernel)
     for spec in (reduced_at(1.0), reduced_at(1.0)._replace(R=0.1)):
         for wing_count in (1, 2):

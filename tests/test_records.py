@@ -16,7 +16,8 @@ from trapcav import (
     SweepTable,
     Units,
 )
-from trapcav.cli import PlotSpec, parse_args
+from trapcav.cli import parse_args
+from trapcav.emit import PlotSpec
 
 SPEC = "CavitySpec(a=1.0, R=4.0, L=1.0, phi=0.1, units=<Units.REDUCED: 'reduced'>)"
 FORCE = (

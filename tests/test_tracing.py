@@ -65,6 +65,22 @@ def test_traced_cli_runs_record_the_lazily_loaded_layers(capsysbinary):
     assert {"oracle.verify_suite", "forces.pressure_profile", "forces.total_forces"} <= recorded
 
 
+def test_traced_cli_sweep_and_optimize_record_one_analysis_span(capsysbinary):
+    # the tracer wraps sweep and optimize_phi both in the cli and in the
+    # analysis; a command that ran through both wrappers would count its
+    # analysis call twice
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        reduced = ["--a", "1", "--R", "4", "--units", "reduced"]
+        assert trapcav.cli.main(["sweep", *reduced, "--axis", "phi", "--values", "1,5"]) == 0
+        assert trapcav.cli.main(["optimize", *reduced, "--phi-lo-deg", "0.5", "--phi-hi-deg", "20"]) == 0
+    finally:
+        tracer.uninstall()
+    names = [tracer.names[i] for i in tracer.name]
+    assert [names.count("analysis.sweep"), names.count("analysis.optimize_phi")] == [1, 1]
+
+
 def test_traced_quadrature_counts_its_evaluations():
     # the tracer reads evaluations from a result and from a NotConverged,
     # and counts each NotConverged once
