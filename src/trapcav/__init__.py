@@ -9,11 +9,12 @@ cross-checks every closed form against brute-force oracles.
 the closed-form forces: what a ``trapcav force`` process runs.  Every other
 public name resolves on first use (PEP 562), which imports its module:
 the sweeps and the optimizer (:mod:`~trapcav.analysis`), the pressure
-kernel (:mod:`~trapcav.kernels`), and the two numerical cross-checks, the
-adaptive quadrature and the oracle.  Only the quadrature's names
-(``integrate_adaptive``, ``pairwise_sum``, ``QuadratureResult``) and a
-call of ``riemann_forces`` load numpy; everything else, ``verify_suite``
-included, runs on plain floats.
+kernel (:mod:`~trapcav.kernels`) and the oracle's checks
+(:mod:`~trapcav.oracle`).  Every public name runs on plain floats and
+loads no numpy.  The numerical references that the tests compare against,
+the adaptive quadrature of :mod:`~trapcav.quadrature` and
+:func:`~trapcav.oracle.riemann_forces`, are imported from their modules:
+they need numpy, which only the ``test`` extra installs.
 """
 
 import importlib
@@ -24,7 +25,6 @@ from .errors import (
     NoInteriorMaximum,
     NonFiniteSample,
     NonPositiveGap,
-    NotConverged,
     NumericDegeneracy,
     OutOfRange,
     TrapcavError,
@@ -58,11 +58,7 @@ _LAZY = {
     "OracleReport": "oracle",
     "limit_angles_vector": "oracle",
     "ray_length_intersection": "oracle",
-    "riemann_forces": "oracle",
     "verify_suite": "oracle",
-    "QuadratureResult": "quadrature",
-    "integrate_adaptive": "quadrature",
-    "pairwise_sum": "quadrature",
 }
 
 
@@ -87,7 +83,6 @@ __all__ = [
     "NoInteriorMaximum",
     "NonFiniteSample",
     "NonPositiveGap",
-    "NotConverged",
     "NumericDegeneracy",
     "OptimumReport",
     "OracleReport",
@@ -95,7 +90,6 @@ __all__ = [
     "PHI_MAX",
     "PressureProfile",
     "PressureSample",
-    "QuadratureResult",
     "RescaleReport",
     "SweepAxis",
     "SweepTable",
@@ -103,17 +97,14 @@ __all__ = [
     "Units",
     "classical_casimir_pressure",
     "fan_integrals",
-    "integrate_adaptive",
     "limit_angles",
     "limit_angles_vector",
     "optimize_phi",
-    "pairwise_sum",
     "pressure_prefactor",
     "pressure_profile",
     "ray_length",
     "ray_length_intersection",
     "rescale_report",
-    "riemann_forces",
     "s_factor",
     "specific_pressures",
     "sweep",

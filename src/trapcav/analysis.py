@@ -279,7 +279,7 @@ def _refinement_angles(
     return [a + (b - a) * k / 4.0 for k in (1, 2, 3)]
 
 
-def rescale_report(spec: CavitySpec, lam: float, *, rel_tol: float = 1e-9) -> RescaleReport:
+def rescale_report(spec: CavitySpec, lam: float) -> RescaleReport:
     """Measure force and pressure ratios between ``spec`` and its lambda scale.
 
     The scaled cavity has (a, R) -> (lambda a, lambda R) at fixed L.  Both
@@ -304,10 +304,10 @@ def rescale_report(spec: CavitySpec, lam: float, *, rel_tol: float = 1e-9) -> Re
     base = spec._replace(units=Units.SI)
     validate(base)
     scaled = base._replace(a=lam * base.a, R=lam * base.R)
-    # both cavities are checked before rel_tol, and rel_tol before any force
+    # both cavities are checked before any force
     validate(scaled)
-    f_base = total_forces(base, rel_tol)
-    f_scaled = total_forces(scaled, rel_tol)
+    f_base = total_forces(base)
+    f_scaled = total_forces(scaled)
     from .kernels import specific_pressures
 
     p_base = specific_pressures(base, base.R / 3.0)

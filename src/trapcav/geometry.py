@@ -174,10 +174,29 @@ class WingParams(NamedTuple):
 
     def angles(self, r: float) -> tuple[float, float]:
         """theta1 and theta2 of :func:`limit_angles`, without its checks."""
-        return (
-            math.atan2(self.far_cross, (self.R - r) - self.far_dot),
-            math.atan2(self.near_cross, -self.near_dot - r),
-        )
+        return self.theta1(r), math.atan2(self.near_cross, -self.near_dot - r)
+
+    def theta1(self, r: float) -> float:
+        """The far limit angle theta1 at ``r``, without checks."""
+        return math.atan2(self.far_cross, (self.R - r) - self.far_dot)
+
+    def width(self, r: float) -> float:
+        """theta2 - theta1 at ``r``, good to a few ulps of itself.
+
+        The angle between P->M3 and P->M2, from P = P(r), is atan2 of their
+        cross product, R s(r), and their dot product,
+        -r (R - r) cos^2(phi) + (a + r sin phi) (a + (R + r) sin phi).
+        Both are products of terms with few ulps each, so the width keeps
+        its digits where theta2 - theta1 would cancel (a short wing).  The
+        lengths are taken in units of a + R, so neither product overflows
+        or underflows; atan2 does not see the common scale.
+        """
+        g = 1.0 / (self.a + self.R)
+        ag, Rg, rg = self.a * g, self.R * g, r * g
+        cphi, sphi = self.cphi, self.sphi
+        cross = Rg * cphi * (ag + rg * (2.0 * sphi))
+        dot = -rg * ((self.R - r) * g) * cphi * cphi + (ag + rg * sphi) * (ag + (Rg + rg) * sphi)
+        return math.atan2(cross, dot)
 
 
 def _check_r(cav: WingParams, r: float) -> None:

@@ -30,8 +30,11 @@ integrand to cos(phi) dG5 - sin(phi) dF5; :func:`fan_integrals` returns both
 from one evaluation of each primitive difference.  Each difference is
 written as a product with sin h, h the window's half-width, so a narrow
 window (a short wing) keeps the digits that F5(u2) - F5(u1) would lose to
-cancellation.  The kernel is :func:`wing_pressures`, one scalar formula in
-:mod:`math` floats for one cavity's parameters and one wing coordinate, and
+cancellation.  The kernel takes that width from one ``atan2`` of a cross
+and a dot product (:meth:`~trapcav.geometry.WingParams.width`), not as
+theta2 - theta1, so it keeps its digits too.  The kernel is
+:func:`wing_pressures`, one scalar formula in :mod:`math` floats for one
+cavity's parameters and one wing coordinate, and
 :func:`specific_pressures` is its form for a cavity spec.  It works in units of the gap: the fan
 integrals are divided by (s/a)^4 and multiplied by K / a^4, computed as
 K / a / a / a / a, so neither a^4 nor s^4 is ever formed, and a tiny gap
@@ -81,15 +84,16 @@ def classical_casimir_pressure(a: float, k: float = K) -> float:
     return -k / a / a / a / a
 
 
-def _fan(theta1: float, theta2: float, two_phi: float, cphi: float, sphi: float) -> tuple[float, float]:
-    # (x, z) of fan_integrals, given 2 phi, cos(phi) and sin(phi) of the
-    # fan's cavity.  With h the window's half-width and m its midpoint in u,
-    # cos u2 - cos u1 = -2 sin m sin h and sin u2 - sin u1 = 2 cos m sin h,
-    # and c2^k - c1^k is (c2 - c1) times a sum of products of c1 and c2, so
-    # a narrow window takes no difference of nearly equal primitives
-    h = 0.5 * (theta2 - theta1)
-    u1, u2 = theta1 - two_phi, theta2 - two_phi
-    m = u1 + h
+def _fan(theta1: float, width: float, two_phi: float, cphi: float, sphi: float) -> tuple[float, float]:
+    # (x, z) of fan_integrals over [theta1, theta1 + width], given 2 phi,
+    # cos(phi) and sin(phi) of the fan's cavity.  With h the window's
+    # half-width and m its midpoint in u, cos u2 - cos u1 = -2 sin m sin h
+    # and sin u2 - sin u1 = 2 cos m sin h, and c2^k - c1^k is (c2 - c1)
+    # times a sum of products of c1 and c2, so a narrow window takes no
+    # difference of nearly equal primitives
+    h = 0.5 * width
+    u1 = theta1 - two_phi
+    u2, m = u1 + width, u1 + h
     sh = math.sin(h)
     c1, c2, s1, s2 = math.cos(u1), math.cos(u2), math.sin(u1), math.sin(u2)
     # dF5 = (c2 - c1) (-1 + (2/3) (c2^3 - c1^3)/(c2 - c1) - (1/5) (c2^5 - c1^5)/(c2 - c1)),
@@ -116,7 +120,7 @@ def fan_integrals(window: AngleWindow, phi: float) -> tuple:
     theta = pi/2 + 2 phi; the full half-space fan at phi = 0 integrates to
     exactly zero.
     """
-    return _fan(window.theta1, window.theta2, 2.0 * phi, math.cos(phi), math.sin(phi))
+    return _fan(window.theta1, window.width, 2.0 * phi, math.cos(phi), math.sin(phi))
 
 
 def wing_pressures(cav: WingParams, k: float, r: float) -> tuple[float, float]:
@@ -126,17 +130,19 @@ def wing_pressures(cav: WingParams, k: float, r: float) -> tuple[float, float]:
     its prefactor.  p = (k / a^4) (a / s)^4 times the fan integrals, where
     s/a lies in [cos(phi), 1 + 2 R/a]: its fourth power never goes
     subnormal, and overflows to inf only on wings so long that the
-    pressure is 0.  The fast path tests the range of ``r`` and the fan;
-    only when a test fails does :func:`limit_angles` run, to raise
-    :class:`OutOfRange` or :class:`DegenerateFan`.  A component that is not
-    finite (k / a^4 overflows at SI gaps below about 1.6e-84 m) raises
+    pressure is 0.  theta1 comes from its ``atan2`` and the window's width
+    from :meth:`WingParams.width`.  The fast path tests the range of ``r``
+    and that the width is positive; only when a test fails does
+    :func:`limit_angles` run, to raise :class:`OutOfRange` or
+    :class:`DegenerateFan`.  A component that is not finite (k / a^4
+    overflows at SI gaps below about 1.6e-84 m) raises
     :class:`NonFiniteSample` naming it and ``r``.  Nothing else is
     validated, so the caller validates the cavity once.
     """
-    theta1, theta2 = cav.angles(r)
-    if not (0.0 <= r <= cav.R and theta1 < theta2):
+    theta1, width = cav.theta1(r), cav.width(r)
+    if not (0.0 <= r <= cav.R and width > 0.0):
         limit_angles(cav, r)  # raises OutOfRange or DegenerateFan
-    x, z = _fan(theta1, theta2, cav.two_phi, cav.cphi, cav.sphi)
+    x, z = _fan(theta1, width, cav.two_phi, cav.cphi, cav.sphi)
     a = cav.a
     q = cav.s(r) / a
     q2 = q * q

@@ -29,8 +29,10 @@ with d = Q(t) - P(r), Q(t) = (t cos phi, -a - t sin phi) and
 s(r) = cos phi (a + 2 r sin phi), summed with a 20-point Gauss-Legendre
 rule on panels placed as QUADPACK's QAGP places breakpoints (Piessens et
 al., 1983).  It uses no limit angle and no fan integral.  Everything runs
-on :mod:`math` floats; numpy loads only inside :func:`riemann_forces`, the
-dense midpoint sum that the acceptance tests compare against.
+on :mod:`math` floats except :func:`riemann_forces`, the dense midpoint sum
+that the acceptance tests compare against.  It is a test-side reference,
+not one of the package's public names: it needs numpy, which only the
+``test`` extra installs, and the pairwise sum of :mod:`~trapcav.quadrature`.
 """
 
 from __future__ import annotations

@@ -24,6 +24,11 @@ halve nothing stops unconverged.  This is QUADPACK's globally adaptive QAG
 with many panels split per round.  Each panel is reduced by its own
 per-row dot product (``np.vecdot``), so its bits do not depend on how many
 panels share the call, as a BLAS matrix-vector product's would.
+
+This module is a test-side reference, not part of the package's public
+names: no ``trapcav`` command calls it, and the tests import it from here
+to cross-check the closed forms.  It needs numpy, which only the ``test``
+extra installs.
 """
 
 from __future__ import annotations

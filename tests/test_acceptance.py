@@ -17,7 +17,6 @@ from trapcav import (
     SweepAxis,
     Units,
     fan_integrals,
-    integrate_adaptive,
     limit_angles,
     optimize_phi,
     rescale_report,
@@ -26,6 +25,7 @@ from trapcav import (
 )
 from trapcav.cli import main
 from trapcav.oracle import limit_angles_vector, riemann_forces
+from trapcav.quadrature import integrate_adaptive
 
 REDUCED_10 = CavitySpec(a=1.0, R=10.0, L=1.0, phi=0.0, units=Units.REDUCED)
 

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import math
 import os
@@ -330,14 +331,36 @@ def test_verify_leaves_numpy_unloaded():
 
 
 def test_every_public_name_resolves_in_a_fresh_process():
-    # the array layer's names resolve on first use, also through import *
+    # the lazy names resolve on first use, also through import *, and no
+    # public name loads numpy: the package needs nothing at run time
     probe = (
-        "import trapcav\n"
+        "import sys, trapcav\n"
         "names = {}\n"
         "exec('from trapcav import *', names)\n"
+        "[getattr(trapcav, n) for n in trapcav.__all__]\n"
         "print([n for n in trapcav.__all__ if n not in names or n not in dir(trapcav)])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
     )
-    assert fresh_python(probe).strip() == "[]"
+    assert fresh_python(probe).split() == ["[]", "[]"]
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("quadrature", "integrate_adaptive"),
+        ("quadrature", "pairwise_sum"),
+        ("quadrature", "QuadratureResult"),
+        ("errors", "NotConverged"),
+        ("oracle", "riemann_forces"),
+    ],
+)
+def test_numerical_references_live_only_in_their_modules(module, name):
+    # the numpy references of the tests are not names of the package root,
+    # so nothing at the root reaches numpy
+    assert name not in trapcav.__all__
+    with pytest.raises(AttributeError):
+        getattr(trapcav, name)
+    assert callable(getattr(importlib.import_module(f"trapcav.{module}"), name))
 
 
 def test_help_exits_clean():

@@ -19,7 +19,6 @@ from trapcav import (
     NonFiniteSample,
     SweepAxis,
     Units,
-    pairwise_sum,
     pressure_prefactor,
     pressure_profile,
     specific_pressures,
@@ -29,6 +28,7 @@ from trapcav import (
 import trapcav.forces
 import trapcav.kernels
 from trapcav.geometry import REL_TOL_FLOOR
+from trapcav.quadrature import pairwise_sum
 
 REDUCED = CavitySpec(a=1.0, R=10.0, L=1.0, phi=0.0, units=Units.REDUCED)
 

@@ -15,6 +15,7 @@ from trapcav import (
     Units,
     classical_casimir_pressure,
     fan_integrals,
+    limit_angles,
     pressure_prefactor,
     pressure_profile,
     specific_pressures,
@@ -122,21 +123,21 @@ def test_specific_pressures_uses_constants(monkeypatch):
 
 
 def test_pressures_match_mpmath():
-    # the kernel against 40-digit arithmetic at the same float inputs: the
+    # the kernel against 60-digit arithmetic at the same float inputs: the
     # limit angles from the raw corner vectors, the fan integrals from the
-    # primitives F5 and G5; on short wings (R/a <= 1e-3) p_z is not gated,
-    # because the width of the window carries the rounding of the two atan2
-    # calls (about 5e-10 |p_z| at R/a 1e-6), while p_x keeps its gate
+    # primitives F5 and G5; a window 1e-20 wide (R/a 1e-20) costs the
+    # reference about 20 of its digits and the kernel none, because the
+    # kernel takes the width from one atan2
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp.clone()
-    mp.dps = 40
+    mp.dps = 60
 
     def primitives(u):
         c, s = mp.cos(u), mp.sin(u)
         return -c + 2 * c**3 / 3 - c**5 / 5, s**5 / 5
 
     worst_z = worst_x = 0.0
-    for ratio in (1e-6, 1e-4, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e5, 1e6):
+    for ratio in (1e-20, 1e-9, 1e-6, 1e-4, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e5, 1e6):
         for phi in (0.0, 1e-6, 1e-3, 0.1, 0.5, 0.78):
             spec = CavitySpec(a=1.0, R=ratio, L=1.0, phi=phi, units=Units.REDUCED)
             R = spec.R
@@ -153,8 +154,7 @@ def test_pressures_match_mpmath():
                 scale = (c * (1 + 2 * mp.mpf(ri) * s)) ** 4
                 ref_x = (c * (g2 - g1) - s * (f2 - f1)) / scale
                 ref_z = -(c * (f2 - f1) + s * (g2 - g1)) / scale
-                if ratio > 1e-3:
-                    worst_z = max(worst_z, float(abs((p.p_z - ref_z) / ref_z)))
+                worst_z = max(worst_z, float(abs((p.p_z - ref_z) / ref_z)))
                 worst_x = max(worst_x, float(abs((p.p_x - ref_x) / ref_z)))
     assert worst_z <= 1e-13 and worst_x <= 1e-13
 
@@ -165,9 +165,12 @@ def test_pressure_arrays_check_every_call():
     with pytest.raises(OutOfRange) as err:
         specific_pressures(PARALLEL, 10.5)
     assert err.value.value == 10.5
+    # the limit angles of a wing far shorter than the gap coincide, but the
+    # window's width does not vanish: the kernel still gives the pressure
     tiny = CavitySpec(a=1.0, R=1e-20, L=1.0, phi=0.3)
     with pytest.raises(DegenerateFan):
-        specific_pressures(tiny, tiny.R)
+        limit_angles(tiny, tiny.R)
+    assert specific_pressures(tiny, tiny.R).p_z < 0.0
 
 
 @given(

@@ -9,23 +9,18 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from trapcav import (
-    AngleWindow,
-    NonFiniteSample,
-    NotConverged,
-    NumericDegeneracy,
-    QuadratureResult,
-    fan_integrals,
-    integrate_adaptive,
-    pairwise_sum,
-)
+from trapcav import AngleWindow, NonFiniteSample, NumericDegeneracy, fan_integrals
+from trapcav.errors import NotConverged
 import trapcav.quadrature
 from trapcav.quadrature import (
     _WG,
     _WGK,
     _XGK,
+    QuadratureResult,
     _gk15,
     _sum,
+    integrate_adaptive,
+    pairwise_sum,
 )
 
 _EPS = sys.float_info.epsilon

@@ -10,7 +10,6 @@ from trapcav import (
     OracleReport,
     PressureProfile,
     PressureSample,
-    QuadratureResult,
     RescaleReport,
     SweepAxis,
     SweepTable,
@@ -18,6 +17,7 @@ from trapcav import (
 )
 from trapcav.cli import parse_args
 from trapcav.emit import PlotSpec
+from trapcav.quadrature import QuadratureResult
 
 SPEC = "CavitySpec(a=1.0, R=4.0, L=1.0, phi=0.1, units=<Units.REDUCED: 'reduced'>)"
 FORCE = (

@@ -7,7 +7,7 @@ import pytest
 
 import trapcav.cli
 import trapcav.quadrature
-from trapcav import NotConverged
+from trapcav.errors import NotConverged
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
