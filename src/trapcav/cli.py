@@ -1,7 +1,12 @@
 """Command-line front end and its JSON output; CSV and SVG are in :mod:`~trapcav.emit`.
 
-Subcommands: profile, force, sweep, optimize, verify.  Angles are degrees
-on the command line and radians everywhere inside.  Exit codes: 0 success,
+Subcommands: profile, force, sweep, optimize, verify.  Each takes the
+cavity flags (--a --R --L --phi-deg --units), --out, --config and --format,
+and only the other flags it reads: profile --samples --quantity
+--[no-]reference-classical; force --tol --wing-count; sweep --tol
+--wing-count --workers --axis --values; optimize --phi-lo-deg --phi-hi-deg
+--phi-tol-deg.  Angles are degrees on the command line and radians
+everywhere inside.  Exit codes: 0 success,
 1 numerical failure (reported as a JSON object on stderr), 2 usage error
 (an --out path that cannot be written included).
 """
@@ -57,7 +62,8 @@ def verify_suite(spec: CavitySpec) -> list:
 class RunConfig(typing.NamedTuple):
     """Fully resolved invocation; the unit of CLI round-tripping.
 
-    A field the subcommand does not define is None.
+    A field the subcommand does not define is None: only force and sweep
+    define tol and wing_count, only profile samples, only sweep workers.
     """
 
     command: str
@@ -66,10 +72,10 @@ class RunConfig(typing.NamedTuple):
     L: float
     phi_deg: float
     units: str
-    tol: float
-    samples: int
-    wing_count: int
-    workers: int
+    tol: float | None
+    samples: int | None
+    wing_count: int | None
+    workers: int | None
     out: str | None
     format: str
     quantity: str | None
@@ -132,32 +138,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     cavity.add_argument("--R", type=float, required=True, help="wing length")
     cavity.add_argument("--L", type=float, default=1.0, help="cavity width (default %(default)s)")
     cavity.add_argument(
-        "--phi-deg", type=float, default=0.0, dest="phi_deg",
-        help="half-opening angle, degrees (default %(default)s)",
+        "--phi-deg", type=float, default=0.0, help="half-opening angle, degrees (default %(default)s)"
     )
     cavity.add_argument(
         "--units", choices=("si", "reduced"), default="si", help="unit system (default %(default)s)"
     )
-    running = shared.add_argument_group("run")
-    running.add_argument(
-        "--tol", type=_tolerance, default=1e-9,
-        help="relative tolerance a force's rounding bound must meet (default %(default)s)",
-    )
-    running.add_argument(
-        "--samples", type=_checked(int, lambda v: v >= 2, "must be at least 2"), default=256,
-        help="profile sample count (default %(default)s)",
-    )
-    running.add_argument(
-        "--wing-count", type=int, choices=(1, 2), default=1, dest="wing_count",
-        help="wings to report (default %(default)s)",
-    )
-    running.add_argument(
-        "--workers", type=_checked(int, lambda v: v >= 1, "must be at least 1"), default=1,
-        help="accepted for compatibility (>= 1, default %(default)s); "
-        "sweep rows run one after another",
-    )
-    running.add_argument("--out", help="output path (default stdout)")
-    running.add_argument("--config", help="JSON file with the same fields; explicit flags win")
+    shared.add_argument("--out", help="output path (default stdout)")
+    shared.add_argument("--config", help="JSON file with the same fields; explicit flags win")
 
     commands = {}
     for name, (summary, formats) in _COMMANDS.items():
@@ -165,23 +152,40 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         command.add_argument("--format", choices=formats, default=formats[0])
         commands[name] = command
 
+    # each run flag goes only to the subcommands that read it
+    for name in ("force", "sweep"):
+        commands[name].add_argument(
+            "--tol", type=_tolerance, default=1e-9,
+            help="relative tolerance a force's rounding bound must meet (default %(default)s)",
+        )
+        commands[name].add_argument(
+            "--wing-count", type=int, choices=(1, 2), default=1,
+            help="wings to report (default %(default)s)",
+        )
     profile = commands["profile"]
+    profile.add_argument(
+        "--samples", type=_checked(int, lambda v: v >= 2, "must be at least 2"), default=256,
+        help="sample count (default %(default)s)",
+    )
     profile.add_argument("--quantity", choices=("px", "pz", "both"), default="both")
     profile.add_argument(
         "--reference-classical", action=argparse.BooleanOptionalAction, default=False,
-        dest="reference_classical", help="add the parallel-plate reference level to SVG output",
+        help="add the parallel-plate reference level to SVG output",
     )
     swp = commands["sweep"]
+    swp.add_argument(
+        "--workers", type=_checked(int, lambda v: v >= 1, "must be at least 1"), default=1,
+        help="accepted for compatibility (>= 1, default %(default)s); "
+        "sweep rows run one after another",
+    )
     swp.add_argument("--axis", choices=("phi", "R"), required=True)
     swp.add_argument(
         "--values", type=_grid, required=True, help="comma-separated grid; degrees when axis=phi"
     )
     opt = commands["optimize"]
-    opt.add_argument("--phi-lo-deg", type=float, required=True, dest="phi_lo_deg")
-    opt.add_argument("--phi-hi-deg", type=float, required=True, dest="phi_hi_deg")
-    opt.add_argument(
-        "--phi-tol-deg", type=_phi_tolerance_deg, default=math.degrees(1e-5), dest="phi_tol_deg"
-    )
+    opt.add_argument("--phi-lo-deg", type=float, required=True)
+    opt.add_argument("--phi-hi-deg", type=float, required=True)
+    opt.add_argument("--phi-tol-deg", type=_phi_tolerance_deg, default=math.degrees(1e-5))
     return parser, commands
 
 
@@ -228,7 +232,8 @@ def _config_tokens(
     unknown = sorted(set(data) - set(RunConfig._fields))
     if unknown:
         parser.error(f"--config: unknown keys {', '.join(unknown)}")
-    int_fields = {name for name, kind in typing.get_type_hints(RunConfig).items() if kind is int}
+    hints = typing.get_type_hints(RunConfig)
+    int_fields = {name for name, kind in hints.items() if int in typing.get_args(kind)}
     for key, value in data.items():
         if key in int_fields and isinstance(value, float) and value.is_integer():
             # JSON Schema's "integer" takes 256.0 as well as 256
@@ -446,7 +451,6 @@ def run(config: RunConfig) -> int:
                 math.radians(config.phi_lo_deg),
                 math.radians(config.phi_hi_deg),
                 tol=math.radians(config.phi_tol_deg),
-                rel_tol=config.tol,
             )
             payload = _json_bytes(
                 {

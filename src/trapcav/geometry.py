@@ -207,14 +207,20 @@ def _check_r(cav: WingParams, r: float) -> None:
 def limit_angles(cavity: CavitySpec | WingParams, r: float) -> AngleWindow:
     """Visibility window (theta1, theta2) for the upper-wing point at ``r``.
 
-    ``cavity`` is a spec, or its :class:`WingParams`.
+    ``cavity`` is a spec, which is validated, or its :class:`WingParams`,
+    which is taken as checked already.
     theta1 aims at the far corner M2: it stays above 2 phi (where the ray
     would run parallel to the lower wing) and climbs to pi/2 + phi at r = R.
     theta2 aims at the near corner M3: it starts at exactly pi/2 + phi at
-    r = 0 and climbs towards pi as r/a grows.  Raises :class:`OutOfRange`
-    for an ``r`` outside [0, R] and :class:`DegenerateFan` for an empty fan.
+    r = 0 and climbs towards pi as r/a grows.  Raises :class:`InvalidCavity`
+    for an invalid spec, :class:`OutOfRange` for an ``r`` outside [0, R]
+    and :class:`DegenerateFan` for an empty fan.
     """
-    cav = cavity if isinstance(cavity, WingParams) else WingParams.of(cavity)
+    if isinstance(cavity, WingParams):
+        cav = cavity
+    else:
+        validate(cavity)
+        cav = WingParams.of(cavity)
     _check_r(cav, r)
     theta1, theta2 = cav.angles(r)
     if theta1 >= theta2:
@@ -228,8 +234,11 @@ def s_factor(spec: CavitySpec, r: float) -> float:
     s = cos(phi) (a + 2 r sin(phi)), the closed form of
     sin(2 phi - theta2) (a + r sin phi) / sin(phi - theta2).  Every term
     is positive, so the result is good to a few ulps for any valid cavity
-    and reduces to the gap ``a`` exactly at phi = 0.
+    and reduces to the gap ``a`` exactly at phi = 0.  Raises
+    :class:`InvalidCavity` for an invalid spec and :class:`OutOfRange` for
+    an ``r`` outside [0, R].
     """
+    validate(spec)
     cav = WingParams.of(spec)
     _check_r(cav, r)
     return cav.s(r)
@@ -241,7 +250,8 @@ def ray_length(spec: CavitySpec, r: float, theta: float) -> float:
     b = s(r) / sin(theta - 2 phi).  Only directions inside the visible fan
     are meaningful; there theta - 2 phi lies in (0, pi) and the sine is
     positive.  Directions outside the fan drive the sine to zero or below
-    and raise :class:`NumericDegeneracy`.
+    and raise :class:`NumericDegeneracy`; the spec and ``r`` are checked as
+    :func:`s_factor` checks them.
     """
     s = s_factor(spec, r)
     denom = math.sin(theta - 2.0 * spec.phi)

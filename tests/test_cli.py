@@ -19,10 +19,38 @@ from trapcav.emit import PlotSpec, emit_csv, emit_svg
 from trapcav.geometry import PHI_TOL_FLOOR, REL_TOL_FLOOR
 
 REDUCED_ARGS = ["--a", "1", "--R", "10", "--units", "reduced"]
-# every shared flag at a value other than its default
+# every flag of the shared parent at a value other than its default
 SHARED_ARGS = [
-    "--a", "4e-07", "--R", "4e-06", "--L", "2.5", "--phi-deg", "3", "--units", "si",
-    "--tol", "1e-10", "--samples", "17", "--wing-count", "2", "--workers", "3", "--out", "run.out",
+    "--a", "4e-07", "--R", "4e-06", "--L", "2.5", "--phi-deg", "3", "--units", "si", "--out", "run.out",
+]
+# the shared flags and each run flag that the subcommand reads, all off their defaults
+PROFILE_ARGS = [*SHARED_ARGS, "--samples", "17"]
+FORCE_ARGS = [*SHARED_ARGS, "--tol", "1e-10", "--wing-count", "2"]
+SWEEP_ARGS = [*FORCE_ARGS, "--workers", "3"]
+# flags and values that make each subcommand's run complete
+COMPLETE_ARGS = {
+    "profile": REDUCED_ARGS,
+    "force": REDUCED_ARGS,
+    "sweep": [*REDUCED_ARGS, "--axis", "phi", "--values", "1,2"],
+    "optimize": [*REDUCED_ARGS, "--phi-lo-deg", "1", "--phi-hi-deg", "20"],
+    "verify": REDUCED_ARGS,
+}
+# the run flags that a subcommand does not read, each with a valid value
+UNREAD_FLAGS = [
+    ("profile", "--tol", "1e-9"),
+    ("profile", "--wing-count", "2"),
+    ("profile", "--workers", "9"),
+    ("force", "--samples", "5"),
+    ("force", "--workers", "9"),
+    ("sweep", "--samples", "5"),
+    ("optimize", "--tol", "1e-12"),
+    ("optimize", "--samples", "5"),
+    ("optimize", "--wing-count", "2"),
+    ("optimize", "--workers", "9"),
+    ("verify", "--tol", "1e-12"),
+    ("verify", "--samples", "5"),
+    ("verify", "--wing-count", "2"),
+    ("verify", "--workers", "9"),
 ]
 
 
@@ -65,10 +93,10 @@ def test_parse_profile_defaults_to_csv():
          "--phi-tol-deg", "0.001"],
         ["verify", *REDUCED_ARGS],
         # each subcommand's every field away from its default, and each format
-        ["profile", *SHARED_ARGS, "--format", "json", "--quantity", "pz", "--no-reference-classical"],
-        ["profile", *SHARED_ARGS, "--format", "csv", "--quantity", "px", "--reference-classical"],
-        ["force", *SHARED_ARGS, "--format", "json"],
-        ["sweep", *SHARED_ARGS, "--axis", "R", "--values", "1e-06,2.5e-06", "--format", "svg"],
+        ["profile", *PROFILE_ARGS, "--format", "json", "--quantity", "pz", "--no-reference-classical"],
+        ["profile", *PROFILE_ARGS, "--format", "csv", "--quantity", "px", "--reference-classical"],
+        ["force", *FORCE_ARGS, "--format", "json"],
+        ["sweep", *SWEEP_ARGS, "--axis", "R", "--values", "1e-06,2.5e-06", "--format", "svg"],
         ["optimize", *SHARED_ARGS, "--phi-lo-deg", "0.5", "--phi-hi-deg", "30",
          "--phi-tol-deg", "0.001", "--format", "json"],
         ["verify", *SHARED_ARGS, "--format", "json"],
@@ -89,6 +117,20 @@ def test_config_file_merge(tmp_path):
     assert cfg.phi_deg == 2.0
 
 
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    shared = {"-h", "--help", "--a", "--R", "--L", "--phi-deg", "--units", "--out", "--config", "--format"}
+    own = {
+        "profile": {"--samples", "--quantity", "--reference-classical", "--no-reference-classical"},
+        "force": {"--tol", "--wing-count"},
+        "sweep": {"--tol", "--wing-count", "--workers", "--axis", "--values"},
+        "optimize": {"--phi-lo-deg", "--phi-hi-deg", "--phi-tol-deg"},
+        "verify": set(),
+    }
+    _, commands = trapcav.cli._build_parser()
+    flags = {name: {f for a in command._actions for f in a.option_strings} for name, command in commands.items()}
+    assert flags == {name: shared | extra for name, extra in own.items()}
+
+
 def test_config_file_command_is_ignored(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"command": "force", "a": 1.0, "R": 10.0, "units": "reduced"}))
@@ -96,25 +138,25 @@ def test_config_file_command_is_ignored(tmp_path):
     assert cfg.command == "verify"
 
 
-@pytest.mark.parametrize(
-    "content",
-    [
-        "{not json",
-        json.dumps([1, 2]),
-        json.dumps({"a": 1.0, "mystery": 5}),
-        json.dumps({"a": "x"}),
-        json.dumps({"samples": "many"}),
-        json.dumps({"tol": 0}),
-        json.dumps({"tol": 1e-15}),
-    ],
-)
-def test_config_file_rejected(tmp_path, content):
+REJECTED_CONFIGS = [
+    ("force", "{not json"),
+    ("force", json.dumps([1, 2])),
+    ("force", json.dumps({"a": 1.0, "mystery": 5})),
+    ("force", json.dumps({"a": "x"})),
+    ("profile", json.dumps({"samples": "many"})),
+    ("force", json.dumps({"tol": 0})),
+    ("force", json.dumps({"tol": 1e-15})),
+]
+
+
+@pytest.mark.parametrize("command, content", REJECTED_CONFIGS, ids=[c for _, c in REJECTED_CONFIGS])
+def test_config_file_rejected(tmp_path, command, content):
     path = tmp_path / "bad.json"
     path.write_text(content)
     # the flags make the run complete, so only the file can fail it; a file
     # value is checked even where a flag overrides it
     with pytest.raises(SystemExit) as err:
-        parse_args(["force", "--config", str(path), *REDUCED_ARGS])
+        parse_args([command, "--config", str(path), *REDUCED_ARGS])
     assert err.value.code == 2
 
 
@@ -139,17 +181,19 @@ def test_config_value_rejected_by_its_subcommand(tmp_path, argv, data):
 
 def test_config_integral_floats_are_integers(tmp_path):
     # the schema's "integer" type accepts 256.0, so the CLI does as well
-    def config(data):
+    def config(command, data):
         path = tmp_path / "run.json"
         path.write_text(json.dumps(data))
-        return parse_args(["profile", *REDUCED_ARGS, "--config", str(path)])
+        return parse_args([command, *COMPLETE_ARGS[command], "--config", str(path)])
 
-    as_int = config({"samples": 256, "wing_count": 2, "workers": 3})
-    assert config({"samples": 256.0, "wing_count": 2.0, "workers": 3.0}) == as_int
-    assert as_int.samples == 256 and as_int.wing_count == 2 and as_int.workers == 3
-    for bad in ({"samples": 256.5}, {"wing_count": 1.5}):
+    profile = config("profile", {"samples": 256.0})
+    assert profile == config("profile", {"samples": 256}) and profile.samples == 256
+    swp = config("sweep", {"wing_count": 2.0, "workers": 3.0})
+    assert swp == config("sweep", {"wing_count": 2, "workers": 3})
+    assert swp.wing_count == 2 and swp.workers == 3
+    for command, bad in (("profile", {"samples": 256.5}), ("sweep", {"wing_count": 1.5})):
         with pytest.raises(SystemExit) as err:
-            config(bad)
+            config(command, bad)
         assert err.value.code == 2
 
 
@@ -161,6 +205,13 @@ def test_config_keys_of_other_subcommands_are_ignored(tmp_path):
     assert cfg.a == 1.0 and cfg.units == "reduced"
     assert cfg.axis is None and cfg.values is None
     assert parse_args(["sweep", "--config", str(path)]).values == (1.0, 2.0)
+
+
+def test_config_run_keys_the_subcommand_does_not_read_are_ignored(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"tol": 1e-12}))
+    assert parse_args(["verify", *REDUCED_ARGS, "--config", str(path)]).tol is None
+    assert parse_args(["force", *REDUCED_ARGS, "--config", str(path)]).tol == 1e-12
 
 
 def test_config_boolean_loses_to_flag(tmp_path):
@@ -177,6 +228,8 @@ def test_config_schema_matches_parser():
     assert set(props) == set(RunConfig._fields)
     _, commands = trapcav.cli._build_parser()
     actions = {a.dest: a for command in commands.values() for a in command._actions}
+    # every field but the subcommand itself is some subcommand's flag
+    assert set(props) - {"command"} <= set(actions)
     for field in ("units", "quantity", "axis", "wing_count"):
         assert props[field]["enum"] == list(actions[field].choices)
     # the tolerance floors of total_forces and optimize_phi (in degrees)
@@ -206,6 +259,8 @@ def test_config_schema_matches_parser():
         [],
         ["force", *REDUCED_ARGS, "--tol", "1e-15"],
         ["optimize", *REDUCED_ARGS, "--phi-lo-deg", "1", "--phi-hi-deg", "20", "--phi-tol-deg", "5e-5"],
+        # a run flag given to a subcommand that does not read it
+        *([command, *COMPLETE_ARGS[command], flag, value] for command, flag, value in UNREAD_FLAGS),
     ],
 )
 def test_usage_errors_exit_2(argv):

@@ -27,12 +27,14 @@ THETA1_R5 = 0.19739555984988075
 
 
 def spec_strategy():
+    # SI units: builds would otherwise draw reduced units, which need a = 1
     return st.builds(
         CavitySpec,
         a=st.floats(0.05, 5.0),
         R=st.floats(0.1, 50.0),
         L=st.floats(0.1, 10.0),
         phi=st.floats(0.0, PHI_MAX - 1e-6),
+        units=st.just(Units.SI),
     )
 
 
@@ -72,6 +74,26 @@ def test_validate_reduced_requires_unit_gap():
 def test_validate_rejects_bad_units_type():
     with pytest.raises(InvalidCavity):
         validate(CavitySpec(a=1.0, R=10.0, L=1.0, phi=0.0, units="parsecs"))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        CavitySpec(a=-1.0, R=4.0, L=1.0, phi=0.1),
+        CavitySpec(a=1.0, R=4.0, L=1.0, phi=1.0),
+        CavitySpec(a=1.0, R=4.0, L=1.0, phi=0.1, units="si"),
+    ],
+)
+def test_public_geometry_functions_validate_the_spec(spec):
+    # unchecked, these return a negative s, a negative ray length, or a
+    # window for a fan that folds onto the wing
+    for call in (
+        lambda: limit_angles(spec, 1.0),
+        lambda: s_factor(spec, 1.0),
+        lambda: ray_length(spec, 1.0, 2.0),
+    ):
+        with pytest.raises(InvalidCavity):
+            call()
 
 
 def test_limit_angles_parallel_plates():
