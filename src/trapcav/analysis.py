@@ -26,8 +26,8 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import InvalidCavity, NoInteriorMaximum, NonFiniteSample
-from .forces import ForceResult, _check_options, _forces, expulsion, total_forces
-from .geometry import PHI_MAX, PHI_TOL_FLOOR, CavitySpec, Units, pressure_prefactor, validate
+from .forces import ForceResult, _check_options, _forces, _scale, expulsion, total_forces
+from .geometry import PHI_MAX, PHI_TOL_FLOOR, CavitySpec, Units, validate
 
 _PRESCAN_POINTS = 32
 
@@ -155,7 +155,7 @@ def sweep(
             validate(spec)
     _check_options(rel_tol, wing_count)
     # an empty sweep checks no cavity, so its base may have no scale
-    scale = pressure_prefactor(base) / a / a / a * L if specs else 0.0
+    scale = _scale(base) if specs else 0.0
     results = []
     for spec in specs:
         try:

@@ -60,7 +60,7 @@ def verify_suite(spec: CavitySpec) -> list:
 
 
 class RunConfig(typing.NamedTuple):
-    """Fully resolved invocation; the unit of CLI round-tripping.
+    """Fully resolved invocation; a --config file holds the same fields.
 
     A field the subcommand does not define is None: only force and sweep
     define tol and wing_count, only profile samples, only sweep workers.
@@ -123,8 +123,8 @@ _grid = _checked(
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The parser and its subcommand parsers by name.
 
-    Every flag is declared only here: --config files and :func:`render_args`
-    write their tokens from these parsers' actions.
+    Every flag is declared only here: --config files write their tokens
+    from these parsers' actions.
     """
     parser = argparse.ArgumentParser(
         prog="trapcav",
@@ -132,23 +132,23 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    shared = argparse.ArgumentParser(add_help=False)
-    cavity = shared.add_argument_group("cavity")
-    cavity.add_argument("--a", type=float, required=True, help="gap at the narrow end (m in SI mode)")
-    cavity.add_argument("--R", type=float, required=True, help="wing length")
-    cavity.add_argument("--L", type=float, default=1.0, help="cavity width (default %(default)s)")
-    cavity.add_argument(
-        "--phi-deg", type=float, default=0.0, help="half-opening angle, degrees (default %(default)s)"
-    )
-    cavity.add_argument(
-        "--units", choices=("si", "reduced"), default="si", help="unit system (default %(default)s)"
-    )
-    shared.add_argument("--out", help="output path (default stdout)")
-    shared.add_argument("--config", help="JSON file with the same fields; explicit flags win")
-
     commands = {}
     for name, (summary, formats) in _COMMANDS.items():
-        command = sub.add_parser(name, parents=[shared], help=summary)
+        command = sub.add_parser(name, help=summary)
+        cavity = command.add_argument_group("cavity")
+        cavity.add_argument("--a", type=float, required=True, help="gap at the narrow end (m in SI mode)")
+        cavity.add_argument("--R", type=float, required=True, help="wing length")
+        cavity.add_argument("--L", type=float, default=1.0, help="cavity width (default %(default)s)")
+        cavity.add_argument(
+            "--phi-deg", type=float, default=0.0,
+            help="half-opening angle, degrees (default %(default)s)",
+        )
+        cavity.add_argument(
+            "--units", choices=("si", "reduced"), default="si",
+            help="unit system (default %(default)s)",
+        )
+        command.add_argument("--out", help="output path (default stdout)")
+        command.add_argument("--config", help="JSON file with the same fields; explicit flags win")
         command.add_argument("--format", choices=formats, default=formats[0])
         commands[name] = command
 
@@ -189,90 +189,76 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, commands
 
 
-def _tokens(command: argparse.ArgumentParser, fields: dict) -> list[str]:
-    """``--flag=value`` tokens for the fields that ``command`` defines.
+def _config_tokens(command: argparse.ArgumentParser, path: str) -> list[str]:
+    """The --config file as ``--flag=value`` tokens for ``command``.
 
-    Fields that are None or that belong to another subcommand are dropped.
-    A boolean goes out as a BooleanOptionalAction flag or its ``--no-``
-    form, and a --values list or tuple is joined with commas.
-    """
-    actions = {action.dest: action for action in command._actions}
-    tokens = []
-    for key, value in fields.items():
-        action = actions.get(key)
-        if action is None or value is None:
-            continue
-        flag = action.option_strings[0]
-        if isinstance(action, argparse.BooleanOptionalAction) and isinstance(value, bool):
-            tokens.append(flag if value else action.option_strings[1])
-        elif isinstance(value, (list, tuple)) and action.type is _grid:
-            tokens.append(f"{flag}={','.join(map(str, value))}")
-        else:
-            tokens.append(f"{flag}={value}")
-    return tokens
-
-
-def _config_tokens(
-    parser: argparse.ArgumentParser, command: argparse.ArgumentParser, path: str
-) -> list[str]:
-    """The --config file as :func:`_tokens` for ``command``.
-
-    Keys that are no :class:`RunConfig` field are rejected.  An integral
-    float for an integer field (``256.0``) is passed as its integer.
+    Keys that are no :class:`RunConfig` field are rejected; fields that are
+    None or that belong to another subcommand are dropped.  A boolean goes
+    out as a BooleanOptionalAction flag or its ``--no-`` form, a --values
+    list is joined with commas, and an integral float for an integer flag
+    (``256.0``) is passed as its integer.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
     except OSError as err:
-        parser.error(f"--config: cannot read {path!r}: {err}")
+        command.error(f"--config: cannot read {path!r}: {err}")
     except json.JSONDecodeError as err:
-        parser.error(f"--config: {path!r} is not valid JSON: {err}")
+        command.error(f"--config: {path!r} is not valid JSON: {err}")
     if not isinstance(data, dict):
-        parser.error(f"--config: {path!r} must contain a JSON object")
+        command.error(f"--config: {path!r} must contain a JSON object")
     unknown = sorted(set(data) - set(RunConfig._fields))
     if unknown:
-        parser.error(f"--config: unknown keys {', '.join(unknown)}")
-    hints = typing.get_type_hints(RunConfig)
-    int_fields = {name for name, kind in hints.items() if int in typing.get_args(kind)}
+        command.error(f"--config: unknown keys {', '.join(unknown)}")
+    actions = {action.dest: action for action in command._actions}
+    tokens = []
     for key, value in data.items():
-        if key in int_fields and isinstance(value, float) and value.is_integer():
-            # JSON Schema's "integer" takes 256.0 as well as 256
-            data[key] = int(value)
-    return _tokens(command, data)
+        action = actions.get(key)
+        if action is None or value is None:
+            continue
+        flag, kind = action.option_strings[0], getattr(action.type, "__name__", None)
+        if isinstance(action, argparse.BooleanOptionalAction) and isinstance(value, bool):
+            tokens.append(flag if value else action.option_strings[1])
+        elif isinstance(value, list) and action.type is _grid:
+            tokens.append(f"{flag}={','.join(map(str, value))}")
+        elif kind == "int" and isinstance(value, float) and value.is_integer():
+            # JSON Schema's "integer" takes 256.0 as well as 256; an integer
+            # flag's type is int or a _checked int, which bears its name
+            tokens.append(f"{flag}={int(value)}")
+        else:
+            tokens.append(f"{flag}={value}")
+    return tokens
 
 
 def parse_args(argv: list[str]) -> RunConfig:
     """Resolve argv (and any --config file) into a :class:`RunConfig`.
 
-    The --config file is read first and its fields become ``--flag=value``
-    tokens placed right after the subcommand, so one parser checks file and
-    flags alike and, keeping the last value given, lets an explicit flag win
-    over the file and the file over the default.  The subcommand always
-    comes from argv.  Usage problems, bad config values included, exit with
-    code 2 and a diagnostic naming the offending flag.
+    The invoked subcommand's own parser parses its argv, so every usage
+    error names the subcommand; the root parser takes an argv that does
+    not start with one (help, or no or an unknown subcommand).  The
+    --config file is read first and its fields become ``--flag=value``
+    tokens placed before the flags, so one parser checks file and flags
+    alike and, keeping the last value given, lets an explicit flag win over
+    the file and the file over the default.  The subcommand always comes
+    from argv.  Usage problems, bad config values included, exit with code
+    2 and a diagnostic naming the offending flag.
     """
     parser, commands = _build_parser()
     if argv and argv[0] in commands:
-        pre = argparse.ArgumentParser(prog=f"trapcav {argv[0]}", add_help=False)
+        command, flags = commands[argv[0]], argv[1:]
+        pre = argparse.ArgumentParser(prog=command.prog, add_help=False)
         pre.add_argument("-h", "--help", action="store_true")
         pre.add_argument("--config")
-        found, _ = pre.parse_known_args(argv[1:])
+        found, _ = pre.parse_known_args(flags)
         if found.config and not found.help:
-            argv = [argv[0], *_config_tokens(parser, commands[argv[0]], found.config), *argv[1:]]
-    ns = parser.parse_args(argv)
+            flags = [*_config_tokens(command, found.config), *flags]
+        ns = command.parse_args(flags, argparse.Namespace(command=argv[0]))
+    else:
+        ns = parser.parse_args(argv)
+        command = commands[ns.command]
     if ns.command == "optimize" and not (0.0 < ns.phi_lo_deg < ns.phi_hi_deg < 45.0):
-        parser.error("optimize needs 0 < --phi-lo-deg < --phi-hi-deg < 45")
+        command.error("optimize needs 0 < --phi-lo-deg < --phi-hi-deg < 45")
     return RunConfig(**{name: getattr(ns, name, None) for name in RunConfig._fields})
-
-
-def render_args(config: RunConfig) -> list[str]:
-    """Canonical argv for a config: parse_args(render_args(c)) == c.
-
-    The subcommand followed by one ``--flag=value`` token per field it
-    defines, written by the parser's own actions.
-    """
-    _, commands = _build_parser()
-    return [config.command, *_tokens(commands[config.command], config._asdict())]
 
 
 def _spec_dict(spec: CavitySpec) -> dict:
@@ -476,15 +462,12 @@ def run(config: RunConfig) -> int:
                 code = 1
         else:
             raise ValueError(f"unknown command {config.command!r}")
-    except (InvalidCavity, OutOfRange) as err:
+    except (InvalidCavity, OutOfRange, ValueError) as err:
         _emit_error(_error_dict(err))
         return 2
     except TrapcavError as err:
         _emit_error(_error_dict(err))
         return 1
-    except ValueError as err:
-        _emit_error(_error_dict(err))
-        return 2
     try:
         _write_output(payload, config.out)
     except OSError as err:

@@ -94,64 +94,53 @@ def emit_svg(plot: PlotSpec) -> bytes:
     def py(y: float) -> float:
         return (h - mb) - (y - ymin) / (ymax - ymin) * (h - mt - mb)
 
+    def line(x1: float, y1: float, x2: float, y2: float) -> str:
+        return (
+            f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+            'stroke="black" stroke-width="1"/>'
+        )
+
+    def text(x: str, y: float, size: int, anchor: str, label: str, extra: str = "") -> str:
+        # x comes formatted: the rotated y-axis label sits at a bare x="14"
+        return (
+            f'<text x="{x}" y="{y:.2f}" font-size="{size}" text-anchor="{anchor}" '
+            f'font-family="sans-serif"{extra}>{label}</text>'
+        )
+
+    # the legend's right edge, and the middle of the y axis
+    key_x, ymid = f"{w - mr - 4:.2f}", (mt + h - mb) / 2
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.0f}" height="{h:.0f}" '
         f'viewBox="0 0 {w:.0f} {h:.0f}">',
         f'<rect x="0" y="0" width="{w:.0f}" height="{h:.0f}" fill="white"/>',
-        f'<line x1="{ml:.2f}" y1="{h - mb:.2f}" x2="{w - mr:.2f}" y2="{h - mb:.2f}" '
-        'stroke="black" stroke-width="1"/>',
-        f'<line x1="{ml:.2f}" y1="{mt:.2f}" x2="{ml:.2f}" y2="{h - mb:.2f}" '
-        'stroke="black" stroke-width="1"/>',
+        line(ml, h - mb, w - mr, h - mb),
+        line(ml, mt, ml, h - mb),
     ]
     for k in range(5):
         xv = xmin + (xmax - xmin) * k / 4
         yv = ymin + (ymax - ymin) * k / 4
         xp, yp = px(xv), py(yv)
-        parts.append(
-            f'<line x1="{xp:.2f}" y1="{h - mb:.2f}" x2="{xp:.2f}" y2="{h - mb + 5:.2f}" '
-            'stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{xp:.2f}" y="{h - mb + 18:.2f}" font-size="11" '
-            f'text-anchor="middle" font-family="sans-serif">{format(xv, ".4g")}</text>'
-        )
-        parts.append(
-            f'<line x1="{ml - 5:.2f}" y1="{yp:.2f}" x2="{ml:.2f}" y2="{yp:.2f}" '
-            'stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{ml - 8:.2f}" y="{yp + 4:.2f}" font-size="11" '
-            f'text-anchor="end" font-family="sans-serif">{format(yv, ".4g")}</text>'
-        )
-    parts.append(
-        f'<text x="{(ml + w - mr) / 2:.2f}" y="{h - 12:.2f}" font-size="13" '
-        f'text-anchor="middle" font-family="sans-serif">{plot.x_label}</text>'
-    )
-    parts.append(
-        f'<text x="14" y="{(mt + h - mb) / 2:.2f}" font-size="13" text-anchor="middle" '
-        f'font-family="sans-serif" transform="rotate(-90 14 {(mt + h - mb) / 2:.2f})">'
-        f"{plot.y_label}</text>"
-    )
+        parts.append(line(xp, h - mb, xp, h - mb + 5))
+        parts.append(text(f"{xp:.2f}", h - mb + 18, 11, "middle", format(xv, ".4g")))
+        parts.append(line(ml - 5, yp, ml, yp))
+        parts.append(text(f"{ml - 8:.2f}", yp + 4, 11, "end", format(yv, ".4g")))
+    parts.append(text(f"{(ml + w - mr) / 2:.2f}", h - 12, 13, "middle", plot.x_label))
+    rotate = f' transform="rotate(-90 14 {ymid:.2f})"'
+    parts.append(text("14", ymid, 13, "middle", plot.y_label, rotate))
     for name, yv in plot.ref_lines:
         yp = py(yv)
         parts.append(
             f'<polyline fill="none" stroke="#777777" stroke-width="1" '
             f'stroke-dasharray="6,4" points="{px(xmin):.2f},{yp:.2f} {px(xmax):.2f},{yp:.2f}"/>'
         )
-        parts.append(
-            f'<text x="{w - mr - 4:.2f}" y="{yp - 4:.2f}" font-size="11" '
-            f'text-anchor="end" font-family="sans-serif" fill="#777777">{name}</text>'
-        )
+        parts.append(text(key_x, yp - 4, 11, "end", name, ' fill="#777777"'))
     for idx, (name, pts) in enumerate(plot.series):
         color = _PALETTE[idx % len(_PALETTE)]
         coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>'
         )
-        parts.append(
-            f'<text x="{w - mr - 4:.2f}" y="{mt + 14 + 16 * idx:.2f}" font-size="12" '
-            f'text-anchor="end" font-family="sans-serif" fill="{color}">{name}</text>'
-        )
+        parts.append(text(key_x, mt + 14 + 16 * idx, 12, "end", name, f' fill="{color}"'))
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")

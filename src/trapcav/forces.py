@@ -218,7 +218,7 @@ def total_forces(spec: CavitySpec, rel_tol: float = 1e-9, *, wing_count: int = 1
     """
     validate(spec)
     _check_options(rel_tol, wing_count)
-    return _forces(spec, pressure_prefactor(spec) / spec.a / spec.a / spec.a * spec.L, rel_tol, wing_count)
+    return _forces(spec, _scale(spec), rel_tol, wing_count)
 
 
 def expulsion(base: CavitySpec, angles: list[float]) -> list[float]:
@@ -229,34 +229,18 @@ def expulsion(base: CavitySpec, angles: list[float]) -> list[float]:
     would; no spec, check or :class:`ForceResult` is made per angle.  The
     caller vouches that ``base`` with each angle is a valid cavity.
     """
-    # the scale of total_forces and the checks of _forces, in their order;
-    # both are written out in each, since helper calls cost a lone
-    # total_forces about 2%
-    rho, R = base.R / base.a, base.R
-    scale = pressure_prefactor(base) / base.a / base.a / base.a * base.L
-    values = []
-    for phi in angles:
-        x, z, _, _ = _reduced(rho, phi)
-        f_x, f_z = x * scale, z * scale
-        if not math.isfinite(f_x):
-            raise NonFiniteSample(R, f_x, "f_x")
-        if not _FLOAT_MIN <= abs(f_z) < math.inf:
-            raise NonFiniteSample(R, f_z, "f_z")
-        values.append(f_x)
-    return values
+    rho, scale = base.R / base.a, _scale(base)
+    return [_reduced(base.R, rho, phi, scale)[0] for phi in angles]
+
+
+def _scale(spec: CavitySpec) -> float:
+    # K L / a^3, the scale of a wing's forces in units of the gap
+    return pressure_prefactor(spec) / spec.a / spec.a / spec.a * spec.L
 
 
 def _forces(spec: CavitySpec, scale: float, rel_tol: float, wing_count: int) -> ForceResult:
-    # a validated spec's forces, in units of the gap, then times its scale
-    # K L / a^3, which total_forces and sweep compute as
-    # pressure_prefactor(spec) / a / a / a * L
-    x, z, abs_x, abs_z = _reduced(spec.R / spec.a, spec.phi)
-    f_x, f_z = x * scale, z * scale
-    if not math.isfinite(f_x):
-        raise NonFiniteSample(spec.R, f_x, "f_x")
-    # f_z must be a normal float and finite: abs(inf) >= _FLOAT_MIN holds
-    if not _FLOAT_MIN <= abs(f_z) < math.inf:
-        raise NonFiniteSample(spec.R, f_z, "f_z")
+    # a validated spec's forces at its _scale, which a sweep computes once
+    f_x, f_z, abs_x, abs_z = _reduced(spec.R, spec.R / spec.a, spec.phi, scale)
     err_x, err_z = _ROUNDING * abs_x * scale, _ROUNDING * abs_z * scale
     converged = max(err_x, err_z) <= rel_tol * max(abs(f_x), abs(f_z))
     if wing_count == 2:
@@ -266,13 +250,23 @@ def _forces(spec: CavitySpec, scale: float, rel_tol: float, wing_count: int) -> 
     return tuple.__new__(ForceResult, (spec, f_x, f_z, err_x, err_z, wing_count, converged))
 
 
-def _reduced(rho: float, phi: float):
-    # reduced (f_x, f_z) on a wing of rho gaps at half-angle phi, and the
-    # summed magnitudes of each one's terms, by the formula for its length
+def _reduced(R: float, rho: float, phi: float, scale: float):
+    # (f_x, f_z) on a wing R long and rho gaps long at half-angle phi: the
+    # reduced forces, by the formula for its length, times scale; and the
+    # summed magnitudes of each reduced force's terms.  A force that is no
+    # finite float, or an f_z that is no normal one, raises NonFiniteSample
     c, s = math.cos(phi), math.sin(phi)
     if rho > _SHORT_WING:
-        return _three_ray(rho, c, s, math.cos(2.0 * phi), math.sin(2.0 * phi))
-    return _tensor_rule(rho, c, s)
+        x, z, abs_x, abs_z = _three_ray(rho, c, s, math.cos(2.0 * phi), math.sin(2.0 * phi))
+    else:
+        x, z, abs_x, abs_z = _tensor_rule(rho, c, s)
+    f_x, f_z = x * scale, z * scale
+    if not math.isfinite(f_x):
+        raise NonFiniteSample(R, f_x, "f_x")
+    # f_z must be a normal float and finite: abs(inf) >= _FLOAT_MIN holds
+    if not _FLOAT_MIN <= abs(f_z) < math.inf:
+        raise NonFiniteSample(R, f_z, "f_z")
+    return f_x, f_z, abs_x, abs_z
 
 
 def _three_ray(rho: float, c: float, s: float, C: float, S: float):

@@ -3,7 +3,8 @@
 Everything here is written against the raw construction -- explicit corner
 points, ray-segment intersection via 2D cross products, sums over plain
 quadrature nodes -- and shares no computation with the closed-form modules;
-only the data types travel across.  The prefactor K = hbar c pi^2 / 240 is
+only the data types and the spec check :func:`~trapcav.geometry.validate`
+travel across.  The prefactor K = hbar c pi^2 / 240 is
 rebuilt from its own literals on purpose: a corrupted
 :data:`trapcav.geometry.K` must not move the oracle.
 
@@ -42,7 +43,7 @@ from typing import NamedTuple
 
 from .errors import DegenerateFan, NonFiniteSample, NumericDegeneracy, OutOfRange
 from .forces import ForceResult
-from .geometry import AngleWindow, CavitySpec, Units
+from .geometry import AngleWindow, CavitySpec, Units, validate
 
 # deliberate copies; see module docstring
 _HBAR = 1.054571817e-34
@@ -102,7 +103,9 @@ def limit_angles_vector(spec: CavitySpec, r: float) -> AngleWindow:
     P->M2 and P->M3 (see :func:`_windows_raw`).  The direction is given
     geometry and is never recovered by normalizing P: at denormal r the
     components of P round with so few bits that P / |P| can point anywhere.
+    An invalid spec raises :class:`InvalidCavity`.
     """
+    validate(spec)
     if not (0.0 <= r <= spec.R):
         raise OutOfRange("r", r, 0.0, spec.R)
     theta1, theta2 = _windows_raw(spec, r, math.atan2)
@@ -118,9 +121,11 @@ def ray_length_intersection(spec: CavitySpec, r: float, theta: float) -> float:
 
     u = (cos(phi - theta), sin(phi - theta)) and the lower wing is
     M3 + t (cos phi, -sin phi); b solves the 2x2 system via cross products.
-    No trig reduction is applied, which is the point.  A ray parallel to
-    the lower wing raises :class:`NumericDegeneracy`.
+    No trig reduction is applied, which is the point.  An invalid spec
+    raises :class:`InvalidCavity`, and a ray parallel to the lower wing
+    :class:`NumericDegeneracy`.
     """
+    validate(spec)
     try:
         return _ray_lengths_raw(spec, r, theta, math.cos, math.sin)
     except ZeroDivisionError:
@@ -308,7 +313,7 @@ def verify_suite(spec: CavitySpec) -> list[OracleReport]:
     # primary-path imports are confined here: this function is the
     # comparison harness, the oracle computations above stay independent
     from .forces import total_forces
-    from .geometry import limit_angles, ray_length, validate
+    from .geometry import limit_angles, ray_length
     from .kernels import fan_integrals
 
     validate(spec)

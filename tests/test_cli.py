@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import importlib
 import json
 import math
@@ -13,13 +14,13 @@ import jsonschema
 import pytest
 
 from trapcav import CavitySpec, ForceResult, SweepAxis, SweepTable, Units, sweep
-from trapcav.cli import RunConfig, main, parse_args, render_args
+from trapcav.cli import RunConfig, main, parse_args
 import trapcav.cli
 from trapcav.emit import PlotSpec, emit_csv, emit_svg
 from trapcav.geometry import PHI_TOL_FLOOR, REL_TOL_FLOOR
 
 REDUCED_ARGS = ["--a", "1", "--R", "10", "--units", "reduced"]
-# every flag of the shared parent at a value other than its default
+# every flag that all subcommands take, at a value other than its default
 SHARED_ARGS = [
     "--a", "4e-07", "--R", "4e-06", "--L", "2.5", "--phi-deg", "3", "--units", "si", "--out", "run.out",
 ]
@@ -102,9 +103,13 @@ def test_parse_profile_defaults_to_csv():
         ["verify", *SHARED_ARGS, "--format", "json"],
     ],
 )
-def test_render_round_trip(argv):
+def test_render_round_trip(argv, tmp_path):
+    # the config rendered as a --config file of every field reproduces the
+    # run, so each field's token form parses back to its value
     cfg = parse_args(argv)
-    assert parse_args(render_args(cfg)) == cfg
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg._asdict()))
+    assert parse_args([cfg.command, "--config", str(path)]) == cfg
 
 
 def test_config_file_merge(tmp_path):
@@ -267,6 +272,25 @@ def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as err:
         parse_args(argv)
     assert err.value.code == 2
+
+
+# a usage error that only the subcommand's own parser sees: a run flag it
+# does not read, a bad --config file and the optimize window
+SUBCOMMAND_USAGE_ERRORS = [
+    *([command, *COMPLETE_ARGS[command], flag, value] for command, flag, value in UNREAD_FLAGS),
+    ["force", *REDUCED_ARGS, "--config", "missing.json"],
+    ["optimize", *REDUCED_ARGS, "--phi-lo-deg", "20", "--phi-hi-deg", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", SUBCOMMAND_USAGE_ERRORS)
+def test_usage_errors_name_the_subcommand(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: trapcav {argv[0]} ")
+    assert f"\ntrapcav {argv[0]}: error: " in captured.err
 
 
 def fresh_python(code: str, *argv: str) -> str:
@@ -601,6 +625,25 @@ def test_profile_svg_polyline_count(tmp_path):
     import xml.etree.ElementTree as ET
 
     ET.fromstring(svg.decode("utf-8"))
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["profile", *REDUCED_ARGS, "--phi-deg", "5", "--samples", "9", "--format", "svg", "--reference-classical"],
+            "3a84d2a40e8368c86a28f0603b77094fe820cc80ddca0c525dbe688eb86db9c1",
+        ),
+        (
+            ["sweep", *REDUCED_ARGS, "--axis", "phi", "--values", "1,5,10,20", "--format", "svg"],
+            "771fda215d3d378e54e2f4b7242464ef41525ff7aab8bb7149ddfd4ff64d7643",
+        ),
+    ],
+)
+def test_svg_bytes_are_pinned(argv, digest, capsysbinary):
+    # every element of both plot kinds, byte for byte
+    assert main(argv) == 0
+    assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == digest
 
 
 def test_profile_svg_both_quantities(tmp_path):

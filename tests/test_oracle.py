@@ -176,6 +176,23 @@ def test_verify_suite_angles_on_long_wings(phi):
     assert angles.passed, angles.rel_deviation
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        CavitySpec(a=-1.0, R=4.0, L=1.0, phi=0.1),
+        CavitySpec(a=1.0, R=4.0, L=1.0, phi=1.0),
+        CavitySpec(a=1.0, R=4.0, L=1.0, phi=0.1, units="si"),
+    ],
+)
+def test_oracle_geometry_validates_the_spec(spec):
+    # unchecked, these return a negative ray length, a window for a fan
+    # that folds onto the wing, or values for a unit system given as text
+    with pytest.raises(InvalidCavity):
+        limit_angles_vector(spec, 1.0)
+    with pytest.raises(InvalidCavity):
+        ray_length_intersection(spec, 1.0, 2.0)
+
+
 def test_verify_suite_rejects_invalid_spec():
     with pytest.raises(InvalidCavity):
         verify_suite(CavitySpec(a=1.0, R=-1.0, L=1.0, phi=0.0))
