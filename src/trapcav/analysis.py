@@ -17,8 +17,6 @@ length except L by lambda multiplies specific pressures by lambda^-4 and
 per-wing forces by lambda^-3.
 """
 
-from __future__ import annotations
-
 import bisect
 import math
 import sys

@@ -9,11 +9,15 @@ and only the other flags it reads: profile --samples --quantity
 everywhere inside.  Exit codes: 0 success,
 1 numerical failure (reported as a JSON object on stderr), 2 usage error
 (an --out path that cannot be written included).
+
+Every flag is declared once, in ``_FLAGS``, and a command line is read on
+one of two paths.  A well-formed one, with only full flag names and valid
+values, is read from that table without importing argparse.  argparse,
+whose parsers are built from the same table, reads every other one: help,
+--config, abbreviations and every usage error, so each help, usage and
+error text is argparse's own.
 """
 
-from __future__ import annotations
-
-import argparse
 import json
 import math
 import os
@@ -23,6 +27,9 @@ import typing
 from .errors import InvalidCavity, OutOfRange, TrapcavError
 from .forces import ForceResult, pressure_profile, total_forces
 from .geometry import PHI_TOL_FLOOR, REL_TOL_FLOOR, CavitySpec, Units, pressure_prefactor, validate
+
+if typing.TYPE_CHECKING:
+    import argparse
 
 # each subcommand's help and output formats; the first format is its default
 _COMMANDS = {
@@ -87,8 +94,132 @@ class RunConfig(typing.NamedTuple):
     phi_tol_deg: float | None
 
 
+class _Flag(typing.NamedTuple):
+    """One flag of the subcommands in ``commands``.
+
+    ``convert`` turns its text into the value (None keeps the text; bool
+    makes the flag a --name/--no-name pair that takes no value), and a
+    ``check`` ``(ok, rule)`` then requires ``ok(value)``; argparse states
+    ``rule`` where ``ok`` fails.  ``cavity`` puts the flag in the help's
+    cavity group.
+    """
+
+    name: str
+    commands: tuple[str, ...]
+    convert: object = None
+    default: object = None
+    choices: tuple | None = None
+    required: bool = False
+    help: str | None = None
+    check: tuple | None = None
+    cavity: bool = False
+
+    @property
+    def field(self) -> str:
+        """The :class:`RunConfig` field, named as argparse names the flag's dest."""
+        return self.name[2:].replace("-", "_")
+
+
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+
+
+def _at_least(floor: float) -> tuple:
+    return (lambda v: floor <= v < math.inf), f"must be at least {floor!r} and finite"
+
+
+_EVERY = tuple(_COMMANDS)
+# every flag, in the order each subcommand's help lists them; the floors of
+# --tol and --phi-tol-deg are those of total_forces and optimize_phi, so
+# that a flag or config value under them is refused where it is read
+_FLAGS = (
+    _Flag("--a", _EVERY, float, required=True, help="gap at the narrow end (m in SI mode)", cavity=True),
+    _Flag("--R", _EVERY, float, required=True, help="wing length", cavity=True),
+    _Flag("--L", _EVERY, float, 1.0, help="cavity width (default %(default)s)", cavity=True),
+    _Flag("--phi-deg", _EVERY, float, 0.0, help="half-opening angle, degrees (default %(default)s)",
+          cavity=True),
+    _Flag("--units", _EVERY, None, "si", ("si", "reduced"), help="unit system (default %(default)s)",
+          cavity=True),
+    _Flag("--out", _EVERY, help="output path (default stdout)"),
+    _Flag("--config", _EVERY, help="JSON file with the same fields; explicit flags win"),
+    _Flag("--format", _EVERY),  # its choices and default are the subcommand's formats
+    _Flag("--tol", ("force", "sweep"), float, 1e-9, check=_at_least(REL_TOL_FLOOR),
+          help="relative tolerance a force's rounding bound must meet (default %(default)s)"),
+    _Flag("--wing-count", ("force", "sweep"), int, 1, (1, 2), help="wings to report (default %(default)s)"),
+    _Flag("--samples", ("profile",), int, 256, check=(lambda v: v >= 2, "must be at least 2"),
+          help="sample count (default %(default)s)"),
+    _Flag("--quantity", ("profile",), None, "both", ("px", "pz", "both")),
+    _Flag("--reference-classical", ("profile",), bool, False,
+          help="add the parallel-plate reference level to SVG output"),
+    _Flag("--workers", ("sweep",), int, 1, check=(lambda v: v >= 1, "must be at least 1"),
+          help="accepted for compatibility (>= 1, default %(default)s); "
+          "sweep rows run one after another"),
+    _Flag("--axis", ("sweep",), None, None, ("phi", "R"), required=True),
+    _Flag("--values", ("sweep",), _float_list, required=True,
+          help="comma-separated grid; degrees when axis=phi",
+          check=(lambda v: len(v) > 0 and all(b > a for a, b in zip(v, v[1:])),
+                 "must be a non-empty, strictly increasing list")),
+    _Flag("--phi-lo-deg", ("optimize",), float, required=True),
+    _Flag("--phi-hi-deg", ("optimize",), float, required=True),
+    _Flag("--phi-tol-deg", ("optimize",), float, math.degrees(1e-5),
+          check=_at_least(math.degrees(PHI_TOL_FLOOR))),
+)
+
+
+def _flags(command: str) -> list[_Flag]:
+    """The flags ``command`` takes, in ``_FLAGS`` order; --format offers its formats."""
+    formats = _COMMANDS[command][1]
+    flags = [flag for flag in _FLAGS if command in flag.commands]
+    return [f._replace(choices=formats, default=formats[0]) if f.name == "--format" else f for f in flags]
+
+
+def _in_window(config: RunConfig) -> bool:
+    return config.command != "optimize" or 0.0 < config.phi_lo_deg < config.phi_hi_deg < 45.0
+
+
+def _read(argv: list[str]) -> RunConfig | None:
+    """``argv`` read from ``_FLAGS`` alone, or None where argparse must read it.
+
+    Only ``--flag value`` and ``--flag=value`` tokens with the full name of
+    one of the subcommand's flags are read, with argparse's converters,
+    checks, choices and required flags; help, --config, an abbreviation, a
+    value that starts with ``-``, ``--`` and any failed check return None.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    values = dict.fromkeys(RunConfig._fields)
+    values["command"] = argv[0]
+    # every flag but --config, which only argparse reads; a bool is a pair
+    names = {flag.name: flag for flag in _flags(argv[0]) if flag.field in values}
+    names.update({f"--no-{flag.name[2:]}": flag for flag in names.values() if flag.convert is bool})
+    values.update({flag.field: flag.default for flag in names.values()})
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        flag = names.get(name)
+        if flag is None or flag.convert is bool and eq:
+            return None
+        if flag.convert is bool:
+            value = name == flag.name
+        else:
+            text = text if eq else next(tokens, "-")  # "-" where no value follows
+            try:
+                value = text if flag.convert is None else flag.convert(text)
+            except ValueError:
+                return None
+            check, choices = flag.check, flag.choices
+            if text.startswith("-") or check and not check[0](value) or choices and value not in choices:
+                return None
+        values[flag.field] = value
+    config = RunConfig(**values)
+    # no flag's value is None, so a required one that is None was not given
+    given = (values[flag.field] is not None for flag in names.values() if flag.required)
+    return config if all(given) and _in_window(config) else None
+
+
 def _checked(convert, ok, rule: str):
     """An argparse ``type``: ``convert`` the text, then require ``ok(value)``."""
+    import argparse
 
     def parse(text: str):
         value = convert(text)
@@ -100,103 +231,37 @@ def _checked(convert, ok, rule: str):
     return parse
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+def _build_parser() -> "tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]":
+    """The parser and its subcommand parsers by name, built from ``_FLAGS``."""
+    import argparse
 
-
-def _at_least(floor: float):
-    rule = f"must be at least {floor!r} and finite"
-    return _checked(float, lambda v: floor <= v < math.inf, rule)
-
-
-# the floors of total_forces and optimize_phi, so that a flag or config
-# value under them is refused where it is read
-_tolerance = _at_least(REL_TOL_FLOOR)
-_phi_tolerance_deg = _at_least(math.degrees(PHI_TOL_FLOOR))
-_grid = _checked(
-    _float_list,
-    lambda v: len(v) > 0 and all(b > a for a, b in zip(v, v[1:])),
-    "must be a non-empty, strictly increasing list",
-)
-
-
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser and its subcommand parsers by name.
-
-    Every flag is declared only here: --config files write their tokens
-    from these parsers' actions.
-    """
-    parser = argparse.ArgumentParser(
-        prog="trapcav",
-        description="Casimir compression and expulsion forces on open trapezoid cavities",
-    )
+    description = "Casimir compression and expulsion forces on open trapezoid cavities"
+    parser = argparse.ArgumentParser(prog="trapcav", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
 
     commands = {}
-    for name, (summary, formats) in _COMMANDS.items():
-        command = sub.add_parser(name, help=summary)
+    for name, (summary, _) in _COMMANDS.items():
+        command = commands[name] = sub.add_parser(name, help=summary)
         cavity = command.add_argument_group("cavity")
-        cavity.add_argument("--a", type=float, required=True, help="gap at the narrow end (m in SI mode)")
-        cavity.add_argument("--R", type=float, required=True, help="wing length")
-        cavity.add_argument("--L", type=float, default=1.0, help="cavity width (default %(default)s)")
-        cavity.add_argument(
-            "--phi-deg", type=float, default=0.0,
-            help="half-opening angle, degrees (default %(default)s)",
-        )
-        cavity.add_argument(
-            "--units", choices=("si", "reduced"), default="si",
-            help="unit system (default %(default)s)",
-        )
-        command.add_argument("--out", help="output path (default stdout)")
-        command.add_argument("--config", help="JSON file with the same fields; explicit flags win")
-        command.add_argument("--format", choices=formats, default=formats[0])
-        commands[name] = command
-
-    # each run flag goes only to the subcommands that read it
-    for name in ("force", "sweep"):
-        commands[name].add_argument(
-            "--tol", type=_tolerance, default=1e-9,
-            help="relative tolerance a force's rounding bound must meet (default %(default)s)",
-        )
-        commands[name].add_argument(
-            "--wing-count", type=int, choices=(1, 2), default=1,
-            help="wings to report (default %(default)s)",
-        )
-    profile = commands["profile"]
-    profile.add_argument(
-        "--samples", type=_checked(int, lambda v: v >= 2, "must be at least 2"), default=256,
-        help="sample count (default %(default)s)",
-    )
-    profile.add_argument("--quantity", choices=("px", "pz", "both"), default="both")
-    profile.add_argument(
-        "--reference-classical", action=argparse.BooleanOptionalAction, default=False,
-        help="add the parallel-plate reference level to SVG output",
-    )
-    swp = commands["sweep"]
-    swp.add_argument(
-        "--workers", type=_checked(int, lambda v: v >= 1, "must be at least 1"), default=1,
-        help="accepted for compatibility (>= 1, default %(default)s); "
-        "sweep rows run one after another",
-    )
-    swp.add_argument("--axis", choices=("phi", "R"), required=True)
-    swp.add_argument(
-        "--values", type=_grid, required=True, help="comma-separated grid; degrees when axis=phi"
-    )
-    opt = commands["optimize"]
-    opt.add_argument("--phi-lo-deg", type=float, required=True)
-    opt.add_argument("--phi-hi-deg", type=float, required=True)
-    opt.add_argument("--phi-tol-deg", type=_phi_tolerance_deg, default=math.degrees(1e-5))
+        for flag in _flags(name):
+            kwargs = {"default": flag.default, "required": flag.required, "help": flag.help}
+            if flag.convert is bool:
+                kwargs["action"] = argparse.BooleanOptionalAction
+            else:
+                convert = flag.convert if flag.check is None else _checked(flag.convert, *flag.check)
+                kwargs.update(choices=flag.choices, type=convert)
+            (cavity if flag.cavity else command).add_argument(flag.name, **kwargs)
     return parser, commands
 
 
-def _config_tokens(command: argparse.ArgumentParser, path: str) -> list[str]:
-    """The --config file as ``--flag=value`` tokens for ``command``.
+def _config_tokens(name: str, command: "argparse.ArgumentParser", path: str) -> list[str]:
+    """The --config file as ``--flag=value`` tokens for subcommand ``name``.
 
     Keys that are no :class:`RunConfig` field are rejected; fields that are
     None or that belong to another subcommand are dropped.  A boolean goes
-    out as a BooleanOptionalAction flag or its ``--no-`` form, a --values
-    list is joined with commas, and an integral float for an integer flag
-    (``256.0``) is passed as its integer.
+    out as its flag or the flag's ``--no-`` form, a --values list is joined
+    with commas, and an integral float for an integer flag (``256.0``) is
+    passed as its integer.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -210,55 +275,68 @@ def _config_tokens(command: argparse.ArgumentParser, path: str) -> list[str]:
     unknown = sorted(set(data) - set(RunConfig._fields))
     if unknown:
         command.error(f"--config: unknown keys {', '.join(unknown)}")
-    actions = {action.dest: action for action in command._actions}
+    flags = {flag.field: flag for flag in _flags(name)}
     tokens = []
     for key, value in data.items():
-        action = actions.get(key)
-        if action is None or value is None:
+        flag = flags.get(key)
+        if flag is None or value is None:
             continue
-        flag, kind = action.option_strings[0], getattr(action.type, "__name__", None)
-        if isinstance(action, argparse.BooleanOptionalAction) and isinstance(value, bool):
-            tokens.append(flag if value else action.option_strings[1])
-        elif isinstance(value, list) and action.type is _grid:
-            tokens.append(f"{flag}={','.join(map(str, value))}")
-        elif kind == "int" and isinstance(value, float) and value.is_integer():
-            # JSON Schema's "integer" takes 256.0 as well as 256; an integer
-            # flag's type is int or a _checked int, which bears its name
-            tokens.append(f"{flag}={int(value)}")
+        if flag.convert is bool and isinstance(value, bool):
+            tokens.append(flag.name if value else f"--no-{flag.name[2:]}")
+        elif flag.convert is _float_list and isinstance(value, list):
+            tokens.append(f"{flag.name}={','.join(map(str, value))}")
+        elif flag.convert is int and isinstance(value, float) and value.is_integer():
+            # JSON Schema's "integer" takes 256.0 as well as 256
+            tokens.append(f"{flag.name}={int(value)}")
         else:
-            tokens.append(f"{flag}={value}")
+            tokens.append(f"{flag.name}={value}")
     return tokens
+
+
+def _parse_with_argparse(argv: list[str]) -> RunConfig:
+    """``argv`` and any --config file parsed by argparse, as :func:`parse_args` says."""
+    import argparse
+
+    parser, commands = _build_parser()
+    if argv and argv[0] in commands:
+        command, flags = commands[argv[0]], argv[1:]
+        pre = argparse.ArgumentParser(prog=command.prog, add_help=False, exit_on_error=False)
+        pre.add_argument("-h", "--help", action="store_true")
+        pre.add_argument("--config")
+        try:
+            found, _ = pre.parse_known_args(flags)
+        except argparse.ArgumentError as err:  # --config without its path, say
+            command.error(str(err))
+        if found.config is not None and not found.help:
+            flags = [*_config_tokens(argv[0], command, found.config), *flags]
+        ns = command.parse_args(flags, argparse.Namespace(command=argv[0]))
+    else:
+        ns = parser.parse_args(argv)
+        command = commands[ns.command]
+    config = RunConfig(**{name: getattr(ns, name, None) for name in RunConfig._fields})
+    if not _in_window(config):
+        command.error("optimize needs 0 < --phi-lo-deg < --phi-hi-deg < 45")
+    return config
 
 
 def parse_args(argv: list[str]) -> RunConfig:
     """Resolve argv (and any --config file) into a :class:`RunConfig`.
 
-    The invoked subcommand's own parser parses its argv, so every usage
-    error names the subcommand; the root parser takes an argv that does
-    not start with one (help, or no or an unknown subcommand).  The
-    --config file is read first and its fields become ``--flag=value``
-    tokens placed before the flags, so one parser checks file and flags
-    alike and, keeping the last value given, lets an explicit flag win over
-    the file and the file over the default.  The subcommand always comes
-    from argv.  Usage problems, bad config values included, exit with code
-    2 and a diagnostic naming the offending flag.
+    A well-formed argv, a subcommand followed by full flag names and valid
+    values, is read from the flag table without argparse.  Every other
+    argv goes to argparse, which parses it again from the start.  There the
+    invoked subcommand's own parser parses its argv, so every usage error
+    names the subcommand; the root parser takes an argv that does not start
+    with one (help, or no or an unknown subcommand).  The --config file is
+    read first and its fields become ``--flag=value`` tokens placed before
+    the flags, so one parser checks file and flags alike and, keeping the
+    last value given, lets an explicit flag win over the file and the file
+    over the default.  The subcommand always comes from argv.  Usage
+    problems, bad config values included, exit with code 2 and a diagnostic
+    naming the offending flag.
     """
-    parser, commands = _build_parser()
-    if argv and argv[0] in commands:
-        command, flags = commands[argv[0]], argv[1:]
-        pre = argparse.ArgumentParser(prog=command.prog, add_help=False)
-        pre.add_argument("-h", "--help", action="store_true")
-        pre.add_argument("--config")
-        found, _ = pre.parse_known_args(flags)
-        if found.config and not found.help:
-            flags = [*_config_tokens(command, found.config), *flags]
-        ns = command.parse_args(flags, argparse.Namespace(command=argv[0]))
-    else:
-        ns = parser.parse_args(argv)
-        command = commands[ns.command]
-    if ns.command == "optimize" and not (0.0 < ns.phi_lo_deg < ns.phi_hi_deg < 45.0):
-        command.error("optimize needs 0 < --phi-lo-deg < --phi-hi-deg < 45")
-    return RunConfig(**{name: getattr(ns, name, None) for name in RunConfig._fields})
+    config = _read(argv)
+    return _parse_with_argparse(argv) if config is None else config
 
 
 def _spec_dict(spec: CavitySpec) -> dict:

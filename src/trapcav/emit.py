@@ -3,8 +3,6 @@
 Only a run that writes one of these formats loads this module.
 """
 
-from __future__ import annotations
-
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -32,7 +30,7 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def emit_csv(table: PressureProfile | SweepTable) -> bytes:
+def emit_csv(table: "PressureProfile | SweepTable") -> bytes:
     """CSV with 17 significant digits, \\n line endings, no locale."""
     if isinstance(table, PressureProfile):
         lines = ["r,p_x,p_z"]

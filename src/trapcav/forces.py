@@ -59,8 +59,6 @@ evaluates the same forms at many angles of one cavity and keeps only f_x,
 for the phi* search of :mod:`~trapcav.analysis`.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 import sys
@@ -154,7 +152,7 @@ def integrate_adaptive(*args, **kwargs):
     return integrate_adaptive(*args, **kwargs)
 
 
-def specific_pressures(spec: CavitySpec, r: float) -> PressureSample:
+def specific_pressures(spec: CavitySpec, r: float) -> "PressureSample":
     # bench/tracing.py wraps specific_pressures by its name in this module;
     # the kernels load on the first call, so that a process that only runs
     # the closed forms does not compile them
@@ -185,7 +183,7 @@ class PressureProfile(NamedTuple):
     """Pressure samples along the wing, strictly increasing in ``r``."""
 
     spec: CavitySpec
-    samples: tuple[PressureSample, ...]
+    samples: tuple["PressureSample", ...]
 
 
 def _check_options(rel_tol: float, wing_count: int) -> None:

@@ -37,8 +37,6 @@ prefactor :data:`K`, and the tolerance floors :data:`REL_TOL_FLOOR` and
 a float and runs on :mod:`math` alone.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from enum import Enum

@@ -44,8 +44,6 @@ ideal half-space of rays beats the single perpendicular ray — and the x
 integral over (0, pi/2) is +1/5, flipping sign on (pi/2, pi).
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -36,8 +36,6 @@ not one of the package's public names: it needs numpy, which only the
 ``test`` extra installs, and the pairwise sum of :mod:`~trapcav.quadrature`.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -31,8 +31,6 @@ to cross-check the closed forms.  It needs numpy, which only the ``test``
 extra installs.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 from typing import Callable, NamedTuple

@@ -10,6 +10,8 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
 import jsonschema
 import pytest
 
@@ -293,6 +295,94 @@ def test_usage_errors_name_the_subcommand(argv, tmp_path, monkeypatch, capsys):
     assert f"\ntrapcav {argv[0]}: error: " in captured.err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--config"], "argument --config: expected one argument"),
+        (["--config="], "--config: cannot read ''"),
+    ],
+)
+def test_config_flag_errors_print_the_full_usage(flags, message, capsys):
+    # a --config without a path, or with an empty one, is a usage error of
+    # the subcommand, whose usage lists all of its flags
+    assert main(["force", *REDUCED_ARGS, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: trapcav force [-h] --a A --R R ")
+    assert f"\ntrapcav force: error: {message}" in captured.err
+
+
+# the argv forms of the cli benchmark's operations and of the CI smoke steps
+WELL_FORMED = [
+    ["force", "--a", "1e-07", "--R", "3.1e-06", "--L", "1.0", "--phi-deg", "12.5", "--units", "si", "--wing-count", "2"],
+    ["profile", "--a", "1.0", "--R", "40.0", "--L", "1.0", "--phi-deg", "0.75", "--units", "reduced",
+     "--samples", "64", "--format", "json"],
+    ["optimize", "--a", "1.0", "--R", "3.5", "--L", "1.0", "--phi-deg", "0.0", "--units", "reduced",
+     "--phi-lo-deg", "0.5", "--phi-hi-deg", "20"],
+    ["sweep", "--a", "1.0", "--R", "3.5", "--L", "1.0", "--phi-deg", "0.0", "--units", "reduced",
+     "--axis", "phi", "--values", ",".join(repr(0.5 + 19.5 * k / 7) for k in range(8)), "--format", "json"],
+    ["verify", "--a", "1.0", "--R", "12.0", "--L", "1.0", "--phi-deg", "17.0", "--units", "reduced"],
+    ["force", *REDUCED_ARGS, "--phi-deg", "5"],
+    ["sweep", *REDUCED_ARGS, "--axis", "R", "--values", "1e-160,1", "--format", "csv"],
+    ["profile", *REDUCED_ARGS, "--phi-deg", "5", "--format", "svg", "--reference-classical"],
+    ["profile", *REDUCED_ARGS, "--no-reference-classical", "--quantity=px", "--out=p.csv"],
+    ["verify", "--a", "1e-7", "--R", "1e-2", "--phi-deg", "44.7"],
+    ["force", *FORCE_ARGS, "--tol=1e-12", "--tol", "1e-11"],
+]
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED)
+def test_well_formed_argv_is_read_from_the_flag_table(argv):
+    # a declined argv costs argparse's import and parsers, so these forms
+    # must be read from the table, to the config that argparse reads
+    config = trapcav.cli._read(argv)
+    assert config is not None
+    assert repr(config) == repr(trapcav.cli._parse_with_argparse(argv))
+
+
+_, _PARSERS = trapcav.cli._build_parser()
+OWN_FLAGS = {name: sorted(f for a in parser._actions for f in a.option_strings) for name, parser in _PARSERS.items()}
+FLAG_TOKENS = sorted({f for flags in OWN_FLAGS.values() for f in flags})
+FLAG_TOKENS += ["--ph", "--phi-d", "--c", "--ax", "--un", "--wing", "--bogus", "--"]
+VALUE_TOKENS = [
+    "1", "4", "0.5", "20", "45", "-1", "-5", "", " 2 ", "nan", "inf", "-inf", "0", "2", "3", "1e-15",
+    "1e-09", "256", "1.5", "si", "reduced", "cgs", "json", "csv", "svg", "phi", "R", "px", "both",
+    "1,2,3", "3,2,1", "1,,2", "1,1", "-1,2", "x", "-h", "-x",
+]
+
+
+@st.composite
+def argvs(draw):
+    # a subcommand (or none), most often with the flags that complete its
+    # run, and up to two more pieces in any order: a flag with its value,
+    # as two tokens or one --flag=value token, or a lone flag or value; a
+    # flag is often one of the subcommand's own
+    command = draw(st.sampled_from([*COMPLETE_ARGS, "frc"]))
+    complete = COMPLETE_ARGS.get(command, REDUCED_ARGS) if draw(st.integers(0, 3)) else []
+    own = st.sampled_from(OWN_FLAGS.get(command, FLAG_TOKENS))
+    flag = st.one_of(own, st.sampled_from(FLAG_TOKENS))
+    pair = st.tuples(flag, st.sampled_from(VALUE_TOKENS))
+    lone = st.one_of(flag, st.sampled_from(VALUE_TOKENS)).map(lambda token: [token])
+    piece = st.one_of(pair.map(list), pair.map(lambda p: ["=".join(p)]), lone)
+    pieces = [complete[i : i + 2] for i in range(0, len(complete), 2)]
+    pieces = draw(st.permutations(pieces + draw(st.lists(piece, max_size=2))))
+    return [command, *(token for piece in pieces for token in piece)]
+
+
+@given(argv=argvs())
+@example(argv=["profile", *REDUCED_ARGS, "--reference-classical=1"])
+@example(argv=["force", *REDUCED_ARGS, "--tol", "1e-15"])
+@example(argv=["sweep", *REDUCED_ARGS, "--axis", "R", "--values", "-1,2"])
+@settings(max_examples=500, deadline=None)
+def test_flag_table_reads_argv_as_argparse_does(argv):
+    # the table either declines an argv or reads it to the config that
+    # argparse reads (repr compares a NaN field too); an argv that argparse
+    # refuses raises SystemExit here
+    config = trapcav.cli._read(argv)
+    if config is not None:
+        assert repr(config) == repr(trapcav.cli._parse_with_argparse(argv))
+
+
 def fresh_python(code: str, *argv: str) -> str:
     """The stdout of ``code`` run with ``argv`` in a fresh interpreter."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -302,12 +392,13 @@ def fresh_python(code: str, *argv: str) -> str:
 
 
 # runs trapcav.cli.main on its arguments, if any, and prints the exit code,
-# the numpy, scipy and dataclasses modules then loaded and the trapcav ones
+# the numpy, scipy, dataclasses, argparse, gettext and locale modules then
+# loaded and the trapcav ones
 FRESH_MAIN = """
 import json, sys
 import trapcav, trapcav.cli
 code = trapcav.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-unwanted = ("numpy", "scipy", "dataclasses")
+unwanted = ("numpy", "scipy", "dataclasses", "argparse", "gettext", "locale")
 loaded = [sorted(m for m in sys.modules if m.split(".")[0] in names) for names in (unwanted, ("trapcav",))]
 print(json.dumps([code, *loaded]))
 """
@@ -323,7 +414,8 @@ def test_import_loads_neither_numpy_scipy_nor_dataclasses():
     # most of a force run's wall time: the package and every command run on
     # plain floats and must leave numpy (and the scipy test extra) unloaded;
     # the records are NamedTuples, so dataclasses (and the inspect, ast and
-    # dis it imports) stays unloaded too
+    # dis it imports) stays unloaded too; a well-formed command line is read
+    # without argparse, and without the gettext and locale that it imports
     sweep_args = ["sweep", *REDUCED_ARGS, "--axis", "phi", "--values", "1,5,10,20"]
     profile_args = ["profile", *REDUCED_ARGS, "--phi-deg", "5", "--samples", "9"]
     for argv in (
@@ -337,6 +429,8 @@ def test_import_loads_neither_numpy_scipy_nor_dataclasses():
         ["verify", *REDUCED_ARGS, "--phi-deg", "5"],
     ):
         assert run_fresh(*argv)[:2] == (0, []), argv
+    code, unwanted, _ = run_fresh("force", "--a", "1")
+    assert code == 2 and "argparse" in unwanted
 
 
 # what importing trapcav.cli loads: the package, the errors, the cavity spec

@@ -1,6 +1,12 @@
 """The public records are immutable NamedTuples with their documented reprs."""
 
+import importlib
+import pkgutil
+import typing
+
 import pytest
+
+import trapcav
 
 from trapcav import (
     AngleWindow,
@@ -131,3 +137,17 @@ def test_record_contract(name):
     with pytest.raises(AttributeError):
         setattr(record, field, value)
     assert repr(record) == text
+
+
+def test_record_annotations_are_not_forward_references():
+    # a NamedTuple turns each string annotation into a typing.ForwardRef,
+    # which compiles the string when the class is made: every process that
+    # imports a record would pay for it
+    modules = [importlib.import_module(f"trapcav.{m.name}") for m in pkgutil.iter_modules(trapcav.__path__)]
+    records = {
+        obj for module in modules for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, tuple) and obj.__module__ == module.__name__
+    }
+    assert {cls.__name__ for cls in records} >= set(RECORDS)
+    for cls in records:
+        assert not [a for a in cls.__annotations__.values() if isinstance(a, typing.ForwardRef)], cls
