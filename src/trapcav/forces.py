@@ -27,7 +27,14 @@ and kappa = cos u, with C = cos 2 phi and S = sin 2 phi:
 
 The end rays are A = M3 seen from the wing tip, M = either corner seen
 from its own wing end (u = pi/2 - phi for both), and B = M2 seen from the
-apex.  With I_x = c I_G - sin(phi) I_F and I_z = c I_F + sin(phi) I_G,
+apex.  A and B are the corner rays of :mod:`~trapcav.geometry` at
+(r, t) = (rho, 0) and (0, rho) in gap units: with
+h = hypot(c rho, 1 + rho sin phi), both of length h,
+
+    (sigma_A, kappa_A) = (c w, w sin phi - rho) / h
+    (sigma_B, kappa_B) = (c, rho + sin phi) / h.
+
+With I_x = c I_G - sin(phi) I_F and I_z = c I_F + sin(phi) I_G,
 
     f_x a^3 / (K L) = c^-3 [(I_x(A) - I_x(M)) - (I_x(M) - I_x(B)) / w^3]
 
@@ -275,16 +282,18 @@ def _three_ray(rho: float, c: float, s: float, C: float, S: float):
     # is written with mu, which is small where its own terms would cancel,
     # and as a polynomial in 1/t, so that neither sg^3 nor w^3 divides
     # alone.  Ray A has sine sg and cosine ka, B has sb and kb, M has c and
-    # s.  A and B lie at the same distance h from their wing points, so sg
-    # is t for A and B and mu for B, and sb = c / h is mu for A
+    # s.  A and B are the rays of geometry._ray at (r, t) = (rho, 0) and
+    # (0, rho) in gap units, written out: (sigma, x) = (c w, s w - rho) and
+    # (c, rho + s), over one length h that both have bit for bit.  So sg is
+    # t for A and B and mu for B, and sb = c / h is mu for A
     cc, ss, cs = C * C, S * S, C * S
     ss8, ss12, cs2, cs6 = 8.0 * ss, 12.0 * ss, 2.0 * cs, 6.0 * cs
     d4, d1, c24 = ss - 4.0 * cc, ss - cc, 24.0 * C
-    w = 1.0 + 2.0 * rho * s
+    w = 1.0 + rho * (2.0 * s)
     w2 = w * w
     w3 = w2 * w
-    h = math.hypot(rho + s, c)
-    sg, ka, sb, kb = (c + rho * S) / h, (s - rho * C) / h, c / h, (rho + s) / h
+    h = math.hypot(c * rho, 1.0 + rho * s)
+    sg, ka, sb, kb = c * w / h, (s * w - rho) / h, c / h, (rho + s) / h
     sg2, ka2, sb2, kb2, c2, s2 = sg * sg, ka * ka, sb * sb, kb * kb, c * c, s * s
     a_f = (
         ((ss8 / sg + c24 * sb) / sg - ss12) / sg + (3.0 * sg * (d4 + sg2 * d1) - cs6 * ka * (3.0 + sg2))

@@ -9,23 +9,29 @@ lower wing from M3 = (0, -a) towards M2 = (R cos phi, -R sin phi - a).
 A point on the upper wing at arc coordinate ``r`` exchanges vacuum rays with
 the lower wing through a fan of directions.  Directions are measured by the
 angle ``theta`` taken from the upper-wing direction, so a ray leaving ``r``
-under ``theta`` travels along (cos(phi - theta), sin(phi - theta)).  The fan
-is bounded by the rays aimed at the two ends of the lower wing.  Each limit
-angle is atan2 of the cross and dot products of the wing direction with the
-vector from the wing point to that corner:
+under ``theta`` travels along (cos(phi - theta), sin(phi - theta)), and
+u = theta - 2 phi is its angle from the lower-wing direction.  The fan is
+bounded by the rays aimed at the two ends of the lower wing.  Every ray from
+P(r) to a lower-wing point Q(t), the corners included, comes from one
+formula (c = cos phi, s = sin phi):
 
-    theta1 = atan2(cos phi (a + 2 R sin phi),
-                   (R - r) - sin phi (a + 2 R sin phi))
-    theta2 = atan2(a cos phi, -(r + a sin phi))
+    sigma = c (a + 2 r s)                     distance of P(r) from the lower wing
+    x     = (t - r) + s (a + 2 r s)           offset of Q(t) from the foot of
+                                              that perpendicular, along the wing
+    h     = hypot(c (r - t), a + (r + t) s)   length of P(r)->Q(t)
 
-Both cross products are positive for any valid cavity, so both angles lie
-in (0, pi) without a clamp, and neither loses accuracy as it nears 0 or pi.
+so sin u = sigma / h and cos u = x / h.  Every term of sigma is positive.
+x equals t + a s - r cos 2 phi, but a float cos 2 phi rounds away the
+2 r s^2 that x keeps: on a nearly flat wing 1e6 gaps long that form would
+move an angle by about 5e-11 rad.  The far limit angle theta1 aims at the
+far corner M2 (t = R), the near one theta2 at the near corner M3 (t = 0),
+each 2 phi + atan2(sigma, x) of its corner.  sigma is positive, so both
+angles lie in (2 phi, 2 phi + pi) without a clamp, and neither loses
+accuracy as it nears an end.
 
 Inside the fan the ray length back to the lower wing is
 
-    b(r, theta) = s(r) / sin(theta - 2 phi),
-    s(r) = sin(2 phi - theta2) (a + r sin phi) / sin(phi - theta2)
-         = cos phi (a + 2 r sin phi),
+    b(r, theta) = s(r) / sin(theta - 2 phi),    s(r) = sigma,
 
 so ``s`` is the single length scale of the fan at ``r``.  With ``phi``
 restricted below pi/4 the window satisfies 2 phi < theta1 < theta2 <= pi and
@@ -135,18 +141,20 @@ def pressure_prefactor(spec: CavitySpec) -> float:
     return 1.0 if spec.units is Units.REDUCED else K
 
 
+def _ray(a: float, c: float, s: float, r: float, t: float) -> tuple[float, float, float]:
+    # (sigma, x, h) of the ray from the upper-wing point r to the
+    # lower-wing point t, in the unit of a, with c = cos(phi) and
+    # s = sin(phi): sigma / h and x / h are the sine and cosine of its
+    # angle u = theta - 2 phi from the lower wing (see the module docstring)
+    g = a + r * (2.0 * s)
+    return c * g, (t - r) + s * g, math.hypot(c * (r - t), a + (r + t) * s)
+
+
 class WingParams(NamedTuple):
-    """The per-cavity constants of the wing formulas.
+    """The per-cavity constants of the wing formulas: a, R, 2 phi, cos and sin of phi.
 
-    With w = a + 2 R sin(phi), the limit angles are
-
-        theta1 = atan2(far_cross, (R - r) - far_dot)
-        theta2 = atan2(near_cross, -(r + near_dot))
-
-    where far_cross = cos(phi) w and far_dot = sin(phi) w belong to the far
-    corner M2 and near_cross = a cos(phi) and near_dot = a sin(phi) to the
-    near corner M3.  :meth:`of` computes every constant once per cavity in
-    floats, with cos and sin from :mod:`math`.
+    :meth:`of` computes them once per cavity in floats, with cos and sin
+    from :mod:`math`.
     """
 
     a: float
@@ -154,47 +162,31 @@ class WingParams(NamedTuple):
     two_phi: float
     cphi: float
     sphi: float
-    far_cross: float
-    far_dot: float
-    near_cross: float
-    near_dot: float
 
     @classmethod
     def of(cls, spec: CavitySpec) -> "WingParams":
-        a, R = spec.a, spec.R
-        cphi, sphi = math.cos(spec.phi), math.sin(spec.phi)
-        far = a + 2.0 * R * sphi
-        return cls(a, R, 2.0 * spec.phi, cphi, sphi, cphi * far, sphi * far, a * cphi, a * sphi)
+        return cls(spec.a, spec.R, 2.0 * spec.phi, math.cos(spec.phi), math.sin(spec.phi))
 
-    def s(self, r: float) -> float:
-        """:func:`s_factor` without its range check, for ``r`` checked already."""
-        return self.cphi * (self.a + r * (2.0 * self.sphi))
+    def window(self, r: float) -> tuple[float, float, float]:
+        """(u1, width, s) at ``r``, without checks.
 
-    def angles(self, r: float) -> tuple[float, float]:
-        """theta1 and theta2 of :func:`limit_angles`, without its checks."""
-        return self.theta1(r), math.atan2(self.near_cross, -self.near_dot - r)
-
-    def theta1(self, r: float) -> float:
-        """The far limit angle theta1 at ``r``, without checks."""
-        return math.atan2(self.far_cross, (self.R - r) - self.far_dot)
-
-    def width(self, r: float) -> float:
-        """theta2 - theta1 at ``r``, good to a few ulps of itself.
-
-        The angle between P->M3 and P->M2, from P = P(r), is atan2 of their
-        cross product, R s(r), and their dot product,
-        -r (R - r) cos^2(phi) + (a + r sin phi) (a + (R + r) sin phi).
-        Both are products of terms with few ulps each, so the width keeps
-        its digits where theta2 - theta1 would cancel (a short wing).  The
-        lengths are taken in units of a + R, so neither product overflows
-        or underflows; atan2 does not see the common scale.
+        u1 = theta1 - 2 phi is the far ray's angle from the lower wing, s
+        is :func:`s_factor`, and width is theta2 - theta1, the angle
+        between the unit rays to the near and the far corner, from atan2 of
+        their cross product, (sigma / h_near) (R / h_far), and their dot
+        product.  Each is a product of ratios with few ulps each, so the
+        width keeps its digits where theta2 - theta1 would cancel (a short
+        wing); this is the angle method of Kahan, "Miscalculating Area and
+        Angles of a Needle-like Triangle" (2014).  Lengths enter only as
+        ratios, so no product of two lengths over- or underflows at any
+        gap.
         """
-        g = 1.0 / (self.a + self.R)
-        ag, Rg, rg = self.a * g, self.R * g, r * g
-        cphi, sphi = self.cphi, self.sphi
-        cross = Rg * cphi * (ag + rg * (2.0 * sphi))
-        dot = -rg * ((self.R - r) * g) * cphi * cphi + (ag + rg * sphi) * (ag + (Rg + rg) * sphi)
-        return math.atan2(cross, dot)
+        a, R, c, s = self.a, self.R, self.cphi, self.sphi
+        sigma, x_n, h_n = _ray(a, c, s, r, 0.0)
+        _, x_f, h_f = _ray(a, c, s, r, R)
+        sin_n = sigma / h_n
+        width = math.atan2(sin_n * (R / h_f), sin_n * (sigma / h_f) + (x_n / h_n) * (x_f / h_f))
+        return math.atan2(sigma, x_f), width, sigma
 
 
 def _check_r(cav: WingParams, r: float) -> None:
@@ -207,10 +199,13 @@ def limit_angles(cavity: CavitySpec | WingParams, r: float) -> AngleWindow:
 
     ``cavity`` is a spec, which is validated, or its :class:`WingParams`,
     which is taken as checked already.
+    Each angle is 2 phi + atan2(sigma, x) of the ray to its corner.
     theta1 aims at the far corner M2: it stays above 2 phi (where the ray
     would run parallel to the lower wing) and climbs to pi/2 + phi at r = R.
-    theta2 aims at the near corner M3: it starts at exactly pi/2 + phi at
-    r = 0 and climbs towards pi as r/a grows.  Raises :class:`InvalidCavity`
+    theta2 aims at the near corner M3: it starts at pi/2 + phi at r = 0
+    and climbs towards pi as r/a grows.  On a wing so short that the two
+    coincide in floats (R/a 1e-20) the fan counts as empty, although
+    :meth:`WingParams.window` still gives its width.  Raises :class:`InvalidCavity`
     for an invalid spec, :class:`OutOfRange` for an ``r`` outside [0, R]
     and :class:`DegenerateFan` for an empty fan.
     """
@@ -220,7 +215,9 @@ def limit_angles(cavity: CavitySpec | WingParams, r: float) -> AngleWindow:
         validate(cavity)
         cav = WingParams.of(cavity)
     _check_r(cav, r)
-    theta1, theta2 = cav.angles(r)
+    sigma, x_n, _ = _ray(cav.a, cav.cphi, cav.sphi, r, 0.0)
+    _, x_f, _ = _ray(cav.a, cav.cphi, cav.sphi, r, cav.R)
+    theta1, theta2 = cav.two_phi + math.atan2(sigma, x_f), cav.two_phi + math.atan2(sigma, x_n)
     if theta1 >= theta2:
         raise DegenerateFan(f"visible fan collapsed at r={r!r}: theta1={theta1!r} >= theta2={theta2!r}")
     return AngleWindow(theta1=theta1, theta2=theta2)
@@ -239,7 +236,7 @@ def s_factor(spec: CavitySpec, r: float) -> float:
     validate(spec)
     cav = WingParams.of(spec)
     _check_r(cav, r)
-    return cav.s(r)
+    return _ray(cav.a, cav.cphi, cav.sphi, r, 0.0)[0]
 
 
 def ray_length(spec: CavitySpec, r: float, theta: float) -> float:

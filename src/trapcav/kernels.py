@@ -30,8 +30,10 @@ integrand to cos(phi) dG5 - sin(phi) dF5; :func:`fan_integrals` returns both
 from one evaluation of each primitive difference.  Each difference is
 written as a product with sin h, h the window's half-width, so a narrow
 window (a short wing) keeps the digits that F5(u2) - F5(u1) would lose to
-cancellation.  The kernel takes that width from one ``atan2`` of a cross
-and a dot product (:meth:`~trapcav.geometry.WingParams.width`), not as
+cancellation.  The kernel takes u1 and that width from
+:meth:`~trapcav.geometry.WingParams.window`: u1 is atan2 of the far corner
+ray's sine and cosine, and the width is atan2 of the cross and the dot
+product of the two unit rays to the lower-wing corners, not
 theta2 - theta1, so it keeps its digits too.  The kernel is
 :func:`wing_pressures`, one scalar formula in :mod:`math` floats for one
 cavity's parameters and one wing coordinate, and
@@ -82,15 +84,14 @@ def classical_casimir_pressure(a: float, k: float = K) -> float:
     return -k / a / a / a / a
 
 
-def _fan(theta1: float, width: float, two_phi: float, cphi: float, sphi: float) -> tuple[float, float]:
-    # (x, z) of fan_integrals over [theta1, theta1 + width], given 2 phi,
-    # cos(phi) and sin(phi) of the fan's cavity.  With h the window's
+def _fan(u1: float, width: float, cphi: float, sphi: float) -> tuple[float, float]:
+    # (x, z) of fan_integrals over u in [u1, u1 + width], u = theta - 2 phi,
+    # given cos(phi) and sin(phi) of the fan's cavity.  With h the window's
     # half-width and m its midpoint in u, cos u2 - cos u1 = -2 sin m sin h
     # and sin u2 - sin u1 = 2 cos m sin h, and c2^k - c1^k is (c2 - c1)
     # times a sum of products of c1 and c2, so a narrow window takes no
     # difference of nearly equal primitives
     h = 0.5 * width
-    u1 = theta1 - two_phi
     u2, m = u1 + width, u1 + h
     sh = math.sin(h)
     c1, c2, s1, s2 = math.cos(u1), math.cos(u2), math.sin(u1), math.sin(u2)
@@ -118,7 +119,7 @@ def fan_integrals(window: AngleWindow, phi: float) -> tuple:
     theta = pi/2 + 2 phi; the full half-space fan at phi = 0 integrates to
     exactly zero.
     """
-    return _fan(window.theta1, window.width, 2.0 * phi, math.cos(phi), math.sin(phi))
+    return _fan(window.theta1 - 2.0 * phi, window.width, math.cos(phi), math.sin(phi))
 
 
 def wing_pressures(cav: WingParams, k: float, r: float) -> tuple[float, float]:
@@ -128,8 +129,8 @@ def wing_pressures(cav: WingParams, k: float, r: float) -> tuple[float, float]:
     its prefactor.  p = (k / a^4) (a / s)^4 times the fan integrals, where
     s/a lies in [cos(phi), 1 + 2 R/a]: its fourth power never goes
     subnormal, and overflows to inf only on wings so long that the
-    pressure is 0.  theta1 comes from its ``atan2`` and the window's width
-    from :meth:`WingParams.width`.  The fast path tests the range of ``r``
+    pressure is 0.  u1 = theta1 - 2 phi, the window's width and s come
+    from :meth:`WingParams.window`.  The fast path tests the range of ``r``
     and that the width is positive; only when a test fails does
     :func:`limit_angles` run, to raise :class:`OutOfRange` or
     :class:`DegenerateFan`.  A component that is not finite (k / a^4
@@ -137,12 +138,12 @@ def wing_pressures(cav: WingParams, k: float, r: float) -> tuple[float, float]:
     :class:`NonFiniteSample` naming it and ``r``.  Nothing else is
     validated, so the caller validates the cavity once.
     """
-    theta1, width = cav.theta1(r), cav.width(r)
+    u1, width, sigma = cav.window(r)
     if not (0.0 <= r <= cav.R and width > 0.0):
         limit_angles(cav, r)  # raises OutOfRange or DegenerateFan
-    x, z = _fan(theta1, width, cav.two_phi, cav.cphi, cav.sphi)
+    x, z = _fan(u1, width, cav.cphi, cav.sphi)
     a = cav.a
-    q = cav.s(r) / a
+    q = sigma / a
     q2 = q * q
     scale = k / a / a / a / a / (q2 * q2)
     p_x, p_z = x * scale, -z * scale

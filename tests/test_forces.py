@@ -28,6 +28,7 @@ from trapcav import (
 import trapcav.forces
 import trapcav.kernels
 from trapcav.geometry import REL_TOL_FLOOR
+from trapcav.geometry import _ray as _corner_ray
 from trapcav.quadrature import pairwise_sum
 
 REDUCED = CavitySpec(a=1.0, R=10.0, L=1.0, phi=0.0, units=Units.REDUCED)
@@ -223,14 +224,16 @@ def _ray(sg: float, ka: float, mu: float, t: float, w: float, C: float, S: float
 
 def _three_ray(rho: float, c: float, s: float, C: float, S: float):
     # reduced (f_x, f_z) on a wing of rho > 1/4 gaps, and the summed
-    # magnitudes of each one's terms.  A and B lie at the same distance h
-    # from their wing points, and the sine of A is sigma_B w
-    w = 1.0 + 2.0 * rho * s
-    h = math.hypot(rho + s, c)
-    sg = (c + rho * S) / h
-    a_f, a_g = _ray(sg, (s - rho * C) / h, c / h, sg, 1.0, C, S)
+    # magnitudes of each one's terms.  The end rays A (M3 seen from the
+    # wing tip) and B (M2 seen from the apex) come from the corner-ray
+    # formula of trapcav.geometry in gap units; the sine of A is sigma_B w
+    sigma_a, x_a, h_a = _corner_ray(1.0, c, s, rho, 0.0)
+    sigma_b, x_b, h_b = _corner_ray(1.0, c, s, 0.0, rho)
+    w = 1.0 + rho * (2.0 * s)
+    sg, sb = sigma_a / h_a, sigma_b / h_b
+    a_f, a_g = _ray(sg, x_a / h_a, sb, sg, 1.0, C, S)
     m_f, m_g = _ray(c, s, c, c, 1.0, C, S)
-    b_f, b_g = _ray(c / h, (rho + s) / h, sg, sg, w, C, S)
+    b_f, b_g = _ray(sb, x_b / h_b, sg, sg, w, C, S)
     # the four terms of each primitive: A, M, M / w^3 and B / w^3
     w3 = w * w * w
     n_f, n_g = m_f / w3, m_g / w3

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,6 +18,7 @@ from trapcav import (
     s_factor,
     validate,
 )
+from trapcav.geometry import _ray
 
 REDUCED_10 = CavitySpec(a=1.0, R=10.0, L=1.0, phi=0.0, units=Units.REDUCED)
 
@@ -127,7 +129,7 @@ def test_limit_angles_match_mpmath():
     mp.dps = 40
     worst = 0.0
     for phi in (0.0, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.785):
-        for ratio in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+        for ratio in (1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12):
             spec = CavitySpec(a=1.0, R=ratio, L=1.0, phi=phi, units=Units.REDUCED)
             c, s = mp.cos(phi), mp.sin(phi)
             for frac in (0.0, 1e-7, 0.01, 0.3, 0.5, 0.77, 0.999, 1.0):
@@ -140,6 +142,39 @@ def test_limit_angles_match_mpmath():
                     ref = mp.atan2(s * qx - c * qz, c * qx + s * qz)
                     worst = max(worst, abs(float(mp.mpf(theta) - ref)))
     assert worst <= 2e-15
+
+
+@pytest.mark.parametrize("gap", [None, 3e-7])
+def test_corner_ray_matches_mpmath(gap):
+    # the ray from P(r) to Q(t) against its raw vector d = Q(t) - P(r) in
+    # 50-digit arithmetic: with e = (cos phi, -sin phi) the lower-wing
+    # direction, its sine is -(e x d) / |d|, its cosine e.d / |d| and its
+    # length |d|; the upper wing's distance sigma from the lower one is s(r)
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    eps = sys.float_info.epsilon
+    worst_angle = worst_h = 0.0
+    for ratio in (1e-20, 1e-9, 1e-3, 0.25, 1.0, 4.0, 1e3, 1e6, 1e9, 1e12, 1e15, 1e20, 1e100, 1e300):
+        for phi in (0.0, 1e-8, 0.1, 0.5, 0.785):
+            if gap is None:
+                spec = CavitySpec(a=1.0, R=ratio, L=1.0, phi=phi, units=Units.REDUCED)
+            else:
+                spec = CavitySpec(a=gap, R=gap * ratio, L=1.0, phi=phi)
+            a, R = spec.a, spec.R
+            c, s = mp.cos(phi), mp.sin(phi)
+            for frac in (0.0, 1e-7, 0.3, 1.0 - 1e-7, 1.0):
+                r = R * frac
+                for t in (0.0, R):
+                    sigma, x, h = _ray(a, math.cos(phi), math.sin(phi), r, t)
+                    assert sigma == s_factor(spec, r)
+                    dx = (mp.mpf(t) - r) * c
+                    dz = -a - (mp.mpf(t) + r) * s
+                    length = mp.hypot(dx, dz)
+                    sin_u, cos_u = -(c * dz + s * dx) / length, (c * dx - s * dz) / length
+                    worst_angle = max(worst_angle, abs(sigma / h - sin_u), abs(x / h - cos_u))
+                    worst_h = max(worst_h, abs(h / length - 1))
+    assert worst_angle <= 4 * eps and worst_h <= 4 * eps, (worst_angle / eps, worst_h / eps)
 
 
 def test_window_ordering_across_radius():
