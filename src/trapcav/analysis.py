@@ -181,9 +181,9 @@ def optimize_phi(
     ``total_forces`` f_x.  A 32-point prescan must show a single interior
     peak.  Its angles are spaced geometrically, lo (hi/lo)^(k/31) with the
     last one exactly hi, so that each step is the same fraction of its
-    angle: phi* falls like a/R on long wings (1.4e-4 rad at R/a 65536),
-    where an even grid over a window of a few tenths of a radian would put
-    it below the first step.  A prescan maximum sitting on an
+    angle: phi* falls like (a/2R)^(3/4) on long wings (1.4e-4 rad at R/a
+    65536), where an even grid over a window of a few tenths of a radian
+    would put it below the first step.  A prescan maximum sitting on an
     edge, a flat prescan, or multiple interior peaks raise
     :class:`NoInteriorMaximum` rather than returning a doubtful optimum.
     Refinement then keeps every sample; its bracket is the best sample and

@@ -27,9 +27,14 @@ and kappa = cos u, with C = cos 2 phi and S = sin 2 phi:
 
 The end rays are A = M3 seen from the wing tip, M = either corner seen
 from its own wing end (u = pi/2 - phi for both), and B = M2 seen from the
-apex.  A and B are the corner rays of :mod:`~trapcav.geometry` at
-(r, t) = (rho, 0) and (0, rho) in gap units: with
-h = hypot(c rho, 1 + rho sin phi), both of length h,
+apex.  At M, sigma = c and kappa = s = sin phi, and the primitives reduce
+to functions of phi alone,
+
+    I_F(M) = (9 s^4 - 10 s^2 + 9) / (45 c)      I_G(M) = s (1 - 3 s^2) / 15,
+
+which are 1/5 and 0 for parallel mirrors.  A and B are the corner rays
+of :mod:`~trapcav.geometry` at (r, t) = (rho, 0) and (0, rho) in gap
+units: with h = hypot(c rho, 1 + rho sin phi), both of length h,
 
     (sigma_A, kappa_A) = (c w, w sin phi - rho) / h
     (sigma_B, kappa_B) = (c, rho + sin phi) / h.
@@ -276,16 +281,18 @@ def _reduced(R: float, rho: float, phi: float, scale: float):
 
 def _three_ray(rho: float, c: float, s: float, C: float, S: float):
     # reduced (f_x, f_z) on a wing of rho > 1/4 gaps, and the summed
-    # magnitudes of each one's terms.  Each ray gives I_F / w^3 and I_G / w^3
-    # from its sine sg, its cosine ka, mu = C sg + S ka (the sine of the ray
-    # angle plus 2 phi) and t = sg w; w = 1 for rays A and M.  45 sg^3 I_F
+    # magnitudes of each one's terms.  Rays A and B give I_F / w^3 and
+    # I_G / w^3 from their sine sg, cosine ka, mu = C sg + S ka (the sine of
+    # the ray angle plus 2 phi) and t = sg w; w = 1 for ray A.  45 sg^3 I_F
     # is written with mu, which is small where its own terms would cancel,
     # and as a polynomial in 1/t, so that neither sg^3 nor w^3 divides
-    # alone.  Ray A has sine sg and cosine ka, B has sb and kb, M has c and
-    # s.  A and B are the rays of geometry._ray at (r, t) = (rho, 0) and
-    # (0, rho) in gap units, written out: (sigma, x) = (c w, s w - rho) and
-    # (c, rho + s), over one length h that both have bit for bit.  So sg is
-    # t for A and B and mu for B, and sb = c / h is mu for A
+    # alone.  Ray A has sine sg and cosine ka, B has sb and kb.  A and B
+    # are the rays of geometry._ray at (r, t) = (rho, 0) and (0, rho) in
+    # gap units, written out: (sigma, x) = (c w, s w - rho) and (c, rho + s),
+    # over one length h that both have bit for bit.  So sg is t for A and B
+    # and mu for B, and sb = c / h is mu for A.  Ray M, of sine c and cosine
+    # s, takes the closed forms I_F = (9 s^4 - 10 s^2 + 9) / (45 c) and
+    # I_G = s (1 - 3 s^2) / 15 instead
     cc, ss, cs = C * C, S * S, C * S
     ss8, ss12, cs2, cs6 = 8.0 * ss, 12.0 * ss, 2.0 * cs, 6.0 * cs
     d4, d1, c24 = ss - 4.0 * cc, ss - cc, 24.0 * C
@@ -294,13 +301,13 @@ def _three_ray(rho: float, c: float, s: float, C: float, S: float):
     w3 = w2 * w
     h = math.hypot(c * rho, 1.0 + rho * s)
     sg, ka, sb, kb = c * w / h, (s * w - rho) / h, c / h, (rho + s) / h
-    sg2, ka2, sb2, kb2, c2, s2 = sg * sg, ka * ka, sb * sb, kb * kb, c * c, s * s
+    sg2, ka2, sb2, kb2, s2 = sg * sg, ka * ka, sb * sb, kb * kb, s * s
     a_f = (
         ((ss8 / sg + c24 * sb) / sg - ss12) / sg + (3.0 * sg * (d4 + sg2 * d1) - cs6 * ka * (3.0 + sg2))
     ) / 45.0
     a_g = (cc * ka * (ka2 - 3.0) + cs2 * sg2 * sg - ss * ka * ka2) / 15.0
-    m_f = (((ss8 / c + c24 * c) / c - ss12) / c + (3.0 * c * (d4 + c2 * d1) - cs6 * s * (3.0 + c2))) / 45.0
-    m_g = (cc * s * (s2 - 3.0) + cs2 * c2 * c - ss * s * s2) / 15.0
+    m_f = ((9.0 * s2 - 10.0) * s2 + 9.0) / (45.0 * c)
+    m_g = s * (1.0 - 3.0 * s2) / 15.0
     b_f = (
         ((ss8 / sg + c24 * sg / w) / sg - ss12 / w2) / sg
         + (3.0 * sb * (d4 + sb2 * d1) - cs6 * kb * (3.0 + sb2)) / w3

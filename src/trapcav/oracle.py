@@ -249,13 +249,15 @@ def _wing_panels(rho: float):
 
 def _offset_panels(lo: float, scale: float, rho: float):
     # t panels in u = t - t*, from lo = -t* to rho - t*, meeting at u = 0
-    # and u = +-scale 4^k.  The last width is the correctly rounded
-    # rho - t* - edge, so the widths add up to rho even where the wing is
-    # much shorter than |t*|
+    # and u = +-scale 4^k for k <= 7.  Past 4^7 scale the integrand's tail
+    # falls like |u|^-6, so what lies beyond is below (1/16384)^5, about
+    # 8.5e-22, of the peak, and the rest of the range is one panel.  The
+    # last width is the correctly rounded rho - t* - edge, so the widths
+    # add up to rho even where the wing is much shorter than |t*|
     hi = rho + lo
     inner = [0.0] if lo < 0.0 < hi else []
     step = scale
-    while -step > lo or step < hi:
+    while (-step > lo or step < hi) and step <= 16384.0 * scale:
         inner.extend(p for p in (-step, step) if lo < p < hi)
         step *= 4.0
     edges = [lo, *sorted(inner)]
@@ -303,8 +305,13 @@ def verify_suite(spec: CavitySpec) -> list[OracleReport]:
     against the Gauss-Legendre double integral of :func:`_gauss_forces`
     (relative, gated at 1e-10; the x force is measured against the z scale
     where it vanishes).  Every check runs on :mod:`math` floats, so a
-    ``verify`` process loads no numpy.  Failures are reported in the
-    returned list, never raised.  The oracle keeps its own literal
+    ``verify`` process loads no numpy.  A check that fails is reported in
+    the returned list, not raised.  An invalid spec raises
+    :class:`InvalidCavity`.  :class:`DegenerateFan` is raised where the
+    limit angles collapse in floats: at R/a about 1e-20, where a wing
+    point's two limit angles round to one float, and on tilted wings from
+    about 1e18 gaps, where the oracle's raw vector P->M3 has lost the
+    gap.  ``trapcav verify`` then exits 1.  The oracle keeps its own literal
     prefactor, so a corrupted :data:`trapcav.geometry.K` moves only the
     primary forces and fails the force checks.
     """

@@ -201,7 +201,8 @@ def test_gauss_legendre_literals_are_the_rule():
         assert rule == (limit, tuple(pairs), tuple(diagonal)), n
 
 
-# The three-ray form as it was written with one call per ray.  The forces
+# The three-ray form as it was written with one call per ray, with ray M
+# from its closed forms (proved in tests/test_certificates.py).  The forces
 # of wings longer than a quarter gap must keep its bits: the shared ray
 # constants of trapcav.forces only reuse values, and reorder no operation.
 def _ray(sg: float, ka: float, mu: float, t: float, w: float, C: float, S: float):
@@ -226,13 +227,16 @@ def _three_ray(rho: float, c: float, s: float, C: float, S: float):
     # reduced (f_x, f_z) on a wing of rho > 1/4 gaps, and the summed
     # magnitudes of each one's terms.  The end rays A (M3 seen from the
     # wing tip) and B (M2 seen from the apex) come from the corner-ray
-    # formula of trapcav.geometry in gap units; the sine of A is sigma_B w
+    # formula of trapcav.geometry in gap units; the sine of A is sigma_B w.
+    # Ray M (u = pi/2 - phi) has I_F = (9 s^4 - 10 s^2 + 9) / (45 c) and
+    # I_G = s (1 - 3 s^2) / 15
     sigma_a, x_a, h_a = _corner_ray(1.0, c, s, rho, 0.0)
     sigma_b, x_b, h_b = _corner_ray(1.0, c, s, 0.0, rho)
     w = 1.0 + rho * (2.0 * s)
     sg, sb = sigma_a / h_a, sigma_b / h_b
     a_f, a_g = _ray(sg, x_a / h_a, sb, sg, 1.0, C, S)
-    m_f, m_g = _ray(c, s, c, c, 1.0, C, S)
+    s2 = s * s
+    m_f, m_g = ((9.0 * s2 - 10.0) * s2 + 9.0) / (45.0 * c), s * (1.0 - 3.0 * s2) / 15.0
     b_f, b_g = _ray(sb, x_b / h_b, sg, sg, w, C, S)
     # the four terms of each primitive: A, M, M / w^3 and B / w^3
     w3 = w * w * w

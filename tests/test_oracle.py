@@ -169,6 +169,28 @@ def test_gauss_forces_match_closed_form():
             assert abs(f_x - ref.f_x) <= 1e-12 * abs(ref.f_z), (ratio, phi)
 
 
+@pytest.mark.parametrize("lo", [0.0, -1.0, -0.5e300, -1e300 + 1e290])
+def test_lower_wing_panels_stop_grading_past_4_to_the_7(lo):
+    # the lower wing of a wing 1e300 gaps long takes at most 18 panels per
+    # r node, not about 2 log_4(1e300), still in order from lo and with
+    # the last one ending at lo + rho
+    rho = 1e300
+    panels = trapcav.oracle._offset_panels(lo, 1.0, rho)
+    assert len(panels) <= 18
+    starts = [start for start, _ in panels]
+    assert starts[0] == lo and starts == sorted(set(starts))
+    assert all(width > 0.0 for _, width in panels)
+    assert math.fsum((lo, rho, -starts[-1])) == panels[-1][1]
+
+
+def test_verify_suite_passes_on_a_flat_wing_1e30_gaps_long():
+    spec = CavitySpec(a=1.0, R=1e30, L=1.0, phi=0.0, units=Units.REDUCED)
+    reports = verify_suite(spec)
+    assert [r.quantity for r in reports] == CHECK_NAMES
+    for r in reports:
+        assert r.passed, f"{r.quantity}: {r.rel_deviation} > {r.tolerance}"
+
+
 @pytest.mark.parametrize("phi", [0.0, 1e-4, 0.5])
 def test_verify_suite_angles_on_long_wings(phi):
     spec = CavitySpec(a=1.0, R=1e5, L=1.0, phi=phi, units=Units.REDUCED)
