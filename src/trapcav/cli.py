@@ -1,4 +1,4 @@
-"""Command-line front end and its JSON output; CSV and SVG are in :mod:`~trapcav.emit`.
+"""Command-line front end and its JSON and CSV output; :mod:`~trapcav.emit` draws the SVG.
 
 Subcommands: profile, force, sweep, optimize, verify.  Each takes the
 cavity flags (--a --R --L --phi-deg --units), --out, --config and --format,
@@ -358,6 +358,21 @@ def _json_bytes(payload: dict) -> bytes:
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
+def _fmt(x: float | bool) -> str:
+    return str(x).lower() if isinstance(x, bool) else format(x, ".17g")
+
+
+def _csv_bytes(header: str, rows: list[dict]) -> bytes:
+    """CSV of the ``header`` columns of ``rows``, one line per row.
+
+    Floats have 17 significant digits and booleans read true or false;
+    lines end in \\n, and no locale applies.
+    """
+    keys = header.split(",")
+    lines = [header, *(",".join(_fmt(row[key]) for key in keys) for row in rows)]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
 def _emit_error(payload: dict) -> None:
     sys.stderr.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
 
@@ -413,20 +428,14 @@ def _build_spec(config: RunConfig) -> CavitySpec:
 
 def _profile_payload(config: RunConfig, spec: CavitySpec) -> bytes:
     profile = pressure_profile(spec, config.samples)
+    samples = [s._asdict() for s in profile.samples]
     if config.format == "json":
-        return _json_bytes(
-            {
-                "spec": _spec_dict(spec),
-                "samples": [
-                    {"r": s.r, "p_x": s.p_x, "p_z": s.p_z} for s in profile.samples
-                ],
-            }
-        )
-    # only csv and svg output loads the emitter
-    from .emit import PlotSpec, emit_csv, emit_svg
-
+        return _json_bytes({"spec": _spec_dict(spec), "samples": samples})
     if config.format == "csv":
-        return emit_csv(profile)
+        return _csv_bytes("r,p_x,p_z", samples)
+    # only svg output loads the emitter
+    from .emit import PlotSpec, emit_svg
+
     rs = [s.r for s in profile.samples]
     series = []
     if config.quantity in ("px", "both"):
@@ -465,21 +474,14 @@ def _sweep_payload(config: RunConfig, spec: CavitySpec) -> bytes:
     if len(pts) < (2 if config.format == "svg" else 1):
         need = "sweep SVG needs 2 rows" if config.format == "svg" else "sweep needs a row"
         raise TrapcavError(f"{need} with a finite f_x, {len(pts)} of {len(table.points)} have one")
+    points = [{"param": param, **_force_dict(res)} for param, res in table.points]
     if config.format == "json":
-        return _json_bytes(
-            {
-                "axis": table.axis.value,
-                "base": _spec_dict(spec),
-                "points": [
-                    {"param": param, **_force_dict(res)} for param, res in table.points
-                ],
-            }
-        )
-    # only csv and svg output loads the emitter
-    from .emit import PlotSpec, emit_csv, emit_svg
-
+        return _json_bytes({"axis": table.axis.value, "base": _spec_dict(spec), "points": points})
     if config.format == "csv":
-        return emit_csv(table)
+        return _csv_bytes("param,f_x,f_z,err_x,err_z,converged", points)
+    # only svg output loads the emitter
+    from .emit import PlotSpec, emit_svg
+
     label = "phi [rad]" if axis is SweepAxis.PHI else "R"
     plot = PlotSpec(x_label=label, y_label="|f_x|", series=(("|f_x|", pts),))
     return emit_svg(plot)

@@ -1,15 +1,11 @@
-"""CSV and SVG output of the command line: ``--format csv`` and ``--format svg``.
+"""SVG output of the command line: ``--format svg``.
 
-Only a run that writes one of these formats loads this module.
+Only a run that draws a plot loads this module, and it imports nothing
+from the rest of trapcav: the command builds the :class:`PlotSpec`.
 """
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
-
-from .forces import PressureProfile
-
-if TYPE_CHECKING:
-    from .analysis import SweepTable
+from typing import NamedTuple
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
@@ -24,32 +20,6 @@ class PlotSpec(NamedTuple):
     y_label: str
     series: tuple[tuple[str, tuple[tuple[float, float], ...]], ...]
     ref_lines: tuple[tuple[str, float], ...] = ()
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
-def emit_csv(table: "PressureProfile | SweepTable") -> bytes:
-    """CSV with 17 significant digits, \\n line endings, no locale."""
-    if isinstance(table, PressureProfile):
-        lines = ["r,p_x,p_z"]
-        for s in table.samples:
-            lines.append(f"{_fmt(s.r)},{_fmt(s.p_x)},{_fmt(s.p_z)}")
-        return ("\n".join(lines) + "\n").encode("ascii")
-    # a profile run leaves the analysis module unloaded; a sweep run has loaded it
-    from .analysis import SweepTable
-
-    if not isinstance(table, SweepTable):
-        raise TypeError(f"no CSV form for {type(table).__name__}")
-    lines = ["param,f_x,f_z,err_x,err_z,converged"]
-    for param, res in table.points:
-        flag = "true" if res.converged else "false"
-        lines.append(
-            f"{_fmt(param)},{_fmt(res.f_x)},{_fmt(res.f_z)},"
-            f"{_fmt(res.err_x)},{_fmt(res.err_z)},{flag}"
-        )
-    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def emit_svg(plot: PlotSpec) -> bytes:

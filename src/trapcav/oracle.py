@@ -30,13 +30,15 @@ with d = Q(t) - P(r), Q(t) = (t cos phi, -a - t sin phi) and
 s(r) = cos phi (a + 2 r sin phi), summed with a 20-point Gauss-Legendre
 rule on panels placed as QUADPACK's QAGP places breakpoints (Piessens et
 al., 1983).  It uses no limit angle and no fan integral.  Everything runs
-on :mod:`math` floats except :func:`riemann_forces`, the dense midpoint sum
-that the acceptance tests compare against.  It is a test-side reference,
+on :mod:`math` floats, and the scalar vector geometry on exact
+:class:`~fractions.Fraction` values of them, except :func:`riemann_forces`,
+the dense midpoint sum that the acceptance tests compare against.  It is a test-side reference,
 not one of the package's public names: it needs numpy, which only the
 ``test`` extra installs, and the pairwise sum of :mod:`~trapcav.quadrature`.
 """
 
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DegenerateFan, NonFiniteSample, NumericDegeneracy, OutOfRange
@@ -98,7 +100,10 @@ def limit_angles_vector(spec: CavitySpec, r: float) -> AngleWindow:
 
     Builds P, M2, M3 and reads both angles off ``math.atan2`` of the plain
     cross and dot products of the wing direction (cos phi, sin phi) with
-    P->M2 and P->M3 (see :func:`_windows_raw`).  The direction is given
+    P->M2 and P->M3 (see :func:`_windows_raw`).  The vectors and products
+    are exact :class:`~fractions.Fraction` values of the float inputs, and
+    only the final cross and dot round to floats, so the gap a keeps its
+    digits in P->M3 on a wing of any length.  The direction is given
     geometry and is never recovered by normalizing P: at denormal r the
     components of P round with so few bits that P / |P| can point anywhere.
     An invalid spec raises :class:`InvalidCavity`.
@@ -106,7 +111,7 @@ def limit_angles_vector(spec: CavitySpec, r: float) -> AngleWindow:
     validate(spec)
     if not (0.0 <= r <= spec.R):
         raise OutOfRange("r", r, 0.0, spec.R)
-    theta1, theta2 = _windows_raw(spec, r, math.atan2)
+    theta1, theta2 = _windows_raw(spec, Fraction(r), math.atan2, Fraction)
     if theta1 >= theta2:
         raise DegenerateFan(
             f"oracle fan collapsed at r={r!r}: theta1={theta1!r} >= theta2={theta2!r}"
@@ -118,51 +123,53 @@ def ray_length_intersection(spec: CavitySpec, r: float, theta: float) -> float:
     """Ray length by intersecting P + b u with the lower wing segment.
 
     u = (cos(phi - theta), sin(phi - theta)) and the lower wing is
-    M3 + t (cos phi, -sin phi); b solves the 2x2 system via cross products.
-    No trig reduction is applied, which is the point.  An invalid spec
-    raises :class:`InvalidCavity`, and a ray parallel to the lower wing
-    :class:`NumericDegeneracy`.
+    M3 + t (cos phi, -sin phi); b solves the 2x2 system via cross products,
+    formed exactly from :class:`~fractions.Fraction` values of the floats,
+    so that only b itself rounds.  No trig reduction is applied, which is
+    the point.  An invalid spec raises :class:`InvalidCavity`, and a ray
+    parallel to the lower wing, a length past the float range or an ``r``
+    or ``theta`` that is not finite :class:`NumericDegeneracy`.
     """
     validate(spec)
+    u = spec.phi - theta
     try:
-        return _ray_lengths_raw(spec, r, theta, math.cos, math.sin)
-    except ZeroDivisionError:
-        raise NumericDegeneracy(f"ray at theta={theta!r} is parallel to the lower wing") from None
+        ux, uz = Fraction(math.cos(u)), Fraction(math.sin(u))
+        return float(_ray_lengths_raw(spec, Fraction(r), ux, uz, Fraction))
+    except (ArithmeticError, ValueError):  # Fraction(nan) raises ValueError
+        raise NumericDegeneracy(f"no finite ray length at r={r!r}, theta={theta!r}") from None
 
 
-def _windows_raw(spec: CavitySpec, r, atan2):
+def _windows_raw(spec: CavitySpec, r, atan2, number=float):
     """Limit angles at the wing point(s) ``r``, with the given ``atan2``.
 
     Each angle is atan2(cross, dot) of the wing direction with the raw
     vector P->M2 or P->M3, the cross product signed so that the clockwise
-    angles of the fan come out positive.  ``r`` is a float with
-    ``math.atan2`` or an array with ``np.arctan2``.
+    angles of the fan come out positive.  The spec's floats enter as
+    ``number`` values: ``r`` is a Fraction with ``math.atan2`` and
+    ``number=Fraction``, or an array of floats with ``np.arctan2``.
     """
-    cphi = math.cos(spec.phi)
-    sphi = math.sin(spec.phi)
+    cphi, sphi, a, R = map(number, (math.cos(spec.phi), math.sin(spec.phi), spec.a, spec.R))
     px, pz = r * cphi, r * sphi
-    m2x, m2z = spec.R * cphi, -spec.R * sphi - spec.a
+    m2x, m2z = R * cphi, -R * sphi - a
     out = []
-    for tx, tz in ((m2x, m2z), (0.0, -spec.a)):
+    for tx, tz in ((m2x, m2z), (0, -a)):
         qx, qz = tx - px, tz - pz
         out.append(atan2(sphi * qx - cphi * qz, cphi * qx + sphi * qz))
     return out[0], out[1]
 
 
-def _ray_lengths_raw(spec: CavitySpec, r, theta, cos, sin):
-    """Raw-intersection ray lengths, with the given ``cos`` and ``sin``.
+def _ray_lengths_raw(spec: CavitySpec, r, ux, uz, number=float):
+    """Raw-intersection ray lengths along the directions (``ux``, ``uz``).
 
-    Floats with :mod:`math`, or arrays with numpy: ``r`` of shape (n, 1)
-    and ``theta`` of shape (n, m).
+    The spec's floats enter as ``number`` values: Fractions with
+    ``number=Fraction``, or arrays of floats, ``r`` of shape (n, 1) and
+    the directions of shape (n, m).
     """
-    cphi = math.cos(spec.phi)
-    sphi = math.sin(spec.phi)
+    cphi, sphi, a = map(number, (math.cos(spec.phi), math.sin(spec.phi), spec.a))
     qx = -r * cphi
-    qz = -spec.a - r * sphi
+    qz = -a - r * sphi
     d3x, d3z = cphi, -sphi
     num = qx * d3z - qz * d3x
-    ux = cos(spec.phi - theta)
-    uz = sin(spec.phi - theta)
     den = ux * d3z - uz * d3x
     return num / den
 
@@ -179,7 +186,8 @@ def _fan_sums(spec: CavitySpec, r, n_theta: int):
     theta = theta1[:, None] + (np.arange(n_theta)[None, :] + 0.5) * h_t[:, None]
     # degenerate geometry surfaces as non-finite pressure, checked below
     with np.errstate(divide="ignore", invalid="ignore"):
-        b = _ray_lengths_raw(spec, r[:, None], theta, np.cos, np.sin)
+        u = spec.phi - theta
+        b = _ray_lengths_raw(spec, r[:, None], np.cos(u), np.sin(u))
         pc = -_prefactor(spec) / b**4
     if not np.all(np.isfinite(pc)):
         bad = int(np.flatnonzero(~np.isfinite(pc))[0])
@@ -288,6 +296,9 @@ def _gauss_forces(spec: CavitySpec) -> tuple[float, float]:
             k = w_t / (q * q * q * math.sqrt(q))
             a0 += k
             a1 += k * u
+        if a0 == a1 == 0.0:
+            # the lower wing is out of reach; w_r s(r) may overflow there
+            continue
         f_x += w_r * sr * (c * a1 - s * sr * a0)
         f_z -= w_r * sr * (c * sr * a0 + s * a1)
     scale = _prefactor(spec) / spec.a / spec.a / spec.a * spec.L
@@ -304,14 +315,15 @@ def verify_suite(spec: CavitySpec) -> list[OracleReport]:
     half of the window (relative, gated at 1e-10), and both total forces
     against the Gauss-Legendre double integral of :func:`_gauss_forces`
     (relative, gated at 1e-10; the x force is measured against the z scale
-    where it vanishes).  Every check runs on :mod:`math` floats, so a
-    ``verify`` process loads no numpy.  A check that fails is reported in
+    where it vanishes).  Every check runs on :mod:`math` floats and the
+    exact :class:`~fractions.Fraction` geometry, so a ``verify`` process
+    loads no numpy.  A check that fails is reported in
     the returned list, not raised.  An invalid spec raises
-    :class:`InvalidCavity`.  :class:`DegenerateFan` is raised where the
-    limit angles collapse in floats: at R/a about 1e-20, where a wing
-    point's two limit angles round to one float, and on tilted wings from
-    about 1e18 gaps, where the oracle's raw vector P->M3 has lost the
-    gap.  ``trapcav verify`` then exits 1.  The oracle keeps its own literal
+    :class:`InvalidCavity`.  :class:`DegenerateFan` is raised only where
+    the limit angles collapse in floats, at R/a about 1e-20, where a wing
+    point's two limit angles round to one float; ``trapcav verify`` then
+    exits 1.  The oracle's raw vectors are exact, so tilted wings of any
+    length keep the gap.  The oracle keeps its own literal
     prefactor, so a corrupted :data:`trapcav.geometry.K` moves only the
     primary forces and fails the force checks.
     """

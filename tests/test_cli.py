@@ -18,7 +18,7 @@ import pytest
 from trapcav import CavitySpec, ForceResult, SweepAxis, SweepTable, Units, sweep
 from trapcav.cli import RunConfig, main, parse_args
 import trapcav.cli
-from trapcav.emit import PlotSpec, emit_csv, emit_svg
+from trapcav.emit import PlotSpec, emit_svg
 from trapcav.geometry import PHI_TOL_FLOOR, REL_TOL_FLOOR
 
 REDUCED_ARGS = ["--a", "1", "--R", "10", "--units", "reduced"]
@@ -445,10 +445,10 @@ CLI_MODULES = ["trapcav", "trapcav.cli", "trapcav.errors", "trapcav.forces", "tr
         (["force", *REDUCED_ARGS, "--phi-deg", "5"], []),
         (["optimize", *REDUCED_ARGS, "--phi-lo-deg", "0.5", "--phi-hi-deg", "20"], ["analysis"]),
         (["sweep", *REDUCED_ARGS, "--axis", "phi", "--values", "1,5", "--format", "json"], ["analysis"]),
-        (["sweep", *REDUCED_ARGS, "--axis", "phi", "--values", "1,5", "--format", "csv"], ["analysis", "emit"]),
+        (["sweep", *REDUCED_ARGS, "--axis", "phi", "--values", "1,5", "--format", "csv"], ["analysis"]),
         (["sweep", *REDUCED_ARGS, "--axis", "phi", "--values", "1,5", "--format", "svg"], ["analysis", "emit"]),
         (["profile", *REDUCED_ARGS, "--samples", "9", "--format", "json"], ["kernels"]),
-        (["profile", *REDUCED_ARGS, "--samples", "9", "--format", "csv"], ["emit", "kernels"]),
+        (["profile", *REDUCED_ARGS, "--samples", "9", "--format", "csv"], ["kernels"]),
         (["profile", *REDUCED_ARGS, "--samples", "9", "--format", "svg", "--reference-classical"], ["emit", "kernels"]),
         (["verify", *REDUCED_ARGS, "--phi-deg", "5"], ["kernels", "oracle"]),
     ],
@@ -604,8 +604,8 @@ FORCE_KEYS = {"f_x", "f_z", "err_x", "err_z", "wing_count", "converged"}
 
 
 def test_json_payload_keys_are_pinned(capsysbinary):
-    # the exact keys of the force, sweep and optimize payloads: a record
-    # field that is added or removed must not reach them
+    # the exact keys of the force, sweep, optimize and profile payloads: a
+    # record field that is added or removed must not reach them
     def payload(argv):
         assert main(argv) == 0
         return json.loads(capsysbinary.readouterr().out)
@@ -619,6 +619,11 @@ def test_json_payload_keys_are_pinned(capsysbinary):
     report = payload(["optimize", *REDUCED_ARGS, "--phi-lo-deg", "0.5", "--phi-hi-deg", "20"])
     keys = {"spec", "phi_star", "f_x_star", "bracket", "iterations", "grid_prescan"}
     assert set(report) == keys and set(report["spec"]) == SPEC_KEYS
+    # the cli benchmark's form of profile, whose samples it reads by key
+    profile = payload(["profile", *REDUCED_ARGS, "--phi-deg", "5", "--samples", "64", "--format", "json"])
+    assert set(profile) == {"spec", "samples"} and set(profile["spec"]) == SPEC_KEYS
+    assert len(profile["samples"]) == 64
+    assert all(set(sample) == {"r", "p_x", "p_z"} for sample in profile["samples"])
 
 
 def test_tolerance_below_the_error_floor_exits_2(capsys):
@@ -686,24 +691,16 @@ def test_sweep_csv_param_in_radians(capsysbinary):
     assert lines[1].endswith(",true")
 
 
-def test_csv_uses_17_significant_digits():
-    spec = CavitySpec(a=1.0, R=10.0, L=1.0, phi=0.0, units=Units.REDUCED)
-    row = ForceResult(spec=spec, f_x=1.0 / 3.0, f_z=-2.0 / 3.0, err_x=0.0, err_z=0.0)
-    table = SweepTable(axis=SweepAxis.PHI, points=((0.1, row),), base=spec)
-    body = emit_csv(table).decode("ascii")
-    assert "0.33333333333333331" in body
-    assert "-0.66666666666666663" in body
+def test_csv_uses_17_significant_digits(monkeypatch, capsysbinary):
+    # the sweep command writes whatever rows the analysis returns
+    def thirds(spec, axis, values, **kwargs):
+        row = ForceResult(spec=spec, f_x=1.0 / 3.0, f_z=-2.0 / 3.0, err_x=0.0, err_z=0.0)
+        return SweepTable(axis=axis, points=((0.1, row),), base=spec)
 
-
-def test_empty_sweep_csv_is_header_only():
-    spec = CavitySpec(a=1.0, R=10.0, L=1.0, phi=0.0, units=Units.REDUCED)
-    table = SweepTable(axis=SweepAxis.R, points=(), base=spec)
-    assert emit_csv(table) == b"param,f_x,f_z,err_x,err_z,converged\n"
-
-
-def test_emit_csv_rejects_unknown_tables():
-    with pytest.raises(TypeError):
-        emit_csv({"not": "a table"})
+    monkeypatch.setattr("trapcav.analysis.sweep", thirds)
+    assert main(["sweep", *REDUCED_ARGS, "--axis", "phi", "--values", "1", "--format", "csv"]) == 0
+    body = capsysbinary.readouterr().out.decode("ascii")
+    assert body.splitlines()[1] == "0.10000000000000001,0.33333333333333331,-0.66666666666666663,0,0,true"
 
 
 def test_profile_svg_polyline_count(tmp_path):
@@ -893,6 +890,20 @@ def test_verify_command_passes_and_validates_schema(tmp_path):
         "total_force_z",
         "total_force_x",
     }
+    jsonschema.validate(payload, load_schema("report.schema.json"))
+
+
+def test_verify_with_a_failing_check_reports_it_and_exits_1(monkeypatch, capsysbinary):
+    # a corrupted K moves only the primary forces: the report still goes to
+    # stdout, with the two force checks failing, and stderr stays empty
+    monkeypatch.setattr(trapcav.geometry, "K", 2e-34 * 2.99792458e8 * math.pi**2 / 240.0)
+    assert main(["verify", "--a", "4e-7", "--R", "4e-6", "--phi-deg", "1"]) == 1
+    captured = capsysbinary.readouterr()
+    assert captured.err == b""
+    payload = json.loads(captured.out)
+    assert payload["all_passed"] is False
+    failed = [c["quantity"] for c in payload["checks"] if not c["passed"]]
+    assert failed == ["total_force_z", "total_force_x"]
     jsonschema.validate(payload, load_schema("report.schema.json"))
 
 

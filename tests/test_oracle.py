@@ -191,6 +191,30 @@ def test_verify_suite_passes_on_a_flat_wing_1e30_gaps_long():
         assert r.passed, f"{r.quantity}: {r.rel_deviation} > {r.tolerance}"
 
 
+@pytest.mark.parametrize(
+    "ratio, units",
+    [(1e20, Units.REDUCED), (1e20, Units.SI), (1e160, Units.REDUCED)],
+)
+def test_verify_suite_passes_on_long_tilted_wings_past_1e16_gaps(ratio, units):
+    # in floats the raw vector P->M3 lost the gap past r/a about 1e16, and
+    # the window from P collapsed to theta2 = -pi (DegenerateFan)
+    a = 1.0 if units is Units.REDUCED else 1e-7
+    reports = verify_suite(CavitySpec(a=a, R=a * ratio, L=1.0, phi=0.1, units=units))
+    assert [r.quantity for r in reports] == CHECK_NAMES
+    for r in reports:
+        assert r.passed, f"{r.quantity}: {r.rel_deviation} > {r.tolerance}"
+
+
+def test_gauss_forces_skip_wing_points_out_of_reach():
+    # at r about 9.3e154 gaps w_r s(r) overflows while both inner sums are
+    # 0, and inf * 0 made both forces NaN
+    spec = CavitySpec(a=1.0, R=1e160, L=1.0, phi=0.1, units=Units.REDUCED)
+    ref = total_forces(spec, rel_tol=1e-9)
+    f_x, f_z = trapcav.oracle._gauss_forces(spec)
+    assert abs(f_z - ref.f_z) <= 1e-12 * abs(ref.f_z)
+    assert abs(f_x - ref.f_x) <= 1e-12 * abs(ref.f_z)
+
+
 @pytest.mark.parametrize("phi", [0.0, 1e-4, 0.5])
 def test_verify_suite_angles_on_long_wings(phi):
     spec = CavitySpec(a=1.0, R=1e5, L=1.0, phi=phi, units=Units.REDUCED)
