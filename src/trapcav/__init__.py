@@ -45,11 +45,9 @@ from .geometry import (
 # the public names that load on first use, by the module that defines them
 _LAZY = {
     "OptimumReport": "analysis",
-    "RescaleReport": "analysis",
     "SweepAxis": "analysis",
     "SweepTable": "analysis",
     "optimize_phi": "analysis",
-    "rescale_report": "analysis",
     "sweep": "analysis",
     "PressureSample": "kernels",
     "classical_casimir_pressure": "kernels",
@@ -90,7 +88,6 @@ __all__ = [
     "PHI_MAX",
     "PressureProfile",
     "PressureSample",
-    "RescaleReport",
     "SweepAxis",
     "SweepTable",
     "TrapcavError",
@@ -104,7 +101,6 @@ __all__ = [
     "pressure_profile",
     "ray_length",
     "ray_length_intersection",
-    "rescale_report",
     "s_factor",
     "specific_pressures",
     "sweep",

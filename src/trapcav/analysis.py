@@ -1,4 +1,4 @@
-"""Parameter sweeps, opening-angle optimization, and the rescaling check.
+"""Parameter sweeps and opening-angle optimization.
 
 The expulsion force |f_x(phi)| rises from zero at phi = 0 (parallel plates,
 exact compensation), peaks at some interior phi*, and falls again as the
@@ -11,21 +11,19 @@ the prescan and every round are one call of
 :func:`~trapcav.forces.expulsion`, the bare closed form per angle, with
 the bits of a lone ``total_forces``.  The prescan is kept in the report
 so a caller can audit the unimodality assumption.
-
-``rescale_report`` exercises the pure dimensional content: scaling every
-length except L by lambda multiplies specific pressures by lambda^-4 and
-per-wing forces by lambda^-3.
 """
 
 import bisect
 import math
-import sys
 from enum import Enum
 from typing import NamedTuple
 
 from .errors import InvalidCavity, NoInteriorMaximum, NonFiniteSample
-from .forces import ForceResult, _check_options, _forces, _scale, expulsion, total_forces
-from .geometry import PHI_MAX, PHI_TOL_FLOOR, CavitySpec, Units, validate
+from .forces import ForceResult, _check_options, _forces, _scale, expulsion
+from .geometry import PHI_MAX, PHI_TOL_FLOOR, CavitySpec, validate
+
+# bench/tracing.py wraps it by its name in this module
+from .forces import total_forces  # noqa: F401
 
 _PRESCAN_POINTS = 32
 
@@ -72,25 +70,6 @@ class OptimumReport(NamedTuple):
     iterations: int
     grid_prescan: tuple[tuple[float, float], ...]
     force_calls: int = 0
-
-
-class RescaleReport(NamedTuple):
-    """Measured vs analytic scaling ratios for a lambda-scaled cavity.
-
-    Ratios are scaled-over-base, componentwise.  A component whose base
-    value is indistinguishable from zero (the x force at phi = 0, which is
-    pure cancellation noise) reports NaN and is excluded from
-    ``max_rel_deviation``.
-    """
-
-    lam: float
-    force_ratio_x: float
-    force_ratio_z: float
-    pressure_ratio_x: float
-    pressure_ratio_z: float
-    expected_force_ratio: float
-    expected_pressure_ratio: float
-    max_rel_deviation: float
 
 
 def _flagged_row(spec: CavitySpec, wing_count: int) -> ForceResult:
@@ -275,67 +254,3 @@ def _refinement_angles(
         return [v for v in (vertex - spread, vertex, vertex + spread) if lo < v < hi and v != mid]
     a, b = (lo, mid) if left > right else (mid, hi)
     return [a + (b - a) * k / 4.0 for k in (1, 2, 3)]
-
-
-def rescale_report(spec: CavitySpec, lam: float) -> RescaleReport:
-    """Measure force and pressure ratios between ``spec`` and its lambda scale.
-
-    The scaled cavity has (a, R) -> (lambda a, lambda R) at fixed L.  Both
-    cavities are evaluated in SI mode even for reduced input, because
-    reduced mode pins a = 1, which the scaled twin would violate; every
-    reported ratio is prefactor-free so this changes nothing.  Pressures
-    are compared at the matched interior point r = R/3 (r = R/2 would sit
-    exactly on the p_x zero of the parallel-plate case).  A ``lam`` that
-    is not positive and finite, or for which lam**-3 or lam**-4 is not a
-    normal float, raises ``ValueError`` before any force is computed.
-    """
-    if not (lam > 0.0) or not math.isfinite(lam):
-        raise ValueError(f"scale factor must be positive and finite, got {lam!r}")
-    # lam**-3 underflows to 0 and lam**-4 overflows at extreme scales, and
-    # a subnormal ratio has lost digits
-    try:
-        expected_f, expected_p = lam**-3, lam**-4
-    except OverflowError:
-        expected_f = expected_p = math.inf
-    if not all(sys.float_info.min <= e <= sys.float_info.max for e in (expected_f, expected_p)):
-        raise ValueError(f"scale factor {lam!r} makes lam**-3 or lam**-4 leave the normal floats")
-    base = spec._replace(units=Units.SI)
-    validate(base)
-    scaled = base._replace(a=lam * base.a, R=lam * base.R)
-    # both cavities are checked before any force
-    validate(scaled)
-    f_base = total_forces(base)
-    f_scaled = total_forces(scaled)
-    from .kernels import specific_pressures
-
-    p_base = specific_pressures(base, base.R / 3.0)
-    p_scaled = specific_pressures(scaled, scaled.R / 3.0)
-
-    def ratio(num: float, den: float, scale: float) -> float:
-        # the x force vanishes identically at phi = 0 and integrates to
-        # cancellation noise around 1e-16 of the z scale; any physical
-        # component sits many orders above this cutoff
-        if abs(den) <= 1e-12 * scale:
-            return float("nan")
-        return num / den
-
-    fr_x = ratio(f_scaled.f_x, f_base.f_x, abs(f_base.f_z))
-    fr_z = ratio(f_scaled.f_z, f_base.f_z, abs(f_base.f_z))
-    pr_x = ratio(p_scaled.p_x, p_base.p_x, abs(p_base.p_z))
-    pr_z = ratio(p_scaled.p_z, p_base.p_z, abs(p_base.p_z))
-    deviations = [
-        abs(fr_x / expected_f - 1.0) if math.isfinite(fr_x) else 0.0,
-        abs(fr_z / expected_f - 1.0),
-        abs(pr_x / expected_p - 1.0) if math.isfinite(pr_x) else 0.0,
-        abs(pr_z / expected_p - 1.0),
-    ]
-    return RescaleReport(
-        lam=lam,
-        force_ratio_x=fr_x,
-        force_ratio_z=fr_z,
-        pressure_ratio_x=pr_x,
-        pressure_ratio_z=pr_z,
-        expected_force_ratio=expected_f,
-        expected_pressure_ratio=expected_p,
-        max_rel_deviation=max(deviations),
-    )

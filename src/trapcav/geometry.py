@@ -204,7 +204,7 @@ def limit_angles(cavity: CavitySpec | WingParams, r: float) -> AngleWindow:
     would run parallel to the lower wing) and climbs to pi/2 + phi at r = R.
     theta2 aims at the near corner M3: it starts at pi/2 + phi at r = 0
     and climbs towards pi as r/a grows.  On a wing so short that the two
-    coincide in floats (R/a 1e-20) the fan counts as empty, although
+    coincide in floats (every R/a <= 1e-16) the fan counts as empty, although
     :meth:`WingParams.window` still gives its width.  Raises :class:`InvalidCavity`
     for an invalid spec, :class:`OutOfRange` for an ``r`` outside [0, R]
     and :class:`DegenerateFan` for an empty fan.

@@ -126,11 +126,14 @@ def ray_length_intersection(spec: CavitySpec, r: float, theta: float) -> float:
     M3 + t (cos phi, -sin phi); b solves the 2x2 system via cross products,
     formed exactly from :class:`~fractions.Fraction` values of the floats,
     so that only b itself rounds.  No trig reduction is applied, which is
-    the point.  An invalid spec raises :class:`InvalidCavity`, and a ray
-    parallel to the lower wing, a length past the float range or an ``r``
-    or ``theta`` that is not finite :class:`NumericDegeneracy`.
+    the point.  An invalid spec raises :class:`InvalidCavity`, an ``r``
+    outside [0, R] (NaN and infinities too) :class:`OutOfRange`, and a ray
+    parallel to the lower wing, a length past the float range or a
+    ``theta`` that is not finite :class:`NumericDegeneracy`.
     """
     validate(spec)
+    if not (0.0 <= r <= spec.R):
+        raise OutOfRange("r", r, 0.0, spec.R)
     u = spec.phi - theta
     try:
         ux, uz = Fraction(math.cos(u)), Fraction(math.sin(u))
@@ -320,12 +323,13 @@ def verify_suite(spec: CavitySpec) -> list[OracleReport]:
     loads no numpy.  A check that fails is reported in
     the returned list, not raised.  An invalid spec raises
     :class:`InvalidCavity`.  :class:`DegenerateFan` is raised only where
-    the limit angles collapse in floats, at R/a about 1e-20, where a wing
-    point's two limit angles round to one float; ``trapcav verify`` then
-    exits 1.  The oracle's raw vectors are exact, so tilted wings of any
-    length keep the gap.  The oracle keeps its own literal
-    prefactor, so a corrupted :data:`trapcav.geometry.K` moves only the
-    primary forces and fails the force checks.
+    the limit angles collapse in floats, at every R/a <= 1e-16, where the
+    primary :func:`~trapcav.geometry.limit_angles` check rounds a wing
+    point's two limit angles to one float; ``trapcav verify`` then exits
+    1.  The oracle's raw vectors are exact, so tilted wings of any length
+    keep the gap.  The oracle keeps its own literal prefactor, so a
+    corrupted :data:`trapcav.geometry.K` moves only the primary forces and
+    fails the force checks.
     """
     # primary-path imports are confined here: this function is the
     # comparison harness, the oracle computations above stay independent

@@ -19,7 +19,6 @@ from trapcav import (
     fan_integrals,
     limit_angles,
     optimize_phi,
-    rescale_report,
     specific_pressures,
     total_forces,
 )
@@ -140,13 +139,22 @@ def test_criterion_08_independent_oracle_agreement():
 
 def test_criterion_09_dimensional_scaling():
     with criterion(9, "pressures scale as lambda^-4 and forces as lambda^-3 within 1e-9"):
+        # the twin scales every length but L by lam; pressures are compared
+        # at the matched point r = R/3
         spec = CavitySpec(a=4e-7, R=4e-6, L=1.0, phi=math.radians(1.0))
+        f_base = total_forces(spec)
+        p_base = specific_pressures(spec, spec.R / 3.0)
         for lam in (2.0, 10.0):
-            report = rescale_report(spec, lam)
-            assert abs(report.force_ratio_x / lam**-3 - 1.0) <= 1e-9
-            assert abs(report.force_ratio_z / lam**-3 - 1.0) <= 1e-9
-            assert abs(report.pressure_ratio_x / lam**-4 - 1.0) <= 1e-9
-            assert abs(report.pressure_ratio_z / lam**-4 - 1.0) <= 1e-9
+            twin = spec._replace(a=lam * spec.a, R=lam * spec.R)
+            f_twin = total_forces(twin)
+            p_twin = specific_pressures(twin, twin.R / 3.0)
+            for twin_value, base_value, law in (
+                (f_twin.f_x, f_base.f_x, lam**-3),
+                (f_twin.f_z, f_base.f_z, lam**-3),
+                (p_twin.p_x, p_base.p_x, lam**-4),
+                (p_twin.p_z, p_base.p_z, lam**-4),
+            ):
+                assert abs(twin_value / base_value / law - 1.0) <= 1e-9
 
 
 def test_criterion_10_outputs_are_reproducible(tmp_path):

@@ -14,7 +14,6 @@ from trapcav import (
     SweepAxis,
     Units,
     optimize_phi,
-    rescale_report,
     sweep,
     total_forces,
 )
@@ -252,82 +251,6 @@ def test_optimize_raises_the_first_non_finite_force():
     with pytest.raises(NonFiniteSample) as alone:
         total_forces(spec._replace(phi=0.01))
     assert str(alone.value) == str(info.value)
-
-
-def test_rescale_identity():
-    report = rescale_report(SI_THIN, 1.0)
-    assert report.force_ratio_z == 1.0
-    assert report.pressure_ratio_z == 1.0
-    assert report.max_rel_deviation == 0.0
-
-
-@pytest.mark.parametrize("lam", [2.0, 10.0])
-def test_rescale_follows_dimensional_analysis(lam):
-    report = rescale_report(SI_THIN, lam)
-    assert math.isclose(report.force_ratio_z, lam**-3, rel_tol=1e-12)
-    assert math.isclose(report.force_ratio_x, lam**-3, rel_tol=1e-9)
-    assert math.isclose(report.pressure_ratio_z, lam**-4, rel_tol=1e-12)
-    assert math.isclose(report.pressure_ratio_x, lam**-4, rel_tol=1e-9)
-    assert report.max_rel_deviation < 1e-9
-    assert report.expected_force_ratio == lam**-3
-    assert report.expected_pressure_ratio == lam**-4
-
-
-def test_rescale_parallel_plates_excludes_vanishing_force():
-    # the x force is cancellation noise at phi = 0 and must be excluded;
-    # the x pressure at r = R/3 is a genuine value and must not be
-    for lam in (2.0, 10.0):
-        report = rescale_report(SI_THIN._replace(phi=0.0), lam)
-        assert math.isnan(report.force_ratio_x)
-        assert math.isclose(report.pressure_ratio_x, lam**-4, rel_tol=1e-9)
-        assert math.isclose(report.force_ratio_z, lam**-3, rel_tol=1e-10)
-        assert report.max_rel_deviation < 1e-9
-
-
-def test_rescale_accepts_reduced_input():
-    reduced = REDUCED._replace(phi=math.radians(2.0))
-    report = rescale_report(reduced, 2.0)
-    assert math.isclose(report.force_ratio_x, 0.125, rel_tol=1e-9)
-
-
-@pytest.mark.parametrize("lam", [0.0, -2.0, math.inf, math.nan])
-def test_rescale_rejects_bad_scale(lam):
-    with pytest.raises(ValueError):
-        rescale_report(SI_THIN, lam)
-
-
-@pytest.mark.parametrize(
-    "gap, lam",
-    [
-        (4e-7, 1e110),  # lam**-3 underflows to 0
-        (1.0, 1e-78),  # lam**-4 overflows
-        (1e-6, 1e80),  # lam**-4 is subnormal, and so are the scaled pressures
-    ],
-)
-def test_rescale_refuses_scales_beyond_the_normal_floats(gap, lam, monkeypatch):
-    def no_forces(*args, **kwargs):
-        raise AssertionError("a force ran")
-
-    monkeypatch.setattr(trapcav.analysis, "total_forces", no_forces)
-    with pytest.raises(ValueError):
-        rescale_report(SI_THIN._replace(a=gap, R=10 * gap), lam)
-
-
-def test_rescale_checks_both_cavities_then_forces(monkeypatch):
-    # the scaled twin's R overflows to inf: it is refused before any force
-    def no_forces(*args, **kwargs):
-        raise AssertionError("a force ran")
-
-    long_wing = CavitySpec(a=1e-7, R=1e300, L=1.0, phi=0.3)
-    with monkeypatch.context() as patch:
-        patch.setattr(trapcav.analysis, "total_forces", no_forces)
-        with pytest.raises(InvalidCavity, match="'R'"):
-            rescale_report(long_wing, 1e10)
-    # K L / a^3 overflows on both cavities: the base cavity's force fails first
-    tiny = CavitySpec(a=1e-120, R=4e-120, L=1.0, phi=0.3)
-    with pytest.raises(NonFiniteSample) as info:
-        rescale_report(tiny, 0.5)
-    assert info.value.x == tiny.R
 
 
 def force_key(fr):

@@ -1,4 +1,5 @@
-"""Symbolic certificates of the three-ray form's algebra.
+"""Symbolic certificates of the closed forms' algebra: the three-ray
+forces, the fan kernel and the window geometry.
 
 sympy proves each identity exactly.  Both sides are rational in
 sigma = sin u, kappa = cos u, c = cos phi and s = sin phi, with
@@ -15,18 +16,29 @@ also touch the code: ``trapcav.forces._three_ray`` is compared with the
 proved three-ray expression at 50 digits, and ``trapcav.geometry._ray``
 with the proved corner substitution in floats, so a mistyped coefficient
 in ``src/`` fails here.
+
+The fan kernel ``trapcav.kernels._fan`` writes each primitive difference
+as a product with the sine of the window's half-width; its identities are
+proved, and ``_fan`` is compared with the 50-digit integrals of its
+integrands.  ``s_factor``'s closed form and the cross and dot products of
+``WingParams.window`` are proved from ``geometry._ray``'s rays, and each
+is compared with the code in floats or at 50 digits.
 """
 
 import functools
 import math
+import sys
 
 import mpmath
 import pytest
 import sympy as sp
 
 from test_forces import _ray
+from trapcav import CavitySpec, Units, limit_angles, s_factor
 from trapcav.forces import _ROUNDING, _three_ray
+from trapcav.geometry import WingParams
 from trapcav.geometry import _ray as _corner_ray
+from trapcav.kernels import _fan
 
 c, s, sg, ka, w = sp.symbols("c s sigma kappa w", positive=True)
 C, S = c**2 - s**2, 2 * c * s
@@ -155,3 +167,131 @@ def test_three_ray_matches_the_proved_expression():
             ref_x, ref_z = proved(mpmath.mpf(rho), mpmath.cos(phi), mpmath.sin(phi))
             assert abs(x - ref_x) <= _ROUNDING * abs_x, (rho, phi)
             assert abs(z - ref_z) <= _ROUNDING * abs_z, (rho, phi)
+
+
+def test_fan_differences_are_products_with_the_half_width():
+    # _fan takes u2 = u1 + width and m = u1 + h with h = width / 2
+    m, h = sp.symbols("m h", real=True)
+    u1, u2 = m - h, m + h
+    assert sp.expand(sp.expand_trig(sp.cos(u2) - sp.cos(u1) + 2 * sp.sin(m) * sp.sin(h))) == 0
+    assert sp.expand(sp.expand_trig(sp.sin(u2) - sp.sin(u1) - 2 * sp.cos(m) * sp.sin(h))) == 0
+
+
+def test_fan_power_quotients():
+    c1, c2 = sp.symbols("c1 c2", real=True)
+    p, t = c1**2 + c2**2, c1 * c2
+    assert sp.cancel((c2**3 - c1**3) / (c2 - c1) - (p + t)) == 0
+    assert sp.cancel((c2**5 - c1**5) / (c2 - c1) - (p * (p + t) - t**2)) == 0
+
+
+def test_fan_brackets_are_the_primitive_differences():
+    # with the quotients above, dF5 and dG5 are (c2 - c1) and (s2 - s1)
+    # times _fan's brackets; F5 and G5 are primitives of sin^5 u and
+    # sin^4 u cos u
+    f5 = -ka + sp.Rational(2, 3) * ka**3 - ka**5 / 5
+    g5 = sg**5 / 5
+    assert vanishes(d_du(f5) - sg**5)
+    assert vanishes(d_du(g5) - sg**4 * ka)
+    c1, c2, s1, s2 = sp.symbols("c1 c2 s1 s2", real=True)
+    p, t = c1**2 + c2**2, c1 * c2
+    bracket_f = -1 + sp.Rational(2, 3) * (p + t) - sp.Rational(1, 5) * (p * (p + t) - t**2)
+    d_f = f5.subs(ka, c2) - f5.subs(ka, c1)
+    assert sp.expand(d_f - (c2 - c1) * bracket_f) == 0
+    p, t = s1**2 + s2**2, s1 * s2
+    d_g = g5.subs(sg, s2) - g5.subs(sg, s1)
+    assert sp.expand(d_g - sp.Rational(1, 5) * (s2 - s1) * (p * (p + t) - t**2)) == 0
+
+
+def _fan_bound(u1, width, cphi, sphi):
+    # 8 eps times the magnitudes of _fan's terms, as forces._ROUNDING
+    # bounds _three_ray.  Rounding m and u2 before their sine and cosine
+    # moves those by up to |m| eps and |u2| eps, which moves the brackets
+    # by at most 4 |u2| eps (cosines) and 10 |u2| eps (sines)
+    h = 0.5 * width
+    u2, m = u1 + width, u1 + h
+    c1, c2, s1, s2 = math.cos(u1), math.cos(u2), math.sin(u1), math.sin(u2)
+    sin_m, cos_m, sh = abs(math.sin(m)), abs(math.cos(m)), abs(math.sin(h))
+    p, t = c1 * c1 + c2 * c2, abs(c1 * c2)
+    bracket_f = 1.0 + (2.0 / 3.0) * (p + t) + 0.2 * (p * (p + t) + t * t)
+    mag_f = 2.0 * sh * ((sin_m + m) * bracket_f + 4.0 * u2 * sin_m)
+    p, t = s1 * s1 + s2 * s2, abs(s1 * s2)
+    mag_g = 0.4 * sh * ((cos_m + m) * (p * (p + t) + t * t) + 10.0 * u2 * cos_m)
+    rounding = 8.0 * sys.float_info.epsilon
+    return rounding * (cphi * mag_g + sphi * mag_f), rounding * (cphi * mag_f + sphi * mag_g)
+
+
+@pytest.mark.parametrize(
+    "u1, width, phi",
+    [(0.3, 1.2, 0.1), (1.0, 1e-9, 0.5), (0.05, 2.9, 0.0), (2.0, 0.7, 0.78), (1e-4, 1.6, 0.3)],
+)
+def test_fan_matches_the_integrals_of_its_integrands(u1, width, phi):
+    # (x, z) integrate sin^4 u cos(u + phi) and sin^4 u sin(u + phi) over
+    # [u1, u1 + width]; the reference takes the same float cos phi and sin
+    # phi, at 50 digits
+    cphi, sphi = math.cos(phi), math.sin(phi)
+    x, z = _fan(u1, width, cphi, sphi)
+    bound_x, bound_z = _fan_bound(u1, width, cphi, sphi)
+    with mpmath.workdps(50):
+        lo = mpmath.mpf(u1)
+        hi, c_m, s_m = lo + width, mpmath.mpf(cphi), mpmath.mpf(sphi)
+        sin, cos = mpmath.sin, mpmath.cos
+        ref_x = mpmath.quad(lambda u: sin(u) ** 4 * (c_m * cos(u) - s_m * sin(u)), [lo, hi])
+        ref_z = mpmath.quad(lambda u: sin(u) ** 4 * (c_m * sin(u) + s_m * cos(u)), [lo, hi])
+        assert abs(x - ref_x) <= bound_x
+        assert abs(z - ref_z) <= bound_z
+
+
+A, R_W, R_P = sp.symbols("a R r", positive=True)
+# geometry._ray from the upper-wing point r to the lower-wing point t, in
+# the unit of a: sigma = c (a + 2 r s) does not depend on t, so the rays
+# to the near (t = 0) and the far (t = R) corner share it
+SIGMA = c * (A + 2 * R_P * s)
+X_NEAR, X_FAR = ((t - R_P) + s * (A + 2 * R_P * s) for t in (0, R_W))
+
+
+def test_corner_rays_are_unit_after_dividing_by_h():
+    # h^2 = sigma^2 + x^2, so sigma / h and x / h are the sine and cosine
+    # of one angle
+    for t, x in ((0, X_NEAR), (R_W, X_FAR)):
+        h2 = (c * (R_P - t)) ** 2 + (A + (R_P + t) * s) ** 2
+        assert vanishes(SIGMA**2 + x**2 - h2)
+
+
+def test_s_factor_closed_form():
+    # theta2 = 2 phi + u, where sin u = sigma / h and cos u = x / h of the
+    # near-corner ray, so sin(2 phi - theta2) = -sin u and
+    # sin(phi - theta2) = -(s cos u + c sin u); h cancels from the ratio
+    h = sp.Symbol("h", positive=True)
+    sin_2phi_theta2 = -SIGMA / h
+    sin_phi_theta2 = -(s * X_NEAR + c * SIGMA) / h
+    assert vanishes(c * (A + 2 * R_P * s) - sin_2phi_theta2 * (A + R_P * s) / sin_phi_theta2)
+    # in floats, s_factor against the same ratio with limit_angles' theta2
+    for a_f, rho, phi, frac in ((1.0, 4.0, 0.0873, 0.3), (1e-7, 40.0, 0.5, 1.0), (2.0, 0.3, 0.78, 0.0)):
+        spec = CavitySpec(a_f, rho * a_f, 1.0, phi)
+        r_f = spec.R * frac
+        theta2 = limit_angles(spec, r_f).theta2
+        ratio = math.sin(2.0 * phi - theta2) * (a_f + r_f * math.sin(phi)) / math.sin(phi - theta2)
+        assert s_factor(spec, r_f) == pytest.approx(ratio, rel=1e-13)
+
+
+def test_window_cross_and_dot_are_the_sine_and_cosine_of_the_width():
+    # with u_n and u_f the near and far rays' angles from the lower wing,
+    # theta2 - theta1 = u_n - u_f.  WingParams.window forms the cross
+    # product (sigma / h_n) (R / h_f), which is sin(u_n - u_f) because
+    # x_f - x_n = R, and the dot product (sigma / h_n) (sigma / h_f) +
+    # (x_n / h_n) (x_f / h_f), which is cos(u_n - u_f) term by term because
+    # both rays share sigma
+    h_n, h_f = sp.symbols("h_n h_f", positive=True)
+    sin_n, cos_n, sin_f, cos_f = SIGMA / h_n, X_NEAR / h_n, SIGMA / h_f, X_FAR / h_f
+    assert vanishes(sin_n * (R_W / h_f) - (sin_n * cos_f - cos_n * sin_f))
+    # in floats, the width against theta2 - theta1 at 50 digits, from the
+    # same float cos phi and sin phi
+    for rho, phi, frac in ((1e-12, 0.3, 0.5), (0.3, 0.78, 0.0), (4.0, 0.0, 1.0), (1e9, 0.01, 0.7)):
+        cav = WingParams.of(CavitySpec(1.0, rho, 1.0, phi, Units.REDUCED))
+        r_f = rho * frac
+        width = cav.window(r_f)[1]
+        with mpmath.workdps(50):
+            c_m, s_m, R_m, r_m = map(mpmath.mpf, (cav.cphi, cav.sphi, cav.R, r_f))
+            g = 1 + 2 * r_m * s_m
+            ref = mpmath.atan2(c_m * g, -r_m + s_m * g) - mpmath.atan2(c_m * g, (R_m - r_m) + s_m * g)
+            assert abs(width - ref) <= 8.0 * sys.float_info.epsilon * ref

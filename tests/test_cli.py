@@ -477,7 +477,7 @@ def test_scalar_apis_leave_numpy_unloaded():
     probe = (
         "import math, sys\n"
         "from trapcav import AngleWindow, CavitySpec, fan_integrals, limit_angles\n"
-        "from trapcav import pressure_profile, ray_length, rescale_report, s_factor\n"
+        "from trapcav import pressure_profile, ray_length, s_factor\n"
         "from trapcav import specific_pressures\n"
         "spec = CavitySpec(4e-7, 4e-6, 1.0, math.radians(5.0))\n"
         "limit_angles(spec, 1e-6)\n"
@@ -486,7 +486,6 @@ def test_scalar_apis_leave_numpy_unloaded():
         "specific_pressures(spec, 1e-6)\n"
         "fan_integrals(AngleWindow(0.5, 2.0), spec.phi)\n"
         "pressure_profile(spec, 9)\n"
-        "rescale_report(spec, 2.0)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
     )
     assert fresh_python(probe).strip() == "[]"

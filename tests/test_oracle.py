@@ -68,6 +68,15 @@ def test_intersection_ray_matches_closed_form():
             assert math.isclose(closed, raw, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("r", [-1.0, 20.0, math.nan, math.inf])
+def test_ray_lengths_refuse_a_point_off_the_wing(r):
+    # the lower wing's line still meets the ray from such a point, at a
+    # length the primary path never gives
+    for length in (ray_length, ray_length_intersection):
+        with pytest.raises(OutOfRange):
+            length(REDUCED, r, 1.5)
+
+
 def test_intersection_refuses_a_ray_parallel_to_the_lower_wing():
     with pytest.raises(NumericDegeneracy):
         ray_length_intersection(REDUCED, 1.0, 0.0)

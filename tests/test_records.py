@@ -16,7 +16,6 @@ from trapcav import (
     OracleReport,
     PressureProfile,
     PressureSample,
-    RescaleReport,
     SweepAxis,
     SweepTable,
     Units,
@@ -82,14 +81,6 @@ RECORDS = {
         "grid_prescan=((0.0625, -0.25), (0.25, -0.375)), force_calls=5)",
         "phi_star",
         0.25,
-    ),
-    "RescaleReport": (
-        lambda: RescaleReport(2.0, 0.125, 0.125, 0.0625, 0.0625, 0.125, 0.0625, 0.0),
-        "RescaleReport(lam=2.0, force_ratio_x=0.125, force_ratio_z=0.125, "
-        "pressure_ratio_x=0.0625, pressure_ratio_z=0.0625, expected_force_ratio=0.125, "
-        "expected_pressure_ratio=0.0625, max_rel_deviation=0.0)",
-        "lam",
-        4.0,
     ),
     "OracleReport": (
         lambda: OracleReport("total_force_z", -1.25, -1.25, 0.0, 1e-10, True),
