@@ -1,14 +1,11 @@
 """Command-line front end and its JSON and CSV output; :mod:`~trapcav.emit` draws the SVG.
 
 Subcommands: profile, force, sweep, optimize, verify.  Each takes the
-cavity flags (--a --R --L --phi-deg --units), --out, --config and --format,
-and only the other flags it reads: profile --samples --quantity
---[no-]reference-classical; force --tol --wing-count; sweep --tol
---wing-count --workers --axis --values; optimize --phi-lo-deg --phi-hi-deg
---phi-tol-deg.  Angles are degrees on the command line and radians
-everywhere inside.  Exit codes: 0 success,
-1 numerical failure (reported as a JSON object on stderr), 2 usage error
-(an --out path that cannot be written included).
+cavity flags, --out, --config and --format, and only the other flags it
+reads; ``_FLAGS`` lists them, and ``trapcav CMD -h`` prints them.  Angles
+are degrees on the command line and radians everywhere inside.  Exit codes:
+0 success, 1 numerical failure (reported as a JSON object on stderr), 2
+usage error (an --out path that cannot be written included).
 
 Every flag is declared once, in ``_FLAGS``, and a command line is read on
 one of two paths.  A well-formed one, with only full flag names and valid
@@ -64,34 +61,6 @@ def verify_suite(spec: CavitySpec) -> list:
     from .oracle import verify_suite
 
     return verify_suite(spec)
-
-
-class RunConfig(typing.NamedTuple):
-    """Fully resolved invocation; a --config file holds the same fields.
-
-    A field the subcommand does not define is None: only force and sweep
-    define tol and wing_count, only profile samples, only sweep workers.
-    """
-
-    command: str
-    a: float
-    R: float
-    L: float
-    phi_deg: float
-    units: str
-    tol: float | None
-    samples: int | None
-    wing_count: int | None
-    workers: int | None
-    out: str | None
-    format: str
-    quantity: str | None
-    reference_classical: bool | None
-    axis: str | None
-    values: tuple[float, ...] | None
-    phi_lo_deg: float | None
-    phi_hi_deg: float | None
-    phi_tol_deg: float | None
 
 
 class _Flag(typing.NamedTuple):
@@ -163,6 +132,14 @@ _FLAGS = (
     _Flag("--phi-hi-deg", ("optimize",), float, required=True),
     _Flag("--phi-tol-deg", ("optimize",), float, math.degrees(1e-5),
           check=_at_least(math.degrees(PHI_TOL_FLOOR))),
+)
+
+
+# a fully resolved invocation: the subcommand, then one field per flag but
+# --config, in _FLAGS order; a --config file holds the same fields, and a
+# field the subcommand takes no flag for is None
+RunConfig = typing.NamedTuple(
+    "RunConfig", [("command", str), *((flag.field, typing.Any) for flag in _FLAGS if flag.name != "--config")]
 )
 
 

@@ -30,15 +30,15 @@ with d = Q(t) - P(r), Q(t) = (t cos phi, -a - t sin phi) and
 s(r) = cos phi (a + 2 r sin phi), summed with a 20-point Gauss-Legendre
 rule on panels placed as QUADPACK's QAGP places breakpoints (Piessens et
 al., 1983).  It uses no limit angle and no fan integral.  Everything runs
-on :mod:`math` floats, and the scalar vector geometry on exact
-:class:`~fractions.Fraction` values of them, except :func:`riemann_forces`,
-the dense midpoint sum that the acceptance tests compare against.  It is a test-side reference,
-not one of the package's public names: it needs numpy, which only the
-``test`` extra installs, and the pairwise sum of :mod:`~trapcav.quadrature`.
+on :mod:`math` floats, and the scalar vector geometry on the exact integers
+that those floats are multiples of (see :func:`_exact`), except
+:func:`riemann_forces`, the dense midpoint sum that the acceptance tests
+compare against.  It is a test-side reference, not one of the package's
+public names: it needs numpy, which only the ``test`` extra installs, and
+the pairwise sum of :mod:`~trapcav.quadrature`.
 """
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DegenerateFan, NonFiniteSample, NumericDegeneracy, OutOfRange
@@ -101,17 +101,20 @@ def limit_angles_vector(spec: CavitySpec, r: float) -> AngleWindow:
     Builds P, M2, M3 and reads both angles off ``math.atan2`` of the plain
     cross and dot products of the wing direction (cos phi, sin phi) with
     P->M2 and P->M3 (see :func:`_windows_raw`).  The vectors and products
-    are exact :class:`~fractions.Fraction` values of the float inputs, and
-    only the final cross and dot round to floats, so the gap a keeps its
-    digits in P->M3 on a wing of any length.  The direction is given
-    geometry and is never recovered by normalizing P: at denormal r the
-    components of P round with so few bits that P / |P| can point anywhere.
-    An invalid spec raises :class:`InvalidCavity`.
+    are exact integers (see :func:`_exact`), and only the final cross and
+    dot round to floats, so the gap a keeps its digits in P->M3 on a wing
+    of any length.  The direction is given geometry and is never recovered
+    by normalizing P: at denormal r the components of P round with so few
+    bits that P / |P| can point anywhere.  An invalid spec raises
+    :class:`InvalidCavity`.
     """
     validate(spec)
     if not (0.0 <= r <= spec.R):
         raise OutOfRange("r", r, 0.0, spec.R)
-    theta1, theta2 = _windows_raw(spec, Fraction(r), math.atan2, Fraction)
+    (cphi, sphi, a, R, r_exact), one = _exact(math.cos(spec.phi), math.sin(spec.phi), spec.a, spec.R, r)
+    # cross and dot are multiples of 1/one^3, and each rounds once
+    cube = one**3
+    theta1, theta2 = _windows_raw(cphi, sphi, a, R, r_exact, one, lambda y, x: math.atan2(y / cube, x / cube))
     if theta1 >= theta2:
         raise DegenerateFan(
             f"oracle fan collapsed at r={r!r}: theta1={theta1!r} >= theta2={theta2!r}"
@@ -124,34 +127,47 @@ def ray_length_intersection(spec: CavitySpec, r: float, theta: float) -> float:
 
     u = (cos(phi - theta), sin(phi - theta)) and the lower wing is
     M3 + t (cos phi, -sin phi); b solves the 2x2 system via cross products,
-    formed exactly from :class:`~fractions.Fraction` values of the floats,
-    so that only b itself rounds.  No trig reduction is applied, which is
-    the point.  An invalid spec raises :class:`InvalidCavity`, an ``r``
-    outside [0, R] (NaN and infinities too) :class:`OutOfRange`, and a ray
-    parallel to the lower wing, a length past the float range or a
-    ``theta`` that is not finite :class:`NumericDegeneracy`.
+    formed exactly from the integers of :func:`_exact`, so that only b
+    itself rounds.  No trig reduction is applied, which is the point.  An
+    invalid spec raises :class:`InvalidCavity`, an ``r`` outside [0, R]
+    (NaN and infinities too) :class:`OutOfRange`, and a ray parallel to
+    the lower wing, a length past the float range or a ``theta`` that is
+    not finite :class:`NumericDegeneracy`.
     """
     validate(spec)
     if not (0.0 <= r <= spec.R):
         raise OutOfRange("r", r, 0.0, spec.R)
     u = spec.phi - theta
     try:
-        ux, uz = Fraction(math.cos(u)), Fraction(math.sin(u))
-        return float(_ray_lengths_raw(spec, Fraction(r), ux, uz, Fraction))
-    except (ArithmeticError, ValueError):  # Fraction(nan) raises ValueError
+        values, one = _exact(math.cos(spec.phi), math.sin(spec.phi), spec.a, r, math.cos(u), math.sin(u))
+        return _ray_lengths_raw(*values, one)
+    except (ArithmeticError, ValueError):  # nan has no integer ratio
         raise NumericDegeneracy(f"no finite ray length at r={r!r}, theta={theta!r}") from None
 
 
-def _windows_raw(spec: CavitySpec, r, atan2, number=float):
+def _exact(*floats: float) -> tuple[list[int], int]:
+    """The ``floats`` as integer multiples of 1/one, and ``one``.
+
+    Every float is an integer over a power of two, so ``one``, the largest
+    of those powers, is a multiple of each, and the integers are exact.
+    """
+    ratios = [x.as_integer_ratio() for x in floats]
+    one = max(d for _, d in ratios)
+    return [n * (one // d) for n, d in ratios], one
+
+
+def _windows_raw(cphi, sphi, a, R, r, one, atan2):
     """Limit angles at the wing point(s) ``r``, with the given ``atan2``.
 
     Each angle is atan2(cross, dot) of the wing direction with the raw
     vector P->M2 or P->M3, the cross product signed so that the clockwise
-    angles of the fan come out positive.  The spec's floats enter as
-    ``number`` values: ``r`` is a Fraction with ``math.atan2`` and
-    ``number=Fraction``, or an array of floats with ``np.arctan2``.
+    angles of the fan come out positive.  The values are multiples of
+    1/``one``: integers from :func:`_exact`, with an ``atan2`` that scales
+    cross and dot back, or floats (``r`` an array) with ``one=1.0`` and
+    ``np.arctan2``.  The gap is lifted by ``one``, so every sum adds terms
+    of one degree.
     """
-    cphi, sphi, a, R = map(number, (math.cos(spec.phi), math.sin(spec.phi), spec.a, spec.R))
+    a = a * one
     px, pz = r * cphi, r * sphi
     m2x, m2z = R * cphi, -R * sphi - a
     out = []
@@ -161,20 +177,20 @@ def _windows_raw(spec: CavitySpec, r, atan2, number=float):
     return out[0], out[1]
 
 
-def _ray_lengths_raw(spec: CavitySpec, r, ux, uz, number=float):
+def _ray_lengths_raw(cphi, sphi, a, r, ux, uz, one):
     """Raw-intersection ray lengths along the directions (``ux``, ``uz``).
 
-    The spec's floats enter as ``number`` values: Fractions with
-    ``number=Fraction``, or arrays of floats, ``r`` of shape (n, 1) and
-    the directions of shape (n, m).
+    The values are multiples of 1/``one``, as in :func:`_windows_raw`:
+    integers, whose length rounds once, or floats with ``one=1.0``, ``r``
+    of shape (n, 1) and the directions of shape (n, m).
     """
-    cphi, sphi, a = map(number, (math.cos(spec.phi), math.sin(spec.phi), spec.a))
+    a = a * one
     qx = -r * cphi
     qz = -a - r * sphi
     d3x, d3z = cphi, -sphi
     num = qx * d3z - qz * d3x
     den = ux * d3z - uz * d3x
-    return num / den
+    return num / (den * one)
 
 
 def _fan_sums(spec: CavitySpec, r, n_theta: int):
@@ -184,13 +200,14 @@ def _fan_sums(spec: CavitySpec, r, n_theta: int):
 
     from .quadrature import pairwise_sum
 
-    theta1, theta2 = _windows_raw(spec, r, np.arctan2)
+    cphi, sphi = math.cos(spec.phi), math.sin(spec.phi)
+    theta1, theta2 = _windows_raw(cphi, sphi, spec.a, spec.R, r, 1.0, np.arctan2)
     h_t = (theta2 - theta1) / n_theta
     theta = theta1[:, None] + (np.arange(n_theta)[None, :] + 0.5) * h_t[:, None]
     # degenerate geometry surfaces as non-finite pressure, checked below
     with np.errstate(divide="ignore", invalid="ignore"):
         u = spec.phi - theta
-        b = _ray_lengths_raw(spec, r[:, None], np.cos(u), np.sin(u))
+        b = _ray_lengths_raw(cphi, sphi, spec.a, r[:, None], np.cos(u), np.sin(u), 1.0)
         pc = -_prefactor(spec) / b**4
     if not np.all(np.isfinite(pc)):
         bad = int(np.flatnonzero(~np.isfinite(pc))[0])
@@ -319,9 +336,9 @@ def verify_suite(spec: CavitySpec) -> list[OracleReport]:
     against the Gauss-Legendre double integral of :func:`_gauss_forces`
     (relative, gated at 1e-10; the x force is measured against the z scale
     where it vanishes).  Every check runs on :mod:`math` floats and the
-    exact :class:`~fractions.Fraction` geometry, so a ``verify`` process
-    loads no numpy.  A check that fails is reported in
-    the returned list, not raised.  An invalid spec raises
+    exact integer geometry, so a ``verify`` process loads neither numpy
+    nor :mod:`fractions`.  A check that fails is reported in the returned
+    list, not raised.  An invalid spec raises
     :class:`InvalidCavity`.  :class:`DegenerateFan` is raised only where
     the limit angles collapse in floats, at every R/a <= 1e-16, where the
     primary :func:`~trapcav.geometry.limit_angles` check rounds a wing

@@ -392,13 +392,13 @@ def fresh_python(code: str, *argv: str) -> str:
 
 
 # runs trapcav.cli.main on its arguments, if any, and prints the exit code,
-# the numpy, scipy, dataclasses, argparse, gettext and locale modules then
-# loaded and the trapcav ones
+# the numpy, scipy, dataclasses, argparse, gettext, locale, fractions and
+# decimal modules then loaded and the trapcav ones
 FRESH_MAIN = """
 import json, sys
 import trapcav, trapcav.cli
 code = trapcav.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-unwanted = ("numpy", "scipy", "dataclasses", "argparse", "gettext", "locale")
+unwanted = ("numpy", "scipy", "dataclasses", "argparse", "gettext", "locale", "fractions", "decimal")
 loaded = [sorted(m for m in sys.modules if m.split(".")[0] in names) for names in (unwanted, ("trapcav",))]
 print(json.dumps([code, *loaded]))
 """
@@ -415,7 +415,9 @@ def test_import_loads_neither_numpy_scipy_nor_dataclasses():
     # plain floats and must leave numpy (and the scipy test extra) unloaded;
     # the records are NamedTuples, so dataclasses (and the inspect, ast and
     # dis it imports) stays unloaded too; a well-formed command line is read
-    # without argparse, and without the gettext and locale that it imports
+    # without argparse, and without the gettext and locale that it imports;
+    # the oracle's exact geometry runs on integers, so no command loads
+    # fractions (or the decimal and numbers that it imports)
     sweep_args = ["sweep", *REDUCED_ARGS, "--axis", "phi", "--values", "1,5,10,20"]
     profile_args = ["profile", *REDUCED_ARGS, "--phi-deg", "5", "--samples", "9"]
     for argv in (
@@ -493,7 +495,8 @@ def test_scalar_apis_leave_numpy_unloaded():
 
 def test_verify_leaves_numpy_unloaded():
     # a long tilted wing (R/a = 1e5, 44.7 degrees): every check passes, the
-    # force checks against the Gauss-Legendre oracle too, on math floats
+    # force checks against the Gauss-Legendre oracle too, on math floats and
+    # the exact integer geometry, with fractions and decimal unloaded
     argv = ("verify", "--a", "1e-7", "--R", "1e-2", "--phi-deg", "44.7")
     *report, last = fresh_python(FRESH_MAIN, *argv).splitlines()
     assert json.loads(last)[:2] == [0, []]

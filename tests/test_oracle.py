@@ -1,11 +1,15 @@
+from fractions import Fraction
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from trapcav import (
+    AngleWindow,
     CavitySpec,
+    DegenerateFan,
     InvalidCavity,
     NonFiniteSample,
     NumericDegeneracy,
@@ -80,6 +84,65 @@ def test_ray_lengths_refuse_a_point_off_the_wing(r):
 def test_intersection_refuses_a_ray_parallel_to_the_lower_wing():
     with pytest.raises(NumericDegeneracy):
         ray_length_intersection(REDUCED, 1.0, 0.0)
+
+
+def fraction_limit_angles(spec: CavitySpec, r: float) -> AngleWindow:
+    # the reference: the same raw vectors on Fraction values of the floats,
+    # so that every product is exact and cross and dot each round once
+    cphi, sphi, a, R, r = map(Fraction, (math.cos(spec.phi), math.sin(spec.phi), spec.a, spec.R, r))
+    angles = []
+    for tx, tz in ((R * cphi, -R * sphi - a), (0, -a)):
+        qx, qz = tx - r * cphi, tz - r * sphi
+        angles.append(math.atan2(sphi * qx - cphi * qz, cphi * qx + sphi * qz))
+    if angles[0] >= angles[1]:
+        raise DegenerateFan("fan collapsed")
+    return AngleWindow(*angles)
+
+
+def fraction_ray_length(spec: CavitySpec, r: float, theta: float) -> float:
+    # the reference: P + b u meets the lower wing, solved on Fractions, so
+    # that only b rounds
+    u = spec.phi - theta
+    try:
+        floats = (math.cos(spec.phi), math.sin(spec.phi), spec.a, r, math.cos(u), math.sin(u))
+        cphi, sphi, a, r, ux, uz = map(Fraction, floats)
+        return float((r * cphi * sphi + (a + r * sphi) * cphi) / (-ux * sphi - uz * cphi))
+    except (ArithmeticError, ValueError):
+        raise NumericDegeneracy("no finite ray length") from None
+
+
+def outcome(function, *args):
+    try:
+        return function(*args)
+    except Exception as err:
+        return type(err)
+
+
+def test_integer_geometry_matches_fraction_arithmetic():
+    # a seeded draw over R/a 1e-15..1e300, phi at 0, 1e-8, uniform and the
+    # float below pi/4, both unit systems and r at 0, R/3, R and uniform;
+    # the rays run through the window's midpoints, along the lower wing at
+    # phi = 0 (theta = 0), along the upper wing (theta = phi) and at NaN
+    rng = random.Random(20120)
+    calls = 0
+    for _ in range(200):
+        units = rng.choice([Units.REDUCED, Units.SI])
+        a = 1.0 if units is Units.REDUCED else 10.0 ** rng.uniform(-9.0, -5.0)
+        R = a * 10.0 ** rng.uniform(-15.0, 300.0)
+        phi = rng.choice([0.0, 1e-8, rng.uniform(0.0, math.pi / 4), math.nextafter(math.pi / 4, 0.0)])
+        spec = CavitySpec(a=a, R=R, L=1.0, phi=phi, units=units)
+        for r in (0.0, R / 3, R, rng.uniform(0.0, R)):
+            # repr tells every two floats apart, 0.0 and -0.0 too
+            window = outcome(fraction_limit_angles, spec, r)
+            assert repr(outcome(limit_angles_vector, spec, r)) == repr(window), (spec, r)
+            thetas = [0.0, phi, math.nan]
+            if isinstance(window, AngleWindow):
+                thetas += [window.theta1 + window.width * (j + 0.5) / 3 for j in range(3)]
+            for theta in thetas:
+                expected = repr(outcome(fraction_ray_length, spec, r, theta))
+                assert repr(outcome(ray_length_intersection, spec, r, theta)) == expected, (spec, r, theta)
+            calls += 1 + len(thetas)
+    assert calls > 4000
 
 
 def test_riemann_forces_parallel_plates_cancel_expulsion():

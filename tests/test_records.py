@@ -98,8 +98,8 @@ RECORDS = {
     "RunConfig": (
         lambda: parse_args(["force", "--a", "1", "--R", "4", "--units", "reduced"]),
         "RunConfig(command='force', a=1.0, R=4.0, L=1.0, phi_deg=0.0, units='reduced', "
-        "tol=1e-09, samples=None, wing_count=1, workers=None, out=None, format='json', "
-        "quantity=None, reference_classical=None, axis=None, values=None, phi_lo_deg=None, "
+        "out=None, format='json', tol=1e-09, wing_count=1, samples=None, quantity=None, "
+        "reference_classical=None, workers=None, axis=None, values=None, phi_lo_deg=None, "
         "phi_hi_deg=None, phi_tol_deg=None)",
         "tol",
         1e-6,
