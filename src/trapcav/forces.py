@@ -292,9 +292,10 @@ def _three_ray(rho: float, c: float, s: float, C: float, S: float):
     # over one length h that both have bit for bit.  So sg is t for A and B
     # and mu for B, and sb = c / h is mu for A.  Ray M, of sine c and cosine
     # s, takes the closed forms I_F = (9 s^4 - 10 s^2 + 9) / (45 c) and
-    # I_G = s (1 - 3 s^2) / 15 instead
+    # I_G = s (1 - 3 s^2) / 15 instead.  The term 8 S^2 / sg, of order rho,
+    # is 8 S (S / sg): S^2 alone underflows once phi is below about 1e-154
     cc, ss, cs = C * C, S * S, C * S
-    ss8, ss12, cs2, cs6 = 8.0 * ss, 12.0 * ss, 2.0 * cs, 6.0 * cs
+    s8, ss12, cs2, cs6 = 8.0 * S, 12.0 * ss, 2.0 * cs, 6.0 * cs
     d4, d1, c24 = ss - 4.0 * cc, ss - cc, 24.0 * C
     w = 1.0 + rho * (2.0 * s)
     w2 = w * w
@@ -303,13 +304,13 @@ def _three_ray(rho: float, c: float, s: float, C: float, S: float):
     sg, ka, sb, kb = c * w / h, (s * w - rho) / h, c / h, (rho + s) / h
     sg2, ka2, sb2, kb2, s2 = sg * sg, ka * ka, sb * sb, kb * kb, s * s
     a_f = (
-        ((ss8 / sg + c24 * sb) / sg - ss12) / sg + (3.0 * sg * (d4 + sg2 * d1) - cs6 * ka * (3.0 + sg2))
+        ((s8 * (S / sg) + c24 * sb) / sg - ss12) / sg + (3.0 * sg * (d4 + sg2 * d1) - cs6 * ka * (3.0 + sg2))
     ) / 45.0
     a_g = (cc * ka * (ka2 - 3.0) + cs2 * sg2 * sg - ss * ka * ka2) / 15.0
     m_f = ((9.0 * s2 - 10.0) * s2 + 9.0) / (45.0 * c)
     m_g = s * (1.0 - 3.0 * s2) / 15.0
     b_f = (
-        ((ss8 / sg + c24 * sg / w) / sg - ss12 / w2) / sg
+        ((s8 * (S / sg) + c24 * sg / w) / sg - ss12 / w2) / sg
         + (3.0 * sb * (d4 + sb2 * d1) - cs6 * kb * (3.0 + sb2)) / w3
     ) / 45.0
     b_g = (cc * kb * (kb2 - 3.0) + cs2 * sb2 * sb - ss * kb * kb2) / (15.0 * w3)

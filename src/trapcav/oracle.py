@@ -262,17 +262,35 @@ def _panels(edges):
     return [(lo, hi - lo) for lo, hi in zip(edges, edges[1:])]
 
 
-def _wing_panels(rho: float):
-    # r panels on [0, rho] meeting at rho / 2 and at 4^k and rho - 4^k below
-    # it, graded towards both wing ends, where the pressure varies on the
-    # scale of the gap
+def _graded(lo: float, hi: float, center: float, scale: float, steps: int):
+    # the edges center and center +- scale 4^k, k < steps, that lie
+    # strictly inside (lo, hi), in increasing order; the steps stop once
+    # both sides are out
+    edges = [center] if lo < center < hi else []
+    step = scale
+    for _ in range(steps):
+        if not (center - step > lo or center + step < hi):
+            break
+        edges.extend(p for p in (center - step, center + step) if lo < p < hi)
+        step *= 4.0
+    return sorted(edges)
+
+
+def _wing_panels(rho: float, s: float):
+    # r panels on [0, rho] meeting at rho / 2 and graded as 4^k, k <= 7,
+    # from both wing ends, where the pressure varies on the scale of the
+    # gap.  A tilted wing (s = sin phi > 0) also meets at r* + 4^k / s,
+    # k <= 9, from the wedge's vertex r* = -1 / (2 s), where s(r) = 0:
+    # there s(r) / cos phi = 2 4^k.  The pressure falls like (r - r*)^-4,
+    # so what lies past the last edge is below 2^-57 of the integral, and
+    # the panel that holds most of it spans s(r) from 1 to 2, not to 4,
+    # where the 20-point rule would miss (1 + x)^-4 by 8e-15.  The middle
+    # of a flat wing, a constant plus terms in r^-3 and (rho - r)^-3, is
+    # one panel on each side of rho / 2
     half = 0.5 * rho
-    near = []
-    p = 1.0
-    while p < half:
-        near.append(p)
-        p *= 4.0
-    return _panels([0.0, *near, half, *(rho - p for p in reversed(near)), rho])
+    tilt = _graded(16384.0, rho - 16384.0, -0.5 / s, 1.0 / s, 10) if s > 0.0 else []
+    edges = {0.0, *_graded(0.0, half, 0.0, 1.0, 8), half, *tilt, *_graded(half, rho, rho, 1.0, 8), rho}
+    return _panels(sorted(edges))
 
 
 def _offset_panels(lo: float, scale: float, rho: float):
@@ -282,13 +300,7 @@ def _offset_panels(lo: float, scale: float, rho: float):
     # 8.5e-22, of the peak, and the rest of the range is one panel.  The
     # last width is the correctly rounded rho - t* - edge, so the widths
     # add up to rho even where the wing is much shorter than |t*|
-    hi = rho + lo
-    inner = [0.0] if lo < 0.0 < hi else []
-    step = scale
-    while (-step > lo or step < hi) and step <= 16384.0 * scale:
-        inner.extend(p for p in (-step, step) if lo < p < hi)
-        step *= 4.0
-    edges = [lo, *sorted(inner)]
+    edges = [lo, *_graded(lo, rho + lo, 0.0, scale, 8)]
     return [*_panels(edges), (edges[-1], math.fsum((rho, lo, -edges[-1])))]
 
 
@@ -300,13 +312,17 @@ def _gauss_forces(spec: CavitySpec) -> tuple[float, float]:
     offset from the foot t* = r cos 2 phi - sin phi of the perpendicular
     from P(r): there d = (cos phi u - sin phi s, -cos phi s - sin phi u)
     and |d|^2 = u^2 + s^2, with s = s(r), so the peak of width s at u = 0
-    keeps its digits on wings of any length.
+    keeps its digits on wings of any length.  The r axis takes its panel
+    edges from three families of :func:`_graded`: 4^k gaps from the apex
+    and from the tip (k <= 7), and on a tilted wing the points where
+    s(r) / cos phi = 2 4^k (k <= 9), graded from the wedge's vertex, with
+    rho / 2 between; so a wing of any length has at most 28 r panels.
     """
     rho = spec.R / spec.a
     c, s = math.cos(spec.phi), math.sin(spec.phi)
     c2 = math.cos(2.0 * spec.phi)
     f_x = f_z = 0.0
-    for r, w_r in _nodes(_wing_panels(rho)):
+    for r, w_r in _nodes(_wing_panels(rho, s)):
         sr = c * (1.0 + 2.0 * r * s)
         sr2 = sr * sr
         # sums of 1 / |d|^7 and u / |d|^7 along the lower wing

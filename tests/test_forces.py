@@ -81,6 +81,18 @@ def test_long_parallel_plates_match_exact_force(ratio):
     assert math.isclose(fr.f_z, exact, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("e", [50, 160, 200, 300])
+def test_nearly_parallel_long_wings_scale_with_rho_phi(e):
+    # along R phi / a = 1 the wedge is the same at every scale: f_x and
+    # f_z a / R tend to constants.  8 sin^2 2phi underflowed below phi
+    # about 1e-154, and at (1e200, 1e-200) f_z was 31% off and f_x had the
+    # wrong sign; verify's f_x check, on the f_z scale, cannot see that
+    ref = total_forces(REDUCED._replace(R=1e100, phi=1e-100))
+    fr = total_forces(REDUCED._replace(R=10.0**e, phi=10.0**-e))
+    assert math.isclose(fr.f_x, ref.f_x, rel_tol=1e-14)
+    assert math.isclose(fr.f_z / fr.spec.R, ref.f_z / ref.spec.R, rel_tol=1e-14)
+
+
 def test_error_estimates_are_sane():
     fr = total_forces(reduced_at(2.0))
     assert 0.0 <= fr.err_z <= 1e-6 * abs(fr.f_z)
@@ -216,7 +228,7 @@ def _ray(sg: float, ka: float, mu: float, t: float, w: float, C: float, S: float
     w3 = w2 * w
     sg2, ka2 = sg * sg, ka * ka
     i_f = (
-        ((8.0 * ss / t + 24.0 * C * mu / w) / t - 12.0 * ss / w2) / t
+        ((8.0 * S * (S / t) + 24.0 * C * mu / w) / t - 12.0 * ss / w2) / t
         + (3.0 * sg * ((ss - 4.0 * cc) + sg2 * (ss - cc)) - 6.0 * cs * ka * (3.0 + sg2)) / w3
     ) / 45.0
     i_g = (cc * ka * (ka2 - 3.0) + 2.0 * cs * sg2 * sg - ss * ka * ka2) / (15.0 * w3)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -253,6 +254,87 @@ def test_lower_wing_panels_stop_grading_past_4_to_the_7(lo):
     assert starts[0] == lo and starts == sorted(set(starts))
     assert all(width > 0.0 for _, width in panels)
     assert math.fsum((lo, rho, -starts[-1])) == panels[-1][1]
+
+
+# from micro wings to 1e300 gaps, and from parallel mirrors through angles
+# whose sin^2 2 phi is subnormal (1e-160) or 0 (1e-300) to just below pi/4
+VERIFY_RATIOS = [1e-15, 0.3, 12.0, 1e5, 1e20, 1e300]
+VERIFY_PHIS = [0.0, 1e-300, 1e-160, 1e-8, 0.1, math.nextafter(math.pi / 4, 0.0)]
+
+
+@pytest.mark.parametrize("phi", VERIFY_PHIS)
+@pytest.mark.parametrize("ratio", VERIFY_RATIOS)
+def test_verify_suite_passes_from_micro_wings_to_1e300_gaps(ratio, phi):
+    # at (1e300, 1e-300) the closed form's f_z was 31% off once 8 S^2
+    # underflowed to 0, and verify exited 1
+    reports = verify_suite(CavitySpec(a=1.0, R=ratio, L=1.0, phi=phi, units=Units.REDUCED))
+    assert [r.quantity for r in reports] == CHECK_NAMES
+    for r in reports:
+        assert r.passed, f"{r.quantity}: {r.rel_deviation} > {r.tolerance}"
+
+
+def test_wing_panels_are_bounded_on_wings_of_any_length():
+    # the r axis once took about 2 log_4(R/a) panels, about 1000 at R/a
+    # 1e300; now at most 32 up to the largest float, in order from 0
+    ratios = [10.0 ** (k / 8) for k in range(-120, 2465)] + [sys.float_info.max]
+    for ratio in ratios:
+        for phi in VERIFY_PHIS:
+            panels = trapcav.oracle._wing_panels(ratio, math.sin(phi))
+            assert len(panels) <= 32, (ratio, phi)
+            starts = [start for start, _ in panels]
+            assert starts[0] == 0.0 and starts == sorted(set(starts)), (ratio, phi)
+            assert all(width > 0.0 for _, width in panels), (ratio, phi)
+
+
+def _graded_to_the_middle(rho):
+    # the r panels of every wing up to 32768 gaps: edges at 4^k and
+    # rho - 4^k for each 4^k below rho / 2, and at rho / 2
+    half = 0.5 * rho
+    near = []
+    p = 1.0
+    while p < half:
+        near.append(p)
+        p *= 4.0
+    edges = [0.0, *near, half, *(rho - p for p in reversed(near)), rho]
+    return [(lo, hi - lo) for lo, hi in zip(edges, edges[1:])]
+
+
+def test_wing_panels_keep_their_edges_up_to_32768_gaps():
+    # verify's oracle keeps its bits on such wings, flat or tilted: the
+    # edges graded from the wedge's vertex lie past 4^7 gaps from both ends
+    rng = random.Random(32768)
+    ratios = [10.0 ** rng.uniform(-15.0, math.log10(32768.0)) for _ in range(2000)]
+    for k in range(8):
+        # the wing takes the edge 4^k once it is longer than 2 4^k
+        edge = 2.0 * 4.0**k
+        ratios += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
+    for ratio in ratios:
+        expected = _graded_to_the_middle(ratio)
+        for phi in VERIFY_PHIS + [1e-4, 0.7]:
+            assert trapcav.oracle._wing_panels(ratio, math.sin(phi)) == expected, (ratio, phi)
+
+
+def _graded_around_the_foot(lo, scale, rho):
+    # the lower-wing panels: edges at 0 and +-scale 4^k (k <= 7) inside
+    # (lo, lo + rho), and a last width that is the correctly rounded rest
+    hi = rho + lo
+    inner = [0.0] if lo < 0.0 < hi else []
+    step = scale
+    while (-step > lo or step < hi) and step <= 16384.0 * scale:
+        inner.extend(p for p in (-step, step) if lo < p < hi)
+        step *= 4.0
+    edges = [lo, *sorted(inner)]
+    panels = [(start, end - start) for start, end in zip(edges, edges[1:])]
+    return [*panels, (edges[-1], math.fsum((rho, lo, -edges[-1])))]
+
+
+def test_lower_wing_panels_keep_their_edges():
+    rng = random.Random(16384)
+    for _ in range(5000):
+        rho = 10.0 ** rng.uniform(-15.0, 300.0)
+        lo = -rho * rng.choice([rng.random(), 0.0, 1.0, 0.5])
+        scale = 10.0 ** rng.uniform(-16.0, 300.0)
+        assert trapcav.oracle._offset_panels(lo, scale, rho) == _graded_around_the_foot(lo, scale, rho)
 
 
 def test_verify_suite_passes_on_a_flat_wing_1e30_gaps_long():
