@@ -331,8 +331,17 @@ def _force_dict(result: ForceResult) -> dict:
     }
 
 
+def _json_safe(v):
+    # JSON has no inf or NaN: they go out as the strings "inf", "-inf" and "nan"
+    if isinstance(v, dict):
+        return {key: _json_safe(x) for key, x in v.items()}
+    if isinstance(v, list):
+        return [_json_safe(x) for x in v]
+    return str(float(v)) if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def _json_bytes(payload: dict) -> bytes:
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return (json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
 
 
 def _fmt(x: float | bool) -> str:
@@ -351,21 +360,14 @@ def _csv_bytes(header: str, rows: list[dict]) -> bytes:
 
 
 def _emit_error(payload: dict) -> None:
-    sys.stderr.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
-
-
-def _json_number(v):
-    # JSON has no inf or NaN: they go out as the strings "inf", "-inf" and "nan"
-    if isinstance(v, float) and not math.isfinite(v):
-        return str(float(v))
-    return v
+    sys.stderr.write(json.dumps(_json_safe(payload), sort_keys=True, allow_nan=False) + "\n")
 
 
 def _error_dict(err: Exception) -> dict:
     payload = {"error": type(err).__name__, "message": str(err)}
     for attr in ("field", "value", "name"):
         if hasattr(err, attr):
-            payload[attr] = _json_number(getattr(err, attr))
+            payload[attr] = getattr(err, attr)
     return payload
 
 

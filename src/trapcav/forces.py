@@ -225,6 +225,9 @@ def total_forces(spec: CavitySpec, rel_tol: float = 1e-9, *, wing_count: int = 1
     mirror-image wings.  A force that is not
     finite, or an f_z that is not a normal float (SI gaps below about
     1e-112 m, or R/a below about 1e-154), raises :class:`NonFiniteSample`.
+    So do flat wings longer than about 7.5e306 gaps, although their f_z,
+    about -(16/15) R/a, is a finite float: an intermediate of the
+    three-ray form, about 24 R/a, overflows, and at phi = 0 f_x is NaN.
     """
     validate(spec)
     _check_options(rel_tol, wing_count)

@@ -117,7 +117,11 @@ def fan_integrals(window: AngleWindow, phi: float) -> tuple:
     evaluated once and shared.  z is positive for any non-empty window
     inside the fan.  x changes sign where the fan crosses
     theta = pi/2 + 2 phi; the full half-space fan at phi = 0 integrates to
-    exactly zero.
+    exactly zero.  Both keep their relative digits on every cavity's window,
+    which reaches past u = pi/4.  A window that lies wholly near u = 0 or
+    u = pi loses them, as the primitive differences cancel there: z is off
+    by 3.6e-7 relative at u1 = 1e-3, width 1e-3, phi = 0.2, against a
+    50-digit quadrature.
     """
     return _fan(window.theta1 - 2.0 * phi, window.width, math.cos(phi), math.sin(phi))
 

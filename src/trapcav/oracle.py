@@ -87,7 +87,12 @@ class OracleReport(NamedTuple):
     passed: bool
 
 
-def _report(quantity: str, primary: float, oracle: float, dev: float, tol: float) -> OracleReport:
+def _worst(quantity: str, rows, tol: float) -> OracleReport:
+    # the report of the (deviation, primary, oracle) row of the largest
+    # deviation, the last of equal ones; a NaN deviation ranks above every
+    # number, and fails, as NaN <= tol is false
+    nans = [row for row in rows if math.isnan(row[0])]
+    dev, primary, oracle = nans[-1] if nans else max(reversed(rows), key=lambda row: row[0])
     return OracleReport(quantity, primary, oracle, dev, tol, dev <= tol)
 
 
@@ -353,8 +358,10 @@ def verify_suite(spec: CavitySpec) -> list[OracleReport]:
     (relative, gated at 1e-10; the x force is measured against the z scale
     where it vanishes).  Every check runs on :mod:`math` floats and the
     exact integer geometry, so a ``verify`` process loads neither numpy
-    nor :mod:`fractions`.  A check that fails is reported in the returned
-    list, not raised.  An invalid spec raises
+    nor :mod:`fractions`.  Each check reports its worst sample, the last
+    of equal ones; a NaN on either side of a comparison is the worst of
+    all, and fails its check.  A check that fails is reported in the
+    returned list, not raised.  An invalid spec raises
     :class:`InvalidCavity`.  :class:`DegenerateFan` is raised only where
     the limit angles collapse in floats, at every R/a <= 1e-16, where the
     primary :func:`~trapcav.geometry.limit_angles` check rounds a wing
@@ -371,62 +378,39 @@ def verify_suite(spec: CavitySpec) -> list[OracleReport]:
     from .kernels import fan_integrals
 
     validate(spec)
-    reports: list[OracleReport] = []
-
-    worst = (0.0, 0.0, 0.0)
+    angles, lengths, inner_z, inner_x = [], [], [], []
     for k in range(17):
         r = spec.R * k / 16
-        prim = limit_angles(spec, r)
-        orac = limit_angles_vector(spec, r)
-        for p, o in ((prim.theta1, orac.theta1), (prim.theta2, orac.theta2)):
-            dev = abs(p - o)
-            if dev >= worst[0]:
-                worst = (dev, p, o)
-    reports.append(_report("limit_angles", worst[1], worst[2], worst[0], 1e-12))
-
-    worst = (0.0, 0.0, 0.0)
+        for p, o in zip(limit_angles(spec, r), limit_angles_vector(spec, r)):
+            angles.append((abs(p - o), p, o))
     for frac in (1 / 7, 1 / 3, 1 / 2, 2 / 3, 6 / 7):
         r = spec.R * frac
         window = limit_angles_vector(spec, r)
         for j in range(9):
             theta = window.theta1 + window.width * (j + 0.5) / 9
-            p = ray_length(spec, r, theta)
-            o = ray_length_intersection(spec, r, theta)
-            dev = abs(p - o) / abs(o)
-            if dev >= worst[0]:
-                worst = (dev, p, o)
-    reports.append(_report("ray_length", worst[1], worst[2], worst[0], 1e-12))
-
-    for name, component, trig in (
-        ("inner_integral_z", 1, math.sin),
-        ("inner_integral_x", 0, math.cos),
-    ):
-        worst = (0.0, 0.0, 0.0)
-        for frac in (0.0, 0.5, 15 / 16):
-            r = spec.R * frac
-            window = limit_angles(spec, r)
-            value = fan_integrals(window, spec.phi)[component]
-            # the raw integrand is a degree-5 trig polynomial, which the
-            # rule on each half of an O(1)-wide window gets to below 1e-20
-            mid = window.theta1 + 0.5 * window.width
-            halves = _panels((window.theta1, mid, window.theta2))
-            quad = math.fsum(
-                w * math.sin(theta - 2.0 * spec.phi) ** 4 * trig(theta - spec.phi)
-                for theta, w in _nodes(halves)
-            )
+            p, o = ray_length(spec, r, theta), ray_length_intersection(spec, r, theta)
+            lengths.append((abs(p - o) / abs(o), p, o))
+    for frac in (0.0, 0.5, 15 / 16):
+        window = limit_angles(spec, spec.R * frac)
+        x, z = fan_integrals(window, spec.phi)
+        # the raw integrand is a degree-5 trig polynomial, which the rule on
+        # each half of an O(1)-wide window gets to below 1e-20
+        nodes = _nodes(_panels((window.theta1, window.theta1 + 0.5 * window.width, window.theta2)))
+        for rows, value, trig in ((inner_z, z, math.sin), (inner_x, x, math.cos)):
+            quad = math.fsum(w * math.sin(t - 2.0 * spec.phi) ** 4 * trig(t - spec.phi) for t, w in nodes)
             # both values can be ~0 (antisymmetric x integrand); the window
             # width bounds the integral and gives the comparison a scale
-            floor = 0.1 * window.width
-            dev = abs(value - quad) / max(abs(value), abs(quad), floor)
-            if dev >= worst[0]:
-                worst = (dev, value, quad)
-        reports.append(_report(name, worst[1], worst[2], worst[0], 1e-10))
+            rows.append((abs(value - quad) / max(abs(value), abs(quad), 0.1 * window.width), value, quad))
 
-    prim_f = total_forces(spec, 1e-9)
+    prim = total_forces(spec, 1e-9)
     orac_x, orac_z = _gauss_forces(spec)
-    dev_z = abs(prim_f.f_z - orac_z) / abs(orac_z)
-    reports.append(_report("total_force_z", prim_f.f_z, orac_z, dev_z, 1e-10))
-    scale_x = max(abs(orac_x), abs(orac_z))
-    dev_x = abs(prim_f.f_x - orac_x) / scale_x
-    reports.append(_report("total_force_x", prim_f.f_x, orac_x, dev_x, 1e-10))
-    return reports
+    # the x force is measured against the z scale where it vanishes
+    dev_x = abs(prim.f_x - orac_x) / max(abs(orac_x), abs(orac_z))
+    return [
+        _worst("limit_angles", angles, 1e-12),
+        _worst("ray_length", lengths, 1e-12),
+        _worst("inner_integral_z", inner_z, 1e-10),
+        _worst("inner_integral_x", inner_x, 1e-10),
+        _worst("total_force_z", [(abs(prim.f_z - orac_z) / abs(orac_z), prim.f_z, orac_z)], 1e-10),
+        _worst("total_force_x", [(dev_x, prim.f_x, orac_x)], 1e-10),
+    ]

@@ -18,6 +18,7 @@ import pytest
 from trapcav import CavitySpec, ForceResult, SweepAxis, SweepTable, Units, sweep
 from trapcav.cli import RunConfig, main, parse_args
 import trapcav.cli
+import trapcav.kernels
 from trapcav.emit import PlotSpec, emit_svg
 from trapcav.geometry import PHI_TOL_FLOOR, REL_TOL_FLOOR
 
@@ -830,6 +831,26 @@ def test_sweep_with_some_rows_flagged_exits_0(fmt, capsysbinary):
     assert converged == [False, True]
 
 
+def test_flagged_sweep_rows_are_strict_json(tmp_path, capsysbinary):
+    # the R/a 1e-160 row is flagged with NaN forces and infinite bounds,
+    # which go out as strings on stdout and through --out alike
+    argv = [
+        "sweep", "--a", "1", "--R", "1", "--units", "reduced",
+        "--axis", "R", "--values", "1e-160,1", "--format", "json",
+    ]
+    assert main(argv) == 0
+    stdout = capsysbinary.readouterr().out
+    out = tmp_path / "sweep.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == stdout
+    flagged, row = strict_json(stdout.decode("utf-8"))["points"]
+    assert flagged == {
+        "param": 1e-160, "f_x": "nan", "f_z": "nan", "err_x": "inf", "err_z": "inf",
+        "wing_count": 1, "converged": False,
+    }
+    assert all(isinstance(row[key], float) for key in ("f_x", "f_z", "err_x", "err_z"))
+
+
 def test_plot_spec_validation():
     # emit_svg checks the plot it draws
     pts = ((0.0, 1.0), (1.0, 2.0))
@@ -907,6 +928,21 @@ def test_verify_with_a_failing_check_reports_it_and_exits_1(monkeypatch, capsysb
     failed = [c["quantity"] for c in payload["checks"] if not c["passed"]]
     assert failed == ["total_force_z", "total_force_x"]
     jsonschema.validate(payload, load_schema("report.schema.json"))
+
+
+def test_verify_with_a_nan_check_fails_it_in_strict_json(monkeypatch, capsysbinary):
+    # a NaN from the primary fan integrals fails both inner-integral checks;
+    # their values go out as the string "nan", which the schema accepts
+    monkeypatch.setattr(trapcav.kernels, "fan_integrals", lambda *args: (math.nan, math.nan))
+    assert main(["verify", *REDUCED_ARGS, "--phi-deg", "1.0"]) == 1
+    captured = capsysbinary.readouterr()
+    assert captured.err == b""
+    payload = strict_json(captured.out.decode("utf-8"))
+    jsonschema.validate(payload, load_schema("report.schema.json"))
+    assert payload["all_passed"] is False
+    failed = [c for c in payload["checks"] if not c["passed"]]
+    assert [c["quantity"] for c in failed] == ["inner_integral_z", "inner_integral_x"]
+    assert all(c["closed_form"] == c["rel_deviation"] == "nan" for c in failed)
 
 
 def test_config_schema_accepts_documented_example(tmp_path):

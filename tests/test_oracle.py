@@ -21,12 +21,14 @@ from trapcav import (
     total_forces,
 )
 from trapcav.oracle import (
+    OracleReport,
     limit_angles_vector,
     ray_length_intersection,
     riemann_forces,
     verify_suite,
 )
 import trapcav.geometry
+import trapcav.kernels
 import trapcav.oracle
 
 REDUCED = CavitySpec(a=1.0, R=10.0, L=1.0, phi=0.0, units=Units.REDUCED)
@@ -407,6 +409,75 @@ def test_verify_suite_detects_corrupted_constants(monkeypatch):
     assert not reports["total_force_x"].passed
     for name in CHECK_NAMES[:4]:
         assert reports[name].passed
+
+
+def _nan_theta1(limit_angles):
+    return lambda spec, r: AngleWindow(math.nan, limit_angles(spec, r).theta2)
+
+
+@pytest.mark.parametrize(
+    "module, name, fault, failing",
+    [
+        (trapcav.geometry, "limit_angles", _nan_theta1, {"limit_angles", "inner_integral_z", "inner_integral_x"}),
+        (trapcav.geometry, "ray_length", lambda f: lambda *args: math.nan, {"ray_length"}),
+        (trapcav.oracle, "ray_length_intersection", lambda f: lambda *args: math.nan, {"ray_length"}),
+        (trapcav.kernels, "fan_integrals", lambda f: lambda *args: (math.nan, math.nan),
+         {"inner_integral_z", "inner_integral_x"}),
+    ],
+    ids=["limit_angles", "ray_length", "ray_length_intersection", "fan_integrals"],
+)
+def test_verify_suite_fails_the_checks_that_read_a_nan(monkeypatch, module, name, fault, failing):
+    # a NaN on either side of a comparison is a NaN deviation, which ranks
+    # above every number and fails; the checks that do not read the value
+    # still pass
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    reports = verify_suite(SI_THIN)
+    assert [r.quantity for r in reports] == CHECK_NAMES
+    assert {r.quantity for r in reports if not r.passed} == failing
+    assert all(math.isnan(r.rel_deviation) for r in reports if r.quantity in failing)
+
+
+def placeholder_worst(quantity, rows, tol):
+    # the reducer that the NaN-ranking one replaced: a (0, 0, 0) placeholder
+    # that a row replaces where its deviation is >= the worst so far
+    worst = (0.0, 0.0, 0.0)
+    for dev, p, o in rows:
+        if dev >= worst[0]:
+            worst = (dev, p, o)
+    return OracleReport(quantity, worst[1], worst[2], worst[0], tol, worst[0] <= tol)
+
+
+@pytest.mark.parametrize("ratio", [0.3, 4.0, 12.0, 1e5])
+def test_verify_suite_picks_the_rows_the_placeholder_loop_picked(monkeypatch, ratio):
+    # at phi = 0 most angle and ray-length deviations are exactly 0.0, with
+    # rows of different values, so the rule for ties decides the report
+    seen = []
+    worst = trapcav.oracle._worst
+
+    def spy(quantity, rows, tol):
+        seen.append((quantity, list(rows), tol))
+        return worst(quantity, rows, tol)
+
+    monkeypatch.setattr(trapcav.oracle, "_worst", spy)
+    reports = verify_suite(REDUCED._replace(R=ratio))
+    assert [quantity for quantity, _, _ in seen] == CHECK_NAMES
+    angles = seen[0][1]
+    assert len({row[1:] for row in angles if row[0] == 0.0}) > 1
+    for report, args in zip(reports, seen):
+        assert repr(report) == repr(placeholder_worst(*args))
+
+
+TIED_DEVIATIONS = st.sampled_from([0.0, -0.0, 1e-300, 0.5, 1.0, math.inf])
+
+
+@given(st.lists(st.tuples(TIED_DEVIATIONS, st.floats(), st.floats()), min_size=1, max_size=8), st.data())
+def test_worst_ranks_nan_above_every_number(rows, data):
+    assert repr(trapcav.oracle._worst("q", rows, 1.0)) == repr(placeholder_worst("q", rows, 1.0))
+    nan_at = data.draw(st.integers(0, len(rows)))
+    rows.insert(nan_at, (math.nan, -1.0, 1.0))
+    report = trapcav.oracle._worst("q", rows, 1.0)
+    assert math.isnan(report.rel_deviation) and not report.passed
+    assert (report.closed_form, report.oracle) == (-1.0, 1.0)
 
 
 @given(
