@@ -72,20 +72,6 @@ class OptimumReport(NamedTuple):
     force_calls: int = 0
 
 
-def _flagged_row(spec: CavitySpec, wing_count: int) -> ForceResult:
-    nan = float("nan")
-    inf = float("inf")
-    return ForceResult(
-        spec=spec,
-        f_x=nan,
-        f_z=nan,
-        err_x=inf,
-        err_z=inf,
-        wing_count=wing_count,
-        converged=False,
-    )
-
-
 def sweep(
     base: CavitySpec,
     axis: SweepAxis,
@@ -138,7 +124,7 @@ def sweep(
         try:
             results.append(_forces(spec, scale, rel_tol, wing_count))
         except NonFiniteSample:
-            results.append(_flagged_row(spec, wing_count))
+            results.append(ForceResult(spec, math.nan, math.nan, math.inf, math.inf, wing_count, False))
     return SweepTable(
         axis=axis,
         points=tuple(zip(values, results)),

@@ -379,19 +379,15 @@ def _write_output(payload: bytes, out: str | None) -> None:
     # only --out needs tempfile; the other runs skip its import
     import tempfile
 
-    directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".trapcav-tmp-")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out)), prefix=".trapcav-tmp-")
     try:
-        os.write(fd, payload)
-        os.close(fd)
+        # a buffered file writes every byte or raises, where one os.write
+        # may write fewer; its close closes fd
+        with open(fd, "wb") as f:
+            f.write(payload)
         os.replace(tmp, out)
     except BaseException:
-        try:
-            os.close(fd)
-        except OSError:
-            pass
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 

@@ -68,9 +68,6 @@ REL_TOL_FLOOR = 50.0 * sys.float_info.epsilon
 #: :func:`~trapcav.analysis.optimize_phi` accepts.
 PHI_TOL_FLOOR = 1e-6
 
-# sine denominators below this are treated as degenerate
-_SIN_FLOOR = 1e-14
-
 
 class Units(str, Enum):
     """Unit system a cavity is expressed in.
@@ -242,16 +239,19 @@ def s_factor(spec: CavitySpec, r: float) -> float:
 def ray_length(spec: CavitySpec, r: float, theta: float) -> float:
     """Distance b from the wing point at ``r`` to the lower wing along ``theta``.
 
-    b = s(r) / sin(theta - 2 phi).  Only directions inside the visible fan
-    are meaningful; there theta - 2 phi lies in (0, pi) and the sine is
-    positive.  Directions outside the fan drive the sine to zero or below
-    and raise :class:`NumericDegeneracy`; the spec and ``r`` are checked as
-    :func:`s_factor` checks them.
+    b = s(r) / sin(theta - 2 phi), the distance along ``theta`` to the
+    lower wing's line.  A direction has a length exactly where it meets
+    that line ahead of P at a finite distance, that is where b is a finite
+    positive float; every direction of the visible fan does, where theta -
+    2 phi lies in (0, pi).  Any other direction, a NaN or infinite
+    ``theta`` included, raises :class:`NumericDegeneracy`, as
+    :func:`~trapcav.oracle.ray_length_intersection` does; the spec and
+    ``r`` are checked first, as :func:`s_factor` checks them.
     """
-    s = s_factor(spec, r)
-    denom = math.sin(theta - 2.0 * spec.phi)
-    if not (denom > _SIN_FLOOR):  # NaN too
-        raise NumericDegeneracy(
-            f"sin(theta - 2 phi) not positive at theta={theta!r} (phi={spec.phi!r})"
-        )
-    return s / denom
+    try:
+        b = s_factor(spec, r) / math.sin(theta - 2.0 * spec.phi)
+    except (ZeroDivisionError, ValueError):  # a zero sine; an infinite theta
+        b = math.nan
+    if not 0.0 < b < math.inf:  # NaN too
+        raise NumericDegeneracy(f"no ray length at r={r!r}, theta={theta!r} (phi={spec.phi!r})")
+    return b

@@ -133,11 +133,15 @@ def ray_length_intersection(spec: CavitySpec, r: float, theta: float) -> float:
     u = (cos(phi - theta), sin(phi - theta)) and the lower wing is
     M3 + t (cos phi, -sin phi); b solves the 2x2 system via cross products,
     formed exactly from the integers of :func:`_exact`, so that only b
-    itself rounds.  No trig reduction is applied, which is the point.  An
-    invalid spec raises :class:`InvalidCavity`, an ``r`` outside [0, R]
-    (NaN and infinities too) :class:`OutOfRange`, and a ray parallel to
-    the lower wing, a length past the float range or a ``theta`` that is
-    not finite :class:`NumericDegeneracy`.
+    itself rounds.  No trig reduction is applied, which is the point.  The
+    line of the lower wing is taken, not only its segment.  A direction has
+    a length exactly where it meets that line ahead of P at a finite
+    distance, that is where b is a finite positive float, the rule of
+    :func:`~trapcav.geometry.ray_length`.  An invalid spec raises
+    :class:`InvalidCavity`, an ``r`` outside [0, R] (NaN and infinities
+    too) :class:`OutOfRange`, and any other direction, a ray parallel to
+    or away from the lower wing, a length past the float range and a NaN
+    or infinite ``theta`` included, :class:`NumericDegeneracy`.
     """
     validate(spec)
     if not (0.0 <= r <= spec.R):
@@ -145,9 +149,12 @@ def ray_length_intersection(spec: CavitySpec, r: float, theta: float) -> float:
     u = spec.phi - theta
     try:
         values, one = _exact(math.cos(spec.phi), math.sin(spec.phi), spec.a, r, math.cos(u), math.sin(u))
-        return _ray_lengths_raw(*values, one)
-    except (ArithmeticError, ValueError):  # nan has no integer ratio
-        raise NumericDegeneracy(f"no finite ray length at r={r!r}, theta={theta!r}") from None
+        b = _ray_lengths_raw(*values, one)
+    except (ArithmeticError, ValueError):  # inf has no cosine, nan no integer ratio
+        b = math.nan
+    if not 0.0 < b < math.inf:  # NaN too
+        raise NumericDegeneracy(f"no ray length at r={r!r}, theta={theta!r}")
+    return b
 
 
 def _exact(*floats: float) -> tuple[list[int], int]:

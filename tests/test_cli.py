@@ -900,6 +900,36 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
         assert list((tmp_path / "taken").iterdir()) == []
 
 
+def _limit_file_size():
+    # in the child only: a 4 KiB file-size limit, and SIGXFSZ ignored, so
+    # a write past it fails with EFBIG instead of killing the process; a
+    # single raw os.write of the payload would write 4096 bytes and return
+    import resource
+    import signal
+
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+
+
+def test_short_out_write_exits_2_and_commits_nothing(tmp_path):
+    # the document is about 28 KB, far past the limit: the run must fail
+    # as a whole, not commit the first 4096 bytes under the --out name
+    out = tmp_path / "p.json"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = ["profile", *REDUCED_ARGS, "--samples", "256", "--format", "json", "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "trapcav.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_file_size,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["message"].startswith(f"cannot write {str(out)!r}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_command_passes_and_validates_schema(tmp_path):
     out = tmp_path / "verify.json"
     assert main(["verify", *REDUCED_ARGS, "--phi-deg", "1.0", "--out", str(out)]) == 0

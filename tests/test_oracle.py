@@ -103,15 +103,18 @@ def fraction_limit_angles(spec: CavitySpec, r: float) -> AngleWindow:
 
 
 def fraction_ray_length(spec: CavitySpec, r: float, theta: float) -> float:
-    # the reference: P + b u meets the lower wing, solved on Fractions, so
-    # that only b rounds
+    # the reference: P + b u meets the lower wing's line, solved on
+    # Fractions, so that only b rounds; a length is a finite positive float
     u = spec.phi - theta
     try:
         floats = (math.cos(spec.phi), math.sin(spec.phi), spec.a, r, math.cos(u), math.sin(u))
         cphi, sphi, a, r, ux, uz = map(Fraction, floats)
-        return float((r * cphi * sphi + (a + r * sphi) * cphi) / (-ux * sphi - uz * cphi))
+        b = float((r * cphi * sphi + (a + r * sphi) * cphi) / (-ux * sphi - uz * cphi))
     except (ArithmeticError, ValueError):
-        raise NumericDegeneracy("no finite ray length") from None
+        b = math.nan
+    if not 0.0 < b < math.inf:
+        raise NumericDegeneracy("no finite ray length")
+    return b
 
 
 def outcome(function, *args):
@@ -146,6 +149,47 @@ def test_integer_geometry_matches_fraction_arithmetic():
                 assert repr(outcome(ray_length_intersection, spec, r, theta)) == expected, (spec, r, theta)
             calls += 1 + len(thetas)
     assert calls > 4000
+
+
+def test_ray_length_pair_refuses_alike():
+    # a seeded draw over R/a 1e-15..1e300, phi at 0, 1e-8, uniform and the
+    # float below pi/4, both unit systems and r at 0, R/3, R and uniform;
+    # the rays run through the oracle window's ends and midpoint, along
+    # the upper wing (theta = phi), at 0, -1, 3.5, NaN and both infinities.
+    # Both functions answer, or both raise the same error, NumericDegeneracy
+    # where theta is not finite; inside the window, where no ray runs near
+    # parallel to the lower wing, they also agree as verify's check demands
+    rng = random.Random(2012)
+    pairs = 0
+    for _ in range(600):
+        units = rng.choice([Units.REDUCED, Units.SI])
+        a = 1.0 if units is Units.REDUCED else 10.0 ** rng.uniform(-9.0, -5.0)
+        R = a * 10.0 ** rng.uniform(-15.0, 300.0)
+        phi = rng.choice([0.0, 1e-8, rng.uniform(0.0, math.pi / 4), math.nextafter(math.pi / 4, 0.0)])
+        spec = CavitySpec(a=a, R=R, L=1.0, phi=phi, units=units)
+        for r in (0.0, R / 3, R, rng.uniform(0.0, R)):
+            window = outcome(limit_angles_vector, spec, r)
+            mid = window.theta1 + 0.5 * window.width if isinstance(window, AngleWindow) else math.nan
+            thetas = [phi, 0.0, -1.0, 3.5, math.nan, math.inf, -math.inf]
+            if isinstance(window, AngleWindow):
+                thetas += [window.theta1, mid, window.theta2]
+            for theta in thetas:
+                primary = outcome(ray_length, spec, r, theta)
+                oracle = outcome(ray_length_intersection, spec, r, theta)
+                if isinstance(primary, float) and isinstance(oracle, float):
+                    assert primary > 0.0 and oracle > 0.0, (spec, r, theta)
+                    if theta == mid:
+                        assert abs(primary - oracle) <= 1e-12 * oracle, (spec, r, theta)
+                else:
+                    assert primary is oracle, (spec, r, theta, primary, oracle)
+                assert math.isfinite(theta) or primary is NumericDegeneracy, (spec, r, theta)
+            pairs += len(thetas)
+    assert pairs > 20000
+    # a flat wing 1e14 gaps long: the far ray leaves the apex at
+    # theta1 = 1e-14, under a positive sine, and is as long as the wing
+    flat = CavitySpec(a=1.0, R=1e14, L=1.0, phi=0.0, units=Units.REDUCED)
+    theta1 = limit_angles(flat, 0.0).theta1
+    assert ray_length(flat, 0.0, theta1) == ray_length_intersection(flat, 0.0, theta1) == 1e14
 
 
 def test_riemann_forces_parallel_plates_cancel_expulsion():
