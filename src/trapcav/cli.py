@@ -379,11 +379,20 @@ def _write_output(payload: bytes, out: str | None) -> None:
     # only --out needs tempfile; the other runs skip its import
     import tempfile
 
+    # the mode that open(out, "w") would give: a replaced file keeps its
+    # own, a new one gets 0666 less the umask (mkstemp alone makes 0600)
+    try:
+        mode = os.stat(out).st_mode & 0o777
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out)), prefix=".trapcav-tmp-")
     try:
         # a buffered file writes every byte or raises, where one os.write
         # may write fewer; its close closes fd
         with open(fd, "wb") as f:
+            os.chmod(tmp, mode)
             f.write(payload)
         os.replace(tmp, out)
     except BaseException:

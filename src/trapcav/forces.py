@@ -373,7 +373,8 @@ def _tensor_rule(rho: float, c: float, s: float):
     # 0.0 - x, not -x, keeps f_x = +0.0 at phi = 0
     f_x = 0.0 - 2.0 * s * h2 * pairs_x
     f_z = -c * h2 * (diagonal + 2.0 * pairs_z)
-    return f_x, f_z, -f_x, -f_z
+    # abs, not -f_x: the magnitude of f_x = +0.0 is +0.0
+    return f_x, f_z, abs(f_x), -f_z
 
 
 def pressure_profile(spec: CavitySpec, n: int) -> PressureProfile:

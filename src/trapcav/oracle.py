@@ -21,15 +21,33 @@ rays P->M2 (far end) and P->M3 (near end).  The wing direction is given
 geometry, never reconstructed from P: normalizing P loses the direction
 entirely once r sin phi underflows.
 
-The force oracle of :func:`verify_suite` is the angle-free double integral
-over both wings,
+The force oracle of :func:`verify_suite` starts from the angle-free
+double integral over both wings,
 
     f = K L integral_0^R integral_0^R s(r) (d_x, d_z) / |d|^7 dt dr,
 
 with d = Q(t) - P(r), Q(t) = (t cos phi, -a - t sin phi) and
-s(r) = cos phi (a + 2 r sin phi), summed with a 20-point Gauss-Legendre
-rule on panels placed as QUADPACK's QAGP places breakpoints (Piessens et
-al., 1983).  It uses no limit angle and no fan integral.  Everything runs
+s(r) = cos phi (a + 2 r sin phi).  In units of the gap, with c = cos phi,
+s = sin phi and rho = R/a, the swap (r, t) -> (t, r) leaves the square in
+place, and the average of each integrand with its swap is one-signed:
+
+    f_x = -s c^2 integral integral (r - t)^2 / |d|^7,
+    f_z = -c integral integral g^2 / |d|^7,
+
+with |d|^2 = c^2 (r - t)^2 + g^2 and g = 1 + s (r + t).  In p = r + t and
+q = r - t, |q| <= m = min(p, 2 rho - p), the q-integral is elementary: in
+X = c q, X^2 / |d|^7 and g^2 / |d|^7 have the antiderivatives
+
+    A = X^3 (2 X^2 + 5 g^2) / (15 g^4 (X^2 + g^2)^(5/2)),
+    g^2 B = X (15 g^4 + 20 g^2 X^2 + 8 X^4) / (15 g^4 (X^2 + g^2)^(5/2)),
+
+which at X = c m are the integrands of :func:`_gauss_forces`, written in
+y = c m / hypot(c m, g); both are >= 0.  ``tests/test_certificates.py``
+proves each step.  They are summed with a 20-point Gauss-Legendre rule on panels placed as
+QUADPACK's QAGP places breakpoints (Piessens et al., 1983).  The oracle
+uses no limit angle and no fan integral, and its derivation (the swap, then
+the q-integral) shares no step with the primary's corner substitution in
+the fan angle.  Everything runs
 on :mod:`math` floats, and the scalar vector geometry on the exact integers
 that those floats are multiples of (see :func:`_exact`), except
 :func:`riemann_forces`, the dense midpoint sum that the acceptance tests
@@ -75,8 +93,10 @@ class OracleReport(NamedTuple):
 
     ``rel_deviation`` is relative for quantities with a scale (lengths,
     integrals, forces) and absolute radians for angle checks, whose natural
-    scale is already order one.  ``passed`` is exactly
-    ``rel_deviation <= tolerance``.
+    scale is already order one.  For ``total_force_x`` it is the miss over
+    |oracle| + err_x / tolerance, where err_x is the primary's own error
+    bound: relative to the oracle's f_x, widened by err_x.  ``passed`` is
+    exactly ``rel_deviation <= tolerance``.
     """
 
     quantity: str
@@ -288,69 +308,52 @@ def _graded(lo: float, hi: float, center: float, scale: float, steps: int):
     return sorted(edges)
 
 
-def _wing_panels(rho: float, s: float):
-    # r panels on [0, rho] meeting at rho / 2 and graded as 4^k, k <= 7,
-    # from both wing ends, where the pressure varies on the scale of the
-    # gap.  A tilted wing (s = sin phi > 0) also meets at r* + 4^k / s,
-    # k <= 9, from the wedge's vertex r* = -1 / (2 s), where s(r) = 0:
-    # there s(r) / cos phi = 2 4^k.  The pressure falls like (r - r*)^-4,
-    # so what lies past the last edge is below 2^-57 of the integral, and
-    # the panel that holds most of it spans s(r) from 1 to 2, not to 4,
-    # where the 20-point rule would miss (1 + x)^-4 by 8e-15.  The middle
-    # of a flat wing, a constant plus terms in r^-3 and (rho - r)^-3, is
-    # one panel on each side of rho / 2
-    half = 0.5 * rho
-    tilt = _graded(16384.0, rho - 16384.0, -0.5 / s, 1.0 / s, 10) if s > 0.0 else []
-    edges = {0.0, *_graded(0.0, half, 0.0, 1.0, 8), half, *tilt, *_graded(half, rho, rho, 1.0, 8), rho}
-    return _panels(sorted(edges))
-
-
-def _offset_panels(lo: float, scale: float, rho: float):
-    # t panels in u = t - t*, from lo = -t* to rho - t*, meeting at u = 0
-    # and u = +-scale 4^k for k <= 7.  Past 4^7 scale the integrand's tail
-    # falls like |u|^-6, so what lies beyond is below (1/16384)^5, about
-    # 8.5e-22, of the peak, and the rest of the range is one panel.  The
-    # last width is the correctly rounded rho - t* - edge, so the widths
-    # add up to rho even where the wing is much shorter than |t*|
-    edges = [lo, *_graded(lo, rho + lo, 0.0, scale, 8)]
-    return [*_panels(edges), (edges[-1], math.fsum((rho, lo, -edges[-1])))]
+def _p_panels(rho: float, s: float):
+    # the panels of both halves of the p-integral, each on [0, rho]: graded
+    # as 4^k gaps (k <= 7) from p = 0, where y rises from 0 to nearly 1 on
+    # the scale of the gap, and on a tilted wing (s = sin phi > 0) at the
+    # points where g = 1 + s p is 2 4^k (k <= 9), graded from g's zero at
+    # -1 / s.  g^-4 holds the integral, and the panel that holds most of it
+    # spans g from 1 to 2, not to 4, where the 20-point rule would miss
+    # g^-4 by 8e-15; past the last edge lies below 1e-17 of it.  The second
+    # half's y rises where c v reaches its g, from 1 + s rho to 1 + 2 s rho:
+    # inside the edges graded from 0 while s rho < 8192, and past them only
+    # where the whole half is below 1e-11 of the first
+    tilt = _graded(0.0, rho, -1.0 / s, 2.0 / s, 10) if s > 0.0 else []
+    return _panels(sorted({0.0, *_graded(0.0, rho, 0.0, 1.0, 8), *tilt, rho}))
 
 
 def _gauss_forces(spec: CavitySpec) -> tuple[float, float]:
-    """(f_x, f_z) from the 20-point Gauss-Legendre double integral.
+    """(f_x, f_z) from the one-signed p-integral, by 20-point Gauss-Legendre.
 
-    In units of the gap (rho = R/a), with its own literal K L / a^3 applied
-    once.  For each r node the lower wing is integrated in u = t - t*, the
-    offset from the foot t* = r cos 2 phi - sin phi of the perpendicular
-    from P(r): there d = (cos phi u - sin phi s, -cos phi s - sin phi u)
-    and |d|^2 = u^2 + s^2, with s = s(r), so the peak of width s at u = 0
-    keeps its digits on wings of any length.  The r axis takes its panel
-    edges from three families of :func:`_graded`: 4^k gaps from the apex
-    and from the tip (k <= 7), and on a tilted wing the points where
-    s(r) / cos phi = 2 4^k (k <= 9), graded from the wedge's vertex, with
-    rho / 2 between; so a wing of any length has at most 28 r panels.
+    In units of the gap (rho = R/a, c = cos phi, s = sin phi), with its own
+    literal K L / a^3 applied once:
+
+        f_x = -(s / c) integral_0^(2 rho) y^3 (5 - 3 y^2) / (15 g^4) dp
+        f_z = -integral_0^(2 rho) y (15 - 10 y^2 + 3 y^4) / (15 g^4) dp
+
+    with y = c m / hypot(c m, g), m = min(p, 2 rho - p) and g = 1 + s p
+    (see the module docstring).  Both integrands are >= 0, so f_x keeps
+    the digits of its own size.  The second half is taken in v = 2 rho - p
+    (m = v), so that no 2 rho - p cancels, and its g is formed without 2 rho,
+    which overflows past rho = 8.99e307.  Both halves share the panels of
+    :func:`_p_panels`, at most 19 on a wing of any length, and each term
+    carries its 1/15, so that the sums stay finite wherever f_z is.
     """
     rho = spec.R / spec.a
     c, s = math.cos(spec.phi), math.sin(spec.phi)
-    c2 = math.cos(2.0 * spec.phi)
-    f_x = f_z = 0.0
-    for r, w_r in _nodes(_wing_panels(rho, s)):
-        sr = c * (1.0 + 2.0 * r * s)
-        sr2 = sr * sr
-        # sums of 1 / |d|^7 and u / |d|^7 along the lower wing
-        a0 = a1 = 0.0
-        for u, w_t in _nodes(_offset_panels(s - r * c2, sr, rho)):
-            q = u * u + sr2
-            k = w_t / (q * q * q * math.sqrt(q))
-            a0 += k
-            a1 += k * u
-        if a0 == a1 == 0.0:
-            # the lower wing is out of reach; w_r s(r) may overflow there
-            continue
-        f_x += w_r * sr * (c * a1 - s * sr * a0)
-        f_z -= w_r * sr * (c * sr * a0 + s * a1)
+    sum_x = sum_z = 0.0
+    for m, w in _nodes(_p_panels(rho, s)):
+        cm = c * m
+        for g in (1.0 + s * m, 1.0 + s * (rho - m) + s * rho):
+            y = cm / math.hypot(cm, g)
+            y2, g2 = y * y, g * g
+            k = w * y / (15.0 * g2 * g2)
+            sum_x += k * y2 * (5.0 - 3.0 * y2)
+            sum_z += k * (15.0 - y2 * (10.0 - 3.0 * y2))
     scale = _prefactor(spec) / spec.a / spec.a / spec.a * spec.L
-    return f_x * scale, f_z * scale
+    # 0.0 - x, not -x, keeps f_x = +0.0 at phi = 0
+    return (0.0 - s / c * sum_x) * scale, -sum_z * scale
 
 
 def verify_suite(spec: CavitySpec) -> list[OracleReport]:
@@ -361,22 +364,24 @@ def verify_suite(spec: CavitySpec) -> list[OracleReport]:
     :func:`fan_integrals` (reported as ``inner_integral_z`` and
     ``inner_integral_x``) against the 20-point Gauss-Legendre rule on each
     half of the window (relative, gated at 1e-10), and both total forces
-    against the Gauss-Legendre double integral of :func:`_gauss_forces`
-    (relative, gated at 1e-10; the x force is measured against the z scale
-    where it vanishes).  Every check runs on :mod:`math` floats and the
-    exact integer geometry, so a ``verify`` process loads neither numpy
-    nor :mod:`fractions`.  Each check reports its worst sample, the last
-    of equal ones; a NaN on either side of a comparison is the worst of
-    all, and fails its check.  A check that fails is reported in the
-    returned list, not raised.  An invalid spec raises
-    :class:`InvalidCavity`.  :class:`DegenerateFan` is raised only where
-    the limit angles collapse in floats, at every R/a <= 1e-16, where the
+    against the one-signed p-integral of :func:`_gauss_forces`, each gated
+    at 1e-10 of the oracle's own component.  The primary's f_x is good to
+    its bound err_x only, so err_x widens the x gate: ``total_force_x``
+    passes where |primary - oracle| <= 1e-10 |oracle| + err_x, and a zero
+    miss passes (at phi = 0 both sides are 0).  Every check runs on
+    :mod:`math` floats and the exact integer geometry, so a ``verify``
+    process loads neither numpy nor :mod:`fractions`.  Each check reports
+    its worst sample, the last of equal ones; a NaN on either side of a
+    comparison is the worst of all, and fails its check.  A check that fails
+    is reported in the returned list, not raised.  An invalid spec raises
+    :class:`InvalidCavity`.  :class:`DegenerateFan` is raised only where the
+    limit angles collapse in floats, at every R/a <= 1e-16, where the
     primary :func:`~trapcav.geometry.limit_angles` check rounds a wing
-    point's two limit angles to one float; ``trapcav verify`` then exits
-    1.  The oracle's raw vectors are exact, so tilted wings of any length
-    keep the gap.  The oracle keeps its own literal prefactor, so a
-    corrupted :data:`trapcav.geometry.K` moves only the primary forces and
-    fails the force checks.
+    point's two limit angles to one float; ``trapcav verify`` then exits 1.
+    The oracle's raw vectors are exact, so tilted wings of any length keep
+    the gap.  The oracle keeps its own literal prefactor, so a corrupted
+    :data:`trapcav.geometry.K` moves only the primary forces and fails the
+    force checks.
     """
     # primary-path imports are confined here: this function is the
     # comparison harness, the oracle computations above stay independent
@@ -411,8 +416,10 @@ def verify_suite(spec: CavitySpec) -> list[OracleReport]:
 
     prim = total_forces(spec, 1e-9)
     orac_x, orac_z = _gauss_forces(spec)
-    # the x force is measured against the z scale where it vanishes
-    dev_x = abs(prim.f_x - orac_x) / max(abs(orac_x), abs(orac_z))
+    # passes where |p - o| <= 1e-10 |o| + err_x; a zero miss is 0 also where
+    # that gate is 0 (a flat short wing), and a NaN miss stays NaN
+    miss_x, scale_x = abs(prim.f_x - orac_x), abs(orac_x) + prim.err_x / 1e-10
+    dev_x = miss_x / scale_x if scale_x else (math.inf if miss_x > 0.0 else miss_x)
     return [
         _worst("limit_angles", angles, 1e-12),
         _worst("ray_length", lengths, 1e-12),

@@ -1,5 +1,5 @@
 """Symbolic certificates of the closed forms' algebra: the three-ray
-forces, the fan kernel and the window geometry.
+forces, the fan kernel, the window geometry and the force oracle's p-form.
 
 sympy proves each identity exactly.  Both sides are rational in
 sigma = sin u, kappa = cos u, c = cos phi and s = sin phi, with
@@ -23,6 +23,12 @@ proved, and ``_fan`` is compared with the 50-digit integrals of its
 integrands.  ``s_factor``'s closed form and the cross and dot products of
 ``WingParams.window`` are proved from ``geometry._ray``'s rays, and each
 is compared with the code in floats or at 50 digits.
+
+The force oracle ``trapcav.oracle._gauss_forces`` integrates along
+p = r + t.  The swap (r, t) -> (t, r) that makes its integrands one-signed,
+the antiderivatives of its integral in q = r - t and their rewrite in
+y = c m / hypot(c m, g) are proved with ``simplify``, and the code is
+compared with ``mpmath.quad`` of the proved p-integral at 50 digits.
 """
 
 import functools
@@ -295,3 +301,79 @@ def test_window_cross_and_dot_are_the_sine_and_cosine_of_the_width():
             g = 1 + 2 * r_m * s_m
             ref = mpmath.atan2(c_m * g, -r_m + s_m * g) - mpmath.atan2(c_m * g, (R_m - r_m) + s_m * g)
             assert abs(width - ref) <= 8.0 * sys.float_info.epsilon * ref
+
+
+# the force oracle's p-form, trapcav.oracle._gauss_forces, in units of the
+# gap: wing points P(r) = (c r, s r) and Q(t) = (c t, -1 - s t), with
+# s(r) = c (1 + 2 r s)
+r_w, t_w, X, g_p, y_p = sp.symbols("r t X g y", positive=True)
+G_SUM = 1 + s * (r_w + t_w)
+D2 = c**2 * (r_w - t_w) ** 2 + G_SUM**2
+# the antiderivatives in X = c q of X^2 / |d|^7 and g^2 / |d|^7
+A_X = X**3 * (2 * X**2 + 5 * g_p**2) / (15 * g_p**4 * (X**2 + g_p**2) ** sp.Rational(5, 2))
+B_Z = X * (15 * g_p**4 + 20 * g_p**2 * X**2 + 8 * X**4) / (15 * g_p**4 * (X**2 + g_p**2) ** sp.Rational(5, 2))
+
+
+def _swap_average(expr):
+    return (expr + expr.subs({r_w: t_w, t_w: r_w}, simultaneous=True)) / 2
+
+
+def test_the_swap_makes_each_force_integrand_one_signed():
+    # s(r) (d_x, d_z) / |d|^7 with d = Q(t) - P(r), averaged with its
+    # (r, t) -> (t, r) swap, is (-s c^2 (r - t)^2, -c g^2) / |d|^7; the
+    # square [0, rho]^2 is its own swap, so the integrals are unchanged
+    d_x, d_z = c * t_w - c * r_w, -1 - s * t_w - s * r_w
+    assert sp.expand(d_x**2 + d_z**2 - D2) == 0
+    s_r = c * (1 + 2 * r_w * s)
+    d7 = D2 ** sp.Rational(7, 2)
+    assert sp.simplify(_swap_average(s_r * d_x / d7) + s * c**2 * (r_w - t_w) ** 2 / d7) == 0
+    assert sp.simplify(_swap_average(s_r * d_z / d7) + c * G_SUM**2 / d7) == 0
+
+
+def test_q_antiderivatives_of_both_force_integrands():
+    # with q = r - t, X = c q and g = 1 + s p: |d|^2 = X^2 + g^2, and both
+    # primitives vanish at X = 0, the middle of the q range
+    d7 = (X**2 + g_p**2) ** sp.Rational(7, 2)
+    assert sp.simplify(sp.diff(A_X, X) - X**2 / d7) == 0
+    assert sp.simplify(sp.diff(B_Z, X) - g_p**2 / d7) == 0
+    assert A_X.subs(X, 0) == 0 and B_Z.subs(X, 0) == 0
+
+
+def test_the_primitives_in_y_are_the_oracle_integrands():
+    # at y = X / hypot(X, g) the primitives are y^3 (5 - 3 y^2) / (15 g^4)
+    # and y (15 - 10 y^2 + 3 y^4) / (15 g^4), the terms _gauss_forces sums
+    y_of_x = X / sp.sqrt(X**2 + g_p**2)
+    in_y_x = y_p**3 * (5 - 3 * y_p**2) / (15 * g_p**4)
+    in_y_z = y_p * (15 - 10 * y_p**2 + 3 * y_p**4) / (15 * g_p**4)
+    assert sp.simplify(in_y_x.subs(y_p, y_of_x) - A_X) == 0
+    assert sp.simplify(in_y_z.subs(y_p, y_of_x) - B_Z) == 0
+
+
+def _proved_p_integrals(rho, phi):
+    # the proved p-integral at 50 digits: dr dt = dp dq / 2 over the square
+    # |q| <= m = min(p, 2 rho - p), and the q-integral of an even integrand
+    # is twice that over [0, m], so f_x = -(s / c) int A(c m) dp and
+    # f_z = -int g^2 B(c m) dp
+    a_x, b_z = (sp.lambdify((X, g_p), e, "mpmath") for e in (A_X, B_Z))
+    c_m, s_m, rho = mpmath.cos(phi), mpmath.sin(phi), mpmath.mpf(rho)
+
+    def at(p, primitive):
+        return primitive(c_m * min(p, 2 * rho - p), 1 + s_m * p)
+
+    knots = sorted({mpmath.mpf(0), min(mpmath.mpf(1), rho), rho, max(rho, 2 * rho - 1), 2 * rho})
+    f_x = -(s_m / c_m) * mpmath.quad(lambda p: at(p, a_x), knots)
+    f_z = -mpmath.quad(lambda p: at(p, b_z), knots)
+    return f_x, f_z
+
+
+def test_gauss_forces_match_the_proved_p_integral():
+    # a mistyped coefficient of the oracle's integrands fails here: each
+    # component within 1e-13 of its own size
+    from trapcav.oracle import _gauss_forces
+
+    for rho, phi in ((0.3, 0.5), (4.0, 0.0873), (40.0, 0.78)):
+        f_x, f_z = _gauss_forces(CavitySpec(1.0, rho, 1.0, phi, Units.REDUCED))
+        with mpmath.workdps(50):
+            ref_x, ref_z = _proved_p_integrals(rho, phi)
+            assert abs(f_x - ref_x) <= 1e-13 * abs(ref_x), (rho, phi)
+            assert abs(f_z - ref_z) <= 1e-13 * abs(ref_z), (rho, phi)

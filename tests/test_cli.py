@@ -930,6 +930,36 @@ def test_short_out_write_exits_2_and_commits_nothing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def _run_with_umask(umask, argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, "-m", "trapcav.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        preexec_fn=lambda: os.umask(umask),
+    )
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_out_files_get_the_mode_open_would_give(tmp_path, umask, mode):
+    # a new file gets 0666 less the umask; every file was once 0600, the
+    # mode of the temporary file that replaces it
+    out = tmp_path / "force.json"
+    proc = _run_with_umask(umask, ["force", *REDUCED_ARGS, "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    assert out.stat().st_mode & 0o777 == mode
+
+
+def test_out_keeps_the_mode_of_the_file_it_replaces(tmp_path):
+    out = tmp_path / "force.json"
+    out.write_text("stale")
+    out.chmod(0o640)
+    proc = _run_with_umask(0o022, ["force", *REDUCED_ARGS, "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["converged"] is True
+    assert out.stat().st_mode & 0o777 == 0o640
+
+
 def test_verify_command_passes_and_validates_schema(tmp_path):
     out = tmp_path / "verify.json"
     assert main(["verify", *REDUCED_ARGS, "--phi-deg", "1.0", "--out", str(out)]) == 0

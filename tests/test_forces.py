@@ -86,7 +86,7 @@ def test_nearly_parallel_long_wings_scale_with_rho_phi(e):
     # along R phi / a = 1 the wedge is the same at every scale: f_x and
     # f_z a / R tend to constants.  8 sin^2 2phi underflowed below phi
     # about 1e-154, and at (1e200, 1e-200) f_z was 31% off and f_x had the
-    # wrong sign; verify's f_x check, on the f_z scale, cannot see that
+    # wrong sign; verify's f_x check, on the f_z scale then, could not see that
     ref = total_forces(REDUCED._replace(R=1e100, phi=1e-100))
     fr = total_forces(REDUCED._replace(R=10.0**e, phi=10.0**-e))
     assert math.isclose(fr.f_x, ref.f_x, rel_tol=1e-14)
@@ -97,6 +97,15 @@ def test_error_estimates_are_sane():
     fr = total_forces(reduced_at(2.0))
     assert 0.0 <= fr.err_z <= 1e-6 * abs(fr.f_z)
     assert 0.0 <= fr.err_x <= 1e-6 * abs(fr.f_z)
+
+
+@pytest.mark.parametrize("ratio", [1e-3, 0.2])
+def test_flat_short_wings_bound_f_x_by_a_positive_zero(ratio):
+    # the tensor rule gave -f_x as the magnitude of f_x's terms, so err_x
+    # was -0.0 on flat wings and `force` printed "err_x": -0.0
+    fr = total_forces(REDUCED._replace(R=ratio))
+    assert fr.f_x == 0.0 and math.copysign(1.0, fr.f_x) == 1.0
+    assert fr.err_x == 0.0 and math.copysign(1.0, fr.err_x) == 1.0
 
 
 def test_length_scales_linearly():

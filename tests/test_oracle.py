@@ -27,6 +27,7 @@ from trapcav.oracle import (
     riemann_forces,
     verify_suite,
 )
+import trapcav.forces
 import trapcav.geometry
 import trapcav.kernels
 import trapcav.oracle
@@ -288,18 +289,96 @@ def test_gauss_forces_match_closed_form():
             assert abs(f_x - ref.f_x) <= 1e-12 * abs(ref.f_z), (ratio, phi)
 
 
-@pytest.mark.parametrize("lo", [0.0, -1.0, -0.5e300, -1e300 + 1e290])
-def test_lower_wing_panels_stop_grading_past_4_to_the_7(lo):
-    # the lower wing of a wing 1e300 gaps long takes at most 18 panels per
-    # r node, not about 2 log_4(1e300), still in order from lo and with
-    # the last one ending at lo + rho
-    rho = 1e300
-    panels = trapcav.oracle._offset_panels(lo, 1.0, rho)
-    assert len(panels) <= 18
-    starts = [start for start, _ in panels]
-    assert starts[0] == lo and starts == sorted(set(starts))
-    assert all(width > 0.0 for _, width in panels)
-    assert math.fsum((lo, rho, -starts[-1])) == panels[-1][1]
+# the grid of the 80-digit reference: micro wings to 1e300 gaps, around
+# the switch to the three-ray form, flat to nearly pi/4
+REFERENCE_RATIOS = [1e-9, 1e-6, 1e-3, 0.1, 0.25, 0.3, 1.0, 4.0, 40.0, 1e3, 1e6, 1e12, 1e50, 1e150, 1e300]
+REFERENCE_PHIS = [0.0, 1e-300, 1e-8, 1e-4, 0.01, 0.3, 0.78]
+
+
+@pytest.mark.parametrize("ratio", REFERENCE_RATIOS)
+def test_gauss_forces_keep_the_digits_of_each_component(ratio):
+    # within 1e-14 of each component's own size, f_x too; the nested
+    # two-wing rule missed f_x by up to 3.2e283 |f_x| (R/a 1e3, phi
+    # 1e-300).  The three-ray reference loses about log10(1/phi) digits, so
+    # it runs at 80 + log10(1/phi); where f_x is subnormal its float has an
+    # absolute spacing, the smallest subnormal, and below it rounds to 0
+    pytest.importorskip("mpmath")
+    from test_force_reference import mp, reference_forces
+
+    for phi in REFERENCE_PHIS:
+        f_x, f_z = trapcav.oracle._gauss_forces(CavitySpec(a=1.0, R=ratio, L=1.0, phi=phi, units=Units.REDUCED))
+        with mp.workdps(80 + (round(math.log10(1.0 / phi)) if phi else 0)):
+            ref_x, ref_z = reference_forces(ratio, phi)
+            assert abs(f_z - ref_z) <= 1e-14 * abs(ref_z), (ratio, phi)
+            assert abs(f_x - ref_x) <= 1e-14 * abs(ref_x) + math.ulp(0.0), (ratio, phi)
+        if phi == 0.0:
+            assert f_x == 0.0, ratio
+
+
+def test_gauss_forces_stay_finite_on_the_longest_flat_wings():
+    # 2 rho is inf past R/a 8.99e307, and 0 * inf would make f_z NaN; the
+    # sums of terms without their 1/15 would overflow too
+    f_x, f_z = trapcav.oracle._gauss_forces(CavitySpec(a=1.0, R=9e307, L=1.0, phi=0.0, units=Units.REDUCED))
+    assert f_x == 0.0
+    assert math.isfinite(f_z) and abs(f_z + 16.0 / 15.0 * 9e307) <= 1e-14 * 16.0 / 15.0 * 9e307
+
+
+def _with_f_x(monkeypatch, shift):
+    # the primary forces, with f_x replaced by shift(f_x, err_x, oracle f_x)
+    total_forces = trapcav.forces.total_forces
+
+    def faulty(spec, *args, **kwargs):
+        fr = total_forces(spec, *args, **kwargs)
+        f_x = shift(fr.f_x, fr.err_x, trapcav.oracle._gauss_forces(spec)[0])
+        return fr._replace(f_x=f_x)
+
+    monkeypatch.setattr(trapcav.forces, "total_forces", faulty)
+
+
+def test_verify_suite_fails_a_wrong_sign_expulsion(monkeypatch):
+    # the closed form once gave f_x with the wrong sign at (1e300, 1e-300);
+    # measured against max(|f_x|, |f_z|), the check passed that with a
+    # deviation of 3e-19
+    spec = CavitySpec(a=1.0, R=1e300, L=1.0, phi=1e-300, units=Units.REDUCED)
+    _with_f_x(monkeypatch, lambda f_x, err_x, oracle: -f_x)
+    reports = {r.quantity: r for r in verify_suite(spec)}
+    assert not reports["total_force_x"].passed
+    assert reports["total_force_x"].rel_deviation > 1.0
+    assert all(r.passed for name, r in reports.items() if name != "total_force_x")
+
+
+@pytest.mark.parametrize(
+    "ratio, phi, within, shift",
+    [
+        # the gate is 1e-10 |oracle| + err_x, on either side of the oracle
+        (4.0, 0.0873, True, lambda f_x, err_x, o: o + 0.99 * (1e-10 * abs(o) + err_x)),
+        (4.0, 0.0873, False, lambda f_x, err_x, o: o - 1.01 * (1e-10 * abs(o) + err_x)),
+        (1e12, 1.7e-8, True, lambda f_x, err_x, o: o - 0.99 * (1e-10 * abs(o) + err_x)),
+        (1e12, 1.7e-8, False, lambda f_x, err_x, o: o + 1.01 * (1e-10 * abs(o) + err_x)),
+        # on a flat short wing the gate is 0: both sides and the tensor
+        # rule's err_x are 0, so any miss fails
+        (0.2, 0.0, True, lambda f_x, err_x, o: f_x),
+        (0.2, 0.0, False, lambda f_x, err_x, o: 1e-300),
+    ],
+)
+def test_total_force_x_is_gated_at_the_oracle_plus_err_x(monkeypatch, ratio, phi, within, shift):
+    _with_f_x(monkeypatch, shift)
+    (report,) = [r for r in verify_suite(REDUCED._replace(R=ratio, phi=phi)) if r.quantity == "total_force_x"]
+    assert report.passed == within, report
+    if phi == 0.0:
+        assert report.rel_deviation == (0.0 if within else math.inf)
+
+
+def test_verify_suite_passes_on_a_seeded_draw():
+    # R/a 1e-15..1e300, phi at 0, log-uniform and uniform, both unit systems
+    rng = random.Random(20120213)
+    for _ in range(200):
+        units = rng.choice([Units.REDUCED, Units.SI])
+        a = 1.0 if units is Units.REDUCED else 10.0 ** rng.uniform(-9.0, -5.0)
+        phi = rng.choice([0.0, 10.0 ** rng.uniform(-300.0, math.log10(0.785)), rng.uniform(0.0, 0.785)])
+        spec = CavitySpec(a=a, R=a * 10.0 ** rng.uniform(-15.0, 300.0), L=1.0, phi=phi, units=units)
+        for r in verify_suite(spec):
+            assert r.passed, (spec, r)
 
 
 # from micro wings to 1e300 gaps, and from parallel mirrors through angles
@@ -319,68 +398,45 @@ def test_verify_suite_passes_from_micro_wings_to_1e300_gaps(ratio, phi):
         assert r.passed, f"{r.quantity}: {r.rel_deviation} > {r.tolerance}"
 
 
-def test_wing_panels_are_bounded_on_wings_of_any_length():
-    # the r axis once took about 2 log_4(R/a) panels, about 1000 at R/a
-    # 1e300; now at most 32 up to the largest float, in order from 0
+def test_p_panels_are_bounded_on_wings_of_any_length():
+    # the r axis of the nested rule once took about 2 log_4(R/a) panels,
+    # about 1000 at R/a 1e300; the p-axis takes at most 19 per half (8
+    # edges graded from p = 0, 10 from the tilt) up to the largest float,
+    # in order from 0 to rho
     ratios = [10.0 ** (k / 8) for k in range(-120, 2465)] + [sys.float_info.max]
     for ratio in ratios:
         for phi in VERIFY_PHIS:
-            panels = trapcav.oracle._wing_panels(ratio, math.sin(phi))
-            assert len(panels) <= 32, (ratio, phi)
+            panels = trapcav.oracle._p_panels(ratio, math.sin(phi))
+            assert len(panels) <= 19, (ratio, phi)
             starts = [start for start, _ in panels]
             assert starts[0] == 0.0 and starts == sorted(set(starts)), (ratio, phi)
             assert all(width > 0.0 for _, width in panels), (ratio, phi)
+            assert math.isclose(starts[-1] + panels[-1][1], ratio), (ratio, phi)
 
 
-def _graded_to_the_middle(rho):
-    # the r panels of every wing up to 32768 gaps: edges at 4^k and
-    # rho - 4^k for each 4^k below rho / 2, and at rho / 2
-    half = 0.5 * rho
-    near = []
-    p = 1.0
-    while p < half:
-        near.append(p)
-        p *= 4.0
-    edges = [0.0, *near, half, *(rho - p for p in reversed(near)), rho]
+def _graded_from_the_apex(rho, s):
+    # the p panels: edges at 4^k (k <= 7) and, on a tilted wing, where
+    # g = 1 + s p is 2 4^k (k <= 9), strictly inside (0, rho)
+    edges = {4.0**k for k in range(8)}
+    if s > 0.0:
+        edges |= {-1.0 / s + 2.0 * 4.0**k / s for k in range(10)}
+    edges = [0.0, *sorted(p for p in edges if 0.0 < p < rho), rho]
     return [(lo, hi - lo) for lo, hi in zip(edges, edges[1:])]
 
 
-def test_wing_panels_keep_their_edges_up_to_32768_gaps():
-    # verify's oracle keeps its bits on such wings, flat or tilted: the
-    # edges graded from the wedge's vertex lie past 4^7 gaps from both ends
+def test_p_panels_keep_their_edges():
+    # both halves of the oracle's p-integral run on these panels, from
+    # micro wings to 1e300 gaps, flat to nearly pi/4
     rng = random.Random(32768)
-    ratios = [10.0 ** rng.uniform(-15.0, math.log10(32768.0)) for _ in range(2000)]
+    ratios = [10.0 ** rng.uniform(-15.0, 300.0) for _ in range(2000)]
     for k in range(8):
-        # the wing takes the edge 4^k once it is longer than 2 4^k
-        edge = 2.0 * 4.0**k
+        # the wing takes the edge 4^k once it is longer than 4^k
+        edge = 4.0**k
         ratios += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
     for ratio in ratios:
-        expected = _graded_to_the_middle(ratio)
         for phi in VERIFY_PHIS + [1e-4, 0.7]:
-            assert trapcav.oracle._wing_panels(ratio, math.sin(phi)) == expected, (ratio, phi)
-
-
-def _graded_around_the_foot(lo, scale, rho):
-    # the lower-wing panels: edges at 0 and +-scale 4^k (k <= 7) inside
-    # (lo, lo + rho), and a last width that is the correctly rounded rest
-    hi = rho + lo
-    inner = [0.0] if lo < 0.0 < hi else []
-    step = scale
-    while (-step > lo or step < hi) and step <= 16384.0 * scale:
-        inner.extend(p for p in (-step, step) if lo < p < hi)
-        step *= 4.0
-    edges = [lo, *sorted(inner)]
-    panels = [(start, end - start) for start, end in zip(edges, edges[1:])]
-    return [*panels, (edges[-1], math.fsum((rho, lo, -edges[-1])))]
-
-
-def test_lower_wing_panels_keep_their_edges():
-    rng = random.Random(16384)
-    for _ in range(5000):
-        rho = 10.0 ** rng.uniform(-15.0, 300.0)
-        lo = -rho * rng.choice([rng.random(), 0.0, 1.0, 0.5])
-        scale = 10.0 ** rng.uniform(-16.0, 300.0)
-        assert trapcav.oracle._offset_panels(lo, scale, rho) == _graded_around_the_foot(lo, scale, rho)
+            s = math.sin(phi)
+            assert trapcav.oracle._p_panels(ratio, s) == _graded_from_the_apex(ratio, s), (ratio, phi)
 
 
 def test_verify_suite_passes_on_a_flat_wing_1e30_gaps_long():
@@ -406,8 +462,10 @@ def test_verify_suite_passes_on_long_tilted_wings_past_1e16_gaps(ratio, units):
 
 
 def test_gauss_forces_skip_wing_points_out_of_reach():
-    # at r about 9.3e154 gaps w_r s(r) overflows while both inner sums are
-    # 0, and inf * 0 made both forces NaN
+    # the nested two-wing rule met inf * 0 at r about 9.3e154 gaps, where
+    # its weight times s(r) overflowed while both inner sums were 0, and
+    # both forces were NaN; in the p-integral g^4 overflows there, and the
+    # term is 0
     spec = CavitySpec(a=1.0, R=1e160, L=1.0, phi=0.1, units=Units.REDUCED)
     ref = total_forces(spec, rel_tol=1e-9)
     f_x, f_z = trapcav.oracle._gauss_forces(spec)
