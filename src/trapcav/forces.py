@@ -68,7 +68,8 @@ and phi 0..0.785 the rules are within 6.1e-16 |f_z| of 80 digits.
 Both forms run on plain floats, as does :func:`pressure_profile`, which
 samples the pressure kernel of :mod:`~trapcav.kernels`.  :func:`expulsion`
 evaluates the same forms at many angles of one cavity and keeps only f_x,
-for the phi* search of :mod:`~trapcav.analysis`.
+for the phi* search of :mod:`~trapcav.analysis`.  It computes no error
+bounds: the three-ray form skips their sums there.
 """
 
 import math
@@ -239,11 +240,12 @@ def expulsion(base: CavitySpec, angles: list[float]) -> list[float]:
 
     Each value has the bits of ``total_forces(base._replace(phi=phi)).f_x``
     and a failing angle raises the :class:`NonFiniteSample` that call
-    would; no spec, check or :class:`ForceResult` is made per angle.  The
-    caller vouches that ``base`` with each angle is a valid cavity.
+    would; no spec, check, error bound or :class:`ForceResult` is made
+    per angle.  The caller vouches that ``base`` with each angle is a
+    valid cavity.
     """
     rho, scale = base.R / base.a, _scale(base)
-    return [_reduced(base.R, rho, phi, scale)[0] for phi in angles]
+    return [_reduced(base.R, rho, phi, scale, bounds=False) for phi in angles]
 
 
 def _scale(spec: CavitySpec) -> float:
@@ -253,9 +255,14 @@ def _scale(spec: CavitySpec) -> float:
 
 def _forces(spec: CavitySpec, scale: float, rel_tol: float, wing_count: int) -> ForceResult:
     # a validated spec's forces at its _scale, which a sweep computes once
-    f_x, f_z, abs_x, abs_z = _reduced(spec.R, spec.R / spec.a, spec.phi, scale)
+    a, R, _, phi, _ = spec
+    f_x, f_z, abs_x, abs_z = _reduced(R, R / a, phi, scale, bounds=True)
     err_x, err_z = _ROUNDING * abs_x * scale, _ROUNDING * abs_z * scale
-    converged = max(err_x, err_z) <= rel_tol * max(abs(f_x), abs(f_z))
+    # max(err_x, err_z) <= rel_tol * max(|f_x|, |f_z|) without builtin
+    # calls: it fails only when both scaled components lie inside
+    # (-big, big).  The bounds are sums of magnitudes, never NaN
+    big = err_z if err_z > err_x else err_x
+    converged = not (-big < rel_tol * f_x < big and -big < rel_tol * f_z < big)
     if wing_count == 2:
         f_x, err_x = 2.0 * f_x, 2.0 * err_x
         f_z = err_z = 0.0
@@ -263,14 +270,61 @@ def _forces(spec: CavitySpec, scale: float, rel_tol: float, wing_count: int) -> 
     return tuple.__new__(ForceResult, (spec, f_x, f_z, err_x, err_z, wing_count, converged))
 
 
-def _reduced(R: float, rho: float, phi: float, scale: float):
+def _reduced(R: float, rho: float, phi: float, scale: float, bounds: bool):
     # (f_x, f_z) on a wing R long and rho gaps long at half-angle phi: the
-    # reduced forces, by the formula for its length, times scale; and the
-    # summed magnitudes of each reduced force's terms.  A force that is no
-    # finite float, or an f_z that is no normal one, raises NonFiniteSample
+    # reduced forces, by the formula for its length, times scale; and, with
+    # bounds, the summed magnitudes of each reduced force's terms.  Without
+    # bounds only f_x is returned.  A force that is no finite float, or an
+    # f_z that is no normal one, raises NonFiniteSample either way.
+    #
+    # The three-ray form: rays A and B give I_F / w^3 and I_G / w^3 from
+    # their sine sg, cosine ka, mu = C sg + S ka (the sine of the ray angle
+    # plus 2 phi) and t = sg w; w = 1 for ray A.  45 sg^3 I_F is written
+    # with mu, which is small where its own terms would cancel, and as a
+    # polynomial in 1/t, so that neither sg^3 nor w^3 divides alone.  Ray
+    # A has sine sg and cosine ka, B has sb and kb.  A and B are the rays
+    # of geometry._ray at (r, t) = (rho, 0) and (0, rho) in gap units,
+    # written out: (sigma, x) = (c w, s w - rho) and (c, rho + s), over one
+    # length h that both have bit for bit.  So sg is t for A and B and mu
+    # for B, and sb = c / h is mu for A.  Ray M, of sine c and cosine s,
+    # takes the closed forms I_F = (9 s^4 - 10 s^2 + 9) / (45 c) and
+    # I_G = s (1 - 3 s^2) / 15 instead.  The term 8 S^2 / sg, of order rho,
+    # is 8 S (S / sg): S^2 alone underflows once phi is below about 1e-154
     c, s = math.cos(phi), math.sin(phi)
     if rho > _SHORT_WING:
-        x, z, abs_x, abs_z = _three_ray(rho, c, s, math.cos(2.0 * phi), math.sin(2.0 * phi))
+        C, S = math.cos(2.0 * phi), math.sin(2.0 * phi)
+        cc, ss, cs = C * C, S * S, C * S
+        s8, ss12, cs2, cs6 = 8.0 * S, 12.0 * ss, 2.0 * cs, 6.0 * cs
+        d4, d1, c24 = ss - 4.0 * cc, ss - cc, 24.0 * C
+        w = 1.0 + rho * (2.0 * s)
+        w2 = w * w
+        w3 = w2 * w
+        h = math.hypot(c * rho, 1.0 + rho * s)
+        sg, ka, sb, kb = c * w / h, (s * w - rho) / h, c / h, (rho + s) / h
+        sg2, ka2, sb2, kb2, s2 = sg * sg, ka * ka, sb * sb, kb * kb, s * s
+        e8 = s8 * (S / sg)
+        a_f = (
+            ((e8 + c24 * sb) / sg - ss12) / sg + (3.0 * sg * (d4 + sg2 * d1) - cs6 * ka * (3.0 + sg2))
+        ) / 45.0
+        a_g = (cc * ka * (ka2 - 3.0) + cs2 * sg2 * sg - ss * ka * ka2) / 15.0
+        m_f = ((9.0 * s2 - 10.0) * s2 + 9.0) / (45.0 * c)
+        m_g = s * (1.0 - 3.0 * s2) / 15.0
+        b_f = (
+            ((e8 + c24 * sg / w) / sg - ss12 / w2) / sg
+            + (3.0 * sb * (d4 + sb2 * d1) - cs6 * kb * (3.0 + sb2)) / w3
+        ) / 45.0
+        b_g = (cc * kb * (kb2 - 3.0) + cs2 * sb2 * sb - ss * kb * kb2) / (15.0 * w3)
+        # the four terms of each primitive: A, M, M / w^3 and B / w^3
+        n_f, n_g = m_f / w3, m_g / w3
+        d_f = (a_f - m_f) - (n_f - b_f)
+        d_g = (a_g - m_g) - (n_g - b_g)
+        c3 = c * c * c
+        x, z = (c * d_g - s * d_f) / c3, -(c * d_f + s * d_g) / c3
+        if bounds:
+            # m_f and n_f are positive: 9 s^4 - 10 s^2 + 9 > 0 and c > 0
+            t_f = abs(a_f) + m_f + n_f + abs(b_f)
+            t_g = abs(a_g) + abs(m_g) + abs(n_g) + abs(b_g)
+            abs_x, abs_z = (c * t_g + s * t_f) / c3, (c * t_f + s * t_g) / c3
     else:
         x, z, abs_x, abs_z = _tensor_rule(rho, c, s)
     f_x, f_z = x * scale, z * scale
@@ -279,57 +333,7 @@ def _reduced(R: float, rho: float, phi: float, scale: float):
     # f_z must be a normal float and finite: abs(inf) >= _FLOAT_MIN holds
     if not _FLOAT_MIN <= abs(f_z) < math.inf:
         raise NonFiniteSample(R, f_z, "f_z")
-    return f_x, f_z, abs_x, abs_z
-
-
-def _three_ray(rho: float, c: float, s: float, C: float, S: float):
-    # reduced (f_x, f_z) on a wing of rho > 1/4 gaps, and the summed
-    # magnitudes of each one's terms.  Rays A and B give I_F / w^3 and
-    # I_G / w^3 from their sine sg, cosine ka, mu = C sg + S ka (the sine of
-    # the ray angle plus 2 phi) and t = sg w; w = 1 for ray A.  45 sg^3 I_F
-    # is written with mu, which is small where its own terms would cancel,
-    # and as a polynomial in 1/t, so that neither sg^3 nor w^3 divides
-    # alone.  Ray A has sine sg and cosine ka, B has sb and kb.  A and B
-    # are the rays of geometry._ray at (r, t) = (rho, 0) and (0, rho) in
-    # gap units, written out: (sigma, x) = (c w, s w - rho) and (c, rho + s),
-    # over one length h that both have bit for bit.  So sg is t for A and B
-    # and mu for B, and sb = c / h is mu for A.  Ray M, of sine c and cosine
-    # s, takes the closed forms I_F = (9 s^4 - 10 s^2 + 9) / (45 c) and
-    # I_G = s (1 - 3 s^2) / 15 instead.  The term 8 S^2 / sg, of order rho,
-    # is 8 S (S / sg): S^2 alone underflows once phi is below about 1e-154
-    cc, ss, cs = C * C, S * S, C * S
-    s8, ss12, cs2, cs6 = 8.0 * S, 12.0 * ss, 2.0 * cs, 6.0 * cs
-    d4, d1, c24 = ss - 4.0 * cc, ss - cc, 24.0 * C
-    w = 1.0 + rho * (2.0 * s)
-    w2 = w * w
-    w3 = w2 * w
-    h = math.hypot(c * rho, 1.0 + rho * s)
-    sg, ka, sb, kb = c * w / h, (s * w - rho) / h, c / h, (rho + s) / h
-    sg2, ka2, sb2, kb2, s2 = sg * sg, ka * ka, sb * sb, kb * kb, s * s
-    a_f = (
-        ((s8 * (S / sg) + c24 * sb) / sg - ss12) / sg + (3.0 * sg * (d4 + sg2 * d1) - cs6 * ka * (3.0 + sg2))
-    ) / 45.0
-    a_g = (cc * ka * (ka2 - 3.0) + cs2 * sg2 * sg - ss * ka * ka2) / 15.0
-    m_f = ((9.0 * s2 - 10.0) * s2 + 9.0) / (45.0 * c)
-    m_g = s * (1.0 - 3.0 * s2) / 15.0
-    b_f = (
-        ((s8 * (S / sg) + c24 * sg / w) / sg - ss12 / w2) / sg
-        + (3.0 * sb * (d4 + sb2 * d1) - cs6 * kb * (3.0 + sb2)) / w3
-    ) / 45.0
-    b_g = (cc * kb * (kb2 - 3.0) + cs2 * sb2 * sb - ss * kb * kb2) / (15.0 * w3)
-    # the four terms of each primitive: A, M, M / w^3 and B / w^3
-    n_f, n_g = m_f / w3, m_g / w3
-    d_f = (a_f - m_f) - (n_f - b_f)
-    d_g = (a_g - m_g) - (n_g - b_g)
-    t_f = abs(a_f) + abs(m_f) + abs(n_f) + abs(b_f)
-    t_g = abs(a_g) + abs(m_g) + abs(n_g) + abs(b_g)
-    c3 = c * c * c
-    return (
-        (c * d_g - s * d_f) / c3,
-        -(c * d_f + s * d_g) / c3,
-        (c * t_g + s * t_f) / c3,
-        (c * t_f + s * t_g) / c3,
-    )
+    return (f_x, f_z, abs_x, abs_z) if bounds else f_x
 
 
 def _tensor_rule(rho: float, c: float, s: float):

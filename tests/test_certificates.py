@@ -9,10 +9,11 @@ of the difference of its sides reduces to zero modulo sigma^2 + kappa^2 - 1
 and c^2 + s^2 - 1.
 
 The primitives proved are those of ``_ray`` in ``tests/test_forces.py``,
-the one-call-per-ray form that pins ``trapcav.forces._three_ray`` bit for
-bit.  Its float literals are integers, and its divisions by 45.0 and 15.0
-come back from ``nsimplify`` as the fractions they stand for.  The proofs
-also touch the code: ``trapcav.forces._three_ray`` is compared with the
+the one-call-per-ray form that pins the three-ray form of
+``trapcav.forces._reduced`` bit for bit.  Its float literals are integers,
+and its divisions by 45.0 and 15.0 come back from ``nsimplify`` as the
+fractions they stand for.  The proofs
+also touch the code: ``trapcav.forces._reduced`` is compared with the
 proved three-ray expression at 50 digits, and ``trapcav.geometry._ray``
 with the proved corner substitution in floats, so a mistyped coefficient
 in ``src/`` fails here.
@@ -41,7 +42,7 @@ import sympy as sp
 
 from test_forces import _ray
 from trapcav import CavitySpec, Units, limit_angles, s_factor
-from trapcav.forces import _ROUNDING, _three_ray
+from trapcav.forces import _ROUNDING, _reduced
 from trapcav.geometry import WingParams
 from trapcav.geometry import _ray as _corner_ray
 from trapcav.kernels import _fan
@@ -163,12 +164,12 @@ def _proved_three_ray():
 
 
 def test_three_ray_matches_the_proved_expression():
-    # trapcav.forces._three_ray against the proved form at 50 digits, each
+    # the three-ray form of trapcav.forces._reduced, at scale 1 and so in
+    # units of the gap, against the proved form at 50 digits, each
     # component within its own rounding bound
     proved = _proved_three_ray()
     for rho, phi in ((0.3, 0.7), (4.0, 0.0873), (100.0, 0.01), (1e6, 0.5)):
-        c_f, s_f, c2_f, s2_f = math.cos(phi), math.sin(phi), math.cos(2.0 * phi), math.sin(2.0 * phi)
-        x, z, abs_x, abs_z = _three_ray(rho, c_f, s_f, c2_f, s2_f)
+        x, z, abs_x, abs_z = _reduced(rho, rho, phi, 1.0, bounds=True)
         with mpmath.workdps(50):
             ref_x, ref_z = proved(mpmath.mpf(rho), mpmath.cos(phi), mpmath.sin(phi))
             assert abs(x - ref_x) <= _ROUNDING * abs_x, (rho, phi)
@@ -210,9 +211,9 @@ def test_fan_brackets_are_the_primitive_differences():
 
 def _fan_bound(u1, width, cphi, sphi):
     # 8 eps times the magnitudes of _fan's terms, as forces._ROUNDING
-    # bounds _three_ray.  Rounding m and u2 before their sine and cosine
-    # moves those by up to |m| eps and |u2| eps, which moves the brackets
-    # by at most 4 |u2| eps (cosines) and 10 |u2| eps (sines)
+    # bounds the three-ray form.  Rounding m and u2 before their sine and
+    # cosine moves those by up to |m| eps and |u2| eps, which moves the
+    # brackets by at most 4 |u2| eps (cosines) and 10 |u2| eps (sines)
     h = 0.5 * width
     u2, m = u1 + width, u1 + h
     c1, c2, s1, s2 = math.cos(u1), math.cos(u2), math.sin(u1), math.sin(u2)

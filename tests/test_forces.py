@@ -27,6 +27,7 @@ from trapcav import (
 )
 import trapcav.forces
 import trapcav.kernels
+from trapcav.forces import expulsion
 from trapcav.geometry import REL_TOL_FLOOR
 from trapcav.geometry import _ray as _corner_ray
 from trapcav.quadrature import pairwise_sum
@@ -305,8 +306,9 @@ def _three_ray_fields(spec: CavitySpec, rel_tol: float, wing_count: int):
 )
 @settings(max_examples=300, deadline=None)
 def test_three_ray_form_keeps_its_bits(ratio, phi, gap, wing_count, rel_tol):
-    # total_forces and a sweep row on wings longer than a quarter gap, in
-    # both unit systems, against the one-call-per-ray reference bit for bit
+    # total_forces, a sweep row and the bound-free expulsion on wings longer
+    # than a quarter gap, in both unit systems, against the one-call-per-ray
+    # reference bit for bit
     if gap is None:
         spec = CavitySpec(a=1.0, R=ratio, L=1.0, phi=phi, units=Units.REDUCED)
     else:
@@ -316,8 +318,29 @@ def test_three_ray_form_keeps_its_bits(ratio, phi, gap, wing_count, rel_tol):
     fields = lambda fr: (fr.f_x.hex(), fr.f_z.hex(), fr.err_x.hex(), fr.err_z.hex(), fr.converged)
     expected = _three_ray_fields(spec, rel_tol, wing_count)
     assert fields(total_forces(spec, rel_tol, wing_count=wing_count)) == expected
+    assert expulsion(spec, [spec.phi])[0].hex() == _three_ray_fields(spec, rel_tol, 1)[0]
     ((_, row),) = sweep(spec, SweepAxis.R, [spec.R], rel_tol=rel_tol, wing_count=wing_count).points
     assert fields(row) == expected
+
+
+@pytest.mark.parametrize(
+    "ratio, phi, message",
+    [(1e307, 0.0, "f_x is nan"), (1e307, 1e-310, "f_x is -inf"), (7e306, 0.0, None), (1e-160, 0.3, "f_z is -9")],
+)
+def test_expulsion_raises_where_total_forces_raises(ratio, phi, message):
+    # the bound-free kernel of expulsion raises the NonFiniteSample of a
+    # lone total_forces call on flat wings past about 7.5e306 gaps, and
+    # returns its f_x just below; on a wing 1e-160 gaps long f_z is
+    # subnormal
+    spec = REDUCED._replace(R=ratio, phi=phi)
+    if message is None:
+        assert expulsion(spec, [phi])[0].hex() == total_forces(spec).f_x.hex()
+        return
+    with pytest.raises(NonFiniteSample, match=message) as alone:
+        total_forces(spec)
+    with pytest.raises(NonFiniteSample) as sampled:
+        expulsion(spec, [phi])
+    assert str(sampled.value) == str(alone.value)
 
 
 def test_formulas_agree_at_the_switch():
