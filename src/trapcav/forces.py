@@ -48,22 +48,29 @@ no division by sin 2 phi, so phi = 0 is an ordinary point.  The B terms
 divide by (sigma_B w)^3, never by sigma_B^3 alone, which underflows on
 wings longer than about 1e102 gaps.
 
-Tensor rule (rho <= 1/4).  On a short wing the three rays nearly coincide
+p-rule (rho <= 1/4).  On a short wing the three rays nearly coincide
 and their differences lose digits as (a / R)^2.  There the force is the
 angle-free double integral over both wings,
 
     f = K L integral_0^R integral_0^R s(r) (d_x, d_z) / |d|^7 dt dr,
 
 with d = Q(t) - P(r), P = r (cos phi, sin phi) on the upper wing and
-Q = (t cos phi, -a - t sin phi) on the lower one, summed with an n-point
-Gauss-Legendre rule on both axes.  Its truncation error falls like
-(R / a)^(2n), so n grows with the wing from 4 (R/a <= 0.004) to 8
-(R/a > 0.13), and each rule's truncation stays within 1.6 eps of each
-component.  The node pairs (r, t) and (t, r) are summed as one term, so
-each rule runs over two tables built at import from its nodes and
-weights on [-1, 1]: the n (n - 1) / 2 node pairs i < j and the n diagonal
-nodes.  A cavity only scales them by h = R / (2 a).  Over R/a 1e-9..1/4
-and phi 0..0.785 the rules are within 6.1e-16 |f_z| of 80 digits.
+Q = (t cos phi, -a - t sin phi) on the lower one.  Averaged with its swap
+(r, t) -> (t, r) the integrand has one sign, and in p = r + t its integral
+in q = r - t is elementary, which leaves
+
+    f_x a^3 / (K L) = -(s / c) integral_0^(2 rho) y^3 (5 - 3 y^2) / (15 g^4) dp
+    f_z a^3 / (K L) = -integral_0^(2 rho) y (15 - 10 y^2 + 3 y^4) / (15 g^4) dp
+
+with y = c m / hypot(c m, g), m = min(p, 2 rho - p) and g = 1 + s p
+(s = sin phi; the derivation is in :mod:`~trapcav.oracle`, whose force
+oracle sums the same integral on graded panels, and
+``tests/test_certificates.py`` proves each step).  Each half, in m on
+[0, rho], is summed with one n-point Gauss-Legendre rule.  Its truncation
+error falls like (R / a)^(2n), so n grows with the wing: 4 up to R/a =
+0.004, 6 up to 0.05 and 8 up to 1/4.  Every term has one sign, so f_x
+keeps the digits of its own size.  Over R/a 1e-9..1/4 and phi 0..0.785
+the rule is within 6.2e-16 |f_z| of 40 digits.
 
 Both forms run on plain floats, as does :func:`pressure_profile`, which
 samples the pressure kernel of :mod:`~trapcav.kernels`.  :func:`expulsion`
@@ -91,68 +98,47 @@ _ROUNDING = 8.0 * sys.float_info.epsilon
 # the smallest normal float: an f_z below it has lost its digits
 _FLOAT_MIN = sys.float_info.min
 
-# wings up to this many gaps long use the tensor rule
+# wings up to this many gaps long use the p-rule
 _SHORT_WING = 0.25
 
-# n-point Gauss-Legendre nodes and weights on [-1, 1], n = 4..8, each the
-# correctly rounded value of the exact node or weight
-_GL = {
-    4: (
-        (-0.8611363115940526, -0.33998104358485626, 0.33998104358485626, 0.8611363115940526),
-        (0.34785484513745385, 0.6521451548625461, 0.6521451548625461, 0.34785484513745385),
-    ),
-    5: (
-        (-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831, 0.906179845938664),
+# (longest R/a, (node, weight) pairs) of each order of the p-rule, n = 4,
+# 6 and 8, shortest wings first: n-point Gauss-Legendre on [0, 1], each
+# literal the correctly rounded value of the exact node or weight; the
+# limits are calibrated in _p_rule
+_RULES = (
+    (
+        0.004,
         (
-            0.23692688505618908, 0.47862867049936647, 0.5688888888888889, 0.47862867049936647,
-            0.23692688505618908,
+            (0.06943184420297371, 0.17392742256872692),
+            (0.33000947820757187, 0.32607257743127305),
+            (0.6699905217924281, 0.32607257743127305),
+            (0.9305681557970263, 0.17392742256872692),
         ),
     ),
-    6: (
+    (
+        0.05,
         (
-            -0.932469514203152, -0.6612093864662645, -0.2386191860831969, 0.2386191860831969,
-            0.6612093864662645, 0.932469514203152,
-        ),
-        (
-            0.17132449237917036, 0.3607615730481386, 0.46791393457269104, 0.46791393457269104,
-            0.3607615730481386, 0.17132449237917036,
-        ),
-    ),
-    7: (
-        (
-            -0.9491079123427585, -0.7415311855993945, -0.4058451513773972, 0.0,
-            0.4058451513773972, 0.7415311855993945, 0.9491079123427585,
-        ),
-        (
-            0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694,
-            0.3818300505051189, 0.27970539148927664, 0.1294849661688697,
+            (0.03376524289842399, 0.08566224618958518),
+            (0.16939530676686773, 0.1803807865240693),
+            (0.38069040695840156, 0.23395696728634552),
+            (0.6193095930415985, 0.23395696728634552),
+            (0.8306046932331322, 0.1803807865240693),
+            (0.966234757101576, 0.08566224618958518),
         ),
     ),
-    8: (
+    (
+        _SHORT_WING,
         (
-            -0.9602898564975363, -0.7966664774136267, -0.525532409916329, -0.1834346424956498,
-            0.1834346424956498, 0.525532409916329, 0.7966664774136267, 0.9602898564975363,
-        ),
-        (
-            0.10122853629037626, 0.22238103445337448, 0.31370664587788727, 0.362683783378362,
-            0.362683783378362, 0.31370664587788727, 0.22238103445337448, 0.10122853629037626,
+            (0.019855071751231884, 0.05061426814518813),
+            (0.10166676129318664, 0.11119051722668724),
+            (0.2372337950418355, 0.15685332293894363),
+            (0.4082826787521751, 0.181341891689181),
+            (0.591717321247825, 0.181341891689181),
+            (0.7627662049581645, 0.15685332293894363),
+            (0.8983332387068134, 0.11119051722668724),
+            (0.9801449282487681, 0.05061426814518813),
         ),
     ),
-}
-
-
-def _tables(x: tuple[float, ...], w: tuple[float, ...]):
-    # the tensor rule's tables on [-1, 1]: (x_i - x_j, 2 + x_i + x_j, w_i w_j)
-    # for the node pairs i < j, and (2 (1 + x_i), w_i^2) on the diagonal
-    n = len(x)
-    pairs = tuple((x[i] - x[j], 2.0 + x[i] + x[j], w[i] * w[j]) for i in range(n) for j in range(i + 1, n))
-    return pairs, tuple((2.0 * (1.0 + xi), wi * wi) for xi, wi in zip(x, w))
-
-
-# (longest R/a, pairs, diagonal) of each order, shortest wings first; the
-# limits are calibrated in _tensor_rule
-_RULES = tuple(
-    (limit, *_tables(*_GL[n])) for limit, n in ((0.004, 4), (0.02, 5), (0.05, 6), (0.13, 7), (_SHORT_WING, 8))
 )
 
 
@@ -210,16 +196,17 @@ def total_forces(spec: CavitySpec, rel_tol: float = 1e-9, *, wing_count: int = 1
     """Both force components on one wing, from the closed forms.
 
     Wings longer than a quarter of the gap use the three-ray form, shorter
-    ones an n x n tensor rule, n = 4..8 by wing length (see the module
-    docstring); either costs a fixed number of float operations.
-    ``err_x`` and ``err_z`` are 8 eps times the summed magnitudes of each
-    component's terms: the four primitive values of the three-ray form,
-    each as the magnitudes of its two projections, or the tensor rule's
-    terms, which have one sign.  On
-    a 50-digit grid over R/a 1e-6..1e6 and phi 0..0.78 the largest error
-    seen was 0.75 of its bound, and every force was within 3.5e-14 |f_z|
-    (the worst just above R/a = 1/4 near phi = pi/4; 3e-15 |f_z| for
-    R/a >= 10).  ``rel_tol`` only sets ``converged``, which holds when the
+    ones the p-rule, an n-point Gauss-Legendre sum on each half of a
+    one-signed integral along p = r + t, with n = 4, 6 or 8 by wing length
+    (see the module docstring); either costs a fixed number of float
+    operations.  ``err_x`` and ``err_z`` are 8 eps times the summed
+    magnitudes of each component's terms: the four primitive values of the
+    three-ray form, each as the magnitudes of its two projections, or the
+    p-rule's terms, which have one sign, so that there they are 8 eps
+    |f_x| and 8 eps |f_z|.  On a 50-digit grid over R/a 1e-6..1e6 and phi
+    0..0.78 the largest error seen was 0.75 of its bound, and every force
+    was within 3.5e-14 |f_z| (the worst just above R/a = 1/4 near
+    phi = pi/4; 3e-15 |f_z| for R/a >= 10).  ``rel_tol`` only sets ``converged``, which holds when the
     larger bound is within ``rel_tol`` of the larger component; it must be
     at least ``REL_TOL_FLOOR`` and finite.  With ``wing_count=2`` the x
     force and its bound double and the z force cancels exactly between the
@@ -326,7 +313,7 @@ def _reduced(R: float, rho: float, phi: float, scale: float, bounds: bool):
             t_g = abs(a_g) + abs(m_g) + abs(n_g) + abs(b_g)
             abs_x, abs_z = (c * t_g + s * t_f) / c3, (c * t_f + s * t_g) / c3
     else:
-        x, z, abs_x, abs_z = _tensor_rule(rho, c, s)
+        x, z, abs_x, abs_z = _p_rule(rho, c, s)
     f_x, f_z = x * scale, z * scale
     if not math.isfinite(f_x):
         raise NonFiniteSample(R, f_x, "f_x")
@@ -336,47 +323,43 @@ def _reduced(R: float, rho: float, phi: float, scale: float, bounds: bool):
     return (f_x, f_z, abs_x, abs_z) if bounds else f_x
 
 
-def _tensor_rule(rho: float, c: float, s: float):
+def _p_rule(rho: float, c: float, s: float):
     # reduced (f_x, f_z) on a wing of rho <= 1/4 gaps, and the summed
-    # magnitudes of each one's terms: n x n Gauss-Legendre on [0, rho]^2,
-    # with the fewest nodes n = 4..8 whose limit in _RULES reaches rho.
-    # With e = cos(phi) (r - t) and g = 1 + (r + t) sin(phi), |d|^2 is
-    # e^2 + g^2, and the integrand's halves at (r, t) and (t, r) add up to
-    # -sin(phi) e^2 and -cos(phi) g^2 over |d|^7, so each node pair is
-    # evaluated once and every term has one sign.  With h = rho / 2 the
-    # nodes are h (1 + x) and the weights h w, so e and g of a pair are
-    # (c h) D and 1 + (s h) P from the rule's pairs or diagonal, and h^2
-    # scales the finished sums.  The truncation error falls like rho^(2n).
-    # At each rule's limit, against 16 nodes at 40 digits over 41 phi in
-    # 1e-3..0.785, it is at most 0.20 eps of either component's own size
-    # with 4 nodes (R/a 0.004), 0.10 with 5 (0.02), 0.034 with 6 (0.05),
-    # 0.39 with 7 (0.13) and 1.6 with 8 (1/4), so none outgrows the 8-point
-    # rule's at 1/4 and _ROUNDING still bounds the error.  Over 63 R/a in
-    # 1e-9..1/4 (each limit and its float neighbours) and 11 phi in
-    # 0..0.785 the result was within 6.1e-16 |f_z| of 80 digits and within
-    # 0.67 of its bound
-    for limit, pairs, diagonal_nodes in _RULES:
+    # magnitudes of each one's terms: the p-integral of the module
+    # docstring, each half by n-point Gauss-Legendre in m on [0, rho], with
+    # the fewest nodes n whose limit in _RULES reaches rho.  The node t is
+    # m = rho t, where g is 1 + (s rho) t on the first half and
+    # 1 + 2 s rho - (s rho) t on the second (p = 2 rho - m), and rho scales
+    # the finished sums.  The truncation error falls like rho^(2n).  At
+    # each limit, against 40-digit quadrature over 34 phi in 0.023..pi/4,
+    # it is at most 0.28 eps of either component's own size with 4 nodes
+    # (R/a 0.004), 0.026 with 6 (0.05) and 1.4 with 8 (1/4); 4 nodes at R/a
+    # 0.01 would miss f_x by 67 eps.  Over 27 R/a in 1e-9..1/4 (each limit
+    # and its float neighbours) and 35 phi in 0..pi/4 the result was within
+    # 6.2e-16 |f_z| of 40 digits and within 0.67 of its bound
+    for limit, nodes in _RULES:
         if rho <= limit:
             break
-    h = 0.5 * rho
-    ch, sh = c * h, s * h
-    diagonal = pairs_x = pairs_z = 0.0
-    for p, w in diagonal_nodes:
-        g = 1.0 + sh * p
-        g2 = g * g
-        diagonal += w / (g2 * g2 * g)
-    for d, p, w in pairs:
-        e = ch * d
-        g = 1.0 + sh * p
-        e2, g2 = e * e, g * g
-        q = e2 + g2
-        weight = w / (q * q * q * math.sqrt(q))
-        pairs_x += weight * e2
-        pairs_z += weight * g2
-    h2 = h * h
+    cr, sr = c * rho, s * rho
+    far = 1.0 + 2.0 * sr
+    sum_x = sum_z = 0.0
+    for t, w in nodes:
+        cm = cr * t
+        g = 1.0 + sr * t
+        y = cm / math.hypot(cm, g)
+        y2, g2 = y * y, g * g
+        k = w * y / (g2 * g2)
+        sum_x += k * y2 * (5.0 - 3.0 * y2)
+        sum_z += k * (15.0 - y2 * (10.0 - 3.0 * y2))
+        g = far - sr * t
+        y = cm / math.hypot(cm, g)
+        y2, g2 = y * y, g * g
+        k = w * y / (g2 * g2)
+        sum_x += k * y2 * (5.0 - 3.0 * y2)
+        sum_z += k * (15.0 - y2 * (10.0 - 3.0 * y2))
     # 0.0 - x, not -x, keeps f_x = +0.0 at phi = 0
-    f_x = 0.0 - 2.0 * s * h2 * pairs_x
-    f_z = -c * h2 * (diagonal + 2.0 * pairs_z)
+    f_x = 0.0 - sr * sum_x / (15.0 * c)
+    f_z = -rho * sum_z / 15.0
     # abs, not -f_x: the magnitude of f_x = +0.0 is +0.0
     return f_x, f_z, abs(f_x), -f_z
 

@@ -427,7 +427,7 @@ def test_prescan_and_counters_equal_lone_total_forces(monkeypatch):
 @example(log_ratio=math.log10(30.0), log_gap=None, lo=5e-3, span=120.0)
 @example(log_ratio=math.log10(30.0), log_gap=-8.5, lo=5e-3, span=120.0)
 def test_optimum_equals_lone_total_forces_on_both_formulas(log_ratio, log_gap, lo, span):
-    # R/a 0.05..1e4 runs the tensor rule (R/a <= 1/4) and the three-ray
+    # R/a 0.05..1e4 runs the p-rule (R/a <= 1/4) and the three-ray
     # form, in reduced and SI units; every sample, the prescan and the
     # optimum carry the bits of a lone total_forces at their angle
     ratio = 10.0**log_ratio

@@ -29,7 +29,9 @@ The force oracle ``trapcav.oracle._gauss_forces`` integrates along
 p = r + t.  The swap (r, t) -> (t, r) that makes its integrands one-signed,
 the antiderivatives of its integral in q = r - t and their rewrite in
 y = c m / hypot(c m, g) are proved with ``simplify``, and the code is
-compared with ``mpmath.quad`` of the proved p-integral at 50 digits.
+compared with ``mpmath.quad`` of the proved p-integral at 50 digits.  The
+primary's short-wing p-rule sums the same integrand, so it is compared
+with the same 50-digit integral, each component within its own bound.
 """
 
 import functools
@@ -42,7 +44,7 @@ import sympy as sp
 
 from test_forces import _ray
 from trapcav import CavitySpec, Units, limit_angles, s_factor
-from trapcav.forces import _ROUNDING, _reduced
+from trapcav.forces import _ROUNDING, _RULES, _reduced
 from trapcav.geometry import WingParams
 from trapcav.geometry import _ray as _corner_ray
 from trapcav.kernels import _fan
@@ -378,3 +380,16 @@ def test_gauss_forces_match_the_proved_p_integral():
             ref_x, ref_z = _proved_p_integrals(rho, phi)
             assert abs(f_x - ref_x) <= 1e-13 * abs(ref_x), (rho, phi)
             assert abs(f_z - ref_z) <= 1e-13 * abs(ref_z), (rho, phi)
+
+
+def test_p_rule_matches_the_proved_p_integral():
+    # the primary's short-wing rule at the limit of each order, where its
+    # truncation is largest: a mistyped coefficient, node or weight fails
+    # here, each component within its own bound, 8 eps of its size
+    for rho, _ in _RULES:
+        for phi in (1e-3, 0.3, 0.78):
+            f_x, f_z, abs_x, abs_z = _reduced(rho, rho, phi, 1.0, bounds=True)
+            with mpmath.workdps(50):
+                ref_x, ref_z = _proved_p_integrals(rho, phi)
+                assert abs(f_x - ref_x) <= _ROUNDING * abs_x, (rho, phi)
+                assert abs(f_z - ref_z) <= _ROUNDING * abs_z, (rho, phi)

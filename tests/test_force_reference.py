@@ -4,10 +4,10 @@ The reference is the three-ray form written out in mpmath, with nothing
 shared with the package.  The cancellation between the rays that costs
 float64 digits on short wings costs the reference digits too, about
 (a / R)^4 in f_x.  At 80 digits at least 20 remain down to R/a of about
-1e-15; at 50 the R/a = 1e-9 row missed by up to 29 times the tensor
+1e-15; at 50 the R/a = 1e-9 row missed by up to 29 times the short-wing
 rule's own bound.  It is pinned to the exact parallel-plate law and to
 a quadrature of the pressure along the wing, so the gate below checks the
-float64 formulas, the tensor rule on short wings and the scaling to SI
+float64 formulas, the p-rule on short wings and the scaling to SI
 units against an independent value.
 """
 
@@ -103,27 +103,28 @@ def test_reference_matches_quadrature_of_the_pressure(rho, phi):
     assert abs(f_z - ref_z) <= mp.mpf(10) ** -25 * abs(ref_z)
 
 
-# the limits of the 4- to 7-point tensor rules and their upper float
-# neighbours, where the next rule takes over (the 8-point rule's limit is
-# R/a = 1/4; just above it, near phi = pi/4, the three-ray form's bound
-# exceeds 1e-13 |f_z|, so that wing is not converged at this gate)
-TENSOR_LIMITS = [0.004, 0.02, 0.05, 0.13]
+# short wings and their upper float neighbours: the limits of the 4- and
+# 6-point p-rules, where the next order takes over, and R/a 0.02 and 0.13
+# inside the 6- and 8-point ranges (the 8-point rule's limit is R/a = 1/4;
+# just above it, near phi = pi/4, the three-ray form's bound exceeds
+# 1e-13 |f_z|, so that wing is not converged at this gate)
+SHORT_WING_RATIOS = [0.004, 0.02, 0.05, 0.13]
 GATE_RATIOS = sorted(
     {1e-9, 1e-6, 1e-3, 1e-2, 0.1, 0.2, 0.25, 0.26, 1.0, 40.0, 1e3, 1e6}
-    | set(TENSOR_LIMITS)
-    | {math.nextafter(limit, 1.0) for limit in TENSOR_LIMITS}
+    | set(SHORT_WING_RATIOS)
+    | {math.nextafter(ratio, 1.0) for ratio in SHORT_WING_RATIOS}
 )
 GATE_PHIS = [0.0, 1e-8, 1e-4, 1e-2, 0.3, 0.78]
 
 
 @pytest.mark.parametrize("ratio", GATE_RATIOS)
 def test_total_forces_meet_the_50_digit_gate(ratio):
-    # both formulas (the tensor rule up to R/a = 1/4, the three-ray form
+    # both formulas (the p-rule up to R/a = 1/4, the three-ray form
     # above), in both unit systems; the name keeps the reference's first
     # precision: within 1e-13 |f_z| of the reference,
     # within their own error bounds, and converged at rel_tol 1e-13; on
     # short wings, where |f_x| is far below |f_z|, f_x keeps its own digits
-    # too: within 16 eps |f_x| (the tensor rule's worst is about 4 eps)
+    # too: within 16 eps |f_x| (the p-rule's worst here is 4.3 eps)
     for phi in GATE_PHIS:
         ref_x, ref_z = reference_forces(ratio, phi)
         for spec in (

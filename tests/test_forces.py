@@ -1,4 +1,3 @@
-import itertools
 import math
 import os
 import subprocess
@@ -102,8 +101,8 @@ def test_error_estimates_are_sane():
 
 @pytest.mark.parametrize("ratio", [1e-3, 0.2])
 def test_flat_short_wings_bound_f_x_by_a_positive_zero(ratio):
-    # the tensor rule gave -f_x as the magnitude of f_x's terms, so err_x
-    # was -0.0 on flat wings and `force` printed "err_x": -0.0
+    # the short-wing rule once gave -f_x as the magnitude of f_x's terms,
+    # so err_x was -0.0 on flat wings and `force` printed "err_x": -0.0
     fr = total_forces(REDUCED._replace(R=ratio))
     assert fr.f_x == 0.0 and math.copysign(1.0, fr.f_x) == 1.0
     assert fr.err_x == 0.0 and math.copysign(1.0, fr.err_x) == 1.0
@@ -191,36 +190,32 @@ def test_forces_do_not_depend_on_rel_tol(phi):
         assert (c.f_x, c.f_z, c.err_x, c.err_z) == (f.f_x, f.f_z, f.err_x, f.err_z)
 
 
-# each tensor rule's order and the longest wing, in gaps, that it serves
-RULE_LIMITS = [(0.004, 4), (0.02, 5), (0.05, 6), (0.13, 7), (0.25, 8)]
+# each p-rule order and the longest wing, in gaps, that it serves
+RULE_LIMITS = [(0.004, 4), (0.05, 6), (0.25, 8)]
 
 
 def test_gauss_legendre_literals_are_the_rule():
-    # the tensor rules' nodes and weights are literals, so that importing
-    # the package does not import numpy.polynomial
+    # the p-rule's nodes and weights on [0, 1] are literals, so that
+    # importing the package does not import numpy.polynomial
     mpmath = pytest.importorskip("mpmath")
-    assert [(limit, len(diagonal)) for limit, _, diagonal in trapcav.forces._RULES] == RULE_LIMITS
+    assert [(limit, len(nodes)) for limit, nodes in trapcav.forces._RULES] == RULE_LIMITS
     assert trapcav.forces._RULES[-1][0] == trapcav.forces._SHORT_WING
-    for (limit, n), rule in zip(RULE_LIMITS, trapcav.forces._RULES):
-        x, w = trapcav.forces._GL[n]
-        nodes, weights = np.polynomial.legendre.leggauss(n)
-        assert np.allclose(x, nodes, rtol=0.0, atol=4e-16), n
-        assert np.allclose(w, weights, rtol=0.0, atol=1e-15), n
+    for _, nodes in trapcav.forces._RULES:
+        n = len(nodes)
+        t, w = zip(*nodes)
+        x, weights = np.polynomial.legendre.leggauss(n)
+        assert np.allclose(t, (1.0 + x) / 2.0, rtol=0.0, atol=4e-16), n
+        assert np.allclose(w, weights / 2.0, rtol=0.0, atol=1e-15), n
         # each literal is the correctly rounded node or weight: Newton's
-        # method on P_n from the literal node, at 30 digits
+        # method on P_n(2 t - 1) from the literal node, at 30 digits
         with mpmath.workdps(30):
-            for xi, wi in zip(x, w):
-                t = mpmath.mpf(xi)
+            for ti, wi in nodes:
+                u = 2 * mpmath.mpf(ti) - 1
                 for _ in range(4):
-                    p, q = mpmath.legendre(n, t), mpmath.legendre(n - 1, t)
-                    t -= p * (t * t - 1) / (n * (t * p - q))
-                dp = n * (t * mpmath.legendre(n, t) - mpmath.legendre(n - 1, t)) / (t * t - 1)
-                assert (float(t), float(2 / ((1 - t * t) * dp * dp))) == (xi, wi), (n, xi)
-        # the rule runs over tables of those literals: the n (n - 1) / 2
-        # node pairs i < j, in order, and the n diagonal nodes
-        pairs = [(x[i] - x[j], 2.0 + x[i] + x[j], w[i] * w[j]) for i, j in itertools.combinations(range(n), 2)]
-        diagonal = [(2.0 * (1.0 + x[i]), w[i] * w[i]) for i in range(n)]
-        assert rule == (limit, tuple(pairs), tuple(diagonal)), n
+                    p, q = mpmath.legendre(n, u), mpmath.legendre(n - 1, u)
+                    u -= p * (u * u - 1) / (n * (u * p - q))
+                dp = n * (u * mpmath.legendre(n, u) - mpmath.legendre(n - 1, u)) / (u * u - 1)
+                assert (float((1 + u) / 2), float(1 / ((1 - u * u) * dp * dp))) == (ti, wi), (n, ti)
 
 
 # The three-ray form as it was written with one call per ray, with ray M
@@ -344,7 +339,7 @@ def test_expulsion_raises_where_total_forces_raises(ratio, phi, message):
 
 
 def test_formulas_agree_at_the_switch():
-    # the tensor rule just below R/a = 1/4 and the three-ray form just
+    # the p-rule just below R/a = 1/4 and the three-ray form just
     # above it give the same force to rounding
     for phi in (0.0, 1e-3, 0.3, 0.78):
         below = total_forces(REDUCED._replace(R=0.25, phi=phi))
@@ -355,8 +350,8 @@ def test_formulas_agree_at_the_switch():
 
 @pytest.mark.parametrize("limit", [limit for limit, _ in RULE_LIMITS[:-1]])
 def test_tensor_rules_agree_at_their_limits(limit):
-    # the n-point rule at its limit and the (n + 1)-point rule just above
-    # it give the same force to rounding
+    # the 4- or 6-point p-rule at its limit and the 6- or 8-point rule just
+    # above it give the same force to rounding
     for phi in (0.0, 1e-8, 1e-3, 0.3, 0.78):
         below = total_forces(REDUCED._replace(R=limit, phi=phi))
         above = total_forces(REDUCED._replace(R=math.nextafter(limit, 1.0), phi=phi))

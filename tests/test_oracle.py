@@ -278,7 +278,7 @@ def test_gauss_rule_matches_numpy_nodes():
 
 
 def test_gauss_forces_match_closed_form():
-    # the oracle against the closed forms (three-ray form and tensor rule)
+    # the oracle against the closed forms (three-ray form and p-rule)
     # from a micro-gap wing to a million gaps, flat to nearly pi/4
     for ratio in (1e-6, 1e-3, 0.26, 1.0, 40.0, 1e3, 1e5, 1e6):
         for phi in (0.0, 1e-8, 1e-4, 0.3, 0.78):
@@ -355,8 +355,8 @@ def test_verify_suite_fails_a_wrong_sign_expulsion(monkeypatch):
         (4.0, 0.0873, False, lambda f_x, err_x, o: o - 1.01 * (1e-10 * abs(o) + err_x)),
         (1e12, 1.7e-8, True, lambda f_x, err_x, o: o - 0.99 * (1e-10 * abs(o) + err_x)),
         (1e12, 1.7e-8, False, lambda f_x, err_x, o: o + 1.01 * (1e-10 * abs(o) + err_x)),
-        # on a flat short wing the gate is 0: both sides and the tensor
-        # rule's err_x are 0, so any miss fails
+        # on a flat short wing the gate is 0: both sides and the p-rule's
+        # err_x are 0, so any miss fails
         (0.2, 0.0, True, lambda f_x, err_x, o: f_x),
         (0.2, 0.0, False, lambda f_x, err_x, o: 1e-300),
     ],
