@@ -20,7 +20,6 @@ they need numpy, which only the ``test`` extra installs.
 import importlib
 
 from .errors import (
-    DegenerateFan,
     InvalidCavity,
     NoInteriorMaximum,
     NonFiniteSample,
@@ -75,7 +74,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AngleWindow",
     "CavitySpec",
-    "DegenerateFan",
     "ForceResult",
     "InvalidCavity",
     "NoInteriorMaximum",

@@ -25,10 +25,6 @@ class OutOfRange(TrapcavError):
         super().__init__(f"{name}={value!r} outside [{lo!r}, {hi!r}]")
 
 
-class DegenerateFan(TrapcavError):
-    """The visible ray fan has collapsed (theta1 >= theta2)."""
-
-
 class NumericDegeneracy(TrapcavError):
     """A denominator vanished beyond recovery."""
 

@@ -34,8 +34,9 @@ Inside the fan the ray length back to the lower wing is
     b(r, theta) = s(r) / sin(theta - 2 phi),    s(r) = sigma,
 
 so ``s`` is the single length scale of the fan at ``r``.  With ``phi``
-restricted below pi/4 the window satisfies 2 phi < theta1 < theta2 <= pi and
-every denominator above stays strictly positive.
+restricted below pi/4 the window satisfies 2 phi < theta1 <= theta2 <= pi and
+every denominator above stays strictly positive; the two angles coincide
+only where the window is narrower than an ulp of theta1.
 
 The module also holds the spec, its units and :func:`validate`, the
 prefactor :data:`K`, and the tolerance floors :data:`REL_TOL_FLOOR` and
@@ -48,7 +49,7 @@ import sys
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import DegenerateFan, InvalidCavity, NumericDegeneracy, OutOfRange
+from .errors import InvalidCavity, NumericDegeneracy, OutOfRange
 
 #: Exclusive upper bound for the half-opening angle.
 PHI_MAX = math.pi / 4
@@ -97,7 +98,10 @@ class CavitySpec(NamedTuple):
 
 
 class AngleWindow(NamedTuple):
-    """Limit angles of a visible fan, ``0 <= theta1 < theta2 <= pi``."""
+    """Limit angles of a visible fan, ``0 <= theta1 <= theta2 <= pi``.
+
+    The two are equal where the fan is narrower than an ulp of theta1.
+    """
 
     theta1: float
     theta2: float
@@ -200,11 +204,13 @@ def limit_angles(cavity: CavitySpec | WingParams, r: float) -> AngleWindow:
     theta1 aims at the far corner M2: it stays above 2 phi (where the ray
     would run parallel to the lower wing) and climbs to pi/2 + phi at r = R.
     theta2 aims at the near corner M3: it starts at pi/2 + phi at r = 0
-    and climbs towards pi as r/a grows.  On a wing so short that the two
-    coincide in floats (every R/a <= 1e-16) the fan counts as empty, although
-    :meth:`WingParams.window` still gives its width.  Raises :class:`InvalidCavity`
-    for an invalid spec, :class:`OutOfRange` for an ``r`` outside [0, R]
-    and :class:`DegenerateFan` for an empty fan.
+    and climbs towards pi as r/a grows.  Both rays share sigma, and x
+    rounds no smaller on the far ray than on the near one, so theta1 <=
+    theta2.  On a wing so short that its window is narrower than an ulp of
+    theta1 (from about R/a 1e-16 down) the two come out equal;
+    :meth:`WingParams.window` still gives the width there.  Raises
+    :class:`InvalidCavity` for an invalid spec and :class:`OutOfRange` for
+    an ``r`` outside [0, R].
     """
     if isinstance(cavity, WingParams):
         cav = cavity
@@ -214,10 +220,7 @@ def limit_angles(cavity: CavitySpec | WingParams, r: float) -> AngleWindow:
     _check_r(cav, r)
     sigma, x_n, _ = _ray(cav.a, cav.cphi, cav.sphi, r, 0.0)
     _, x_f, _ = _ray(cav.a, cav.cphi, cav.sphi, r, cav.R)
-    theta1, theta2 = cav.two_phi + math.atan2(sigma, x_f), cav.two_phi + math.atan2(sigma, x_n)
-    if theta1 >= theta2:
-        raise DegenerateFan(f"visible fan collapsed at r={r!r}: theta1={theta1!r} >= theta2={theta2!r}")
-    return AngleWindow(theta1=theta1, theta2=theta2)
+    return AngleWindow(cav.two_phi + math.atan2(sigma, x_f), cav.two_phi + math.atan2(sigma, x_n))
 
 
 def s_factor(spec: CavitySpec, r: float) -> float:

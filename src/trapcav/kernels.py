@@ -121,7 +121,10 @@ def fan_integrals(window: AngleWindow, phi: float) -> tuple:
     which reaches past u = pi/4.  A window that lies wholly near u = 0 or
     u = pi loses them, as the primitive differences cancel there: z is off
     by 3.6e-7 relative at u1 = 1e-3, width 1e-3, phi = 0.2, against a
-    50-digit quadrature.
+    50-digit quadrature.  The width is theta2 - theta1, so a window whose
+    limit angles coincide in floats (R/a below about 1e-16) integrates to
+    0; the kernel and ``verify`` take the width from
+    :meth:`~trapcav.geometry.WingParams.window` instead.
     """
     return _fan(window.theta1 - 2.0 * phi, window.width, math.cos(phi), math.sin(phi))
 
@@ -134,17 +137,17 @@ def wing_pressures(cav: WingParams, k: float, r: float) -> tuple[float, float]:
     s/a lies in [cos(phi), 1 + 2 R/a]: its fourth power never goes
     subnormal, and overflows to inf only on wings so long that the
     pressure is 0.  u1 = theta1 - 2 phi, the window's width and s come
-    from :meth:`WingParams.window`.  The fast path tests the range of ``r``
-    and that the width is positive; only when a test fails does
-    :func:`limit_angles` run, to raise :class:`OutOfRange` or
-    :class:`DegenerateFan`.  A component that is not finite (k / a^4
-    overflows at SI gaps below about 1.6e-84 m) raises
-    :class:`NonFiniteSample` naming it and ``r``.  Nothing else is
+    from :meth:`WingParams.window`, so a window narrower than an ulp of
+    theta1 (a wing of R/a below about 1e-16) keeps its width.  The fast
+    path tests the range of ``r``; only when that test fails does
+    :func:`limit_angles` run, to raise :class:`OutOfRange`.  A component
+    that is not finite (k / a^4 overflows at SI gaps below about 1.6e-84 m)
+    raises :class:`NonFiniteSample` naming it and ``r``.  Nothing else is
     validated, so the caller validates the cavity once.
     """
     u1, width, sigma = cav.window(r)
-    if not (0.0 <= r <= cav.R and width > 0.0):
-        limit_angles(cav, r)  # raises OutOfRange or DegenerateFan
+    if not 0.0 <= r <= cav.R:  # NaN too
+        limit_angles(cav, r)  # raises OutOfRange
     x, z = _fan(u1, width, cav.cphi, cav.sphi)
     a = cav.a
     q = sigma / a
@@ -163,9 +166,9 @@ def specific_pressures(spec: CavitySpec, r: float) -> PressureSample:
     p_z carries an explicit minus sign (compression pulls the wings
     together); p_x keeps the sign of its integral, negative wherever the
     fan is dominated by forward-leaning rays.  Every call validates
-    ``spec`` and raises :class:`OutOfRange` or :class:`DegenerateFan` for
-    an ``r`` off the wing or with an empty fan, and
-    :class:`NonFiniteSample` for a component that is not finite.  This is
+    ``spec`` and raises :class:`OutOfRange` for an ``r`` off the wing and
+    :class:`NonFiniteSample` for a component that is not finite; a wing of
+    any length short of that gets its pressure.  This is
     :func:`wing_pressures` for one cavity spec.
     """
     validate(spec)

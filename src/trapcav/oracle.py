@@ -19,7 +19,13 @@ The wing point at arc coordinate r is P = (r cos phi, r sin phi); its limit
 angles are the angles between the wing direction (cos phi, sin phi) and the
 rays P->M2 (far end) and P->M3 (near end).  The wing direction is given
 geometry, never reconstructed from P: normalizing P loses the direction
-entirely once r sin phi underflows.
+entirely once r sin phi underflows.  On a wing so short that the window
+is narrower than an ulp of theta1 the two angles may round to one float;
+no wing is refused for it.  The inner-integral checks of
+:func:`verify_suite` therefore do not take their window from the limit
+angles: they integrate the kernel's own window, u1 and the width of
+:meth:`~trapcav.geometry.WingParams.window`, with the 20-point rule on
+offsets from u1, which keep the width however narrow it is.
 
 The force oracle of :func:`verify_suite` starts from the angle-free
 double integral over both wings,
@@ -66,7 +72,7 @@ the pairwise sum of :mod:`~trapcav.quadrature`.
 import math
 from typing import NamedTuple
 
-from .errors import DegenerateFan, NonFiniteSample, NumericDegeneracy, OutOfRange
+from .errors import NonFiniteSample, NumericDegeneracy, OutOfRange
 from .forces import ForceResult
 from .geometry import AngleWindow, CavitySpec, Units, validate
 
@@ -137,8 +143,11 @@ def limit_angles_vector(spec: CavitySpec, r: float) -> AngleWindow:
     dot round to floats, so the gap a keeps its digits in P->M3 on a wing
     of any length.  The direction is given geometry and is never recovered
     by normalizing P: at denormal r the components of P round with so few
-    bits that P / |P| can point anywhere.  An invalid spec raises
-    :class:`InvalidCavity`.
+    bits that P / |P| can point anywhere.  Where the window is narrower
+    than an ulp of theta1 (a wing of R/a below about 1e-16) the two angles
+    may round to one float, theta1 == theta2, as in
+    :func:`~trapcav.geometry.limit_angles`.  An invalid spec raises
+    :class:`InvalidCavity`, an ``r`` outside [0, R] :class:`OutOfRange`.
     """
     validate(spec)
     if not (0.0 <= r <= spec.R):
@@ -146,12 +155,7 @@ def limit_angles_vector(spec: CavitySpec, r: float) -> AngleWindow:
     (cphi, sphi, a, R, r_exact), one = _exact(math.cos(spec.phi), math.sin(spec.phi), spec.a, spec.R, r)
     # cross and dot are multiples of 1/one^3, and each rounds once
     cube = one**3
-    theta1, theta2 = _windows_raw(cphi, sphi, a, R, r_exact, one, lambda y, x: math.atan2(y / cube, x / cube))
-    if theta1 >= theta2:
-        raise DegenerateFan(
-            f"oracle fan collapsed at r={r!r}: theta1={theta1!r} >= theta2={theta2!r}"
-        )
-    return AngleWindow(theta1=theta1, theta2=theta2)
+    return AngleWindow(*_windows_raw(cphi, sphi, a, R, r_exact, one, lambda y, x: math.atan2(y / cube, x / cube)))
 
 
 def ray_length_intersection(spec: CavitySpec, r: float, theta: float) -> float:
@@ -367,36 +371,41 @@ def verify_suite(spec: CavitySpec) -> list[OracleReport]:
     """Run every primary-vs-oracle comparison on one cavity.
 
     Checks, in order: limit angles on a 17-point r grid (absolute radians),
-    ray lengths on a (r, theta) grid (relative), both components of
-    :func:`fan_integrals` (reported as ``inner_integral_z`` and
+    ray lengths on a (r, theta) grid (relative), both components of the
+    kernel's fan integrals (reported as ``inner_integral_z`` and
     ``inner_integral_x``) against the 20-point Gauss-Legendre rule on each
     half of the window (relative, gated at 1e-10), and both total forces
     against the one-signed p-integral of :func:`_gauss_forces`, each gated
-    at 1e-10 of the oracle's own component.  The primary's f_x is good to
-    its bound err_x only, so err_x widens the x gate: ``total_force_x``
-    passes where |primary - oracle| <= 1e-10 |oracle| + err_x, and a zero
-    miss passes (at phi = 0 both sides are 0).  Every check runs on
-    :mod:`math` floats and the exact integer geometry, so a ``verify``
-    process loads neither numpy nor :mod:`fractions`.  Each check reports
-    its worst sample, the last of equal ones; a NaN on either side of a
-    comparison is the worst of all, and fails its check.  A check that fails
-    is reported in the returned list, not raised.  An invalid spec raises
-    :class:`InvalidCavity`.  :class:`DegenerateFan` is raised only where the
-    limit angles collapse in floats, at every R/a <= 1e-16, where the
-    primary :func:`~trapcav.geometry.limit_angles` check rounds a wing
-    point's two limit angles to one float; ``trapcav verify`` then exits 1.
-    The oracle's raw vectors are exact, so tilted wings of any length keep
-    the gap.  The oracle keeps its own literal prefactor, so a corrupted
+    at 1e-10 of the oracle's own component.  The inner checks read the
+    window as the kernel does, u1 and the width from
+    :meth:`~trapcav.geometry.WingParams.window`, and integrate it with the
+    kernel's closed form, so they check the kernel's width formula too, and
+    a window narrower than an ulp of theta1 keeps its width.  The
+    primary's f_x is good to its bound err_x only, so err_x widens the x
+    gate: ``total_force_x`` passes where |primary - oracle| <= 1e-10
+    |oracle| + err_x, and a zero miss passes (at phi = 0 both sides are
+    0).  Every check runs on :mod:`math` floats and the exact integer
+    geometry, so a ``verify`` process loads neither numpy nor
+    :mod:`fractions`.  Each check reports its worst sample, the last of
+    equal ones; a NaN on either side of a comparison is the worst of all,
+    and fails its check.  A check that fails is reported in the returned
+    list, not raised.  The primary forces run first, so an invalid spec
+    raises :class:`InvalidCavity`, and a cavity whose forces are no normal
+    floats (R/a below about 1e-154, say) the :class:`NonFiniteSample` of
+    :func:`~trapcav.forces.total_forces`, before any check; every other
+    cavity, a wing of any length, gets its six reports.  The oracle's raw
+    vectors are exact, so tilted wings of any length keep the gap.  The
+    oracle keeps its own literal prefactor, so a corrupted
     :data:`trapcav.geometry.K` moves only the primary forces and fails the
     force checks.
     """
     # primary-path imports are confined here: this function is the
     # comparison harness, the oracle computations above stay independent
     from .forces import total_forces
-    from .geometry import limit_angles, ray_length
-    from .kernels import fan_integrals
+    from .geometry import WingParams, limit_angles, ray_length
+    from .kernels import _fan
 
-    validate(spec)
+    prim = total_forces(spec, 1e-9)  # validates the spec
     angles, lengths, inner_z, inner_x = [], [], [], []
     for k in range(17):
         r = spec.R * k / 16
@@ -409,19 +418,21 @@ def verify_suite(spec: CavitySpec) -> list[OracleReport]:
             theta = window.theta1 + window.width * (j + 0.5) / 9
             p, o = ray_length(spec, r, theta), ray_length_intersection(spec, r, theta)
             lengths.append((abs(p - o) / abs(o), p, o))
+    cav = WingParams.of(spec)
     for frac in (0.0, 0.5, 15 / 16):
-        window = limit_angles(spec, spec.R * frac)
-        x, z = fan_integrals(window, spec.phi)
+        u1, width, _ = cav.window(spec.R * frac)
+        x, z = _fan(u1, width, cav.cphi, cav.sphi)
         # the raw integrand is a degree-5 trig polynomial, which the rule on
-        # each half of an O(1)-wide window gets to below 1e-20
-        nodes = _nodes(_panels((window.theta1, window.theta1 + 0.5 * window.width, window.theta2)))
+        # each half of an O(1)-wide window gets to below 1e-20; its nodes
+        # are offsets from u1, so a window narrower than an ulp of u1 keeps
+        # its width
+        nodes = _nodes(_panels((0.0, 0.5 * width, width)))
         for rows, value, trig in ((inner_z, z, math.sin), (inner_x, x, math.cos)):
-            quad = math.fsum(w * math.sin(t - 2.0 * spec.phi) ** 4 * trig(t - spec.phi) for t, w in nodes)
+            quad = math.fsum(w * math.sin(u1 + t) ** 4 * trig(u1 + t + spec.phi) for t, w in nodes)
             # both values can be ~0 (antisymmetric x integrand); the window
             # width bounds the integral and gives the comparison a scale
-            rows.append((abs(value - quad) / max(abs(value), abs(quad), 0.1 * window.width), value, quad))
+            rows.append((abs(value - quad) / max(abs(value), abs(quad), 0.1 * width), value, quad))
 
-    prim = total_forces(spec, 1e-9)
     orac_x, orac_z = _gauss_forces(spec)
     # passes where |p - o| <= 1e-10 |o| + err_x; a zero miss is 0 also where
     # that gate is 0 (a flat short wing), and a NaN miss stays NaN

@@ -991,9 +991,9 @@ def test_verify_with_a_failing_check_reports_it_and_exits_1(monkeypatch, capsysb
 
 
 def test_verify_with_a_nan_check_fails_it_in_strict_json(monkeypatch, capsysbinary):
-    # a NaN from the primary fan integrals fails both inner-integral checks;
+    # a NaN from the kernel's fan integrals fails both inner-integral checks;
     # their values go out as the string "nan", which the schema accepts
-    monkeypatch.setattr(trapcav.kernels, "fan_integrals", lambda *args: (math.nan, math.nan))
+    monkeypatch.setattr(trapcav.kernels, "_fan", lambda *args: (math.nan, math.nan))
     assert main(["verify", *REDUCED_ARGS, "--phi-deg", "1.0"]) == 1
     captured = capsysbinary.readouterr()
     assert captured.err == b""

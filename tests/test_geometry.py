@@ -7,7 +7,6 @@ import hypothesis.strategies as st
 
 from trapcav import (
     CavitySpec,
-    DegenerateFan,
     InvalidCavity,
     NumericDegeneracy,
     OutOfRange,
@@ -227,12 +226,33 @@ def test_ray_length_rejects_a_nan_direction():
         ray_length(REDUCED_10, 1.0, math.nan)
 
 
+TINY = CavitySpec(a=1.0, R=1e-20, L=1.0, phi=0.3)
+
+
+def tiny_wing_angles(r):
+    # the limit angles of TINY at r, in 40-digit arithmetic at the same
+    # float inputs: the angles between the wing direction and the raw
+    # corner vectors, which differ by about 1e-20
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    c, s = mp.cos(TINY.phi), mp.sin(TINY.phi)
+    px, pz = mp.mpf(r) * c, mp.mpf(r) * s
+    angles = []
+    for mx, mz in ((mp.mpf(TINY.R) * c, -mp.mpf(TINY.R) * s - 1), (0, mp.mpf(-1))):
+        qx, qz = mx - px, mz - pz
+        angles.append(mp.atan2(s * qx - c * qz, c * qx + s * qz))
+    return angles
+
+
 def test_degenerate_fan_guard():
     # at the far end of a wing far shorter than the gap both corners lie
-    # in the same direction, pi/2 + phi, to within rounding
-    tiny = CavitySpec(a=1.0, R=1e-20, L=1.0, phi=0.3)
-    with pytest.raises(DegenerateFan):
-        limit_angles(tiny, tiny.R)
+    # in the same direction, pi/2 + phi, to within rounding: the window is
+    # narrower than an ulp of theta1, and both angles round to one float
+    w = limit_angles(TINY, TINY.R)
+    assert w.theta1 == w.theta2 and w.width == 0.0
+    for theta, ref in zip(w, tiny_wing_angles(TINY.R)):
+        assert abs(theta - ref) <= 2e-15
 
 
 def test_arrays_name_the_first_bad_coordinate():
@@ -241,10 +261,17 @@ def test_arrays_name_the_first_bad_coordinate():
         with pytest.raises(OutOfRange) as err:
             f(REDUCED_10, math.nan)
         assert math.isnan(err.value.value)
-    # every fan of this wing is empty; the error names the r given
-    tiny = CavitySpec(a=1.0, R=1e-20, L=1.0, phi=0.3)
-    with pytest.raises(DegenerateFan, match=r"at r=1e-20:"):
-        limit_angles(tiny, tiny.R)
+    # a wing far shorter than the gap answers at each end, and the error
+    # names the r given just past it
+    for r in (0.0, TINY.R):
+        w = limit_angles(TINY, r)
+        assert w.theta1 == w.theta2
+        for theta, ref in zip(w, tiny_wing_angles(r)):
+            assert abs(theta - ref) <= 2e-15
+    past = math.nextafter(TINY.R, 1.0)
+    with pytest.raises(OutOfRange) as err:
+        limit_angles(TINY, past)
+    assert err.value.value == past
 
 
 @given(spec=spec_strategy(), frac=st.floats(0.0, 1.0))

@@ -10,7 +10,6 @@ import hypothesis.strategies as st
 from trapcav import (
     AngleWindow,
     CavitySpec,
-    DegenerateFan,
     InvalidCavity,
     NonFiniteSample,
     NumericDegeneracy,
@@ -98,8 +97,6 @@ def fraction_limit_angles(spec: CavitySpec, r: float) -> AngleWindow:
     for tx, tz in ((R * cphi, -R * sphi - a), (0, -a)):
         qx, qz = tx - r * cphi, tz - r * sphi
         angles.append(math.atan2(sphi * qx - cphi * qz, cphi * qx + sphi * qz))
-    if angles[0] >= angles[1]:
-        raise DegenerateFan("fan collapsed")
     return AngleWindow(*angles)
 
 
@@ -453,7 +450,7 @@ def test_verify_suite_passes_on_a_flat_wing_1e30_gaps_long():
 )
 def test_verify_suite_passes_on_long_tilted_wings_past_1e16_gaps(ratio, units):
     # in floats the raw vector P->M3 lost the gap past r/a about 1e16, and
-    # the window from P collapsed to theta2 = -pi (DegenerateFan)
+    # the window from P collapsed to theta2 = -pi, below theta1
     a = 1.0 if units is Units.REDUCED else 1e-7
     reports = verify_suite(CavitySpec(a=a, R=a * ratio, L=1.0, phi=0.1, units=units))
     assert [r.quantity for r in reports] == CHECK_NAMES
@@ -517,21 +514,31 @@ def _nan_theta1(limit_angles):
     return lambda spec, r: AngleWindow(math.nan, limit_angles(spec, r).theta2)
 
 
+def _nan_width(window):
+    def faulty(self, r):
+        u1, _, sigma = window(self, r)
+        return u1, math.nan, sigma
+
+    return faulty
+
+
 @pytest.mark.parametrize(
     "module, name, fault, failing",
     [
-        (trapcav.geometry, "limit_angles", _nan_theta1, {"limit_angles", "inner_integral_z", "inner_integral_x"}),
+        (trapcav.geometry, "limit_angles", _nan_theta1, {"limit_angles"}),
         (trapcav.geometry, "ray_length", lambda f: lambda *args: math.nan, {"ray_length"}),
         (trapcav.oracle, "ray_length_intersection", lambda f: lambda *args: math.nan, {"ray_length"}),
-        (trapcav.kernels, "fan_integrals", lambda f: lambda *args: (math.nan, math.nan),
+        (trapcav.kernels, "_fan", lambda f: lambda *args: (math.nan, math.nan),
          {"inner_integral_z", "inner_integral_x"}),
+        (trapcav.geometry.WingParams, "window", _nan_width, {"inner_integral_z", "inner_integral_x"}),
     ],
-    ids=["limit_angles", "ray_length", "ray_length_intersection", "fan_integrals"],
+    ids=["limit_angles", "ray_length", "ray_length_intersection", "_fan", "window"],
 )
 def test_verify_suite_fails_the_checks_that_read_a_nan(monkeypatch, module, name, fault, failing):
     # a NaN on either side of a comparison is a NaN deviation, which ranks
     # above every number and fails; the checks that do not read the value
-    # still pass
+    # still pass.  The inner checks read the kernel's window and closed
+    # form, not the limit angles
     monkeypatch.setattr(module, name, fault(getattr(module, name)))
     reports = verify_suite(SI_THIN)
     assert [r.quantity for r in reports] == CHECK_NAMES
