@@ -51,16 +51,15 @@ which at X = c m are the integrands of :func:`_gauss_forces`, written in
 y = c m / hypot(c m, g); both are >= 0.  ``tests/test_certificates.py``
 proves each step.  They are summed with a 20-point Gauss-Legendre rule on panels placed as
 QUADPACK's QAGP places breakpoints (Piessens et al., 1983).  The oracle
-uses no limit angle and no fan integral.  On wings longer than a quarter
-gap its derivation (the swap, then the q-integral) shares no step with the
-primary's three-ray form, a corner substitution in the fan angle.  On
-R/a <= 1/4 the primary's p-rule sums the same proved integrand with a
-different rule (4 to 8 nodes on each half, not 20 on graded panels), so
-there the force checks compare two quadratures of one integral.  The
-checks that stay independent of it there are the 80-digit three-ray
-reference of ``tests/test_force_reference.py`` and the certificates of
-``tests/test_certificates.py``, which test both rules against
-``mpmath.quad`` of the proved integral.  Everything runs
+uses no limit angle and no fan integral.  The primary's closed form is
+the same p-integral taken in u = c m / g, where its moments are algebraic,
+so the force checks compare a numerical and a closed-form integration of
+one integrand: a wrong moment or a wrong coefficient of the closed form
+fails them, a mistake in the swap would not.  The check that stays
+independent of the swap is the three-ray form, a corner substitution in
+the fan angle: ``tests/test_force_reference.py`` holds it at 80 digits,
+and ``tests/test_certificates.py`` proves it and ties the closed form to
+it and to ``mpmath.quad`` of the proved integral.  Everything runs
 on :mod:`math` floats, and the scalar vector geometry on the exact integers
 that those floats are multiples of (see :func:`_exact`), except
 :func:`riemann_forces`, the dense midpoint sum that the acceptance tests

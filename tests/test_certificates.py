@@ -1,5 +1,6 @@
-"""Symbolic certificates of the closed forms' algebra: the three-ray
-forces, the fan kernel, the window geometry and the force oracle's p-form.
+"""Symbolic certificates of the closed forms' algebra: the package's force
+form, the three-ray forces it replaced, the fan kernel, the window geometry
+and the force oracle's p-form.
 
 sympy proves each identity exactly.  Both sides are rational in
 sigma = sin u, kappa = cos u, c = cos phi and s = sin phi, with
@@ -8,15 +9,30 @@ sigma to kappa and kappa to -sigma.  An identity holds when the numerator
 of the difference of its sides reduces to zero modulo sigma^2 + kappa^2 - 1
 and c^2 + s^2 - 1.
 
-The primitives proved are those of ``_ray`` in ``tests/test_forces.py``,
-the one-call-per-ray form that pins the three-ray form of
-``trapcav.forces._reduced`` bit for bit.  Its float literals are integers,
-and its divisions by 45.0 and 15.0 come back from ``nsimplify`` as the
-fractions they stand for.  The proofs
-also touch the code: ``trapcav.forces._reduced`` is compared with the
-proved three-ray expression at 50 digits, and ``trapcav.geometry._ray``
-with the proved corner substitution in floats, so a mistyped coefficient
-in ``src/`` fails here.
+The force oracle ``trapcav.oracle._gauss_forces`` integrates along
+p = r + t.  The swap (r, t) -> (t, r) that makes its integrands one-signed,
+the antiderivatives of its integral in q = r - t and their rewrite in
+y = c m / hypot(c m, g) are proved with ``simplify``, and the code is
+compared with ``mpmath.quad`` of the proved p-integral at 50 digits.
+
+The package's closed form ``trapcav.forces._reduced`` is that p-integral
+in the substitution u = c m / g: both halves' Jacobians, the six moments
+(each an antiderivative of its integrand that vanishes at 0), the
+regrouping of their sum into H + K / w^3 with positive coefficients only,
+the infinite-wing limit, both bounds and the small-angle law are proved
+here.  ``_reduced`` is compared with the proved moment form and with
+``mpmath.quad`` of the proved p-integral at 50 digits, each component
+within its own bound, so a mistyped coefficient in ``src/`` fails here.
+
+The three-ray form is an independent derivation of the same forces, by a
+corner substitution in the fan angle.  The primitives proved are those of
+``_ray`` in ``tests/test_forces.py``, the one-call-per-ray form whose float
+literals are integers, and whose divisions by 45.0 and 15.0 come back from
+``nsimplify`` as the fractions they stand for.  ``_reduced`` is compared
+with the proved three-ray expression at 50 digits, and
+``trapcav.geometry._ray`` with the proved corner substitution in floats.
+The one step that the closed form and the oracle share, the swap of r and
+t, is thus checked against a derivation without it.
 
 The fan kernel ``trapcav.kernels._fan`` writes each primitive difference
 as a product with the sine of the window's half-width; its identities are
@@ -24,14 +40,6 @@ proved, and ``_fan`` is compared with the 50-digit integrals of its
 integrands.  ``s_factor``'s closed form and the cross and dot products of
 ``WingParams.window`` are proved from ``geometry._ray``'s rays, and each
 is compared with the code in floats or at 50 digits.
-
-The force oracle ``trapcav.oracle._gauss_forces`` integrates along
-p = r + t.  The swap (r, t) -> (t, r) that makes its integrands one-signed,
-the antiderivatives of its integral in q = r - t and their rewrite in
-y = c m / hypot(c m, g) are proved with ``simplify``, and the code is
-compared with ``mpmath.quad`` of the proved p-integral at 50 digits.  The
-primary's short-wing p-rule sums the same integrand, so it is compared
-with the same 50-digit integral, each component within its own bound.
 """
 
 import functools
@@ -44,7 +52,7 @@ import sympy as sp
 
 from test_forces import _ray
 from trapcav import CavitySpec, Units, limit_angles, s_factor
-from trapcav.forces import _ROUNDING, _RULES, _reduced
+from trapcav.forces import _ROUNDING, _reduced
 from trapcav.geometry import WingParams
 from trapcav.geometry import _ray as _corner_ray
 from trapcav.kernels import _fan
@@ -166,16 +174,18 @@ def _proved_three_ray():
 
 
 def test_three_ray_matches_the_proved_expression():
-    # the three-ray form of trapcav.forces._reduced, at scale 1 and so in
-    # units of the gap, against the proved form at 50 digits, each
-    # component within its own rounding bound
+    # the closed form of trapcav.forces._reduced, at scale 1 and so in
+    # units of the gap, against the proved three-ray form at 50 digits,
+    # each component within its own bound: the three-ray derivation does
+    # not swap r and t, so it checks the one step that the closed form and
+    # the force oracle share
     proved = _proved_three_ray()
     for rho, phi in ((0.3, 0.7), (4.0, 0.0873), (100.0, 0.01), (1e6, 0.5)):
-        x, z, abs_x, abs_z = _reduced(rho, rho, phi, 1.0, bounds=True)
+        x, z = _reduced(rho, rho, phi, 1.0)
         with mpmath.workdps(50):
             ref_x, ref_z = proved(mpmath.mpf(rho), mpmath.cos(phi), mpmath.sin(phi))
-            assert abs(x - ref_x) <= _ROUNDING * abs_x, (rho, phi)
-            assert abs(z - ref_z) <= _ROUNDING * abs_z, (rho, phi)
+            assert abs(x - ref_x) <= _ROUNDING * abs(x), (rho, phi)
+            assert abs(z - ref_z) <= _ROUNDING * abs(z), (rho, phi)
 
 
 def test_fan_differences_are_products_with_the_half_width():
@@ -382,14 +392,152 @@ def test_gauss_forces_match_the_proved_p_integral():
             assert abs(f_z - ref_z) <= 1e-13 * abs(ref_z), (rho, phi)
 
 
-def test_p_rule_matches_the_proved_p_integral():
-    # the primary's short-wing rule at the limit of each order, where its
-    # truncation is largest: a mistyped coefficient, node or weight fails
-    # here, each component within its own bound, 8 eps of its size
-    for rho, _ in _RULES:
-        for phi in (1e-3, 0.3, 0.78):
-            f_x, f_z, abs_x, abs_z = _reduced(rho, rho, phi, 1.0, bounds=True)
+# the closed form of trapcav.forces: u = c m / g on each half of the
+# p-integral, U = c rho / (1 + s rho), Q = hypot(1, U), q = Q - 1 and
+# delta = c - s U; F_x and F_z are the p-integrands' numerators in y
+u_s, U_s, rho_s, delta_s = sp.symbols("u U rho delta", positive=True)
+Q_U = sp.sqrt(1 + U_s**2)
+Q_S, q_s = sp.symbols("Q q", positive=True)
+F_X = y_p**3 * (5 - 3 * y_p**2)
+F_Z = y_p * (15 - 10 * y_p**2 + 3 * y_p**4)
+# the six moments A_k = integral_0^U u^k F(u / hypot(1, u)) du, in Q and q
+MOMENTS = {
+    "x": (
+        q_s**2 * (2 * Q_S**2 + 2 * Q_S + 1) / Q_S**3,
+        U_s**5 / Q_S**3,
+        q_s**3 * (2 * Q_S**3 + 6 * Q_S**2 + 9 * Q_S + 3) / (3 * Q_S**3),
+    ),
+    "z": (
+        q_s * (8 * Q_S**3 + 5 * Q_S**2 + Q_S + 1) / Q_S**3,
+        U_s**3 * (4 * Q_S**2 + 1) / Q_S**3,
+        q_s**2 * (8 * Q_S**4 + 16 * Q_S**3 + 12 * Q_S**2 + 6 * Q_S + 3) / (3 * Q_S**3),
+    ),
+}
+# H = c^2 A0 - 2 c s A1 + s^2 A2 regrouped with c = s U + delta and
+# U^2 = q (Q + 1): positive coefficients only
+H_FORMS = {
+    "x": sp.Rational(2, 3) * s**2 * q_s**3
+    + 2 * s * delta_s * U_s * q_s**2 / Q_S
+    + delta_s**2 * q_s**2 * (2 * Q_S**2 + 2 * Q_S + 1) / Q_S**3,
+    "z": s**2 * q_s**2 * (8 * Q_S + 7) / 3
+    + 2 * s * delta_s * U_s * q_s * (4 * Q_S + 1) / Q_S
+    + delta_s**2 * q_s * (8 * Q_S**3 + 5 * Q_S**2 + Q_S + 1) / Q_S**3,
+}
+
+
+def _in_U(expr):
+    return expr.subs({Q_S: Q_U, q_s: Q_U - 1})
+
+
+@pytest.mark.parametrize("half", ["first", "second"])
+def test_u_substitution_maps_each_half_of_the_p_integral(half):
+    # first half m = p, g = 1 + s p; second half m = 2 rho - p, g = w - s m
+    # with w = 1 + 2 s rho.  u = c m / g gives y = c m / hypot(c m, g) =
+    # u / hypot(1, u), dm / g^4 = (c -+ s u)^2 du / (c^3 W^3) with W = 1 or
+    # w, and m = rho at u = U on both halves, m = 0 at u = 0
+    W = 1 if half == "first" else 1 + 2 * s * rho_s
+    sign = -1 if half == "first" else 1
+    m = W * u_s / (c + sign * s * u_s)
+    g = W - sign * s * m
+    assert sp.simplify(c * m / g - u_s) == 0
+    assert sp.simplify(sp.diff(m, u_s) / g**4 - (c + sign * s * u_s) ** 2 / (c**3 * W**3)) == 0
+    assert sp.simplify(m.subs(u_s, c * rho_s / (1 + s * rho_s)) - rho_s) == 0 and m.subs(u_s, 0) == 0
+    assert sp.simplify((u_s / sp.sqrt(1 + u_s**2)) ** 2 - (c * m) ** 2 / ((c * m) ** 2 + g**2)) == 0
+
+
+def test_the_halves_sum_to_the_moment_form():
+    # (c - s u)^2 + (c + s u)^2 / w^3 = (1 + w^-3) (c^2 + s^2 u^2)
+    # - 2 c s (1 - w^-3) u, so c^3 I = (1 + w^-3) (c^2 A0 + s^2 A2)
+    # - 2 c s (1 - w^-3) A1
+    lhs = (c - s * u_s) ** 2 + (c + s * u_s) ** 2 / w**3
+    rhs = (1 + w**-3) * (c**2 + s**2 * u_s**2) - 2 * c * s * (1 - w**-3) * u_s
+    assert sp.expand(lhs - rhs) == 0
+
+
+@pytest.mark.parametrize("component", ["x", "z"])
+def test_each_moment_is_the_antiderivative_of_its_integrand(component):
+    F = F_X if component == "x" else F_Z
+    for k, moment in enumerate(MOMENTS[component]):
+        a_k = _in_U(moment)
+        integrand = U_s**k * F.subs(y_p, U_s / Q_U)
+        assert sp.simplify(sp.diff(a_k, U_s) - integrand) == 0, k
+        assert a_k.subs(U_s, 0) == 0, k
+
+
+@pytest.mark.parametrize("component", ["x", "z"])
+def test_h_has_positive_coefficients_only(component):
+    a0, a1, a2 = (_in_U(a) for a in MOMENTS[component])
+    h = c**2 * a0 - 2 * c * s * a1 + s**2 * a2
+    assert sp.simplify(sp.expand((h - _in_U(H_FORMS[component])).subs(c, s * U_s + delta_s))) == 0
+
+
+def test_infinite_wing_limit_and_bounds():
+    # as rho -> infinity, delta -> 0 and U -> c / s, so Q = 1 / s and
+    # H_x -> (2/3) (1 - s)^3 / s; w^-3 K -> 0
+    limit = H_FORMS["x"].subs({delta_s: 0, Q_S: 1 / s, q_s: 1 / s - 1})
+    assert sp.simplify(limit - sp.Rational(2, 3) * (1 - s) ** 3 / s) == 0
+    assert vanishes((c / s) ** 2 + 1 - 1 / s**2)
+    # F_x < 2 and F_z < 8 on [0, 1): 2 - F_x and 8 - F_z are (1 - y)^2 and
+    # (1 - y)^3 times polynomials with positive coefficients
+    assert sp.expand(2 - F_X - (1 - y_p) ** 2 * (3 * y_p**3 + 6 * y_p**2 + 4 * y_p + 2)) == 0
+    assert sp.expand(8 - F_Z - (1 - y_p) ** 3 * (3 * y_p**2 + 9 * y_p + 8)) == 0
+    # integral_0^(2 rho) g^-4 dp = (1 - w^-3) / (3 s)
+    p = sp.Symbol("p", positive=True)
+    g_int = sp.integrate((1 + s * p) ** -4, (p, 0, 2 * rho_s))
+    assert sp.simplify(g_int - (1 - (1 + 2 * s * rho_s) ** -3) / (3 * s)) == 0
+
+
+def test_small_angle_law():
+    # f_x / s = L (1 + k1 s + O(s^2)) at fixed rho, with L = -(2/15) A0x(rho)
+    # = -(2/15) (2Q - 2 - 1/Q + 1/Q^3) and k1 = -rho (8Q^4 + 10Q^3 + 8Q^2
+    # + 6Q + 3) / (Q^2 (2Q^2 + 2Q + 1)), Q = hypot(1, rho)
+    c_s = sp.sqrt(1 - s**2)
+    U = c_s * rho_s / (1 + s * rho_s)
+    a0, a1, a2 = (e.subs(U_s, U) for e in (_in_U(a) for a in MOMENTS["x"]))
+    w_s = 1 + 2 * s * rho_s
+    f_x_over_s = -((1 + w_s**-3) * (c_s**2 * a0 + s**2 * a2) - 2 * c_s * s * (1 - w_s**-3) * a1) / (15 * c_s**4)
+    # f_x / s is smooth at s = 0, so L and L k1 are its value and slope there
+    Q = sp.sqrt(1 + rho_s**2)
+    law = -sp.Rational(2, 15) * (2 * Q - 2 - 1 / Q + 1 / Q**3)
+    k1 = -rho_s * (8 * Q**4 + 10 * Q**3 + 8 * Q**2 + 6 * Q + 3) / (Q**2 * (2 * Q**2 + 2 * Q + 1))
+    assert sp.simplify(f_x_over_s.subs(s, 0) - law) == 0
+    assert sp.simplify(sp.diff(f_x_over_s, s).subs(s, 0) - law * k1) == 0
+
+
+def _proved_moment_form():
+    # reduced (f_x, f_z) from the proved moments, as functions of rho, c, s
+    v = (1 + 2 * s * rho_s) ** -3
+    U = c * rho_s / (1 + s * rho_s)
+    forms = []
+    for component in ("x", "z"):
+        a0, a1, a2 = (_in_U(a).subs(U_s, U) for a in MOMENTS[component])
+        forms.append((1 + v) * (c**2 * a0 + s**2 * a2) - 2 * c * s * (1 - v) * a1)
+    return sp.lambdify((rho_s, c, s), (-(s / c) * forms[0] / (15 * c**3), -forms[1] / (15 * c**3)), "mpmath")
+
+
+def test_closed_form_matches_the_proved_moments():
+    # trapcav.forces._reduced against the proved moment form at 50 digits,
+    # from micro wings to 1e300 gaps, each component within its own bound
+    proved = _proved_moment_form()
+    for rho in (1e-9, 1e-3, 0.3, 4.0, 1e3, 1e12, 1e300):
+        for phi in (0.0, 1e-8, 0.1, 0.5, 0.78):
+            x, z = _reduced(rho, rho, phi, 1.0)
             with mpmath.workdps(50):
-                ref_x, ref_z = _proved_p_integrals(rho, phi)
-                assert abs(f_x - ref_x) <= _ROUNDING * abs_x, (rho, phi)
-                assert abs(f_z - ref_z) <= _ROUNDING * abs_z, (rho, phi)
+                ref_x, ref_z = proved(mpmath.mpf(rho), mpmath.cos(phi), mpmath.sin(phi))
+                assert abs(x - ref_x) <= _ROUNDING * abs(x), (rho, phi)
+                assert abs(z - ref_z) <= _ROUNDING * abs(z), (rho, phi)
+
+
+def test_p_rule_matches_the_proved_p_integral():
+    # the closed form where the short-wing p-rule once summed the same
+    # integral (the old limits of its 4-, 6- and 8-node orders) and over
+    # R/a 1e-9..1e6, against mpmath.quad of the proved p-integral at 50
+    # digits, each component within its own bound, 32 eps of its size
+    points = [(rho, phi) for rho in (0.004, 0.05, 0.25) for phi in (1e-3, 0.3, 0.78)]
+    points += [(rho, phi) for rho in (1e-9, 1e-3, 1.0, 1e3, 1e6) for phi in (1e-3, 0.78)]
+    for rho, phi in points:
+        f_x, f_z = _reduced(rho, rho, phi, 1.0)
+        with mpmath.workdps(50):
+            ref_x, ref_z = _proved_p_integrals(rho, phi)
+            assert abs(f_x - ref_x) <= _ROUNDING * abs(f_x), (rho, phi)
+            assert abs(f_z - ref_z) <= _ROUNDING * abs(f_z), (rho, phi)

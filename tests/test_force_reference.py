@@ -1,14 +1,15 @@
-"""The closed-form forces against an 80-digit evaluation of the same formula.
+"""The closed-form forces against an 80-digit evaluation of the three-ray form.
 
 The reference is the three-ray form written out in mpmath, with nothing
-shared with the package.  The cancellation between the rays that costs
-float64 digits on short wings costs the reference digits too, about
-(a / R)^4 in f_x.  At 80 digits at least 20 remain down to R/a of about
-1e-15; at 50 the R/a = 1e-9 row missed by up to 29 times the short-wing
-rule's own bound.  It is pinned to the exact parallel-plate law and to
-a quadrature of the pressure along the wing, so the gate below checks the
-float64 formulas, the p-rule on short wings and the scaling to SI
-units against an independent value.
+shared with the package: it comes from a corner substitution in the fan
+angle, not from the swap of r and t that the package's closed form and
+the force oracle rest on.  The cancellation between the rays costs the
+reference digits on short wings, about (a / R)^4 in f_x; at 80 digits at
+least 20 remain down to R/a of about 1e-15, and at 50 the R/a = 1e-9 row
+once missed.  It is pinned to the exact parallel-plate law and to a
+quadrature of the pressure along the wing, so the gate below checks the
+float64 closed form and the scaling to SI units against an independent
+value.
 """
 
 import math
@@ -103,11 +104,9 @@ def test_reference_matches_quadrature_of_the_pressure(rho, phi):
     assert abs(f_z - ref_z) <= mp.mpf(10) ** -25 * abs(ref_z)
 
 
-# short wings and their upper float neighbours: the limits of the 4- and
-# 6-point p-rules, where the next order takes over, and R/a 0.02 and 0.13
-# inside the 6- and 8-point ranges (the 8-point rule's limit is R/a = 1/4;
-# just above it, near phi = pi/4, the three-ray form's bound exceeds
-# 1e-13 |f_z|, so that wing is not converged at this gate)
+# short wings and their upper float neighbours: R/a 0.004 and 0.05, where
+# the short-wing rule once switched orders, R/a 0.02 and 0.13 between them,
+# and R/a 1/4 and 0.26 around the old switch to the three-ray form
 SHORT_WING_RATIOS = [0.004, 0.02, 0.05, 0.13]
 GATE_RATIOS = sorted(
     {1e-9, 1e-6, 1e-3, 1e-2, 0.1, 0.2, 0.25, 0.26, 1.0, 40.0, 1e3, 1e6}
@@ -119,12 +118,10 @@ GATE_PHIS = [0.0, 1e-8, 1e-4, 1e-2, 0.3, 0.78]
 
 @pytest.mark.parametrize("ratio", GATE_RATIOS)
 def test_total_forces_meet_the_50_digit_gate(ratio):
-    # both formulas (the p-rule up to R/a = 1/4, the three-ray form
-    # above), in both unit systems; the name keeps the reference's first
-    # precision: within 1e-13 |f_z| of the reference,
-    # within their own error bounds, and converged at rel_tol 1e-13; on
-    # short wings, where |f_x| is far below |f_z|, f_x keeps its own digits
-    # too: within 16 eps |f_x| (the p-rule's worst here is 4.3 eps)
+    # the closed form in both unit systems; the name keeps the reference's
+    # first precision: within 1e-13 |f_z| of the reference, within its own
+    # error bounds, and converged at rel_tol 1e-13; f_x keeps its own
+    # digits too, on every wing: within 16 eps |f_x|
     for phi in GATE_PHIS:
         ref_x, ref_z = reference_forces(ratio, phi)
         for spec in (
@@ -137,8 +134,7 @@ def test_total_forces_meet_the_50_digit_gate(ratio):
             miss_z = abs(fr.f_z - ref_z * scale)
             assert max(miss_x, miss_z) <= 1e-13 * abs(ref_z * scale), (ratio, phi, spec.units)
             assert miss_x <= fr.err_x and miss_z <= fr.err_z, (ratio, phi, spec.units)
-            if ratio <= 0.25 and phi > 0.0:
-                assert miss_x <= 16 * sys.float_info.epsilon * abs(ref_x * scale), (ratio, phi, spec.units)
+            assert miss_x <= 16 * sys.float_info.epsilon * abs(ref_x * scale), (ratio, phi, spec.units)
             assert fr.converged, (ratio, phi, spec.units)
 
 

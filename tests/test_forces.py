@@ -152,14 +152,15 @@ def test_tolerance_below_the_error_floor_fails_fast():
 
 
 def test_non_convergence_is_absorbed():
-    # near phi = pi/4 on a short wing the near and far corners cancel to 2%
-    # of their terms, so the rounding bound exceeds the tightest target;
-    # the result says so instead of raising, with the same forces
+    # the rounding bound is 32 eps of each component, inside the tightest
+    # target of 50 eps, so even at the floor this cavity converges, where
+    # the three-ray form's bound once reached 1e-13 |f_z|; the floor and a
+    # loose target give the same forces and bounds
     spec = CavitySpec(a=1.0, R=0.26, L=1.0, phi=0.78, units=Units.REDUCED)
     tight = total_forces(spec, rel_tol=REL_TOL_FLOOR)
     loose = total_forces(spec)
-    assert not tight.converged and loose.converged
-    assert max(tight.err_x, tight.err_z) > REL_TOL_FLOOR * abs(tight.f_z)
+    assert tight.converged and loose.converged
+    assert tight.err_x <= REL_TOL_FLOOR * abs(tight.f_x) and tight.err_z <= REL_TOL_FLOOR * abs(tight.f_z)
     assert (tight.f_x, tight.f_z, tight.err_x, tight.err_z) == (loose.f_x, loose.f_z, loose.err_x, loose.err_z)
 
 
@@ -190,38 +191,12 @@ def test_forces_do_not_depend_on_rel_tol(phi):
         assert (c.f_x, c.f_z, c.err_x, c.err_z) == (f.f_x, f.f_z, f.err_x, f.err_z)
 
 
-# each p-rule order and the longest wing, in gaps, that it serves
-RULE_LIMITS = [(0.004, 4), (0.05, 6), (0.25, 8)]
-
-
-def test_gauss_legendre_literals_are_the_rule():
-    # the p-rule's nodes and weights on [0, 1] are literals, so that
-    # importing the package does not import numpy.polynomial
-    mpmath = pytest.importorskip("mpmath")
-    assert [(limit, len(nodes)) for limit, nodes in trapcav.forces._RULES] == RULE_LIMITS
-    assert trapcav.forces._RULES[-1][0] == trapcav.forces._SHORT_WING
-    for _, nodes in trapcav.forces._RULES:
-        n = len(nodes)
-        t, w = zip(*nodes)
-        x, weights = np.polynomial.legendre.leggauss(n)
-        assert np.allclose(t, (1.0 + x) / 2.0, rtol=0.0, atol=4e-16), n
-        assert np.allclose(w, weights / 2.0, rtol=0.0, atol=1e-15), n
-        # each literal is the correctly rounded node or weight: Newton's
-        # method on P_n(2 t - 1) from the literal node, at 30 digits
-        with mpmath.workdps(30):
-            for ti, wi in nodes:
-                u = 2 * mpmath.mpf(ti) - 1
-                for _ in range(4):
-                    p, q = mpmath.legendre(n, u), mpmath.legendre(n - 1, u)
-                    u -= p * (u * u - 1) / (n * (u * p - q))
-                dp = n * (u * mpmath.legendre(n, u) - mpmath.legendre(n - 1, u)) / (u * u - 1)
-                assert (float((1 + u) / 2), float(1 / ((1 - u * u) * dp * dp))) == (ti, wi), (n, ti)
-
-
-# The three-ray form as it was written with one call per ray, with ray M
-# from its closed forms (proved in tests/test_certificates.py).  The forces
-# of wings longer than a quarter gap must keep its bits: the shared ray
-# constants of trapcav.forces only reuse values, and reorder no operation.
+# The three-ray form, derived by a corner substitution in the fan angle and
+# written with one call per ray, with ray M from its closed forms (proved
+# in tests/test_certificates.py).  It shares no step with the package's
+# closed form, which swaps r and t, so it stays here as an independent
+# check of that swap; its f_x is a difference of f_z-sized terms, so it
+# is good only to its bound on the f_z scale.
 def _ray(sg: float, ka: float, mu: float, t: float, w: float, C: float, S: float):
     # I_F / w^3 and I_G / w^3 at the ray of sine sg and cosine ka, where
     # mu = C sg + S ka is the sine of the ray angle plus 2 phi and t = sg w.
@@ -240,12 +215,17 @@ def _ray(sg: float, ka: float, mu: float, t: float, w: float, C: float, S: float
     return i_f, i_g
 
 
+# the three-ray form's rounding bound per unit of the summed magnitudes of
+# its terms, calibrated on a 50-digit grid when it computed the forces
+THREE_RAY_ROUNDING = 8.0 * sys.float_info.epsilon
+
+
 def _three_ray(rho: float, c: float, s: float, C: float, S: float):
-    # reduced (f_x, f_z) on a wing of rho > 1/4 gaps, and the summed
-    # magnitudes of each one's terms.  The end rays A (M3 seen from the
-    # wing tip) and B (M2 seen from the apex) come from the corner-ray
-    # formula of trapcav.geometry in gap units; the sine of A is sigma_B w.
-    # Ray M (u = pi/2 - phi) has I_F = (9 s^4 - 10 s^2 + 9) / (45 c) and
+    # reduced (f_x, f_z) on a wing of rho gaps, and the summed magnitudes
+    # of each one's terms.  The end rays A (M3 seen from the wing tip) and
+    # B (M2 seen from the apex) come from the corner-ray formula of
+    # trapcav.geometry in gap units; the sine of A is sigma_B w.  Ray M
+    # (u = pi/2 - phi) has I_F = (9 s^4 - 10 s^2 + 9) / (45 c) and
     # I_G = s (1 - 3 s^2) / 15
     sigma_a, x_a, h_a = _corner_ray(1.0, c, s, rho, 0.0)
     sigma_b, x_b, h_b = _corner_ray(1.0, c, s, 0.0, rho)
@@ -271,22 +251,6 @@ def _three_ray(rho: float, c: float, s: float, C: float, S: float):
     )
 
 
-def _three_ray_fields(spec: CavitySpec, rel_tol: float, wing_count: int):
-    # the hex fields of total_forces from the reference above, with the
-    # scaling, bounds and two-wing rule of trapcav.forces
-    phi = spec.phi
-    c, s, C, S = math.cos(phi), math.sin(phi), math.cos(2.0 * phi), math.sin(2.0 * phi)
-    x, z, abs_x, abs_z = _three_ray(spec.R / spec.a, c, s, C, S)
-    scale = pressure_prefactor(spec) / spec.a / spec.a / spec.a * spec.L
-    f_x, f_z = x * scale, z * scale
-    err_x, err_z = trapcav.forces._ROUNDING * abs_x * scale, trapcav.forces._ROUNDING * abs_z * scale
-    converged = max(err_x, err_z) <= rel_tol * max(abs(f_x), abs(f_z))
-    if wing_count == 2:
-        f_x, err_x = 2.0 * f_x, 2.0 * err_x
-        f_z = err_z = 0.0
-    return f_x.hex(), f_z.hex(), err_x.hex(), err_z.hex(), converged
-
-
 @given(
     ratio=st.one_of(
         st.just(math.nextafter(0.25, 1.0)),
@@ -301,32 +265,46 @@ def _three_ray_fields(spec: CavitySpec, rel_tol: float, wing_count: int):
 )
 @settings(max_examples=300, deadline=None)
 def test_three_ray_form_keeps_its_bits(ratio, phi, gap, wing_count, rel_tol):
-    # total_forces, a sweep row and the bound-free expulsion on wings longer
-    # than a quarter gap, in both unit systems, against the one-call-per-ray
-    # reference bit for bit
+    # total_forces, a sweep row and the bound-free expulsion keep the bits
+    # of one closed form, in both unit systems, on wings longer than a
+    # quarter gap, where the three-ray form holds its digits; both
+    # components lie within the three-ray form's bound plus their own of
+    # it.  The closed form swaps r and t, the three-ray form does not, so
+    # a mistake in the swap fails here
     if gap is None:
         spec = CavitySpec(a=1.0, R=ratio, L=1.0, phi=phi, units=Units.REDUCED)
     else:
         a = 10.0**gap
         spec = CavitySpec(a=a, R=a * ratio, L=1e-3, phi=phi)
-    assert spec.R / spec.a > trapcav.forces._SHORT_WING
     fields = lambda fr: (fr.f_x.hex(), fr.f_z.hex(), fr.err_x.hex(), fr.err_z.hex(), fr.converged)
-    expected = _three_ray_fields(spec, rel_tol, wing_count)
-    assert fields(total_forces(spec, rel_tol, wing_count=wing_count)) == expected
-    assert expulsion(spec, [spec.phi])[0].hex() == _three_ray_fields(spec, rel_tol, 1)[0]
+    fr = total_forces(spec, rel_tol, wing_count=wing_count)
+    assert fr.converged
     ((_, row),) = sweep(spec, SweepAxis.R, [spec.R], rel_tol=rel_tol, wing_count=wing_count).points
-    assert fields(row) == expected
+    assert fields(row) == fields(fr)
+    one = total_forces(spec, rel_tol) if wing_count == 2 else fr
+    assert expulsion(spec, [spec.phi])[0].hex() == one.f_x.hex()
+    c, s, C, S = math.cos(phi), math.sin(phi), math.cos(2.0 * phi), math.sin(2.0 * phi)
+    x, z, abs_x, abs_z = _three_ray(spec.R / spec.a, c, s, C, S)
+    scale = pressure_prefactor(spec) / spec.a / spec.a / spec.a * spec.L
+    assert abs(one.f_x - x * scale) <= THREE_RAY_ROUNDING * abs_x * scale + one.err_x
+    assert abs(one.f_z - z * scale) <= THREE_RAY_ROUNDING * abs_z * scale + one.err_z
 
 
 @pytest.mark.parametrize(
     "ratio, phi, message",
-    [(1e307, 0.0, "f_x is nan"), (1e307, 1e-310, "f_x is -inf"), (7e306, 0.0, None), (1e-160, 0.3, "f_z is -9")],
+    [
+        (1.7e308, 0.0, "f_z is -inf"),
+        (1.7e308, 1e-320, "f_z is -inf"),
+        (7e306, 0.0, None),
+        (1e308, 0.0, None),
+        (1e-160, 0.3, "f_z is -9"),
+    ],
 )
 def test_expulsion_raises_where_total_forces_raises(ratio, phi, message):
-    # the bound-free kernel of expulsion raises the NonFiniteSample of a
-    # lone total_forces call on flat wings past about 7.5e306 gaps, and
-    # returns its f_x just below; on a wing 1e-160 gaps long f_z is
-    # subnormal
+    # the bound-free path of expulsion raises the NonFiniteSample of a lone
+    # total_forces call on flat wings past about 1.685e308 gaps, where f_z,
+    # about -(16/15) R/a, overflows, and returns its f_x just below; on a
+    # wing 1e-160 gaps long f_z is subnormal
     spec = REDUCED._replace(R=ratio, phi=phi)
     if message is None:
         assert expulsion(spec, [phi])[0].hex() == total_forces(spec).f_x.hex()
@@ -338,9 +316,21 @@ def test_expulsion_raises_where_total_forces_raises(ratio, phi, message):
     assert str(sampled.value) == str(alone.value)
 
 
+@pytest.mark.parametrize("ratio", [1e307, 1e308])
+def test_flat_wings_answer_up_to_the_overflow_of_f_z(ratio):
+    # the closed form divides its one unbounded factor by 15 before the z
+    # sum, so a flat wing's f_z is -(16/15) R/a + 2/5 to rounding, where
+    # an intermediate of the three-ray form (about 24 R/a) once overflowed
+    fr = total_forces(REDUCED._replace(R=ratio))
+    assert fr.f_x == 0.0 and math.copysign(1.0, fr.f_x) == 1.0
+    assert abs(fr.f_z + 16.0 / 15.0 * ratio) <= fr.err_z
+    assert fr.converged
+
+
 def test_formulas_agree_at_the_switch():
-    # the p-rule just below R/a = 1/4 and the three-ray form just
-    # above it give the same force to rounding
+    # R/a = 1/4 was the switch between the short-wing rule and the
+    # three-ray form; the one closed form gives the same force there and
+    # one float above it, to rounding
     for phi in (0.0, 1e-3, 0.3, 0.78):
         below = total_forces(REDUCED._replace(R=0.25, phi=phi))
         above = total_forces(REDUCED._replace(R=math.nextafter(0.25, 1.0), phi=phi))
@@ -348,10 +338,15 @@ def test_formulas_agree_at_the_switch():
         assert abs(above.f_x - below.f_x) <= 1e-13 * abs(below.f_z)
 
 
-@pytest.mark.parametrize("limit", [limit for limit, _ in RULE_LIMITS[:-1]])
+# R/a where the short-wing rule once switched from 4 to 6 and from 6 to 8
+# Gauss-Legendre nodes per half
+OLD_RULE_LIMITS = [0.004, 0.05]
+
+
+@pytest.mark.parametrize("limit", OLD_RULE_LIMITS)
 def test_tensor_rules_agree_at_their_limits(limit):
-    # the 4- or 6-point p-rule at its limit and the 6- or 8-point rule just
-    # above it give the same force to rounding
+    # the closed form at each old limit of the short-wing rule's orders
+    # and one float above it gives the same force to rounding
     for phi in (0.0, 1e-8, 1e-3, 0.3, 0.78):
         below = total_forces(REDUCED._replace(R=limit, phi=phi))
         above = total_forces(REDUCED._replace(R=math.nextafter(limit, 1.0), phi=phi))
@@ -368,7 +363,7 @@ def test_infinite_tolerance_is_refused():
 
 
 def test_forces_run_no_kernel_and_leave_numpy_unloaded(monkeypatch):
-    # the closed forms run no pressure kernel
+    # the closed form runs no pressure kernel
     def no_kernel(*args, **kwargs):
         raise AssertionError("a pressure kernel ran")
 
@@ -379,8 +374,8 @@ def test_forces_run_no_kernel_and_leave_numpy_unloaded(monkeypatch):
     for spec in (reduced_at(1.0), reduced_at(1.0)._replace(R=0.1)):
         for wing_count in (1, 2):
             assert total_forces(spec, wing_count=wing_count).converged
-    # nor do they import the array layer: in a fresh process, both forms
-    # leave numpy unloaded
+    # nor do they import the array layer: in a fresh process, short and
+    # long wings leave numpy unloaded
     probe = (
         "import math, sys\n"
         "from trapcav import CavitySpec, Units, total_forces\n"
@@ -522,7 +517,7 @@ def test_compression_always_pulls(a, ratio, phi):
 @pytest.mark.parametrize("fault", ["nan", "raise"])
 def test_a_failing_cavity_fails_alone(fault):
     # one sweep row of four has no finite force: with "nan" its R/a
-    # overflows and the formulas give NaN, with "raise" its f_z underflows
+    # overflows and the closed form gives NaN, with "raise" its f_z underflows
     # to 0.  That row is flagged where its lone call raises, and the other
     # rows are their lone results
     if fault == "nan":
@@ -548,3 +543,131 @@ def test_profile_samples_match_one_point_calls():
         prof = pressure_profile(spec, 257)
         for s in prof.samples:
             assert s == specific_pressures(spec, s.r)
+
+
+class _Tracked:
+    # a float and a first-order bound on its relative error: a linear form
+    # in the error sources.  cos, sin and hypot are within 1 ulp (2 u,
+    # u = eps / 2), every other inexact operation rounds once (u); a
+    # product or quotient adds the forms of its factors, and a sum, whose
+    # terms must not be negative, takes the mean of its terms' forms
+    # weighted by their values (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2002, ch. 3)
+    sources = 0
+
+    def __init__(self, value, form=None):
+        self.value, self.form = value, form or {}
+
+    @classmethod
+    def _rounding(cls, form, weight=1.0):
+        cls.sources += 1
+        return {**form, cls.sources: weight}
+
+    @staticmethod
+    def _lift(x):
+        return x if isinstance(x, _Tracked) else _Tracked(x)
+
+    @staticmethod
+    def _combine(a, b, ka, kb):
+        form = {k: ka * c for k, c in a.form.items()}
+        for k, c in b.form.items():
+            form[k] = form.get(k, 0.0) + kb * c
+        return form
+
+    def _product(self, other, value, sign, exact):
+        # exact: a product with, or a quotient by, a power of 2 constant
+        form = _Tracked._combine(self, other, 1.0, sign)
+        return _Tracked(value, form if exact or value == 0.0 else _Tracked._rounding(form))
+
+    def __mul__(self, other):
+        other = _Tracked._lift(other)
+        exact = any(not t.form and math.frexp(t.value)[0] == 0.5 for t in (self, other))
+        return self._product(other, self.value * other.value, 1.0, exact)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _Tracked._lift(other)
+        exact = not other.form and math.frexp(other.value)[0] == 0.5
+        return self._product(other, self.value / other.value, -1.0, exact)
+
+    def __rtruediv__(self, other):
+        return _Tracked._lift(other) / self
+
+    def __add__(self, other):
+        other = _Tracked._lift(other)
+        assert self.value >= 0.0 and other.value >= 0.0, "a sum of the closed form subtracts"
+        total = self.value + other.value
+        if total == 0.0:
+            return _Tracked(0.0)
+        form = _Tracked._combine(self, other, self.value / total, other.value / total)
+        return _Tracked(total, _Tracked._rounding(form))
+
+    __radd__ = __add__
+
+    def __rsub__(self, other):
+        assert other == 0.0
+        return -self
+
+    def __neg__(self):
+        return _Tracked(-self.value, self.form)
+
+    def __abs__(self):
+        return _Tracked(abs(self.value), self.form)
+
+    def __lt__(self, other):
+        return self.value < other
+
+    def __ge__(self, other):
+        return self.value >= other
+
+    def count(self):
+        # the bound in units of eps
+        return sum(abs(c) for c in self.form.values()) / 2.0
+
+
+class _TrackedMath:
+    inf = math.inf
+
+    @staticmethod
+    def cos(x):
+        return _Tracked(math.cos(x), {"cos": 2.0})
+
+    @staticmethod
+    def sin(x):
+        return _Tracked(math.sin(x), {"sin": 2.0})
+
+    @staticmethod
+    def hypot(one, u):
+        value = math.hypot(one, u.value)
+        share = (u.value / value) ** 2
+        return _Tracked(value, _Tracked._rounding({k: share * c for k, c in u.form.items()}, 2.0))
+
+    @staticmethod
+    def isfinite(x):
+        return math.isfinite(x.value)
+
+
+def test_the_rounding_count_gives_the_error_bound(monkeypatch):
+    # the first-order rounding count of the closed form itself, run on
+    # tracked floats, over R/a 1e-25..1e307 and phi from 0 to the float
+    # below pi/4: every sum adds terms of one sign, the count stays within
+    # err_x = k eps |f_x| and err_z = k eps |f_z| with k = 32, and k is the
+    # largest count rounded up to a power of 2 (27.8 eps, for f_x on long
+    # wings near pi/4; f_z's is 22 eps).  The multiplication by the scale
+    # rounds in SI units, so the scale here is 3, not 1
+    monkeypatch.setattr(trapcav.forces, "math", _TrackedMath)
+    k = trapcav.forces._ROUNDING / sys.float_info.epsilon
+    worst = {"x": 0.0, "z": 0.0}
+    phis = [0.0, 1e-300, 1e-150, 1e-30, 1e-8, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.78, math.nextafter(math.pi / 4, 0.0)]
+    for phi in phis:
+        for e in range(-25, 309, 2):
+            try:
+                f_x, f_z = trapcav.forces._reduced(10.0**e, 10.0**e, phi, 3.0)
+            except NonFiniteSample:
+                continue
+            for name, f in (("x", f_x), ("z", f_z)):
+                if abs(f.value) >= sys.float_info.min:
+                    worst[name] = max(worst[name], f.count())
+    assert worst["x"] <= k and worst["z"] <= k
+    assert k == 2.0 ** math.ceil(math.log2(max(worst.values())))

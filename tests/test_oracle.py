@@ -275,19 +275,19 @@ def test_gauss_rule_matches_numpy_nodes():
 
 
 def test_gauss_forces_match_closed_form():
-    # the oracle against the closed forms (three-ray form and p-rule)
-    # from a micro-gap wing to a million gaps, flat to nearly pi/4
+    # the oracle against the closed form from a micro-gap wing to a
+    # million gaps, flat to nearly pi/4, each component at its own size
     for ratio in (1e-6, 1e-3, 0.26, 1.0, 40.0, 1e3, 1e5, 1e6):
         for phi in (0.0, 1e-8, 1e-4, 0.3, 0.78):
             spec = CavitySpec(a=1.0, R=ratio, L=1.0, phi=phi, units=Units.REDUCED)
             ref = total_forces(spec, rel_tol=1e-13)
             f_x, f_z = trapcav.oracle._gauss_forces(spec)
             assert abs(f_z - ref.f_z) <= 1e-12 * abs(ref.f_z), (ratio, phi)
-            assert abs(f_x - ref.f_x) <= 1e-12 * abs(ref.f_z), (ratio, phi)
+            assert abs(f_x - ref.f_x) <= 1e-12 * abs(ref.f_x), (ratio, phi)
 
 
 # the grid of the 80-digit reference: micro wings to 1e300 gaps, around
-# the switch to the three-ray form, flat to nearly pi/4
+# R/a = 1/4, flat to nearly pi/4
 REFERENCE_RATIOS = [1e-9, 1e-6, 1e-3, 0.1, 0.25, 0.3, 1.0, 4.0, 40.0, 1e3, 1e6, 1e12, 1e50, 1e150, 1e300]
 REFERENCE_PHIS = [0.0, 1e-300, 1e-8, 1e-4, 0.01, 0.3, 0.78]
 
@@ -352,8 +352,8 @@ def test_verify_suite_fails_a_wrong_sign_expulsion(monkeypatch):
         (4.0, 0.0873, False, lambda f_x, err_x, o: o - 1.01 * (1e-10 * abs(o) + err_x)),
         (1e12, 1.7e-8, True, lambda f_x, err_x, o: o - 0.99 * (1e-10 * abs(o) + err_x)),
         (1e12, 1.7e-8, False, lambda f_x, err_x, o: o + 1.01 * (1e-10 * abs(o) + err_x)),
-        # on a flat short wing the gate is 0: both sides and the p-rule's
-        # err_x are 0, so any miss fails
+        # on a flat short wing the gate is 0: both sides and the closed
+        # form's err_x are 0, so any miss fails
         (0.2, 0.0, True, lambda f_x, err_x, o: f_x),
         (0.2, 0.0, False, lambda f_x, err_x, o: 1e-300),
     ],
