@@ -18,7 +18,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import InvalidCavity, NoInteriorMaximum, NonFiniteSample
+from .errors import NoInteriorMaximum, NonFiniteSample
 from .forces import ForceResult, _check_options, _forces, _scale, expulsion
 from .geometry import PHI_MAX, PHI_TOL_FLOOR, CavitySpec, validate
 
@@ -83,12 +83,10 @@ def sweep(
 ) -> SweepTable:
     """One :func:`total_forces` evaluation per value along ``axis``.
 
-    Values must be strictly increasing and each must yield a valid cavity,
-    which is checked before ``rel_tol`` and ``wing_count`` and before any
-    force.  The rows share ``a``, ``L`` and ``units``, and the valid phi
-    [0, pi/4) and R (0, inf) are intervals, so valid first and last rows
-    prove every row valid; otherwise the rows are checked in order and the
-    first invalid one is named.  The scale K L / a^3 is computed once, and
+    Values must be strictly increasing and each must yield a valid cavity.
+    Every row is validated, in order, before ``rel_tol`` and
+    ``wing_count`` are checked and before any force, so the first invalid
+    row is the one named.  The scale K L / a^3 is computed once, and
     each row then runs the closed form of ``total_forces`` alone, so it
     equals its own ``total_forces`` bit for bit.  ``workers`` is accepted
     for compatibility and must be at least 1; it runs nothing concurrently
@@ -109,20 +107,15 @@ def sweep(
         specs = [tuple.__new__(CavitySpec, (a, R, L, v, units)) for v in values]
     else:
         specs = [tuple.__new__(CavitySpec, (a, v, L, phi, units)) for v in values]
-    # valid end rows prove the rows between them valid
-    try:
-        for spec in specs[:1] + specs[-1:]:
-            validate(spec)
-    except InvalidCavity:
-        for spec in specs:
-            validate(spec)
+    for spec in specs:
+        validate(spec)
     _check_options(rel_tol, wing_count)
     # an empty sweep checks no cavity, so its base may have no scale
     scale = _scale(base) if specs else 0.0
     results = []
     for spec in specs:
         try:
-            results.append(_forces(spec, scale, rel_tol, wing_count))
+            results.append(_forces(spec, scale, wing_count))
         except NonFiniteSample:
             results.append(ForceResult(spec, math.nan, math.nan, math.inf, math.inf, wing_count, False))
     return SweepTable(

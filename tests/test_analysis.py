@@ -107,8 +107,8 @@ def test_sweep_flags_failed_rows():
 
 
 def test_sweep_names_the_first_invalid_row():
-    # the end rows fail, so the rows are checked in order: the first
-    # invalid one is named, not the last
+    # the rows are checked in order: the first invalid one is named, not
+    # the last
     with pytest.raises(InvalidCavity) as info:
         sweep(REDUCED, SweepAxis.PHI, [0.1, 0.9, 1.0])
     assert info.value.field == "phi" and str(info.value).endswith("got 0.9")

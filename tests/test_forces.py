@@ -152,10 +152,11 @@ def test_tolerance_below_the_error_floor_fails_fast():
 
 
 def test_non_convergence_is_absorbed():
-    # the rounding bound is 32 eps of each component, inside the tightest
-    # target of 50 eps, so even at the floor this cavity converges, where
-    # the three-ray form's bound once reached 1e-13 |f_z|; the floor and a
-    # loose target give the same forces and bounds
+    # _forces computes no convergence: it relies on each bound, 32 eps of
+    # its component, being at most REL_TOL_FLOOR (50 eps) times |f|, where
+    # the three-ray form's bound once reached 1e-13 |f_z|.  Should the
+    # bound ever grow past the floor, this test fails first.  The floor
+    # and a loose target give the same forces and bounds
     spec = CavitySpec(a=1.0, R=0.26, L=1.0, phi=0.78, units=Units.REDUCED)
     tight = total_forces(spec, rel_tol=REL_TOL_FLOOR)
     loose = total_forces(spec)

@@ -42,6 +42,11 @@ def spec_strategy():
 def test_validate_accepts_si_and_reduced():
     validate(CavitySpec(a=4e-7, R=4e-6, L=1.0, phi=0.1))
     validate(REDUCED_10)
+    # the edges of each chained comparison: the smallest subnormal gap,
+    # the largest float wing, a negative-zero angle and the float just
+    # below pi/4
+    validate(CavitySpec(a=5e-324, R=1.7976931348623157e308, L=1.0, phi=-0.0))
+    validate(CavitySpec(a=1.0, R=4.0, L=1.0, phi=math.nextafter(PHI_MAX, 0.0), units=Units.REDUCED))
 
 
 @pytest.mark.parametrize(
@@ -56,6 +61,13 @@ def test_validate_accepts_si_and_reduced():
         ("phi", dict(phi=-0.01)),
         ("phi", dict(phi=PHI_MAX)),
         ("phi", dict(phi=1.0)),
+    ]
+    # one chained comparison per field must reject NaN and both infinities
+    + [
+        (field, {field: value})
+        for field in ("a", "R", "L", "phi")
+        for value in (math.inf, -math.inf, math.nan)
+        if (field, value) not in (("a", math.nan), ("R", math.inf))
     ],
 )
 def test_validate_rejects(field, kwargs):
@@ -75,6 +87,13 @@ def test_validate_reduced_requires_unit_gap():
 def test_validate_rejects_bad_units_type():
     with pytest.raises(InvalidCavity):
         validate(CavitySpec(a=1.0, R=10.0, L=1.0, phi=0.0, units="parsecs"))
+
+
+@pytest.mark.parametrize("field", ["a", "R", "L", "phi"])
+def test_validate_refuses_a_str_field(field):
+    spec = CavitySpec(a=1.0, R=10.0, L=1.0, phi=0.0)._replace(**{field: "1.0"})
+    with pytest.raises(TypeError):
+        validate(spec)
 
 
 @pytest.mark.parametrize(
