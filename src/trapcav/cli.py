@@ -481,15 +481,6 @@ def run(config: RunConfig) -> int:
             payload = _profile_payload(config, spec)
         elif config.command == "force":
             result = total_forces(spec, config.tol, wing_count=config.wing_count)
-            if not result.converged:
-                _emit_error(
-                    {
-                        "error": "NotConverged",
-                        "message": "the larger rounding bound exceeds --tol times the larger force component",
-                        **_force_dict(result),
-                    }
-                )
-                return 1
             payload = _json_bytes({"spec": _spec_dict(spec), **_force_dict(result)})
         elif config.command == "sweep":
             payload = _sweep_payload(config, spec)

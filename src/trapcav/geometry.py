@@ -164,7 +164,7 @@ def _ray(a: float, c: float, s: float, r: float, t: float) -> tuple[float, float
 
 
 class WingParams(NamedTuple):
-    """The per-cavity constants of the wing formulas: a, R, 2 phi, cos and sin of phi.
+    """The per-cavity constants of the wing formulas: a, R, cos and sin of phi.
 
     :meth:`of` computes them once per cavity in floats, with cos and sin
     from :mod:`math`.
@@ -172,13 +172,12 @@ class WingParams(NamedTuple):
 
     a: float
     R: float
-    two_phi: float
     cphi: float
     sphi: float
 
     @classmethod
     def of(cls, spec: CavitySpec) -> "WingParams":
-        return cls(spec.a, spec.R, 2.0 * spec.phi, math.cos(spec.phi), math.sin(spec.phi))
+        return cls(spec.a, spec.R, math.cos(spec.phi), math.sin(spec.phi))
 
     def window(self, r: float) -> tuple[float, float, float]:
         """(u1, width, s) at ``r``, without checks.
@@ -207,11 +206,9 @@ def _check_r(cav: WingParams, r: float) -> None:
         raise OutOfRange("r", r, 0.0, cav.R)
 
 
-def limit_angles(cavity: CavitySpec | WingParams, r: float) -> AngleWindow:
+def limit_angles(spec: CavitySpec, r: float) -> AngleWindow:
     """Visibility window (theta1, theta2) for the upper-wing point at ``r``.
 
-    ``cavity`` is a spec, which is validated, or its :class:`WingParams`,
-    which is taken as checked already.
     Each angle is 2 phi + atan2(sigma, x) of the ray to its corner.
     theta1 aims at the far corner M2: it stays above 2 phi (where the ray
     would run parallel to the lower wing) and climbs to pi/2 + phi at r = R.
@@ -224,15 +221,13 @@ def limit_angles(cavity: CavitySpec | WingParams, r: float) -> AngleWindow:
     :class:`InvalidCavity` for an invalid spec and :class:`OutOfRange` for
     an ``r`` outside [0, R].
     """
-    if isinstance(cavity, WingParams):
-        cav = cavity
-    else:
-        validate(cavity)
-        cav = WingParams.of(cavity)
+    validate(spec)
+    cav = WingParams.of(spec)
     _check_r(cav, r)
     sigma, x_n, _ = _ray(cav.a, cav.cphi, cav.sphi, r, 0.0)
     _, x_f, _ = _ray(cav.a, cav.cphi, cav.sphi, r, cav.R)
-    return AngleWindow(cav.two_phi + math.atan2(sigma, x_f), cav.two_phi + math.atan2(sigma, x_n))
+    two_phi = 2.0 * spec.phi
+    return AngleWindow(two_phi + math.atan2(sigma, x_f), two_phi + math.atan2(sigma, x_n))
 
 
 def s_factor(spec: CavitySpec, r: float) -> float:

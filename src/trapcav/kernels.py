@@ -55,13 +55,13 @@ from .geometry import (
     AngleWindow,
     CavitySpec,
     WingParams,
-    limit_angles,
+    _check_r,
     pressure_prefactor,
     validate,
 )
 
-# bench/tracing.py wraps it by its name in this module
-from .geometry import s_factor  # noqa: F401
+# bench/tracing.py wraps them by their names in this module
+from .geometry import limit_angles, s_factor  # noqa: F401
 
 
 class PressureSample(NamedTuple):
@@ -138,16 +138,14 @@ def wing_pressures(cav: WingParams, k: float, r: float) -> tuple[float, float]:
     subnormal, and overflows to inf only on wings so long that the
     pressure is 0.  u1 = theta1 - 2 phi, the window's width and s come
     from :meth:`WingParams.window`, so a window narrower than an ulp of
-    theta1 (a wing of R/a below about 1e-16) keeps its width.  The fast
-    path tests the range of ``r``; only when that test fails does
-    :func:`limit_angles` run, to raise :class:`OutOfRange`.  A component
+    theta1 (a wing of R/a below about 1e-16) keeps its width.  An ``r``
+    outside [0, R], NaN included, raises :class:`OutOfRange`.  A component
     that is not finite (k / a^4 overflows at SI gaps below about 1.6e-84 m)
     raises :class:`NonFiniteSample` naming it and ``r``.  Nothing else is
     validated, so the caller validates the cavity once.
     """
+    _check_r(cav, r)
     u1, width, sigma = cav.window(r)
-    if not 0.0 <= r <= cav.R:  # NaN too
-        limit_angles(cav, r)  # raises OutOfRange
     x, z = _fan(u1, width, cav.cphi, cav.sphi)
     a = cav.a
     q = sigma / a

@@ -404,7 +404,7 @@ def verify_suite(spec: CavitySpec) -> list[OracleReport]:
     from .geometry import WingParams, limit_angles, ray_length
     from .kernels import _fan
 
-    prim = total_forces(spec, 1e-9)  # validates the spec
+    prim = total_forces(spec)  # validates the spec
     angles, lengths, inner_z, inner_x = [], [], [], []
     for k in range(17):
         r = spec.R * k / 16

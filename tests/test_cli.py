@@ -652,17 +652,27 @@ def test_infinite_tolerance_exits_2(argv, capsys):
     assert captured.out == "" and "and finite, got 'inf'" in captured.err
 
 
-def test_force_unconverged_exits_1(monkeypatch, capsys):
-    spec = CavitySpec(a=1.0, R=10.0, L=1.0, phi=0.0, units=Units.REDUCED)
-    stuck = ForceResult(
-        spec=spec, f_x=0.1, f_z=-0.5, err_x=0.2, err_z=0.3, converged=False
-    )
-    monkeypatch.setattr(trapcav.cli, "total_forces", lambda *a, **k: stuck)
-    assert main(["force", *REDUCED_ARGS]) == 1
-    payload = json.loads(capsys.readouterr().err)
-    assert payload["error"] == "NotConverged"
-    assert payload["message"] == "the larger rounding bound exceeds --tol times the larger force component"
-    assert payload["f_z"] == -0.5
+TOL_INVARIANT_RUNS = [
+    *(
+        ["force", "--a", "1", "--R", R, "--phi-deg", phi, "--units", "reduced"]
+        for R, phi in (("0.251", "44.69"), ("4", "5"), ("0.001", "17"), ("1e308", "0"))
+    ),
+    ["sweep", "--a", "1", "--R", "4", "--units", "reduced", "--axis", "phi", "--values", "1,5,10,20", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", TOL_INVARIANT_RUNS, ids=lambda argv: " ".join(argv[:5]))
+def test_tol_changes_no_byte(argv, capsysbinary):
+    # every accepted --tol is met: the closed form's bound is 32 eps of each
+    # component and REL_TOL_FLOOR is 50 eps, so every result is converged
+    # and the flag changes no byte of stdout
+    outs = []
+    for tol in ("1e-3", "1e-9", repr(REL_TOL_FLOOR)):
+        assert main([*argv, "--tol", tol]) == 0
+        outs.append(capsysbinary.readouterr().out)
+        payload = json.loads(outs[-1])
+        assert all(result["converged"] is True for result in payload.get("points", [payload]))
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_profile_csv_shape(capsysbinary):

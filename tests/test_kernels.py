@@ -19,6 +19,8 @@ from trapcav import (
     pressure_profile,
     specific_pressures,
 )
+from trapcav.geometry import WingParams
+from trapcav.kernels import wing_pressures
 import trapcav.geometry
 import trapcav.kernels
 
@@ -161,9 +163,15 @@ def test_pressures_match_mpmath():
 def test_pressure_arrays_check_every_call():
     with pytest.raises(InvalidCavity):
         specific_pressures(CavitySpec(a=0.0, R=1.0, L=1.0, phi=0.0), 0.5)
-    with pytest.raises(OutOfRange) as err:
-        specific_pressures(PARALLEL, 10.5)
-    assert err.value.value == 10.5
+    # the kernel checks r itself, and raises what limit_angles raises
+    for r in (10.5, math.nan, -0.5, math.nextafter(PARALLEL.R, math.inf)):
+        with pytest.raises(OutOfRange) as expected:
+            limit_angles(PARALLEL, r)
+        for call in (specific_pressures, lambda spec, r: wing_pressures(WingParams.of(spec), 1.0, r)):
+            with pytest.raises(OutOfRange) as err:
+                call(PARALLEL, r)
+            assert str(err.value) == str(expected.value)
+            assert err.value.value is r
     # the limit angles of a wing far shorter than the gap coincide, but the
     # window's width does not vanish: both answer, and the kernel still
     # gives the pressure
