@@ -9,7 +9,7 @@ cross-checks every closed form against brute-force oracles.
 the closed-form forces: what a ``trapcav force`` process runs.  Every other
 public name resolves on first use (PEP 562), which imports its module:
 the sweeps and the optimizer (:mod:`~trapcav.analysis`), the pressure
-kernel (:mod:`~trapcav.kernels`) and the oracle's checks
+kernel and its profiles (:mod:`~trapcav.kernels`) and the oracle's checks
 (:mod:`~trapcav.oracle`).  Every public name runs on plain floats and
 loads no numpy.  The numerical references that the tests compare against,
 the adaptive quadrature of :mod:`~trapcav.quadrature` and
@@ -28,7 +28,7 @@ from .errors import (
     OutOfRange,
     TrapcavError,
 )
-from .forces import ForceResult, PressureProfile, pressure_profile, total_forces
+from .forces import ForceResult, total_forces
 from .geometry import (
     PHI_MAX,
     AngleWindow,
@@ -48,9 +48,11 @@ _LAZY = {
     "SweepTable": "analysis",
     "optimize_phi": "analysis",
     "sweep": "analysis",
+    "PressureProfile": "kernels",
     "PressureSample": "kernels",
     "classical_casimir_pressure": "kernels",
     "fan_integrals": "kernels",
+    "pressure_profile": "kernels",
     "specific_pressures": "kernels",
     "OracleReport": "oracle",
     "limit_angles_vector": "oracle",

@@ -7,10 +7,10 @@ coarse prescan on a geometric grid, whose steps shrink with phi like phi*
 shrinks with R/a, followed by safeguarded parabolic refinement (Brent,
 *Algorithms for Minimization without Derivatives*, 1973) run in batches:
 each round evaluates up to three angles.  It reads nothing but f_x, so
-the prescan and every round are one call of
-:func:`~trapcav.forces.expulsion`, the bare closed form per angle, with
-the bits of a lone ``total_forces``.  The prescan is kept in the report
-so a caller can audit the unimodality assumption.
+the prescan and every round are one call of :func:`expulsion`, the bare
+closed form of :mod:`~trapcav.forces` per angle, with the bits of a lone
+``total_forces``.  The prescan is kept in the report so a caller can
+audit the unimodality assumption.
 """
 
 import bisect
@@ -19,7 +19,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import NoInteriorMaximum, NonFiniteSample
-from .forces import ForceResult, _check_options, _forces, _scale, expulsion
+from .forces import ForceResult, _check_options, _forces, _reduced, _scale
 from .geometry import PHI_MAX, PHI_TOL_FLOOR, CavitySpec, validate
 
 # bench/tracing.py wraps it by its name in this module
@@ -134,19 +134,18 @@ def optimize_phi(
     The window and ``base`` with ``phi=lo`` are checked first, which
     proves every sampled angle a valid cavity, and ``rel_tol`` is refused
     as :func:`total_forces` refuses it, although no result here reports
-    ``converged``.  Each sample is then the bare f_x of
-    :func:`~trapcav.forces.expulsion`, bit for bit the lone
-    ``total_forces`` f_x.  A 32-point prescan must show a single interior
-    peak.  Its angles are spaced geometrically, lo (hi/lo)^(k/31) with the
-    last one exactly hi, so that each step is the same fraction of its
-    angle: phi* falls like (a/2R)^(3/4) on long wings (1.4e-4 rad at R/a
-    65536), where an even grid over a window of a few tenths of a radian
-    would put it below the first step.  A prescan maximum sitting on an
-    edge, a flat prescan, or multiple interior peaks raise
-    :class:`NoInteriorMaximum` rather than returning a doubtful optimum.
-    Refinement then keeps every sample; its bracket is the best sample and
-    its nearest sampled neighbours, which holds a unimodal peak by
-    construction.  Each round samples at most three angles at and around
+    ``converged``.  Each sample is then the bare f_x of :func:`expulsion`,
+    bit for bit the lone ``total_forces`` f_x.  A 32-point prescan must
+    show a single interior peak.  Its angles are spaced geometrically,
+    lo (hi/lo)^(k/31) with the last one exactly hi, so that each step is
+    the same fraction of its angle: phi* falls like (a/2R)^(3/4) on long
+    wings (1.4e-4 rad at R/a 65536), where an even grid over a window of a
+    few tenths of a radian would put it below the first step.  A prescan
+    maximum sitting on an edge, a flat prescan, or multiple interior peaks
+    raise :class:`NoInteriorMaximum` rather than returning a doubtful
+    optimum.  Refinement then keeps every sample; its bracket is the best
+    sample and its nearest sampled neighbours, which holds a unimodal peak
+    by construction.  Each round samples at most three angles at and around
     the vertex of the parabola through those three samples, or, when that
     vertex is unusable or the last round did not halve the bracket, three
     angles quartering the bracket's wider side.  The search stops once the
@@ -206,6 +205,19 @@ def optimize_phi(
         grid_prescan=prescan,
         force_calls=len(phis),
     )
+
+
+def expulsion(base: CavitySpec, angles: list[float]) -> list[float]:
+    """The signed f_x of a validated ``base`` at each of ``angles``.
+
+    Each value has the bits of ``total_forces(base._replace(phi=phi)).f_x``
+    and a failing angle raises the :class:`NonFiniteSample` that call
+    would; no spec, check, error bound or :class:`ForceResult` is made
+    per angle.  The caller vouches that ``base`` with each angle is a
+    valid cavity.
+    """
+    rho, scale = base.R / base.a, _scale(base)
+    return [_reduced(base.R, rho, phi, scale)[0] for phi in angles]
 
 
 def _refinement_angles(

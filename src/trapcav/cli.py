@@ -1,4 +1,4 @@
-"""Command-line front end and its JSON and CSV output; :mod:`~trapcav.emit` draws the SVG.
+"""Command-line front end: the flag table, its reader and the force command's JSON.
 
 Subcommands: profile, force, sweep, optimize, verify.  Each takes the
 cavity flags, --out, --config and --format, and only the other flags it
@@ -10,9 +10,14 @@ usage error (an --out path that cannot be written included).
 Every flag is declared once, in ``_FLAGS``, and a command line is read on
 one of two paths.  A well-formed one, with only full flag names and valid
 values, is read from that table without importing argparse.  argparse,
-whose parsers are built from the same table, reads every other one: help,
---config, abbreviations and every usage error, so each help, usage and
-error text is argparse's own.
+whose parsers :mod:`~trapcav.cli_argparse` builds from the same table,
+reads every other one: help, --config, abbreviations and every usage
+error, so each help, usage and error text is argparse's own.
+
+:func:`run` computes every command's result; the force command's JSON is
+written here, and :mod:`~trapcav.cli_payloads` writes the other commands'
+JSON, CSV and SVG.  Both modules load only when their code runs, and each
+is handed this module: under ``python -m trapcav.cli`` it is ``__main__``.
 """
 
 import json
@@ -22,11 +27,11 @@ import sys
 import typing
 
 from .errors import InvalidCavity, OutOfRange, TrapcavError
-from .forces import ForceResult, pressure_profile, total_forces
-from .geometry import PHI_TOL_FLOOR, REL_TOL_FLOOR, CavitySpec, Units, pressure_prefactor, validate
+from .forces import ForceResult, total_forces
+from .geometry import PHI_TOL_FLOOR, REL_TOL_FLOOR, CavitySpec, Units, validate
 
 if typing.TYPE_CHECKING:
-    import argparse
+    from .kernels import PressureProfile
 
 # each subcommand's help and output formats; the first format is its default
 _COMMANDS = {
@@ -41,7 +46,8 @@ _COMMANDS = {
 # sweep and optimize_phi stay names of this module, but the sweep and
 # optimize commands import the analysis's own functions where they call
 # them, so that a wrapper installed on both names (a profiler's, say) runs
-# once per call, not twice
+# once per call, not twice; profile and verify call pressure_profile and
+# verify_suite by these names
 def sweep(*args, **kwargs):
     """:func:`trapcav.analysis.sweep`; the analysis loads on the first call."""
     from .analysis import sweep
@@ -61,6 +67,13 @@ def verify_suite(spec: CavitySpec) -> list:
     from .oracle import verify_suite
 
     return verify_suite(spec)
+
+
+def pressure_profile(spec: CavitySpec, n: int) -> "PressureProfile":
+    """:func:`trapcav.kernels.pressure_profile`; the kernels load on the first call."""
+    from .kernels import pressure_profile
+
+    return pressure_profile(spec, n)
 
 
 class _Flag(typing.NamedTuple):
@@ -194,108 +207,6 @@ def _read(argv: list[str]) -> RunConfig | None:
     return config if all(given) and _in_window(config) else None
 
 
-def _checked(convert, ok, rule: str):
-    """An argparse ``type``: ``convert`` the text, then require ``ok(value)``."""
-    import argparse
-
-    def parse(text: str):
-        value = convert(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
-        return value
-
-    parse.__name__ = convert.__name__  # argparse names it in "invalid ... value"
-    return parse
-
-
-def _build_parser() -> "tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]":
-    """The parser and its subcommand parsers by name, built from ``_FLAGS``."""
-    import argparse
-
-    description = "Casimir compression and expulsion forces on open trapezoid cavities"
-    parser = argparse.ArgumentParser(prog="trapcav", description=description)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    commands = {}
-    for name, (summary, _) in _COMMANDS.items():
-        command = commands[name] = sub.add_parser(name, help=summary)
-        cavity = command.add_argument_group("cavity")
-        for flag in _flags(name):
-            kwargs = {"default": flag.default, "required": flag.required, "help": flag.help}
-            if flag.convert is bool:
-                kwargs["action"] = argparse.BooleanOptionalAction
-            else:
-                convert = flag.convert if flag.check is None else _checked(flag.convert, *flag.check)
-                kwargs.update(choices=flag.choices, type=convert)
-            (cavity if flag.cavity else command).add_argument(flag.name, **kwargs)
-    return parser, commands
-
-
-def _config_tokens(name: str, command: "argparse.ArgumentParser", path: str) -> list[str]:
-    """The --config file as ``--flag=value`` tokens for subcommand ``name``.
-
-    Keys that are no :class:`RunConfig` field are rejected; fields that are
-    None or that belong to another subcommand are dropped.  A boolean goes
-    out as its flag or the flag's ``--no-`` form, a --values list is joined
-    with commas, and an integral float for an integer flag (``256.0``) is
-    passed as its integer.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as err:
-        command.error(f"--config: cannot read {path!r}: {err}")
-    except json.JSONDecodeError as err:
-        command.error(f"--config: {path!r} is not valid JSON: {err}")
-    if not isinstance(data, dict):
-        command.error(f"--config: {path!r} must contain a JSON object")
-    unknown = sorted(set(data) - set(RunConfig._fields))
-    if unknown:
-        command.error(f"--config: unknown keys {', '.join(unknown)}")
-    flags = {flag.field: flag for flag in _flags(name)}
-    tokens = []
-    for key, value in data.items():
-        flag = flags.get(key)
-        if flag is None or value is None:
-            continue
-        if flag.convert is bool and isinstance(value, bool):
-            tokens.append(flag.name if value else f"--no-{flag.name[2:]}")
-        elif flag.convert is _float_list and isinstance(value, list):
-            tokens.append(f"{flag.name}={','.join(map(str, value))}")
-        elif flag.convert is int and isinstance(value, float) and value.is_integer():
-            # JSON Schema's "integer" takes 256.0 as well as 256
-            tokens.append(f"{flag.name}={int(value)}")
-        else:
-            tokens.append(f"{flag.name}={value}")
-    return tokens
-
-
-def _parse_with_argparse(argv: list[str]) -> RunConfig:
-    """``argv`` and any --config file parsed by argparse, as :func:`parse_args` says."""
-    import argparse
-
-    parser, commands = _build_parser()
-    if argv and argv[0] in commands:
-        command, flags = commands[argv[0]], argv[1:]
-        pre = argparse.ArgumentParser(prog=command.prog, add_help=False, exit_on_error=False)
-        pre.add_argument("-h", "--help", action="store_true")
-        pre.add_argument("--config")
-        try:
-            found, _ = pre.parse_known_args(flags)
-        except argparse.ArgumentError as err:  # --config without its path, say
-            command.error(str(err))
-        if found.config is not None and not found.help:
-            flags = [*_config_tokens(argv[0], command, found.config), *flags]
-        ns = command.parse_args(flags, argparse.Namespace(command=argv[0]))
-    else:
-        ns = parser.parse_args(argv)
-        command = commands[ns.command]
-    config = RunConfig(**{name: getattr(ns, name, None) for name in RunConfig._fields})
-    if not _in_window(config):
-        command.error("optimize needs 0 < --phi-lo-deg < --phi-hi-deg < 45")
-    return config
-
-
 def parse_args(argv: list[str]) -> RunConfig:
     """Resolve argv (and any --config file) into a :class:`RunConfig`.
 
@@ -313,7 +224,11 @@ def parse_args(argv: list[str]) -> RunConfig:
     naming the offending flag.
     """
     config = _read(argv)
-    return _parse_with_argparse(argv) if config is None else config
+    if config is None:
+        from .cli_argparse import parse
+
+        config = parse(sys.modules[__name__], argv)
+    return config
 
 
 def _spec_dict(spec: CavitySpec) -> dict:
@@ -342,21 +257,6 @@ def _json_safe(v):
 
 def _json_bytes(payload: dict) -> bytes:
     return (json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
-
-
-def _fmt(x: float | bool) -> str:
-    return str(x).lower() if isinstance(x, bool) else format(x, ".17g")
-
-
-def _csv_bytes(header: str, rows: list[dict]) -> bytes:
-    """CSV of the ``header`` columns of ``rows``, one line per row.
-
-    Floats have 17 significant digits and booleans read true or false;
-    lines end in \\n, and no locale applies.
-    """
-    keys = header.split(",")
-    lines = [header, *(",".join(_fmt(row[key]) for key in keys) for row in rows)]
-    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def _emit_error(payload: dict) -> None:
@@ -410,113 +310,46 @@ def _build_spec(config: RunConfig) -> CavitySpec:
     )
 
 
-def _profile_payload(config: RunConfig, spec: CavitySpec) -> bytes:
-    profile = pressure_profile(spec, config.samples)
-    samples = [s._asdict() for s in profile.samples]
-    if config.format == "json":
-        return _json_bytes({"spec": _spec_dict(spec), "samples": samples})
-    if config.format == "csv":
-        return _csv_bytes("r,p_x,p_z", samples)
-    # only svg output loads the emitter
-    from .emit import PlotSpec, emit_svg
-
-    rs = [s.r for s in profile.samples]
-    series = []
-    if config.quantity in ("px", "both"):
-        series.append(("p_x", tuple(zip(rs, (s.p_x for s in profile.samples)))))
-    if config.quantity in ("pz", "both"):
-        series.append(("p_z", tuple(zip(rs, (s.p_z for s in profile.samples)))))
-    refs = ()
-    if config.reference_classical:
-        from .kernels import classical_casimir_pressure
-
-        level = classical_casimir_pressure(spec.a, k=pressure_prefactor(spec))
-        refs = (("classical", level),)
-    plot = PlotSpec(
-        x_label="r", y_label="pressure", series=tuple(series), ref_lines=refs
-    )
-    return emit_svg(plot)
-
-
-def _sweep_payload(config: RunConfig, spec: CavitySpec) -> bytes:
-    from .analysis import SweepAxis, sweep
-
-    axis = SweepAxis(config.axis)
-    values = list(config.values)
-    if axis is SweepAxis.PHI:
-        values = [math.radians(v) for v in values]
-    table = sweep(
-        spec,
-        axis,
-        values,
-        rel_tol=config.tol,
-        wing_count=config.wing_count,
-        workers=config.workers,
-    )
-    pts = tuple((param, abs(res.f_x)) for param, res in table.points if math.isfinite(res.f_x))
-    # a table of flagged rows only reports no force, and a plot needs 2 points
-    if len(pts) < (2 if config.format == "svg" else 1):
-        need = "sweep SVG needs 2 rows" if config.format == "svg" else "sweep needs a row"
-        raise TrapcavError(f"{need} with a finite f_x, {len(pts)} of {len(table.points)} have one")
-    points = [{"param": param, **_force_dict(res)} for param, res in table.points]
-    if config.format == "json":
-        return _json_bytes({"axis": table.axis.value, "base": _spec_dict(spec), "points": points})
-    if config.format == "csv":
-        return _csv_bytes("param,f_x,f_z,err_x,err_z,converged", points)
-    # only svg output loads the emitter
-    from .emit import PlotSpec, emit_svg
-
-    label = "phi [rad]" if axis is SweepAxis.PHI else "R"
-    plot = PlotSpec(x_label=label, y_label="|f_x|", series=(("|f_x|", pts),))
-    return emit_svg(plot)
-
-
 def run(config: RunConfig) -> int:
     """Execute a resolved config; returns the process exit code."""
     try:
         spec = _build_spec(config)
         validate(spec)
-        code = 0
         if config.command == "profile":
-            payload = _profile_payload(config, spec)
+            result = pressure_profile(spec, config.samples)
         elif config.command == "force":
             result = total_forces(spec, config.tol, wing_count=config.wing_count)
-            payload = _json_bytes({"spec": _spec_dict(spec), **_force_dict(result)})
         elif config.command == "sweep":
-            payload = _sweep_payload(config, spec)
+            from .analysis import sweep
+
+            values = [math.radians(v) for v in config.values] if config.axis == "phi" else list(config.values)
+            result = sweep(
+                spec,
+                config.axis,
+                values,
+                rel_tol=config.tol,
+                wing_count=config.wing_count,
+                workers=config.workers,
+            )
         elif config.command == "optimize":
             from .analysis import optimize_phi
 
-            report = optimize_phi(
+            result = optimize_phi(
                 spec,
                 math.radians(config.phi_lo_deg),
                 math.radians(config.phi_hi_deg),
                 tol=math.radians(config.phi_tol_deg),
             )
-            payload = _json_bytes(
-                {
-                    "spec": _spec_dict(spec),
-                    "phi_star": report.phi_star,
-                    "f_x_star": report.f_x_star,
-                    "bracket": list(report.bracket),
-                    "iterations": report.iterations,
-                    "grid_prescan": [[phi, fx] for phi, fx in report.grid_prescan],
-                }
-            )
         elif config.command == "verify":
-            reports = verify_suite(spec)
-            all_passed = all(r.passed for r in reports)
-            payload = _json_bytes(
-                {
-                    "spec": _spec_dict(spec),
-                    "all_passed": all_passed,
-                    "checks": [r._asdict() for r in reports],
-                }
-            )
-            if not all_passed:
-                code = 1
+            result = verify_suite(spec)
         else:
             raise ValueError(f"unknown command {config.command!r}")
+        if config.command == "force":
+            payload, code = _json_bytes({"spec": _spec_dict(spec), **_force_dict(result)}), 0
+        else:
+            from .cli_payloads import render
+
+            payload, code = render(sys.modules[__name__], config, spec, result)
     except (InvalidCavity, OutOfRange, ValueError) as err:
         _emit_error(_error_dict(err))
         return 2

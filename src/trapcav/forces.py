@@ -1,4 +1,4 @@
-"""Total forces on a wing and sampled pressure profiles.
+"""Total forces on a wing, from one closed form.
 
 The force per cavity width L is the pressure integrated along the wing,
 
@@ -73,19 +73,17 @@ Floats.  Each term is a product of bounded factors (s U <= c, s q,
 q / Q <= 1, U / Q <= 1 and 1/Q) and of at most one unbounded one (q or U,
 about rho on flat wings), which the z sum divides by 15 first.  So the
 terms stay finite wherever f_z is, up to flat wings about 1.685e308 gaps
-long.  :func:`pressure_profile` samples the pressure kernel of
-:mod:`~trapcav.kernels`.  :func:`expulsion` evaluates the same form at many
-angles of one cavity and keeps only f_x, for the phi* search of
-:mod:`~trapcav.analysis`.
+long.  :func:`~trapcav.analysis.expulsion` evaluates the same form at
+many angles of one cavity and keeps only f_x, for the phi* search; the
+pressure profiles are :mod:`~trapcav.kernels`'s.
 """
 
 import math
-import operator
 import sys
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NonFiniteSample
-from .geometry import REL_TOL_FLOOR, CavitySpec, WingParams, pressure_prefactor, validate
+from .geometry import REL_TOL_FLOOR, CavitySpec, pressure_prefactor, validate
 
 if TYPE_CHECKING:
     from .kernels import PressureSample
@@ -141,13 +139,6 @@ class ForceResult(NamedTuple):
     converged: bool = True
 
 
-class PressureProfile(NamedTuple):
-    """Pressure samples along the wing, strictly increasing in ``r``."""
-
-    spec: CavitySpec
-    samples: tuple["PressureSample", ...]
-
-
 def _check_options(rel_tol: float, wing_count: int) -> None:
     if wing_count not in (1, 2):
         raise ValueError(f"wing_count must be 1 or 2, got {wing_count!r}")
@@ -181,19 +172,6 @@ def total_forces(spec: CavitySpec, rel_tol: float = 1e-9, *, wing_count: int = 1
     validate(spec)
     _check_options(rel_tol, wing_count)
     return _forces(spec, _scale(spec), wing_count)
-
-
-def expulsion(base: CavitySpec, angles: list[float]) -> list[float]:
-    """The signed f_x of a validated ``base`` at each of ``angles``.
-
-    Each value has the bits of ``total_forces(base._replace(phi=phi)).f_x``
-    and a failing angle raises the :class:`NonFiniteSample` that call
-    would; no spec, check, error bound or :class:`ForceResult` is made
-    per angle.  The caller vouches that ``base`` with each angle is a
-    valid cavity.
-    """
-    rho, scale = base.R / base.a, _scale(base)
-    return [_reduced(base.R, rho, phi, scale)[0] for phi in angles]
 
 
 def _scale(spec: CavitySpec) -> float:
@@ -257,31 +235,3 @@ def _reduced(R: float, rho: float, phi: float, scale: float) -> tuple[float, flo
     if not _FLOAT_MIN <= abs(f_z) < math.inf:
         raise NonFiniteSample(R, f_z, "f_z")
     return f_x, f_z
-
-
-def pressure_profile(spec: CavitySpec, n: int) -> PressureProfile:
-    """Sample both pressure components at ``n`` evenly spaced points on [0, R].
-
-    Endpoints are included exactly: r_i = R * i / (n - 1), except that the
-    last point is r = R itself, since R * (n - 1) / (n - 1) can round one
-    ulp above R.  Each sample has the bits of a one-point
-    :func:`specific_pressures` call.  A count that is not an integer, or is
-    below 2, raises ``ValueError``, and a sample that is not finite
-    (K / a^4 overflows at SI gaps below about 1.6e-84 m) raises
-    :class:`NonFiniteSample` naming the component and its ``r``.
-    """
-    validate(spec)
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"profile needs a whole number of samples, got {n!r}") from None
-    if n < 2:
-        raise ValueError(f"profile needs at least 2 samples, got {n!r}")
-    from .kernels import PressureSample, wing_pressures
-
-    cav, k = WingParams.of(spec), pressure_prefactor(spec)
-    samples = []
-    for i in range(n):
-        r = min(spec.R * i / (n - 1), spec.R)
-        samples.append(PressureSample(r, *wing_pressures(cav, k, r)))
-    return PressureProfile(spec=spec, samples=tuple(samples))

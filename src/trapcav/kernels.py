@@ -1,4 +1,4 @@
-"""Per-ray Casimir pressure and the closed-form fan integrals.
+"""Per-ray Casimir pressure, the closed-form fan integrals and pressure profiles.
 
 Two ideal parallel plates at distance ``a`` carry (per unit area)
 
@@ -36,8 +36,9 @@ ray's sine and cosine, and the width is atan2 of the cross and the dot
 product of the two unit rays to the lower-wing corners, not
 theta2 - theta1, so it keeps its digits too.  The kernel is
 :func:`wing_pressures`, one scalar formula in :mod:`math` floats for one
-cavity's parameters and one wing coordinate, and
-:func:`specific_pressures` is its form for a cavity spec.  It works in units of the gap: the fan
+cavity's parameters and one wing coordinate;
+:func:`specific_pressures` is its form for a cavity spec, and
+:func:`pressure_profile` samples it along a wing.  It works in units of the gap: the fan
 integrals are divided by (s/a)^4 and multiplied by K / a^4, computed as
 K / a / a / a / a, so neither a^4 nor s^4 is ever formed, and a tiny gap
 keeps its digits until K / a^4 itself overflows.  Over the full half-space
@@ -47,6 +48,7 @@ integral over (0, pi/2) is +1/5, flipping sign on (pi/2, pi).
 """
 
 import math
+import operator
 from typing import NamedTuple
 
 from .errors import NonFiniteSample, NonPositiveGap
@@ -75,6 +77,13 @@ class PressureSample(NamedTuple):
     r: float
     p_x: float
     p_z: float
+
+
+class PressureProfile(NamedTuple):
+    """Pressure samples along the wing, strictly increasing in ``r``."""
+
+    spec: CavitySpec
+    samples: tuple[PressureSample, ...]
 
 
 def classical_casimir_pressure(a: float, k: float = K) -> float:
@@ -172,3 +181,29 @@ def specific_pressures(spec: CavitySpec, r: float) -> PressureSample:
     validate(spec)
     p_x, p_z = wing_pressures(WingParams.of(spec), pressure_prefactor(spec), r)
     return PressureSample(r=r, p_x=p_x, p_z=p_z)
+
+
+def pressure_profile(spec: CavitySpec, n: int) -> PressureProfile:
+    """Sample both pressure components at ``n`` evenly spaced points on [0, R].
+
+    Endpoints are included exactly: r_i = R * i / (n - 1), except that the
+    last point is r = R itself, since R * (n - 1) / (n - 1) can round one
+    ulp above R.  Each sample has the bits of a one-point
+    :func:`specific_pressures` call.  A count that is not an integer, or is
+    below 2, raises ``ValueError``, and a sample that is not finite
+    (K / a^4 overflows at SI gaps below about 1.6e-84 m) raises
+    :class:`NonFiniteSample` naming the component and its ``r``.
+    """
+    validate(spec)
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"profile needs a whole number of samples, got {n!r}") from None
+    if n < 2:
+        raise ValueError(f"profile needs at least 2 samples, got {n!r}")
+    cav, k = WingParams.of(spec), pressure_prefactor(spec)
+    samples = []
+    for i in range(n):
+        r = min(spec.R * i / (n - 1), spec.R)
+        samples.append(PressureSample(r, *wing_pressures(cav, k, r)))
+    return PressureProfile(spec=spec, samples=tuple(samples))

@@ -18,6 +18,7 @@ import pytest
 from trapcav import CavitySpec, ForceResult, SweepAxis, SweepTable, Units, sweep
 from trapcav.cli import RunConfig, main, parse_args
 import trapcav.cli
+import trapcav.cli_argparse
 import trapcav.kernels
 from trapcav.emit import PlotSpec, emit_svg
 from trapcav.geometry import PHI_TOL_FLOOR, REL_TOL_FLOOR
@@ -134,7 +135,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
         "optimize": {"--phi-lo-deg", "--phi-hi-deg", "--phi-tol-deg"},
         "verify": set(),
     }
-    _, commands = trapcav.cli._build_parser()
+    _, commands = trapcav.cli_argparse.build_parser(trapcav.cli)
     flags = {name: {f for a in command._actions for f in a.option_strings} for name, command in commands.items()}
     assert flags == {name: shared | extra for name, extra in own.items()}
 
@@ -234,7 +235,7 @@ def test_config_boolean_loses_to_flag(tmp_path):
 def test_config_schema_matches_parser():
     props = load_schema("config.schema.json")["properties"]
     assert set(props) == set(RunConfig._fields)
-    _, commands = trapcav.cli._build_parser()
+    _, commands = trapcav.cli_argparse.build_parser(trapcav.cli)
     actions = {a.dest: a for command in commands.values() for a in command._actions}
     # every field but the subcommand itself is some subcommand's flag
     assert set(props) - {"command"} <= set(actions)
@@ -338,10 +339,10 @@ def test_well_formed_argv_is_read_from_the_flag_table(argv):
     # must be read from the table, to the config that argparse reads
     config = trapcav.cli._read(argv)
     assert config is not None
-    assert repr(config) == repr(trapcav.cli._parse_with_argparse(argv))
+    assert repr(config) == repr(trapcav.cli_argparse.parse(trapcav.cli, argv))
 
 
-_, _PARSERS = trapcav.cli._build_parser()
+_, _PARSERS = trapcav.cli_argparse.build_parser(trapcav.cli)
 OWN_FLAGS = {name: sorted(f for a in parser._actions for f in a.option_strings) for name, parser in _PARSERS.items()}
 FLAG_TOKENS = sorted({f for flags in OWN_FLAGS.values() for f in flags})
 FLAG_TOKENS += ["--ph", "--phi-d", "--c", "--ax", "--un", "--wing", "--bogus", "--"]
@@ -381,7 +382,7 @@ def test_flag_table_reads_argv_as_argparse_does(argv):
     # refuses raises SystemExit here
     config = trapcav.cli._read(argv)
     if config is not None:
-        assert repr(config) == repr(trapcav.cli._parse_with_argparse(argv))
+        assert repr(config) == repr(trapcav.cli_argparse.parse(trapcav.cli, argv))
 
 
 def fresh_python(code: str, *argv: str) -> str:
@@ -446,23 +447,62 @@ CLI_MODULES = ["trapcav", "trapcav.cli", "trapcav.errors", "trapcav.forces", "tr
     [
         ([], []),
         (["force", *REDUCED_ARGS, "--phi-deg", "5"], []),
-        (["optimize", *REDUCED_ARGS, "--phi-lo-deg", "0.5", "--phi-hi-deg", "20"], ["analysis"]),
-        (["sweep", *REDUCED_ARGS, "--axis", "phi", "--values", "1,5", "--format", "json"], ["analysis"]),
-        (["sweep", *REDUCED_ARGS, "--axis", "phi", "--values", "1,5", "--format", "csv"], ["analysis"]),
-        (["sweep", *REDUCED_ARGS, "--axis", "phi", "--values", "1,5", "--format", "svg"], ["analysis", "emit"]),
-        (["profile", *REDUCED_ARGS, "--samples", "9", "--format", "json"], ["kernels"]),
-        (["profile", *REDUCED_ARGS, "--samples", "9", "--format", "csv"], ["kernels"]),
-        (["profile", *REDUCED_ARGS, "--samples", "9", "--format", "svg", "--reference-classical"], ["emit", "kernels"]),
-        (["verify", *REDUCED_ARGS, "--phi-deg", "5"], ["kernels", "oracle"]),
+        (["optimize", *REDUCED_ARGS, "--phi-lo-deg", "0.5", "--phi-hi-deg", "20"], ["analysis", "cli_payloads"]),
+        (["sweep", *REDUCED_ARGS, "--axis", "phi", "--values", "1,5", "--format", "json"], ["analysis", "cli_payloads"]),
+        (["sweep", *REDUCED_ARGS, "--axis", "phi", "--values", "1,5", "--format", "csv"], ["analysis", "cli_payloads"]),
+        (
+            ["sweep", *REDUCED_ARGS, "--axis", "phi", "--values", "1,5", "--format", "svg"],
+            ["analysis", "cli_payloads", "emit"],
+        ),
+        (["profile", *REDUCED_ARGS, "--samples", "9", "--format", "json"], ["cli_payloads", "kernels"]),
+        (["profile", *REDUCED_ARGS, "--samples", "9", "--format", "csv"], ["cli_payloads", "kernels"]),
+        (
+            ["profile", *REDUCED_ARGS, "--samples", "9", "--format", "svg", "--reference-classical"],
+            ["cli_payloads", "emit", "kernels"],
+        ),
+        (["verify", *REDUCED_ARGS, "--phi-deg", "5"], ["cli_payloads", "kernels", "oracle"]),
+        (["force", "--a", "1"], ["cli_argparse"]),
     ],
 )
 def test_each_command_loads_only_the_modules_it_runs(argv, extra):
     # a trapcav process compiles every module it imports (no bytecode cache
     # where PYTHONDONTWRITEBYTECODE is set), so a command loads no module
-    # that it does not run: force needs only what importing trapcav.cli loads
+    # that it does not run: force needs only what importing trapcav.cli
+    # loads, the other commands' output loads with them, and the argparse
+    # path only with an argv that the flag table declines, a usage error here
     code, _, loaded = run_fresh(*argv)
-    assert code == 0
+    assert code == (2 if "cli_argparse" in extra else 0)
     assert loaded == sorted(CLI_MODULES + [f"trapcav.{name}" for name in extra])
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["force", "--a", "1"], 2),
+        (["--help"], 0),
+        (["sweep", "--config", "cfg.json"], 0),
+        (["profile", *REDUCED_ARGS, "--samples", "9", "--format", "svg", "--reference-classical"], 0),
+    ],
+)
+def test_module_run_compiles_the_cli_once(argv, exit_code, tmp_path):
+    # under python -m trapcav.cli the cli module is __main__, so the
+    # argparse and output modules take that module from their caller: one
+    # that imported trapcav.cli would compile it a second time and read a
+    # second flag table, whose --values converter is not the one that the
+    # --config branch for a list tests for
+    config = {"a": 1, "R": 4, "units": "reduced", "axis": "phi", "values": [1, 5, 10]}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def python(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, *args, *argv], env=env, cwd=tmp_path, capture_output=True, text=True)
+
+    module = python("-X", "importtime", "-m", "trapcav.cli")
+    imported = [line.rsplit("|", 1)[-1].strip() for line in module.stderr.splitlines() if line.startswith("import time:")]
+    assert "trapcav.forces" in imported and "trapcav.cli" not in imported
+    direct = python("-c", "import sys, trapcav.cli; sys.exit(trapcav.cli.main(sys.argv[1:]))")
+    assert (module.returncode, module.stdout) == (direct.returncode, direct.stdout)
+    assert module.returncode == exit_code
 
 
 def test_cli_import_leaves_tempfile_unloaded():

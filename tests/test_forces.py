@@ -26,7 +26,7 @@ from trapcav import (
 )
 import trapcav.forces
 import trapcav.kernels
-from trapcav.forces import expulsion
+from trapcav.analysis import expulsion
 from trapcav.geometry import REL_TOL_FLOOR
 from trapcav.geometry import _ray as _corner_ray
 from trapcav.quadrature import pairwise_sum
@@ -368,7 +368,7 @@ def test_forces_run_no_kernel_and_leave_numpy_unloaded(monkeypatch):
     def no_kernel(*args, **kwargs):
         raise AssertionError("a pressure kernel ran")
 
-    # forces imports wing_pressures from kernels where it samples a profile
+    # the kernels sample a profile through wing_pressures
     monkeypatch.setattr(trapcav.kernels, "wing_pressures", no_kernel)
     for module in (trapcav.kernels, trapcav.forces):
         monkeypatch.setattr(module, "specific_pressures", no_kernel)
