@@ -2,18 +2,20 @@
 
 The expulsion force |f_x(phi)| rises from zero at phi = 0 (parallel plates,
 exact compensation), peaks at some interior phi*, and falls again as the
-widening fan dilutes the forward rays.  ``optimize_phi`` locates phi* with a
-coarse prescan on a geometric grid, whose steps shrink with phi like phi*
-shrinks with R/a, followed by safeguarded parabolic refinement (Brent,
-*Algorithms for Minimization without Derivatives*, 1973) run in batches:
-each round evaluates up to three angles.  It reads nothing but f_x, so
-the prescan and every round are one call of :func:`expulsion`, the bare
-closed form of :mod:`~trapcav.forces` per angle, with the bits of a lone
-``total_forces``.  The prescan is kept in the report so a caller can
-audit the unimodality assumption.
+widening fan dilutes the forward rays.  ``optimize_phi`` takes phi* as the
+root of d f_x / d phi, which ``_dfx_dphi`` writes in closed form from the
+same moments as the f_x of :mod:`~trapcav.forces`.  f_x is flat at its
+peak, so a search on f_x values resolves phi* only to about the square
+root of eps; the sign of the derivative resolves it to a few ulps.  The root is found by Brent's zero
+(*Algorithms for Minimization without Derivatives*, 1973, ch. 4) in
+t = ln phi, whose steps shrink with phi like phi* shrinks with R/a.  Each
+sampled angle costs one evaluation of the scale-free derivative; only the
+f_x reported at phi* is scaled, with the bits of a lone ``total_forces``.
+|f_x| was seen to have exactly one interior maximum for every R/a from
+1e-3 to 1e12 (``tests/test_analysis.py`` samples it), so a sign change of
+the derivative across the window brackets the one peak.
 """
 
-import bisect
 import math
 from enum import Enum
 from typing import NamedTuple
@@ -24,8 +26,6 @@ from .geometry import PHI_MAX, PHI_TOL_FLOOR, CavitySpec, validate
 
 # bench/tracing.py wraps it by its name in this module
 from .forces import total_forces  # noqa: F401
-
-_PRESCAN_POINTS = 32
 
 
 class SweepAxis(str, Enum):
@@ -55,20 +55,20 @@ class SweepTable(NamedTuple):
 class OptimumReport(NamedTuple):
     """Located expulsion maximum.
 
-    ``phi_star`` is the best angle sampled and ``f_x_star`` its signed f_x,
-    the bits of a lone ``total_forces`` there.  ``bracket`` is the prescan
-    bracket handed to the refinement (one grid step either side of the best
-    prescan point); ``grid_prescan`` keeps the signed f_x at every prescan
-    angle for audit.  ``iterations`` counts the refinement rounds, of at
-    most three angles each.  ``force_calls`` counts the sampled angles,
-    one force each, of the prescan and of every round.
+    ``phi_star`` is the root of d f_x / d phi and ``f_x_star`` its signed
+    f_x, the bits of a lone ``total_forces`` there.  ``bracket`` is the
+    root finder's final bracket, whose ends are ``phi_star`` and an angle
+    sampled on the other side of the root, at most 4 eps |ln phi*| apart
+    in ln phi unless the derivative is 0 at ``phi_star``.  ``iterations``
+    counts the root finder's steps, one angle each.  ``force_calls``
+    counts the closed-form evaluations: the derivative at both window
+    ends and at every step, and f_x at ``phi_star``.
     """
 
     phi_star: float
     f_x_star: float
     bracket: tuple[float, float]
     iterations: int
-    grid_prescan: tuple[tuple[float, float], ...]
     force_calls: int = 0
 
 
@@ -134,22 +134,17 @@ def optimize_phi(
     The window and ``base`` with ``phi=lo`` are checked first, which
     proves every sampled angle a valid cavity, and ``rel_tol`` is refused
     as :func:`total_forces` refuses it, although no result here reports
-    ``converged``.  Each sample is then the bare f_x of :func:`expulsion`,
-    bit for bit the lone ``total_forces`` f_x.  A 32-point prescan must
-    show a single interior peak.  Its angles are spaced geometrically,
-    lo (hi/lo)^(k/31) with the last one exactly hi, so that each step is
-    the same fraction of its angle: phi* falls like (a/2R)^(3/4) on long
-    wings (1.4e-4 rad at R/a 65536), where an even grid over a window of a
-    few tenths of a radian would put it below the first step.  A prescan
-    maximum sitting on an edge, a flat prescan, or multiple interior peaks
-    raise :class:`NoInteriorMaximum` rather than returning a doubtful
-    optimum.  Refinement then keeps every sample; its bracket is the best
-    sample and its nearest sampled neighbours, which holds a unimodal peak
-    by construction.  Each round samples at most three angles at and around
-    the vertex of the parabola through those three samples, or, when that
-    vertex is unusable or the last round did not halve the bracket, three
-    angles quartering the bracket's wider side.  The search stops once the
-    bracket is narrower than ``tol``; ``phi_star`` is the best sample.
+    ``converged``.  ``tol`` (rad) is only checked, as ``rel_tol`` is: it
+    must be at least ``PHI_TOL_FLOOR`` and finite, and it changes no
+    result, since phi* is resolved to a few ulps, below every ``tol``
+    accepted.  |f_x| must rise at ``lo`` and fall at ``hi``: where
+    d f_x / d phi has no sign change across the window, or is 0 at an end,
+    :class:`NoInteriorMaximum` is raised rather than an edge returned.
+    Brent's zero then runs in t = ln phi until the bracket is 4 eps |t|
+    wide or the derivative is 0; phi* is the end where the derivative is
+    smaller in size, and the one scaled evaluation, f_x at phi*, raises the :class:`NonFiniteSample`
+    of a lone ``total_forces`` there.  On long wings phi* follows
+    (2 R/a)^(-3/4): phi* (2 R/a)^(3/4) is 0.99916 at R/a 1e12.
     """
     if not (0.0 < lo < hi < PHI_MAX):
         raise ValueError(f"need 0 < lo < hi < pi/4, got lo={lo!r}, hi={hi!r}")
@@ -158,90 +153,91 @@ def optimize_phi(
     # with the window check, this proves every angle sampled below valid
     validate(base._replace(phi=lo))
     _check_options(rel_tol, 1)
+    rho = base.R / base.a
+    # f_x < 0, so |f_x| rises where d f_x / d phi < 0
+    d_lo, d_hi = _dfx_dphi(rho, lo), _dfx_dphi(rho, hi)
+    if not d_lo < 0.0 < d_hi:
+        raise NoInteriorMaximum(f"|f_x| does not rise at lo={lo!r} and fall at hi={hi!r}")
+    t, end, steps = _zero(lambda t: _dfx_dphi(rho, math.exp(t)), math.log(lo), d_lo, math.log(hi), d_hi)
+    phi_star, other = math.exp(t), math.exp(end)
+    if not lo < phi_star < hi:
+        raise NoInteriorMaximum(f"the peak lies within rounding of the window edge, at phi={phi_star!r}")
+    f_x_star = _reduced(base.R, rho, phi_star, _scale(base))[0]
+    # two derivatives at the window's ends, one per step, and f_x at phi*
+    return OptimumReport(phi_star, f_x_star, (min(phi_star, other), max(phi_star, other)), steps, steps + 3)
 
-    last = _PRESCAN_POINTS - 1
-    grid = [lo * (hi / lo) ** (k / last) for k in range(last)] + [hi]
-    signed = expulsion(base, grid)
-    mags = [abs(v) for v in signed]
-    best = mags.index(max(mags))
-    prescan = tuple(zip(grid, signed))
 
-    if mags.count(mags[best]) > 1:
-        raise NoInteriorMaximum("prescan objective is flat; no single peak to bracket")
-    if best == 0 or best == len(grid) - 1:
-        raise NoInteriorMaximum(
-            f"prescan maximum sits at the bracket edge phi={grid[best]!r}"
-        )
-    peaks = [
-        k
-        for k in range(1, len(mags) - 1)
-        if mags[k] > mags[k - 1] and mags[k] > mags[k + 1]
-    ]
-    if len(peaks) > 1:
-        raise NoInteriorMaximum(f"prescan shows {len(peaks)} interior peaks, expected one")
-
-    bracket = (grid[best - 1], grid[best + 1])
-    # every sample so far in angle order; the search bracket is always the
-    # best sample and its two neighbours, so a unimodal peak stays inside
-    phis = list(grid)
-    iterations = 0
-    width, last_width = bracket[1] - bracket[0], math.inf
-    while width >= tol:
-        x, f = phis[best - 1 : best + 2], mags[best - 1 : best + 2]
-        angles = _refinement_angles(x, f, tol, width <= 0.5 * last_width)
-        for phi, f_x in zip(angles, expulsion(base, angles)):
-            k = bisect.bisect(phis, phi)
-            phis.insert(k, phi)
-            mags.insert(k, abs(f_x))
-            signed.insert(k, f_x)
-        best = mags.index(max(mags))
-        width, last_width = phis[best + 1] - phis[best - 1], width
-        iterations += 1
-    return OptimumReport(
-        phi_star=phis[best],
-        f_x_star=signed[best],
-        bracket=bracket,
-        iterations=iterations,
-        grid_prescan=prescan,
-        force_calls=len(phis),
+def _dfx_dphi(rho: float, phi: float) -> float:
+    # d f_x / d phi on a wing rho gaps long, in units of K L / a^3 per
+    # radian.  f_x = -x / (15 c^4), where forces._reduced's
+    # x = s (H_x + K_x / w^3) is P (Z (B E + 2 delta S) + P^2 G / 3)
+    # + 2 v c y^3 S^2 with P = s q, Z = q / Q, S = s U = c - delta,
+    # B = 2 + 2r + r^2, E = delta^2 + v c^2 and G = 2 + v (2 + 6r + 9r^2
+    # + 3r^3), differentiated factor by factor.
+    # U' = -U (U + s delta) / c^2 enters only through r' = y^2 k and
+    # y' = -y r k, k = (y + s delta r) / c^2, and P' = q (c delta (1 + r)
+    # - s^2 - r) / c, so no factor's derivative cancels.  The plain
+    # x' = c J + s J' sums two terms about x / phi in size on long wings;
+    # here the largest are about x' / (s^2 rho), so at R/a 1e12 phi* is
+    # within 1e-10 of the root, not 3e-8
+    c, s = math.cos(phi), math.sin(phi)
+    delta = c / (1.0 + s * rho)
+    U = rho * delta
+    Q = math.hypot(1.0, U)
+    r, y = 1.0 / Q, U / Q
+    q = U * (U / (1.0 + Q))
+    P, Z, S = s * q, q / Q, s * U
+    w = 1.0 + 2.0 * s * rho
+    v = 1.0 / (w * w * w)
+    B, E, g = 2.0 + r * (2.0 + r), delta * delta + v * (c * c), 2.0 + r * (6.0 + r * (9.0 + 3.0 * r))
+    inner, y3 = B * E + 2.0 * delta * S, y * y * y
+    x = P * (Z * inner + P * P * (2.0 + v * g) / 3.0) + 2.0 * v * c * y3 * S * S
+    k = (y + s * delta * r) / (c * c)
+    d_delta, d_S, d_r = -delta * (s / c + U), delta * U - s * S / c, y * y * k
+    d_P, d_v = q * (c * delta * (1.0 + r) - s * s - r) / c, -6.0 * c * (rho / w) * v
+    d_E = 2.0 * delta * d_delta + d_v * (c * c) - 2.0 * v * c * s
+    d_G = d_v * g + v * d_r * (6.0 + r * (18.0 + 9.0 * r))
+    d_x = (
+        d_P * (Z * inner + P * P * (2.0 + v * g))
+        + P * (Z * (2.0 * d_r * (1.0 + r) * E + B * d_E + 2.0 * (d_delta * S + delta * d_S)) - d_r * inner)
+        + P * P * P * d_G / 3.0
+        + 2.0 * y3 * S * ((c * d_v - s * v) * S + v * c * (2.0 * d_S - 3.0 * S * r * k))
     )
+    return -(d_x + 4.0 * s * x / c) / (15.0 * c * c * c * c)
 
 
-def expulsion(base: CavitySpec, angles: list[float]) -> list[float]:
-    """The signed f_x of a validated ``base`` at each of ``angles``.
+def _zero(f, a: float, fa: float, b: float, fb: float) -> tuple[float, float, int]:
+    """Brent's zero of ``f`` between ``a`` and ``b``, where ``fa`` and ``fb`` differ in sign.
 
-    Each value has the bits of ``total_forces(base._replace(phi=phi)).f_x``
-    and a failing angle raises the :class:`NonFiniteSample` that call
-    would; no spec, check, error bound or :class:`ForceResult` is made
-    per angle.  The caller vouches that ``base`` with each angle is a
-    valid cavity.
+    Brent (1973), ch. 4: each step takes the secant or inverse quadratic
+    step through the last samples when it stays well inside the bracket and
+    the steps shrink fast enough, and bisects otherwise.  It stops once the
+    bracket is 4 eps |b| wide or f(b) = 0, and returns ``b``, the end with
+    the smaller |f|, the bracket's other end and the number of steps.
     """
-    rho, scale = base.R / base.a, _scale(base)
-    return [_reduced(base.R, rho, phi, scale)[0] for phi in angles]
-
-
-def _refinement_angles(
-    x: list[float], f: list[float], tol: float, shrank: bool
-) -> list[float]:
-    """New angles for one round, strictly inside the bracket ``x[0] < x[2]``.
-
-    ``x[1]`` is the best sample and ``f`` holds |f_x| at the three angles.
-    The angles go at and around the vertex of the parabola through them
-    (Brent 1973), spread by half the vertex's step from ``x[1]`` but at
-    least tol / 3, so that a winning vertex closes the bracket below
-    ``tol``.  A parabola that is not concave, a vertex outside the bracket
-    or on ``x[1]``, or a last round that did not halve the bracket
-    (``shrank`` false) makes the round quarter the wider side instead,
-    which leaves at most 5/8 of the bracket.
-    """
-    (lo, mid, hi), (f_lo, f_mid, f_hi) = x, f
-    left, right = mid - lo, hi - mid
-    # the parabola's vertex is mid - p / (2 q); it opens downwards iff q > 0
-    p = left * left * (f_mid - f_hi) - right * right * (f_mid - f_lo)
-    q = left * (f_mid - f_hi) + right * (f_mid - f_lo)
-    vertex = mid - 0.5 * p / q if q > 0.0 else mid
-    if shrank and lo < vertex < hi and vertex != mid:
-        spread = max(0.5 * abs(vertex - mid), tol / 3.0)
-        return [v for v in (vertex - spread, vertex, vertex + spread) if lo < v < hi and v != mid]
-    a, b = (lo, mid) if left > right else (mid, hi)
-    return [a + (b - a) * k / 4.0 for k in (1, 2, 3)]
+    # fc = fb makes the first pass start the bracket [b, c = a]
+    fc, steps = fb, 0
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        tol, m = 2.0 * math.ulp(1.0) * abs(b), 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b, c, steps
+        p = q = 0.0
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p, q = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0)), (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = (p, -q) if p > 0.0 else (-p, q)
+        # the interpolated step p / q, if it is safe; with p = q = 0 the step bisects
+        e, d = (d, p / q) if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * e * q) else (m, m)
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+        steps += 1

@@ -47,7 +47,6 @@ def render(cli, config, spec, result) -> tuple[bytes, int]:
                 "f_x_star": result.f_x_star,
                 "bracket": list(result.bracket),
                 "iterations": result.iterations,
-                "grid_prescan": [[phi, fx] for phi, fx in result.grid_prescan],
             }
         ), 0
     all_passed = all(r.passed for r in result)

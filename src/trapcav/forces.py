@@ -73,9 +73,9 @@ Floats.  Each term is a product of bounded factors (s U <= c, s q,
 q / Q <= 1, U / Q <= 1 and 1/Q) and of at most one unbounded one (q or U,
 about rho on flat wings), which the z sum divides by 15 first.  So the
 terms stay finite wherever f_z is, up to flat wings about 1.685e308 gaps
-long.  :func:`~trapcav.analysis.expulsion` evaluates the same form at
-many angles of one cavity and keeps only f_x, for the phi* search; the
-pressure profiles are :mod:`~trapcav.kernels`'s.
+long.  The phi* search takes the root of d f_x / d phi, which
+``trapcav.analysis._dfx_dphi`` writes from this form; the pressure
+profiles are :mod:`~trapcav.kernels`'s.
 """
 
 import math

@@ -1,6 +1,9 @@
 import math
+import random
 import re
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,9 +22,10 @@ from trapcav import (
 )
 import trapcav.analysis
 import trapcav.forces
-from trapcav.geometry import REL_TOL_FLOOR, validate
+from trapcav.geometry import PHI_TOL_FLOOR, REL_TOL_FLOOR, validate
 
 REDUCED = CavitySpec(a=1.0, R=10.0, L=1.0, phi=0.0, units=Units.REDUCED)
+EPS = sys.float_info.epsilon
 SI_THIN = CavitySpec(a=4e-7, R=4e-6, L=1.0, phi=math.radians(1.0))
 
 PHI_GRID_DEG = [0.5, 1.0, 2.0, 4.0, 8.0, 12.0, 20.0, 30.0, 40.0]
@@ -139,16 +143,12 @@ def test_sweep_checks_cavities_then_options_then_forces(monkeypatch):
 
 @pytest.mark.parametrize("ratio,phi_star", [(16384.0, 3.8028e-4), (65536.0, 1.3756e-4)])
 def test_optimize_finds_small_phi_star_on_long_wings(ratio, phi_star):
-    # phi* falls like 1/(R/a); the geometric prescan resolves it inside a
-    # window of most of (0, pi/4), and the search lands within tol of the
-    # 40-digit optimum
-    tol = 1e-5
-    report = optimize_phi(REDUCED._replace(R=ratio), 1e-4, math.pi / 4 - 1e-3, tol)
-    assert abs(report.phi_star - phi_star) <= tol
-    grid = [phi for phi, _ in report.grid_prescan]
-    assert grid[0] == 1e-4 and grid[-1] == math.pi / 4 - 1e-3
-    ratios = [b / a for a, b in zip(grid, grid[1:])]
-    assert max(ratios) - min(ratios) <= 1e-12
+    # phi* falls like (2 R/a)^(-3/4); the root find in ln phi resolves it
+    # inside a window of most of (0, pi/4), to the five digits given
+    report = optimize_phi(REDUCED._replace(R=ratio), 1e-4, math.pi / 4 - 1e-3)
+    assert abs(report.phi_star - phi_star) <= 5e-5 * phi_star
+    assert report.bracket[0] <= report.phi_star <= report.bracket[1]
+    assert report.force_calls <= 40
 
 
 def test_optimize_locates_interior_maximum():
@@ -157,9 +157,11 @@ def test_optimize_locates_interior_maximum():
     assert 0.01 < star < math.pi / 4 - 0.02
     assert math.isclose(star, 0.0633, abs_tol=2e-3)
     assert report.f_x_star < 0.0
-    assert report.iterations > 0
-    assert len(report.grid_prescan) == 32
-    assert report.bracket[0] < star < report.bracket[1]
+    assert report.iterations > 0 and report.force_calls == report.iterations + 3
+    # the final bracket has phi* at one end and is 4 eps |ln phi*| wide in ln phi
+    left, right = report.bracket
+    assert star in (left, right) and left < right
+    assert math.log(right) - math.log(left) <= 4.5 * EPS * abs(math.log(star))
 
     def mag(phi):
         return abs(total_forces(REDUCED._replace(phi=phi)).f_x)
@@ -182,10 +184,11 @@ def test_optimize_agrees_with_dense_grid():
 
 
 def test_optimize_halving_tol_is_stable():
+    # tol is only checked: phi* is resolved to a few ulps, below every tol
+    # accepted, so halving it or taking the floor changes no field
     coarse = optimize_phi(REDUCED, 0.02, 0.5, tol=2e-5)
-    fine = optimize_phi(REDUCED, 0.02, 0.5, tol=1e-5)
-    assert abs(coarse.phi_star - fine.phi_star) <= 3e-5
-    assert fine.iterations >= coarse.iterations
+    assert optimize_phi(REDUCED, 0.02, 0.5, tol=1e-5) == coarse
+    assert optimize_phi(REDUCED, 0.02, 0.5, tol=PHI_TOL_FLOOR) == coarse
 
 
 def test_optimize_rejects_edge_maximum():
@@ -197,12 +200,33 @@ def test_optimize_rejects_edge_maximum():
 
 
 def test_optimize_rejects_flat_and_multimodal_objectives(monkeypatch):
-    shapes = {"flat": lambda phi: 1.0, "wavy": lambda phi: math.sin(40.0 * phi)}
-    for shape in shapes.values():
-        fake = lambda base, angles, shape=shape: [shape(phi) for phi in angles]
-        monkeypatch.setattr(trapcav.analysis, "expulsion", fake)
+    # d f_x / d phi of objectives that do not rise at lo and fall at hi:
+    # flat, wavy with both ends on falling flanks, rising and falling
+    # throughout, and not a number
+    slopes = {
+        "flat": lambda phi: 0.0,
+        "wavy": lambda phi: -40.0 * math.cos(40.0 * phi),
+        "rising": lambda phi: -1.0,
+        "falling": lambda phi: 1.0,
+        "nan": lambda phi: math.nan,
+    }
+    for slope in slopes.values():
+        monkeypatch.setattr(trapcav.analysis, "_dfx_dphi", lambda rho, phi, slope=slope: slope(phi))
         with pytest.raises(NoInteriorMaximum):
             optimize_phi(REDUCED, 0.05, 0.7)
+
+
+def test_optimize_rejects_a_peak_within_rounding_of_the_window_edge():
+    # a window of two adjacent floats across the root holds no angle
+    # strictly inside it, so no phi* can be returned
+    rho, star = REDUCED.R, optimize_phi(REDUCED, 0.01, 0.5).phi_star
+    lo = star
+    while trapcav.analysis._dfx_dphi(rho, lo) >= 0.0:
+        lo = math.nextafter(lo, 0.0)
+    while trapcav.analysis._dfx_dphi(rho, math.nextafter(lo, 1.0)) < 0.0:
+        lo = math.nextafter(lo, 1.0)
+    with pytest.raises(NoInteriorMaximum, match="within rounding of the window edge"):
+        optimize_phi(REDUCED, lo, math.nextafter(lo, 1.0))
 
 
 @pytest.mark.parametrize(
@@ -235,15 +259,17 @@ def test_optimize_refuses_rel_tol_before_any_force(monkeypatch, rel_tol):
     def no_forces(*args, **kwargs):
         raise AssertionError("a force ran")
 
-    monkeypatch.setattr(trapcav.analysis, "expulsion", no_forces)
+    monkeypatch.setattr(trapcav.analysis, "_dfx_dphi", no_forces)
+    monkeypatch.setattr(trapcav.analysis, "_reduced", no_forces)
     message = f"rel_tol must be at least {REL_TOL_FLOOR!r} and finite, got {rel_tol!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         optimize_phi(REDUCED, 0.01, 0.5, rel_tol=rel_tol)
 
 
 def test_optimize_raises_the_first_non_finite_force():
-    # K L / a^3 overflows at a = 1e-120 m, so the first prescan angle's
-    # f_x is -inf, reported with the wing length as total_forces does
+    # K L / a^3 overflows at a = 1e-120 m; the derivative is scale-free, so
+    # the root is found, and f_x at phi*, the one scaled call, is -inf,
+    # reported with the wing length as total_forces does
     spec = CavitySpec(a=1e-120, R=4e-120, L=1.0, phi=0.0)
     with pytest.raises(NonFiniteSample, match="force component f_x is -inf") as info:
         optimize_phi(spec, 0.01, 0.5)
@@ -368,31 +394,24 @@ def test_sweep_rows_keep_the_bits_and_errors_of_lone_calls(case, wing_count, rel
             assert bits(row) == bits(alone)
 
 
-def spy_batches(monkeypatch):
-    # the (phi, f_x) samples of every objective call that optimize_phi
-    # makes, one list per call, in order; a lone total_forces call or a
+def spy_slopes(monkeypatch):
+    # the (phi, d f_x / d phi) of every derivative evaluation that
+    # optimize_phi makes, in order; a lone total_forces call or a
     # ForceResult made by forces._forces fails the test
-    batches, objective = [], trapcav.analysis.expulsion
+    samples, slope = [], trapcav.analysis._dfx_dphi
 
-    def spy(base, angles):
-        values = objective(base, angles)
-        batches.append(list(zip(angles, values)))
-        return values
+    def spy(rho, phi):
+        value = slope(rho, phi)
+        samples.append((phi, value))
+        return value
 
     def forbidden(*args, **kwargs):
         raise AssertionError("optimize_phi made a ForceResult")
 
-    monkeypatch.setattr(trapcav.analysis, "expulsion", spy)
+    monkeypatch.setattr(trapcav.analysis, "_dfx_dphi", spy)
     monkeypatch.setattr(trapcav.analysis, "total_forces", forbidden)
     monkeypatch.setattr(trapcav.analysis, "_forces", forbidden)
-    return batches
-
-
-def final_bracket(batches, phi_star):
-    # the best sample's nearest sampled neighbours
-    phis = sorted(phi for rows in batches for phi, _ in rows)
-    k = phis.index(phi_star)
-    return phis[k - 1], phis[k + 1]
+    return samples
 
 
 def lone_f_x(base, phi):
@@ -400,19 +419,14 @@ def lone_f_x(base, phi):
     return total_forces(base._replace(phi=phi)).f_x.hex()
 
 
-def test_prescan_and_counters_equal_lone_total_forces(monkeypatch):
-    batches = spy_batches(monkeypatch)
+def test_optimum_and_counters_equal_lone_total_forces(monkeypatch):
+    samples = spy_slopes(monkeypatch)
     base = REDUCED._replace(R=30.0)
     report = optimize_phi(base, 0.005, 0.6)
-    prescan, *rounds = batches
-    assert len(prescan) == len(report.grid_prescan) == 32
-    assert prescan == list(report.grid_prescan)
-    for rows in batches:
-        assert all(f_x.hex() == lone_f_x(base, phi) for phi, f_x in rows)
-    # one objective call of at most three angles per refinement round
-    assert len(rounds) == report.iterations > 0
-    assert all(1 <= len(rows) <= 3 for rows in rounds)
-    assert report.force_calls == 32 + sum(len(rows) for rows in rounds)
+    # the window's ends first, then one angle per step of the root finder
+    assert [phi for phi, _ in samples[:2]] == [0.005, 0.6]
+    assert len(samples) == report.iterations + 2 and report.force_calls == len(samples) + 1
+    assert report.phi_star in [phi for phi, _ in samples[2:]]
     assert report.f_x_star.hex() == lone_f_x(base, report.phi_star)
 
 
@@ -430,8 +444,9 @@ def test_prescan_and_counters_equal_lone_total_forces(monkeypatch):
 @example(log_ratio=math.log10(30.0), log_gap=-8.5, lo=5e-3, span=120.0)
 def test_optimum_equals_lone_total_forces_on_both_formulas(log_ratio, log_gap, lo, span):
     # R/a 0.05..1e4, across R/a = 1/4 where two formulas once met, in
-    # reduced and SI units; every sample, the prescan and the optimum
-    # carry the bits of a lone total_forces at their angle
+    # reduced and SI units: a window whose ends show |f_x| rising then
+    # falling holds an optimum, whose f_x has the bits of a lone
+    # total_forces there and whose bracket holds the sign change
     ratio = 10.0**log_ratio
     if log_gap is None:
         base = CavitySpec(a=1.0, R=ratio, L=1.0, phi=0.0, units=Units.REDUCED)
@@ -439,26 +454,24 @@ def test_optimum_equals_lone_total_forces_on_both_formulas(log_ratio, log_gap, l
         a = 10.0**log_gap
         base = CavitySpec(a=a, R=a * ratio, L=2e-3, phi=0.0)
     hi = min(lo * span, 0.78)
+    rho = base.R / base.a
     with pytest.MonkeyPatch.context() as monkeypatch:
-        batches = spy_batches(monkeypatch)
+        samples = spy_slopes(monkeypatch)
         try:
             report = optimize_phi(base, lo, hi)
         except NoInteriorMaximum:
             report = None
-    for rows in batches:
-        assert all(f_x.hex() == lone_f_x(base, phi) for phi, f_x in rows)
+    (_, d_lo), (_, d_hi) = samples[:2]
+    assert samples[:2] == [(lo, trapcav.analysis._dfx_dphi(rho, lo)), (hi, trapcav.analysis._dfx_dphi(rho, hi))]
     if report is None:
-        # the prescan ran and found no single interior peak
-        assert len(batches) == 1 and len(batches[0]) == 32
+        # only the ends ran, and they show no rise then fall
+        assert len(samples) == 2 and not d_lo < 0.0 < d_hi
         return
-    assert [(phi, f_x.hex()) for phi, f_x in report.grid_prescan] == [
-        (phi, lone_f_x(base, phi)) for phi, _ in report.grid_prescan
-    ]
-    samples = sorted(phi for rows in batches for phi, _ in rows)
-    mags = [abs(total_forces(base._replace(phi=phi)).f_x) for phi in samples]
-    assert report.phi_star == samples[mags.index(max(mags))]
+    assert d_lo < 0.0 < d_hi and lo < report.phi_star < hi
+    left, right = report.bracket
+    assert trapcav.analysis._dfx_dphi(rho, left) <= 0.0 <= trapcav.analysis._dfx_dphi(rho, right)
+    assert report.force_calls == len(samples) + 1 <= 40
     assert report.f_x_star.hex() == lone_f_x(base, report.phi_star)
-    assert report.force_calls == len(samples)
 
 
 WINDOW = (math.radians(0.5), math.radians(20.0))
@@ -466,15 +479,14 @@ WINDOW = (math.radians(0.5), math.radians(20.0))
 
 @pytest.mark.parametrize("ratio", [1.0, 4.0, 10.0, 100.0])
 def test_optimize_refines_in_few_small_batches(monkeypatch, ratio):
-    batches = spy_batches(monkeypatch)
+    # the analysis benchmark's window: one angle per step, at most 30
+    # closed-form evaluations in all, and a bracket 4 eps |ln phi*| wide
+    samples = spy_slopes(monkeypatch)
     report = optimize_phi(REDUCED._replace(R=ratio), *WINDOW, tol=1e-5)
-    _, *rounds = batches
-    assert 1 <= len(rounds) == report.iterations <= 8
-    assert all(1 <= len(rows) <= 3 for rows in rounds)
-    left, right = final_bracket(batches, report.phi_star)
-    assert right - left < 1e-5
-    best = max((abs(f_x), phi) for rows in batches for phi, f_x in rows)
-    assert best == (abs(report.f_x_star), report.phi_star)
+    assert 1 <= report.iterations == len(samples) - 2
+    assert report.force_calls <= 30
+    left, right = report.bracket
+    assert math.log(right) - math.log(left) <= 4.5 * EPS * abs(math.log(report.phi_star))
 
 
 @pytest.mark.parametrize("ratio", [1.0, 3.0, 10.0, 30.0, 100.0])
@@ -482,42 +494,106 @@ def test_optimize_matches_bounded_scipy_reference(ratio):
     pytest.importorskip("scipy")
     from scipy.optimize import minimize_scalar
 
+    # a search on |f_x| values, which resolves the flat peak only to about
+    # the square root of eps, over the whole window
     base = REDUCED._replace(R=ratio)
     report = optimize_phi(base, *WINDOW, tol=1e-5)
     ref = minimize_scalar(
         lambda phi: -abs(total_forces(base._replace(phi=phi), rel_tol=1e-12).f_x),
-        bounds=report.bracket,
+        bounds=WINDOW,
         method="bounded",
         options={"xatol": 1e-9},
     )
     assert ref.success
-    assert abs(report.phi_star - ref.x) <= 2.5e-6
-    assert report.iterations <= 8
+    assert abs(report.phi_star - ref.x) <= 1e-7
+    assert report.force_calls <= 30
 
 
-# unimodal |f_x| shapes that parabolas fit badly, each peaking at phi = p
+# d f_x / d phi of unimodal |f_x| shapes that interpolation fits badly,
+# each peaking at phi = p: a cusp, a kink and a lopsided smooth peak
 BAD_PEAKS = {
-    "cusp": lambda phi, p: 2.0 - abs(phi - p) ** 0.5,
-    "lopsided kink": lambda phi, p: math.exp(phi - p if phi < p else 300.0 * (p - phi)),
-    "lopsided smooth": lambda phi, p: (phi / p) ** 12 * math.exp(12.0 * (1.0 - phi / p)),
+    "cusp": lambda phi, p: math.copysign(0.5 / math.sqrt(abs(phi - p)), phi - p) if phi != p else 0.0,
+    "lopsided kink": lambda phi, p: -math.exp(phi - p) if phi < p else 300.0 * math.exp(300.0 * (p - phi)),
+    "lopsided smooth": lambda phi, p: 12.0 * (1.0 / p - 1.0 / phi) * (phi / p) ** 12 * math.exp(12.0 * (1.0 - phi / p)),
 }
 
 
 @pytest.mark.parametrize("shape", sorted(BAD_PEAKS))
 @pytest.mark.parametrize("peak", [0.1234567, 0.3010299, 0.5])
 def test_refinement_safeguard_keeps_shrinking(monkeypatch, shape, peak):
-    def fake_objective(base, angles):
-        return [-BAD_PEAKS[shape](phi, peak) for phi in angles]
+    monkeypatch.setattr(trapcav.analysis, "_dfx_dphi", lambda rho, phi: BAD_PEAKS[shape](phi, peak))
+    lo, hi = 0.05, 0.7
+    report = optimize_phi(REDUCED, lo, hi)
+    left, right = report.bracket
+    assert left <= peak <= right
+    assert math.log(right) - math.log(left) <= 4.5 * EPS * abs(math.log(peak))
+    # Brent's safeguard bisects whenever interpolation does not shrink the
+    # steps fast enough, so the steps are at most twice as many as those of
+    # bisection down to the final bracket width
+    bisections = math.ceil(math.log2(math.log(hi / lo) / (4.0 * EPS * abs(math.log(hi)))))
+    assert report.iterations <= 2 * bisections
 
-    monkeypatch.setattr(trapcav.analysis, "expulsion", fake_objective)
-    batches = spy_batches(monkeypatch)
-    lo, hi, tol = 0.05, 0.7, 1e-6
-    report = optimize_phi(REDUCED, lo, hi, tol=tol)
-    left, right = final_bracket(batches, report.phi_star)
-    assert right - left < tol
-    assert left < peak < right
-    # a round that does not halve the bracket is followed by one that
-    # leaves at most 5/8 of it, so every two rounds shrink it by 5/8
-    start = report.bracket[1] - report.bracket[0]
-    assert report.iterations <= 2 * (math.floor(math.log(start / tol) / math.log(8 / 5)) + 1)
-    assert all(len(rows) <= 3 for rows in batches[1:])
+
+def _f_x_moments(rho, phi):
+    # the reduced f_x of the moment form, in mpmath
+    c, s = mpmath.cos(phi), mpmath.sin(phi)
+    U = c * rho / (1 + s * rho)
+    Q = mpmath.sqrt(1 + U * U)
+    q = Q - 1
+    a0 = q**2 * (2 * Q**2 + 2 * Q + 1) / Q**3
+    a1 = U**5 / Q**3
+    a2 = q**3 * (2 * Q**3 + 6 * Q**2 + 9 * Q + 3) / (3 * Q**3)
+    v = (1 + 2 * s * rho) ** -3
+    return -s * ((1 + v) * (c * c * a0 + s * s * a2) - 2 * c * s * (1 - v) * a1) / (15 * c**4)
+
+
+def _root_60(rho, guess):
+    # the root of mpmath's numerical d f_x / d phi at 60 digits, near guess
+    with mpmath.workdps(60):
+        rho = mpmath.mpf(rho)
+        slope = lambda t: mpmath.diff(lambda phi: _f_x_moments(rho, phi), mpmath.exp(t))
+        return mpmath.exp(mpmath.findroot(slope, mpmath.log(guess)))
+
+
+# (R/a, window, largest relative error of phi*): a few eps where the
+# derivative keeps its digits, and on long wings the derivative's own
+# resolution, whose terms cancel to about (s^2 rho)^-1 of their size
+ROOT_CASES = [
+    *((ratio, (1e-14, 0.78), 32 * EPS) for ratio in (1e-2, 0.3, 4.0, 100.0, 1e3)),
+    (4.0, WINDOW, 32 * EPS),
+    (1e3, (1e-4, 0.5), 32 * EPS),
+    *((ratio, (1e-14, 0.78), 1e-11) for ratio in (1e4, 65536.0, 1e6)),
+    (1e6, (1e-8, 1e-4), 1e-11),
+    (1e12, (1e-14, 0.78), 1e-7),
+    (1e12, (math.radians(5.7e-11), math.radians(5.7e-5)), 1e-7),
+]
+
+
+@pytest.mark.parametrize("ratio,window,gate", ROOT_CASES)
+def test_phi_star_is_the_60_digit_root(ratio, window, gate):
+    report = optimize_phi(REDUCED._replace(R=ratio), *window)
+    ref = _root_60(ratio, report.phi_star)
+    assert abs(report.phi_star - ref) <= gate * ref
+    assert report.force_calls <= 40
+
+
+def test_phi_star_follows_the_long_wing_law():
+    # phi^4 = 1 / (8 rho^3) maximizes 2/45 - (2/15) phi - 1 / (180 (rho phi)^3)
+    rho = 1e12
+    report = optimize_phi(REDUCED._replace(R=rho), 1e-14, 0.78)
+    assert abs(report.phi_star * (2.0 * rho) ** 0.75 - 0.99916) <= 1e-4
+
+
+def test_derivative_changes_sign_once():
+    # the unimodality that a sign change across the window relies on, on a
+    # seeded sample: 25 R/a values, one drawn in each of 25 equal cells of
+    # log R/a over 1e-3..1e12, and 400 log-spaced angles in 1e-14..0.785
+    rng = random.Random(20120101)
+    phis = [1e-14 * (0.785 / 1e-14) ** (k / 399) for k in range(400)]
+    for cell in range(25):
+        rho = 10.0 ** (-3.0 + 15.0 * (cell + rng.random()) / 25)
+        slopes = [trapcav.analysis._dfx_dphi(rho, phi) for phi in phis]
+        assert all(math.isfinite(d) and d != 0.0 for d in slopes), rho
+        signs = [d > 0.0 for d in slopes]
+        assert signs[0] is False and signs[-1] is True, rho
+        assert sum(a != b for a, b in zip(signs, signs[1:])) == 1, rho

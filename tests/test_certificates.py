@@ -24,6 +24,10 @@ here.  ``_reduced`` is compared with the proved moment form and with
 ``mpmath.quad`` of the proved p-integral at 50 digits, each component
 within its own bound, so a mistyped coefficient in ``src/`` fails here.
 
+Its phi-derivative ``trapcav.analysis._dfx_dphi``, whose root is phi*, is
+proved factor by factor and as a whole to be d/dphi of the moment form
+at fixed rho, and compared with that proved derivative at 50 digits.
+
 The three-ray form is an independent derivation of the same forces, by a
 corner substitution in the fan angle.  The primitives proved are those of
 ``_ray`` in ``tests/test_forces.py``, the one-call-per-ray form whose float
@@ -52,6 +56,7 @@ import sympy as sp
 
 from test_forces import _ray
 from trapcav import CavitySpec, Units, limit_angles, s_factor
+from trapcav.analysis import _dfx_dphi
 from trapcav.forces import _ROUNDING, _reduced
 from trapcav.geometry import WingParams
 from trapcav.geometry import _ray as _corner_ray
@@ -526,6 +531,96 @@ def test_closed_form_matches_the_proved_moments():
                 ref_x, ref_z = proved(mpmath.mpf(rho), mpmath.cos(phi), mpmath.sin(phi))
                 assert abs(x - ref_x) <= _ROUNDING * abs(x), (rho, phi)
                 assert abs(z - ref_z) <= _ROUNDING * abs(z), (rho, phi)
+
+
+# d/dphi at fixed rho.  With rho = U / (c - s U) every quantity of the
+# closed form is rational in c, s, U and Q = hypot(1, U); d/dphi takes s to
+# c, c to -s, U to U' = -U (c U + s) / c and Q to U U' / Q.  An identity
+# holds when the numerator of the difference of its sides reduces to zero
+# modulo c^2 + s^2 - 1 and Q^2 - U^2 - 1
+RHO_IN_U = U_s / (c - s * U_s)
+D_U = -U_s * (c * U_s + s) / c
+
+
+def d_phi(expr):
+    return c * sp.diff(expr, s) - s * sp.diff(expr, c) + D_U * (sp.diff(expr, U_s) + U_s / Q_S * sp.diff(expr, Q_S))
+
+
+def vanishes_in_q(expr) -> bool:
+    numerator = sp.fraction(sp.together(expr))[0]
+    return sp.reduced(sp.expand(numerator), [c**2 + s**2 - 1, Q_S**2 - U_s**2 - 1], c, Q_S, s, U_s)[1] == 0
+
+
+def _moment_f_x():
+    # the reduced f_x of the proved moment form
+    v = (1 + 2 * s * RHO_IN_U) ** -3
+    a0, a1, a2 = (a.subs(q_s, Q_S - 1) for a in MOMENTS["x"])
+    return -s * ((1 + v) * (c**2 * a0 + s**2 * a2) - 2 * c * s * (1 - v) * a1) / (15 * c**4)
+
+
+def _dfx_dphi_lines():
+    # trapcav.analysis._dfx_dphi line for line: each factor with the
+    # derivative that the code writes for it, x, and the result
+    rho, q = RHO_IN_U, Q_S - 1
+    delta = c / (1 + s * rho)
+    r, y = 1 / Q_S, U_s / Q_S
+    P, Z, S = s * q, q / Q_S, s * U_s
+    w = 1 + 2 * s * rho
+    v = w**-3
+    B, E, g = 2 + r * (2 + r), delta**2 + v * c**2, 2 + r * (6 + r * (9 + 3 * r))
+    inner, y3 = B * E + 2 * delta * S, y**3
+    x = P * (Z * inner + P**2 * (2 + v * g) / 3) + 2 * v * c * y3 * S**2
+    k = (y + s * delta * r) / c**2
+    d_delta, d_S, d_r = -delta * (s / c + U_s), delta * U_s - s * S / c, y * y * k
+    d_P, d_v = q * (c * delta * (1 + r) - s**2 - r) / c, -6 * c * (rho / w) * v
+    d_E = 2 * delta * d_delta + d_v * c**2 - 2 * v * c * s
+    d_G = d_v * g + v * d_r * (6 + r * (18 + 9 * r))
+    d_x = (
+        d_P * (Z * inner + P**2 * (2 + v * g))
+        + P * (Z * (2 * d_r * (1 + r) * E + B * d_E + 2 * (d_delta * S + delta * d_S)) - d_r * inner)
+        + P**3 * d_G / 3
+        + 2 * y3 * S * ((c * d_v - s * v) * S + v * c * (2 * d_S - 3 * S * r * k))
+    )
+    factors = {
+        "delta": (delta, d_delta),
+        "S": (S, d_S),
+        "r": (r, d_r),
+        "y": (y, -y * r * k),
+        "P": (P, d_P),
+        "v": (v, d_v),
+        "E": (E, d_E),
+        "G": (2 + v * g, d_G),
+    }
+    return factors, x, -(d_x + 4 * s * x / c) / (15 * c**4)
+
+
+def test_dfx_dphi_is_the_derivative_of_the_moment_form():
+    # U = c rho / (1 + s rho) gives rho = U / (c - s U) and, at fixed rho,
+    # U' = -U (c U + s) / c
+    U_rho = c * rho_s / (1 + s * rho_s)
+    assert sp.simplify(U_rho.subs(rho_s, RHO_IN_U) - U_s) == 0
+    assert vanishes_in_q((c * sp.diff(U_rho, s) - s * sp.diff(U_rho, c)).subs(rho_s, RHO_IN_U) - D_U)
+    factors, x, slope = _dfx_dphi_lines()
+    for name, (factor, derivative) in factors.items():
+        assert vanishes_in_q(d_phi(factor) - derivative), name
+    f_x = _moment_f_x()
+    # x is _reduced's, f_x = -x / (15 c^4), and the result is d f_x / d phi
+    assert vanishes_in_q(x + 15 * c**4 * f_x)
+    assert vanishes_in_q(slope - d_phi(f_x))
+
+
+def test_dfx_dphi_matches_the_proved_derivative():
+    # trapcav.analysis._dfx_dphi against d/dphi of the proved moment form at
+    # 50 digits, away from the root, within 32 eps of its size
+    proved = sp.lambdify((c, s, U_s, Q_S), d_phi(_moment_f_x()), "mpmath")
+    for rho in (0.3, 4.0, 1e6):
+        for phi in (1e-8, 1e-3, 0.1, 0.5, 0.78):
+            slope = _dfx_dphi(rho, phi)
+            with mpmath.workdps(50):
+                cos, sin = mpmath.cos(phi), mpmath.sin(phi)
+                U = cos * rho / (1 + sin * rho)
+                ref = proved(cos, sin, U, mpmath.sqrt(1 + U * U))
+                assert abs(slope - ref) <= _ROUNDING * abs(ref), (rho, phi)
 
 
 def test_p_rule_matches_the_proved_p_integral():

@@ -660,7 +660,7 @@ def test_json_payload_keys_are_pinned(capsysbinary):
     assert len(table["points"]) == 3
     assert all(set(point) == {"param"} | FORCE_KEYS for point in table["points"])
     report = payload(["optimize", *REDUCED_ARGS, "--phi-lo-deg", "0.5", "--phi-hi-deg", "20"])
-    keys = {"spec", "phi_star", "f_x_star", "bracket", "iterations", "grid_prescan"}
+    keys = {"spec", "phi_star", "f_x_star", "bracket", "iterations"}
     assert set(report) == keys and set(report["spec"]) == SPEC_KEYS
     # the cli benchmark's form of profile, whose samples it reads by key
     profile = payload(["profile", *REDUCED_ARGS, "--phi-deg", "5", "--samples", "64", "--format", "json"])
@@ -712,6 +712,18 @@ def test_tol_changes_no_byte(argv, capsysbinary):
         outs.append(capsysbinary.readouterr().out)
         payload = json.loads(outs[-1])
         assert all(result["converged"] is True for result in payload.get("points", [payload]))
+    assert outs[0] == outs[1] == outs[2]
+
+
+def test_phi_tol_changes_no_byte(capsysbinary):
+    # --phi-tol-deg is only checked: optimize resolves phi* to a few ulps,
+    # below every accepted tolerance, so 0.001 degrees, the default and the
+    # floor print the same bytes
+    argv = ["optimize", *REDUCED_ARGS, "--phi-lo-deg", "0.5", "--phi-hi-deg", "20"]
+    outs = []
+    for tol in (["--phi-tol-deg", "0.001"], [], ["--phi-tol-deg", repr(math.degrees(PHI_TOL_FLOOR))]):
+        assert main([*argv, *tol]) == 0
+        outs.append(capsysbinary.readouterr().out)
     assert outs[0] == outs[1] == outs[2]
 
 

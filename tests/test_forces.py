@@ -18,6 +18,7 @@ from trapcav import (
     NonFiniteSample,
     SweepAxis,
     Units,
+    optimize_phi,
     pressure_prefactor,
     pressure_profile,
     specific_pressures,
@@ -26,7 +27,6 @@ from trapcav import (
 )
 import trapcav.forces
 import trapcav.kernels
-from trapcav.analysis import expulsion
 from trapcav.geometry import REL_TOL_FLOOR
 from trapcav.geometry import _ray as _corner_ray
 from trapcav.quadrature import pairwise_sum
@@ -266,7 +266,7 @@ def _three_ray(rho: float, c: float, s: float, C: float, S: float):
 )
 @settings(max_examples=300, deadline=None)
 def test_three_ray_form_keeps_its_bits(ratio, phi, gap, wing_count, rel_tol):
-    # total_forces, a sweep row and the bound-free expulsion keep the bits
+    # total_forces, a sweep row and optimize_phi's f_x_star keep the bits
     # of one closed form, in both unit systems, on wings longer than a
     # quarter gap, where the three-ray form holds its digits; both
     # components lie within the three-ray form's bound plus their own of
@@ -283,7 +283,10 @@ def test_three_ray_form_keeps_its_bits(ratio, phi, gap, wing_count, rel_tol):
     ((_, row),) = sweep(spec, SweepAxis.R, [spec.R], rel_tol=rel_tol, wing_count=wing_count).points
     assert fields(row) == fields(fr)
     one = total_forces(spec, rel_tol) if wing_count == 2 else fr
-    assert expulsion(spec, [spec.phi])[0].hex() == one.f_x.hex()
+    # optimize_phi's one scaled call, f_x at phi*, has the bits of a lone
+    # total_forces there
+    report = optimize_phi(spec, 1e-300, 0.78)
+    assert report.f_x_star.hex() == total_forces(spec._replace(phi=report.phi_star)).f_x.hex()
     c, s, C, S = math.cos(phi), math.sin(phi), math.cos(2.0 * phi), math.sin(2.0 * phi)
     x, z, abs_x, abs_z = _three_ray(spec.R / spec.a, c, s, C, S)
     scale = pressure_prefactor(spec) / spec.a / spec.a / spec.a * spec.L
@@ -302,18 +305,22 @@ def test_three_ray_form_keeps_its_bits(ratio, phi, gap, wing_count, rel_tol):
     ],
 )
 def test_expulsion_raises_where_total_forces_raises(ratio, phi, message):
-    # the bound-free path of expulsion raises the NonFiniteSample of a lone
-    # total_forces call on flat wings past about 1.685e308 gaps, where f_z,
-    # about -(16/15) R/a, overflows, and returns its f_x just below; on a
-    # wing 1e-160 gaps long f_z is subnormal
+    # the bound-free closed form that gives optimize_phi's f_x_star raises
+    # the NonFiniteSample of a lone total_forces call on flat wings past
+    # about 1.685e308 gaps, where f_z, about -(16/15) R/a, overflows, and
+    # returns its f_x just below; on a wing 1e-160 gaps long f_z is subnormal
     spec = REDUCED._replace(R=ratio, phi=phi)
+
+    def bare():
+        return trapcav.forces._reduced(spec.R, spec.R / spec.a, phi, trapcav.forces._scale(spec))[0]
+
     if message is None:
-        assert expulsion(spec, [phi])[0].hex() == total_forces(spec).f_x.hex()
+        assert bare().hex() == total_forces(spec).f_x.hex()
         return
     with pytest.raises(NonFiniteSample, match=message) as alone:
         total_forces(spec)
     with pytest.raises(NonFiniteSample) as sampled:
-        expulsion(spec, [phi])
+        bare()
     assert str(sampled.value) == str(alone.value)
 
 

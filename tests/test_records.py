@@ -74,11 +74,9 @@ RECORDS = {
             f_x_star=-0.5,
             bracket=(0.0625, 0.25),
             iterations=3,
-            grid_prescan=((0.0625, -0.25), (0.25, -0.375)),
-            force_calls=5,
+            force_calls=6,
         ),
-        "OptimumReport(phi_star=0.125, f_x_star=-0.5, bracket=(0.0625, 0.25), iterations=3, "
-        "grid_prescan=((0.0625, -0.25), (0.25, -0.375)), force_calls=5)",
+        "OptimumReport(phi_star=0.125, f_x_star=-0.5, bracket=(0.0625, 0.25), iterations=3, force_calls=6)",
         "phi_star",
         0.25,
     ),
