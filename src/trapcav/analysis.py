@@ -21,8 +21,8 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import NoInteriorMaximum, NonFiniteSample
-from .forces import ForceResult, _check_options, _forces, _reduced, _scale
-from .geometry import PHI_MAX, PHI_TOL_FLOOR, CavitySpec, validate
+from .forces import _FLOAT_MIN, ForceResult, _check_options, _forces, _reduced, _scale
+from .geometry import PHI_MAX, CavitySpec, validate
 
 # bench/tracing.py wraps it by its name in this module
 from .forces import total_forces  # noqa: F401
@@ -126,20 +126,18 @@ def sweep(
     )
 
 
-def optimize_phi(
-    base: CavitySpec, lo: float, hi: float, tol: float = 1e-5, *, rel_tol: float = 1e-9
-) -> OptimumReport:
+def optimize_phi(base: CavitySpec, lo: float, hi: float, *, rel_tol: float = 1e-9) -> OptimumReport:
     """Locate the half-angle maximizing |f_x| inside (lo, hi).
 
     The window and ``base`` with ``phi=lo`` are checked first, which
     proves every sampled angle a valid cavity, and ``rel_tol`` is refused
     as :func:`total_forces` refuses it, although no result here reports
-    ``converged``.  ``tol`` (rad) is only checked, as ``rel_tol`` is: it
-    must be at least ``PHI_TOL_FLOOR`` and finite, and it changes no
-    result, since phi* is resolved to a few ulps, below every ``tol``
-    accepted.  |f_x| must rise at ``lo`` and fall at ``hi``: where
+    ``converged``.  |f_x| must rise at ``lo`` and fall at ``hi``: where
     d f_x / d phi has no sign change across the window, or is 0 at an end,
     :class:`NoInteriorMaximum` is raised rather than an edge returned.
+    The derivative's terms shrink like (R/a)^4 on short wings; a sample
+    whose terms are not normal floats (R/a below about 1e-77) raises
+    :class:`NonFiniteSample`, since the sign of their sum is noise.
     Brent's zero then runs in t = ln phi until the bracket is 4 eps |t|
     wide or the derivative is 0; phi* is the end where the derivative is
     smaller in size, and the one scaled evaluation, f_x at phi*, raises the :class:`NonFiniteSample`
@@ -148,8 +146,6 @@ def optimize_phi(
     """
     if not (0.0 < lo < hi < PHI_MAX):
         raise ValueError(f"need 0 < lo < hi < pi/4, got lo={lo!r}, hi={hi!r}")
-    if not (PHI_TOL_FLOOR <= tol < math.inf):
-        raise ValueError(f"tol must be at least {PHI_TOL_FLOOR!r} rad and finite, got {tol!r}")
     # with the window check, this proves every angle sampled below valid
     validate(base._replace(phi=lo))
     _check_options(rel_tol, 1)
@@ -203,7 +199,13 @@ def _dfx_dphi(rho: float, phi: float) -> float:
         + P * P * P * d_G / 3.0
         + 2.0 * y3 * S * ((c * d_v - s * v) * S + v * c * (2.0 * d_S - 3.0 * S * r * k))
     )
-    return -(d_x + 4.0 * s * x / c) / (15.0 * c * c * c * c)
+    # on short wings the terms shrink like rho^4: below about 1e-77 gaps
+    # they are no normal floats, and the sign of their sum is noise
+    t = 4.0 * s * x / c
+    d = -(d_x + t) / (15.0 * c * c * c * c)
+    if not _FLOAT_MIN <= abs(d_x) + t < math.inf:
+        raise NonFiniteSample(phi, d, "df_x/dphi")
+    return d
 
 
 def _zero(f, a: float, fa: float, b: float, fb: float) -> tuple[float, float, int]:

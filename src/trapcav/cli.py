@@ -16,8 +16,10 @@ error, so each help, usage and error text is argparse's own.
 
 :func:`run` computes every command's result; the force command's JSON is
 written here, and :mod:`~trapcav.cli_payloads` writes the other commands'
-JSON, CSV and SVG.  Both modules load only when their code runs, and each
-is handed this module: under ``python -m trapcav.cli`` it is ``__main__``.
+JSON, CSV and SVG.  Both modules load only when their code runs and import
+what they share from ``trapcav.cli``; under ``python -m trapcav.cli`` this
+module registers itself under that name too (PEP 499), so it is compiled
+and its flag table built once.
 """
 
 import json
@@ -27,8 +29,8 @@ import sys
 import typing
 
 from .errors import InvalidCavity, OutOfRange, TrapcavError
-from .forces import ForceResult, total_forces
-from .geometry import PHI_TOL_FLOOR, REL_TOL_FLOOR, CavitySpec, Units, validate
+from .forces import total_forces
+from .geometry import REL_TOL_FLOOR, CavitySpec, Units, validate
 
 if typing.TYPE_CHECKING:
     from .kernels import PressureProfile
@@ -102,6 +104,12 @@ class _Flag(typing.NamedTuple):
         return self.name[2:].replace("-", "_")
 
 
+#: Smallest angle tolerance, in radians, that --phi-tol-deg accepts (in
+#: degrees).  The flag is only checked: optimize resolves phi* to a few
+#: ulps, below every accepted value, so it changes no output.
+PHI_TOL_FLOOR = 1e-6
+
+
 def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
@@ -111,9 +119,9 @@ def _at_least(floor: float) -> tuple:
 
 
 _EVERY = tuple(_COMMANDS)
-# every flag, in the order each subcommand's help lists them; the floors of
-# --tol and --phi-tol-deg are those of total_forces and optimize_phi, so
-# that a flag or config value under them is refused where it is read
+# every flag, in the order each subcommand's help lists them; the floor of
+# --tol is that of total_forces, so that a flag or config value under it is
+# refused where it is read, and --phi-tol-deg has PHI_TOL_FLOOR's
 _FLAGS = (
     _Flag("--a", _EVERY, float, required=True, help="gap at the narrow end (m in SI mode)", cavity=True),
     _Flag("--R", _EVERY, float, required=True, help="wing length", cavity=True),
@@ -227,23 +235,8 @@ def parse_args(argv: list[str]) -> RunConfig:
     if config is None:
         from .cli_argparse import parse
 
-        config = parse(sys.modules[__name__], argv)
+        config = parse(argv)
     return config
-
-
-def _spec_dict(spec: CavitySpec) -> dict:
-    return {"a": spec.a, "R": spec.R, "L": spec.L, "phi": spec.phi, "units": spec.units.value}
-
-
-def _force_dict(result: ForceResult) -> dict:
-    return {
-        "f_x": result.f_x,
-        "f_z": result.f_z,
-        "err_x": result.err_x,
-        "err_z": result.err_z,
-        "wing_count": result.wing_count,
-        "converged": result.converged,
-    }
 
 
 def _json_safe(v):
@@ -334,22 +327,17 @@ def run(config: RunConfig) -> int:
         elif config.command == "optimize":
             from .analysis import optimize_phi
 
-            result = optimize_phi(
-                spec,
-                math.radians(config.phi_lo_deg),
-                math.radians(config.phi_hi_deg),
-                tol=math.radians(config.phi_tol_deg),
-            )
+            result = optimize_phi(spec, math.radians(config.phi_lo_deg), math.radians(config.phi_hi_deg))
         elif config.command == "verify":
             result = verify_suite(spec)
         else:
             raise ValueError(f"unknown command {config.command!r}")
         if config.command == "force":
-            payload, code = _json_bytes({"spec": _spec_dict(spec), **_force_dict(result)}), 0
+            payload, code = _json_bytes({**result._asdict(), "spec": spec._asdict()}), 0
         else:
             from .cli_payloads import render
 
-            payload, code = render(sys.modules[__name__], config, spec, result)
+            payload, code = render(config, spec, result)
     except (InvalidCavity, OutOfRange, ValueError) as err:
         _emit_error(_error_dict(err))
         return 2
@@ -377,4 +365,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    # python -m runs this file as __main__; bound as trapcav.cli too, it is
+    # the module that cli_argparse and cli_payloads import
+    sys.modules.setdefault(__spec__.name, sys.modules[__name__])
     sys.exit(main())

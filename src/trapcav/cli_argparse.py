@@ -2,14 +2,13 @@
 
 :func:`trapcav.cli.parse_args` imports this module only for an argv that
 its flag table declines, so a well-formed command line compiles none of
-it.  Each function takes the running cli module, ``cli``, and reads the
-flag table, ``RunConfig`` and ``_float_list`` from it: under ``python -m
-trapcav.cli`` that module is ``__main__``, and importing ``trapcav.cli``
-here would build a second table whose objects the first one's are not.
+it.  It builds the parsers from that table, imported from :mod:`trapcav.cli`.
 """
 
 import argparse
 import json
+
+from .cli import _COMMANDS, RunConfig, _flags, _float_list, _in_window
 
 
 def _checked(convert, ok, rule: str):
@@ -25,17 +24,17 @@ def _checked(convert, ok, rule: str):
     return parse
 
 
-def build_parser(cli) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser and its subcommand parsers by name, built from ``cli._FLAGS``."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers by name, built from the cli's ``_FLAGS``."""
     description = "Casimir compression and expulsion forces on open trapezoid cavities"
     parser = argparse.ArgumentParser(prog="trapcav", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
 
     commands = {}
-    for name, (summary, _) in cli._COMMANDS.items():
+    for name, (summary, _) in _COMMANDS.items():
         command = commands[name] = sub.add_parser(name, help=summary)
         cavity = command.add_argument_group("cavity")
-        for flag in cli._flags(name):
+        for flag in _flags(name):
             kwargs = {"default": flag.default, "required": flag.required, "help": flag.help}
             if flag.convert is bool:
                 kwargs["action"] = argparse.BooleanOptionalAction
@@ -46,7 +45,7 @@ def build_parser(cli) -> tuple[argparse.ArgumentParser, dict[str, argparse.Argum
     return parser, commands
 
 
-def _config_tokens(cli, name: str, command: argparse.ArgumentParser, path: str) -> list[str]:
+def _config_tokens(name: str, command: argparse.ArgumentParser, path: str) -> list[str]:
     """The --config file as ``--flag=value`` tokens for subcommand ``name``.
 
     Keys that are no ``RunConfig`` field are rejected; fields that are
@@ -64,10 +63,10 @@ def _config_tokens(cli, name: str, command: argparse.ArgumentParser, path: str) 
         command.error(f"--config: {path!r} is not valid JSON: {err}")
     if not isinstance(data, dict):
         command.error(f"--config: {path!r} must contain a JSON object")
-    unknown = sorted(set(data) - set(cli.RunConfig._fields))
+    unknown = sorted(set(data) - set(RunConfig._fields))
     if unknown:
         command.error(f"--config: unknown keys {', '.join(unknown)}")
-    flags = {flag.field: flag for flag in cli._flags(name)}
+    flags = {flag.field: flag for flag in _flags(name)}
     tokens = []
     for key, value in data.items():
         flag = flags.get(key)
@@ -75,7 +74,7 @@ def _config_tokens(cli, name: str, command: argparse.ArgumentParser, path: str) 
             continue
         if flag.convert is bool and isinstance(value, bool):
             tokens.append(flag.name if value else f"--no-{flag.name[2:]}")
-        elif flag.convert is cli._float_list and isinstance(value, list):
+        elif flag.convert is _float_list and isinstance(value, list):
             tokens.append(f"{flag.name}={','.join(map(str, value))}")
         elif flag.convert is int and isinstance(value, float) and value.is_integer():
             # JSON Schema's "integer" takes 256.0 as well as 256
@@ -85,9 +84,9 @@ def _config_tokens(cli, name: str, command: argparse.ArgumentParser, path: str) 
     return tokens
 
 
-def parse(cli, argv: list[str]):
-    """``argv`` and any --config file parsed by argparse, as ``cli.parse_args`` says."""
-    parser, commands = build_parser(cli)
+def parse(argv: list[str]) -> RunConfig:
+    """``argv`` and any --config file parsed by argparse, as :func:`trapcav.cli.parse_args` says."""
+    parser, commands = build_parser()
     if argv and argv[0] in commands:
         command, flags = commands[argv[0]], argv[1:]
         pre = argparse.ArgumentParser(prog=command.prog, add_help=False, exit_on_error=False)
@@ -98,12 +97,12 @@ def parse(cli, argv: list[str]):
         except argparse.ArgumentError as err:  # --config without its path, say
             command.error(str(err))
         if found.config is not None and not found.help:
-            flags = [*_config_tokens(cli, argv[0], command, found.config), *flags]
+            flags = [*_config_tokens(argv[0], command, found.config), *flags]
         ns = command.parse_args(flags, argparse.Namespace(command=argv[0]))
     else:
         ns = parser.parse_args(argv)
         command = commands[ns.command]
-    config = cli.RunConfig(**{name: getattr(ns, name, None) for name in cli.RunConfig._fields})
-    if not cli._in_window(config):
+    config = RunConfig(**{name: getattr(ns, name, None) for name in RunConfig._fields})
+    if not _in_window(config):
         command.error("optimize needs 0 < --phi-lo-deg < --phi-hi-deg < 45")
     return config

@@ -1,14 +1,14 @@
 """The output of every command but force: JSON, CSV and, through :mod:`~trapcav.emit`, SVG.
 
 :func:`trapcav.cli.run` computes each command's result and imports this
-module to format it, so a force process compiles none of it.  It takes the
-running cli module, ``cli``, for the JSON writers that force shares: under
-``python -m trapcav.cli`` that module is ``__main__``, and importing
-``trapcav.cli`` here would compile it a second time.
+module to format it, so a force process compiles none of it.  Each record
+writes its own fields (``_asdict``); a sweep row drops its spec, which the
+table's ``base`` and the row's ``param`` give.
 """
 
 import math
 
+from .cli import _json_bytes
 from .errors import TrapcavError
 from .geometry import pressure_prefactor
 
@@ -28,7 +28,7 @@ def _csv_bytes(header: str, rows: list[dict]) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def render(cli, config, spec, result) -> tuple[bytes, int]:
+def render(config, spec, result) -> tuple[bytes, int]:
     """The output of ``config.command`` for its ``result``, and the exit code.
 
     ``result`` is the command's return value: the pressure profile, the
@@ -36,13 +36,13 @@ def render(cli, config, spec, result) -> tuple[bytes, int]:
     report with a failed check exits 1.
     """
     if config.command == "profile":
-        return _profile_payload(cli, config, spec, result), 0
+        return _profile_payload(config, spec, result), 0
     if config.command == "sweep":
-        return _sweep_payload(cli, config, spec, result), 0
+        return _sweep_payload(config, spec, result), 0
     if config.command == "optimize":
-        return cli._json_bytes(
+        return _json_bytes(
             {
-                "spec": cli._spec_dict(spec),
+                "spec": spec._asdict(),
                 "phi_star": result.phi_star,
                 "f_x_star": result.f_x_star,
                 "bracket": list(result.bracket),
@@ -50,14 +50,14 @@ def render(cli, config, spec, result) -> tuple[bytes, int]:
             }
         ), 0
     all_passed = all(r.passed for r in result)
-    report = {"spec": cli._spec_dict(spec), "all_passed": all_passed, "checks": [r._asdict() for r in result]}
-    return cli._json_bytes(report), 0 if all_passed else 1
+    report = {"spec": spec._asdict(), "all_passed": all_passed, "checks": [r._asdict() for r in result]}
+    return _json_bytes(report), 0 if all_passed else 1
 
 
-def _profile_payload(cli, config, spec, profile) -> bytes:
+def _profile_payload(config, spec, profile) -> bytes:
     samples = [s._asdict() for s in profile.samples]
     if config.format == "json":
-        return cli._json_bytes({"spec": cli._spec_dict(spec), "samples": samples})
+        return _json_bytes({"spec": spec._asdict(), "samples": samples})
     if config.format == "csv":
         return _csv_bytes("r,p_x,p_z", samples)
     # only svg output loads the emitter
@@ -81,15 +81,17 @@ def _profile_payload(cli, config, spec, profile) -> bytes:
     return emit_svg(plot)
 
 
-def _sweep_payload(cli, config, spec, table) -> bytes:
+def _sweep_payload(config, spec, table) -> bytes:
     pts = tuple((param, abs(res.f_x)) for param, res in table.points if math.isfinite(res.f_x))
     # a table of flagged rows only reports no force, and a plot needs 2 points
     if len(pts) < (2 if config.format == "svg" else 1):
         need = "sweep SVG needs 2 rows" if config.format == "svg" else "sweep needs a row"
         raise TrapcavError(f"{need} with a finite f_x, {len(pts)} of {len(table.points)} have one")
-    points = [{"param": param, **cli._force_dict(res)} for param, res in table.points]
+    points = [{"param": param, **res._asdict()} for param, res in table.points]
+    for point in points:
+        del point["spec"]
     if config.format == "json":
-        return cli._json_bytes({"axis": table.axis.value, "base": cli._spec_dict(spec), "points": points})
+        return _json_bytes({"axis": table.axis.value, "base": spec._asdict(), "points": points})
     if config.format == "csv":
         return _csv_bytes("param,f_x,f_z,err_x,err_z,converged", points)
     # only svg output loads the emitter

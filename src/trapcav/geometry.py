@@ -39,9 +39,10 @@ every denominator above stays strictly positive; the two angles coincide
 only where the window is narrower than an ulp of theta1.
 
 The module also holds the spec, its units and :func:`validate`, the
-prefactor :data:`K`, and the tolerance floors :data:`REL_TOL_FLOOR` and
-:data:`PHI_TOL_FLOOR`.  Every function takes one wing coordinate ``r`` as
-a float and runs on :mod:`math` alone.
+prefactor :data:`K`, and the tolerance floor :data:`REL_TOL_FLOOR` (the
+CLI's --phi-tol-deg floor is ``trapcav.cli.PHI_TOL_FLOOR``).  Every
+function takes one wing coordinate ``r`` as a float and runs on
+:mod:`math` alone.
 """
 
 import math
@@ -64,10 +65,6 @@ K = 1.054571817e-34 * 2.99792458e8 * math.pi**2 / 240.0
 #: a tolerance below it can never be met there, and the force functions of
 #: :mod:`~trapcav.forces` refuse a ``rel_tol`` below it.
 REL_TOL_FLOOR = 50.0 * sys.float_info.epsilon
-
-#: Smallest angle tolerance, in radians, that
-#: :func:`~trapcav.analysis.optimize_phi` accepts.
-PHI_TOL_FLOOR = 1e-6
 
 
 class Units(str, Enum):

@@ -85,7 +85,7 @@ def test_criterion_06_optimal_angle_shrinks_with_wing_length():
         stars = []
         for R in (2.0, 4.0, 8.0):
             base = REDUCED_10._replace(R=R)
-            report = optimize_phi(base, 0.01, math.pi / 4 - 0.02, tol=1e-5)
+            report = optimize_phi(base, 0.01, math.pi / 4 - 0.02)
             assert 0.01 < report.phi_star < math.pi / 4 - 0.02
             stars.append(report.phi_star)
         assert stars[0] > stars[1] > stars[2]

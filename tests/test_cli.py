@@ -16,12 +16,12 @@ import jsonschema
 import pytest
 
 from trapcav import CavitySpec, ForceResult, SweepAxis, SweepTable, Units, sweep
-from trapcav.cli import RunConfig, main, parse_args
+from trapcav.cli import PHI_TOL_FLOOR, RunConfig, main, parse_args
 import trapcav.cli
 import trapcav.cli_argparse
 import trapcav.kernels
 from trapcav.emit import PlotSpec, emit_svg
-from trapcav.geometry import PHI_TOL_FLOOR, REL_TOL_FLOOR
+from trapcav.geometry import REL_TOL_FLOOR
 
 REDUCED_ARGS = ["--a", "1", "--R", "10", "--units", "reduced"]
 # every flag that all subcommands take, at a value other than its default
@@ -135,7 +135,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
         "optimize": {"--phi-lo-deg", "--phi-hi-deg", "--phi-tol-deg"},
         "verify": set(),
     }
-    _, commands = trapcav.cli_argparse.build_parser(trapcav.cli)
+    _, commands = trapcav.cli_argparse.build_parser()
     flags = {name: {f for a in command._actions for f in a.option_strings} for name, command in commands.items()}
     assert flags == {name: shared | extra for name, extra in own.items()}
 
@@ -235,13 +235,13 @@ def test_config_boolean_loses_to_flag(tmp_path):
 def test_config_schema_matches_parser():
     props = load_schema("config.schema.json")["properties"]
     assert set(props) == set(RunConfig._fields)
-    _, commands = trapcav.cli_argparse.build_parser(trapcav.cli)
+    _, commands = trapcav.cli_argparse.build_parser()
     actions = {a.dest: a for command in commands.values() for a in command._actions}
     # every field but the subcommand itself is some subcommand's flag
     assert set(props) - {"command"} <= set(actions)
     for field in ("units", "quantity", "axis", "wing_count"):
         assert props[field]["enum"] == list(actions[field].choices)
-    # the tolerance floors of total_forces and optimize_phi (in degrees)
+    # the tolerance floors of total_forces and of --phi-tol-deg (in degrees)
     for field, floor in (("tol", REL_TOL_FLOOR), ("phi_tol_deg", math.degrees(PHI_TOL_FLOOR))):
         assert props[field]["minimum"] == floor
         assert actions[field].type(repr(floor)) == floor
@@ -339,10 +339,10 @@ def test_well_formed_argv_is_read_from_the_flag_table(argv):
     # must be read from the table, to the config that argparse reads
     config = trapcav.cli._read(argv)
     assert config is not None
-    assert repr(config) == repr(trapcav.cli_argparse.parse(trapcav.cli, argv))
+    assert repr(config) == repr(trapcav.cli_argparse.parse(argv))
 
 
-_, _PARSERS = trapcav.cli_argparse.build_parser(trapcav.cli)
+_, _PARSERS = trapcav.cli_argparse.build_parser()
 OWN_FLAGS = {name: sorted(f for a in parser._actions for f in a.option_strings) for name, parser in _PARSERS.items()}
 FLAG_TOKENS = sorted({f for flags in OWN_FLAGS.values() for f in flags})
 FLAG_TOKENS += ["--ph", "--phi-d", "--c", "--ax", "--un", "--wing", "--bogus", "--"]
@@ -382,7 +382,7 @@ def test_flag_table_reads_argv_as_argparse_does(argv):
     # refuses raises SystemExit here
     config = trapcav.cli._read(argv)
     if config is not None:
-        assert repr(config) == repr(trapcav.cli_argparse.parse(trapcav.cli, argv))
+        assert repr(config) == repr(trapcav.cli_argparse.parse(argv))
 
 
 def fresh_python(code: str, *argv: str) -> str:
@@ -482,14 +482,18 @@ def test_each_command_loads_only_the_modules_it_runs(argv, extra):
         (["--help"], 0),
         (["sweep", "--config", "cfg.json"], 0),
         (["profile", *REDUCED_ARGS, "--samples", "9", "--format", "svg", "--reference-classical"], 0),
+        (["optimize", *REDUCED_ARGS, "--phi-lo-deg", "0.5", "--phi-hi-deg", "20"], 0),
+        (["verify", *REDUCED_ARGS, "--phi-deg", "5"], 0),
+        (["sweep", *REDUCED_ARGS, "--axis", "phi", "--values", "1,5", "--format", "csv"], 0),
     ],
 )
 def test_module_run_compiles_the_cli_once(argv, exit_code, tmp_path):
-    # under python -m trapcav.cli the cli module is __main__, so the
-    # argparse and output modules take that module from their caller: one
-    # that imported trapcav.cli would compile it a second time and read a
-    # second flag table, whose --values converter is not the one that the
-    # --config branch for a list tests for
+    # under python -m trapcav.cli the cli module is __main__, and it binds
+    # itself as trapcav.cli too before main runs, so the argparse and output
+    # modules import that module by name: were it not bound, each import
+    # would compile cli.py a second time and read a second flag table, whose
+    # --values converter is not the one that the --config branch for a list
+    # tests for; the argvs run every branch of both modules
     config = {"a": 1, "R": 4, "units": "reduced", "axis": "phi", "values": [1, 5, 10]}
     (tmp_path / "cfg.json").write_text(json.dumps(config))
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
