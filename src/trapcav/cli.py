@@ -5,7 +5,7 @@ cavity flags, --out, --config and --format, and only the other flags it
 reads; ``_FLAGS`` lists them, and ``trapcav CMD -h`` prints them.  Angles
 are degrees on the command line and radians everywhere inside.  Exit codes:
 0 success, 1 numerical failure (reported as a JSON object on stderr), 2
-usage error (an --out path that cannot be written included).
+usage error (an --out path or a stdout that cannot be written included).
 
 Every flag is declared once, in ``_FLAGS``, and a command line is read on
 one of two paths.  A well-formed one, with only full flag names and valid
@@ -22,9 +22,12 @@ module registers itself under that name too (PEP 499), so it is compiled
 and its flag table built once.
 """
 
+import errno
+import gc
 import json
 import math
 import os
+import stat
 import sys
 import typing
 
@@ -266,28 +269,42 @@ def _error_dict(err: Exception) -> dict:
 
 def _write_output(payload: bytes, out: str | None) -> None:
     if out is None:
+        if sys.stdout is None:  # fd 1 was closed when the interpreter started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
         return
-    # only --out needs tempfile; the other runs skip its import
+    # a FIFO, a device or a terminal is written in place, where a rename
+    # would put a regular file in its stead; out itself is stat'ed and
+    # opened, since the kernel follows /dev/stdout's /proc link to a pipe
+    # that no resolved path names
+    try:
+        mode = os.stat(out).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(out, "wb") as f:
+            f.write(payload)
+        return
+    # only a regular --out needs tempfile; the other runs skip its import
     import tempfile
 
+    # a regular file is replaced at the end of any symlinks, which stay
+    path = os.path.realpath(out)
     # the mode that open(out, "w") would give: a replaced file keeps its
     # own, a new one gets 0666 less the umask (mkstemp alone makes 0600)
-    try:
-        mode = os.stat(out).st_mode & 0o777
-    except FileNotFoundError:
+    if mode is None:
         umask = os.umask(0)
         os.umask(umask)
         mode = 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out)), prefix=".trapcav-tmp-")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".trapcav-tmp-")
     try:
         # a buffered file writes every byte or raises, where one os.write
         # may write fewer; its close closes fd
         with open(fd, "wb") as f:
-            os.chmod(tmp, mode)
+            os.chmod(tmp, mode & 0o777)
             f.write(payload)
-        os.replace(tmp, out)
+        os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
@@ -356,8 +373,21 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line and return its exit code.
+
+    With ``argv`` None, main reads the process's own command line, as
+    ``python -m trapcav.cli`` and the ``trapcav`` console script call it.
+    That process ends when main returns, so main first freezes the heap
+    that start-up made (:func:`gc.freeze`): the collections of the
+    interpreter's exit then skip those objects, which they would traverse
+    and never free.  A caller that passes ``argv`` (a test, a library)
+    keeps running, and its heap is left as it is.
+    """
+    if argv is None:
+        gc.freeze()
+        argv = sys.argv[1:]
     try:
-        config = parse_args(sys.argv[1:] if argv is None else list(argv))
+        config = parse_args(list(argv))
     except SystemExit as exc:
         code = exc.code
         return 0 if code is None else int(code)

@@ -1,12 +1,16 @@
 import argparse
+import errno
+import gc
 import hashlib
 import importlib
 import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 from importlib import resources
 from pathlib import Path
 
@@ -509,6 +513,37 @@ def test_module_run_compiles_the_cli_once(argv, exit_code, tmp_path):
     assert module.returncode == exit_code
 
 
+# sets the process's command line and calls main as the console script
+# does, then reports the freeze count on stderr
+FRESH_ARGV_MAIN = """
+import gc, sys, trapcav.cli
+sys.argv = ["trapcav", *sys.argv[1:]]
+code = trapcav.cli.main()
+print(gc.get_freeze_count(), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_main_of_the_process_command_line_freezes_the_heap(capsysbinary):
+    # a process that is about to exit freezes its start-up heap, so that
+    # the collections of its exit skip it; its output is main(argv)'s
+    argv = ["force", *REDUCED_ARGS, "--phi-deg", "5"]
+    assert main(argv) == 0
+    expected = capsysbinary.readouterr().out
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", FRESH_ARGV_MAIN, *argv], env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
+    assert int(proc.stderr) > 0
+
+
+def test_main_with_argv_leaves_the_heap_unfrozen(capsysbinary):
+    # a caller that passes argv keeps running, and keeps a normal heap
+    before = gc.get_freeze_count()
+    assert main(["force", *REDUCED_ARGS, "--phi-deg", "5"]) == 0
+    assert gc.get_freeze_count() == before
+
+
 def test_cli_import_leaves_tempfile_unloaded():
     # only --out needs tempfile; -S skips site-packages' .pth files, which
     # may import it on their own
@@ -996,6 +1031,22 @@ def test_short_out_write_exits_2_and_commits_nothing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_closed_stdout_exits_2_with_a_json_error():
+    # with fd 1 closed the interpreter has no sys.stdout: the run reports
+    # it as a write to a full disk is reported, not with a traceback
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "trapcav.cli", "force", *REDUCED_ARGS],
+        env=dict(os.environ, PYTHONPATH=src),
+        stderr=subprocess.PIPE,
+        text=True,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert proc.returncode == 2
+    message = f"cannot write stdout: {os.strerror(errno.EBADF)}"
+    assert json.loads(proc.stderr) == {"error": "OSError", "message": message}
+
+
 def _run_with_umask(umask, argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
     return subprocess.run(
@@ -1024,6 +1075,37 @@ def test_out_keeps_the_mode_of_the_file_it_replaces(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["converged"] is True
     assert out.stat().st_mode & 0o777 == 0o640
+
+
+def test_out_through_a_symlink_replaces_its_target(tmp_path):
+    # the link stays a link, and the stale file it names gets the document
+    target = tmp_path / "target.json"
+    target.write_text("stale")
+    link = tmp_path / "link.json"
+    link.symlink_to(target.name)
+    assert main(["force", *REDUCED_ARGS, "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert json.loads(target.read_text())["converged"] is True
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+
+def test_out_to_a_fifo_writes_it_in_place(tmp_path, capsysbinary):
+    # a rename would put a regular file in the FIFO's stead, and its reader
+    # would get nothing; the reader gets stdout's bytes
+    argv = ["force", *REDUCED_ARGS]
+    assert main(argv) == 0
+    expected = capsysbinary.readouterr().out
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main([*argv, "--out", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [expected]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
 def test_verify_command_passes_and_validates_schema(tmp_path):
