@@ -1108,6 +1108,54 @@ def test_out_to_a_fifo_writes_it_in_place(tmp_path, capsysbinary):
     assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("via", ["/dev/stdout", "link"])
+def test_out_to_own_stdout_appends_to_its_log(via, tmp_path, capsysbinary):
+    # /dev/stdout links to the log that stdout has open for appending; the
+    # document follows the log's earlier bytes, where replacing or
+    # truncating the log would lose them
+    argv = ["force", *REDUCED_ARGS]
+    assert main(argv) == 0
+    expected = capsysbinary.readouterr().out
+    out = via
+    if via == "link":
+        out = tmp_path / "stdout"
+        out.symlink_to("/proc/self/fd/1")
+    log = tmp_path / "run.log"
+    log.write_bytes(b"earlier\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    with open(log, "ab") as f:
+        proc = subprocess.run(
+            [sys.executable, "-m", "trapcav.cli", *argv, "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=f,
+            stderr=subprocess.PIPE,
+        )
+    assert proc.returncode == 0, proc.stderr
+    assert log.read_bytes() == b"earlier\n" + expected
+    left = ["run.log", "stdout"] if via == "link" else ["run.log"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == left
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_out_to_another_process_descriptor_appends(tmp_path, capsysbinary):
+    # another process's /proc/<pid>/fd/1 is opened for appending, neither
+    # replaced nor truncated
+    argv = ["force", *REDUCED_ARGS]
+    assert main(argv) == 0
+    expected = capsysbinary.readouterr().out
+    log = tmp_path / "run.log"
+    log.write_bytes(b"earlier\n")
+    with open(log, "ab") as f:
+        child = subprocess.Popen([sys.executable, "-c", "import sys; sys.stdin.read()"], stdin=subprocess.PIPE, stdout=f)
+    try:
+        assert main([*argv, "--out", f"/proc/{child.pid}/fd/1"]) == 0
+    finally:
+        child.communicate(b"")
+    assert log.read_bytes() == b"earlier\n" + expected
+    assert [p.name for p in tmp_path.iterdir()] == ["run.log"]
+
+
 def test_verify_command_passes_and_validates_schema(tmp_path):
     out = tmp_path / "verify.json"
     assert main(["verify", *REDUCED_ARGS, "--phi-deg", "1.0", "--out", str(out)]) == 0
