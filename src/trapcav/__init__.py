@@ -5,9 +5,10 @@ expulsion pressure p_x on the wings of an open trapezoid cavity, integrates
 them into per-wing forces, sweeps and optimizes over the opening angle, and
 cross-checks every closed form against brute-force oracles.
 
-``import trapcav`` loads the errors, the cavity spec and its checks, and
-the closed-form forces: what a ``trapcav force`` process runs.  Every other
-public name resolves on first use (PEP 562), which imports its module:
+``import trapcav`` loads the errors, the cavity spec and its checks
+(:mod:`~trapcav.spec`), and the closed-form forces: what a ``trapcav
+force`` process runs.  Every other public name resolves on first use (PEP
+562), which imports its module: the ray geometry (:mod:`~trapcav.geometry`),
 the sweeps and the optimizer (:mod:`~trapcav.analysis`), the pressure
 kernel and its profiles (:mod:`~trapcav.kernels`) and the oracle's checks
 (:mod:`~trapcav.oracle`).  Every public name runs on plain floats and
@@ -29,20 +30,14 @@ from .errors import (
     TrapcavError,
 )
 from .forces import ForceResult, total_forces
-from .geometry import (
-    PHI_MAX,
-    AngleWindow,
-    CavitySpec,
-    Units,
-    limit_angles,
-    pressure_prefactor,
-    ray_length,
-    s_factor,
-    validate,
-)
+from .spec import PHI_MAX, CavitySpec, Units, pressure_prefactor, validate
 
 # the public names that load on first use, by the module that defines them
 _LAZY = {
+    "AngleWindow": "geometry",
+    "limit_angles": "geometry",
+    "ray_length": "geometry",
+    "s_factor": "geometry",
     "OptimumReport": "analysis",
     "SweepAxis": "analysis",
     "SweepTable": "analysis",

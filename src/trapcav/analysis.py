@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import NoInteriorMaximum, NonFiniteSample
 from .forces import _FLOAT_MIN, ForceResult, _check_options, _forces, _reduced, _scale
-from .geometry import PHI_MAX, CavitySpec, validate
+from .spec import PHI_MAX, CavitySpec, validate
 
 # bench/tracing.py wraps it by its name in this module
 from .forces import total_forces  # noqa: F401

@@ -14,26 +14,26 @@ whose parsers :mod:`~trapcav.cli_argparse` builds from the same table,
 reads every other one: help, --config, abbreviations and every usage
 error, so each help, usage and error text is argparse's own.
 
-:func:`run` computes every command's result; the force command's JSON is
-written here, and :mod:`~trapcav.cli_payloads` writes the other commands'
-JSON, CSV and SVG.  Both modules load only when their code runs and import
-what they share from ``trapcav.cli``; under ``python -m trapcav.cli`` this
-module registers itself under that name too (PEP 499), so it is compiled
-and its flag table built once.
+:func:`run` runs the force command and writes its JSON here, by
+:func:`_json`, which writes json.dumps's bytes without loading :mod:`json`;
+:mod:`~trapcav.cli_payloads` runs the other commands and writes their JSON,
+CSV and SVG, and :mod:`~trapcav.cli_out` writes an --out path.  These
+modules load only when their code runs, and the first two import what they
+share from ``trapcav.cli``; under ``python -m trapcav.cli`` this module
+registers itself under that name too (PEP 499), so it is compiled and its
+flag table built once.
 """
 
 import errno
 import gc
-import json
 import math
 import os
-import stat
 import sys
 import typing
 
 from .errors import InvalidCavity, OutOfRange, TrapcavError
 from .forces import total_forces
-from .geometry import REL_TOL_FLOOR, CavitySpec, Units, validate
+from .spec import REL_TOL_FLOOR, CavitySpec, Units, validate
 
 if typing.TYPE_CHECKING:
     from .kernels import PressureProfile
@@ -51,8 +51,8 @@ _COMMANDS = {
 # sweep and optimize_phi stay names of this module, but the sweep and
 # optimize commands import the analysis's own functions where they call
 # them, so that a wrapper installed on both names (a profiler's, say) runs
-# once per call, not twice; profile and verify call pressure_profile and
-# verify_suite by these names
+# once per call, not twice; the profile and verify commands of
+# cli_payloads call pressure_profile and verify_suite by these names
 def sweep(*args, **kwargs):
     """:func:`trapcav.analysis.sweep`; the analysis loads on the first call."""
     from .analysis import sweep
@@ -242,21 +242,48 @@ def parse_args(argv: list[str]) -> RunConfig:
     return config
 
 
-def _json_safe(v):
-    # JSON has no inf or NaN: they go out as the strings "inf", "-inf" and "nan"
+def _json(v, pad: str | None = None) -> str:
+    """``v`` as ``json.dumps(v, sort_keys=True, allow_nan=False)`` writes it.
+
+    A ``pad`` gives the text of ``indent=2``: it is the newline and indent
+    that ``v`` itself starts on, "\\n" at the top.  Keys are strings.  JSON
+    has no inf or NaN, so a float that is not finite goes out as the string
+    "inf", "-inf" or "nan".  A string of printable ASCII is escaped here,
+    and any other by :mod:`json`, which loads only then.
+    """
+    if isinstance(v, str):
+        if v.isascii() and v.isprintable():
+            return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        import json
+
+        return json.dumps(v)
+    if v is None or v is True or v is False:
+        return "null" if v is None else "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        text = float.__repr__(v)
+        return text if math.isfinite(v) else f'"{text}"'
+    inner = pad and pad + "  "
     if isinstance(v, dict):
-        return {key: _json_safe(x) for key, x in v.items()}
-    if isinstance(v, list):
-        return [_json_safe(x) for x in v]
-    return str(float(v)) if isinstance(v, float) and not math.isfinite(v) else v
+        items, ends = [f"{_json(key)}: {_json(x, inner)}" for key, x in sorted(v.items())], "{}"
+    elif isinstance(v, (list, tuple)):
+        items, ends = [_json(x, inner) for x in v], "[]"
+    else:
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+    if not items:
+        return ends
+    if pad is None:
+        return ends[0] + ", ".join(items) + ends[1]
+    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1]
 
 
 def _json_bytes(payload: dict) -> bytes:
-    return (json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
+    return (_json(payload, "\n") + "\n").encode("ascii")
 
 
 def _emit_error(payload: dict) -> None:
-    sys.stderr.write(json.dumps(_json_safe(payload), sort_keys=True, allow_nan=False) + "\n")
+    sys.stderr.write(_json(payload) + "\n")
 
 
 def _error_dict(err: Exception) -> dict:
@@ -267,79 +294,17 @@ def _error_dict(err: Exception) -> dict:
     return payload
 
 
-def _out_target(out: str) -> str | int:
-    """Where --out writes: a descriptor for the caller to close, or a path.
-
-    out's symlinks are followed one hop at a time, with the directories of
-    each hop resolved, so a regular file is replaced at the end of its
-    links and the links stay.  A hop into a descriptor table stops the
-    walk: /proc/<pid>/fd/N links to the file that descriptor N has open,
-    and replacing or truncating that file, a log that a shell appends to,
-    say, would lose what it holds.  In this process's own table
-    (/dev/stdout, /dev/fd/N) the walk gives a duplicate of N, which writes
-    at N's offset and under its O_APPEND; in another's it opens the path
-    for appending.
-    """
-    path = out
-    for _ in range(40):  # Linux's limit on the links of one lookup
-        directory = os.path.realpath(os.path.dirname(path))
-        name = os.path.basename(path)
-        table = directory == "/dev/fd" or directory.startswith("/proc/") and directory.endswith("/fd")
-        if table and name.isdigit():
-            if directory == "/dev/fd" or directory.split("/")[2] == str(os.getpid()):
-                return os.dup(int(name))
-            return os.open(os.path.join(directory, name), os.O_WRONLY | os.O_APPEND)
-        path = os.path.join(directory, name)
-        try:
-            link = os.readlink(path)
-        except OSError:  # not a link, or not there
-            return path
-        path = os.path.join(directory, link)
-    raise OSError(errno.ELOOP, os.strerror(errno.ELOOP))
-
-
 def _write_output(payload: bytes, out: str | None) -> None:
-    if out is None:
-        if sys.stdout is None:  # fd 1 was closed when the interpreter started
-            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
-        return
-    target = _out_target(out)
-    if isinstance(target, int):
-        with open(target, "wb") as f:
-            f.write(payload)
-        return
-    try:
-        mode = os.lstat(target).st_mode
-    except FileNotFoundError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
-        # a FIFO, a device or a terminal is written in place, where a
-        # rename would put a regular file in its stead
-        with open(target, "wb") as f:
-            f.write(payload)
-        return
-    # only a regular --out needs tempfile; the other runs skip its import
-    import tempfile
+    if out is not None:
+        # only --out loads the code that writes a path
+        from .cli_out import write_out
 
-    # the mode that open(out, "w") would give: a replaced file keeps its
-    # own, a new one gets 0666 less the umask (mkstemp alone makes 0600)
-    if mode is None:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".trapcav-tmp-")
-    try:
-        # a buffered file writes every byte or raises, where one os.write
-        # may write fewer; its close closes fd
-        with open(fd, "wb") as f:
-            os.chmod(tmp, mode & 0o777)
-            f.write(payload)
-        os.replace(tmp, target)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        write_out(payload, out)
+        return
+    if sys.stdout is None:  # fd 1 was closed when the interpreter started
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    sys.stdout.buffer.write(payload)
+    sys.stdout.buffer.flush()
 
 
 def _build_spec(config: RunConfig) -> CavitySpec:
@@ -357,36 +322,13 @@ def run(config: RunConfig) -> int:
     try:
         spec = _build_spec(config)
         validate(spec)
-        if config.command == "profile":
-            result = pressure_profile(spec, config.samples)
-        elif config.command == "force":
-            result = total_forces(spec, config.tol, wing_count=config.wing_count)
-        elif config.command == "sweep":
-            from .analysis import sweep
-
-            values = [math.radians(v) for v in config.values] if config.axis == "phi" else list(config.values)
-            result = sweep(
-                spec,
-                config.axis,
-                values,
-                rel_tol=config.tol,
-                wing_count=config.wing_count,
-                workers=config.workers,
-            )
-        elif config.command == "optimize":
-            from .analysis import optimize_phi
-
-            result = optimize_phi(spec, math.radians(config.phi_lo_deg), math.radians(config.phi_hi_deg))
-        elif config.command == "verify":
-            result = verify_suite(spec)
-        else:
-            raise ValueError(f"unknown command {config.command!r}")
         if config.command == "force":
+            result = total_forces(spec, config.tol, wing_count=config.wing_count)
             payload, code = _json_bytes({**result._asdict(), "spec": spec._asdict()}), 0
         else:
-            from .cli_payloads import render
+            from .cli_payloads import run_command
 
-            payload, code = render(config, spec, result)
+            payload, code = run_command(config, spec)
     except (InvalidCavity, OutOfRange, ValueError) as err:
         _emit_error(_error_dict(err))
         return 2

@@ -1,16 +1,17 @@
-"""The output of every command but force: JSON, CSV and, through :mod:`~trapcav.emit`, SVG.
+"""Every command but force, and its output: JSON, CSV and, through :mod:`~trapcav.emit`, SVG.
 
-:func:`trapcav.cli.run` computes each command's result and imports this
-module to format it, so a force process compiles none of it.  Each record
+:func:`trapcav.cli.run` validates the spec and imports this module to run
+any other command, so a force process compiles none of it.  Each record
 writes its own fields (``_asdict``); a sweep row drops its spec, which the
 table's ``base`` and the row's ``param`` give.
 """
 
 import math
 
+from . import cli
 from .cli import _json_bytes
 from .errors import TrapcavError
-from .geometry import pressure_prefactor
+from .spec import pressure_prefactor
 
 
 def _fmt(x: float | bool) -> str:
@@ -28,18 +29,27 @@ def _csv_bytes(header: str, rows: list[dict]) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def render(config, spec, result) -> tuple[bytes, int]:
-    """The output of ``config.command`` for its ``result``, and the exit code.
+def run_command(config, spec) -> tuple[bytes, int]:
+    """The output of ``config.command`` on the validated ``spec``, and the exit code.
 
-    ``result`` is the command's return value: the pressure profile, the
-    sweep table, the optimum report or the oracle reports.  A verify
-    report with a failed check exits 1.
+    The profile and verify commands call :func:`trapcav.cli.pressure_profile`
+    and :func:`trapcav.cli.verify_suite` by those names, and the sweep and
+    optimize commands the analysis's own functions.  A verify report with a
+    failed check exits 1.
     """
     if config.command == "profile":
-        return _profile_payload(config, spec, result), 0
+        return _profile_payload(config, spec, cli.pressure_profile(spec, config.samples)), 0
     if config.command == "sweep":
-        return _sweep_payload(config, spec, result), 0
+        from .analysis import sweep
+
+        values = [math.radians(v) for v in config.values] if config.axis == "phi" else list(config.values)
+        table = sweep(spec, config.axis, values, rel_tol=config.tol, wing_count=config.wing_count,
+                      workers=config.workers)
+        return _sweep_payload(config, spec, table), 0
     if config.command == "optimize":
+        from .analysis import optimize_phi
+
+        result = optimize_phi(spec, math.radians(config.phi_lo_deg), math.radians(config.phi_hi_deg))
         return _json_bytes(
             {
                 "spec": spec._asdict(),
@@ -49,8 +59,11 @@ def render(config, spec, result) -> tuple[bytes, int]:
                 "iterations": result.iterations,
             }
         ), 0
-    all_passed = all(r.passed for r in result)
-    report = {"spec": spec._asdict(), "all_passed": all_passed, "checks": [r._asdict() for r in result]}
+    if config.command != "verify":
+        raise ValueError(f"unknown command {config.command!r}")
+    reports = cli.verify_suite(spec)
+    all_passed = all(r.passed for r in reports)
+    report = {"spec": spec._asdict(), "all_passed": all_passed, "checks": [r._asdict() for r in reports]}
     return _json_bytes(report), 0 if all_passed else 1
 
 

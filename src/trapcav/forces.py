@@ -83,7 +83,7 @@ import sys
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NonFiniteSample
-from .geometry import REL_TOL_FLOOR, CavitySpec, pressure_prefactor, validate
+from .spec import REL_TOL_FLOOR, CavitySpec, pressure_prefactor, validate
 
 if TYPE_CHECKING:
     from .kernels import PressureSample

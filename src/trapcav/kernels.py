@@ -8,7 +8,7 @@ Two ideal parallel plates at distance ``a`` carry (per unit area)
 with K = hbar c pi^2 / 240, the constant :data:`K` (2018 recommended
 values of hbar and c): SI cavities take it as their prefactor, reduced ones
 take 1.  ``K`` and :func:`pressure_prefactor` are defined once, in
-:mod:`~trapcav.geometry`, and re-exported here.  In the ray picture each
+:mod:`~trapcav.spec`, and re-exported here.  In the ray picture each
 direction ``theta`` in the visible fan contributes the parallel-plate
 pressure of its own ray length b(r, theta) = s / sin(theta - 2 phi),
 projected onto the wing frame.  Substituting b and integrating over theta

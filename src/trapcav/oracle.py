@@ -3,10 +3,10 @@
 Everything here is written against the raw construction -- explicit corner
 points, ray-segment intersection via 2D cross products, sums over plain
 quadrature nodes -- and shares no computation with the closed-form modules;
-only the data types and the spec check :func:`~trapcav.geometry.validate`
+only the data types and the spec check :func:`~trapcav.spec.validate`
 travel across.  The prefactor K = hbar c pi^2 / 240 is
 rebuilt from its own literals on purpose: a corrupted
-:data:`trapcav.geometry.K` must not move the oracle.
+:data:`trapcav.spec.K` must not move the oracle.
 
 Corner points of the cross section:
 
@@ -395,7 +395,7 @@ def verify_suite(spec: CavitySpec) -> list[OracleReport]:
     cavity, a wing of any length, gets its six reports.  The oracle's raw
     vectors are exact, so tilted wings of any length keep the gap.  The
     oracle keeps its own literal prefactor, so a corrupted
-    :data:`trapcav.geometry.K` moves only the primary forces and fails the
+    :data:`trapcav.spec.K` moves only the primary forces and fails the
     force checks.
     """
     # primary-path imports are confined here: this function is the

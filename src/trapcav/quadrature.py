@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import NonFiniteSample, NotConverged
-from .geometry import REL_TOL_FLOOR
+from .spec import REL_TOL_FLOOR
 
 #: halvings of [lo, hi] beyond which no panel is split
 MAX_DEPTH = 50

@@ -1,16 +1,20 @@
 import argparse
+import ast
 import errno
 import gc
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
+import random
 import re
 import stat
 import subprocess
 import sys
 import threading
+import tokenize
 from importlib import resources
 from pathlib import Path
 
@@ -23,9 +27,11 @@ from trapcav import CavitySpec, ForceResult, SweepAxis, SweepTable, Units, sweep
 from trapcav.cli import PHI_TOL_FLOOR, RunConfig, main, parse_args
 import trapcav.cli
 import trapcav.cli_argparse
+import trapcav.geometry
 import trapcav.kernels
+import trapcav.spec
 from trapcav.emit import PlotSpec, emit_svg
-from trapcav.geometry import REL_TOL_FLOOR
+from trapcav.spec import REL_TOL_FLOOR
 
 REDUCED_ARGS = ["--a", "1", "--R", "10", "--units", "reduced"]
 # every flag that all subcommands take, at a value other than its default
@@ -398,14 +404,16 @@ def fresh_python(code: str, *argv: str) -> str:
 
 
 # runs trapcav.cli.main on its arguments, if any, and prints the exit code,
-# the numpy, scipy, dataclasses, argparse, gettext, locale, fractions and
-# decimal modules then loaded and the trapcav ones
+# the numpy, scipy, dataclasses, argparse, gettext, locale, fractions,
+# decimal and json modules then loaded and the trapcav ones; it imports
+# json itself only after it has looked
 FRESH_MAIN = """
-import json, sys
+import sys
 import trapcav, trapcav.cli
 code = trapcav.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-unwanted = ("numpy", "scipy", "dataclasses", "argparse", "gettext", "locale", "fractions", "decimal")
+unwanted = ("numpy", "scipy", "dataclasses", "argparse", "gettext", "locale", "fractions", "decimal", "json")
 loaded = [sorted(m for m in sys.modules if m.split(".")[0] in names) for names in (unwanted, ("trapcav",))]
+import json
 print(json.dumps([code, *loaded]))
 """
 
@@ -423,7 +431,8 @@ def test_import_loads_neither_numpy_scipy_nor_dataclasses():
     # dis it imports) stays unloaded too; a well-formed command line is read
     # without argparse, and without the gettext and locale that it imports;
     # the oracle's exact geometry runs on integers, so no command loads
-    # fractions (or the decimal and numbers that it imports)
+    # fractions (or the decimal and numbers that it imports); the cli
+    # writes its JSON itself, so json loads only with argparse, for --config
     sweep_args = ["sweep", *REDUCED_ARGS, "--axis", "phi", "--values", "1,5,10,20"]
     profile_args = ["profile", *REDUCED_ARGS, "--phi-deg", "5", "--samples", "9"]
     for argv in (
@@ -442,8 +451,8 @@ def test_import_loads_neither_numpy_scipy_nor_dataclasses():
 
 
 # what importing trapcav.cli loads: the package, the errors, the cavity spec
-# and the closed-form forces
-CLI_MODULES = ["trapcav", "trapcav.cli", "trapcav.errors", "trapcav.forces", "trapcav.geometry"]
+# and the closed-form forces; not the ray geometry, and not json
+CLI_MODULES = ["trapcav", "trapcav.cli", "trapcav.errors", "trapcav.forces", "trapcav.spec"]
 
 
 @pytest.mark.parametrize(
@@ -458,25 +467,56 @@ CLI_MODULES = ["trapcav", "trapcav.cli", "trapcav.errors", "trapcav.forces", "tr
             ["sweep", *REDUCED_ARGS, "--axis", "phi", "--values", "1,5", "--format", "svg"],
             ["analysis", "cli_payloads", "emit"],
         ),
-        (["profile", *REDUCED_ARGS, "--samples", "9", "--format", "json"], ["cli_payloads", "kernels"]),
-        (["profile", *REDUCED_ARGS, "--samples", "9", "--format", "csv"], ["cli_payloads", "kernels"]),
+        (["profile", *REDUCED_ARGS, "--samples", "9", "--format", "json"], ["cli_payloads", "geometry", "kernels"]),
+        (["profile", *REDUCED_ARGS, "--samples", "9", "--format", "csv"], ["cli_payloads", "geometry", "kernels"]),
         (
             ["profile", *REDUCED_ARGS, "--samples", "9", "--format", "svg", "--reference-classical"],
-            ["cli_payloads", "emit", "kernels"],
+            ["cli_payloads", "emit", "geometry", "kernels"],
         ),
-        (["verify", *REDUCED_ARGS, "--phi-deg", "5"], ["cli_payloads", "kernels", "oracle"]),
+        (["verify", *REDUCED_ARGS, "--phi-deg", "5"], ["cli_payloads", "geometry", "kernels", "oracle"]),
         (["force", "--a", "1"], ["cli_argparse"]),
+        (["force", *REDUCED_ARGS, "--out", os.devnull], ["cli_out"]),
     ],
 )
 def test_each_command_loads_only_the_modules_it_runs(argv, extra):
     # a trapcav process compiles every module it imports (no bytecode cache
     # where PYTHONDONTWRITEBYTECODE is set), so a command loads no module
     # that it does not run: force needs only what importing trapcav.cli
-    # loads, the other commands' output loads with them, and the argparse
-    # path only with an argv that the flag table declines, a usage error here
+    # loads, the other commands' output loads with them, the --out writer
+    # only with --out, and the argparse path only with an argv that the
+    # flag table declines, a usage error here
     code, _, loaded = run_fresh(*argv)
     assert code == (2 if "cli_argparse" in extra else 0)
     assert loaded == sorted(CLI_MODULES + [f"trapcav.{name}" for name in extra])
+
+
+def _code_lines(path: str) -> int:
+    # the lines that hold a token other than a comment, less the docstrings
+    source = Path(path).read_text(encoding="utf-8")
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(node) is not None:
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    blank = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in blank:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
+
+
+# the code lines of the modules that a force process loads, CLI_MODULES
+FORCE_CODE_LINES = 434
+
+
+def test_force_compiles_no_more_code_than_pinned():
+    # a force process compiles each module it loads from source where no
+    # bytecode cache is written, so its code lines are a start-up cost that
+    # no timing noise hides; a change that adds to them moves this pin
+    code, _, loaded = run_fresh("force", *REDUCED_ARGS, "--phi-deg", "5")
+    assert code == 0 and loaded == CLI_MODULES
+    files = [importlib.import_module(name).__file__ for name in loaded]
+    assert sum(map(_code_lines, files)) == FORCE_CODE_LINES
 
 
 @pytest.mark.parametrize(
@@ -706,6 +746,50 @@ def test_json_payload_keys_are_pinned(capsysbinary):
     assert set(profile) == {"spec", "samples"} and set(profile["spec"]) == SPEC_KEYS
     assert len(profile["samples"]) == 64
     assert all(set(sample) == {"r", "p_x", "p_z"} for sample in profile["samples"])
+
+
+# the characters of the writer's strings: every one that JSON escapes by
+# name or by code (quote, backslash, control characters, DEL), printable
+# ASCII, and others up to the astral plane, lone surrogates among them
+JSON_CHARS = ['"', "\\", "\b", "\f", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", " ", "~", "/", "e",
+              "\xe9", "\u03c6", "\u2028", "\ufeff", "\U0001d6d7", "\ud800", "\udfff"]
+JSON_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1e16, -1e-7]
+
+
+def _json_value(rng: random.Random, depth: int = 0):
+    # one value of the kinds the writer takes: containers nest three deep
+    kind = rng.randrange(11 if depth < 3 else 7)
+    if kind == 0:
+        return rng.choice([None, True, False])
+    if kind == 1:
+        return rng.choice([0, -1, 7, 2**53 + 1, -(2**64), rng.randrange(-(2**300), 2**300)])
+    if kind == 2:
+        return rng.choice([*JSON_FLOATS, rng.uniform(-1e3, 1e3), math.ldexp(rng.random(), rng.randrange(-1074, 1024))])
+    if kind in (3, 4):
+        return "".join(rng.choice(JSON_CHARS) if rng.random() < 0.5 else chr(rng.randrange(32, 127))
+                       for _ in range(rng.randrange(6)))
+    if kind in (5, 6):
+        return rng.choice([*Units, *SweepAxis])
+    items = [_json_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind in (7, 8):
+        return {str(_json_value(rng, 3)): item for item in items}
+    return items if kind == 9 else tuple(items)
+
+
+def test_json_writer_writes_the_bytes_of_json_dumps():
+    # the cli writes its JSON without the json module: indented for stdout
+    # and compact for stderr's error objects, it must give json.dumps's
+    # text on every value, seeded so that a failure repeats
+    rng = random.Random(20260)
+    for _ in range(12000):
+        value = _json_value(rng)
+        assert trapcav.cli._json(value, "\n") == json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+        assert trapcav.cli._json(value) == json.dumps(value, sort_keys=True, allow_nan=False)
+    # a float that is not finite goes out as a string, in every container
+    special = {"x": [math.inf, (-math.inf,)], "y": {"z": math.nan}}
+    strings = {"x": ["inf", ["-inf"]], "y": {"z": "nan"}}
+    assert trapcav.cli._json(special, "\n") == json.dumps(strings, indent=2, sort_keys=True)
+    assert trapcav.cli._json(special) == json.dumps(strings, sort_keys=True)
 
 
 def test_tolerance_below_the_error_floor_exits_2(capsys):
@@ -1175,7 +1259,9 @@ def test_verify_command_passes_and_validates_schema(tmp_path):
 def test_verify_with_a_failing_check_reports_it_and_exits_1(monkeypatch, capsysbinary):
     # a corrupted K moves only the primary forces: the report still goes to
     # stdout, with the two force checks failing, and stderr stays empty
-    monkeypatch.setattr(trapcav.geometry, "K", 2e-34 * 2.99792458e8 * math.pi**2 / 240.0)
+    # K is defined in trapcav.spec, and trapcav.geometry re-exports it
+    assert trapcav.geometry.K is trapcav.spec.K
+    monkeypatch.setattr(trapcav.spec, "K", 2e-34 * 2.99792458e8 * math.pi**2 / 240.0)
     assert main(["verify", "--a", "4e-7", "--R", "4e-6", "--phi-deg", "1"]) == 1
     captured = capsysbinary.readouterr()
     assert captured.err == b""

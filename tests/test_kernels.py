@@ -23,6 +23,7 @@ from trapcav.geometry import WingParams
 from trapcav.kernels import wing_pressures
 import trapcav.geometry
 import trapcav.kernels
+import trapcav.spec
 
 # hbar c pi^2 / 240 with CODATA hbar = 1.054571817e-34, c = 2.99792458e8,
 # written with enough digits that == compares the bits
@@ -113,12 +114,13 @@ def test_specific_pressures_refuse_pressures_that_are_not_finite():
 
 
 def test_specific_pressures_uses_constants(monkeypatch):
-    # K has one definition, in geometry, and the kernel reads it per call
-    assert trapcav.kernels.K is trapcav.geometry.K
-    assert trapcav.kernels.pressure_prefactor is trapcav.geometry.pressure_prefactor
+    # K has one definition, in spec, which geometry and the kernel
+    # re-export, and the kernel reads it per call
+    assert trapcav.kernels.K is trapcav.geometry.K is trapcav.spec.K
+    assert trapcav.kernels.pressure_prefactor is trapcav.spec.pressure_prefactor
     si = CavitySpec(a=4e-7, R=4e-6, L=1.0, phi=0.0)
     base = specific_pressures(si, 2e-6)
-    monkeypatch.setattr(trapcav.geometry, "K", 2 * trapcav.geometry.K)
+    monkeypatch.setattr(trapcav.spec, "K", 2 * trapcav.spec.K)
     doubled = specific_pressures(si, 2e-6)
     assert math.isclose(doubled.p_z, 2 * base.p_z, rel_tol=1e-15)
 

@@ -30,6 +30,7 @@ import trapcav.forces
 import trapcav.geometry
 import trapcav.kernels
 import trapcav.oracle
+import trapcav.spec
 
 REDUCED = CavitySpec(a=1.0, R=10.0, L=1.0, phi=0.0, units=Units.REDUCED)
 SI_THIN = CavitySpec(a=4e-7, R=4e-6, L=1.0, phi=math.radians(1.0))
@@ -502,7 +503,8 @@ def test_verify_suite_rejects_invalid_spec():
 def test_verify_suite_detects_corrupted_constants(monkeypatch):
     # the oracle carries its own literals, so only the primary force path
     # inherits the corruption and only the force checks may fail
-    monkeypatch.setattr(trapcav.geometry, "K", 2e-34 * 2.99792458e8 * math.pi**2 / 240.0)
+    assert trapcav.geometry.K is trapcav.spec.K
+    monkeypatch.setattr(trapcav.spec, "K", 2e-34 * 2.99792458e8 * math.pi**2 / 240.0)
     reports = {r.quantity: r for r in verify_suite(SI_THIN)}
     assert not reports["total_force_z"].passed
     assert not reports["total_force_x"].passed
