@@ -282,16 +282,18 @@ def _json_bytes(payload: dict) -> bytes:
     return (_json(payload, "\n") + "\n").encode("ascii")
 
 
-def _emit_error(payload: dict) -> None:
-    sys.stderr.write(_json(payload) + "\n")
+def _fail(err: Exception, code: int, message: str | None = None) -> int:
+    """Write ``err`` to stderr as one compact JSON object; return ``code``.
 
-
-def _error_dict(err: Exception) -> dict:
-    payload = {"error": type(err).__name__, "message": str(err)}
+    The object names the error's type, gives ``message`` (``str(err)``
+    where it is None) and any field, value and name that the error has.
+    """
+    payload = {"error": type(err).__name__, "message": str(err) if message is None else message}
     for attr in ("field", "value", "name"):
         if hasattr(err, attr):
             payload[attr] = getattr(err, attr)
-    return payload
+    sys.stderr.write(_json(payload) + "\n")
+    return code
 
 
 def _write_output(payload: bytes, out: str | None) -> None:
@@ -330,19 +332,15 @@ def run(config: RunConfig) -> int:
 
             payload, code = run_command(config, spec)
     except (InvalidCavity, OutOfRange, ValueError) as err:
-        _emit_error(_error_dict(err))
-        return 2
+        return _fail(err, 2)
     except TrapcavError as err:
-        _emit_error(_error_dict(err))
-        return 1
+        return _fail(err, 1)
     try:
         _write_output(payload, config.out)
     except OSError as err:
         # the OS message names the temporary file; name the --out path
         target = "stdout" if config.out is None else repr(config.out)
-        message = f"cannot write {target}: {err.strerror}"
-        _emit_error({**_error_dict(err), "message": message})
-        return 2
+        return _fail(err, 2, f"cannot write {target}: {err.strerror}")
     return code
 
 

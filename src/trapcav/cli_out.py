@@ -46,17 +46,13 @@ def _out_target(out: str) -> str | int:
 def write_out(payload: bytes, out: str) -> None:
     """Write ``payload`` to the --out path ``out``, as the module docstring says."""
     target = _out_target(out)
-    if isinstance(target, int):
-        with open(target, "wb") as f:
-            f.write(payload)
-        return
     try:
-        mode = os.lstat(target).st_mode
+        mode = None if isinstance(target, int) else os.lstat(target).st_mode
     except FileNotFoundError:
         mode = None
-    if mode is not None and not stat.S_ISREG(mode):
-        # a FIFO, a device or a terminal is written in place, where a
-        # rename would put a regular file in its stead
+    if isinstance(target, int) or mode is not None and not stat.S_ISREG(mode):
+        # a descriptor, a FIFO, a device or a terminal is written in place,
+        # where a rename would put a regular file in its stead
         with open(target, "wb") as f:
             f.write(payload)
         return

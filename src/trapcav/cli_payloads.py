@@ -3,7 +3,8 @@
 :func:`trapcav.cli.run` validates the spec and imports this module to run
 any other command, so a force process compiles none of it.  Each record
 writes its own fields (``_asdict``); a sweep row drops its spec, which the
-table's ``base`` and the row's ``param`` give.
+table's ``base`` and the row's ``param`` give, and an optimum its
+``force_calls``, a count of the search's work that the payload leaves out.
 """
 
 import math
@@ -49,16 +50,9 @@ def run_command(config, spec) -> tuple[bytes, int]:
     if config.command == "optimize":
         from .analysis import optimize_phi
 
-        result = optimize_phi(spec, math.radians(config.phi_lo_deg), math.radians(config.phi_hi_deg))
-        return _json_bytes(
-            {
-                "spec": spec._asdict(),
-                "phi_star": result.phi_star,
-                "f_x_star": result.f_x_star,
-                "bracket": list(result.bracket),
-                "iterations": result.iterations,
-            }
-        ), 0
+        fields = optimize_phi(spec, math.radians(config.phi_lo_deg), math.radians(config.phi_hi_deg))._asdict()
+        del fields["force_calls"]
+        return _json_bytes({**fields, "spec": spec._asdict()}), 0
     if config.command != "verify":
         raise ValueError(f"unknown command {config.command!r}")
     reports = cli.verify_suite(spec)
@@ -74,24 +68,16 @@ def _profile_payload(config, spec, profile) -> bytes:
     if config.format == "csv":
         return _csv_bytes("r,p_x,p_z", samples)
     # only svg output loads the emitter
-    from .emit import PlotSpec, emit_svg
+    from .emit import emit_svg
 
-    rs = [s.r for s in profile.samples]
-    series = []
-    if config.quantity in ("px", "both"):
-        series.append(("p_x", tuple(zip(rs, (s.p_x for s in profile.samples)))))
-    if config.quantity in ("pz", "both"):
-        series.append(("p_z", tuple(zip(rs, (s.p_z for s in profile.samples)))))
+    names = {"px": ("p_x",), "pz": ("p_z",), "both": ("p_x", "p_z")}[config.quantity]
+    series = [(name, [(sample["r"], sample[name]) for sample in samples]) for name in names]
     refs = ()
     if config.reference_classical:
         from .kernels import classical_casimir_pressure
 
-        level = classical_casimir_pressure(spec.a, k=pressure_prefactor(spec))
-        refs = (("classical", level),)
-    plot = PlotSpec(
-        x_label="r", y_label="pressure", series=tuple(series), ref_lines=refs
-    )
-    return emit_svg(plot)
+        refs = (("classical", classical_casimir_pressure(spec.a, k=pressure_prefactor(spec))),)
+    return emit_svg("r", "pressure", series, refs)
 
 
 def _sweep_payload(config, spec, table) -> bytes:
@@ -108,8 +94,6 @@ def _sweep_payload(config, spec, table) -> bytes:
     if config.format == "csv":
         return _csv_bytes("param,f_x,f_z,err_x,err_z,converged", points)
     # only svg output loads the emitter
-    from .emit import PlotSpec, emit_svg
+    from .emit import emit_svg
 
-    label = "phi [rad]" if table.axis.value == "phi" else "R"
-    plot = PlotSpec(x_label=label, y_label="|f_x|", series=(("|f_x|", pts),))
-    return emit_svg(plot)
+    return emit_svg("phi [rad]" if table.axis.value == "phi" else "R", "|f_x|", [("|f_x|", pts)])

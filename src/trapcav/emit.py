@@ -1,52 +1,42 @@
 """SVG output of the command line: ``--format svg``.
 
 Only a run that draws a plot loads this module, and it imports nothing
-from the rest of trapcav: the command builds the :class:`PlotSpec`.
+from the rest of trapcav: the command passes the labels and the points.
 """
 
 import math
-from typing import NamedTuple
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 
-class PlotSpec(NamedTuple):
-    """Single-panel line chart: labeled series plus optional horizontal references.
-
-    :func:`emit_svg` checks it before drawing.
-    """
-
-    x_label: str
-    y_label: str
-    series: tuple[tuple[str, tuple[tuple[float, float], ...]], ...]
-    ref_lines: tuple[tuple[str, float], ...] = ()
-
-
-def emit_svg(plot: PlotSpec) -> bytes:
+def emit_svg(x_label: str, y_label: str, series, ref_lines=()) -> bytes:
     """Self-contained 640x440 SVG: axes, ticks, one polyline per series or reference.
 
-    A flat series (all y identical) is drawn against a padded range of
-    +/- max(1, |y|)/2 instead of failing; that is the documented handling
-    of the degenerate-plot case.  A plot without a series, a series with
+    The chart has one panel.  ``series`` holds ``(name, points)`` pairs,
+    each point an ``(x, y)`` pair, and ``ref_lines`` ``(name, y)`` pairs,
+    each drawn as a dashed horizontal line.  A flat series (all y
+    identical) is drawn against a padded range of +/- max(1, |y|)/2
+    instead of failing; that is the documented handling of the
+    degenerate-plot case.  A plot without a series, a series with
     fewer than 2 points, or a coordinate or reference level that is not
     finite raises ``ValueError``.
     """
-    if not plot.series:
+    if not series:
         raise ValueError("plot needs at least one series")
-    for name, points in plot.series:
+    for name, points in series:
         if len(points) < 2:
             raise ValueError(f"series {name!r} needs at least 2 points")
         for x, y in points:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"series {name!r} has a non-finite point ({x!r}, {y!r})")
-    for name, y in plot.ref_lines:
+    for name, y in ref_lines:
         if not math.isfinite(y):
             raise ValueError(f"reference line {name!r} is non-finite")
     w, h = 640.0, 440.0
     ml, mr, mt, mb = 70.0, 20.0, 20.0, 50.0
-    xs = [p[0] for _, pts in plot.series for p in pts]
-    ys = [p[1] for _, pts in plot.series for p in pts]
-    ys += [y for _, y in plot.ref_lines]
+    xs = [p[0] for _, pts in series for p in pts]
+    ys = [p[1] for _, pts in series for p in pts]
+    ys += [y for _, y in ref_lines]
     xmin, xmax = min(xs), max(xs)
     ymin, ymax = min(ys), max(ys)
     if xmax == xmin:
@@ -93,17 +83,17 @@ def emit_svg(plot: PlotSpec) -> bytes:
         parts.append(text(f"{xp:.2f}", h - mb + 18, 11, "middle", format(xv, ".4g")))
         parts.append(line(ml - 5, yp, ml, yp))
         parts.append(text(f"{ml - 8:.2f}", yp + 4, 11, "end", format(yv, ".4g")))
-    parts.append(text(f"{(ml + w - mr) / 2:.2f}", h - 12, 13, "middle", plot.x_label))
+    parts.append(text(f"{(ml + w - mr) / 2:.2f}", h - 12, 13, "middle", x_label))
     rotate = f' transform="rotate(-90 14 {ymid:.2f})"'
-    parts.append(text("14", ymid, 13, "middle", plot.y_label, rotate))
-    for name, yv in plot.ref_lines:
+    parts.append(text("14", ymid, 13, "middle", y_label, rotate))
+    for name, yv in ref_lines:
         yp = py(yv)
         parts.append(
             f'<polyline fill="none" stroke="#777777" stroke-width="1" '
             f'stroke-dasharray="6,4" points="{px(xmin):.2f},{yp:.2f} {px(xmax):.2f},{yp:.2f}"/>'
         )
         parts.append(text(key_x, yp - 4, 11, "end", name, ' fill="#777777"'))
-    for idx, (name, pts) in enumerate(plot.series):
+    for idx, (name, pts) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
         coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
         parts.append(

@@ -73,9 +73,12 @@ def _ray(a: float, c: float, s: float, r: float, t: float) -> tuple[float, float
     # (sigma, x, h) of the ray from the upper-wing point r to the
     # lower-wing point t, in the unit of a, with c = cos(phi) and
     # s = sin(phi): sigma / h and x / h are the sine and cosine of its
-    # angle u = theta - 2 phi from the lower wing (see the module docstring)
+    # angle u = theta - 2 phi from the lower wing (see the module docstring);
+    # (r + t) s is formed as (r/2 + t/2)(2 s), the same float wherever r + t
+    # is finite and r and t are 0 or above 4.5e-308 (so halving is exact),
+    # and 0, not inf * 0 = NaN, on a flat wing past half the float range
     g = a + r * (2.0 * s)
-    return c * g, (t - r) + s * g, math.hypot(c * (r - t), a + (r + t) * s)
+    return c * g, (t - r) + s * g, math.hypot(c * (r - t), a + (0.5 * r + 0.5 * t) * (2.0 * s))
 
 
 class WingParams(NamedTuple):

@@ -120,11 +120,13 @@ class OracleReport(NamedTuple):
 
 
 def _worst(quantity: str, rows, tol: float) -> OracleReport:
-    # the report of the (deviation, primary, oracle) row of the largest
-    # deviation, the last of equal ones; a NaN deviation ranks above every
-    # number, and fails, as NaN <= tol is false
-    nans = [row for row in rows if math.isnan(row[0])]
-    dev, primary, oracle = nans[-1] if nans else max(reversed(rows), key=lambda row: row[0])
+    # the report of the (miss, scale, primary, oracle) row of the largest
+    # deviation miss / scale, the last of equal ones; where the scale is 0,
+    # a zero miss deviates by 0 and any other by inf, and a NaN miss stays
+    # NaN, which ranks above every number and fails, as NaN <= tol is false
+    devs = [(miss / scale if scale else math.inf if miss > 0.0 else miss, p, o) for miss, scale, p, o in rows]
+    nans = [row for row in devs if math.isnan(row[0])]
+    dev, primary, oracle = nans[-1] if nans else max(reversed(devs), key=lambda row: row[0])
     return OracleReport(quantity, primary, oracle, dev, tol, dev <= tol)
 
 
@@ -392,8 +394,12 @@ def verify_suite(spec: CavitySpec) -> list[OracleReport]:
     raises :class:`InvalidCavity`, and a cavity whose forces are no normal
     floats (R/a below about 1e-154, say) the :class:`NonFiniteSample` of
     :func:`~trapcav.forces.total_forces`, before any check; every other
-    cavity, a wing of any length, gets its six reports.  The oracle's raw
-    vectors are exact, so tilted wings of any length keep the gap.  The
+    cavity up to R/a 1.2e308 gets its six reports, and they pass.  Past
+    that a tilted wing's ray lengths leave the float range, so a check may
+    fail or a typed error be raised.  Each deviation is a miss over a
+    scale, taken in :func:`_worst`; a zero scale makes a zero miss 0 and
+    any other inf.  The oracle's raw vectors are exact, so tilted wings of
+    any length keep the gap.  The
     oracle keeps its own literal prefactor, so a corrupted
     :data:`trapcav.spec.K` moves only the primary forces and fails the
     force checks.
@@ -407,16 +413,16 @@ def verify_suite(spec: CavitySpec) -> list[OracleReport]:
     prim = total_forces(spec)  # validates the spec
     angles, lengths, inner_z, inner_x = [], [], [], []
     for k in range(17):
-        r = spec.R * k / 16
+        r = spec.R * (k / 16)  # k / 16 is exact; R * k would overflow on the longest wings
         for p, o in zip(limit_angles(spec, r), limit_angles_vector(spec, r)):
-            angles.append((abs(p - o), p, o))
+            angles.append((abs(p - o), 1.0, p, o))
     for frac in (1 / 7, 1 / 3, 1 / 2, 2 / 3, 6 / 7):
         r = spec.R * frac
         window = limit_angles_vector(spec, r)
         for j in range(9):
             theta = window.theta1 + window.width * (j + 0.5) / 9
             p, o = ray_length(spec, r, theta), ray_length_intersection(spec, r, theta)
-            lengths.append((abs(p - o) / abs(o), p, o))
+            lengths.append((abs(p - o), abs(o), p, o))
     cav = WingParams.of(spec)
     for frac in (0.0, 0.5, 15 / 16):
         u1, width, _ = cav.window(spec.R * frac)
@@ -430,18 +436,17 @@ def verify_suite(spec: CavitySpec) -> list[OracleReport]:
             quad = math.fsum(w * math.sin(u1 + t) ** 4 * trig(u1 + t + spec.phi) for t, w in nodes)
             # both values can be ~0 (antisymmetric x integrand); the window
             # width bounds the integral and gives the comparison a scale
-            rows.append((abs(value - quad) / max(abs(value), abs(quad), 0.1 * width), value, quad))
+            rows.append((abs(value - quad), max(abs(value), abs(quad), 0.1 * width), value, quad))
 
     orac_x, orac_z = _gauss_forces(spec)
-    # passes where |p - o| <= 1e-10 |o| + err_x; a zero miss is 0 also where
-    # that gate is 0 (a flat short wing), and a NaN miss stays NaN
-    miss_x, scale_x = abs(prim.f_x - orac_x), abs(orac_x) + prim.err_x / 1e-10
-    dev_x = miss_x / scale_x if scale_x else (math.inf if miss_x > 0.0 else miss_x)
+    # x passes where |p - o| <= 1e-10 |o| + err_x; that scale is 0 on a flat
+    # short wing, where both forces are 0
+    x_row = (abs(prim.f_x - orac_x), abs(orac_x) + prim.err_x / 1e-10, prim.f_x, orac_x)
     return [
         _worst("limit_angles", angles, 1e-12),
         _worst("ray_length", lengths, 1e-12),
         _worst("inner_integral_z", inner_z, 1e-10),
         _worst("inner_integral_x", inner_x, 1e-10),
-        _worst("total_force_z", [(abs(prim.f_z - orac_z) / abs(orac_z), prim.f_z, orac_z)], 1e-10),
-        _worst("total_force_x", [(dev_x, prim.f_x, orac_x)], 1e-10),
+        _worst("total_force_z", [(abs(prim.f_z - orac_z), abs(orac_z), prim.f_z, orac_z)], 1e-10),
+        _worst("total_force_x", [x_row], 1e-10),
     ]

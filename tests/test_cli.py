@@ -30,7 +30,7 @@ import trapcav.cli_argparse
 import trapcav.geometry
 import trapcav.kernels
 import trapcav.spec
-from trapcav.emit import PlotSpec, emit_svg
+from trapcav.emit import emit_svg
 from trapcav.spec import REL_TOL_FLOOR
 
 REDUCED_ARGS = ["--a", "1", "--R", "10", "--units", "reduced"]
@@ -506,7 +506,7 @@ def _code_lines(path: str) -> int:
 
 
 # the code lines of the modules that a force process loads, CLI_MODULES
-FORCE_CODE_LINES = 434
+FORCE_CODE_LINES = 429
 
 
 def test_force_compiles_no_more_code_than_pinned():
@@ -1040,20 +1040,17 @@ def test_plot_spec_validation():
     # emit_svg checks the plot it draws
     pts = ((0.0, 1.0), (1.0, 2.0))
     with pytest.raises(ValueError, match="^plot needs at least one series$"):
-        emit_svg(PlotSpec(x_label="x", y_label="y", series=()))
+        emit_svg("x", "y", ())
     with pytest.raises(ValueError, match="^series 's' needs at least 2 points$"):
-        emit_svg(PlotSpec(x_label="x", y_label="y", series=(("s", ((0.0, 1.0),)),)))
+        emit_svg("x", "y", (("s", ((0.0, 1.0),)),))
     with pytest.raises(ValueError, match=r"^series 's' has a non-finite point \(0.0, nan\)$"):
-        emit_svg(PlotSpec(x_label="x", y_label="y", series=(("s", ((0.0, math.nan), (1.0, 2.0))),)))
+        emit_svg("x", "y", (("s", ((0.0, math.nan), (1.0, 2.0))),))
     with pytest.raises(ValueError, match="^reference line 'r' is non-finite$"):
-        emit_svg(PlotSpec(x_label="x", y_label="y", series=(("s", pts),), ref_lines=(("r", math.inf),)))
+        emit_svg("x", "y", (("s", pts),), (("r", math.inf),))
 
 
 def test_flat_series_svg_is_padded_not_fatal():
-    plot = PlotSpec(
-        x_label="x", y_label="y", series=(("flat", ((0.0, 2.0), (1.0, 2.0))),)
-    )
-    svg = emit_svg(plot).decode("utf-8")
+    svg = emit_svg("x", "y", (("flat", ((0.0, 2.0), (1.0, 2.0))),)).decode("utf-8")
     assert "<polyline" in svg
     assert 'width="640" height="440"' in svg
 

@@ -1,9 +1,10 @@
 """Contract sweep of the public API over the supported domain.
 
 Every supported cavity gets a right answer or a typed refusal: a wing of
-any length, down to windows narrower than an ulp of their limit angles,
-is verified, and ``verify_suite`` refuses only where the forces it checks
-cannot be formed.  ``total_forces`` keeps each component to its own
+any length up to 1.2e308 gaps, down to windows narrower than an ulp of
+their limit angles, is verified, and ``verify_suite`` refuses only where
+the forces it checks cannot be formed; longer wings get six reports or a
+typed error.  ``total_forces`` keeps each component to its own
 digits on a seeded draw of wings from 1e-25 to 1e300 gaps, against the
 moment form at 80 digits and against the three-ray form of
 ``tests/test_force_reference.py``, and obeys the paper's claims: the sign
@@ -24,15 +25,19 @@ from trapcav import (
     AngleWindow,
     CavitySpec,
     NonFiniteSample,
+    TrapcavError,
     Units,
     limit_angles,
     limit_angles_vector,
+    pressure_profile,
     total_forces,
     verify_suite,
 )
 
 # from wings whose windows round to one float (R/a <= 1e-16) to 1e300 gaps
 CONTRACT_RATIOS = [1e-20, 1e-18, 2e-17, 5e-17, 1e-16, 1e-15, 1e-9, 1e-3, 0.3, 4.0, 1e6, 1e20, 1e300]
+PHI_EDGE = math.nextafter(math.pi / 4, 0.0)
+CHECK_NAMES = ["limit_angles", "ray_length", "inner_integral_z", "inner_integral_x", "total_force_z", "total_force_x"]
 CONTRACT_PHIS = [0.0, 1e-8, 0.1, 0.3, 0.7, math.nextafter(math.pi / 4, 0.0)]
 
 
@@ -59,6 +64,37 @@ def test_verify_suite_raises_what_total_forces_raises():
     with pytest.raises(NonFiniteSample) as verify:
         verify_suite(spec)
     assert str(verify.value) == str(forces.value)
+
+
+def test_the_longest_wings_are_verified_or_refused_by_type():
+    # a seeded draw over R/a 1e300..1.79e308, phi as in _contract_draw,
+    # reduced units and SI gaps up to 1 m.  Up to R/a 1.2e308 every check
+    # passes; beyond it a tilted wing's s(r) leaves the float range, so a
+    # check may fail or a typed error be raised, but nothing else is.  Its
+    # angle grid once overflowed R k past 1.12e307 gaps (an OutOfRange for
+    # r = inf), and its inner rows divided 0 by 0 past about 1.27e308
+    rng = random.Random(206001)
+    for _ in range(160):
+        units = rng.choice([Units.REDUCED, Units.SI])
+        a = 1.0 if units is Units.REDUCED else 10.0 ** rng.uniform(-9.0, 0.0)
+        ratio = 10.0 ** rng.uniform(300.0, math.log10(1.79e308))
+        phi = rng.choice(
+            [0.0, 1e-8, 10.0 ** rng.uniform(-300.0, math.log10(0.78)), rng.uniform(0.0, PHI_EDGE), PHI_EDGE]
+        )
+        spec = CavitySpec(a=a, R=a * ratio, L=1.0, phi=phi, units=units)
+        try:
+            reports = verify_suite(spec)
+        except TrapcavError:
+            assert ratio > 1.2e308, spec
+            continue
+        assert [r.quantity for r in reports] == CHECK_NAMES, spec
+        assert ratio > 1.2e308 or all(r.passed for r in reports), (spec, reports)
+    # (r + t) sin phi once overflowed to inf * 0 = NaN on a flat wing past
+    # 8.99e307 gaps
+    for ratio in [1.6e308, *(10.0 ** rng.uniform(300.0, math.log10(1.6e308)) for _ in range(20))]:
+        spec = CavitySpec(a=1.0, R=ratio, L=1.0, phi=0.0, units=Units.REDUCED)
+        samples = pressure_profile(spec, 17).samples
+        assert len(samples) == 17 and all(map(math.isfinite, (v for s in samples for v in s))), spec
 
 
 def test_limit_angle_pair_answers_alike_on_tiny_wings():
@@ -90,7 +126,6 @@ def test_limit_angle_pair_answers_alike_on_tiny_wings():
 
 EPS = sys.float_info.epsilon
 FLOAT_MIN = sys.float_info.min
-PHI_EDGE = math.nextafter(math.pi / 4, 0.0)
 
 
 def _moment_forces(rho, phi):

@@ -550,9 +550,12 @@ def test_verify_suite_fails_the_checks_that_read_a_nan(monkeypatch, module, name
 
 def placeholder_worst(quantity, rows, tol):
     # the reducer that the NaN-ranking one replaced: a (0, 0, 0) placeholder
-    # that a row replaces where its deviation is >= the worst so far
+    # that a row replaces where its deviation is >= the worst so far; a
+    # (miss, scale, p, o) row deviates by miss / scale, and by the rule that
+    # total_force_x once applied on its own where the scale is 0
     worst = (0.0, 0.0, 0.0)
-    for dev, p, o in rows:
+    for miss, scale, p, o in rows:
+        dev = miss / scale if scale else (math.inf if miss > 0.0 else miss)
         if dev >= worst[0]:
             worst = (dev, p, o)
     return OracleReport(quantity, worst[1], worst[2], worst[0], tol, worst[0] <= tol)
@@ -573,7 +576,7 @@ def test_verify_suite_picks_the_rows_the_placeholder_loop_picked(monkeypatch, ra
     reports = verify_suite(REDUCED._replace(R=ratio))
     assert [quantity for quantity, _, _ in seen] == CHECK_NAMES
     angles = seen[0][1]
-    assert len({row[1:] for row in angles if row[0] == 0.0}) > 1
+    assert len({row[2:] for row in angles if row[0] == 0.0}) > 1
     for report, args in zip(reports, seen):
         assert repr(report) == repr(placeholder_worst(*args))
 
@@ -581,14 +584,25 @@ def test_verify_suite_picks_the_rows_the_placeholder_loop_picked(monkeypatch, ra
 TIED_DEVIATIONS = st.sampled_from([0.0, -0.0, 1e-300, 0.5, 1.0, math.inf])
 
 
-@given(st.lists(st.tuples(TIED_DEVIATIONS, st.floats(), st.floats()), min_size=1, max_size=8), st.data())
+@given(st.lists(st.tuples(TIED_DEVIATIONS, st.just(1.0), st.floats(), st.floats()), min_size=1, max_size=8),
+       st.data())
 def test_worst_ranks_nan_above_every_number(rows, data):
     assert repr(trapcav.oracle._worst("q", rows, 1.0)) == repr(placeholder_worst("q", rows, 1.0))
     nan_at = data.draw(st.integers(0, len(rows)))
-    rows.insert(nan_at, (math.nan, -1.0, 1.0))
+    rows.insert(nan_at, (math.nan, 1.0, -1.0, 1.0))
     report = trapcav.oracle._worst("q", rows, 1.0)
     assert math.isnan(report.rel_deviation) and not report.passed
     assert (report.closed_form, report.oracle) == (-1.0, 1.0)
+
+
+def test_worst_gives_a_zero_scale_no_division():
+    # a zero scale makes a zero miss 0 and any other inf, and keeps a NaN
+    # miss NaN, in every check alike: the inner rows once divided 0 by 0
+    for miss, dev in ((0.0, 0.0), (5e-324, math.inf), (math.inf, math.inf)):
+        report = trapcav.oracle._worst("q", [(miss, 0.0, 1.0, 1.0)], 1.0)
+        assert report.rel_deviation == dev and report.passed is (dev <= 1.0)
+    assert math.isnan(trapcav.oracle._worst("q", [(math.nan, 0.0, 1.0, 1.0)], 1.0).rel_deviation)
+    assert trapcav.oracle._worst("q", [(3.0, 4.0, 1.0, 1.0)], 1.0).rel_deviation == 0.75
 
 
 @given(

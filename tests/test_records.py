@@ -21,7 +21,6 @@ from trapcav import (
     Units,
 )
 from trapcav.cli import parse_args
-from trapcav.emit import PlotSpec
 from trapcav.quadrature import QuadratureResult
 
 SPEC = "CavitySpec(a=1.0, R=4.0, L=1.0, phi=0.1, units=<Units.REDUCED: 'reduced'>)"
@@ -101,13 +100,6 @@ RECORDS = {
         "phi_hi_deg=None, phi_tol_deg=None)",
         "tol",
         1e-6,
-    ),
-    "PlotSpec": (
-        lambda: PlotSpec(x_label="r", y_label="p", series=(("p_x", ((0.0, 1.0), (1.0, 2.0))),)),
-        "PlotSpec(x_label='r', y_label='p', series=(('p_x', ((0.0, 1.0), (1.0, 2.0))),), "
-        "ref_lines=())",
-        "y_label",
-        "q",
     ),
 }
 
