@@ -13,93 +13,61 @@ the sweeps and the optimizer (:mod:`~trapcav.analysis`), the pressure
 kernel and its profiles (:mod:`~trapcav.kernels`) and the oracle's checks
 (:mod:`~trapcav.oracle`).  Every public name runs on plain floats and
 loads no numpy.  The numerical references that the tests compare against,
-the adaptive quadrature of :mod:`~trapcav.quadrature` and
+the adaptive quadrature of :mod:`~trapcav.quadrature` with the
+:class:`~trapcav.quadrature.NotConverged` that only it raises, and
 :func:`~trapcav.oracle.riemann_forces`, are imported from their modules:
 they need numpy, which only the ``test`` extra installs.
 """
 
 import importlib
 
-from .errors import (
-    InvalidCavity,
-    NoInteriorMaximum,
-    NonFiniteSample,
-    NonPositiveGap,
-    NumericDegeneracy,
-    OutOfRange,
-    TrapcavError,
-)
-from .forces import ForceResult, total_forces
-from .spec import PHI_MAX, CavitySpec, Units, pressure_prefactor, validate
+from . import errors, forces, spec
 
-# the public names that load on first use, by the module that defines them
-_LAZY = {
-    "AngleWindow": "geometry",
-    "limit_angles": "geometry",
-    "ray_length": "geometry",
-    "s_factor": "geometry",
-    "OptimumReport": "analysis",
-    "SweepAxis": "analysis",
-    "SweepTable": "analysis",
-    "optimize_phi": "analysis",
-    "sweep": "analysis",
-    "PressureProfile": "kernels",
-    "PressureSample": "kernels",
-    "classical_casimir_pressure": "kernels",
-    "fan_integrals": "kernels",
-    "pressure_profile": "kernels",
-    "specific_pressures": "kernels",
-    "OracleReport": "oracle",
-    "limit_angles_vector": "oracle",
-    "ray_length_intersection": "oracle",
-    "verify_suite": "oracle",
+# each public name, by the module that defines it; the names of errors,
+# forces and spec are bound below, every other one loads its module on
+# first use
+_PUBLIC = {
+    "errors": (
+        "InvalidCavity",
+        "NoInteriorMaximum",
+        "NonFiniteSample",
+        "NonPositiveGap",
+        "NumericDegeneracy",
+        "OutOfRange",
+        "TrapcavError",
+    ),
+    "forces": ("ForceResult", "total_forces"),
+    "spec": ("PHI_MAX", "CavitySpec", "Units", "pressure_prefactor", "validate"),
+    "geometry": ("AngleWindow", "limit_angles", "ray_length", "s_factor"),
+    "analysis": ("OptimumReport", "SweepAxis", "SweepTable", "optimize_phi", "sweep"),
+    "kernels": (
+        "PressureProfile",
+        "PressureSample",
+        "classical_casimir_pressure",
+        "fan_integrals",
+        "pressure_profile",
+        "specific_pressures",
+    ),
+    "oracle": ("OracleReport", "limit_angles_vector", "ray_length_intersection", "verify_suite"),
 }
+
+_HOME = {name: home for home, names in _PUBLIC.items() for name in names}
+__all__ = sorted(_HOME)
+
+# plain attributes, not __getattr__'s: a lookup of them stays a dict read
+globals().update(
+    (name, getattr(globals()[home], name)) for home in ("errors", "forces", "spec") for name in _PUBLIC[home]
+)
 
 
 def __getattr__(name: str):
-    if name in _LAZY:
-        return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY))
+    return sorted(set(globals()) | set(__all__))
 
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AngleWindow",
-    "CavitySpec",
-    "ForceResult",
-    "InvalidCavity",
-    "NoInteriorMaximum",
-    "NonFiniteSample",
-    "NonPositiveGap",
-    "NumericDegeneracy",
-    "OptimumReport",
-    "OracleReport",
-    "OutOfRange",
-    "PHI_MAX",
-    "PressureProfile",
-    "PressureSample",
-    "SweepAxis",
-    "SweepTable",
-    "TrapcavError",
-    "Units",
-    "classical_casimir_pressure",
-    "fan_integrals",
-    "limit_angles",
-    "limit_angles_vector",
-    "optimize_phi",
-    "pressure_prefactor",
-    "pressure_profile",
-    "ray_length",
-    "ray_length_intersection",
-    "s_factor",
-    "specific_pressures",
-    "sweep",
-    "total_forces",
-    "validate",
-    "verify_suite",
-]

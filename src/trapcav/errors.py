@@ -33,25 +33,6 @@ class NonPositiveGap(TrapcavError):
     """Plate separation must be positive."""
 
 
-class NotConverged(TrapcavError):
-    """Adaptive integration stopped early; carries the best estimate found.
-
-    Attributes:
-        value: best integral estimate at the point of giving up.
-        error_estimate: summed panel error estimate for that value.
-        evaluations: integrand evaluations spent.
-    """
-
-    def __init__(self, value: float, error_estimate: float, evaluations: int) -> None:
-        self.value = value
-        self.error_estimate = error_estimate
-        self.evaluations = evaluations
-        super().__init__(
-            f"quadrature stopped at value={value!r} "
-            f"with error estimate {error_estimate!r} after {evaluations} evaluations"
-        )
-
-
 class NonFiniteSample(TrapcavError):
     """An integrand or pressure sample is NaN or infinite, or a force or its slope is no normal float.
 

@@ -76,9 +76,15 @@ def _ray(a: float, c: float, s: float, r: float, t: float) -> tuple[float, float
     # angle u = theta - 2 phi from the lower wing (see the module docstring);
     # (r + t) s is formed as (r/2 + t/2)(2 s), the same float wherever r + t
     # is finite and r and t are 0 or above 4.5e-308 (so halving is exact),
-    # and 0, not inf * 0 = NaN, on a flat wing past half the float range
+    # and 0, not inf * 0 = NaN, on a flat wing past half the float range;
+    # g = a + 2 r s overflows on a tilted wing past about 1.27e308 gaps;
+    # there sigma and x take g/2 = a/2 + r s, with c and s doubled.  Halved
+    # everywhere, g would move on gaps below 4.5e-308, where a/2 rounds
+    h = math.hypot(c * (r - t), a + (0.5 * r + 0.5 * t) * (2.0 * s))
     g = a + r * (2.0 * s)
-    return c * g, (t - r) + s * g, math.hypot(c * (r - t), a + (0.5 * r + 0.5 * t) * (2.0 * s))
+    if g == math.inf:
+        g, c, s = 0.5 * a + r * s, 2.0 * c, 2.0 * s
+    return c * g, (t - r) + s * g, h
 
 
 class WingParams(NamedTuple):

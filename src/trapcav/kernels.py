@@ -54,7 +54,6 @@ from typing import NamedTuple
 from .errors import NonFiniteSample, NonPositiveGap
 from .geometry import (
     K,
-    AngleWindow,
     CavitySpec,
     WingParams,
     _check_r,
@@ -93,13 +92,31 @@ def classical_casimir_pressure(a: float, k: float = K) -> float:
     return -k / a / a / a / a
 
 
-def _fan(u1: float, width: float, cphi: float, sphi: float) -> tuple[float, float]:
-    # (x, z) of fan_integrals over u in [u1, u1 + width], u = theta - 2 phi,
-    # given cos(phi) and sin(phi) of the fan's cavity.  With h the window's
-    # half-width and m its midpoint in u, cos u2 - cos u1 = -2 sin m sin h
-    # and sin u2 - sin u1 = 2 cos m sin h, and c2^k - c1^k is (c2 - c1)
-    # times a sum of products of c1 and c2, so a narrow window takes no
-    # difference of nearly equal primitives
+def fan_integrals(u1: float, width: float, cphi: float, sphi: float) -> tuple[float, float]:
+    """Closed forms (x, z) of the expulsion and compression fan integrals.
+
+    x = integral of sin^4(theta - 2 phi) cos(theta - phi) d theta
+      = cos(phi) dG5 - sin(phi) dF5
+    z = integral of sin^4(theta - 2 phi) sin(theta - phi) d theta
+      = cos(phi) dF5 + sin(phi) dG5
+
+    over the window u in [u1, u1 + width], u = theta - 2 phi, as
+    :meth:`~trapcav.geometry.WingParams.window` gives it, with ``cphi`` and
+    ``sphi`` the cosine and sine of phi; both primitive differences are
+    evaluated once and shared.  z is positive for any non-empty window
+    inside the fan.  x changes sign where the fan crosses
+    theta = pi/2 + 2 phi.  Over the full half-space fan (0, pi) at phi = 0
+    z is 16/15 and x exactly zero; over (0, pi/2) x is +1/5, and over
+    (pi/2, pi) -1/5.  Both keep their relative digits on every cavity's
+    window, which reaches past u = pi/4, however narrow it is.  A window
+    that lies wholly near u = 0 or u = pi loses them, as the primitive
+    differences cancel there: z is off by 3.6e-7 relative at u1 = 1e-3,
+    width 1e-3, phi = 0.2, against a 50-digit quadrature.
+    """
+    # with h the window's half-width and m its midpoint in u,
+    # cos u2 - cos u1 = -2 sin m sin h and sin u2 - sin u1 = 2 cos m sin h,
+    # and c2^k - c1^k is (c2 - c1) times a sum of products of c1 and c2, so
+    # a narrow window takes no difference of nearly equal primitives
     h = 0.5 * width
     u2, m = u1 + width, u1 + h
     sh = math.sin(h)
@@ -112,30 +129,6 @@ def _fan(u1: float, width: float, cphi: float, sphi: float) -> tuple[float, floa
     p, t = s1 * s1 + s2 * s2, s1 * s2
     d_g = 0.4 * math.cos(m) * sh * (p * (p + t) - t * t)
     return cphi * d_g - sphi * d_f, cphi * d_f + sphi * d_g
-
-
-def fan_integrals(window: AngleWindow, phi: float) -> tuple:
-    """Closed forms (x, z) of the expulsion and compression fan integrals.
-
-    x = integral of sin^4(theta - 2 phi) cos(theta - phi) d theta
-      = cos(phi) dG5 - sin(phi) dF5
-    z = integral of sin^4(theta - 2 phi) sin(theta - phi) d theta
-      = cos(phi) dF5 + sin(phi) dG5
-
-    over the window, with u = theta - 2 phi; both primitive differences are
-    evaluated once and shared.  z is positive for any non-empty window
-    inside the fan.  x changes sign where the fan crosses
-    theta = pi/2 + 2 phi; the full half-space fan at phi = 0 integrates to
-    exactly zero.  Both keep their relative digits on every cavity's window,
-    which reaches past u = pi/4.  A window that lies wholly near u = 0 or
-    u = pi loses them, as the primitive differences cancel there: z is off
-    by 3.6e-7 relative at u1 = 1e-3, width 1e-3, phi = 0.2, against a
-    50-digit quadrature.  The width is theta2 - theta1, so a window whose
-    limit angles coincide in floats (R/a below about 1e-16) integrates to
-    0; the kernel and ``verify`` take the width from
-    :meth:`~trapcav.geometry.WingParams.window` instead.
-    """
-    return _fan(window.theta1 - 2.0 * phi, window.width, math.cos(phi), math.sin(phi))
 
 
 def wing_pressures(cav: WingParams, k: float, r: float) -> tuple[float, float]:
@@ -155,7 +148,7 @@ def wing_pressures(cav: WingParams, k: float, r: float) -> tuple[float, float]:
     """
     _check_r(cav, r)
     u1, width, sigma = cav.window(r)
-    x, z = _fan(u1, width, cav.cphi, cav.sphi)
+    x, z = fan_integrals(u1, width, cav.cphi, cav.sphi)
     a = cav.a
     q = sigma / a
     q2 = q * q

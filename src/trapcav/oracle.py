@@ -393,10 +393,11 @@ def verify_suite(spec: CavitySpec) -> list[OracleReport]:
     list, not raised.  The primary forces run first, so an invalid spec
     raises :class:`InvalidCavity`, and a cavity whose forces are no normal
     floats (R/a below about 1e-154, say) the :class:`NonFiniteSample` of
-    :func:`~trapcav.forces.total_forces`, before any check; every other
-    cavity up to R/a 1.2e308 gets its six reports, and they pass.  Past
-    that a tilted wing's ray lengths leave the float range, so a check may
-    fail or a typed error be raised.  Each deviation is a miss over a
+    :func:`~trapcav.forces.total_forces`, before any check (a flat wing
+    past about 1.59e308 gaps too); every other cavity up to R/a 1.79e308
+    gets its six reports, and they pass, or a steep wing whose ray length
+    leaves the float range raises :class:`NumericDegeneracy` (R/a 1.79e308
+    at 44.7 degrees, say).  Each deviation is a miss over a
     scale, taken in :func:`_worst`; a zero scale makes a zero miss 0 and
     any other inf.  The oracle's raw vectors are exact, so tilted wings of
     any length keep the gap.  The
@@ -408,7 +409,7 @@ def verify_suite(spec: CavitySpec) -> list[OracleReport]:
     # comparison harness, the oracle computations above stay independent
     from .forces import total_forces
     from .geometry import WingParams, limit_angles, ray_length
-    from .kernels import _fan
+    from .kernels import fan_integrals
 
     prim = total_forces(spec)  # validates the spec
     angles, lengths, inner_z, inner_x = [], [], [], []
@@ -426,7 +427,7 @@ def verify_suite(spec: CavitySpec) -> list[OracleReport]:
     cav = WingParams.of(spec)
     for frac in (0.0, 0.5, 15 / 16):
         u1, width, _ = cav.window(spec.R * frac)
-        x, z = _fan(u1, width, cav.cphi, cav.sphi)
+        x, z = fan_integrals(u1, width, cav.cphi, cav.sphi)
         # the raw integrand is a degree-5 trig polynomial, which the rule on
         # each half of an O(1)-wide window gets to below 1e-20; its nodes
         # are offsets from u1, so a window narrower than an ulp of u1 keeps

@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import NonFiniteSample, NotConverged
+from .errors import NonFiniteSample, TrapcavError
 from .spec import REL_TOL_FLOOR
 
 #: halvings of [lo, hi] beyond which no panel is split
@@ -83,8 +83,6 @@ _WG7 = (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0)
 _WG15 = np.array(_WG7 + (_WG[3],) + tuple(reversed(_WG7)))
 
 
-
-
 class QuadratureResult(NamedTuple):
     """Integral value with its error estimate and cost accounting.
 
@@ -95,6 +93,25 @@ class QuadratureResult(NamedTuple):
     error_estimate: float
     evaluations: int
     converged: bool
+
+
+class NotConverged(TrapcavError):
+    """Adaptive integration stopped early; carries the best estimate found.
+
+    Attributes:
+        value: best integral estimate at the point of giving up.
+        error_estimate: summed panel error estimate for that value.
+        evaluations: integrand evaluations spent.
+    """
+
+    def __init__(self, value: float, error_estimate: float, evaluations: int) -> None:
+        self.value = value
+        self.error_estimate = error_estimate
+        self.evaluations = evaluations
+        super().__init__(
+            f"quadrature stopped at value={value!r} "
+            f"with error estimate {error_estimate!r} after {evaluations} evaluations"
+        )
 
 
 def pairwise_sum(values):

@@ -12,7 +12,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from trapcav import (
-    AngleWindow,
     CavitySpec,
     SweepAxis,
     Units,
@@ -56,12 +55,11 @@ def test_criterion_02_edge_pressure_halves():
 
 def test_criterion_03_expulsion_integral_identities():
     with criterion(3, "forward-fan expulsion 1/5, full-fan zero, ratio 3/16"):
-        half = AngleWindow(0.0, math.pi / 2)
-        full = AngleWindow(0.0, math.pi)
-        forward = fan_integrals(half, 0.0)[0]
+        forward = fan_integrals(0.0, math.pi / 2, 1.0, 0.0)[0]
+        full = fan_integrals(0.0, math.pi, 1.0, 0.0)
         assert abs(abs(forward) - 0.2) <= 1e-10
-        assert abs(fan_integrals(full, 0.0)[0]) <= 1e-12
-        ratio = abs(forward) / fan_integrals(full, 0.0)[1]
+        assert abs(full[0]) <= 1e-12
+        ratio = abs(forward) / full[1]
         assert abs(ratio - 3.0 / 16.0) <= 1e-10
 
 
@@ -98,17 +96,18 @@ def test_criterion_07_closed_forms_match_adaptive_quadrature():
             phi = rng.uniform(0.0, math.pi / 4 - 1e-3)
             t1 = rng.uniform(2 * phi + 1e-3, math.pi - 1e-3)
             t2 = rng.uniform(t1 + 1e-4, math.pi)
-            window = AngleWindow(t1, t2)
+            width = t2 - t1
+            x, z = fan_integrals(t1 - 2 * phi, width, math.cos(phi), math.sin(phi))
             for closed, trig in (
-                (fan_integrals(window, phi)[1], lambda t: np.sin(t - phi)),
-                (fan_integrals(window, phi)[0], lambda t: np.cos(t - phi)),
+                (z, lambda t: np.sin(t - phi)),
+                (x, lambda t: np.cos(t - phi)),
             ):
                 raw = lambda t: np.sin(t - 2 * phi) ** 4 * trig(t)
                 quad = integrate_adaptive(
-                    raw, t1, t2, rel_tol=1e-12, abs_tol=1e-14 * window.width
+                    raw, t1, t2, rel_tol=1e-12, abs_tol=1e-14 * width
                 )
                 # near-cancelling windows are judged on the window scale
-                scale = max(abs(closed), abs(quad.value), 1e-3 * window.width)
+                scale = max(abs(closed), abs(quad.value), 1e-3 * width)
                 assert abs(closed - quad.value) / scale <= 1e-10
 
 

@@ -38,10 +38,10 @@ with the proved three-ray expression at 50 digits, and
 The one step that the closed form and the oracle share, the swap of r and
 t, is thus checked against a derivation without it.
 
-The fan kernel ``trapcav.kernels._fan`` writes each primitive difference
-as a product with the sine of the window's half-width; its identities are
-proved, and ``_fan`` is compared with the 50-digit integrals of its
-integrands.  ``s_factor``'s closed form and the cross and dot products of
+The fan kernel ``trapcav.kernels.fan_integrals`` writes each primitive
+difference as a product with the sine of the window's half-width; its
+identities are proved, and ``fan_integrals`` is compared with the 50-digit
+integrals of its integrands.  ``s_factor``'s closed form and the cross and dot products of
 ``WingParams.window`` are proved from ``geometry._ray``'s rays, and each
 is compared with the code in floats or at 50 digits.
 """
@@ -60,7 +60,7 @@ from trapcav.analysis import _dfx_dphi
 from trapcav.forces import _ROUNDING, _reduced
 from trapcav.geometry import WingParams
 from trapcav.geometry import _ray as _corner_ray
-from trapcav.kernels import _fan
+from trapcav.kernels import fan_integrals
 
 c, s, sg, ka, w = sp.symbols("c s sigma kappa w", positive=True)
 C, S = c**2 - s**2, 2 * c * s
@@ -194,7 +194,7 @@ def test_three_ray_matches_the_proved_expression():
 
 
 def test_fan_differences_are_products_with_the_half_width():
-    # _fan takes u2 = u1 + width and m = u1 + h with h = width / 2
+    # fan_integrals takes u2 = u1 + width and m = u1 + h with h = width / 2
     m, h = sp.symbols("m h", real=True)
     u1, u2 = m - h, m + h
     assert sp.expand(sp.expand_trig(sp.cos(u2) - sp.cos(u1) + 2 * sp.sin(m) * sp.sin(h))) == 0
@@ -210,7 +210,7 @@ def test_fan_power_quotients():
 
 def test_fan_brackets_are_the_primitive_differences():
     # with the quotients above, dF5 and dG5 are (c2 - c1) and (s2 - s1)
-    # times _fan's brackets; F5 and G5 are primitives of sin^5 u and
+    # times fan_integrals' brackets; F5 and G5 are primitives of sin^5 u and
     # sin^4 u cos u
     f5 = -ka + sp.Rational(2, 3) * ka**3 - ka**5 / 5
     g5 = sg**5 / 5
@@ -227,7 +227,7 @@ def test_fan_brackets_are_the_primitive_differences():
 
 
 def _fan_bound(u1, width, cphi, sphi):
-    # 8 eps times the magnitudes of _fan's terms, as forces._ROUNDING
+    # 8 eps times the magnitudes of fan_integrals' terms, as forces._ROUNDING
     # bounds the three-ray form.  Rounding m and u2 before their sine and
     # cosine moves those by up to |m| eps and |u2| eps, which moves the
     # brackets by at most 4 |u2| eps (cosines) and 10 |u2| eps (sines)
@@ -253,7 +253,7 @@ def test_fan_matches_the_integrals_of_its_integrands(u1, width, phi):
     # [u1, u1 + width]; the reference takes the same float cos phi and sin
     # phi, at 50 digits
     cphi, sphi = math.cos(phi), math.sin(phi)
-    x, z = _fan(u1, width, cphi, sphi)
+    x, z = fan_integrals(u1, width, cphi, sphi)
     bound_x, bound_z = _fan_bound(u1, width, cphi, sphi)
     with mpmath.workdps(50):
         lo = mpmath.mpf(u1)

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from trapcav import (
-    AngleWindow,
     CavitySpec,
     InvalidCavity,
     NonFiniteSample,
@@ -61,23 +60,38 @@ def test_energy_rejects_non_positive_gap(bad):
 
 def test_inner_integral_full_fan():
     """Full half-space fan: compression picks up the 16/15 enhancement."""
-    full = AngleWindow(0.0, math.pi)
-    assert math.isclose(fan_integrals(full, 0.0)[1], 16.0 / 15.0, rel_tol=1e-14)
-    assert abs(fan_integrals(full, 0.0)[0]) < 1e-12
+    x, z = fan_integrals(0.0, math.pi, 1.0, 0.0)
+    assert math.isclose(z, 16.0 / 15.0, rel_tol=1e-14)
+    assert abs(x) < 1e-12
 
 
 def test_inner_integral_half_fan():
-    half = AngleWindow(0.0, math.pi / 2)
-    assert math.isclose(fan_integrals(half, 0.0)[0], 0.2, rel_tol=1e-14)
-    assert math.isclose(fan_integrals(half, 0.0)[1], 8.0 / 15.0, rel_tol=1e-14)
-    back = AngleWindow(math.pi / 2, math.pi)
-    assert math.isclose(fan_integrals(back, 0.0)[0], -0.2, rel_tol=1e-14)
+    x, z = fan_integrals(0.0, math.pi / 2, 1.0, 0.0)
+    assert math.isclose(x, 0.2, rel_tol=1e-14)
+    assert math.isclose(z, 8.0 / 15.0, rel_tol=1e-14)
+    back = fan_integrals(math.pi / 2, math.pi - math.pi / 2, 1.0, 0.0)
+    assert math.isclose(back[0], -0.2, rel_tol=1e-14)
+
+
+def test_fan_integrals_of_the_kernels_window_give_its_pressure():
+    # a wing 1e-20 gaps long, whose limit angles round to one float: the
+    # window of WingParams.window still has its width, and the public fan
+    # integrals of it give the kernel's pressure bit for bit
+    spec = CavitySpec(a=1.0, R=1e-20, L=1.0, phi=0.3, units=Units.REDUCED)
+    theta1, theta2 = limit_angles(spec, spec.R)
+    assert theta1 == theta2
+    u1, width, sigma = WingParams.of(spec).window(spec.R)
+    x, z = fan_integrals(u1, width, math.cos(spec.phi), math.sin(spec.phi))
+    # wing_pressures' scale k / a^4 / (s / a)^4 at k = a = 1
+    q2 = sigma * sigma
+    scale = 1.0 / (q2 * q2)
+    sample = specific_pressures(spec, spec.R)
+    assert (x * scale, -z * scale) == (sample.p_x, sample.p_z)
+    assert sample.p_z < 0.0
 
 
 def test_expulsion_to_compression_ratio():
-    half = AngleWindow(0.0, math.pi / 2)
-    full = AngleWindow(0.0, math.pi)
-    ratio = abs(fan_integrals(half, 0.0)[0]) / fan_integrals(full, 0.0)[1]
+    ratio = abs(fan_integrals(0.0, math.pi / 2, 1.0, 0.0)[0]) / fan_integrals(0.0, math.pi, 1.0, 0.0)[1]
     assert math.isclose(ratio, 3.0 / 16.0, rel_tol=1e-14)
 
 
@@ -195,8 +209,9 @@ def test_inner_integrals_are_additive(phi, t1, t2, split):
     if hi - lo < 1e-9:
         hi = lo + 1e-9
     mid = lo + split * (hi - lo)
-    whole = fan_integrals(AngleWindow(lo, hi), phi)
-    left = fan_integrals(AngleWindow(lo, mid), phi)
-    right = fan_integrals(AngleWindow(mid, hi), phi)
+    c, s = math.cos(phi), math.sin(phi)
+    whole = fan_integrals(lo - 2.0 * phi, hi - lo, c, s)
+    left = fan_integrals(lo - 2.0 * phi, mid - lo, c, s)
+    right = fan_integrals(mid - 2.0 * phi, hi - mid, c, s)
     for w, l, r in zip(whole, left, right):
         assert math.isclose(w, l + r, rel_tol=1e-12, abs_tol=1e-14)

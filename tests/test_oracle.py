@@ -530,11 +530,11 @@ def _nan_width(window):
         (trapcav.geometry, "limit_angles", _nan_theta1, {"limit_angles"}),
         (trapcav.geometry, "ray_length", lambda f: lambda *args: math.nan, {"ray_length"}),
         (trapcav.oracle, "ray_length_intersection", lambda f: lambda *args: math.nan, {"ray_length"}),
-        (trapcav.kernels, "_fan", lambda f: lambda *args: (math.nan, math.nan),
+        (trapcav.kernels, "fan_integrals", lambda f: lambda *args: (math.nan, math.nan),
          {"inner_integral_z", "inner_integral_x"}),
         (trapcav.geometry.WingParams, "window", _nan_width, {"inner_integral_z", "inner_integral_x"}),
     ],
-    ids=["limit_angles", "ray_length", "ray_length_intersection", "_fan", "window"],
+    ids=["limit_angles", "ray_length", "ray_length_intersection", "fan_integrals", "window"],
 )
 def test_verify_suite_fails_the_checks_that_read_a_nan(monkeypatch, module, name, fault, failing):
     # a NaN on either side of a comparison is a NaN deviation, which ranks

@@ -7,7 +7,7 @@ import pytest
 
 import trapcav.cli
 import trapcav.quadrature
-from trapcav.errors import NotConverged
+from trapcav.quadrature import NotConverged
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
